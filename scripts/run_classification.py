@@ -21,12 +21,10 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--starts", type=int, default=200)
     ap.add_argument("--seed", type=int, default=20260809)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--refutations", action="store_true",
                     help="print the per-case refutation lemmas")
     args = ap.parse_args()
-    cfg = SolveConfig(seed=args.seed, random_starts=args.starts,
-                      threads=args.threads)
+    cfg = SolveConfig(seed=args.seed, random_starts=args.starts)
     for factors, m in TABLE:
         G = FiniteAbelianGroup(factors)
         t0 = time.time()

@@ -20,14 +20,12 @@ class Config:
     random_starts: int = 1000
     grid_per_dim: int = 10
     archive_path: str = "./neargroup_archive"
-    threads: int = 1
     seed: int = 20260809
-    deterministic: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.tolerance < 1e-3):
             raise ValueError("tolerance must lie in (0, 1e-3)")
-        if self.random_starts <= 0 or self.grid_per_dim <= 0 or self.threads <= 0:
+        if self.random_starts <= 0 or self.grid_per_dim <= 0:
             raise ValueError("budgets must be positive")
 
     def solve_config(self):
@@ -35,7 +33,7 @@ class Config:
 
         return SolveConfig(seed=self.seed, grid_per_dim=self.grid_per_dim,
                            random_starts=self.random_starts,
-                           residual_tol=self.tolerance, threads=self.threads)
+                           residual_tol=self.tolerance)
 
 
 _COERCE = {
@@ -44,9 +42,7 @@ _COERCE = {
     "random_starts": int,
     "grid_per_dim": int,
     "archive_path": str,
-    "threads": int,
     "seed": int,
-    "deterministic": lambda s: s.lower() in ("1", "true", "yes"),
 }
 
 

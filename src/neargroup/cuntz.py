@@ -209,7 +209,6 @@ def normalize(x: CuntzElement, level: int | None = None) -> CuntzElement:
         raise ValueError(f"level {level} below maximal word length {maxlen}")
     out: dict[tuple[Word, Word], complex] = {}
     for (mu, nu), c in x.terms.items():
-        raise_by = level - max(len(mu), len(nu))
         pad = level - max(len(mu), len(nu))
         # target: max(len) == level (keep the grade |mu| - |nu| fixed)
         if pad == 0:

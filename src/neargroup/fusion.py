@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+# automorphisms, gauge_act, gauge_group_basis: unused, but perfbench patches them here
 from .abelian import (
     Bicharacter,
     FiniteAbelianGroup,
@@ -30,13 +31,16 @@ from .abelian import (
     automorphisms,
 )
 from .solutions import (
+    DEFAULT_GRID,
+    DISTINCT_TOL,
+    EQUAL_TOL,
     GeneralSolution,
     MNSolution,
     QuadraticIrrational,
-    aut_act,
     dimension_d,
     gauge_act,
     gauge_group_basis,
+    gauge_orbit_search,
 )
 
 __all__ = [
@@ -311,86 +315,31 @@ class OutGroupResult:
     element_orders: tuple[int, ...] = ()
 
 
-def out_group(s: MNSolution | GeneralSolution, grid: int = 720) -> OutGroupResult:
-    """Out(C) = Aut(C) from the symmetries of the solution data.
+def out_group(s: MNSolution | GeneralSolution, grid: int = DEFAULT_GRID) -> OutGroupResult:
+    """Out(C) = Aut(C): the pairs (theta, u) in Aut(G) x G(A,C,J) fixing the
+    solution, found by :func:`~neargroup.solutions.gauge_orbit_search` of the
+    solution against itself and counted modulo (id, -I).
 
-    m=n: exact enumeration of {theta in Aut(G): <.,.>, a, b invariant}.
-    m=2n: enumeration over Aut(G) x a discretized gauge group, with local
-    stabilizer refinement; elements are deduplicated modulo (id, -I).
+    A refined orbit distance below ``EQUAL_TOL`` is a symmetry.  One in the
+    gap below ``DISTINCT_TOL`` is neither a symmetry nor ruled out, and sets
+    ``inconclusive``.
     """
-    G = s.group
-    if isinstance(s, MNSolution):
-        gens = []
-        for th in automorphisms(G):
-            t = aut_act(th, s)
-            if (t.bichar.gram_exponents() == s.bichar.gram_exponents()
-                    and all(p == q for p, q in zip(t.form.values, s.form.values))
-                    and np.max(np.abs(t.b - s.b)) < 1e-8):
-                gens.append(th)
-        orders = tuple(sorted(_perm_order(th, G) for th in gens))
-        return OutGroupResult(len(gens), [th.images for th in gens],
-                              _iso_type(len(gens), orders), element_orders=orders)
-
-    # general: search (theta, u) with u in the gauge group
-    from scipy.linalg import expm
-    from scipy.optimize import minimize
-
-    algebra, comps = gauge_group_basis(s.acj)
-    kdim = len(algebra)
     found: list[tuple[GroupAutomorphism, np.ndarray]] = []
-    for th in automorphisms(G):
-        t = aut_act(th, s)
-        if t.acj.bichar.gram_exponents() != s.acj.bichar.gram_exponents():
-            continue
-        if any(p != q for p, q in zip(t.acj.form.values, s.acj.form.values)):
-            continue
-
-        def dist(coeffs, comp):
-            u = comp @ (expm(sum(c * X for c, X in zip(coeffs, algebra))) if kdim else np.eye(s.L))
-            moved = gauge_act(u, t, check=False)
-            return float(np.max(np.abs(moved.btensor - s.btensor))), u
-
-        for comp in comps:
-            if kdim == 0:
-                val, u = dist((), comp)
-                if val < 1e-7:
-                    found.append((th, u))
-                continue
-            npts = max(8, int(round(grid ** (1.0 / kdim))))
-            axes = [np.linspace(0.0, 2 * np.pi, npts, endpoint=False)] * kdim
-            for p0 in itertools.product(*axes):
-                val, _ = dist(p0, comp)
-                if val < 0.3:
-                    res = minimize(lambda p: dist(p, comp)[0], np.array(p0),
-                                   method="Nelder-Mead",
-                                   options={"xatol": 1e-12, "fatol": 1e-15,
-                                            "maxiter": 600})
-                    if res.fun < 1e-7:
-                        _, u = dist(res.x, comp)
-                        if not any(
-                            th2.images == th.images
-                            and (np.max(np.abs(u2 - u)) < 1e-5
-                                 or np.max(np.abs(u2 + u)) < 1e-5)
-                            for th2, u2 in found
-                        ):
-                            found.append((th, u))
-    # quotient by (id, -I) is already built into the dedup above
-    orders = tuple(sorted(_pair_order(th, u, G) for th, u in found))
+    inconclusive = False
+    for dist, th, u in gauge_orbit_search(s, s, grid):
+        if dist >= EQUAL_TOL:
+            inconclusive |= dist <= DISTINCT_TOL
+        elif not any(th2.images == th.images
+                     and min(np.max(np.abs(u2 - u)), np.max(np.abs(u2 + u))) < 1e-5
+                     for th2, u2 in found):
+            found.append((th, u))
+    orders = tuple(sorted(_pair_order(th, u) for th, u in found))
     return OutGroupResult(len(found), [(th.images, u.round(8).tolist()) for th, u in found],
-                          _iso_type(len(found), orders), element_orders=orders)
+                          _iso_type(orders), inconclusive=inconclusive,
+                          element_orders=orders)
 
 
-def _perm_order(th: GroupAutomorphism, G) -> int:
-    k, cur = 1, th
-    while not cur.is_identity():
-        cur = cur.compose(th)
-        k += 1
-        if k > G.order**2:
-            raise RuntimeError("runaway order computation")
-    return k
-
-
-def _pair_order(th: GroupAutomorphism, u: np.ndarray, G) -> int:
+def _pair_order(th: GroupAutomorphism, u: np.ndarray) -> int:
     k = 1
     cur_t, cur_u = th, u
     while True:
@@ -406,28 +355,30 @@ def _pair_order(th: GroupAutomorphism, u: np.ndarray, G) -> int:
             return k
 
 
-def _iso_type(order: int, element_orders: tuple[int, ...]) -> str | None:
-    """Isomorphism-type guess from order statistics, for order <= 16."""
-    if order > 16:
-        return None
-    table = {
-        (1, (1,)): "1",
-        (2, (1, 2)): "Z2",
-        (3, (1, 3, 3)): "Z3",
-        (4, (1, 2, 2, 2)): "Z2xZ2",
-        (4, (1, 2, 4, 4)): "Z4",
-        (8, (1, 2, 2, 2, 2, 2, 2, 2)): "Z2^3",
-        (8, (1, 2, 2, 2, 2, 4, 4, 2)): "D8",
-        (8, (1, 2, 2, 2, 4, 4, 2, 2)): "D8",
-    }
-    key = (order, tuple(sorted(element_orders)))
-    if key in table:
-        return table[key]
-    if order == 8 and sorted(element_orders) == [1, 2, 2, 2, 2, 2, 4, 4]:
-        return "D8"
-    if order == 8 and sorted(element_orders) == [1, 2, 4, 4, 4, 4, 8, 8]:
-        return "Z8 or Q8-like"
-    return f"order {order}"
+# Sorted element orders of every group of order <= 8; each of these groups is
+# determined by this profile.
+_ORDER_PROFILES = {
+    (1,): "1",
+    (1, 2): "Z2",
+    (1, 3, 3): "Z3",
+    (1, 2, 4, 4): "Z4",
+    (1, 2, 2, 2): "Z2xZ2",
+    (1, 5, 5, 5, 5): "Z5",
+    (1, 2, 3, 3, 6, 6): "Z6",
+    (1, 2, 2, 2, 3, 3): "S3",
+    (1, 7, 7, 7, 7, 7, 7): "Z7",
+    (1, 2, 4, 4, 8, 8, 8, 8): "Z8",
+    (1, 2, 2, 2, 4, 4, 4, 4): "Z4xZ2",
+    (1, 2, 2, 2, 2, 2, 2, 2): "Z2^3",
+    (1, 2, 2, 2, 2, 2, 4, 4): "D8",
+    (1, 2, 4, 4, 4, 4, 4, 4): "Q8",
+}
+
+
+def _iso_type(element_orders: tuple[int, ...]) -> str | None:
+    """Isomorphism type of a group of order <= 8 from its element orders;
+    None for anything else."""
+    return _ORDER_PROFILES.get(tuple(sorted(element_orders)))
 
 
 # ---------------------------------------------------------------------------

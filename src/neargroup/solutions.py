@@ -44,6 +44,7 @@ __all__ = [
     "aut_act",
     "gauge_group_basis",
     "sample_gauge",
+    "gauge_orbit_search",
     "equivalent",
     "fingerprint",
 ]
@@ -507,9 +508,16 @@ def gauge_act(u: np.ndarray, s: GeneralSolution, check: bool = True) -> GeneralS
     u = np.asarray(u, dtype=complex)
     if check and not in_gauge_group(u, s.acj):
         raise ValueError("u is not in the gauge group G(A,C,J)")
-    bt = np.einsum("ar,bs,ct,du,rstug->abcdg", u, u, np.conj(u), np.conj(u),
-                   s.btensor, optimize=True)
+    bt = _gauge_stack(u[None], s.btensor)[0]
     return GeneralSolution(s.group, s.acj, bt, provenance=dict(s.provenance))
+
+
+def _gauge_stack(U: np.ndarray, bt: np.ndarray) -> np.ndarray:
+    """The b-tensors moved by each gauge of the stack U (shape (P, L, L))."""
+    b = np.einsum("par,rstug->pastug", U, bt)
+    b = np.einsum("pbs,pastug->pabtug", U, b)
+    b = np.einsum("pct,pabtug->pabcug", U.conj(), b)
+    return np.einsum("pdu,pabcug->pabcdg", U.conj(), b)
 
 
 def in_gauge_group(u: np.ndarray, acj: ACJData, tol: float = 1e-9) -> bool:
@@ -689,74 +697,88 @@ def fingerprint(s, digits: int = 7) -> tuple:
     )
 
 
-def _mn_equivalent(s1: MNSolution, s2: MNSolution, tol: float = 1e-7) -> bool:
+EQUAL_TOL = 1e-7  # orbit distance below which two solutions are identified
+DISTINCT_TOL = 1e-3  # orbit distance above which they are told apart
+DEFAULT_GRID = 720  # gauge-algebra grid points per finite gauge component
+
+
+def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
+    """Search Aut(G) x G(A,C,J) for (theta, u) moving s1 onto s2.
+
+    For each theta whose pull-back of s1 matches s2 in bicharacter, form,
+    characters chi_t and scalars c_t, and each finite gauge component, the
+    component's coset of the gauge group is sampled on a grid (at least 8
+    points per algebra direction, ``grid`` in total) in one batched
+    evaluation; every local grid minimum is refined by Nelder-Mead, the
+    lowest first.  Yields (distance, theta, u), the distance being the
+    largest entry of |b(u . theta^* s1) - b(s2)|.  An m = n solution is the
+    L = 1 case, whose gauge group {+-1} has no continuous part.
+    """
+    from scipy.linalg import expm
+    from scipy.optimize import minimize  # per call: the benchmark tracer patches it
     from .abelian import automorphisms
 
-    if s1.group.factors != s2.group.factors:
-        return False
-    for th in automorphisms(s1.group):
-        t = aut_act(th, s1)
-        if (t.bichar.gram_exponents() == s2.bichar.gram_exponents()
-                and all(p == q for p, q in zip(t.form.values, s2.form.values))
-                and abs(t.c - s2.c) < tol
-                and np.max(np.abs(t.b - s2.b)) < tol):
-            return True
-    return False
-
-
-def equivalent(s1, s2, equal_tol: float = 1e-7, distinct_tol: float = 1e-3,
-               grid: int = 1000, rng: np.random.Generator | None = None) -> bool:
-    """Equivalence up to Aut(G) x gauge.  For m=n the gauge group is {+-1} and
-    the test is exact over Aut(G); otherwise the gauge orbit is searched on a
-    grid with local refinement.  Raises if the best distance falls in the
-    inconclusive gap (equal_tol, distinct_tol)."""
-    if isinstance(s1, MNSolution) and isinstance(s2, MNSolution):
-        return _mn_equivalent(s1, s2, tol=equal_tol)
     if isinstance(s1, MNSolution):
         s1 = mn_to_general(s1)
     if isinstance(s2, MNSolution):
         s2 = mn_to_general(s2)
     if s1.group.factors != s2.group.factors or s1.L != s2.L:
-        return False
-    from scipy.linalg import expm
-    from scipy.optimize import minimize
-    from .abelian import automorphisms
-
-    best = np.inf
+        return
+    ref = s2.acj
     for th in automorphisms(s1.group):
         t = aut_act(th, s1)
-        if t.acj.bichar.gram_exponents() != s2.acj.bichar.gram_exponents():
-            continue
-        if any(p != q for p, q in zip(t.acj.form.values, s2.acj.form.values)):
-            continue
-        if sorted(map(tuple, t.acj.g_t)) != sorted(map(tuple, s2.acj.g_t)):
+        if (t.acj.bichar.gram_exponents() != ref.bichar.gram_exponents()
+                or any(p != q for p, q in zip(t.acj.form.values, ref.form.values))
+                or sorted(t.acj.g_t) != sorted(ref.g_t)
+                or np.max(np.abs(np.subtract(t.acj.c_t, ref.c_t))) >= EQUAL_TOL):
             continue
         algebra, comps = gauge_group_basis(t.acj)
         kdim = len(algebra)
-
-        def dist(coeffs, comp):
-            u = comp @ expm(sum(c * X for c, X in zip(coeffs, algebra))) if kdim else comp
-            moved = gauge_act(u, t, check=False)
-            return float(np.max(np.abs(moved.btensor - s2.btensor)))
-
+        X = np.array(algebra).reshape(kdim, s1.L, s1.L)
         for comp in comps:
+
+            def gauges(coeffs):  # (P, kdim) algebra coefficients -> (P, L, L)
+                return comp @ expm(np.tensordot(coeffs, X, 1))
+
+            def dists(coeffs):
+                moved = _gauge_stack(gauges(coeffs), t.btensor)
+                return np.abs(moved - s2.btensor).reshape(len(coeffs), -1).max(axis=1)
+
             if kdim == 0:
-                best = min(best, dist((), comp))
+                yield float(dists(np.zeros((1, 0)))[0]), th, np.asarray(comp, complex)
                 continue
-            npts = max(3, int(round(grid ** (1.0 / kdim))))
-            axes = [np.linspace(0.0, 2 * np.pi, npts, endpoint=False)] * kdim
-            pts = np.stack(np.meshgrid(*axes), -1).reshape(-1, kdim)
-            vals = [dist(p, comp) for p in pts]
-            i0 = int(np.argmin(vals))
-            best = min(best, vals[i0])
-            res = minimize(lambda p: dist(p, comp), pts[i0], method="Nelder-Mead",
-                           options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
-            best = min(best, float(res.fun))
-        if best < equal_tol:
+            npts = max(8, int(round(grid ** (1.0 / kdim))))
+            axis = np.linspace(0.0, 2 * np.pi, npts, endpoint=False)
+            pts = np.stack(np.meshgrid(*[axis] * kdim, indexing="ij"), -1).reshape(-1, kdim)
+            vals = dists(pts)
+            # local minima on the periodic grid (strictly below the previous
+            # neighbour on every axis, so a flat stretch counts once) and the
+            # global one, which a stretch flat along some axis would hide
+            V = vals.reshape((npts,) * kdim)
+            is_min = np.ones(V.shape, dtype=bool)
+            for ax in range(kdim):
+                is_min &= (V < np.roll(V, 1, ax)) & (V <= np.roll(V, -1, ax))
+            starts = np.union1d(np.flatnonzero(is_min), [np.argmin(vals)])
+            for i in starts[np.argsort(vals[starts], kind="stable")]:
+                res = minimize(lambda x: dists(x[None])[0], pts[i], method="Nelder-Mead",
+                               options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 600})
+                yield float(res.fun), th, gauges(res.x[None])[0]
+
+
+def equivalent(s1, s2, grid: int = DEFAULT_GRID) -> bool:
+    """Equivalence up to Aut(G) x gauge, by :func:`gauge_orbit_search`.
+
+    True as soon as a refined orbit distance falls below ``EQUAL_TOL``; False
+    when the best distance is above ``DISTINCT_TOL``.  A best distance in the
+    gap between the two raises ``ArithmeticError``: the search can neither
+    identify nor separate the solutions.
+    """
+    best = np.inf
+    for dist, _, _ in gauge_orbit_search(s1, s2, grid):
+        if dist < EQUAL_TOL:
             return True
-    if best < equal_tol:
-        return True
-    if best > distinct_tol:
+        best = min(best, dist)
+    if best > DISTINCT_TOL:
         return False
     raise ArithmeticError(
         f"equivalence search inconclusive: best distance {best:.3e} in gap zone"

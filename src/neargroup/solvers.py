@@ -63,7 +63,6 @@ class SolveConfig:
     residual_tol: float = 1e-10
     max_grid_points: int = 10000
     heuristic_starts: int = 200
-    threads: int = 1
 
 
 @dataclass
@@ -102,6 +101,10 @@ class ClassificationResult:
     def summary(self) -> str:
         lines = [f"classify({self.group}, m={self.m}): {self.num_classes} class(es)"
                  f" [{self.completeness}]"]
+        inconclusive = len(self.provenance.get("warnings", []))
+        if inconclusive:
+            lines.append(f"  {inconclusive} inconclusive equivalence comparison(s),"
+                         " counted as distinct classes")
         if self.conjugate_folded and self.num_classes_absolute != self.num_classes:
             lines.append(f"  ({self.num_classes_absolute} before folding "
                          "Galois/conjugate companions)")
@@ -269,24 +272,12 @@ def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
         starts = [np.array(p) for p in itertools.product(*axes)]
         starts += [rng.uniform(-scale, scale, size=k)
                    for _ in range(config.random_starts)]
-        def _newton(x0):
+        for x0 in starts:
             sol = least_squares(resid, x0, method="lm", xtol=1e-15, ftol=1e-15,
                                 gtol=1e-15, max_nfev=200 * (k + 1))
-            return sol.x if np.linalg.norm(sol.fun) <= config.newton_tol else None
-
-        # solver tasks are pure; fan out over start points and reduce in a
-        # deterministic order
-        if config.threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(config.threads) as pool:
-                results = list(pool.map(_newton, starts))
-        else:
-            results = map(_newton, starts)
-        for xres in results:
-            if xres is None:
+            if np.linalg.norm(sol.fun) > config.newton_tol:
                 continue
-            bb = bvec(xres)
+            bb = bvec(sol.x)
             if any(np.max(np.abs(bb - prev)) < config.dedupe_tol
                    and abs(c - pc) < config.dedupe_tol
                    for prev, pc in zip(found, found_c)):
@@ -314,10 +305,13 @@ def case_feasibility_report(G, b, a):
 
 def solve_m2n(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
               config: SolveConfig | None = None,
-              feasibilities: list[Feasibility] | None = None
+              feasibilities: list[Feasibility] | None = None,
+              warnings: list[str] | None = None
               ) -> tuple[list[GeneralSolution], list[Feasibility]]:
     """Solve the m = 2n system on the reduced parameter spaces of the cases
-    surviving the exact feasibility analysis.  Returns (solutions, report)."""
+    surviving the exact feasibility analysis.  Returns (solutions, report).
+    Inconclusive equivalence comparisons of the dedupe are appended to
+    ``warnings``; their solutions are kept as distinct."""
     if config is None:
         config = SolveConfig()
     ctx = ExactContext(G, b, a)
@@ -334,8 +328,9 @@ def solve_m2n(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
         # Case III survivors only arise for |G| >= 8; no structured solver
     # dedupe up to Aut x gauge
     reps: list[GeneralSolution] = []
+    warnings = [] if warnings is None else warnings
     for s in sols:
-        if not any(equivalent(s, r) for r in reps):
+        if not any(_equiv_or_warn(s, r, warnings) for r in reps):
             reps.append(s)
     reps.sort(key=lambda s: tuple(np.round(s.btensor.ravel().view(float), 6)))
     return reps, feasibilities
@@ -571,6 +566,8 @@ def _solve_case_II(G, b, a, ctx, tag, config) -> list[GeneralSolution]:
 
 
 def _equiv_or_warn(s, other, warnings: list) -> bool:
+    """``equivalent``, with an inconclusive comparison recorded in
+    ``warnings`` and counted as not equivalent."""
     try:
         return equivalent(s, other)
     except ArithmeticError as e:
@@ -621,7 +618,7 @@ def classify(G: FiniteAbelianGroup, m: int,
             comp = "COMPLETE" if n <= 4 else "HEURISTIC"
             if comp == "HEURISTIC":
                 completeness = "HEURISTIC"
-            sols, feas = solve_m2n(G, b, a, config)
+            sols, feas = solve_m2n(G, b, a, config, warnings=warnings)
             all_feas.extend(feas)
             refutations.extend(f for f in feas if not f.feasible)
             for s in sols:
@@ -643,6 +640,9 @@ def classify(G: FiniteAbelianGroup, m: int,
                            for c in classes):
                     classes.append(SolutionClass(s, None, rep, fingerprint(s),
                                                  "HEURISTIC", galois_orbit=orbit))
+    if warnings:
+        # a class count that rests on an inconclusive comparison is not certain
+        completeness = "HEURISTIC"
     certified_empty = (m == 2 * n and not classes
                        and all(not f.feasible for f in all_feas))
     return ClassificationResult(

@@ -15,6 +15,7 @@ from neargroup.abelian import (
 )
 from neargroup.corpus import z2_m2, z2z2_m4, z2z2z3_m12, z3_m3, z3_m6, z4_m4, z5_m5
 from neargroup.fusion import (
+    _iso_type,
     d8_rep_data,
     dequiv_fusion,
     dequiv_twisted,
@@ -25,6 +26,7 @@ from neargroup.fusion import (
     out_group,
     principal_graph,
 )
+from neargroup.solutions import GeneralSolution
 
 
 # --- dimension diagnosis -----------------------------------------------------
@@ -108,11 +110,39 @@ def test_out_groups_mn():
     assert out_group(z2z2z3_m12()).order == 2
 
 
-@pytest.mark.slow
 def test_out_group_z3_m6_dihedral():
     res = out_group(z3_m6(), grid=120)
     assert res.order == 8
     assert res.isomorphism_type == "D8"
+    assert not res.inconclusive
+
+
+def test_out_group_noisy_solution_is_inconclusive():
+    """Noise of 1e-5 breaks the D8 symmetries only to within the gap between
+    EQUAL_TOL and DISTINCT_TOL; out_group must say so."""
+    s = z3_m6()
+    rng = np.random.default_rng(7)
+    noise = rng.normal(size=s.btensor.shape) + 1j * rng.normal(size=s.btensor.shape)
+    noisy = GeneralSolution(s.group, s.acj, s.btensor + 1e-5 * noise)
+    assert out_group(noisy, grid=32).inconclusive
+
+
+@pytest.mark.parametrize("orders, name", [
+    ((1, 2, 4, 4, 8, 8, 8, 8), "Z8"),
+    ((1, 2, 2, 2, 4, 4, 4, 4), "Z4xZ2"),
+    ((1, 2, 2, 2, 2, 2, 2, 2), "Z2^3"),
+    ((1, 2, 2, 2, 2, 2, 4, 4), "D8"),
+    ((1, 2, 4, 4, 4, 4, 4, 4), "Q8"),
+    ((1, 2, 3, 3, 6, 6), "Z6"),
+    ((1, 2, 2, 2, 3, 3), "S3"),
+])
+def test_iso_type_from_element_orders(orders, name):
+    assert _iso_type(tuple(reversed(orders))) == name
+
+
+def test_iso_type_unknown_profile():
+    assert _iso_type((1, 2, 4, 4, 4, 4, 8, 8)) is None  # no group of order 8
+    assert _iso_type((1,) + (3,) * 8) is None  # Z3xZ3: order 9, not tabulated
 
 
 # --- de-equivariantization -------------------------------------------------------

@@ -161,6 +161,13 @@ def test_mn_equivalence_via_automorphism():
     assert not equivalent(z2_m2().conj(), z2_m2())
 
 
+def test_mn_equivalence_checks_c():
+    """Same b, c multiplied by a cube root of unity: a different solution."""
+    s = z5_m5()
+    rotated = MNSolution(s.group, s.bichar, s.form, s.b, s.c * np.exp(2j * np.pi / 3))
+    assert not equivalent(s, rotated)
+
+
 def test_fingerprints_invariant(rng):
     s = z3_m6()
     u = sample_gauge(s.acj, rng)

@@ -92,6 +92,22 @@ def test_classify_counts_mn():
         assert res.completeness == "COMPLETE"
 
 
+def test_classify_inconclusive_dedupe_is_heuristic(monkeypatch):
+    import neargroup.solvers as solvers
+
+    calls = []
+
+    def inconclusive(s1, s2):
+        calls.append((s1, s2))
+        raise ArithmeticError("equivalence search inconclusive")
+
+    monkeypatch.setattr(solvers, "equivalent", inconclusive)
+    res = classify(FiniteAbelianGroup((2,)), 2, FAST)
+    assert len(calls) == 1
+    assert res.completeness == "HEURISTIC"
+    assert "1 inconclusive equivalence comparison" in res.summary()
+
+
 def test_classify_z2z2_m4_matches_bundled():
     res = classify(FiniteAbelianGroup((2, 2)), 4, FAST)
     assert res.num_classes == 1
