@@ -239,6 +239,11 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _squarefree(n: int) -> int:
+    """The squarefree part D0 of n = s^2 * D0."""
+    return math.prod(p for p, e in _factorize(n).items() if e % 2)
+
+
 @dataclass(frozen=True)
 class Bicharacter:
     """Symmetric bicharacter given by its Gram matrix of phases on generators."""

@@ -30,7 +30,14 @@ import numpy as np
 import sympy as sp
 from sympy.polys.domains import QQ
 
-from .abelian import Bicharacter, FiniteAbelianGroup, Phase, QuadraticForm
+from .abelian import (
+    Bicharacter,
+    FiniteAbelianGroup,
+    Phase,
+    QuadraticForm,
+    _factorize,
+    _squarefree,
+)
 
 __all__ = [
     "CaseTag",
@@ -89,33 +96,6 @@ def case_tags(G: FiniteAbelianGroup, b: Bicharacter | None = None) -> list[CaseT
 # the exact cyclotomic context
 
 
-def _squarefree(n: int) -> int:
-    out, d = 1, 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e % 2:
-            out *= d
-        d += 1
-    return out * n
-
-
-def _odd_primes(n: int) -> set[int]:
-    out, d = set(), 3
-    while n % 2 == 0:
-        n //= 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 2
-    if n > 1:
-        out.add(n)
-    return out
-
-
 class ExactContext:
     """Exact rotation/eigen data for one (bicharacter, form) pair at m = 2n."""
 
@@ -138,7 +118,7 @@ class ExactContext:
         sq_args = {_squarefree(n), D0}
         primes = set()
         for s in sq_args:
-            primes |= _odd_primes(s)
+            primes |= {p for p in _factorize(s) if p != 2}
             if s % 2 == 0:
                 dens.add(8)
         N = 1

@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+import zlib
 
 import numpy as np
 
@@ -145,7 +146,7 @@ def _classification_payload(res) -> dict:
                 "case": str(c.case) if c.case else None,
                 "max_residual": c.residuals.max_residual,
                 "completeness": c.completeness,
-                "fingerprint_hash": hash(c.fingerprint) & 0xFFFFFFFF,
+                "fingerprint_hash": zlib.crc32(repr(c.fingerprint).encode()),
                 "solution": solution_to_json(c.solution),
             }
             for c in res.classes

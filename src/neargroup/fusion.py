@@ -28,6 +28,7 @@ from .abelian import (
     GroupAutomorphism,
     QuadraticForm,
     Subgroup,
+    _factorize,
     automorphisms,
 )
 from .solutions import (
@@ -501,7 +502,7 @@ def _quotient_factors(G: FiniteAbelianGroup, hset, reps) -> list[int]:
     order = len(els)
     if order == 1:
         return []
-    primes = sorted(_prime_factors(order))
+    primes = sorted(_factorize(order))
     # c_k = #{x in Q : p^k x = 0} = p^{sum_i min(k, lambda_i)} determines the
     # partition (lambda_i) of the p-primary part
     primary: dict[int, list[int]] = {}
@@ -539,19 +540,6 @@ def _quotient_factors(G: FiniteAbelianGroup, hset, reps) -> list[int]:
                 q *= primary[p][i]
         invariant.append(q)
     return sorted(invariant)
-
-
-def _prime_factors(n: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 # ---------------------------------------------------------------------------

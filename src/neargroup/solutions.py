@@ -28,6 +28,7 @@ from .abelian import (
     FiniteAbelianGroup,
     GroupAutomorphism,
     QuadraticForm,
+    _squarefree,
 )
 
 __all__ = [
@@ -52,17 +53,6 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 
 
-def _squarefree_split(D: int) -> tuple[int, int]:
-    """D = s^2 * D0 with D0 squarefree; returns (s, D0)."""
-    s, rest, d = 1, D, 2
-    while d * d <= rest:
-        while rest % (d * d) == 0:
-            rest //= d * d
-            s *= d
-        d += 1
-    return s, rest
-
-
 @dataclass(frozen=True)
 class QuadraticIrrational:
     """Exact (p + q*sqrt(D))/r with D squarefree (rational iff D == 1)."""
@@ -80,25 +70,20 @@ class QuadraticIrrational:
     def is_rational(self) -> bool:
         return self.D == 1 or self.q == 0
 
-    def sympy(self):
-        import sympy as sp
-
-        return (sp.Integer(self.p) + sp.Integer(self.q) * sp.sqrt(self.D)) / sp.Integer(self.r)
-
     def __float__(self) -> float:
         return self.value
 
 
 def dimension_d(n: int, m: int) -> QuadraticIrrational:
     """d = (m + sqrt(m^2 + 4n)) / 2, the dimension solving d^2 = n + m d."""
-    import math as _math
-
-    s, D0 = _squarefree_split(m * m + 4 * n)
+    D = m * m + 4 * n
+    D0 = _squarefree(D)
+    s = math.isqrt(D // D0)
     if D0 == 1:
         p, q, r = m + s, 0, 2
     else:
         p, q, r = m, s, 2
-    g = _math.gcd(_math.gcd(p, q), r)
+    g = math.gcd(p, q, r)
     return QuadraticIrrational(p // g, q // g, D0, r // g)
 
 
@@ -323,13 +308,7 @@ class GeneralSolution:
     def bmatrix(self, gi: int) -> np.ndarray:
         """B(g) with ((r,t),(s,u)) entries b^{r,s}_{t,u}(g), lexicographic."""
         L = self.L
-        M = np.empty((L * L, L * L), dtype=complex)
-        for r in range(L):
-            for t in range(L):
-                for ss in range(L):
-                    for u in range(L):
-                        M[r * L + t, ss * L + u] = self.btensor[r, ss, t, u, gi]
-        return M
+        return self.btensor[..., gi].transpose(0, 2, 1, 3).reshape(L * L, L * L)
 
     def conj(self) -> "GeneralSolution":
         acj = self.acj
@@ -360,15 +339,13 @@ def mn_to_general(s: MNSolution) -> GeneralSolution:
     return GeneralSolution(s.group, acj, bt, provenance=dict(s.provenance))
 
 
-def residual_general(
-    s: GeneralSolution, tolerance: float = DEFAULT_TOL, include_p10: bool = True
-) -> ResidualReport:
-    errs = s.acj.validate()
-    if errs:
-        raise ValueError("; ".join(errs))
-    G, n, L, d = s.group, s.n, s.L, s.d
+def tensor_equations(acj: ACJData, d: float) -> dict:
+    """The tensor equations of the normal form ``acj`` at dimension ``d``, as
+    functions of the b-tensor: each returns the array lhs - rhs of one
+    equation, zero on a solution.  Keys: (p1)-(p11) and ``bg_unitary``."""
+    G = acj.group
+    n, L = G.order, acj.L
     T = tables(G)
-    acj = s.acj
     B = acj.bichar.matrix()
     a = acj.form.table()
     chi = acj.chi()  # (L, n)
@@ -376,126 +353,81 @@ def residual_general(
     c_t = np.array(acj.c_t, dtype=complex)
     eps = acj.eps
     bar = np.array(acj.bar, dtype=int)
-    b = s.btensor
-    out: dict[str, float] = {}
+    gi = np.array([G.index_of(x) for x in acj.g_t], dtype=int)  # chi_t = <., g_t>
+    r, s, t, u, g = np.ogrid[:L, :L, :L, :L, :n]
 
-    # acj scalar relation: sum_g a(g) chi_t(g) = sqrt(n) c_t^{-3}
-    gsum = np.einsum("g,tg->t", a, chi)
-    out["acj3"] = float(np.max(np.abs(gsum - math.sqrt(n) * c_t ** (-3.0))))
-
-    # p1
-    lhs = np.einsum("gh,rstuh->rstug", B, b) / math.sqrt(n)
-    rhs = np.empty_like(b)
-    for r in range(L):
-        for ss in range(L):
-            for t in range(L):
-                for u in range(L):
-                    rhs[r, ss, t, u] = (
-                        eps * eps_t[r] * eps_t[t] * c_t[u] * a * chi[u]
-                        * b[ss, bar[t], bar[r], u]
-                    )
-    out["p1"] = float(np.max(np.abs(lhs - rhs)))
-
-    # p2, p3
     eye = np.eye(L)
-    out["p2"] = float(np.max(np.abs(np.einsum("rsru->su", b[..., T.zero]) + eye / d)))
-    out["p3"] = float(np.max(np.abs(np.einsum("rsts->rt", b[..., T.zero]) + eye / d)))
-
-    # p4, p5 (B(g) column/row orthogonality)
     delta0 = np.zeros(n)
     delta0[T.zero] = 1.0
-    lhs4 = np.einsum("rbtag,rstug->sbuag", np.conj(b), b)  # (s,s',u,u',g)
     rhs4 = (np.einsum("sb,ua->sbua", eye, eye)[..., None] / n
             - np.einsum("su,ba->sbua", eye, eye)[..., None] * delta0 / d)
-    out["p4"] = float(np.max(np.abs(lhs4 - rhs4)))
-    lhs5 = np.einsum("rstug,asbug->ratbg", b, np.conj(b))  # (r,r',t,t',g)
     rhs5 = (np.einsum("ra,tb->ratb", eye, eye)[..., None] / n
             - np.einsum("rt,ab->ratb", eye, eye)[..., None] * delta0 / d)
-    out["p5"] = float(np.max(np.abs(lhs5 - rhs5)))
+    # (p6): b^{r,s}_{t,u} vanishes unless chi_r chi_s = chi_t chi_u
+    off_support = T.add[gi[r], gi[s]] != T.add[gi[t], gi[u]]
+    shift = T.add[gi[s], T.neg[gi[u]]]  # g_s - g_u, for (p11)
+    # B(g)* B(g) = B(g) B(g)* = (1/n) I - (delta_{g,0}/d) delta delta*
+    unit = np.broadcast_to(np.eye(L * L) / n, (n, L * L, L * L)).copy()
+    unit[T.zero] -= np.outer(eye.ravel(), eye.ravel()) / d
 
-    # p6: support condition chi_r chi_s = chi_t chi_u
-    worst = 0.0
-    for r in range(L):
-        for ss in range(L):
-            for t in range(L):
-                for u in range(L):
-                    prod_rs = G.add(acj.g_t[r], acj.g_t[ss])
-                    prod_tu = G.add(acj.g_t[t], acj.g_t[u])
-                    if prod_rs != prod_tu:
-                        worst = max(worst, float(np.max(np.abs(b[r, ss, t, u]))))
-    out["p6"] = worst
+    def bg_unitary(b):
+        M = b.transpose(4, 0, 2, 1, 3).reshape(n, L * L, L * L)  # B(g), as bmatrix
+        Mh = M.conj().transpose(0, 2, 1)
+        return np.stack([Mh @ M - unit, M @ Mh - unit])
 
-    # p7, p8, p9
-    res7 = res8 = res9 = 0.0
-    for r in range(L):
-        for ss in range(L):
-            for t in range(L):
-                for u in range(L):
-                    lhs = np.conj(b[r, ss, t, u])
-                    rhs7 = eps_t[ss] * eps_t[u] * a * chi[u] * b[t, bar[ss], r, bar[u]][T.neg]
-                    res7 = max(res7, float(np.max(np.abs(lhs - rhs7))))
-                    rhs8 = (eps_t[t] * eps_t[r] * c_t[r] * np.conj(c_t[t]) * a * chi[r]
-                            * b[bar[r], u, bar[t], ss][T.neg])
-                    res8 = max(res8, float(np.max(np.abs(lhs - rhs8))))
-                    rhs9 = (eps_t[r] * eps_t[ss] * eps_t[t] * eps_t[u]
-                            * c_t[t] * np.conj(c_t[r]) * np.conj(chi[r] * chi[ss])
-                            * b[bar[t], bar[u], bar[r], bar[ss]])
-                    res9 = max(res9, float(np.max(np.abs(b[r, ss, t, u] - rhs9))))
-    out["p7"], out["p8"], out["p9"] = res7, res8, res9
+    def p10(b):
+        # one (h, k) matrix equation for each (r, u, v, w, p, x) in Lambda^6
+        R, U, V, W, P, X, H, K = np.ogrid[:L, :L, :L, :L, :L, :L, :n, :n]
+        base = b[bar][:, :, bar][..., T.add]  # [r,u,t,s,g,h] = b[rb,u,tb,s,g+h]
+        lhs = (c_t * eps_t)[R] * np.einsum(
+            "t,vwqsg,rutsgh,pxqtgk->ruvwpxhk",
+            eps_t * np.conj(c_t), np.conj(b), base, b[..., T.add], optimize=True)
+        inner = np.einsum("pyvrk,xwyuh->ruvwpxhk", b, b[:, bar][:, :, :, bar])
+        rhs = (eps_t[U] * eps_t[W] * (chi[R, H] * np.conj(chi[U, H]))
+               * np.conj(B)[H, K] * inner)
+        rhs = rhs - np.where((R == U) & (W == bar[V]) & (X == bar[P]),
+                             c_t[U] * eps_t[bar[P]] * eps_t[V] / (d * math.sqrt(n)), 0)
+        return lhs - rhs
 
-    # p11 (implied by p1, p9; checked as transcription cross-check)
-    res11 = 0.0
-    for r in range(L):
-        for ss in range(L):
-            for t in range(L):
-                for u in range(L):
-                    shift = G.index_of(G.sub(acj.g_t[ss], acj.g_t[u]))
-                    rhs11 = (c_t[r] * c_t[u] * np.conj(c_t[ss] * c_t[t])
-                             * b[ss, r, u, t][T.add[:, shift]])
-                    res11 = max(res11, float(np.max(np.abs(b[r, ss, t, u] - rhs11))))
-    out["p11"] = res11
+    return {
+        "p1": lambda b: (np.einsum("gh,rstuh->rstug", B, b) / math.sqrt(n)
+                         - eps * eps_t[r] * eps_t[t] * c_t[u] * a[g] * chi[u, g]
+                         * b[s, bar[t], bar[r], u, g]),
+        "p2": lambda b: np.einsum("rsru->su", b[..., T.zero]) + eye / d,
+        "p3": lambda b: np.einsum("rsts->rt", b[..., T.zero]) + eye / d,
+        # B(g) column/row orthogonality
+        "p4": lambda b: np.einsum("rbtag,rstug->sbuag", np.conj(b), b) - rhs4,
+        "p5": lambda b: np.einsum("rstug,asbug->ratbg", b, np.conj(b)) - rhs5,
+        "p6": lambda b: np.where(off_support, b, 0),
+        "p7": lambda b: (np.conj(b) - eps_t[s] * eps_t[u] * a[g] * chi[u, g]
+                         * b[t, bar[s], r, bar[u], T.neg[g]]),
+        "p8": lambda b: (np.conj(b) - eps_t[t] * eps_t[r] * c_t[r] * np.conj(c_t[t])
+                         * a[g] * chi[r, g] * b[bar[r], u, bar[t], s, T.neg[g]]),
+        "p9": lambda b: (b - eps_t[r] * eps_t[s] * eps_t[t] * eps_t[u]
+                         * c_t[t] * np.conj(c_t[r]) * np.conj(chi[r, g] * chi[s, g])
+                         * b[bar[t], bar[u], bar[r], bar[s], g]),
+        # (p11) is implied by (p1) and (p9); checked as a transcription cross-check
+        "p11": lambda b: (b - c_t[r] * c_t[u] * np.conj(c_t[s] * c_t[t])
+                          * b[s, r, u, t, T.add[g, shift]]),
+        "bg_unitary": bg_unitary,
+        "p10": p10,
+    }
 
-    # B(g) unitarity: B(g)* B(g) = (1/n) I - (delta_{g,0}/d) delta delta*
-    delta_vec = np.array([1.0 if r == t else 0.0 for r in range(L) for t in range(L)])
-    worst = 0.0
-    for gi in range(n):
-        M = s.bmatrix(gi)
-        target = np.eye(L * L) / n
-        if gi == T.zero:
-            target = target - np.outer(delta_vec, delta_vec) / d
-        worst = max(worst, float(np.max(np.abs(M.conj().T @ M - target))))
-        worst = max(worst, float(np.max(np.abs(M @ M.conj().T - target))))
-    out["bg_unitary"] = worst
 
-    # p10
-    if include_p10:
-        res10 = 0.0
-        for r in range(L):
-            for u in range(L):
-                base2 = b[bar[r], u][bar][:, :, T.add]  # [t, s, g, h] = b[rb,u,tb,s,g+h]
-                for v in range(L):
-                    for w in range(L):
-                        A1 = np.conj(b[v, w])  # [q, s, g]
-                        for p in range(L):
-                            for x in range(L):
-                                A3 = b[p, x][:, :, T.add]  # [q, t, g, k] = b[p,x,q,t,g+k]
-                                lhs = c_t[r] * eps_t[r] * np.einsum(
-                                    "t,qsg,tsgh,qtgk->hk",
-                                    eps_t * np.conj(c_t), A1, base2, A3,
-                                    optimize=True,
-                                )
-                                rhs = (
-                                    eps_t[u] * eps_t[w]
-                                    * (chi[r] * np.conj(chi[u]))[:, None]
-                                    * np.conj(B)
-                                    * np.einsum("yk,yh->hk", b[p, :, v, r, :],
-                                                b[x, bar[w], :, bar[u], :])
-                                )
-                                if r == u and w == bar[v] and x == bar[p]:
-                                    rhs = rhs - c_t[u] * eps_t[bar[p]] * eps_t[v] / (d * math.sqrt(n))
-                                res10 = max(res10, float(np.max(np.abs(lhs - rhs))))
-        out["p10"] = res10
-
+def residual_general(s: GeneralSolution, tolerance: float = DEFAULT_TOL) -> ResidualReport:
+    """The scalar relation of the normal form (``acj3``) and every equation of
+    :func:`tensor_equations`, each as its largest absolute residual.  Raises
+    ``ValueError`` if the normal-form data is inconsistent."""
+    errs = s.acj.validate()
+    if errs:
+        raise ValueError("; ".join(errs))
+    acj = s.acj
+    # acj scalar relation: sum_g a(g) chi_t(g) = sqrt(n) c_t^{-3}
+    gsum = np.einsum("g,tg->t", acj.form.table(), acj.chi())
+    out = {"acj3": float(np.max(np.abs(
+        gsum - math.sqrt(s.n) * np.array(acj.c_t, dtype=complex) ** (-3.0))))}
+    for name, eq in tensor_equations(acj, s.d).items():
+        out[name] = float(np.max(np.abs(eq(s.btensor))))
     return ResidualReport(out, tolerance)
 
 
@@ -553,7 +485,8 @@ def gauge_group_basis(acj: ACJData) -> tuple[list[np.ndarray], list[np.ndarray]]
 
     The algebra consists of anti-Hermitian matrices commuting with all A(g),
     C and J; representatives of extra components are searched among signed
-    permutation matrices compatible with the same constraints.
+    permutation matrices compatible with the same constraints, and kept up to
+    sign, since -1 acts trivially on b.
     """
     if acj in _GAUGE_CACHE:
         return _GAUGE_CACHE[acj]
@@ -607,7 +540,7 @@ def gauge_group_basis(acj: ACJData) -> tuple[list[np.ndarray], list[np.ndarray]]
             for i, j in enumerate(perm):
                 P[j, i] = signs[i]
             if in_gauge_group(P, acj) and not any(
-                np.allclose(P, Q) for Q in comps
+                np.allclose(P, Q) or np.allclose(-P, Q) for Q in comps
             ):
                 comps.append(P)
     _GAUGE_CACHE[acj] = (algebra, comps)

@@ -1,6 +1,13 @@
 """Solution enumeration: the m = n Newton pipeline, the structured m = 2n
 case solver, and the classification orchestrator.
 
+Both structured solvers reduce their system to a small real parameter space
+and hand it to one multistart Levenberg-Marquardt driver, ``_multistart``:
+``solve_mn`` once per cube root c, ``_solve_case`` once per surviving Case I
+or II tag.  The driver owns the convergence test, the dedupe and the residual
+verification of every candidate, and is the one place that calls
+``least_squares`` for them.
+
 Completeness discipline.  A solver result is labeled COMPLETE only where the
 reduction lemmas shrink the system to a parameter space the code exhausts:
 m = n for |G| <= 5 (the Galois-form linear constraints plus dense multistart)
@@ -38,8 +45,16 @@ from .solutions import (
     residual_general,
     residual_mn,
     tables,
+    tensor_equations,
 )
-from .spectral import ZETA3, conjugation, fixed_real_eigenbasis, rotation
+from .spectral import (
+    ZETA3,
+    _real_gram_schmidt,
+    conjugation,
+    eigenspace_basis,
+    fixed_real_eigenbasis,
+    rotation,
+)
 
 __all__ = [
     "SolveConfig",
@@ -47,7 +62,6 @@ __all__ = [
     "SolutionClass",
     "solve_mn",
     "solve_m2n",
-    "case_feasibility_report",
     "classify",
     "pair_classes",
 ]
@@ -59,10 +73,12 @@ class SolveConfig:
     grid_per_dim: int = 10
     random_starts: int = 1000
     newton_tol: float = 1e-12
-    dedupe_tol: float = 1e-7
     residual_tol: float = 1e-10
-    max_grid_points: int = 10000
     heuristic_starts: int = 200
+
+
+DEDUPE_TOL = 1e-7  # largest entry of |b - b'| below which two solver outputs are one
+MAX_GRID_POINTS = 10000  # cap on the deterministic m = n start grid
 
 
 @dataclass
@@ -195,6 +211,37 @@ def pair_classes(G: FiniteAbelianGroup, nondegenerate: bool = True):
 
 
 # ---------------------------------------------------------------------------
+# the multistart driver
+
+
+def _multistart(starts, resid, lift, max_nfev: int, config: SolveConfig,
+                cap: int | None = None) -> list:
+    """Levenberg-Marquardt from each start.  A run converged to
+    ``config.newton_tol`` is lifted to a solution; it is dropped if its data
+    (b, or the b-tensor) lies within DEDUPE_TOL of a solution already kept,
+    and kept if it passes ``residual_mn``/``residual_general``.  Stops once
+    ``cap`` solutions are kept."""
+    found: list = []
+    for x0 in starts:
+        sol = least_squares(resid, x0, method="lm", xtol=1e-15, ftol=1e-15,
+                            gtol=1e-15, max_nfev=max_nfev)
+        if np.linalg.norm(sol.fun) > config.newton_tol:
+            continue
+        s = lift(sol.x)
+        mn = isinstance(s, MNSolution)
+        data = s.b if mn else s.btensor
+        if any(np.max(np.abs(data - (f.b if mn else f.btensor))) < DEDUPE_TOL
+               for f in found):
+            continue
+        if not (residual_mn if mn else residual_general)(s, config.residual_tol).passed:
+            continue
+        found.append(s)
+        if cap is not None and len(found) >= cap:
+            break
+    return found
+
+
+# ---------------------------------------------------------------------------
 # m = n
 
 
@@ -221,8 +268,7 @@ def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
     avals = a.table()
     delta0 = np.zeros(n)
     delta0[T.zero] = 1.0
-    found: list[np.ndarray] = []
-    found_c: list[complex] = []
+    out: list[MNSolution] = []
 
     gauss = a.gauss_sum()
     base_c = np.exp(-1j * np.angle(gauss) / 3)
@@ -259,48 +305,32 @@ def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
             r = np.concatenate([r5.ravel(), (lhs6 - rhs6).ravel()])
             return np.concatenate([r.real, r.imag])
 
+        def lift(x: np.ndarray) -> MNSolution:
+            return MNSolution(G, b, a, bvec(x), complex(c),
+                              provenance={"solver": "solve_mn", "seed": config.seed})
+
         if k == 0:
-            if np.linalg.norm(resid(np.zeros(0))) < config.newton_tol * 10:
-                found.append(bvec(np.zeros(0)))
-                found_c.append(c)
+            s = lift(np.zeros(0))
+            if (np.linalg.norm(resid(np.zeros(0))) < config.newton_tol * 10
+                    and residual_mn(s, config.residual_tol).passed):
+                out.append(s)
             continue
         scale = 2.0 / math.sqrt(n)
-        pts_per_dim = max(2, int(round(min(config.max_grid_points,
+        pts_per_dim = max(2, int(round(min(MAX_GRID_POINTS,
                                            config.grid_per_dim ** min(k, 4))
                                        ** (1.0 / k))))
         axes = [np.linspace(-scale, scale, pts_per_dim)] * k
         starts = [np.array(p) for p in itertools.product(*axes)]
         starts += [rng.uniform(-scale, scale, size=k)
                    for _ in range(config.random_starts)]
-        for x0 in starts:
-            sol = least_squares(resid, x0, method="lm", xtol=1e-15, ftol=1e-15,
-                                gtol=1e-15, max_nfev=200 * (k + 1))
-            if np.linalg.norm(sol.fun) > config.newton_tol:
-                continue
-            bb = bvec(sol.x)
-            if any(np.max(np.abs(bb - prev)) < config.dedupe_tol
-                   and abs(c - pc) < config.dedupe_tol
-                   for prev, pc in zip(found, found_c)):
-                continue
-            found.append(bb)
-            found_c.append(c)
-
-    out = []
-    for bb, c in zip(found, found_c):
-        s = MNSolution(G, b, a, bb, complex(c),
-                       provenance={"solver": "solve_mn", "seed": config.seed})
-        rep = residual_mn(s, config.residual_tol)
-        if rep.passed:
-            out.append(s)
+        # the three cube roots c never share a solution, so deduping within
+        # one c's starts is deduping over all of them
+        out += _multistart(starts, resid, lift, 200 * (k + 1), config)
     return out
 
 
 # ---------------------------------------------------------------------------
 # m = 2n
-
-
-def case_feasibility_report(G, b, a):
-    return all_case_feasibilities(G, b, a)
 
 
 def solve_m2n(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
@@ -309,23 +339,20 @@ def solve_m2n(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
               warnings: list[str] | None = None
               ) -> tuple[list[GeneralSolution], list[Feasibility]]:
     """Solve the m = 2n system on the reduced parameter spaces of the cases
-    surviving the exact feasibility analysis.  Returns (solutions, report).
+    surviving the exact feasibility analysis.  Returns (solutions, report);
+    each solution's ``provenance["case"]`` is the tag whose solver found it.
     Inconclusive equivalence comparisons of the dedupe are appended to
     ``warnings``; their solutions are kept as distinct."""
     if config is None:
         config = SolveConfig()
     ctx = ExactContext(G, b, a)
     if feasibilities is None:
-        feasibilities = [f for f in
-                         (all_case_feasibilities(G, b, a))]
-    surviving = [f for f in feasibilities if f.feasible]
+        feasibilities = all_case_feasibilities(G, b, a)
     sols: list[GeneralSolution] = []
-    for feas in surviving:
-        if feas.tag.kind == "I":
-            sols.extend(_solve_case_I(G, b, a, ctx, feas.tag, config))
-        elif feas.tag.kind == "II":
-            sols.extend(_solve_case_II(G, b, a, ctx, feas.tag, config))
+    for feas in feasibilities:
         # Case III survivors only arise for |G| >= 8; no structured solver
+        if feas.feasible and feas.tag.kind in ("I", "II"):
+            sols.extend(_solve_case(G, b, a, ctx, feas.tag, config))
     # dedupe up to Aut x gauge
     reps: list[GeneralSolution] = []
     warnings = [] if warnings is None else warnings
@@ -349,216 +376,145 @@ def _acj_for_case(G, b, a, c_num, tag) -> ACJData:
     raise ValueError("no ACJ normal form for this tag")
 
 
-def _btensor_case_I(n, tag, xi1, xi2, eta1, eta2, mu, Rmu, R2mu):
-    w1 = ZETA3 ** tag.omegas[0]
-    w2 = ZETA3 ** tag.omegas[1]
-    rows = {
-        (0, 0): [xi1, eta2, eta2, mu],
-        (0, 1): [w1 * w2**2 * eta2, w2 * R2mu, w1**2 * Rmu, w1 * w2**2 * eta1],
-        (1, 0): [w1**2 * w2 * eta2, w2**2 * Rmu, w1 * R2mu, w1**2 * w2 * eta1],
-        (1, 1): [mu, eta1, eta1, xi2],
-    }
-    cols = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    bt = np.zeros((2, 2, 2, 2, n), dtype=complex)
-    for (r, t), vals in rows.items():
-        for (sidx, u), vec in zip(cols, vals):
-            bt[r, sidx, t, u, :] = vec
-    return bt
+def _btensor(rows) -> np.ndarray:
+    """The L = 2 b-tensor b[r, s, t, u, g] from its 4 x 4 table of vectors:
+    row (r, t) and column (s, u), both in the order 00, 01, 10, 11."""
+    return np.array(rows, dtype=complex).reshape(2, 2, 2, 2, -1).transpose(0, 2, 1, 3, 4)
 
 
-def _solve_case_I(G, b, a, ctx, tag, config) -> list[GeneralSolution]:
+def _solve_case(G, b, a, ctx, tag, config) -> list[GeneralSolution]:
+    """Case I or II on its reduced parameter space, lifted to the b-tensor
+    through the case's 4 x 4 matrix pattern.
+
+    Case I(omega_1, omega_2): xi_i, eta_i real in the J-fixed part of
+    ker(R - omega_i), mu real in the J-fixed space.  Case II(omega): xi, eta
+    complex in ker(R - omega), mu in the J-odd real form.
+    """
     n = G.order
     T = tables(G)
+    z = T.zero
     d = dimension_d(n, 2 * n).value
     c_num = ctx.numeric(ctx.c)
     R = rotation(b, a, c_num)
     J = conjugation(a)
-    E = {k: fixed_real_eigenbasis(R, J, ZETA3**k) for k in range(3)}
-    w1e, w2e = tag.omegas
-    base1 = E[w1e]
-    base2 = E[w2e]
-    mu_base = E[0] + E[1] + E[2]
-    d1, d2, dm = len(base1), len(base2), len(mu_base)
-    if d1 == 0 or d2 == 0:
-        return []
-    nvar = 2 * d1 + 2 * d2 + dm
-    w1 = ZETA3**w1e
-    w2 = ZETA3**w2e
-    delta0 = np.zeros(n)
-    delta0[T.zero] = 1.0
-    Rm = R.matrix
-
-    def unpack(x):
-        i = 0
-        xi1 = sum(c * v for c, v in zip(x[i:i + d1], base1)); i += d1
-        eta1 = sum(c * v for c, v in zip(x[i:i + d1], base1)); i += d1
-        xi2 = sum(c * v for c, v in zip(x[i:i + d2], base2)); i += d2
-        eta2 = sum(c * v for c, v in zip(x[i:i + d2], base2)); i += d2
-        mu = sum(c * v for c, v in zip(x[i:], mu_base))
-        return xi1, eta1, xi2, eta2, mu
-
-    def resid(x):
-        xi1, eta1, xi2, eta2, mu = unpack(x)
-        Rmu = Rm @ mu
-        R2mu = Rm @ Rmu
-        z = T.zero
-        eqs = [
-            xi1[z] + mu[z] + 1 / d,
-            xi2[z] + mu[z] + 1 / d,
-            eta1[z] + eta2[z],
-        ]
-        q1 = np.abs(xi1)**2 + 2 * np.abs(eta2)**2 + np.abs(mu)**2 - (1 / n - delta0 / d)
-        q2 = np.abs(xi2)**2 + 2 * np.abs(eta1)**2 + np.abs(mu)**2 - (1 / n - delta0 / d)
-        q3 = np.abs(eta1)**2 + np.abs(eta2)**2 + np.abs(Rmu)**2 + np.abs(R2mu)**2 - 1 / n
-        q4 = 2 * eta2 * np.conj(eta1) + mu * np.conj(xi1) + np.conj(mu) * xi2 + delta0 / d
-        mix = w1 * w2 * Rmu + np.conj(w1 * w2) * R2mu
-        q5 = eta2 * np.conj(xi1) + eta1 * np.conj(mu) + mix * np.conj(eta2)
-        q6 = eta1 * np.conj(xi2) + eta2 * np.conj(mu) + mix * np.conj(eta1)
-        q7 = (np.abs(eta1)**2 + np.abs(eta2)**2
-              + np.conj(w1 * w2) * Rmu * np.conj(R2mu)
-              + w1 * w2 * np.conj(Rmu) * R2mu)
-        parts = np.concatenate([np.asarray(eqs), q1, q2, q3, q4, q5, q6, q7])
-        return np.concatenate([parts.real, parts.imag])
-
-    rng = np.random.default_rng(config.seed + 1)
-    scale = 1.0 / math.sqrt(n)
-    starts = [rng.uniform(-scale, scale, size=nvar)
-              for _ in range(config.random_starts)]
-    found = []
-    attempts = 0
-    for x0 in starts:
-        # a handful of distinct points is enough to detect the gauge orbit
-        if len(found) >= 8 and attempts >= 40:
-            break
-        attempts += 1
-        sol = least_squares(resid, x0, method="lm", xtol=1e-15, ftol=1e-15,
-                            gtol=1e-15, max_nfev=400 * nvar)
-        if np.linalg.norm(sol.fun) > config.newton_tol:
-            continue
-        xi1, eta1, xi2, eta2, mu = unpack(sol.x)
-        Rmu = Rm @ mu
-        R2mu = Rm @ Rmu
-        bt = _btensor_case_I(n, tag, xi1, xi2, eta1, eta2, mu, Rmu, R2mu)
-        acj = _acj_for_case(G, b, a, c_num, tag)
-        s = GeneralSolution(G, acj, bt, provenance={
-            "solver": "solve_m2n", "case": str(tag), "seed": config.seed})
-        rep = residual_general(s, config.residual_tol)
-        if not rep.passed:
-            continue
-        if any(np.max(np.abs(s.btensor - f.btensor)) < config.dedupe_tol
-               for f in found):
-            continue
-        found.append(s)
-        if len(found) >= 8:
-            break
-    return found
-
-
-def _solve_case_II(G, b, a, ctx, tag, config) -> list[GeneralSolution]:
-    """Case II on its reduced space: xi, eta complex in ker(R - omega), mu in
-    the J-odd real form; lifted through the Case II matrix pattern."""
-    n = G.order
-    T = tables(G)
-    d = dimension_d(n, 2 * n).value
-    c_num = ctx.numeric(ctx.c)
-    R = rotation(b, a, c_num)
-    J = conjugation(a)
-    from .spectral import eigenspace_basis
-
-    w = ZETA3 ** tag.omega
-    base = eigenspace_basis(R, w)
-    dimw = base.shape[1]
-    if dimw == 0:
-        return []
-    # J-odd real form of the full space
-    modd = []
-    for k in range(3):
-        cols = eigenspace_basis(R, ZETA3**k)
-        for ci in range(cols.shape[1]):
-            v = cols[:, ci]
-            modd.append((v - J.apply(v)) / 2)
-            iv = 1j * v
-            modd.append((iv - J.apply(iv)) / 2)
-    from .spectral import _real_gram_schmidt
-
-    mu_base = _real_gram_schmidt(modd, 1e-10)
-    dm = len(mu_base)
-    nvar = 4 * dimw + dm
     Rm = R.matrix
     delta0 = np.zeros(n)
-    delta0[T.zero] = 1.0
+    delta0[z] = 1.0
 
-    def unpack(x):
-        i = 0
-        xi = base @ (x[i:i + dimw] + 1j * x[i + dimw:i + 2 * dimw]); i += 2 * dimw
-        eta = base @ (x[i:i + dimw] + 1j * x[i + dimw:i + 2 * dimw]); i += 2 * dimw
-        mu = sum(c * v for c, v in zip(x[i:], mu_base))
-        return xi, eta, mu
+    if tag.kind == "I":
+        E = {k: fixed_real_eigenbasis(R, J, ZETA3**k) for k in range(3)}
+        base1, base2 = E[tag.omegas[0]], E[tag.omegas[1]]
+        mu_base = E[0] + E[1] + E[2]
+        d1, d2, dm = len(base1), len(base2), len(mu_base)
+        if d1 == 0 or d2 == 0:
+            return []
+        nvar = 2 * d1 + 2 * d2 + dm
+        w1, w2 = ZETA3 ** tag.omegas[0], ZETA3 ** tag.omegas[1]
 
-    def Jap(v):
-        return J.apply(v)
+        def unpack(x):
+            i = 0
+            xi1 = sum(c * v for c, v in zip(x[i:i + d1], base1)); i += d1
+            eta1 = sum(c * v for c, v in zip(x[i:i + d1], base1)); i += d1
+            xi2 = sum(c * v for c, v in zip(x[i:i + d2], base2)); i += d2
+            eta2 = sum(c * v for c, v in zip(x[i:i + d2], base2)); i += d2
+            mu = sum(c * v for c, v in zip(x[i:], mu_base))
+            return xi1, eta1, xi2, eta2, mu
 
-    def resid(x):
-        xi, eta, mu = unpack(x)
-        Rmu = Rm @ mu
-        R2mu = Rm @ Rmu
-        z = T.zero
-        eqs = [np.conj(w) * Rmu[z] + w * np.conj(Rmu[z]) + 1 / d]
-        Jeta = Jap(eta)
-        Jxi = Jap(xi)
-        q1 = (np.abs(Rmu)**2 + np.abs(Rmu[T.neg])**2 + np.abs(eta)**2
-              + np.abs(eta[T.neg])**2 - (1 / n - delta0 / d))
-        q2 = np.abs(xi)**2 + np.abs(mu)**2 + 2 * np.abs(eta)**2 - 1 / n
-        q3 = (w * Rmu * np.conj(R2mu) + np.conj(w) * R2mu * np.conj(Rmu)
-              + np.abs(eta)**2 + np.abs(eta[T.neg])**2 - delta0 / d)
-        mix = np.conj(w) * Rmu + w * R2mu
-        q4 = eta * np.conj(xi) - Jeta * np.conj(mu) - mix * np.conj(eta)
-        q5 = eta * np.conj(mu) + Jeta * np.conj(Jxi) + mix * np.conj(Jeta)
-        q6 = 2 * eta * np.conj(Jeta) + mu * np.conj(Jxi) - xi * np.conj(mu)
-        parts = np.concatenate([np.asarray(eqs), q1, q2, q3, q4, q5, q6])
-        return np.concatenate([parts.real, parts.imag])
+        def resid(x):
+            xi1, eta1, xi2, eta2, mu = unpack(x)
+            Rmu = Rm @ mu
+            R2mu = Rm @ Rmu
+            eqs = [
+                xi1[z] + mu[z] + 1 / d,
+                xi2[z] + mu[z] + 1 / d,
+                eta1[z] + eta2[z],
+            ]
+            q1 = np.abs(xi1)**2 + 2 * np.abs(eta2)**2 + np.abs(mu)**2 - (1 / n - delta0 / d)
+            q2 = np.abs(xi2)**2 + 2 * np.abs(eta1)**2 + np.abs(mu)**2 - (1 / n - delta0 / d)
+            q3 = np.abs(eta1)**2 + np.abs(eta2)**2 + np.abs(Rmu)**2 + np.abs(R2mu)**2 - 1 / n
+            q4 = 2 * eta2 * np.conj(eta1) + mu * np.conj(xi1) + np.conj(mu) * xi2 + delta0 / d
+            mix = w1 * w2 * Rmu + np.conj(w1 * w2) * R2mu
+            q5 = eta2 * np.conj(xi1) + eta1 * np.conj(mu) + mix * np.conj(eta2)
+            q6 = eta1 * np.conj(xi2) + eta2 * np.conj(mu) + mix * np.conj(eta1)
+            q7 = (np.abs(eta1)**2 + np.abs(eta2)**2
+                  + np.conj(w1 * w2) * Rmu * np.conj(R2mu)
+                  + w1 * w2 * np.conj(Rmu) * R2mu)
+            parts = np.concatenate([np.asarray(eqs), q1, q2, q3, q4, q5, q6, q7])
+            return np.concatenate([parts.real, parts.imag])
 
-    rng = np.random.default_rng(config.seed + 2)
-    scale = 1.0 / math.sqrt(n)
-    found = []
-    attempts = 0
-    for _ in range(config.random_starts):
-        if len(found) >= 8 and attempts >= 40:
-            break
-        attempts += 1
-        x0 = rng.uniform(-scale, scale, size=nvar)
-        sol = least_squares(resid, x0, method="lm", xtol=1e-15, ftol=1e-15,
-                            gtol=1e-15, max_nfev=400 * nvar)
-        if np.linalg.norm(sol.fun) > config.newton_tol:
-            continue
-        xi, eta, mu = unpack(sol.x)
-        Rmu = Rm @ mu
-        R2mu = Rm @ Rmu
-        Jeta, Jxi = Jap(eta), Jap(xi)
-        bt = np.zeros((2, 2, 2, 2, n), dtype=complex)
-        rows = {
-            (0, 0): [-w * R2mu, eta, -Jeta, np.conj(w) * Rmu],
-            (0, 1): [eta, xi, mu, -eta],
-            (1, 0): [-Jeta, mu, -Jxi, Jeta],
-            (1, 1): [np.conj(w) * Rmu, -eta, Jeta, -w * R2mu],
-        }
-        cols = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        for (r, t), vals in rows.items():
-            for (sidx, u), vec in zip(cols, vals):
-                bt[r, sidx, t, u, :] = vec
-        acj = _acj_for_case(G, b, a, c_num, tag)
-        s = GeneralSolution(G, acj, bt, provenance={
+        def table(x):
+            xi1, eta1, xi2, eta2, mu = unpack(x)
+            Rmu = Rm @ mu
+            R2mu = Rm @ Rmu
+            return [[xi1, eta2, eta2, mu],
+                    [w1 * w2**2 * eta2, w2 * R2mu, w1**2 * Rmu, w1 * w2**2 * eta1],
+                    [w1**2 * w2 * eta2, w2**2 * Rmu, w1 * R2mu, w1**2 * w2 * eta1],
+                    [mu, eta1, eta1, xi2]]
+    else:
+        w = ZETA3 ** tag.omega
+        base = eigenspace_basis(R, w)
+        dimw = base.shape[1]
+        if dimw == 0:
+            return []
+        # J-odd real form of the full space
+        modd = []
+        for k in range(3):
+            cols = eigenspace_basis(R, ZETA3**k)
+            for ci in range(cols.shape[1]):
+                v = cols[:, ci]
+                modd.append((v - J.apply(v)) / 2)
+                iv = 1j * v
+                modd.append((iv - J.apply(iv)) / 2)
+        mu_base = _real_gram_schmidt(modd, 1e-10)
+        nvar = 4 * dimw + len(mu_base)
+
+        def unpack(x):
+            i = 0
+            xi = base @ (x[i:i + dimw] + 1j * x[i + dimw:i + 2 * dimw]); i += 2 * dimw
+            eta = base @ (x[i:i + dimw] + 1j * x[i + dimw:i + 2 * dimw]); i += 2 * dimw
+            mu = sum(c * v for c, v in zip(x[i:], mu_base))
+            return xi, eta, mu
+
+        def resid(x):
+            xi, eta, mu = unpack(x)
+            Rmu = Rm @ mu
+            R2mu = Rm @ Rmu
+            eqs = [np.conj(w) * Rmu[z] + w * np.conj(Rmu[z]) + 1 / d]
+            Jeta = J.apply(eta)
+            Jxi = J.apply(xi)
+            q1 = (np.abs(Rmu)**2 + np.abs(Rmu[T.neg])**2 + np.abs(eta)**2
+                  + np.abs(eta[T.neg])**2 - (1 / n - delta0 / d))
+            q2 = np.abs(xi)**2 + np.abs(mu)**2 + 2 * np.abs(eta)**2 - 1 / n
+            q3 = (w * Rmu * np.conj(R2mu) + np.conj(w) * R2mu * np.conj(Rmu)
+                  + np.abs(eta)**2 + np.abs(eta[T.neg])**2 - delta0 / d)
+            mix = np.conj(w) * Rmu + w * R2mu
+            q4 = eta * np.conj(xi) - Jeta * np.conj(mu) - mix * np.conj(eta)
+            q5 = eta * np.conj(mu) + Jeta * np.conj(Jxi) + mix * np.conj(Jeta)
+            q6 = 2 * eta * np.conj(Jeta) + mu * np.conj(Jxi) - xi * np.conj(mu)
+            parts = np.concatenate([np.asarray(eqs), q1, q2, q3, q4, q5, q6])
+            return np.concatenate([parts.real, parts.imag])
+
+        def table(x):
+            xi, eta, mu = unpack(x)
+            Rmu = Rm @ mu
+            R2mu = Rm @ Rmu
+            Jeta, Jxi = J.apply(eta), J.apply(xi)
+            return [[-w * R2mu, eta, -Jeta, np.conj(w) * Rmu],
+                    [eta, xi, mu, -eta],
+                    [-Jeta, mu, -Jxi, Jeta],
+                    [np.conj(w) * Rmu, -eta, Jeta, -w * R2mu]]
+
+    acj = _acj_for_case(G, b, a, c_num, tag)
+
+    def lift(x):
+        return GeneralSolution(G, acj, _btensor(table(x)), provenance={
             "solver": "solve_m2n", "case": str(tag), "seed": config.seed})
-        rep = residual_general(s, config.residual_tol)
-        if not rep.passed:
-            continue
-        if any(np.max(np.abs(s.btensor - f.btensor)) < config.dedupe_tol
-               for f in found):
-            continue
-        found.append(s)
-        if len(found) >= 8:
-            break
-    return found
+
+    rng = np.random.default_rng(config.seed + {"I": 1, "II": 2}[tag.kind])
+    scale = 1.0 / math.sqrt(n)
+    starts = (rng.uniform(-scale, scale, size=nvar) for _ in range(config.random_starts))
+    # a handful of distinct points is enough to detect the gauge orbit
+    return _multistart(starts, resid, lift, 400 * nvar, config, cap=8)
 
 
 # ---------------------------------------------------------------------------
@@ -621,14 +577,14 @@ def classify(G: FiniteAbelianGroup, m: int,
             sols, feas = solve_m2n(G, b, a, config, warnings=warnings)
             all_feas.extend(feas)
             refutations.extend(f for f in feas if not f.feasible)
+            tags = {str(f.tag): f.tag for f in feas}
             for s in sols:
                 rep = residual_general(s, config.residual_tol)
-                tag = next((f.tag for f in feas if f.feasible), None)
                 if not any(isinstance(c.solution, GeneralSolution)
                            and _equiv_or_warn(s, c.solution, warnings)
                            for c in classes):
-                    classes.append(SolutionClass(s, tag, rep, fingerprint(s),
-                                                 comp, galois_orbit=orbit))
+                    classes.append(SolutionClass(s, tags[s.provenance["case"]], rep,
+                                                 fingerprint(s), comp, galois_orbit=orbit))
         else:
             completeness = "HEURISTIC"
             # no structured solver beyond m = 2n in the source theory; run
@@ -686,32 +642,14 @@ def heuristic_search(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
         half = nvar // 2
         return (x[:half] + 1j * x[half:]).reshape(shape)
 
-    T = tables(G)
-    B = b.matrix()
-    avals = a.table()
-    d = dimension_d(n, m).value
-    eye = np.eye(L)
-    delta0 = np.zeros(n)
-    delta0[T.zero] = 1.0
+    eqs = tensor_equations(acj, dimension_d(n, m).value)
 
     def resid(x):
-        """Smooth vectorized residual of (p1), (p2), (p4), (p5), (p7), (p9)
-        for the trivial-character guess; (p10) and the rest are verified on
-        converged candidates through residual_general."""
+        """(p1), (p2), (p4), (p5), (p7), (p9): smooth in b; (p10) and the
+        rest are verified on converged candidates through residual_general."""
         bt = unpack(x)
-        r1 = (np.einsum("gh,rstuh->rstug", B, bt, optimize=True) / math.sqrt(n)
-              - c0 * avals * bt.transpose(1, 2, 0, 3, 4))
-        r2 = np.einsum("rsru->su", bt[..., T.zero]) + eye / d
-        lhs4 = np.einsum("rbtag,rstug->sbuag", np.conj(bt), bt, optimize=True)
-        rhs4 = (np.einsum("sb,ua->sbua", eye, eye)[..., None] / n
-                - np.einsum("su,ba->sbua", eye, eye)[..., None] * delta0 / d)
-        lhs5 = np.einsum("rstug,asbug->ratbg", bt, np.conj(bt), optimize=True)
-        rhs5 = (np.einsum("ra,tb->ratb", eye, eye)[..., None] / n
-                - np.einsum("rt,ab->ratb", eye, eye)[..., None] * delta0 / d)
-        r7 = np.conj(bt) - avals * bt.transpose(2, 1, 0, 3, 4)[..., T.neg]
-        r9 = bt - bt.transpose(2, 3, 0, 1, 4)
-        parts = np.concatenate([r1.ravel(), r2.ravel(), (lhs4 - rhs4).ravel(),
-                                (lhs5 - rhs5).ravel(), r7.ravel(), r9.ravel()])
+        parts = np.concatenate([eqs[k](bt).ravel()
+                                for k in ("p1", "p2", "p4", "p5", "p7", "p9")])
         return np.concatenate([parts.real, parts.imag])
 
     found: list[GeneralSolution] = []
@@ -726,7 +664,7 @@ def heuristic_search(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
             "solver": "heuristic_search", "seed": config.seed,
             "completeness": "HEURISTIC"})
         if residual_general(s, config.residual_tol).passed and not any(
-                np.max(np.abs(s.btensor - f.btensor)) < config.dedupe_tol
+                np.max(np.abs(s.btensor - f.btensor)) < DEDUPE_TOL
                 for f in found):
             found.append(s)
     return found

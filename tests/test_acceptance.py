@@ -129,7 +129,7 @@ def test_criterion_4_gauge_aut_invariance(rng):
 
     for name, s in corpus_all().items():
         gen = mn_to_general(s) if isinstance(s, MNSolution) else s
-        base = residual_general(gen, include_p10=(gen.L > 1))
+        base = residual_general(gen)
         assert base.passed
         algebra, comps = gauge_group_basis(gen.acj)
         worst_drift = 0.0
@@ -138,13 +138,13 @@ def test_criterion_4_gauge_aut_invariance(rng):
                  if algebra else np.zeros((gen.L, gen.L)))
             u = comps[rng.integers(len(comps))] @ (expm(X) if algebra else np.eye(gen.L))
             moved = gauge_act(u, gen, check=False)
-            rep = residual_general(moved, include_p10=False)
+            rep = residual_general(moved)
             worst_drift = max(worst_drift, abs(
                 max(v for k, v in rep.per_equation.items() if k != "p10")
                 - max(v for k, v in base.per_equation.items() if k != "p10")))
             assert rep.passed
         for th in automorphisms(s.group):
-            rep = residual_general(aut_act(th, gen), include_p10=(gen.L > 1))
+            rep = residual_general(aut_act(th, gen))
             assert rep.passed, f"{name} under {th.images}"
         assert worst_drift < 1e-12, f"{name}: drift {worst_drift:.2e}"
     _report("criterion 4 (gauge/automorphism invariance)", True,

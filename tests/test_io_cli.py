@@ -104,6 +104,19 @@ def test_cli_json_deterministic(capsys):
     assert data["num_classes"] == 1
 
 
+def test_fingerprint_hash_is_stable_across_processes():
+    """The --json fingerprint digest depends on the fingerprint only, not on
+    the per-process salt of Python's str hash."""
+    from neargroup.cli import _classification_payload
+    from neargroup.solutions import fingerprint
+    from neargroup.solvers import ClassificationResult, SolutionClass
+
+    s = load_bundled("z2_m2")
+    res = ClassificationResult(s.group, 2, [
+        SolutionClass(s, None, residual_mn(s), fingerprint(s), "COMPLETE")])
+    assert _classification_payload(res)["classes"][0]["fingerprint_hash"] == 1911186030
+
+
 def test_cli_classify_z3_6_json(capsys):
     assert main(["--json", "classify", "Z3", "6"]) == 0
     data = json.loads(capsys.readouterr().out)

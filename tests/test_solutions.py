@@ -14,6 +14,7 @@ from neargroup.solutions import (
     equivalent,
     fingerprint,
     gauge_act,
+    gauge_group_basis,
     in_gauge_group,
     mn_to_general,
     residual_general,
@@ -70,14 +71,14 @@ def test_z3_m6_residuals_and_family():
 def test_zero_btensor_p2_residual():
     s = z3_m6()
     z = GeneralSolution(s.group, s.acj, np.zeros_like(s.btensor))
-    rep = residual_general(z, include_p10=False)
+    rep = residual_general(z)
     assert abs(rep.per_equation["p2"] - 1 / s.d) < 1e-12
 
 
 def test_rescaled_btensor_breaks_unitarity():
     s = z3_m6()
     bad = GeneralSolution(s.group, s.acj, 1.01 * s.btensor)
-    rep = residual_general(bad, include_p10=False)
+    rep = residual_general(bad)
     assert rep.per_equation["p4"] >= 1e-3
 
 
@@ -210,3 +211,13 @@ def test_equivalence_symmetric_on_corpus(corpus_mn):
     for s1 in sols:
         for s2 in sols:
             assert equivalent(s1, s2) == equivalent(s2, s1)
+
+
+def test_gauge_components_distinct_up_to_sign(corpus_all):
+    """-1 acts trivially, so no finite gauge component is the negative of
+    another one."""
+    for name, s in corpus_all.items():
+        gen = mn_to_general(s) if isinstance(s, MNSolution) else s
+        _, comps = gauge_group_basis(gen.acj)
+        for i, P in enumerate(comps):
+            assert not any(np.allclose(-P, Q) for Q in comps[:i]), name

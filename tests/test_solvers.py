@@ -154,3 +154,18 @@ def test_heuristic_search_smoke():
     G, b, a = _pair(2)
     out = heuristic_search(G, b, a, 6, SolveConfig(heuristic_starts=2))
     assert out == []
+
+
+def test_m2n_class_labelled_with_its_solvers_case(monkeypatch):
+    """A class carries the case whose solver found it, not the first feasible
+    tag of its pair: a feasible Case II tag ahead of Z3's Case I tag (whose
+    solver finds nothing there) leaves the labels at Case I."""
+    import neargroup.solvers as solvers
+    from neargroup.cases import CaseTag, Feasibility
+
+    real = solvers.all_case_feasibilities
+    monkeypatch.setattr(solvers, "all_case_feasibilities", lambda G, b, a: [
+        Feasibility(CaseTag("II", omega=0), True)] + real(G, b, a))
+    res = classify(FiniteAbelianGroup((3,)), 6, SolveConfig(random_starts=4))
+    assert res.classes
+    assert all(c.case.kind == "I" for c in res.classes)
