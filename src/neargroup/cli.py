@@ -15,8 +15,6 @@ import re
 import sys
 import zlib
 
-import numpy as np
-
 from .abelian import (
     FiniteAbelianGroup,
     ResourceError,
@@ -25,11 +23,9 @@ from .abelian import (
     subgroup_generated_by,
 )
 from .config import load_config
-from .io import Archive, bundled_path, load_solution, save_solution, solution_to_json
+from .io import Archive, bundled_path, load_solution, solution_to_json
 from .solutions import (
-    GeneralSolution,
     MNSolution,
-    fingerprint,
     residual_general,
     residual_mn,
 )

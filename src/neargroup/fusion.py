@@ -14,7 +14,6 @@ computations can act on the group part:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction

@@ -17,6 +17,7 @@ Residual evaluation never raises on a math failure; it returns a
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -486,10 +487,13 @@ def gauge_group_basis(acj: ACJData) -> tuple[list[np.ndarray], list[np.ndarray]]
     The algebra consists of anti-Hermitian matrices commuting with all A(g),
     C and J; representatives of extra components are searched among signed
     permutation matrices compatible with the same constraints, and kept up to
-    sign, since -1 acts trivially on b.
+    sign, since -1 acts trivially on b, and one per connected component: P is
+    dropped when +-Q^-1 P = expm(X), X in the algebra, for a kept Q.
     """
     if acj in _GAUGE_CACHE:
         return _GAUGE_CACHE[acj]
+    from scipy.linalg import expm
+
     L = acj.L
     # linear constraints on X (L x L complex, 2L^2 real unknowns)
     chi = acj.chi()
@@ -530,18 +534,27 @@ def gauge_group_basis(acj: ACJData) -> tuple[list[np.ndarray], list[np.ndarray]]
         X = sum(c * Xb for c, Xb in zip(coeffs, basis_real))
         if np.linalg.norm(X) > 1e-10:
             algebra.append(X)
+    # the algebra elements are orthonormal in the real_flat coordinates
+    Xs = np.reshape(algebra, (-1, L, L))
+    F = np.reshape([real_flat(X) for X in Xs], (len(Xs), 2 * L * L))
+
+    def connected(u) -> bool:
+        """u = expm(X) to 1e-10 for X = log(u) projected onto the algebra;
+        False whenever that test fails."""
+        w, V = np.linalg.eig(u)  # unitary, so diagonalisable: log u = V log(w) V^-1
+        logu = (V * np.log(w.astype(complex))) @ np.linalg.inv(V)
+        X = np.tensordot(F @ real_flat(logu), Xs, 1)
+        return np.max(np.abs(expm(X) - u)) < 1e-10
+
     # finite components: signed permutations preserving the structure
     comps = [np.eye(L)]
-    import itertools as _it
-
-    for perm in _it.permutations(range(L)):
-        for signs in _it.product((1.0, -1.0), repeat=L):
+    for perm in itertools.permutations(range(L)):
+        for signs in itertools.product((1.0, -1.0), repeat=L):
             P = np.zeros((L, L))
             for i, j in enumerate(perm):
                 P[j, i] = signs[i]
             if in_gauge_group(P, acj) and not any(
-                np.allclose(P, Q) or np.allclose(-P, Q) for Q in comps
-            ):
+                    connected(sign * Q.T @ P) for Q in comps for sign in (1, -1)):
                 comps.append(P)
     _GAUGE_CACHE[acj] = (algebra, comps)
     return algebra, comps

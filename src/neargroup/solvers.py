@@ -6,7 +6,9 @@ and hand it to one multistart Levenberg-Marquardt driver, ``_multistart``:
 ``solve_mn`` once per cube root c, ``_solve_case`` once per surviving Case I
 or II tag.  The driver owns the convergence test, the dedupe and the residual
 verification of every candidate, and is the one place that calls
-``least_squares`` for them.
+``least_squares`` for them.  The Case I/II equations are quadratic in their
+parameters, so ``_solve_case`` fits them once (``_quadratic``) and hands the
+driver their exact Jacobian; ``solve_mn`` keeps finite differences.
 
 Completeness discipline.  A solver result is labeled COMPLETE only where the
 reduction lemmas shrink the system to a parameter space the code exhausts:
@@ -215,15 +217,16 @@ def pair_classes(G: FiniteAbelianGroup, nondegenerate: bool = True):
 
 
 def _multistart(starts, resid, lift, max_nfev: int, config: SolveConfig,
-                cap: int | None = None) -> list:
-    """Levenberg-Marquardt from each start.  A run converged to
+                cap: int | None = None, jac="2-point") -> list:
+    """Levenberg-Marquardt from each start, with the Jacobian ``jac`` of
+    ``resid`` (finite differences by default).  A run converged to
     ``config.newton_tol`` is lifted to a solution; it is dropped if its data
     (b, or the b-tensor) lies within DEDUPE_TOL of a solution already kept,
     and kept if it passes ``residual_mn``/``residual_general``.  Stops once
     ``cap`` solutions are kept."""
     found: list = []
     for x0 in starts:
-        sol = least_squares(resid, x0, method="lm", xtol=1e-15, ftol=1e-15,
+        sol = least_squares(resid, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15,
                             gtol=1e-15, max_nfev=max_nfev)
         if np.linalg.norm(sol.fun) > config.newton_tol:
             continue
@@ -382,9 +385,11 @@ def _btensor(rows) -> np.ndarray:
     return np.array(rows, dtype=complex).reshape(2, 2, 2, 2, -1).transpose(0, 2, 1, 3, 4)
 
 
-def _solve_case(G, b, a, ctx, tag, config) -> list[GeneralSolution]:
-    """Case I or II on its reduced parameter space, lifted to the b-tensor
-    through the case's 4 x 4 matrix pattern.
+def _case_system(G, b, a, c_num: complex, tag):
+    """Case I or II on its reduced parameter space: ``(nvar, resid, table)``,
+    with ``resid`` the case's equations as a real vector and ``table(x)`` the
+    4 x 4 matrix pattern of the b-tensor; None if the parameter space is
+    empty.  ``resid`` is quadratic in x.
 
     Case I(omega_1, omega_2): xi_i, eta_i real in the J-fixed part of
     ker(R - omega_i), mu real in the J-fixed space.  Case II(omega): xi, eta
@@ -394,7 +399,6 @@ def _solve_case(G, b, a, ctx, tag, config) -> list[GeneralSolution]:
     T = tables(G)
     z = T.zero
     d = dimension_d(n, 2 * n).value
-    c_num = ctx.numeric(ctx.c)
     R = rotation(b, a, c_num)
     J = conjugation(a)
     Rm = R.matrix
@@ -407,7 +411,7 @@ def _solve_case(G, b, a, ctx, tag, config) -> list[GeneralSolution]:
         mu_base = E[0] + E[1] + E[2]
         d1, d2, dm = len(base1), len(base2), len(mu_base)
         if d1 == 0 or d2 == 0:
-            return []
+            return None
         nvar = 2 * d1 + 2 * d2 + dm
         w1, w2 = ZETA3 ** tag.omegas[0], ZETA3 ** tag.omegas[1]
 
@@ -455,7 +459,7 @@ def _solve_case(G, b, a, ctx, tag, config) -> list[GeneralSolution]:
         base = eigenspace_basis(R, w)
         dimw = base.shape[1]
         if dimw == 0:
-            return []
+            return None
         # J-odd real form of the full space
         modd = []
         for k in range(3):
@@ -504,6 +508,19 @@ def _solve_case(G, b, a, ctx, tag, config) -> list[GeneralSolution]:
                     [-Jeta, mu, -Jxi, Jeta],
                     [np.conj(w) * Rmu, -eta, Jeta, -w * R2mu]]
 
+    return nvar, resid, table
+
+
+def _solve_case(G, b, a, ctx, tag, config) -> list[GeneralSolution]:
+    """Multistart LM on the reduced parameter space of a Case I or II tag,
+    with the exact Jacobian of its quadratic equations; converged points are
+    lifted to the b-tensor through the case's 4 x 4 matrix pattern."""
+    c_num = ctx.numeric(ctx.c)
+    system = _case_system(G, b, a, c_num, tag)
+    if system is None:
+        return []
+    nvar, resid, table = system
+    fun, jac = _quadratic(resid, nvar)
     acj = _acj_for_case(G, b, a, c_num, tag)
 
     def lift(x):
@@ -511,10 +528,40 @@ def _solve_case(G, b, a, ctx, tag, config) -> list[GeneralSolution]:
             "solver": "solve_m2n", "case": str(tag), "seed": config.seed})
 
     rng = np.random.default_rng(config.seed + {"I": 1, "II": 2}[tag.kind])
-    scale = 1.0 / math.sqrt(n)
+    scale = 1.0 / math.sqrt(G.order)
     starts = (rng.uniform(-scale, scale, size=nvar) for _ in range(config.random_starts))
     # a handful of distinct points is enough to detect the gauge orbit
-    return _multistart(starts, resid, lift, 400 * nvar, config, cap=8)
+    return _multistart(starts, fun, lift, 400 * nvar, config, cap=8, jac=jac)
+
+
+def _quadratic(resid, nvar: int):
+    """The exact polynomial c + L x + Q(x, x) of a quadratic map ``resid`` on
+    R^nvar, recovered by polarisation from 1 + 2 nvar + nvar (nvar - 1) / 2
+    evaluations.  Returns ``(fun, jac)``: the polynomial and its Jacobian
+    L + 2 Q(x, .).  Raises ArithmeticError if the polynomial misses ``resid``
+    at a further point, i.e. if ``resid`` is not quadratic."""
+    eye = np.eye(nvar)
+    c = resid(np.zeros(nvar))
+    plus = np.array([resid(e) for e in eye])
+    minus = np.array([resid(-e) for e in eye])
+    L = ((plus - minus) / 2).T  # L[i, j]
+    Q = np.empty((len(c), nvar, nvar))  # Q[i, j, k], symmetric in j, k
+    Q[:, range(nvar), range(nvar)] = ((plus + minus) / 2 - c).T
+    for j, k in itertools.combinations(range(nvar), 2):
+        Q[:, j, k] = Q[:, k, j] = (resid(eye[j] + eye[k]) - plus[j] - plus[k] + c) / 2
+
+    def fun(x):
+        return c + np.einsum("ij,j->i", L + Q @ x, x)
+
+    def jac(x):
+        return L + 2 * (Q @ x)
+
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, nvar)
+    want = resid(x)
+    if np.max(np.abs(fun(x) - want)) > 1e-12 * max(1.0, np.max(np.abs(want))):
+        raise ArithmeticError("residual map is not quadratic: its polarisation "
+                              "model misses it at a test point")
+    return fun, jac
 
 
 # ---------------------------------------------------------------------------

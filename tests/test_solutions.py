@@ -221,3 +221,11 @@ def test_gauge_components_distinct_up_to_sign(corpus_all):
         _, comps = gauge_group_basis(gen.acj)
         for i, P in enumerate(comps):
             assert not any(np.allclose(-P, Q) for Q in comps[:i]), name
+
+
+def test_gauge_components_one_per_connected_component():
+    """z3_m6's gauge group is O(2) (algebra so(2)): the rotations are one
+    connected component, the reflections the other."""
+    algebra, comps = gauge_group_basis(z3_m6().acj)
+    assert len(algebra) == 1
+    assert sorted(round(np.linalg.det(P)) for P in comps) == [-1, 1]

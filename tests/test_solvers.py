@@ -9,6 +9,7 @@ from neargroup.abelian import (
     enumerate_bicharacters,
     even_quadratic_forms,
 )
+from neargroup.cases import CaseTag
 from neargroup.corpus import (
     corpus_mn,
     z2_m2,
@@ -169,3 +170,35 @@ def test_m2n_class_labelled_with_its_solvers_case(monkeypatch):
     res = classify(FiniteAbelianGroup((3,)), 6, SolveConfig(random_starts=4))
     assert res.classes
     assert all(c.case.kind == "I" for c in res.classes)
+
+
+@pytest.mark.parametrize("order,tag", [
+    (3, CaseTag("I", omegas=(2, 2))),  # feasible on Z3's first pair
+    (5, CaseTag("II", omega=0)),  # feasible on Z5's first pair
+])
+def test_case_system_exact_quadratic_model(order, tag):
+    """The polarisation model of a Case I/II system is its residual, and its
+    Jacobian is the derivative of that residual."""
+    from neargroup.cases import ExactContext
+    from neargroup.solvers import _case_system, _quadratic
+
+    G = FiniteAbelianGroup((order,))
+    b, a, _ = pair_classes(G)[0]
+    ctx = ExactContext(G, b, a)
+    nvar, resid, _ = _case_system(G, b, a, ctx.numeric(ctx.c), tag)
+    fun, jac = _quadratic(resid, nvar)
+    rng = np.random.default_rng(7)
+    h = 1e-6
+    for x in rng.uniform(-1.0, 1.0, size=(5, nvar)):
+        want = resid(x)
+        assert np.max(np.abs(fun(x) - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+        fd = np.array([(resid(x + h * e) - resid(x - h * e)) / (2 * h)
+                       for e in np.eye(nvar)]).T
+        assert np.max(np.abs(jac(x) - fd)) < 1e-6
+
+
+def test_quadratic_model_rejects_cubic_map():
+    from neargroup.solvers import _quadratic
+
+    with pytest.raises(ArithmeticError):
+        _quadratic(lambda x: np.array([x[0] * x[1], x[0] ** 3 + x[1]]), 2)
