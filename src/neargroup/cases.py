@@ -13,7 +13,10 @@ returns either a refutation naming the violated constraint or a feasibility
 certificate with the surviving parameter branches.  All numbers live in a
 cyclotomic field Q(zeta_N) chosen large enough to contain the bicharacter and
 form values, the cube-root scalar c, sqrt(n) and the quadratic irrationality
-of d; elements are sympy ANP values, so every zero test is exact.  The checks
+of d.  An element is a vector of phi(N) integers over one positive common
+denominator in the power basis 1, zeta, ..., zeta^(phi(N)-1), reduced mod
+the cyclotomic polynomial Phi_N and gcd-normalised, so every zero test is an
+exact comparison of integer vectors.  The checks
 are the closed-form g = 0 values, the eigenspace dimension preconditions, the
 norm identities on pinned eigenspaces, the order-2 element relations, and a
 per-point decision tree on order-2 elements for the one stubborn Case II
@@ -27,8 +30,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 import numpy as np
-import sympy as sp
-from sympy.polys.domains import QQ
 
 from .abelian import (
     Bicharacter,
@@ -96,6 +97,85 @@ def case_tags(G: FiniteAbelianGroup, b: Bicharacter | None = None) -> list[CaseT
 # the exact cyclotomic context
 
 
+def _cyclotomic(N: int) -> list[int]:
+    """Coefficients of Phi_N, lowest degree first: x^N - 1 divided exactly by
+    Phi_d for every divisor d < N."""
+    phis: dict[int, list[int]] = {}
+    for d in range(1, N + 1):
+        if N % d:
+            continue
+        p = [-1] + [0] * (d - 1) + [1]
+        for e, q in phis.items():
+            if d % e:
+                continue
+            quo = [0] * (len(p) - len(q) + 1)
+            for i in range(len(quo) - 1, -1, -1):
+                x = quo[i] = p[i + len(q) - 1]
+                for j, y in enumerate(q):
+                    p[i + j] -= x * y
+            p = quo
+        phis[d] = p
+    return phis[N]
+
+
+def _unit_generators(N: int) -> list[tuple[int, int]]:
+    """Pairs (g, r) such that every unit mod N is uniquely prod(g_i^t_i),
+    0 <= t_i < r_i: each g is a unit outside the subgroup H generated so far
+    and r the least exponent with g^r in H."""
+    H, out = {1}, []
+    for g in range(2, N):
+        if math.gcd(g, N) != 1 or g in H:
+            continue
+        r, p = 1, g
+        while p not in H:
+            r, p = r + 1, p * g % N
+        H = {h * pow(g, t, N) % N for h in H for t in range(r)}
+        out.append((g, r))
+    return out
+
+
+class _Cyc:
+    """The element sum(c[j] zeta_N^j for j < deg) / d of Q(zeta_N), with
+    integer c, d > 0 and gcd(d, *c) = 1, so equal elements have equal (c, d)."""
+
+    __slots__ = ("ctx", "c", "d")
+
+    def __init__(self, ctx: "ExactContext", c: tuple, d: int):
+        self.ctx, self.c, self.d = ctx, c, d
+
+    def __add__(self, o):
+        if self.d == o.d:
+            return self.ctx._elt([x + y for x, y in zip(self.c, o.c)], self.d)
+        return self.ctx._elt([x * o.d + y * self.d for x, y in zip(self.c, o.c)],
+                             self.d * o.d)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __neg__(self):
+        return _Cyc(self.ctx, tuple(-x for x in self.c), self.d)
+
+    def __mul__(self, o):
+        out = [0] * (2 * len(self.c) - 1)
+        ys = [(j, y) for j, y in enumerate(o.c) if y]
+        for i, x in enumerate(self.c):
+            if x:
+                for j, y in ys:
+                    out[i + j] += x * y
+        return self.ctx._elt(out, self.d * o.d)
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.ctx.inv(self) ** -k
+        out = self.ctx.one
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, o):
+        return isinstance(o, _Cyc) and self.d == o.d and self.c == o.c
+
+
 class ExactContext:
     """Exact rotation/eigen data for one (bicharacter, form) pair at m = 2n."""
 
@@ -125,14 +205,24 @@ class ExactContext:
         for x in dens | primes:
             N = math.lcm(N, x)
         self.N = N
-        self._build_field()
+        phi = _cyclotomic(N)
+        self.deg = len(phi) - 1
+        # zeta^deg = -sum(phi[j] zeta^j): the terms a reduction subtracts
+        self._tail = [(j, p) for j, p in enumerate(phi[:-1]) if p]
+        self._units = _unit_generators(N)
+        self.zero = _Cyc(self, (0,) * self.deg, 1)
+        self.one = self.int(1)
+        self.K_two = self.int(2)
+        self._zpows = [self._elt([0] * j + [1], 1) for j in range(N)]
+        self._numeric_pows = np.exp(2j * np.pi * np.arange(self.deg) / N)
+        self._minus_half_i = self.zpow(3 * N // 4) * self.q(Fraction(1, 2))
 
         self.sqrt_n = self._sqrt_int(_squarefree(n)) * self.int(math.isqrt(n // _squarefree(n)))
         # d = (m + sqrt(m^2 + 4n)) / 2 as a field element
         Dfull = self.m * self.m + 4 * n
         s0 = int(math.isqrt(Dfull // D0))
-        self.d = self._mul_q(self.int(self.m) + self.int(s0) * self._sqrt_int(D0),
-                             Fraction(1, 2))
+        self.d = (self.int(self.m) + self.int(s0) * self._sqrt_int(D0)) \
+            * self.q(Fraction(1, 2))
         self.inv_d = self.inv(self.d)
 
         self.B = [[self.phase(b.phase(g, h)) for h in els] for g in els]
@@ -160,64 +250,77 @@ class ExactContext:
         self.zeta3 = self.zpow(self.N // 3)
         self._eig: dict[int, dict] = {}
 
-    # -- field plumbing ------------------------------------------------------
+    # -- the field Q(zeta_N) ---------------------------------------------------
 
-    def _build_field(self):
-        N = self.N
-        zeta = sp.exp(2 * sp.pi * sp.I / N)
-        self.K = QQ.algebraic_field(zeta)
-        self.one = self.K.one
-        self.zero = self.K.zero
-        gen = self.K.from_sympy(zeta)
-        self._zpows = [self.one]
-        for _ in range(N - 1):
-            self._zpows.append(self._zpows[-1] * gen)
-        deg = len(self._zpows[1].to_list()) if N > 1 else 1
-        self.deg = self.K.mod.degree() if hasattr(self.K, "mod") else deg
-        self._conj_basis = [self.zpow((N - j) % N) for j in range(self.deg)]
-        self._numeric_pows = np.exp(2j * np.pi * np.arange(self.deg) / N)
-        self.K_two = self.int(2)
+    def _elt(self, c: list, d: int) -> "_Cyc":
+        """The element sum(c[j] zeta^j) / d, d > 0, for any length of c."""
+        deg = self.deg
+        for i in range(len(c) - 1, deg - 1, -1):
+            x = c[i]
+            if x:
+                s = i - deg
+                for j, p in self._tail:
+                    c[s + j] -= x * p
+        c = c[:deg] + [0] * (deg - len(c))
+        if d != 1:
+            g = math.gcd(d, *c)
+            if g != 1:
+                c = [x // g for x in c]
+                d //= g
+        return _Cyc(self, tuple(c), d)
+
+    def _galois(self, a: "_Cyc", k: int) -> "_Cyc":
+        """sigma_k(a), the automorphism zeta -> zeta^k, gcd(k, N) = 1."""
+        out = [0] * self.N
+        for j, x in enumerate(a.c):
+            if x:
+                out[j * k % self.N] += x
+        return self._elt(out, a.d)
 
     def zpow(self, j: int):
         return self._zpows[j % self.N]
 
     def int(self, k: int):
-        return self.K.convert(k)
+        return self.q(Fraction(k))
 
     def q(self, fr: Fraction):
-        return self.K.convert(QQ(fr.numerator, fr.denominator))
-
-    def _mul_q(self, a, fr: Fraction):
-        return a * self.q(fr)
+        return _Cyc(self, (fr.numerator,) + (0,) * (self.deg - 1), fr.denominator)
 
     def phase(self, p: Phase):
         return self.zpow(p.num * self.N // p.den)
 
-    def _coeffs(self, a) -> list[Fraction]:
-        lst = [Fraction(int(x.numerator), int(x.denominator)) for x in a.to_list()]
-        lst = lst[::-1]  # ascending powers of the generator
-        lst += [Fraction(0)] * (self.deg - len(lst))
-        return lst
-
     def conj(self, a):
-        out = self.zero
-        for j, cj in enumerate(self._coeffs(a)):
-            if cj:
-                out = out + self.q(cj) * self._conj_basis[j]
-        return out
+        return self._galois(a, -1)
 
     def re(self, a):
         return (a + self.conj(a)) * self.q(Fraction(1, 2))
 
     def im(self, a):
-        i_unit = self.zpow(self.N // 4)
-        return (a - self.conj(a)) * self.inv(self.K_two * i_unit)
+        return (a - self.conj(a)) * self._minus_half_i
 
     def inv(self, a):
-        return a ** (-1)
+        """a^-1 = prod(sigma(a) for sigma != 1) / N(a).  The norm is built up
+        one generator of (Z/N)^x at a time, keeping a * cof = x, and stops as
+        soon as the partial norm x is rational."""
+        if a == self.zero:
+            raise ZeroDivisionError("inverse of 0 in Q(zeta_N)")
+        x, cof = a, self.one
+        for g, r in self._units:
+            if not any(x.c[1:]):
+                break
+            # the conjugates of x over the coset representatives g^t, 0 < t < r
+            y = conjs = self._galois(x, g)
+            for _ in range(r - 2):
+                y = self._galois(y, g)
+                conjs = conjs * y
+            x, cof = x * conjs, cof * conjs
+        num, den = x.c[0], x.d
+        if num < 0:
+            num, den = -num, -den
+        return self._elt([den * c for c in cof.c], num * cof.d)
 
     def numeric(self, a) -> complex:
-        cs = np.array([float(c) for c in self._coeffs(a)])
+        cs = np.array([x / a.d for x in a.c])
         return complex(np.dot(cs, self._numeric_pows))
 
     def numeric_hp(self, a, dps: int = 60) -> complex:
@@ -225,11 +328,10 @@ class ExactContext:
 
         with mpmath.workdps(dps):
             tot = mpmath.mpc(0)
-            for j, cj in enumerate(self._coeffs(a)):
-                if cj:
-                    tot += mpmath.mpf(cj.numerator) / mpmath.mpf(cj.denominator) \
-                        * mpmath.e ** (2j * mpmath.pi * j / self.N)
-            return complex(tot)
+            for j, x in enumerate(a.c):
+                if x:
+                    tot += mpmath.mpf(x) * mpmath.e ** (2j * mpmath.pi * j / self.N)
+            return complex(tot / a.d)
 
     def is_zero(self, a) -> bool:
         return a == self.zero
@@ -949,6 +1051,8 @@ def case_feasibility(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
 
 
 def all_case_feasibilities(G: FiniteAbelianGroup, b: Bicharacter,
-                           a: QuadraticForm) -> list[Feasibility]:
-    ctx = ExactContext(G, b, a)
+                           a: QuadraticForm,
+                           ctx: ExactContext | None = None) -> list[Feasibility]:
+    if ctx is None:
+        ctx = ExactContext(G, b, a)
     return [case_feasibility(G, b, a, tag, ctx=ctx) for tag in case_tags(G)]

@@ -350,7 +350,7 @@ def solve_m2n(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
         config = SolveConfig()
     ctx = ExactContext(G, b, a)
     if feasibilities is None:
-        feasibilities = all_case_feasibilities(G, b, a)
+        feasibilities = all_case_feasibilities(G, b, a, ctx=ctx)
     sols: list[GeneralSolution] = []
     for feas in feasibilities:
         # Case III survivors only arise for |G| >= 8; no structured solver

@@ -1,5 +1,16 @@
-import pytest
+import functools
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import neargroup
 from neargroup.abelian import (
     FiniteAbelianGroup,
     Phase,
@@ -102,3 +113,104 @@ def test_exact_context_basics():
     assert sum(ctx.eig(k)["dim"] for k in range(3)) == 3
     # d is the positive root of d^2 = n + m d
     assert ctx.is_zero(ctx.d * ctx.d - ctx.int(3) - ctx.int(6) * ctx.d)
+
+
+def test_import_does_not_load_sympy():
+    src = str(Path(neargroup.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, neargroup, neargroup.solvers, neargroup.cli; "
+            "assert 'sympy' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# --- the field Q(zeta_N) -------------------------------------------------------
+
+_FIELD_GROUP = {24: 3, 120: 5, 168: 6}  # N of the first Z_n pair at m = 2n
+
+
+@functools.cache
+def _field(N):
+    ctx = ExactContext(*_pair(_FIELD_GROUP[N]))
+    assert ctx.N == N
+    return ctx
+
+
+def _element(ctx):
+    """sum(k zeta^j) / den over a few random (j, k), j over all of Z/N."""
+    def build(terms, den):
+        out = ctx.zero
+        for j, k in terms:
+            out = out + ctx.int(k) * ctx.zpow(j)
+        return out * ctx.q(Fraction(1, den))
+    terms = st.lists(st.tuples(st.integers(0, ctx.N - 1), st.integers(-9, 9)),
+                     max_size=8)
+    return st.builds(build, terms, st.integers(1, 12))
+
+
+fields = st.sampled_from(sorted(_FIELD_GROUP))
+
+
+@pytest.mark.parametrize("N", sorted(_FIELD_GROUP))
+def test_field_degree_is_euler_phi(N):
+    ctx = _field(N)
+    assert ctx.deg == sum(1 for k in range(1, N + 1) if math.gcd(k, N) == 1)
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(ctx.zero)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fields, st.data())
+def test_field_arithmetic_matches_complex_evaluation(N, data):
+    ctx = _field(N)
+    a, b = data.draw(_element(ctx)), data.draw(_element(ctx))
+    k = data.draw(st.integers(0, 4))
+    x, y = ctx.numeric(a), ctx.numeric(b)
+    for got, want in [(a + b, x + y), (a - b, x - y), (a * b, x * y), (-a, -x),
+                      (a ** k, x ** k)]:
+        assert abs(ctx.numeric(got) - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(fields, st.data())
+def test_field_inverse_is_exact(N, data):
+    ctx = _field(N)
+    a = data.draw(_element(ctx))
+    assume(not ctx.is_zero(a))
+    assert a * ctx.inv(a) == ctx.one
+    assert a ** -2 * a * a == ctx.one
+
+
+@settings(max_examples=30, deadline=None)
+@given(fields, st.data())
+def test_field_galois_maps(N, data):
+    ctx = _field(N)
+    a, b = data.draw(_element(ctx)), data.draw(_element(ctx))
+    z = ctx.numeric(a)
+    assert abs(ctx.numeric(ctx.conj(a)) - z.conjugate()) <= 1e-9 * max(1.0, abs(z))
+    assert ctx.conj(ctx.conj(a)) == a
+    k = data.draw(st.sampled_from([k for k in range(1, N) if math.gcd(k, N) == 1]))
+    assert ctx._galois(a * b, k) == ctx._galois(a, k) * ctx._galois(b, k)
+
+
+def test_sign_high_precision_fallback():
+    """sqrt(5) - p/q within 1e-17 of 0 is beyond double precision: sign()
+    certifies it through numeric_hp, on both sides of 0."""
+    G, b, a = _pair(5)
+    ctx = ExactContext(G, b, a)
+    hp_calls = []
+    numeric_hp = ctx.numeric_hp
+    ctx.numeric_hp = lambda x, dps=60: hp_calls.append(x) or numeric_hp(x, dps)
+    r5 = ctx._sqrt_int(5)
+    assert ctx.sign(r5 * r5 - ctx.int(5)) == 0
+    assert ctx.sign(r5 - r5) == 0
+    # convergents p/q of sqrt(5) = [2; 4, 4, ...], alternately below and above
+    p0, q0, p, q = 2, 1, 9, 4
+    while q < 10**9:
+        p0, q0, p, q = p, q, 4 * p + p0, 4 * q + q0
+    for p, q in ((p0, q0), (p, q)):
+        # |sqrt(5) - p/q| = |5 q^2 - p^2| / (q (sqrt(5) q + p)) < 1e-16
+        assert abs(5 * q * q - p * p) == 1 and q * (2 * q + p) > 10**16
+        want = 1 if 5 * q * q > p * p else -1
+        assert ctx.sign(r5 - ctx.q(Fraction(p, q))) == want
+    assert len(hp_calls) == 2

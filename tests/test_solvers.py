@@ -165,8 +165,8 @@ def test_m2n_class_labelled_with_its_solvers_case(monkeypatch):
     from neargroup.cases import CaseTag, Feasibility
 
     real = solvers.all_case_feasibilities
-    monkeypatch.setattr(solvers, "all_case_feasibilities", lambda G, b, a: [
-        Feasibility(CaseTag("II", omega=0), True)] + real(G, b, a))
+    monkeypatch.setattr(solvers, "all_case_feasibilities", lambda G, b, a, ctx: [
+        Feasibility(CaseTag("II", omega=0), True)] + real(G, b, a, ctx=ctx))
     res = classify(FiniteAbelianGroup((3,)), 6, SolveConfig(random_starts=4))
     assert res.classes
     assert all(c.case.kind == "I" for c in res.classes)
