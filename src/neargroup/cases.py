@@ -1015,8 +1015,9 @@ def _case_III(ctx: ExactContext, tag: CaseTag) -> Feasibility:
                                    details=f"kappa={kappa} passes the 24th-power test")
         return Feasibility(tag, False, "CaseIII |G|=4: 24th-power test",
                            "(sqrt(2n) R mu(0))^12 is not a sign for any branch")
-    return Feasibility(tag, True, details=f"|G| = {n} >= 8 not analyzed",
-                       inconclusive=True)
+    return Feasibility(tag, True, inconclusive=True,
+                       details=f"|G| = {n}: no exact Case III test past |G| = 4; "
+                               "the tag is not searched")
 
 
 def _cheb_eval(ctx: ExactContext, deg: int, x, kind: str):

@@ -1,11 +1,27 @@
-"""Normal-form engine for the Cuntz algebra O_{n+m} and the word oracle.
+"""Block-sparse engine for the Cuntz algebra O_N and the word oracle.
 
-An element is a finite linear combination of reduced words S_mu S_nu^* held
-as a dict {(mu, nu): coeff} with mu, nu tuples over the alphabet
-{0..n-1} = group isometries S_g, {n..n+m-1} = the T_i.  Products reduce with
-S_i^* S_j = delta_{ij} only; the completeness relation sum_i S_i S_i^* = 1 is
-applied exclusively inside :func:`normalize` (level raising), which keeps
-plain reduction confluent.
+An element is a finite linear combination of reduced words S_mu S_nu^* over
+the alphabet {0..n-1} = group isometries S_g, {n..N-1} = the T_i.  It is
+stored by block: (a, b) = (|mu|, |nu|) maps to the COO entries
+(rows, cols, vals) of a sparse N^a x N^b coefficient matrix, with int64
+indices and a word's index its base-N value (first letter most significant).
+Each block holds one entry per (row, col).
+
+An element may carry a leading family index k in [K]: block (a, b) is then
+(K N^a) x N^b with row k N^a + mu, so one object holds a whole family such
+as {rho(S_i)}_i.  Products of a family with a single element act on every
+member, products of two families of one size member by member.  The storage
+of a family is that of sum_k S_k x_k, which makes moving a word's first
+letter into the family index free; rho is applied that way (Horner
+recursion, :func:`_apply`).
+
+Products reduce with S_i^* S_j = delta_ij only.  For b1 <= a2 the block
+product is A @ B with B's rows split into the first b1 letters and the rest
+(the mirror case splits A's columns); the matmul runs on the compressed row,
+inner and column index sets.  The completeness relation
+sum_i S_i S_i^* = 1 enters only through level raising, a Kronecker product
+with the identity (:func:`normalize`, :func:`normalize_residual`).  Nothing
+is pruned: residuals are the real largest coefficients.
 
 The oracle builds the endomorphism rho on generators from an admissible
 tuple,
@@ -23,11 +39,12 @@ generator, and the closed form of rho(U(g)).
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .solutions import ResidualReport
 from .tuples import AdmissibleTuple
@@ -44,19 +61,107 @@ __all__ = [
     "fs_indicators",
 ]
 
-PRUNE = 1e-14
-
 Word = tuple[int, ...]
+
+# A block product with at most this many entry pairs joins by broadcasting;
+# a larger one by a sparse matmul on the compressed index sets.
+_SMALL_JOIN = 2048
+
+
+def _index(N: int, word) -> int:
+    i = 0
+    for letter in word:
+        i = i * N + int(letter)
+    return i
+
+
+def _letters(N: int, index: int, length: int) -> Word:
+    out = []
+    for _ in range(length):
+        index, letter = divmod(index, N)
+        out.append(letter)
+    return tuple(reversed(out))
+
+
+def _sum_duplicates(r, c, v):
+    """One entry per (row, col), duplicate coefficients summed."""
+    if len(r) < 2:
+        return r, c, v
+    width = int(c.max()) + 1
+    key = r * width + c  # fits: _gather bounds every block's index space
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    key = key[first]
+    return key // width, key % width, np.add.reduceat(v[order], first)
+
+
+def _gather(N: int, K: int, pieces: dict) -> "CuntzElement":
+    """The element whose block (a, b) is the sum of the COO pieces[(a, b)]."""
+    blocks = {}
+    for (a, b), parts in pieces.items():
+        if K * N ** (a + b) > 2**63:
+            raise OverflowError(f"block ({a}, {b}) of {K} members overflows int64 indices")
+        parts = [p for p in parts if len(p[2])]
+        if len(parts) == 1:
+            blocks[(a, b)] = parts[0]
+        elif parts:
+            blocks[(a, b)] = _sum_duplicates(*(np.concatenate(x) for x in zip(*parts)))
+    return CuntzElement(N, blocks, K)
+
+
+def _entries(N: int, K: int, a: int, b: int, k, mu, nu, vals) -> "CuntzElement":
+    """The one-block element sum vals S_mu S_nu^* in member k; the index
+    arrays broadcast against each other and exact zeros are left out."""
+    k, mu, nu, vals = np.broadcast_arrays(k, mu, nu, vals)
+    vals = vals.astype(complex).ravel()
+    keep = vals != 0
+    rows = (k.ravel() * N**a + mu.ravel()).astype(np.int64)[keep]
+    cols = nu.ravel().astype(np.int64)[keep]
+    return _gather(N, K, {(a, b): [_sum_duplicates(rows, cols, vals[keep])]})
+
+
+class _Terms(Mapping):
+    """Read-only {(mu, nu): coeff} view of an element ({(k, mu, nu): coeff}
+    for a family); its length is the number of stored coefficients."""
+
+    __slots__ = ("_x", "_dict")
+
+    def __init__(self, x: "CuntzElement"):
+        self._x = x
+        self._dict = None
+
+    def __len__(self):
+        return sum(len(v) for _, _, v in self._x.blocks.values())
+
+    def _items(self) -> dict:
+        if self._dict is None:
+            x, d = self._x, {}
+            for (a, b), (r, c, v) in x.blocks.items():
+                k, mu = np.divmod(r, x.N**a)
+                for kk, m, nu, val in zip(k.tolist(), mu.tolist(), c.tolist(), v.tolist()):
+                    key = (_letters(x.N, m, a), _letters(x.N, nu, b))
+                    d[key if x.K == 1 else (kk,) + key] = val
+            self._dict = d
+        return self._dict
+
+    def __getitem__(self, key):
+        return self._items()[key]
+
+    def __iter__(self):
+        return iter(self._items())
 
 
 class CuntzElement:
-    """Finite sum of reduced words S_mu S_nu^* with complex coefficients."""
+    """Finite sum of reduced words S_mu S_nu^* with complex coefficients, or
+    a family of K such sums (see the module docstring)."""
 
-    __slots__ = ("N", "terms")
+    __slots__ = ("N", "K", "blocks")
 
-    def __init__(self, N: int, terms: dict[tuple[Word, Word], complex] | None = None):
+    def __init__(self, N: int, blocks: dict | None = None, K: int = 1):
         self.N = N
-        self.terms = terms or {}
+        self.K = K
+        self.blocks = {} if blocks is None else blocks
 
     # -- construction -------------------------------------------------------
 
@@ -66,82 +171,70 @@ class CuntzElement:
 
     @staticmethod
     def one(N: int) -> "CuntzElement":
-        return CuntzElement(N, {((), ()): 1.0 + 0.0j})
+        return CuntzElement.word(N, (), ())
 
     @staticmethod
     def word(N: int, mu: Word, nu: Word = (), coeff: complex = 1.0) -> "CuntzElement":
-        return CuntzElement(N, {(tuple(mu), tuple(nu)): complex(coeff)})
-
-    def copy(self) -> "CuntzElement":
-        return CuntzElement(self.N, dict(self.terms))
+        return CuntzElement(N, {(len(mu), len(nu)): (
+            np.array([_index(N, mu)], np.int64), np.array([_index(N, nu)], np.int64),
+            np.array([complex(coeff)]))})
 
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other: "CuntzElement") -> "CuntzElement":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, 0.0) + v
-            if abs(w) > PRUNE:
-                out[k] = w
-            elif k in out:
-                del out[k]
-        return CuntzElement(self.N, out)
+        if (other.N, other.K) != (self.N, self.K):
+            raise ValueError("adding elements of different alphabets or family sizes")
+        pieces: dict = {}
+        for x in (self, other):
+            for key, blk in x.blocks.items():
+                pieces.setdefault(key, []).append(blk)
+        return _gather(self.N, self.K, pieces)
 
     def __sub__(self, other: "CuntzElement") -> "CuntzElement":
-        return self + (other * -1.0)
+        return self + other * -1.0
 
     def __mul__(self, other):
         if isinstance(other, CuntzElement):
-            return self._product(other)
-        out = {}
+            return _multiply(self, other)
         c = complex(other)
-        if abs(c) > 0:
-            for k, v in self.terms.items():
-                w = v * c
-                if abs(w) > PRUNE:
-                    out[k] = w
-        return CuntzElement(self.N, out)
+        if c == 0:
+            return CuntzElement(self.N, K=self.K)
+        return CuntzElement(self.N, {key: (r, cols, v * c) for key, (r, cols, v)
+                                     in self.blocks.items()}, self.K)
 
     __rmul__ = __mul__
 
-    def _product(self, other: "CuntzElement") -> "CuntzElement":
-        out: dict[tuple[Word, Word], complex] = {}
-        for (mu1, nu1), c1 in self.terms.items():
-            l1 = len(nu1)
-            for (mu2, nu2), c2 in other.terms.items():
-                l2 = len(mu2)
-                # reduce S_{nu1}^* S_{mu2}
-                if l1 <= l2:
-                    if mu2[:l1] != nu1:
-                        continue
-                    key = (mu1 + mu2[l1:], nu2)
-                else:
-                    if nu1[:l2] != mu2:
-                        continue
-                    key = (mu1, nu2 + nu1[l2:])
-                w = out.get(key, 0.0) + c1 * c2
-                if abs(w) > PRUNE:
-                    out[key] = w
-                elif key in out:
-                    del out[key]
-        return CuntzElement(self.N, out)
-
     def adjoint(self) -> "CuntzElement":
-        return CuntzElement(self.N, {(nu, mu): np.conj(c) for (mu, nu), c in self.terms.items()})
+        """The adjoint of every member: a conjugate transpose per block."""
+        N, out = self.N, {}
+        for (a, b), (r, c, v) in self.blocks.items():
+            k, mu = np.divmod(r, N**a)
+            out[(b, a)] = (k * N**b + c, mu, v.conj())
+        return CuntzElement(N, out, self.K)
+
+    def members(self, lo: int, hi: int) -> "CuntzElement":
+        """The family of members lo..hi-1."""
+        out = {}
+        for (a, b), (r, c, v) in self.blocks.items():
+            size = self.N**a
+            keep = (r >= lo * size) & (r < hi * size)
+            if keep.any():
+                out[(a, b)] = (r[keep] - lo * size, c[keep], v[keep])
+        return CuntzElement(self.N, out, hi - lo)
 
     # -- inspection ---------------------------------------------------------
 
-    def norm_max(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+    @property
+    def terms(self) -> Mapping:
+        return _Terms(self)
 
-    def scalar_part(self) -> complex:
-        return self.terms.get(((), ()), 0.0 + 0.0j)
-
-    def max_word_len(self) -> int:
-        return max((max(len(mu), len(nu)) for mu, nu in self.terms), default=0)
-
-    def is_zero(self, tol: float = 1e-12) -> bool:
-        return normalize_residual(self) < tol
+    def scalars(self) -> np.ndarray:
+        """The coefficient of the empty word in each member."""
+        out = np.zeros(self.K, complex)
+        if (0, 0) in self.blocks:
+            r, _, v = self.blocks[(0, 0)]
+            out[r] = v
+        return out
 
     def support(self) -> int:
         return len(self.terms)
@@ -149,13 +242,15 @@ class CuntzElement:
     def dump(self) -> list[dict]:
         """Debug dump: [{"word": [mu..., "*", nu...], "coeff": [re, im]}]."""
         out = []
-        for (mu, nu), c in sorted(self.terms.items()):
+        for key, c in sorted(self.terms.items()):
+            mu, nu = key[-2:]
             out.append({"word": list(mu) + ["*"] + list(nu),
                         "coeff": [float(np.real(c)), float(np.imag(c))]})
         return out
 
     def __repr__(self):
-        return f"CuntzElement(N={self.N}, {self.support()} terms)"
+        family = f", K={self.K}" if self.K > 1 else ""
+        return f"CuntzElement(N={self.N}{family}, {self.support()} terms)"
 
 
 def cuntz_identity(N: int) -> CuntzElement:
@@ -166,203 +261,228 @@ def generator(N: int, i: int) -> CuntzElement:
     return CuntzElement.word(N, (i,))
 
 
-def _collapse_fans(x: CuntzElement) -> CuntzElement:
-    """Repeatedly replace complete fans sum_i c S_{mu i} S_{nu i}^* by
-    c S_mu S_nu^*; a support-reducing partial inverse of level raising."""
-    terms = dict(x.terms)
-    changed = True
-    while changed:
-        changed = False
-        groups: dict[tuple[Word, Word], list[int]] = {}
-        for mu, nu in terms:
-            if mu and nu and mu[-1] == nu[-1]:
-                groups.setdefault((mu[:-1], nu[:-1]), []).append(mu[-1])
-        for (mu, nu), letters in groups.items():
-            if len(set(letters)) != x.N:
-                continue
-            vals = [terms.get((mu + (i,), nu + (i,))) for i in range(x.N)]
-            if any(v is None for v in vals):
-                continue
-            base = vals[0]
-            if all(abs(v - base) <= 1e-13 * max(1.0, abs(base)) for v in vals):
-                for i in range(x.N):
-                    del terms[(mu + (i,), nu + (i,))]
-                w = terms.get((mu, nu), 0.0) + base
-                if abs(w) > PRUNE:
-                    terms[(mu, nu)] = w
-                elif (mu, nu) in terms:
-                    del terms[(mu, nu)]
-                changed = True
-    return CuntzElement(x.N, terms)
+# ---------------------------------------------------------------------------
+# products
+
+
+def _join(jA, left, va, jB, right, vb):
+    """sum over j of A[left, j] B[j, right] for COO entries with arbitrary
+    int64 keys; one entry per (left, right)."""
+    if len(jA) * len(jB) <= _SMALL_JOIN:
+        ia, ib = np.nonzero(jA[:, None] == jB[None, :])
+        return _sum_duplicates(left[ia], right[ib], va[ia] * vb[ib])
+    uj, ij = np.unique(np.concatenate((jA, jB)), return_inverse=True)
+    ul, il = np.unique(left, return_inverse=True)
+    ur, ir = np.unique(right, return_inverse=True)
+    A = sp.csr_matrix((va, (il, ij[:len(jA)])), shape=(len(ul), len(uj)))
+    B = sp.csr_matrix((vb, (ij[len(jA):], ir)), shape=(len(uj), len(ur)))
+    C = (A @ B).tocoo()
+    return ul[C.row], ur[C.col], C.data
+
+
+def _multiply(x: CuntzElement, y: CuntzElement) -> CuntzElement:
+    N = x.N
+    if x.K > 1 and y.K > 1 and x.K != y.K:
+        raise ValueError(f"multiplying families of sizes {x.K} and {y.K}")
+    pairwise = x.K > 1 and y.K > 1
+    pieces: dict = {}
+    for (a1, b1), (ra, ca, va) in x.blocks.items():
+        ka = ra // N**a1
+        for (a2, b2), (rb, cb, vb) in y.blocks.items():
+            kb, mu2 = np.divmod(rb, N**a2)
+            # kb rides in the join key (pairwise) or in the right key (broadcast)
+            kj, kr = (kb, 0) if pairwise else (0, kb)
+            if b1 <= a2:
+                # S_nu1^* S_mu2 = S_tail when mu2 = (nu1, tail)
+                t = a2 - b1
+                p, tail = np.divmod(mu2, N**t)
+                L, R, V = _join(ka * pairwise * N**b1 + ca, ra, va,
+                                kj * N**b1 + p, (kr * N**t + tail) * N**b2 + cb, vb)
+                kt, nu2 = np.divmod(R, N**b2)
+                kbx, tail = np.divmod(kt, N**t)
+                rows = L * N**t + tail + kbx * N**(a1 + t)
+                pieces.setdefault((a1 + t, b2), []).append((rows, nu2, V))
+            else:
+                # S_nu1^* S_mu2 = S_rest^* when nu1 = (mu2, rest)
+                r = b1 - a2
+                head, rest = np.divmod(ca, N**r)
+                L, R, V = _join(ka * pairwise * N**a2 + head, ra * N**r + rest, va,
+                                kj * N**a2 + mu2, kr * N**b2 + cb, vb)
+                row0, rest = np.divmod(L, N**r)
+                kbx, nu2 = np.divmod(R, N**b2)
+                pieces.setdefault((a1, b2 + r), []).append(
+                    (row0 + kbx * N**a1, nu2 * N**r + rest, V))
+    return _gather(N, max(x.K, y.K), pieces)
+
+
+# ---------------------------------------------------------------------------
+# level raising and the zero test
+
+
+def _raise(N: int, block, s: int):
+    """S_mu S_nu^* -> sum_t S_{mu t} S_{nu t}^* over the N^s words t."""
+    if s == 0:
+        return block
+    r, c, v = block
+    t = np.arange(N**s, dtype=np.int64)
+    return ((r[:, None] * N**s + t).ravel(), (c[:, None] * N**s + t).ravel(),
+            np.repeat(v, N**s))
+
+
+def _raised(x: CuntzElement, lift) -> CuntzElement:
+    pieces: dict = {}
+    for (a, b), blk in x.blocks.items():
+        s = lift(a, b)
+        pieces.setdefault((a + s, b + s), []).append(_raise(x.N, blk, s))
+    return _gather(x.N, x.K, pieces)
 
 
 def normalize(x: CuntzElement, level: int | None = None) -> CuntzElement:
-    """Raise every word pair within its grade to a common length using
-    sum_i S_i S_i^* = 1; equality of elements is equality of normalized
+    """Raise every word pair within its grade to max(|mu|, |nu|) == level
+    using sum_i S_i S_i^* = 1; equality of elements is equality of normalized
     tables at any level >= both maximal word lengths."""
-    if not x.terms:
+    if not x.blocks:
         return x
-    maxlen = x.max_word_len()
+    maxlen = max(max(a, b) for a, b in x.blocks)
     if level is None:
         level = maxlen
     if level < maxlen:
         raise ValueError(f"level {level} below maximal word length {maxlen}")
-    out: dict[tuple[Word, Word], complex] = {}
-    for (mu, nu), c in x.terms.items():
-        pad = level - max(len(mu), len(nu))
-        # target: max(len) == level (keep the grade |mu| - |nu| fixed)
-        if pad == 0:
-            w = out.get((mu, nu), 0.0) + c
-            if abs(w) > PRUNE:
-                out[(mu, nu)] = w
-            elif (mu, nu) in out:
-                del out[(mu, nu)]
-            continue
-        for tail in itertools.product(range(x.N), repeat=pad):
-            key = (mu + tail, nu + tail)
-            w = out.get(key, 0.0) + c
-            if abs(w) > PRUNE:
-                out[key] = w
-            elif key in out:
-                del out[key]
-    return CuntzElement(x.N, out)
+    return _raised(x, lambda a, b: level - max(a, b))
 
 
 def normalize_residual(x: CuntzElement) -> float:
-    """max |coefficient| of x after fan collapsing and level raising; this is
-    0 exactly when x = 0 in the Cuntz algebra."""
-    y = _collapse_fans(x)
-    if not y.terms:
-        return 0.0
-    y = normalize(y)
-    return y.norm_max()
+    """max |coefficient| of x (of every member) once each grade a - b is
+    raised to its longest word; this is 0 exactly when x = 0 in the Cuntz
+    algebra."""
+    top: dict[int, int] = {}
+    for a, b in x.blocks:
+        top[a - b] = max(top.get(a - b, 0), b)
+    y = _raised(x, lambda a, b: top[a - b] - b)
+    return max((float(np.abs(v).max()) for _, _, v in y.blocks.values()), default=0.0)
 
 
 # ---------------------------------------------------------------------------
-# the endomorphism attached to an admissible tuple
+# endomorphisms given on generators
+
+
+def _fold(x: CuntzElement) -> CuntzElement:
+    """sum_k x_k S_k^* of a family (K <= N)."""
+    N, out = x.N, {}
+    for (a, b), (r, c, v) in x.blocks.items():
+        k, mu = np.divmod(r, N**a)
+        out[(a, b + 1)] = (mu, k * N**b + c, v)
+    return CuntzElement(N, out)
+
+
+def _apply(fold: CuntzElement, fold_adj: CuntzElement, x: CuntzElement) -> CuntzElement:
+    """phi(x), member by member, for the endomorphism with
+    fold = sum_i phi(S_i) S_i^* and fold_adj = sum_i phi(S_i)^* S_i^*.
+
+    Words with mu nonempty split on their first letter,
+    x_k = sum_i S_i x_(k,i), so phi(x)_k = sum_i phi(S_i) phi(x_(k,i)); words
+    S_nu^* split on the last letter of nu, x_k = sum_i S_i^* x_(k,i).  The
+    x_(k,i) form a family of K N members with the same storage."""
+    N, K = x.N, x.K
+    out = CuntzElement(N, {k: v for k, v in x.blocks.items() if k == (0, 0)}, K)
+    head = {(a - 1, b): blk for (a, b), blk in x.blocks.items() if a}
+    tail = {}
+    for (a, b), (r, c, v) in x.blocks.items():
+        if a == 0 and b:
+            nu, i = np.divmod(c, N)
+            tail[(0, b - 1)] = (r * N + i, nu, v)
+    for left, part in ((fold, head), (fold_adj, tail)):
+        if part:
+            y = _apply(fold, fold_adj, CuntzElement(N, part, K * N))
+            # member (k, i) of y becomes the word S_i y_(k,i) of member k
+            out = out + left * CuntzElement(
+                N, {(a + 1, b): blk for (a, b), blk in y.blocks.items()}, K)
+    return out
 
 
 @dataclass
 class GeneratorEndomorphism:
-    """Images of the Cuntz generators under rho, alpha_h and U(g)."""
+    """rho on the Cuntz generators: the families images = {rho(S_i)}_i and
+    U = {U(g)}_g, and the folds sum_i rho(S_i) S_i^*, sum_i rho(S_i)^* S_i^*
+    that :func:`_apply` uses."""
 
-    N: int
-    n: int
-    m: int
     tuple_data: AdmissibleTuple
-    rho_S: list[CuntzElement]
-    rho_T: list[CuntzElement]
-    U_el: list[CuntzElement]
+    images: CuntzElement
+    U: CuntzElement
+    folds: tuple[CuntzElement, CuntzElement]
 
-    def rho_image(self, i: int) -> CuntzElement:
-        return self.rho_S[i] if i < self.n else self.rho_T[i - self.n]
+    @property
+    def N(self) -> int:
+        return self.images.N
+
+    def apply(self, x: CuntzElement) -> CuntzElement:
+        return _apply(*self.folds, x)
 
     def alpha(self, h: int, x: CuntzElement) -> CuntzElement:
         """The G-action: alpha_h(S_g) = S_{hg}, alpha_h(T) = V(h) T."""
-        t = self.tuple_data
-        out: dict[tuple[Word, Word], complex] = {}
-        for (mu, nu), c in x.terms.items():
-            for mu2, c2 in self._alpha_word(h, mu):
-                for nu2, c3 in self._alpha_word(h, nu):
-                    key = (mu2, nu2)
-                    w = out.get(key, 0.0) + c * c2 * np.conj(c3)
-                    if abs(w) > PRUNE:
-                        out[key] = w
-                    elif key in out:
-                        del out[key]
-        return CuntzElement(x.N, out)
-
-    def _alpha_word(self, h: int, word: Word):
-        t = self.tuple_data
-        n = self.n
-        results = [((), 1.0 + 0.0j)]
-        for letter in word:
-            if letter < n:
-                results = [(w + (int(t.mult[h, letter]),), c) for w, c in results]
-            else:
-                col = t.V[h][:, letter - n]
-                new = []
-                for w, c in results:
-                    for j in range(self.m):
-                        if abs(col[j]) > PRUNE:
-                            new.append((w + (n + j,), c * col[j]))
-                results = new
-        return results
-
-    def apply_rho(self, x: CuntzElement) -> CuntzElement:
-        out = CuntzElement.zero(self.N)
-        for (mu, nu), c in x.terms.items():
-            term = CuntzElement.one(self.N) * c
-            for letter in mu:
-                term = term * self.rho_image(letter)
-            for letter in reversed(nu):
-                term = term * self.rho_image(letter).adjoint()
-            out = out + term
-        return out
+        A = _alpha_matrix(self.tuple_data, h)
+        letters = np.arange(self.N)
+        images = _entries(self.N, self.N, 1, 0, letters, letters[:, None], 0, A)
+        return _apply(_fold(images), _fold(images.adjoint()), x)
 
 
-def _kvector(N: int, n: int, v: np.ndarray) -> CuntzElement:
-    terms = {((n + i,), ()): complex(v[i]) for i in range(len(v)) if abs(v[i]) > PRUNE}
-    return CuntzElement(N, terms)
+def _alpha_matrix(t: AdmissibleTuple, h: int) -> np.ndarray:
+    """A_h[y, x]: alpha_h(S_x) = sum_y A_h[y, x] S_y."""
+    n = t.n
+    A = np.zeros((t.alphabet, t.alphabet), complex)
+    A[t.mult[h], np.arange(n)] = 1.0
+    A[n:, n:] = t.V[h]
+    return A
 
 
 def build_endomorphism(t: AdmissibleTuple) -> GeneratorEndomorphism:
     n, m = t.n, t.m
     N = n + m
-    eps, d = t.eps, t.d
-    M1, M2 = t.M1, t.M2
-    W = t.w_matrix()  # j2 j1^{-1}
+    d = t.d
+    r = 1 / math.sqrt(d)
+    g = np.arange(n)[:, None]
+    h = np.arange(n)
+    T = n + np.arange(m)  # the letters T_0 .. T_{m-1}
+    i = np.arange(m)[:, None, None]
 
-    # rho(S_e)
-    terms: dict[tuple[Word, Word], complex] = {}
-    for h in range(n):
-        terms[((h,), ())] = eps / d
-    rho_Se = CuntzElement(N, terms)
-    for i in range(m):
-        j1Ti = M1[:, i]
-        for j in range(m):
-            if abs(j1Ti[j]) > PRUNE:
-                key = ((n + i, n + j), ())
-                terms[key] = terms.get(key, 0.0) + j1Ti[j] / math.sqrt(d)
-    rho_Se = CuntzElement(N, terms)
+    U = (_entries(N, n, 1, 1, g, h, h, t.chi.T)
+         + _entries(N, n, 1, 1, g[:, :, None], T[:, None], T, t.U))
+    # rho(S_e): M1[y, x] on S_{T_x} S_{T_y}
+    rho_Se = (_entries(N, 1, 1, 0, 0, h, 0, t.eps / d)
+              + _entries(N, 1, 2, 0, 0, T * N + T[:, None], 0, t.M1 * r))
+    rho_S = U * rho_Se * U.adjoint()
 
-    # U(g) as an element
-    U_el = []
-    for g in range(n):
-        tg: dict[tuple[Word, Word], complex] = {}
-        for h in range(n):
-            tg[((h,), (h,))] = complex(t.chi[h, g])
-        for p in range(m):
-            for q in range(m):
-                if abs(t.U[g][p, q]) > PRUNE:
-                    tg[((n + p,), (n + q,))] = complex(t.U[g][p, q])
-        U_el.append(CuntzElement(N, tg))
+    VJ2 = np.einsum("hxy,yi->ihx", t.V, t.M2)  # V(h) j2(T_i)
+    VW = np.einsum("hxy,yi->ixh", t.V, t.w_matrix())  # V(h) j2 j1^{-1}(T_i)
+    rho_T = (_entries(N, m, 1, 1, i, h[:, None], T, VJ2.conj() * r)
+             + _entries(N, m, 2, 1, i, T[:, None] * N + h, h, VW)
+             + _entries(N, m, 2, 1, i[..., None], T[:, None, None] * N + T[:, None], T,
+                        t.ltensor))
+    images = _stack(rho_S, rho_T)
+    return GeneratorEndomorphism(t, images, U, (_fold(images), _fold(images.adjoint())))
 
-    rho_S = []
-    for g in range(n):
-        rho_S.append(U_el[g] * rho_Se * U_el[g].adjoint())
 
-    rho_T = []
-    for i in range(m):
-        acc = CuntzElement.zero(N)
-        for h in range(n):
-            vj2 = t.V[h] @ M2[:, i]  # V(h) j2(T_i)
-            bra = _kvector(N, n, vj2).adjoint()
-            acc = acc + CuntzElement.word(N, (h,)) * bra * (1 / math.sqrt(d))
-            vw = t.V[h] @ W[:, i]  # V(h) j2 j1^{-1} (T_i)
-            acc = acc + _kvector(N, n, vw) * CuntzElement.word(N, (h,), (h,))
-        lterms: dict[tuple[Word, Word], complex] = {}
-        L = t.ltensor[i]
-        for x in range(m):
-            for y in range(m):
-                for z in range(m):
-                    c = L[x, y, z]
-                    if abs(c) > PRUNE:
-                        lterms[((n + x, n + y), (n + z,))] = complex(c)
-        acc = acc + CuntzElement(N, lterms)
-        rho_T.append(acc)
+def _stack(*families: CuntzElement) -> CuntzElement:
+    N, K, pieces = families[0].N, 0, {}
+    for x in families:
+        for (a, b), (r, c, v) in x.blocks.items():
+            pieces.setdefault((a, b), []).append((r + K * N**a, c, v))
+        K += x.K
+    return _gather(N, K, pieces)
 
-    return GeneratorEndomorphism(N, n, m, t, rho_S, rho_T, U_el)
+
+def _sandwich(x: CuntzElement, C: np.ndarray) -> CuntzElement:
+    """sum_{c,d} C[k, c, d] S_c x_k S_d^* for every member k."""
+    N, pieces = x.N, {}
+    cs, ds = np.nonzero(np.any(C != 0, axis=0))
+    for (a, b), (r, cols, v) in x.blocks.items():
+        k, mu = np.divmod(r, N**a)
+        w = (C[:, cs, ds][k] * v[:, None]).ravel()
+        rows = ((k[:, None] * N + cs) * N**a + mu[:, None]).ravel()
+        keep = w != 0
+        pieces[(a + 1, b + 1)] = [(rows[keep], (ds * N**b + cols[:, None]).ravel()[keep],
+                                   w[keep])]
+    return _gather(N, x.K, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -381,60 +501,33 @@ def oracle_check(t: AdmissibleTuple, tolerance: float = 1e-9) -> ResidualReport:
     n, m = t.n, t.m
     N = n + m
     rho = build_endomorphism(t)
+    R = rho.images
+    fold = rho.folds[0]
+    letters = np.arange(N)
     out: dict[str, float] = {}
 
-    # (i) isometry / orthogonality
-    worst = 0.0
-    images = [rho.rho_image(i) for i in range(N)]
-    for i in range(N):
-        for j in range(N):
-            prod = images[i].adjoint() * images[j]
-            if i == j:
-                prod = prod - CuntzElement.one(N)
-            worst = max(worst, normalize_residual(prod))
-    out["rho_isometry"] = worst
+    # (i) member j of fold^* R is sum_i S_i rho(S_i)^* rho(S_j); minus S_j
+    out["rho_isometry"] = normalize_residual(
+        fold.adjoint() * R - _entries(N, N, 1, 0, letters, letters, 0, 1.0))
 
-    # (ii) completeness of ranges
-    acc = CuntzElement.zero(N)
-    for i in range(N):
-        acc = acc + images[i] * images[i].adjoint()
-    out["rho_complete"] = normalize_residual(acc - CuntzElement.one(N))
+    # (ii) fold fold^* = sum_i rho(S_i) rho(S_i)^*
+    out["rho_complete"] = normalize_residual(fold * fold.adjoint() - CuntzElement.one(N))
 
-    # (iii) the defining relation on generators
-    worst = 0.0
-    rho_of_images = {}
-    for x in range(N):
-        lhs = rho.apply_rho(images[x])  # rho^2(generator)
-        rhs = CuntzElement.zero(N)
-        gen = generator(N, x)
-        for g in range(n):
-            Sg = CuntzElement.word(N, (g,))
-            rhs = rhs + Sg * rho.alpha(g, gen) * Sg.adjoint()
-        rho_x = images[x]
-        for i in range(m):
-            Ti = CuntzElement.word(N, (n + i,))
-            rhs = rhs + Ti * rho_x * Ti.adjoint()
-        worst = max(worst, normalize_residual(lhs - rhs))
-    out["rho_squared"] = worst
+    # (iii) sum_g S_g alpha_g(S_x) S_g^* = sum_{g,y} A_g[y, x] S_g S_y S_g^*
+    A = np.stack([_alpha_matrix(t, g) for g in range(n)])
+    gs, ys, xs = np.nonzero(A)
+    C = np.zeros((N, N, N), complex)
+    C[:, n + np.arange(m), n + np.arange(m)] = 1.0
+    rhs = _entries(N, N, 2, 1, xs, gs * N + ys, gs, A[gs, ys, xs]) + _sandwich(R, C)
+    out["rho_squared"] = normalize_residual(rho.apply(R) - rhs)
 
     # (iv) rho(U(g))
     W = t.w_matrix()
-    worst = 0.0
-    for g in range(n):
-        lhs = rho.apply_rho(rho.U_el[g])
-        terms: dict[tuple[Word, Word], complex] = {}
-        for h in range(n):
-            terms[((h,), (int(t.mult[h, g]),))] = 1.0 + 0.0j
-        rhs = CuntzElement(N, terms)
-        WU = W @ t.U[g] @ np.conj(W.T)
-        for i in range(m):
-            for j in range(m):
-                if abs(WU[i, j]) > PRUNE:
-                    Ti = CuntzElement.word(N, (n + i,))
-                    Tj = CuntzElement.word(N, (n + j,))
-                    rhs = rhs + Ti * rho.U_el[g] * Tj.adjoint() * WU[i, j]
-        worst = max(worst, normalize_residual(lhs - rhs))
-    out["rho_U"] = worst
+    C = np.zeros((n, N, N), complex)
+    C[:, n:, n:] = W @ t.U @ np.conj(W.T)
+    g = np.arange(n)
+    rhs = _entries(N, n, 1, 1, g[:, None], g, t.mult.T, 1.0) + _sandwich(rho.U, C)
+    out["rho_U"] = normalize_residual(rho.apply(rho.U) - rhs)
 
     return ResidualReport(out, tolerance)
 
@@ -461,28 +554,23 @@ def fs_indicators(t: AdmissibleTuple, tolerance: float = 1e-9):
 
     # word route: E3[i, j] = d * S_e^* T_i^* S_e^* rho(T_j) rho(S_e) S_e
     Se = CuntzElement.word(N, (0,))
-    E3 = np.zeros((m, m), dtype=complex)
-    rho_Se = rho.rho_image(0)
-    for j in range(m):
-        base = Se.adjoint() * rho.rho_T[j] * rho_Se * Se
-        for i in range(m):
-            val = (Se.adjoint() * CuntzElement.word(N, (n + i,)).adjoint() * base)
-            E3[i, j] = t.d * val.scalar_part()
+    rho_T = rho.images.members(n, N)
+    base = Se.adjoint() * rho_T * (rho.images.members(0, 1) * Se)
+    E3 = t.d * np.array([(CuntzElement.word(N, (), (n + i, 0)) * base).scalars()
+                         for i in range(m)])
     nu31_word = complex(np.trace(E3))
     e3_cube = float(np.max(np.abs(E3 @ E3 @ E3 - np.eye(m))))
     period3 = float(np.max(np.abs(
         np.linalg.matrix_power(t.M2 @ np.conj(t.M1), 3) - np.eye(m))))
 
-    # nu_41
-    acc = CuntzElement.zero(N)
-    for i in range(m):
-        for j in range(m):
-            j2Ti = _kvector(N, n, t.M2[:, i])
-            j1Tj = _kvector(N, n, t.M1[:, j])
-            term = (CuntzElement.word(N, (n + i,)).adjoint() * j2Ti.adjoint()
-                    * rho.rho_T[j] * j1Tj)
-            acc = acc + term
-    scalar = acc.scalar_part()
+    # nu_41: sum_{ij} T_i^* j2(T_i)^* rho(T_j) j1(T_j)
+    #      = (sum_i j2(T_i) T_i)^* (sum_j rho(T_j) S_j^*) (sum_j S_j j1(T_j))
+    x = n + np.arange(m)[:, None]
+    j = np.arange(m)
+    j2T = _entries(N, 1, 2, 0, 0, x * N + n + j, 0, t.M2)
+    j1T = _entries(N, 1, 2, 0, 0, j * N + x, 0, t.M1)
+    acc = j2T.adjoint() * (_fold(rho_T) * j1T)
+    scalar = acc.scalars()[0]
     nonscalar = normalize_residual(acc - CuntzElement.one(N) * scalar)
     chi_diag = sum(np.conj(t.chi[g, g]) for g in range(n))
     nu41 = chi_diag / t.d + scalar

@@ -353,7 +353,8 @@ def solve_m2n(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
         feasibilities = all_case_feasibilities(G, b, a, ctx=ctx)
     sols: list[GeneralSolution] = []
     for feas in feasibilities:
-        # Case III survivors only arise for |G| >= 8; no structured solver
+        # Case III survivors (from |G| = 6 on; no exact test past |G| = 4)
+        # have no structured solver and are not searched
         if feas.feasible and feas.tag.kind in ("I", "II"):
             sols.extend(_solve_case(G, b, a, ctx, feas.tag, config))
     # dedupe up to Aut x gauge

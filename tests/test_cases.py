@@ -71,6 +71,19 @@ def test_z3_m6_unique_surviving_case():
     assert all("norm identities" in r.refuted_by for r in mixed)
 
 
+def test_z6_case_iii_survivors_are_inconclusive():
+    """Z6 has Case III survivors, and no exact test covers them."""
+    G = FiniteAbelianGroup((6,))
+    survivors = [r for b in enumerate_bicharacters(G, True)
+                 for a in even_quadratic_forms(b)
+                 for r in all_case_feasibilities(G, b, a)
+                 if r.tag.kind == "III" and r.feasible]
+    assert len(survivors) == 4
+    for r in survivors:
+        assert r.inconclusive
+        assert ">= 8" not in r.details and "past |G| = 4" in r.details
+
+
 def test_z4_m8_all_refuted_both_bicharacters():
     for k in (1, 3):
         G = FiniteAbelianGroup((4,))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neargroup import cuntz
 from neargroup.corpus import z2_m2, z3_m3
 from neargroup.cuntz import (
     CuntzElement,
@@ -78,6 +79,62 @@ def test_algebra_laws_hypothesis(seed):
     assert normalize_residual((x + y).adjoint() - (x.adjoint() + y.adjoint())) < 1e-12
 
 
+def _product_reference(x, y):
+    """The word product term by term: S_nu1^* S_mu2 reduces on the shorter
+    word's length."""
+    out = {}
+    for (mu1, nu1), c1 in x.terms.items():
+        for (mu2, nu2), c2 in y.terms.items():
+            k = min(len(nu1), len(mu2))
+            if nu1[:k] == mu2[:k]:
+                key = (mu1 + mu2[k:], nu2 + nu1[k:])
+                out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+@pytest.mark.parametrize("small_join", [cuntz._SMALL_JOIN, 0])  # 0: always matmul
+def test_product_matches_word_reduction(rng, monkeypatch, small_join):
+    monkeypatch.setattr(cuntz, "_SMALL_JOIN", small_join)
+    for _ in range(20):
+        x = _random_element(rng, N=3, max_len=3, terms=30)
+        y = _random_element(rng, N=3, max_len=3, terms=30)
+        ref = _product_reference(x, y)
+        got = (x * y).terms
+        assert set(got) <= set(ref)
+        assert all(abs(got.get(k, 0) - v) < 1e-12 for k, v in ref.items())
+
+
+def test_families_act_member_by_member(rng):
+    images = build_endomorphism(to_tuple(z3_m3())).images  # K = 6
+    y = _random_element(rng, N=6, max_len=2, terms=4)
+    pairs = [(images * y, lambda k: images.members(k, k + 1) * y),
+             (y * images, lambda k: y * images.members(k, k + 1)),
+             (images * images.adjoint(), lambda k: images.members(k, k + 1)
+              * images.members(k, k + 1).adjoint())]
+    for fam, member in pairs:
+        assert fam.K == 6
+        for k in range(6):
+            assert normalize_residual(fam.members(k, k + 1) - member(k)) < 1e-12
+
+
+def test_rho_matches_product_of_images(rng):
+    """rho applied by the Horner recursion equals rho(S_mu) rho(S_nu)^*
+    multiplied out from the generator images, term by term."""
+    rho = build_endomorphism(to_tuple(z3_m3()))
+    image = [rho.images.members(i, i + 1) for i in range(rho.N)]
+    for _ in range(10):
+        x = _random_element(rng, N=rho.N, max_len=2, terms=3)
+        ref = CuntzElement.zero(rho.N)
+        for (mu, nu), c in x.terms.items():
+            term = CuntzElement.one(rho.N) * c
+            for letter in mu:
+                term = term * image[letter]
+            for letter in reversed(nu):
+                term = term * image[letter].adjoint()
+            ref = ref + term
+        assert normalize_residual(rho.apply(x) - ref) < 1e-12
+
+
 # --- the oracle ----------------------------------------------------------------
 
 def test_oracle_z2_m2():
@@ -102,6 +159,18 @@ def test_oracle_detects_perturbation():
     rep = oracle_check(t, tolerance=1e-9)
     assert rep.per_equation["rho_squared"] >= 1e-4
     assert not rep.passed
+
+
+def test_oracle_reports_real_residuals():
+    """Nothing is pruned: a 5e-15 perturbation shows in the residuals, and an
+    exact solution reads at rounding level."""
+    s = z2_m2()
+    assert oracle_check(to_tuple(s)).max_residual < 1e-15
+    b = s.b.copy()
+    b[1] += 5e-15
+    bad = MNSolution(s.group, s.bichar, s.form, b, s.c)
+    rep = oracle_check(to_tuple(bad, check=False))
+    assert rep.per_equation["rho_squared"] > 2e-15
 
 
 def test_alpha_is_homomorphism():

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,3 +169,16 @@ def test_exact_c_phase_in_json(corpus_mn):
     assert data["c_phase"] == {"num": 7, "den": 24}  # e^{7 pi i / 12}
     data5 = solution_to_json(corpus_mn["z5_m5"])
     assert data5["c_phase"] == {"num": 1, "den": 2}  # c = -1
+
+
+def test_verify_corpus_script():
+    """scripts/verify_corpus.py runs every layer, the word oracle up to its
+    default alphabet 10, on the bundled corpus."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, str(root / "scripts" / "verify_corpus.py")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "all layers pass" in out.stdout
+    assert out.stdout.count(" oracle ") == 6  # every entry but alphabet 24
