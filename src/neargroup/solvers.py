@@ -1,14 +1,13 @@
-"""Solution enumeration: the m = n Newton pipeline, the structured m = 2n
+"""Solution enumeration: the m = n batched solver, the structured m = 2n
 case solver, and the classification orchestrator.
 
 Both structured solvers reduce their system to a small real parameter space
-and hand it to one multistart Levenberg-Marquardt driver, ``_multistart``:
-``solve_mn`` once per cube root c, ``_solve_case`` once per surviving Case I
-or II tag.  The driver owns the convergence test, the dedupe and the residual
-verification of every candidate, and is the one place that calls
-``least_squares`` for them.  The Case I/II equations are quadratic in their
-parameters, so ``_solve_case`` fits them once (``_quadratic``) and hands the
-driver their exact Jacobian; ``solve_mn`` keeps finite differences.
+and solve it by Levenberg-Marquardt with its exact Jacobian from many starts.
+``solve_mn`` runs all starts of one cube root c at once (``_batched_lm``);
+``_solve_case`` runs MINPACK from one start at a time (``_multistart``) on a
+Case I or II tag, whose equations are quadratic, so ``_quadratic`` fits them
+once.  Either way the converged points go through one keep step, ``_keep``:
+dedupe, and the residual verification of every candidate.
 
 Completeness discipline.  A solver result is labeled COMPLETE only where the
 reduction lemmas shrink the system to a parameter space the code exhausts:
@@ -213,24 +212,17 @@ def pair_classes(G: FiniteAbelianGroup, nondegenerate: bool = True):
 
 
 # ---------------------------------------------------------------------------
-# the multistart driver
+# the multistart drivers
 
 
-def _multistart(starts, resid, lift, max_nfev: int, config: SolveConfig,
-                cap: int | None = None, jac="2-point") -> list:
-    """Levenberg-Marquardt from each start, with the Jacobian ``jac`` of
-    ``resid`` (finite differences by default).  A run converged to
-    ``config.newton_tol`` is lifted to a solution; it is dropped if its data
+def _keep(points, lift, config: SolveConfig, cap: int | None = None) -> list:
+    """Lift each converged point, in order, to a solution; drop it if its data
     (b, or the b-tensor) lies within DEDUPE_TOL of a solution already kept,
-    and kept if it passes ``residual_mn``/``residual_general``.  Stops once
-    ``cap`` solutions are kept."""
+    and keep it if it passes ``residual_mn``/``residual_general``.  Stops once
+    ``cap`` solutions are kept, so a lazy ``points`` is consumed no further."""
     found: list = []
-    for x0 in starts:
-        sol = least_squares(resid, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15,
-                            gtol=1e-15, max_nfev=max_nfev)
-        if np.linalg.norm(sol.fun) > config.newton_tol:
-            continue
-        s = lift(sol.x)
+    for x in points:
+        s = lift(x)
         mn = isinstance(s, MNSolution)
         data = s.b if mn else s.btensor
         if any(np.max(np.abs(data - (f.b if mn else f.btensor))) < DEDUPE_TOL
@@ -244,8 +236,128 @@ def _multistart(starts, resid, lift, max_nfev: int, config: SolveConfig,
     return found
 
 
+def _multistart(starts, resid, jac, lift, max_nfev: int, config: SolveConfig,
+                cap: int | None = None) -> list:
+    """MINPACK Levenberg-Marquardt from each start in turn, with the Jacobian
+    ``jac`` of ``resid``; runs converged to ``config.newton_tol`` go through
+    ``_keep``.  No start is run once ``cap`` solutions are kept."""
+    runs = (least_squares(resid, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15,
+                          gtol=1e-15, max_nfev=max_nfev) for x0 in starts)
+    return _keep((r.x for r in runs if np.linalg.norm(r.fun) <= config.newton_tol),
+                 lift, config, cap)
+
+
+LM_LAMBDA0 = 1e-3  # initial damping of _batched_lm
+LM_LAMBDA_MIN = 1e-12  # damping floor: keeps A + lambda diag(A) well conditioned
+LM_LAMBDA_MAX = 1e16  # past this a step is below the rounding of x: give up
+
+
+def _batched_lm(X0: np.ndarray, fun, jac, max_iter: int, tol: float):
+    """Levenberg-Marquardt from every row of ``X0`` (S x k) at once.
+
+    ``fun`` maps (S, k) to residual rows (S, M) and ``jac`` to their Jacobians
+    (S, M, k).  Each start keeps its own damping lambda, with Marquardt's
+    scaling by diag(J^T J): an accepted step divides it by 10, a rejected one
+    multiplies it by 10.  A start stops when ||r||_2 <= ``tol``, when lambda
+    passes LM_LAMBDA_MAX, or after ``max_iter`` iterations.  Returns the final
+    points and the mask of starts that reached ``tol``."""
+    X = np.array(X0, dtype=float)
+    R = fun(X)
+    cost = np.einsum("sm,sm->s", R, R)
+    Jac = jac(X)
+    lam = np.full(len(X), LM_LAMBDA0)
+    active = np.flatnonzero(np.sqrt(cost) > tol)
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        J = Jac[active]
+        A = np.swapaxes(J, 1, 2) @ J
+        g = np.einsum("smi,sm->si", J, R[active])
+        diag = np.einsum("sii->si", A)
+        scale = np.where(diag > 0, diag, 1.0)
+        damped = A + (lam[active, None] * scale)[:, :, None] * np.eye(X.shape[1])
+        Xt = X[active] + np.linalg.solve(damped, -g[..., None])[..., 0]
+        Rt = fun(Xt)
+        ct = np.einsum("sm,sm->s", Rt, Rt)
+        better = ct < cost[active]
+        acc = active[better]
+        X[acc], R[acc], cost[acc] = Xt[better], Rt[better], ct[better]
+        if acc.size:
+            Jac[acc] = jac(X[acc])
+        lam[active] = np.where(better, np.maximum(lam[active] / 10, LM_LAMBDA_MIN),
+                               lam[active] * 10)
+        active = active[(np.sqrt(cost[active]) > tol) & (lam[active] <= LM_LAMBDA_MAX)]
+    return X, np.sqrt(cost) <= tol
+
+
 # ---------------------------------------------------------------------------
 # m = n
+
+
+def _mn_system(G, b, a, c: complex):
+    """The m = n system for the cube root c on its reduced parameter space:
+    ``(k, fun, jac, bvec)``, or None if b(0) = -1/d is out of reach.
+
+    b = b_p + X D^T runs over the J-fixed real part of ker(R_c - 1) with
+    b(0) = -1/d pinned (b_p), along k real directions (the columns of D).
+    ``fun`` maps a batch X (S x k) to the real and imaginary parts of (Gal5)
+    and (Gal6), (S, 2(n + n^2)); ``jac`` gives their exact Jacobian
+    (S, 2(n + n^2), k) by the product rule; ``bvec`` maps X to b.
+    """
+    n = G.order
+    T = tables(G)
+    d = dimension_d(n, n).value
+    basis = fixed_real_eigenbasis(rotation(b, a, c), conjugation(a), 1.0)
+    if not basis:
+        return None
+    vals0 = np.array([np.real(v[T.zero]) for v in basis])
+    if np.max(np.abs(vals0)) < 1e-12:
+        return None
+    j0 = int(np.argmax(np.abs(vals0)))
+    bp = (-1.0 / d / vals0[j0]) * basis[j0]
+    D = np.array([v - (vals0[i] / vals0[j0]) * basis[j0]
+                  for i, v in enumerate(basis) if i != j0], dtype=complex).reshape(-1, n).T
+    k = D.shape[1]
+    avals = a.table()
+    Bc = np.conj(b.matrix())
+    delta0 = np.zeros(n)
+    delta0[T.zero] = 1.0
+    c5 = 1 / n - delta0 / d
+    c6 = 1 / (np.conj(c) / math.sqrt(n) * d * n)
+    aDneg, Dadd = avals[:, None] * D[T.neg], D[T.add]
+
+    def bvec(X):
+        return bp + X @ D.T
+
+    def realify(r):
+        return np.concatenate([r.real, r.imag], axis=-1)
+
+    def fun(X):
+        bb = bvec(X)
+        w = avals * bb[:, T.neg]
+        badd = bb[:, T.add]
+        r5 = w * bb - c5
+        # (Gal6): sum_g a(g) b(-g) b(g + h) b(g + k) - conj<h, k> b(h) b(k)
+        r6 = (np.swapaxes(w[:, :, None] * badd, 1, 2) @ badd
+              - Bc * bb[:, :, None] * bb[:, None, :] + c6)
+        return realify(np.concatenate([r5, r6.reshape(len(bb), n * n)], axis=1))
+
+    def jac(X):
+        # the product rule on each factor b, laid out [s, j, ...] for the
+        # direction j; (Gal6) and its derivative are symmetric in (h, k)
+        # since <., .> is
+        bb = bvec(X)
+        w = avals * bb[:, T.neg]
+        badd = bb[:, T.add]
+        j5 = avals * D.T * bb[:, None, T.neg] + aDneg.T * bb[:, None, :]
+        t1 = np.swapaxes(aDneg.T[:, :, None] * badd[:, None], 2, 3) @ badd[:, None]
+        t2 = np.tensordot(w[:, :, None] * badd, Dadd, axes=(1, 0)).transpose(0, 3, 2, 1)
+        half = t2 - Bc * D.T[:, :, None] * bb[:, None, None, :]
+        j6 = t1 + half + np.swapaxes(half, 2, 3)
+        Jc = np.concatenate([j5, j6.reshape(len(bb), k, n * n)], axis=2)
+        return np.moveaxis(realify(Jc), 1, 2)
+
+    return k, fun, jac, bvec
 
 
 def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
@@ -254,8 +366,9 @@ def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
 
     Strategy from the Galois-form structure: b lies in the J-fixed real part
     of ker(R_{c'} - 1) with b(0) = -1/d pinned, for one of the three cube
-    roots c'; the two remaining polynomial families are solved by Newton
-    from a deterministic grid plus seeded random starts.
+    roots c'; (Gal5) and (Gal6) on that slice are solved by one batched
+    Levenberg-Marquardt run with their exact Jacobian, from a deterministic
+    grid plus seeded random starts.
     """
     if config is None:
         config = SolveConfig()
@@ -264,71 +377,34 @@ def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
     if not a.is_even():
         raise ValueError("form must be even")
     n = G.order
-    T = tables(G)
     rng = np.random.default_rng(config.seed)
-    d = dimension_d(n, n).value
-    B = b.matrix()
-    avals = a.table()
-    delta0 = np.zeros(n)
-    delta0[T.zero] = 1.0
     out: list[MNSolution] = []
 
-    gauss = a.gauss_sum()
-    base_c = np.exp(-1j * np.angle(gauss) / 3)
+    base_c = np.exp(-1j * np.angle(a.gauss_sum()) / 3)
     for c in [base_c * ZETA3**k for k in range(3)]:
-        R = rotation(b, a, c)
-        J = conjugation(a)
-        basis = fixed_real_eigenbasis(R, J, 1.0)
-        if not basis:
+        system = _mn_system(G, b, a, c)
+        if system is None:
             continue
-        vals0 = np.array([np.real(v[T.zero]) for v in basis])
-        if np.max(np.abs(vals0)) < 1e-12:
-            continue  # b(0) = -1/d unreachable in this eigenspace
-        j0 = int(np.argmax(np.abs(vals0)))
-        bp = (-1.0 / d / vals0[j0]) * basis[j0]
-        dirs = []
-        for i, v in enumerate(basis):
-            if i == j0:
-                continue
-            dirs.append(v - (vals0[i] / vals0[j0]) * basis[j0])
-        k = len(dirs)
+        k, fun, jac, bvec = system
+        if k == 0:
+            starts = np.zeros((1, 0))
+        else:
+            scale = 2.0 / math.sqrt(n)
+            pts_per_dim = max(2, int(round(min(MAX_GRID_POINTS,
+                                               config.grid_per_dim ** min(k, 4))
+                                           ** (1.0 / k))))
+            grid = itertools.product(np.linspace(-scale, scale, pts_per_dim), repeat=k)
+            starts = np.vstack([np.array(list(grid)),
+                                rng.uniform(-scale, scale, size=(config.random_starts, k))])
+        X, converged = _batched_lm(starts, fun, jac, 200 * (k + 1), config.newton_tol)
 
-        def bvec(x: np.ndarray) -> np.ndarray:
-            out = bp.astype(complex).copy()
-            for xi, u in zip(x, dirs):
-                out = out + xi * u
-            return out
-
-        def resid(x: np.ndarray) -> np.ndarray:
-            bb = bvec(x)
-            r5 = avals * bb * bb[T.neg] - (1 / n - delta0 / d)
-            cp = np.conj(c) / math.sqrt(n)
-            lhs6 = np.einsum("g,g,gh,gk->hk", avals, bb[T.neg], bb[T.add], bb[T.add])
-            rhs6 = np.conj(B) * np.outer(bb, bb) - 1 / (cp * d * n)
-            r = np.concatenate([r5.ravel(), (lhs6 - rhs6).ravel()])
-            return np.concatenate([r.real, r.imag])
-
-        def lift(x: np.ndarray) -> MNSolution:
+        def lift(x) -> MNSolution:
             return MNSolution(G, b, a, bvec(x), complex(c),
                               provenance={"solver": "solve_mn", "seed": config.seed})
 
-        if k == 0:
-            s = lift(np.zeros(0))
-            if (np.linalg.norm(resid(np.zeros(0))) < config.newton_tol * 10
-                    and residual_mn(s, config.residual_tol).passed):
-                out.append(s)
-            continue
-        scale = 2.0 / math.sqrt(n)
-        pts_per_dim = max(2, int(round(min(MAX_GRID_POINTS,
-                                           config.grid_per_dim ** min(k, 4))
-                                       ** (1.0 / k))))
-        axes = [np.linspace(-scale, scale, pts_per_dim)] * k
-        starts = [np.array(p) for p in itertools.product(*axes)]
-        starts += [rng.uniform(-scale, scale, size=k)
-                   for _ in range(config.random_starts)]
         # the three cube roots c never share a solution, so deduping within
         # one c's starts is deduping over all of them
-        out += _multistart(starts, resid, lift, 200 * (k + 1), config)
+        out += _keep(X[converged], lift, config)
     return out
 
 
@@ -532,7 +608,7 @@ def _solve_case(G, b, a, ctx, tag, config) -> list[GeneralSolution]:
     scale = 1.0 / math.sqrt(G.order)
     starts = (rng.uniform(-scale, scale, size=nvar) for _ in range(config.random_starts))
     # a handful of distinct points is enough to detect the gauge orbit
-    return _multistart(starts, fun, lift, 400 * nvar, config, cap=8, jac=jac)
+    return _multistart(starts, fun, jac, lift, 400 * nvar, config, cap=8)
 
 
 def _quadratic(resid, nvar: int):

@@ -58,6 +58,46 @@ def test_solve_mn_z2z2_second_bicharacter_empty():
         assert solve_mn(G, b2, a, FAST) == []
 
 
+@pytest.mark.parametrize("factors,k", [((3,), 1), ((4,), 1), ((2, 2), 1), ((6,), 2)])
+def test_mn_system_exact_jacobian(factors, k):
+    """On the first pair's k-dimensional slice, the batched residual is the
+    residual of each row alone, and its Jacobian is the derivative of that
+    residual (central differences)."""
+    from neargroup.solvers import _mn_system
+    from neargroup.spectral import ZETA3
+
+    G = FiniteAbelianGroup(factors)
+    n = G.order
+    b, a, _ = pair_classes(G)[0]
+    base_c = np.exp(-1j * np.angle(a.gauss_sum()) / 3)
+    systems = [_mn_system(G, b, a, base_c * ZETA3**j) for j in range(3)]
+    _, fun, jac, _ = next(s for s in systems if s is not None and s[0] == k)
+    X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, k))
+    F, J = fun(X), jac(X)
+    assert F.shape == (5, 2 * (n + n * n)) and J.shape == F.shape + (k,)
+    h = 1e-6
+    for x, f, j in zip(X, F, J):
+        assert np.max(np.abs(fun(x[None])[0] - f)) < 1e-14
+        fd = np.array([(fun((x + h * e)[None])[0] - fun((x - h * e)[None])[0]) / (2 * h)
+                       for e in np.eye(k)]).T
+        assert np.max(np.abs(j - fd)) < 1e-6
+
+
+def test_solve_mn_default_config_pair_counts():
+    """At the default configuration (1000 random starts per cube root) every
+    (bicharacter, form) pair of the COMPLETE m = n groups gives its known
+    number of solutions, each passing the residual system at 1e-10."""
+    from neargroup.solutions import residual_mn
+
+    want = {(2,): [1, 1], (3,): [2, 2], (4,): [0, 2, 2, 0], (5,): [1, 4],
+            (2, 2): [0, 0, 1, 0, 0]}
+    for factors, counts in want.items():
+        G = FiniteAbelianGroup(factors)
+        sols = [solve_mn(G, b, a, SolveConfig()) for b, a, _ in pair_classes(G)]
+        assert [len(s) for s in sols] == counts, factors
+        assert all(residual_mn(s, 1e-10).passed for ss in sols for s in ss)
+
+
 def test_solve_m2n_z3_family():
     G, b, a = _pair(3)
     sols, feas = solve_m2n(G, b, a, SolveConfig(random_starts=10))
