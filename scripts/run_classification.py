@@ -20,7 +20,7 @@ TABLE = [
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--starts", type=int, default=SolveConfig().random_starts)
-    ap.add_argument("--seed", type=int, default=20260809)
+    ap.add_argument("--seed", type=int, default=SolveConfig().seed)
     ap.add_argument("--refutations", action="store_true",
                     help="print the per-case refutation lemmas")
     args = ap.parse_args()

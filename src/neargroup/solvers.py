@@ -1,13 +1,14 @@
-"""Solution enumeration: the m = n batched solver, the structured m = 2n
-case solver, and the classification orchestrator.
+"""Solution enumeration: the m = n batched solver, the tensor-system solver
+for m >= 2n, and the classification orchestrator.
 
-Both structured solvers reduce their system to a small real parameter space
-and solve it by Levenberg-Marquardt with its exact Jacobian from many starts.
-``solve_mn`` runs all starts of one cube root c at once (``_batched_lm``);
-``_solve_case`` runs MINPACK from one start at a time (``_multistart``) on a
-Case I or II tag, whose equations are quadratic, so ``_quadratic`` fits them
-once.  Either way the converged points go through one keep step, ``_keep``:
-dedupe, and the residual verification of every candidate.
+Both solvers reduce their system to a small real parameter space and solve it
+by one batched Levenberg-Marquardt run (``_batched_lm``) over all starts, with
+the exact Jacobian.  ``solve_mn`` runs all starts of one cube root c at once.
+``_solve_tensor`` takes the tensor equations of a normal form (a Case I or II
+tag for m = 2n, the simplest guess for m > 2n): the affine ones cut out an
+exact slice x0 + K y (``_affine_slice``), on which the quadratic ones are fitted
+once (``_quadratic``).  Either way the converged points go through one keep
+step, ``_keep``: dedupe, and the residual verification of every candidate.
 
 Completeness discipline.  A solver result is labeled COMPLETE only where the
 reduction lemmas shrink the system to a parameter space the code exhausts:
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares  # unused; perfbench/tracer.py patches it
 
 from .abelian import (
     Bicharacter,
@@ -48,14 +49,7 @@ from .solutions import (
     tables,
     tensor_equations,
 )
-from .spectral import (
-    ZETA3,
-    _real_gram_schmidt,
-    conjugation,
-    eigenspace_basis,
-    fixed_real_eigenbasis,
-    rotation,
-)
+from .spectral import ZETA3, conjugation, fixed_real_eigenbasis, rotation
 
 __all__ = [
     "SolveConfig",
@@ -234,17 +228,6 @@ def _keep(points, lift, config: SolveConfig, cap: int | None = None) -> list:
         if cap is not None and len(found) >= cap:
             break
     return found
-
-
-def _multistart(starts, resid, jac, lift, max_nfev: int, config: SolveConfig,
-                cap: int | None = None) -> list:
-    """MINPACK Levenberg-Marquardt from each start in turn, with the Jacobian
-    ``jac`` of ``resid``; runs converged to ``config.newton_tol`` go through
-    ``_keep``.  No start is run once ``cap`` solutions are kept."""
-    runs = (least_squares(resid, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15,
-                          gtol=1e-15, max_nfev=max_nfev) for x0 in starts)
-    return _keep((r.x for r in runs if np.linalg.norm(r.fun) <= config.newton_tol),
-                 lift, config, cap)
 
 
 LM_LAMBDA0 = 1e-3  # initial damping of _batched_lm
@@ -430,7 +413,7 @@ def solve_m2n(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
     sols: list[GeneralSolution] = []
     for feas in feasibilities:
         # Case III survivors (from |G| = 6 on; no exact test past |G| = 4)
-        # have no structured solver and are not searched
+        # have no normal form in _acj_for_case and are not searched
         if feas.feasible and feas.tag.kind in ("I", "II"):
             sols.extend(_solve_case(G, b, a, ctx, feas.tag, config))
     # dedupe up to Aut x gauge
@@ -456,189 +439,147 @@ def _acj_for_case(G, b, a, c_num, tag) -> ACJData:
     raise ValueError("no ACJ normal form for this tag")
 
 
-def _btensor(rows) -> np.ndarray:
-    """The L = 2 b-tensor b[r, s, t, u, g] from its 4 x 4 table of vectors:
-    row (r, t) and column (s, u), both in the order 00, 01, 10, 11."""
-    return np.array(rows, dtype=complex).reshape(2, 2, 2, 2, -1).transpose(0, 2, 1, 3, 4)
-
-
-def _case_system(G, b, a, c_num: complex, tag):
-    """Case I or II on its reduced parameter space: ``(nvar, resid, table)``,
-    with ``resid`` the case's equations as a real vector and ``table(x)`` the
-    4 x 4 matrix pattern of the b-tensor; None if the parameter space is
-    empty.  ``resid`` is quadratic in x.
-
-    Case I(omega_1, omega_2): xi_i, eta_i real in the J-fixed part of
-    ker(R - omega_i), mu real in the J-fixed space.  Case II(omega): xi, eta
-    complex in ker(R - omega), mu in the J-odd real form.
-    """
-    n = G.order
-    T = tables(G)
-    z = T.zero
-    d = dimension_d(n, 2 * n).value
-    R = rotation(b, a, c_num)
-    J = conjugation(a)
-    Rm = R.matrix
-    delta0 = np.zeros(n)
-    delta0[z] = 1.0
-
-    if tag.kind == "I":
-        E = {k: fixed_real_eigenbasis(R, J, ZETA3**k) for k in range(3)}
-        base1, base2 = E[tag.omegas[0]], E[tag.omegas[1]]
-        mu_base = E[0] + E[1] + E[2]
-        d1, d2, dm = len(base1), len(base2), len(mu_base)
-        if d1 == 0 or d2 == 0:
-            return None
-        nvar = 2 * d1 + 2 * d2 + dm
-        w1, w2 = ZETA3 ** tag.omegas[0], ZETA3 ** tag.omegas[1]
-
-        def unpack(x):
-            i = 0
-            xi1 = sum(c * v for c, v in zip(x[i:i + d1], base1)); i += d1
-            eta1 = sum(c * v for c, v in zip(x[i:i + d1], base1)); i += d1
-            xi2 = sum(c * v for c, v in zip(x[i:i + d2], base2)); i += d2
-            eta2 = sum(c * v for c, v in zip(x[i:i + d2], base2)); i += d2
-            mu = sum(c * v for c, v in zip(x[i:], mu_base))
-            return xi1, eta1, xi2, eta2, mu
-
-        def resid(x):
-            xi1, eta1, xi2, eta2, mu = unpack(x)
-            Rmu = Rm @ mu
-            R2mu = Rm @ Rmu
-            eqs = [
-                xi1[z] + mu[z] + 1 / d,
-                xi2[z] + mu[z] + 1 / d,
-                eta1[z] + eta2[z],
-            ]
-            q1 = np.abs(xi1)**2 + 2 * np.abs(eta2)**2 + np.abs(mu)**2 - (1 / n - delta0 / d)
-            q2 = np.abs(xi2)**2 + 2 * np.abs(eta1)**2 + np.abs(mu)**2 - (1 / n - delta0 / d)
-            q3 = np.abs(eta1)**2 + np.abs(eta2)**2 + np.abs(Rmu)**2 + np.abs(R2mu)**2 - 1 / n
-            q4 = 2 * eta2 * np.conj(eta1) + mu * np.conj(xi1) + np.conj(mu) * xi2 + delta0 / d
-            mix = w1 * w2 * Rmu + np.conj(w1 * w2) * R2mu
-            q5 = eta2 * np.conj(xi1) + eta1 * np.conj(mu) + mix * np.conj(eta2)
-            q6 = eta1 * np.conj(xi2) + eta2 * np.conj(mu) + mix * np.conj(eta1)
-            q7 = (np.abs(eta1)**2 + np.abs(eta2)**2
-                  + np.conj(w1 * w2) * Rmu * np.conj(R2mu)
-                  + w1 * w2 * np.conj(Rmu) * R2mu)
-            parts = np.concatenate([np.asarray(eqs), q1, q2, q3, q4, q5, q6, q7])
-            return np.concatenate([parts.real, parts.imag])
-
-        def table(x):
-            xi1, eta1, xi2, eta2, mu = unpack(x)
-            Rmu = Rm @ mu
-            R2mu = Rm @ Rmu
-            return [[xi1, eta2, eta2, mu],
-                    [w1 * w2**2 * eta2, w2 * R2mu, w1**2 * Rmu, w1 * w2**2 * eta1],
-                    [w1**2 * w2 * eta2, w2**2 * Rmu, w1 * R2mu, w1**2 * w2 * eta1],
-                    [mu, eta1, eta1, xi2]]
-    else:
-        w = ZETA3 ** tag.omega
-        base = eigenspace_basis(R, w)
-        dimw = base.shape[1]
-        if dimw == 0:
-            return None
-        # J-odd real form of the full space
-        modd = []
-        for k in range(3):
-            cols = eigenspace_basis(R, ZETA3**k)
-            for ci in range(cols.shape[1]):
-                v = cols[:, ci]
-                modd.append((v - J.apply(v)) / 2)
-                iv = 1j * v
-                modd.append((iv - J.apply(iv)) / 2)
-        mu_base = _real_gram_schmidt(modd, 1e-10)
-        nvar = 4 * dimw + len(mu_base)
-
-        def unpack(x):
-            i = 0
-            xi = base @ (x[i:i + dimw] + 1j * x[i + dimw:i + 2 * dimw]); i += 2 * dimw
-            eta = base @ (x[i:i + dimw] + 1j * x[i + dimw:i + 2 * dimw]); i += 2 * dimw
-            mu = sum(c * v for c, v in zip(x[i:], mu_base))
-            return xi, eta, mu
-
-        def resid(x):
-            xi, eta, mu = unpack(x)
-            Rmu = Rm @ mu
-            R2mu = Rm @ Rmu
-            eqs = [np.conj(w) * Rmu[z] + w * np.conj(Rmu[z]) + 1 / d]
-            Jeta = J.apply(eta)
-            Jxi = J.apply(xi)
-            q1 = (np.abs(Rmu)**2 + np.abs(Rmu[T.neg])**2 + np.abs(eta)**2
-                  + np.abs(eta[T.neg])**2 - (1 / n - delta0 / d))
-            q2 = np.abs(xi)**2 + np.abs(mu)**2 + 2 * np.abs(eta)**2 - 1 / n
-            q3 = (w * Rmu * np.conj(R2mu) + np.conj(w) * R2mu * np.conj(Rmu)
-                  + np.abs(eta)**2 + np.abs(eta[T.neg])**2 - delta0 / d)
-            mix = np.conj(w) * Rmu + w * R2mu
-            q4 = eta * np.conj(xi) - Jeta * np.conj(mu) - mix * np.conj(eta)
-            q5 = eta * np.conj(mu) + Jeta * np.conj(Jxi) + mix * np.conj(Jeta)
-            q6 = 2 * eta * np.conj(Jeta) + mu * np.conj(Jxi) - xi * np.conj(mu)
-            parts = np.concatenate([np.asarray(eqs), q1, q2, q3, q4, q5, q6])
-            return np.concatenate([parts.real, parts.imag])
-
-        def table(x):
-            xi, eta, mu = unpack(x)
-            Rmu = Rm @ mu
-            R2mu = Rm @ Rmu
-            Jeta, Jxi = J.apply(eta), J.apply(xi)
-            return [[-w * R2mu, eta, -Jeta, np.conj(w) * Rmu],
-                    [eta, xi, mu, -eta],
-                    [-Jeta, mu, -Jxi, Jeta],
-                    [np.conj(w) * Rmu, -eta, Jeta, -w * R2mu]]
-
-    return nvar, resid, table
-
-
 def _solve_case(G, b, a, ctx, tag, config) -> list[GeneralSolution]:
-    """Multistart LM on the reduced parameter space of a Case I or II tag,
-    with the exact Jacobian of its quadratic equations; converged points are
-    lifted to the b-tensor through the case's 4 x 4 matrix pattern."""
-    c_num = ctx.numeric(ctx.c)
-    system = _case_system(G, b, a, c_num, tag)
+    """The tensor system of a Case I or II tag in its normal form."""
+    acj = _acj_for_case(G, b, a, ctx.numeric(ctx.c), tag)
+    # a handful of distinct points is enough to detect the gauge orbit
+    return _solve_tensor(acj, config.random_starts, {"I": 1, "II": 2}[tag.kind],
+                         config, {"solver": "solve_m2n", "case": str(tag)}, cap=8)
+
+
+# ---------------------------------------------------------------------------
+# the tensor system: an exact affine slice, then a quadratic LM on it
+
+
+AFFINE_EQUATIONS = ("p1", "p2", "p3", "p6", "p7", "p8", "p9", "p11")
+QUADRATIC_EQUATIONS = ("p4", "p5", "bg_unitary")  # (p10) is cubic: _keep checks it
+SLICE_NULL = 1e-9  # singular values below this fraction of the largest are zero
+SLICE_RANK = 1e-5  # and above this one nonzero; one in between has no clear rank
+
+
+def _tensor_system(acj: ACJData):
+    """The tensor equations of the normal form ``acj`` on the exact slice cut
+    out by its affine ones: ``(k, resid, btensor)``, or None if the slice is
+    empty.
+
+    The affine equations are affine in (Re b, Im b); their zero set is
+    x0 + K y, y in R^k.  ``resid`` maps y to the real and imaginary parts of
+    the quadratic equations, and ``btensor`` lifts y to the b-tensor."""
+    G, L = acj.group, acj.L
+    n = G.order
+    eqs = tensor_equations(acj, dimension_d(n, L * n).value)
+    N = L ** 4 * n
+
+    def realified(names, lift):
+        def resid(x):
+            parts = np.concatenate([eqs[k](lift(x)).ravel() for k in names])
+            return np.concatenate([parts.real, parts.imag])
+        return resid
+
+    def unpack(x):
+        return (x[:N] + 1j * x[N:]).reshape(L, L, L, L, n)
+
+    affine_slice = _affine_slice(realified(AFFINE_EQUATIONS, unpack), 2 * N)
+    if affine_slice is None:
+        return None
+    x0, K = affine_slice
+
+    def btensor(y):
+        return unpack(x0 + K @ y)
+
+    return K.shape[1], realified(QUADRATIC_EQUATIONS, btensor), btensor
+
+
+def _solve_tensor(acj: ACJData, starts: int, seed_offset: int, config: SolveConfig,
+                  provenance: dict, cap: int | None = None) -> list[GeneralSolution]:
+    """Solutions of the tensor equations of the normal form ``acj``: one
+    batched LM run on ``_tensor_system``'s slice, with the exact model of
+    ``_quadratic``, from ``starts`` random points drawn with the seed
+    ``config.seed + seed_offset``; the converged ones go through ``_keep``."""
+    system = _tensor_system(acj)
     if system is None:
         return []
-    nvar, resid, table = system
-    fun, jac = _quadratic(resid, nvar)
-    acj = _acj_for_case(G, b, a, c_num, tag)
+    k, resid, btensor = system
+    fun, jac, _ = _quadratic(resid, k)
+    rng = np.random.default_rng(config.seed + seed_offset)
+    scale = 1.0 / math.sqrt(acj.group.order)
+    Y, converged = _batched_lm(rng.uniform(-scale, scale, size=(starts, k)), fun, jac,
+                               200 * (k + 1), config.newton_tol)
 
-    def lift(x):
-        return GeneralSolution(G, acj, _btensor(table(x)), provenance={
-            "solver": "solve_m2n", "case": str(tag), "seed": config.seed})
+    def lift(y):
+        return GeneralSolution(acj.group, acj, btensor(y),
+                               provenance={**provenance, "seed": config.seed})
 
-    rng = np.random.default_rng(config.seed + {"I": 1, "II": 2}[tag.kind])
-    scale = 1.0 / math.sqrt(G.order)
-    starts = (rng.uniform(-scale, scale, size=nvar) for _ in range(config.random_starts))
-    # a handful of distinct points is enough to detect the gauge orbit
-    return _multistart(starts, fun, jac, lift, 400 * nvar, config, cap=8)
+    return _keep(Y[converged], lift, config, cap)
+
+
+def _affine_slice(aff, nvar: int):
+    """The zero set of an affine map ``aff`` on R^nvar, from its values at 0
+    and at the unit vectors: ``(x0, K)`` for the set x0 + K y, with K's
+    columns an orthonormal basis of the null space, or None if the set is
+    empty.  Raises ArithmeticError if a singular value of the linear part, or
+    the miss of its least-squares zero, lies between SLICE_NULL and SLICE_RANK
+    times the larger of the largest singular value and |aff(0)|: no clear
+    rank."""
+    c = aff(np.zeros(nvar))
+    A = np.array([aff(e) - c for e in np.eye(nvar)]).T
+    # zero rows pad A to at least nvar rows, so that Vt spans all of R^nvar
+    padded = np.vstack([A, np.zeros((max(0, nvar - len(A)), nvar))])
+    U, sv, Vt = np.linalg.svd(padded, full_matrices=False)
+    top = max(sv[0], np.linalg.norm(c), np.finfo(float).tiny)
+    rank = int(np.sum(sv >= SLICE_RANK * top))
+    x0 = -Vt[:rank].T @ ((U[:len(A), :rank].T @ c) / sv[:rank])
+    miss = np.linalg.norm(A @ x0 + c)
+    if np.any(sv[rank:] > SLICE_NULL * top) or SLICE_NULL * top < miss < SLICE_RANK * top:
+        raise ArithmeticError("affine slice: singular values show no clear rank gap")
+    if miss >= SLICE_RANK * top:
+        return None
+    return x0, Vt[rank:].T
 
 
 def _quadratic(resid, nvar: int):
     """The exact polynomial c + L x + Q(x, x) of a quadratic map ``resid`` on
     R^nvar, recovered by polarisation from 1 + 2 nvar + nvar (nvar - 1) / 2
-    evaluations.  Returns ``(fun, jac)``: the polynomial and its Jacobian
-    L + 2 Q(x, .).  Raises ArithmeticError if the polynomial misses ``resid``
-    at a further point, i.e. if ``resid`` is not quadratic."""
+    evaluations.  Raises ArithmeticError if the polynomial misses ``resid``
+    at a further point, i.e. if ``resid`` is not quadratic.
+
+    The values of the polynomial lie in the span of its coefficient vectors;
+    the model is written in an orthonormal basis V of that span, which keeps
+    ||r|| and J^T J and has at most 1 + nvar + nvar (nvar + 1) / 2 rows.
+    Returns ``(fun, jac, V)``: ``fun`` maps a batch X (S x nvar) to the rows
+    V^T r (S, P), ``jac`` to their Jacobians (S, P, nvar)."""
     eye = np.eye(nvar)
     c = resid(np.zeros(nvar))
-    plus = np.array([resid(e) for e in eye])
-    minus = np.array([resid(-e) for e in eye])
+    plus = np.array([resid(e) for e in eye]).reshape(nvar, len(c))
+    minus = np.array([resid(-e) for e in eye]).reshape(nvar, len(c))
     L = ((plus - minus) / 2).T  # L[i, j]
     Q = np.empty((len(c), nvar, nvar))  # Q[i, j, k], symmetric in j, k
     Q[:, range(nvar), range(nvar)] = ((plus + minus) / 2 - c).T
     for j, k in itertools.combinations(range(nvar), 2):
         Q[:, j, k] = Q[:, k, j] = (resid(eye[j] + eye[k]) - plus[j] - plus[k] + c) / 2
 
-    def fun(x):
-        return c + np.einsum("ij,j->i", L + Q @ x, x)
-
-    def jac(x):
-        return L + 2 * (Q @ x)
-
     x = np.random.default_rng(0).uniform(-1.0, 1.0, nvar)
     want = resid(x)
-    if np.max(np.abs(fun(x) - want)) > 1e-12 * max(1.0, np.max(np.abs(want))):
+    if np.max(np.abs(c + (L + Q @ x) @ x - want)) > 1e-12 * max(1.0, np.max(np.abs(want))):
         raise ArithmeticError("residual map is not quadratic: its polarisation "
                               "model misses it at a test point")
-    return fun, jac
+    upper = np.triu_indices(nvar)
+    U, sv, _ = np.linalg.svd(np.column_stack([c, L, Q[:, upper[0], upper[1]]]),
+                             full_matrices=False)
+    V = U[:, sv > sv[0] * len(c) * np.finfo(float).eps]
+    c, L = V.T @ c, V.T @ L
+    Q = np.tensordot(V, Q, axes=(0, 0)).reshape(-1, nvar)  # rows (p, j), columns k
+
+    def QX(X):  # Q(x, .) for each row x of X: (S, P, nvar)
+        return (X @ Q.T).reshape(len(X), -1, nvar)
+
+    def fun(X):
+        return c + X @ L.T + (QX(X) @ X[:, :, None])[..., 0]
+
+    def jac(X):
+        return L + 2 * QX(X)
+
+    return fun, jac, V
 
 
 # ---------------------------------------------------------------------------
@@ -741,54 +682,20 @@ def classify(G: FiniteAbelianGroup, m: int,
 def heuristic_search(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
                      m: int, config: SolveConfig | None = None
                      ) -> list[GeneralSolution]:
-    """Generic Levenberg-Marquardt fallback for m > 2n: minimize the full
-    residual of the tensor system from random starts over the unreduced
-    b-tensor, for the simplest normal-form guess (all characters trivial,
-    a common cube-root scalar, all signs +1).  HEURISTIC: finding nothing
-    certifies nothing."""
+    """Fallback for m > 2n: the tensor system of the simplest normal-form
+    guess (all characters trivial, a common cube-root scalar, all signs +1),
+    from ``config.heuristic_starts`` random starts.  HEURISTIC: finding
+    nothing certifies nothing."""
     if config is None:
         config = SolveConfig()
     n = G.order
     L = m // n
     if m % n != 0 or L < 1:
         raise ValueError("m must be a positive multiple of |G|")
-    gauss = a.gauss_sum()
-    c0 = complex(np.exp(-1j * np.angle(gauss) / 3))
+    c0 = complex(np.exp(-1j * np.angle(a.gauss_sum()) / 3))
     acj = ACJData(bichar=b, form=a, bar=tuple(range(L)),
                   g_t=tuple(G.zero() for _ in range(L)),
                   c_t=tuple(c0 for _ in range(L)),
                   eps_t=tuple(1 for _ in range(L)), eps=1)
-    nvar = 2 * (L ** 4) * n
-    rng = np.random.default_rng(config.seed + 3)
-    shape = (L, L, L, L, n)
-
-    def unpack(x):
-        half = nvar // 2
-        return (x[:half] + 1j * x[half:]).reshape(shape)
-
-    eqs = tensor_equations(acj, dimension_d(n, m).value)
-
-    def resid(x):
-        """(p1), (p2), (p4), (p5), (p7), (p9): smooth in b; (p10) and the
-        rest are verified on converged candidates through residual_general."""
-        bt = unpack(x)
-        parts = np.concatenate([eqs[k](bt).ravel()
-                                for k in ("p1", "p2", "p4", "p5", "p7", "p9")])
-        return np.concatenate([parts.real, parts.imag])
-
-    found: list[GeneralSolution] = []
-    scale = 1.0 / math.sqrt(n)
-    for _ in range(config.heuristic_starts):
-        x0 = rng.uniform(-scale, scale, size=nvar)
-        sol = least_squares(resid, x0, method="trf", xtol=1e-14, ftol=1e-14,
-                            gtol=1e-14, max_nfev=60)
-        if np.linalg.norm(sol.fun, ord=np.inf) > config.residual_tol:
-            continue
-        s = GeneralSolution(G, acj, unpack(sol.x), provenance={
-            "solver": "heuristic_search", "seed": config.seed,
-            "completeness": "HEURISTIC"})
-        if residual_general(s, config.residual_tol).passed and not any(
-                np.max(np.abs(s.btensor - f.btensor)) < DEDUPE_TOL
-                for f in found):
-            found.append(s)
-    return found
+    return _solve_tensor(acj, config.heuristic_starts, 3, config, {
+        "solver": "heuristic_search", "completeness": "HEURISTIC"})

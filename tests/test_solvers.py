@@ -189,11 +189,12 @@ def test_emitted_solutions_pass_oracle():
 
 
 def test_heuristic_search_smoke():
-    """m > 2n fallback runs and finds nothing for (Z2, m=6), as expected."""
+    """m > 2n fallback runs at its default 200 starts and finds nothing for
+    (Z2, m=6), as expected."""
     from neargroup.solvers import heuristic_search
 
     G, b, a = _pair(2)
-    out = heuristic_search(G, b, a, 6, SolveConfig(heuristic_starts=2))
+    out = heuristic_search(G, b, a, 6, SolveConfig())
     assert out == []
 
 
@@ -216,25 +217,82 @@ def test_m2n_class_labelled_with_its_solvers_case(monkeypatch):
     (3, CaseTag("I", omegas=(2, 2))),  # feasible on Z3's first pair
     (5, CaseTag("II", omega=0)),  # feasible on Z5's first pair
 ])
-def test_case_system_exact_quadratic_model(order, tag):
-    """The polarisation model of a Case I/II system is its residual, and its
-    Jacobian is the derivative of that residual."""
+def test_tensor_system_exact_quadratic_model(order, tag):
+    """On the affine slice of a Case I/II normal form the lifted tensor meets
+    every affine equation; the polarisation model, rotated back, is the
+    quadratic residual, with the residual's norm; its Jacobian is the
+    derivative of the model and, rotated back, of the residual."""
     from neargroup.cases import ExactContext
-    from neargroup.solvers import _case_system, _quadratic
+    from neargroup.solutions import dimension_d, tensor_equations
+    from neargroup.solvers import _acj_for_case, _quadratic, _tensor_system
 
     G = FiniteAbelianGroup((order,))
     b, a, _ = pair_classes(G)[0]
     ctx = ExactContext(G, b, a)
-    nvar, resid, _ = _case_system(G, b, a, ctx.numeric(ctx.c), tag)
-    fun, jac = _quadratic(resid, nvar)
-    rng = np.random.default_rng(7)
+    acj = _acj_for_case(G, b, a, ctx.numeric(ctx.c), tag)
+    eqs = tensor_equations(acj, dimension_d(order, 2 * order).value)
+    affine = set(eqs) - {"p4", "p5", "bg_unitary", "p10"}
+    k, resid, btensor = _tensor_system(acj)
+    fun, jac, V = _quadratic(resid, k)
+    Y = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, k))
+    F, J = fun(Y), jac(Y)
+    assert F.shape == (5, V.shape[1]) and J.shape == F.shape + (k,)
+    assert V.shape[1] <= 1 + k + k * (k + 1) // 2
     h = 1e-6
-    for x in rng.uniform(-1.0, 1.0, size=(5, nvar)):
-        want = resid(x)
-        assert np.max(np.abs(fun(x) - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
-        fd = np.array([(resid(x + h * e) - resid(x - h * e)) / (2 * h)
-                       for e in np.eye(nvar)]).T
-        assert np.max(np.abs(jac(x) - fd)) < 1e-6
+    for y, f, j in zip(Y, F, J):
+        bt = btensor(y)
+        assert max(np.max(np.abs(eqs[name](bt))) for name in affine) < 1e-12
+        want = resid(y)
+        assert np.max(np.abs(V @ f - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert abs(np.linalg.norm(f) - np.linalg.norm(want)) < 1e-12 * max(
+            1.0, np.linalg.norm(want))
+        fd = np.array([(fun((y + h * e)[None])[0] - fun((y - h * e)[None])[0]) / (2 * h)
+                       for e in np.eye(k)]).T
+        assert np.max(np.abs(j - fd)) < 1e-6
+        fd = np.array([(resid(y + h * e) - resid(y - h * e)) / (2 * h)
+                       for e in np.eye(k)]).T
+        assert np.max(np.abs(V @ j - fd)) < 1e-6
+
+
+def test_affine_slice():
+    """The zero set of an affine map; an empty one is None, and a singular
+    value between the two thresholds is no clear rank."""
+    from neargroup.solvers import SLICE_NULL, SLICE_RANK, _affine_slice
+
+    x0, K = _affine_slice(lambda x: np.array([x[0] + x[1] - 1.0, 2 * x[0] + 2 * x[1] - 2.0]), 2)
+    assert np.allclose(x0, [0.5, 0.5]) and K.shape == (2, 1)
+    assert np.allclose(np.abs(K[:, 0]), [2 ** -0.5, 2 ** -0.5])
+    assert _affine_slice(lambda x: np.array([x[0], x[0] - 1.0]), 2) is None
+    gap = math.sqrt(SLICE_NULL * SLICE_RANK)
+    with pytest.raises(ArithmeticError):
+        _affine_slice(lambda x: np.array([x[0], gap * x[1], 1.0]), 2)
+
+
+def test_refuted_tags_have_no_solutions():
+    """The tensor solver finds nothing on any Case I/II tag that the exact
+    case analysis refutes for Z2/4, Z3/6, Z4/8 and Z2xZ2/8: a solution there
+    would mean a wrong refutation lemma."""
+    from neargroup.cases import ExactContext, all_case_feasibilities
+    from neargroup.solvers import _solve_case
+
+    config = SolveConfig(random_starts=16)
+    refuted = feasible = 0
+    for factors in [(2,), (3,), (4,), (2, 2)]:
+        G = FiniteAbelianGroup(factors)
+        for b, a, _ in pair_classes(G):
+            ctx = ExactContext(G, b, a)
+            for feas in all_case_feasibilities(G, b, a, ctx=ctx):
+                if feas.tag.kind not in ("I", "II"):
+                    continue
+                found = _solve_case(G, b, a, ctx, feas.tag, config)
+                if feas.feasible:
+                    # the same search does find the Z3, m = 6 solutions
+                    assert found, (G, feas.tag)
+                    feasible += 1
+                else:
+                    assert found == [], (G, feas.tag)
+                    refuted += 1
+    assert (refuted, feasible) == (115, 2)
 
 
 def test_quadratic_model_rejects_cubic_map():
