@@ -18,21 +18,19 @@ class Config:
     tolerance: float = 1e-10
     oracle_tolerance: float = 1e-9
     random_starts: int = 1000
-    grid_per_dim: int = 10
     archive_path: str = "./neargroup_archive"
     seed: int = 20260809
 
     def __post_init__(self):
         if not (0.0 < self.tolerance < 1e-3):
             raise ValueError("tolerance must lie in (0, 1e-3)")
-        if self.random_starts <= 0 or self.grid_per_dim <= 0:
-            raise ValueError("budgets must be positive")
+        if self.random_starts <= 0:
+            raise ValueError("random_starts must be positive")
 
     def solve_config(self):
         from .solvers import SolveConfig
 
-        return SolveConfig(seed=self.seed, grid_per_dim=self.grid_per_dim,
-                           random_starts=self.random_starts,
+        return SolveConfig(seed=self.seed, random_starts=self.random_starts,
                            residual_tol=self.tolerance)
 
 
@@ -40,7 +38,6 @@ _COERCE = {
     "tolerance": float,
     "oracle_tolerance": float,
     "random_starts": int,
-    "grid_per_dim": int,
     "archive_path": str,
     "seed": int,
 }

@@ -41,6 +41,7 @@ __all__ = [
     "GeneralSolution",
     "residual_mn",
     "residual_general",
+    "mn_normal_form",
     "mn_to_general",
     "gauge_act",
     "aut_act",
@@ -325,19 +326,17 @@ class GeneralSolution:
         return GeneralSolution(self.group, new_acj, np.conj(self.btensor))
 
 
+def mn_normal_form(bichar: Bicharacter, form: QuadraticForm, c: complex) -> ACJData:
+    """The L = 1 normal form of the m = n system with cube-root scalar c."""
+    return ACJData(bichar=bichar, form=form, bar=(0,), g_t=(bichar.group.zero(),),
+                   c_t=(complex(c),), eps_t=(1,), eps=1)
+
+
 def mn_to_general(s: MNSolution) -> GeneralSolution:
     """View an m=n solution as the L=1 case of the general normal form."""
-    acj = ACJData(
-        bichar=s.bichar,
-        form=s.form,
-        bar=(0,),
-        g_t=(s.group.zero(),),
-        c_t=(complex(s.c),),
-        eps_t=(1,),
-        eps=1,
-    )
     bt = s.b.reshape(1, 1, 1, 1, s.n)
-    return GeneralSolution(s.group, acj, bt, provenance=dict(s.provenance))
+    return GeneralSolution(s.group, mn_normal_form(s.bichar, s.form, s.c), bt,
+                           provenance=dict(s.provenance))
 
 
 def tensor_equations(acj: ACJData, d: float) -> dict:

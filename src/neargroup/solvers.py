@@ -1,22 +1,24 @@
-"""Solution enumeration: the m = n batched solver, the tensor-system solver
-for m >= 2n, and the classification orchestrator.
+"""Solution enumeration: one tensor-system solver for every m, and the
+classification orchestrator.
 
-Both solvers reduce their system to a small real parameter space and solve it
-by one batched Levenberg-Marquardt run (``_batched_lm``) over all starts, with
-the exact Jacobian.  ``solve_mn`` runs all starts of one cube root c at once.
-``_solve_tensor`` takes the tensor equations of a normal form (a Case I or II
-tag for m = 2n, the simplest guess for m > 2n): the affine ones cut out an
-exact slice x0 + K y (``_affine_slice``), on which the quadratic ones are fitted
-once (``_quadratic``).  Either way the converged points go through one keep
-step, ``_keep``: dedupe, and the residual verification of every candidate.
+Every system is the tensor system of a normal form: the L = 1 form of each
+cube root c for m = n (``solve_mn``), a Case I or II tag for m = 2n
+(``solve_m2n``), the simplest guess for m > 2n (``heuristic_search``).
+``_solve_tensor`` solves it: the affine equations cut out an exact slice
+x0 + K y (``_affine_slice``), on which the quadratic ones are fitted once
+(``_quadratic``) and solved by one batched Levenberg-Marquardt run
+(``_batched_lm``) over all starts, with the exact Jacobian.  The converged
+points go through one keep step, ``_keep``: dedupe, and the residual
+verification of every candidate.  ``classify`` then keeps one solution per
+class up to Aut x gauge within each (bicharacter, form) pair (``_dedupe``).
 
 Completeness discipline.  A solver result is labeled COMPLETE only where the
 reduction lemmas shrink the system to a parameter space the code exhausts:
-m = n for |G| <= 5 (the Galois-form linear constraints plus dense multistart)
-and m = 2n for |G| <= 4 (the exact case analysis).  Everything else is
-labeled HEURISTIC: numerical search cannot certify emptiness, and the m = 2n
-zero-counts instead carry the exact refutation certificates from
-:mod:`neargroup.cases`.
+m = n for |G| <= 5 (the Galois-form linear constraints, which are the affine
+slice of (p1)-(p3) and (p7) at L = 1, plus dense multistart) and m = 2n for
+|G| <= 4 (the exact case analysis).  Everything else is labeled HEURISTIC:
+numerical search cannot certify emptiness, and the m = 2n zero-counts instead
+carry the exact refutation certificates from :mod:`neargroup.cases`.
 """
 
 from __future__ import annotations
@@ -44,12 +46,13 @@ from .solutions import (
     dimension_d,
     equivalent,
     fingerprint,
+    mn_normal_form,
     residual_general,
     residual_mn,
-    tables,
     tensor_equations,
 )
-from .spectral import ZETA3, conjugation, fixed_real_eigenbasis, rotation
+from .spectral import cube_root_scalars
+from .spectral import fixed_real_eigenbasis  # unused; perfbench/tracer.py patches it
 
 __all__ = [
     "SolveConfig",
@@ -65,15 +68,13 @@ __all__ = [
 @dataclass
 class SolveConfig:
     seed: int = 20260809
-    grid_per_dim: int = 10
     random_starts: int = 1000
     newton_tol: float = 1e-12
     residual_tol: float = 1e-10
-    heuristic_starts: int = 200
 
 
 DEDUPE_TOL = 1e-7  # largest entry of |b - b'| below which two solver outputs are one
-MAX_GRID_POINTS = 10000  # cap on the deterministic m = n start grid
+HEURISTIC_STARTS = 200  # random starts of heuristic_search
 
 
 @dataclass
@@ -277,81 +278,19 @@ def _batched_lm(X0: np.ndarray, fun, jac, max_iter: int, tol: float):
 # m = n
 
 
-def _mn_system(G, b, a, c: complex):
-    """The m = n system for the cube root c on its reduced parameter space:
-    ``(k, fun, jac, bvec)``, or None if b(0) = -1/d is out of reach.
-
-    b = b_p + X D^T runs over the J-fixed real part of ker(R_c - 1) with
-    b(0) = -1/d pinned (b_p), along k real directions (the columns of D).
-    ``fun`` maps a batch X (S x k) to the real and imaginary parts of (Gal5)
-    and (Gal6), (S, 2(n + n^2)); ``jac`` gives their exact Jacobian
-    (S, 2(n + n^2), k) by the product rule; ``bvec`` maps X to b.
-    """
-    n = G.order
-    T = tables(G)
-    d = dimension_d(n, n).value
-    basis = fixed_real_eigenbasis(rotation(b, a, c), conjugation(a), 1.0)
-    if not basis:
-        return None
-    vals0 = np.array([np.real(v[T.zero]) for v in basis])
-    if np.max(np.abs(vals0)) < 1e-12:
-        return None
-    j0 = int(np.argmax(np.abs(vals0)))
-    bp = (-1.0 / d / vals0[j0]) * basis[j0]
-    D = np.array([v - (vals0[i] / vals0[j0]) * basis[j0]
-                  for i, v in enumerate(basis) if i != j0], dtype=complex).reshape(-1, n).T
-    k = D.shape[1]
-    avals = a.table()
-    Bc = np.conj(b.matrix())
-    delta0 = np.zeros(n)
-    delta0[T.zero] = 1.0
-    c5 = 1 / n - delta0 / d
-    c6 = 1 / (np.conj(c) / math.sqrt(n) * d * n)
-    aDneg, Dadd = avals[:, None] * D[T.neg], D[T.add]
-
-    def bvec(X):
-        return bp + X @ D.T
-
-    def realify(r):
-        return np.concatenate([r.real, r.imag], axis=-1)
-
-    def fun(X):
-        bb = bvec(X)
-        w = avals * bb[:, T.neg]
-        badd = bb[:, T.add]
-        r5 = w * bb - c5
-        # (Gal6): sum_g a(g) b(-g) b(g + h) b(g + k) - conj<h, k> b(h) b(k)
-        r6 = (np.swapaxes(w[:, :, None] * badd, 1, 2) @ badd
-              - Bc * bb[:, :, None] * bb[:, None, :] + c6)
-        return realify(np.concatenate([r5, r6.reshape(len(bb), n * n)], axis=1))
-
-    def jac(X):
-        # the product rule on each factor b, laid out [s, j, ...] for the
-        # direction j; (Gal6) and its derivative are symmetric in (h, k)
-        # since <., .> is
-        bb = bvec(X)
-        w = avals * bb[:, T.neg]
-        badd = bb[:, T.add]
-        j5 = avals * D.T * bb[:, None, T.neg] + aDneg.T * bb[:, None, :]
-        t1 = np.swapaxes(aDneg.T[:, :, None] * badd[:, None], 2, 3) @ badd[:, None]
-        t2 = np.tensordot(w[:, :, None] * badd, Dadd, axes=(1, 0)).transpose(0, 3, 2, 1)
-        half = t2 - Bc * D.T[:, :, None] * bb[:, None, None, :]
-        j6 = t1 + half + np.swapaxes(half, 2, 3)
-        Jc = np.concatenate([j5, j6.reshape(len(bb), k, n * n)], axis=2)
-        return np.moveaxis(realify(Jc), 1, 2)
-
-    return k, fun, jac, bvec
-
-
 def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
              config: SolveConfig | None = None) -> list[MNSolution]:
     """All solutions of the m = n system for a fixed (bicharacter, form).
 
-    Strategy from the Galois-form structure: b lies in the J-fixed real part
-    of ker(R_{c'} - 1) with b(0) = -1/d pinned, for one of the three cube
-    roots c'; (Gal5) and (Gal6) on that slice are solved by one batched
-    Levenberg-Marquardt run with their exact Jacobian, from a deterministic
-    grid plus seeded random starts.
+    The m = n system is the L = 1 case of the tensor normal form (see
+    ``solutions.mn_to_general``), one for each of the three cube roots c of
+    ``spectral.cube_root_scalars``.  ``_solve_tensor`` solves each: the affine
+    (p1)-(p3) and (p7), i.e. (Gal3), (Gal4) and (Gal7), cut out an exact
+    slice, on which the quadratic (p4), (p5) and ``bg_unitary``, i.e. (Gal5),
+    are solved by one batched Levenberg-Marquardt run from
+    ``config.random_starts`` seeded starts.
+    Every candidate is lifted to an ``MNSolution`` and kept only if it passes
+    ``residual_mn``, (Gal6) included.
     """
     if config is None:
         config = SolveConfig()
@@ -359,35 +298,16 @@ def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
         raise ValueError("bicharacter must be nondegenerate")
     if not a.is_even():
         raise ValueError("form must be even")
-    n = G.order
-    rng = np.random.default_rng(config.seed)
     out: list[MNSolution] = []
+    for c in cube_root_scalars(a):
 
-    base_c = np.exp(-1j * np.angle(a.gauss_sum()) / 3)
-    for c in [base_c * ZETA3**k for k in range(3)]:
-        system = _mn_system(G, b, a, c)
-        if system is None:
-            continue
-        k, fun, jac, bvec = system
-        if k == 0:
-            starts = np.zeros((1, 0))
-        else:
-            scale = 2.0 / math.sqrt(n)
-            pts_per_dim = max(2, int(round(min(MAX_GRID_POINTS,
-                                               config.grid_per_dim ** min(k, 4))
-                                           ** (1.0 / k))))
-            grid = itertools.product(np.linspace(-scale, scale, pts_per_dim), repeat=k)
-            starts = np.vstack([np.array(list(grid)),
-                                rng.uniform(-scale, scale, size=(config.random_starts, k))])
-        X, converged = _batched_lm(starts, fun, jac, 200 * (k + 1), config.newton_tol)
-
-        def lift(x) -> MNSolution:
-            return MNSolution(G, b, a, bvec(x), complex(c),
+        def lift(bt) -> MNSolution:
+            return MNSolution(G, b, a, bt.ravel(), complex(c),
                               provenance={"solver": "solve_mn", "seed": config.seed})
 
         # the three cube roots c never share a solution, so deduping within
         # one c's starts is deduping over all of them
-        out += _keep(X[converged], lift, config)
+        out += _solve_tensor(mn_normal_form(b, a, c), config.random_starts, 0, config, lift)
     return out
 
 
@@ -416,12 +336,7 @@ def solve_m2n(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
         # have no normal form in _acj_for_case and are not searched
         if feas.feasible and feas.tag.kind in ("I", "II"):
             sols.extend(_solve_case(G, b, a, ctx, feas.tag, config))
-    # dedupe up to Aut x gauge
-    reps: list[GeneralSolution] = []
-    warnings = [] if warnings is None else warnings
-    for s in sols:
-        if not any(_equiv_or_warn(s, r, warnings) for r in reps):
-            reps.append(s)
+    reps = _dedupe(sols, [] if warnings is None else warnings)
     reps.sort(key=lambda s: tuple(np.round(s.btensor.ravel().view(float), 6)))
     return reps, feasibilities
 
@@ -442,9 +357,14 @@ def _acj_for_case(G, b, a, c_num, tag) -> ACJData:
 def _solve_case(G, b, a, ctx, tag, config) -> list[GeneralSolution]:
     """The tensor system of a Case I or II tag in its normal form."""
     acj = _acj_for_case(G, b, a, ctx.numeric(ctx.c), tag)
+
+    def lift(bt) -> GeneralSolution:
+        return GeneralSolution(G, acj, bt, provenance={
+            "solver": "solve_m2n", "case": str(tag), "seed": config.seed})
+
     # a handful of distinct points is enough to detect the gauge orbit
     return _solve_tensor(acj, config.random_starts, {"I": 1, "II": 2}[tag.kind],
-                         config, {"solver": "solve_m2n", "case": str(tag)}, cap=8)
+                         config, lift, cap=8)
 
 
 # ---------------------------------------------------------------------------
@@ -491,26 +411,27 @@ def _tensor_system(acj: ACJData):
 
 
 def _solve_tensor(acj: ACJData, starts: int, seed_offset: int, config: SolveConfig,
-                  provenance: dict, cap: int | None = None) -> list[GeneralSolution]:
+                  lift, cap: int | None = None) -> list:
     """Solutions of the tensor equations of the normal form ``acj``: one
     batched LM run on ``_tensor_system``'s slice, with the exact model of
     ``_quadratic``, from ``starts`` random points drawn with the seed
-    ``config.seed + seed_offset``; the converged ones go through ``_keep``."""
+    ``config.seed + seed_offset``; ``lift`` maps the b-tensor of each
+    converged point to the solution object that ``_keep`` verifies.  A slice
+    that is a single point (k = 0) goes to ``_keep`` as it is."""
     system = _tensor_system(acj)
     if system is None:
         return []
     k, resid, btensor = system
-    fun, jac, _ = _quadratic(resid, k)
-    rng = np.random.default_rng(config.seed + seed_offset)
-    scale = 1.0 / math.sqrt(acj.group.order)
-    Y, converged = _batched_lm(rng.uniform(-scale, scale, size=(starts, k)), fun, jac,
-                               200 * (k + 1), config.newton_tol)
-
-    def lift(y):
-        return GeneralSolution(acj.group, acj, btensor(y),
-                               provenance={**provenance, "seed": config.seed})
-
-    return _keep(Y[converged], lift, config, cap)
+    if k == 0:
+        Y = np.zeros((1, 0))
+    else:
+        fun, jac, _ = _quadratic(resid, k)
+        rng = np.random.default_rng(config.seed + seed_offset)
+        scale = 1.0 / math.sqrt(acj.group.order)
+        Y, converged = _batched_lm(rng.uniform(-scale, scale, size=(starts, k)), fun, jac,
+                                   200 * (k + 1), config.newton_tol)
+        Y = Y[converged]
+    return _keep(Y, lambda y: lift(btensor(y)), config, cap)
 
 
 def _affine_slice(aff, nvar: int):
@@ -596,6 +517,16 @@ def _equiv_or_warn(s, other, warnings: list) -> bool:
         return False
 
 
+def _dedupe(sols: list, warnings: list) -> list:
+    """One representative, the first in order, of each class of ``sols`` up to
+    Aut x gauge; each pair of solutions is compared at most once."""
+    reps: list = []
+    for s in sols:
+        if not any(_equiv_or_warn(s, r, warnings) for r in reps):
+            reps.append(s)
+    return reps
+
+
 def classify(G: FiniteAbelianGroup, m: int,
              config: SolveConfig | None = None) -> ClassificationResult:
     """Enumerate solution classes for (G, m) with irrational d.
@@ -617,60 +548,40 @@ def classify(G: FiniteAbelianGroup, m: int,
             "d is rational; this regime is out of the classification pipeline "
             "(see fusion.dimension_diagnosis)")
     fold = (m == n)
+    completeness = ("COMPLETE" if (m == n and n <= 5) or (m == 2 * n and n <= 4)
+                    else "HEURISTIC")
     pairs = pair_classes(G)
     classes: list[SolutionClass] = []
-    refutations: list[Feasibility] = []
     all_feas: list[Feasibility] = []
     warnings: list[str] = []
-    completeness = "COMPLETE"
     for b, a, orbit in pairs:
+        feas: list[Feasibility] = []
         if m == n:
-            comp = "COMPLETE" if n <= 5 else "HEURISTIC"
-            if comp == "HEURISTIC":
-                completeness = "HEURISTIC"
-            for s in solve_mn(G, b, a, config):
-                rep = residual_mn(s, config.residual_tol)
-                if not any(_equiv_or_warn(s, c.solution, warnings)
-                           for c in classes
-                           if isinstance(c.solution, MNSolution)):
-                    classes.append(SolutionClass(s, None, rep, fingerprint(s),
-                                                 comp, galois_orbit=orbit))
+            sols = _dedupe(solve_mn(G, b, a, config), warnings)
         elif m == 2 * n:
-            comp = "COMPLETE" if n <= 4 else "HEURISTIC"
-            if comp == "HEURISTIC":
-                completeness = "HEURISTIC"
             sols, feas = solve_m2n(G, b, a, config, warnings=warnings)
-            all_feas.extend(feas)
-            refutations.extend(f for f in feas if not f.feasible)
-            tags = {str(f.tag): f.tag for f in feas}
-            for s in sols:
-                rep = residual_general(s, config.residual_tol)
-                if not any(isinstance(c.solution, GeneralSolution)
-                           and _equiv_or_warn(s, c.solution, warnings)
-                           for c in classes):
-                    classes.append(SolutionClass(s, tags[s.provenance["case"]], rep,
-                                                 fingerprint(s), comp, galois_orbit=orbit))
         else:
-            completeness = "HEURISTIC"
             # no structured solver beyond m = 2n in the source theory; run
-            # the generic least-squares fallback, declared HEURISTIC
-            for s in heuristic_search(G, b, a, m, config):
-                rep = residual_general(s, config.residual_tol)
-                if not any(isinstance(c.solution, GeneralSolution)
-                           and _equiv_or_warn(s, c.solution, warnings)
-                           for c in classes):
-                    classes.append(SolutionClass(s, None, rep, fingerprint(s),
-                                                 "HEURISTIC", galois_orbit=orbit))
+            # the generic fallback, declared HEURISTIC
+            sols = _dedupe(heuristic_search(G, b, a, m, config), warnings)
+        all_feas.extend(feas)
+        tags = {str(f.tag): f.tag for f in feas}
+        # pair_classes gives one pair per Aut-orbit, and Aut x gauge moves no
+        # solution to another pair: solutions of two pairs are never compared
+        for s in sols:
+            rep = (residual_mn if m == n else residual_general)(s, config.residual_tol)
+            classes.append(SolutionClass(s, tags.get(s.provenance.get("case")), rep,
+                                         fingerprint(s), completeness, galois_orbit=orbit))
     if warnings:
         # a class count that rests on an inconclusive comparison is not certain
         completeness = "HEURISTIC"
     certified_empty = (m == 2 * n and not classes
                        and all(not f.feasible for f in all_feas))
     return ClassificationResult(
-        group=G, m=m, classes=classes, refutations=refutations,
-        certified_empty=certified_empty if m == 2 * n else False,
-        completeness=completeness,
-        provenance={"seed": config.seed, "grid_per_dim": config.grid_per_dim,
+        group=G, m=m, classes=classes,
+        refutations=[f for f in all_feas if not f.feasible],
+        certified_empty=certified_empty, completeness=completeness,
+        provenance={"seed": config.seed,
                     "random_starts": config.random_starts,
                     "pairs_examined": len(pairs),
                     "conjugate_folded": fold,
@@ -684,7 +595,7 @@ def heuristic_search(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
                      ) -> list[GeneralSolution]:
     """Fallback for m > 2n: the tensor system of the simplest normal-form
     guess (all characters trivial, a common cube-root scalar, all signs +1),
-    from ``config.heuristic_starts`` random starts.  HEURISTIC: finding
+    from HEURISTIC_STARTS random starts.  HEURISTIC: finding
     nothing certifies nothing."""
     if config is None:
         config = SolveConfig()
@@ -692,10 +603,14 @@ def heuristic_search(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
     L = m // n
     if m % n != 0 or L < 1:
         raise ValueError("m must be a positive multiple of |G|")
-    c0 = complex(np.exp(-1j * np.angle(a.gauss_sum()) / 3))
+    c0 = complex(cube_root_scalars(a)[0])
     acj = ACJData(bichar=b, form=a, bar=tuple(range(L)),
                   g_t=tuple(G.zero() for _ in range(L)),
                   c_t=tuple(c0 for _ in range(L)),
                   eps_t=tuple(1 for _ in range(L)), eps=1)
-    return _solve_tensor(acj, config.heuristic_starts, 3, config, {
-        "solver": "heuristic_search", "completeness": "HEURISTIC"})
+
+    def lift(bt) -> GeneralSolution:
+        return GeneralSolution(G, acj, bt, provenance={
+            "solver": "heuristic_search", "completeness": "HEURISTIC", "seed": config.seed})
+
+    return _solve_tensor(acj, HEURISTIC_STARTS, 3, config, lift)

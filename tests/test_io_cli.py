@@ -68,8 +68,8 @@ def test_config_defaults_and_env(tmp_path):
     cfg = load_config()
     assert cfg.tolerance == 1e-10
     f = tmp_path / "cfg"
-    f.write_text("tolerance = 1e-9\nrandom_starts = 77\n# comment\n")
-    cfg = load_config(f)
+    f.write_text("tolerance = 1e-9\nrandom_starts = 77\n# comment\ngrid_per_dim = 5\n")
+    cfg = load_config(f)  # an unknown key, such as a stale grid_per_dim, is ignored
     assert cfg.tolerance == 1e-9 and cfg.random_starts == 77
     cfg = load_config(f, env={"NEARGROUP_TOLERANCE": "1e-8"})
     assert cfg.tolerance == 1e-8

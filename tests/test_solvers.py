@@ -59,38 +59,67 @@ def test_solve_mn_z2z2_second_bicharacter_empty():
 
 
 @pytest.mark.parametrize("factors,k", [((3,), 1), ((4,), 1), ((2, 2), 1), ((6,), 2)])
-def test_mn_system_exact_jacobian(factors, k):
-    """On the first pair's k-dimensional slice, the batched residual is the
-    residual of each row alone, and its Jacobian is the derivative of that
-    residual (central differences)."""
-    from neargroup.solvers import _mn_system
-    from neargroup.spectral import ZETA3
+def test_mn_tensor_form_exact_model(factors, k):
+    """For one cube root c, the L = 1 normal form of the first pair has a
+    k-dimensional affine slice.  Each b lifted from it meets the linear
+    Galois-form equations; the polarisation model is batched row by row, and
+    its Jacobian, rotated back, is the derivative of the quadratic residual
+    (central differences)."""
+    from neargroup.solutions import MNSolution, mn_normal_form, residual_mn
+    from neargroup.solvers import _quadratic, _tensor_system
+    from neargroup.spectral import cube_root_scalars
 
     G = FiniteAbelianGroup(factors)
-    n = G.order
     b, a, _ = pair_classes(G)[0]
-    base_c = np.exp(-1j * np.angle(a.gauss_sum()) / 3)
-    systems = [_mn_system(G, b, a, base_c * ZETA3**j) for j in range(3)]
-    _, fun, jac, _ = next(s for s in systems if s is not None and s[0] == k)
-    X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, k))
-    F, J = fun(X), jac(X)
-    assert F.shape == (5, 2 * (n + n * n)) and J.shape == F.shape + (k,)
+    systems = [(c, _tensor_system(mn_normal_form(b, a, c))) for c in cube_root_scalars(a)]
+    c, (_, resid, btensor) = next((c, s) for c, s in systems if s is not None and s[0] == k)
+    fun, jac, V = _quadratic(resid, k)
+    Y = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, k))
+    F, J = fun(Y), jac(Y)
+    assert F.shape == (5, V.shape[1]) and J.shape == F.shape + (k,)
     h = 1e-6
-    for x, f, j in zip(X, F, J):
-        assert np.max(np.abs(fun(x[None])[0] - f)) < 1e-14
-        fd = np.array([(fun((x + h * e)[None])[0] - fun((x - h * e)[None])[0]) / (2 * h)
+    for y, f, j in zip(Y, F, J):
+        rep = residual_mn(MNSolution(G, b, a, btensor(y).ravel(), c))
+        assert max(rep.per_equation[e] for e in ("gal3", "gal4", "gal7", "mn1", "mn4")) < 1e-12
+        assert np.max(np.abs(fun(y[None])[0] - f)) < 1e-14
+        fd = np.array([(resid(y + h * e) - resid(y - h * e)) / (2 * h)
                        for e in np.eye(k)]).T
-        assert np.max(np.abs(j - fd)) < 1e-6
+        assert np.max(np.abs(V @ j - fd)) < 1e-6
+
+
+def test_solve_tensor_point_slice():
+    """A slice that is a single point (k = 0) goes straight to the keep step:
+    on Z2/2 two cube roots give a point slice, one of which is the solution."""
+    from neargroup.solutions import MNSolution, mn_normal_form
+    from neargroup.solvers import _solve_tensor, _tensor_system
+    from neargroup.spectral import cube_root_scalars
+
+    G, b, _ = _pair(2)
+    a = [f for f in even_quadratic_forms(b) if f.phase((1,)) == Phase(1, 4)][0]
+    found, points = [], 0
+    for c in cube_root_scalars(a):
+        acj = mn_normal_form(b, a, c)
+        system = _tensor_system(acj)
+        if system is None:
+            continue
+        assert system[0] == 0
+        points += 1
+        found += _solve_tensor(acj, 40, 0, FAST,
+                               lambda bt: MNSolution(G, b, a, bt.ravel(), complex(c)))
+    assert points == 2
+    assert len(found) == 1 and abs(found[0].b[1] - (1 - 1j) / 2) < 1e-9
 
 
 def test_solve_mn_default_config_pair_counts():
     """At the default configuration (1000 random starts per cube root) every
-    (bicharacter, form) pair of the COMPLETE m = n groups gives its known
-    number of solutions, each passing the residual system at 1e-10."""
+    (bicharacter, form) pair of the COMPLETE m = n groups, and of the groups
+    of orders 6 to 9, gives its known number of solutions, each passing the
+    residual system at 1e-10."""
     from neargroup.solutions import residual_mn
 
     want = {(2,): [1, 1], (3,): [2, 2], (4,): [0, 2, 2, 0], (5,): [1, 4],
-            (2, 2): [0, 0, 1, 0, 0]}
+            (2, 2): [0, 0, 1, 0, 0], (6,): [2, 2, 2, 2], (7,): [2, 2],
+            (8,): [2, 2, 2, 2], (2, 4): [0, 0, 2, 2], (3, 3): [4, 0]}
     for factors, counts in want.items():
         G = FiniteAbelianGroup(factors)
         sols = [solve_mn(G, b, a, SolveConfig()) for b, a, _ in pair_classes(G)]
@@ -133,7 +162,9 @@ def test_classify_counts_mn():
         assert res.completeness == "COMPLETE"
 
 
-def test_classify_inconclusive_dedupe_is_heuristic(monkeypatch):
+def _inconclusive_equivalent(monkeypatch) -> list:
+    """Make every comparison of ``classify`` inconclusive; returns the list
+    that records each call's two solutions."""
     import neargroup.solvers as solvers
 
     calls = []
@@ -143,10 +174,32 @@ def test_classify_inconclusive_dedupe_is_heuristic(monkeypatch):
         raise ArithmeticError("equivalence search inconclusive")
 
     monkeypatch.setattr(solvers, "equivalent", inconclusive)
-    res = classify(FiniteAbelianGroup((2,)), 2, FAST)
-    assert len(calls) == 1
+    return calls
+
+
+def test_classify_inconclusive_dedupe_is_heuristic(monkeypatch):
+    """Z3/3 has two pairs with two solutions each: one comparison per pair,
+    each inconclusive, recorded once and counted as distinct."""
+    calls = _inconclusive_equivalent(monkeypatch)
+    res = classify(FiniteAbelianGroup((3,)), 3, FAST)
+    assert len(calls) == 2
+    assert all(s1.bichar == s2.bichar and s1.form == s2.form for s1, s2 in calls)
+    assert res.num_classes_absolute == 4
     assert res.completeness == "HEURISTIC"
-    assert "1 inconclusive equivalence comparison" in res.summary()
+    assert "2 inconclusive equivalence comparison(s)" in res.summary()
+
+
+def test_classify_records_each_comparison_once(monkeypatch):
+    """With every comparison inconclusive, classify(Z3, 6) compares no two
+    solutions twice and none of two different pairs, and records one warning
+    per comparison."""
+    calls = _inconclusive_equivalent(monkeypatch)
+    res = classify(FiniteAbelianGroup((3,)), 6, SolveConfig(random_starts=16))
+    assert calls
+    assert len({frozenset((id(s1), id(s2))) for s1, s2 in calls}) == len(calls)
+    assert all(s1.acj.bichar == s2.acj.bichar and s1.acj.form == s2.acj.form
+               for s1, s2 in calls)
+    assert len(res.provenance["warnings"]) == len(calls)
 
 
 def test_classify_z2z2_m4_matches_bundled():
