@@ -519,7 +519,6 @@ def _base_quadratic_form(b: Bicharacter) -> list[Phase]:
     2-cocycle on a finite abelian group is always a coboundary)."""
     G = b.group
     k = G.rank
-    gens = G.generators()
     # per-generator seed: x^{n_i} = <e_i,e_i>^{n_i(n_i-1)/2}
     seeds = []
     for i, n in enumerate(G.factors):

@@ -83,7 +83,7 @@ class Feasibility:
         return f"{self.tag}: refuted by {self.refuted_by} {self.details}"
 
 
-def case_tags(G: FiniteAbelianGroup, b: Bicharacter | None = None) -> list[CaseTag]:
+def case_tags(G: FiniteAbelianGroup) -> list[CaseTag]:
     tags = [CaseTag("I", omegas=(i, j)) for i in range(3) for j in range(i, 3)]
     tags += [CaseTag("II", omega=j) for j in range(3)]
     for g in G:
@@ -215,15 +215,19 @@ class ExactContext:
         self.K_two = self.int(2)
         self._zpows = [self._elt([0] * j + [1], 1) for j in range(N)]
         self._numeric_pows = np.exp(2j * np.pi * np.arange(self.deg) / N)
-        self._minus_half_i = self.zpow(3 * N // 4) * self.q(Fraction(1, 2))
+        half = self.q(Fraction(1, 2))
+        self.i = self.zpow(N // 4)
+        self._minus_half_i = -self.i * half
 
         self.sqrt_n = self._sqrt_int(_squarefree(n)) * self.int(math.isqrt(n // _squarefree(n)))
+        self.inv_sqrt_n = self.inv(self.sqrt_n)
+        self.inv2rn = self.inv_sqrt_n * half  # 1 / (2 sqrt(n))
         # d = (m + sqrt(m^2 + 4n)) / 2 as a field element
         Dfull = self.m * self.m + 4 * n
         s0 = int(math.isqrt(Dfull // D0))
-        self.d = (self.int(self.m) + self.int(s0) * self._sqrt_int(D0)) \
-            * self.q(Fraction(1, 2))
+        self.d = (self.int(self.m) + self.int(s0) * self._sqrt_int(D0)) * half
         self.inv_d = self.inv(self.d)
+        self.half_d = self.inv_d * half  # 1 / (2 d)
 
         self.B = [[self.phase(b.phase(g, h)) for h in els] for g in els]
         self.a = [self.phase(a.phase(g)) for g in els]
@@ -231,7 +235,7 @@ class ExactContext:
         asum = self.zero
         for x in self.a:
             asum = asum + x
-        ahat0 = asum * self.inv(self.sqrt_n)
+        ahat0 = asum * self.inv_sqrt_n
         c = None
         for k in range(self.N):
             if (self.zpow(3 * k) * ahat0) == self.one:
@@ -241,9 +245,8 @@ class ExactContext:
         if c is None:
             raise ValueError("no cube-root scalar c in the chosen field")
         self.c = c
-        inv_sqrt_n = self.inv(self.sqrt_n)
         self.R = [
-            [self.conj(self.c * self.a[i]) * self.B[i][j] * inv_sqrt_n
+            [self.conj(self.c * self.a[i]) * self.B[i][j] * self.inv_sqrt_n
              for j in range(n)]
             for i in range(n)
         ]
@@ -337,16 +340,17 @@ class ExactContext:
         return a == self.zero
 
     def sign(self, a) -> int:
-        """Certified sign of an exactly real field element."""
+        """Certified sign of an exactly real field element.  The double is
+        trusted only beyond a bound on its rounding error, (deg + 4) ulp times
+        sum|c_j| / d; then the 60-digit value beyond the same bound at 1e-55."""
         if self.is_zero(a):
             return 0
-        v = self.numeric(a)
-        if abs(v.real) > 1e-8 and abs(v.imag) < abs(v.real) * 1e-6:
-            return 1 if v.real > 0 else -1
-        v = self.numeric_hp(a)
-        if abs(v.real) < 1e-40:
-            raise ArithmeticError("cannot certify sign")
-        return 1 if v.real > 0 else -1
+        scale = (self.deg + 4) * sum(abs(x) for x in a.c) / a.d
+        for value, eps in ((self.numeric, 2.0 ** -52), (self.numeric_hp, 1e-55)):
+            v = value(a).real
+            if abs(v) > scale * eps:
+                return 1 if v > 0 else -1
+        raise ArithmeticError("cannot certify sign")
 
     def _sqrt_int(self, s: int):
         """sqrt of a squarefree positive integer as a field element."""
@@ -367,7 +371,7 @@ class ExactContext:
                     g = g + self.int(sgn) * self.zpow(k * self.N // p)
                 if p % 4 == 3:
                     # g = i sqrt(p); divide by i
-                    g = g * self.inv(self.zpow(self.N // 4))
+                    g = -g * self.i
                 out = out * g
                 rem //= p
             if rem == 1:
@@ -402,10 +406,10 @@ class ExactContext:
         M = [[self.R[i][j] - (w if i == j else self.zero) for j in range(n)]
              for i in range(n)]
         basis = self._nullspace(M)
-        data: dict = {"dim": len(basis), "basis": basis}
         jfixed = self._j_fixed_basis(basis)
-        data["jfixed"] = jfixed
-        data["eval0_zero"] = all(self.is_zero(v[0]) for v in basis) if basis else True
+        # eval0_zero: every vector vanishes at 0 (so also when dim = 0)
+        data: dict = {"dim": len(basis), "jfixed": jfixed,
+                      "eval0_zero": all(self.is_zero(v[0]) for v in basis)}
         f0 = f0p = None
         if jfixed:
             vals0 = [v[0] for v in jfixed]
@@ -428,7 +432,6 @@ class ExactContext:
         data["f0"] = f0
         data["f0p"] = f0p
         data["norm_f0"] = self.vec_norm2(f0) if f0 is not None else None
-        data["norm_f0p"] = self.vec_norm2(f0p) if f0p is not None else None
         self._eig[k] = data
         return data
 
@@ -481,7 +484,7 @@ class ExactContext:
         imgs = [self.J_apply(v) for v in basis]
         k = len(basis)
         n = self.n
-        i_unit = self.zpow(self.N // 4)
+        i_unit = self.i
         cols = []
         for i in range(k):
             cols.append([imgs[i][c] - basis[i][c] for c in range(n)])
@@ -603,69 +606,39 @@ class KPoly:
 
 
 def _poly_gcd(ps: list[KPoly]) -> KPoly:
-    ctx = ps[0].ctx
     g = ps[0]
     for p in ps[1:]:
         a, b = g, p
         while not b.is_zero():
             a, b = b, a.rem(b)
-        g = a.monic() if a.degree > 0 or not ctx.is_zero(a.coeffs[0]) else a
+        g = a.monic()
     return g
 
 
 def _resolve_t_system(ctx: ExactContext, equations: list[KPoly],
                       domain_bound: bool = True):
     """Decide {p(t) = 0, t real, |t| <= 1}: returns (status, witnesses)."""
-    consts, lins, quads, higher = [], [], [], []
-    reals: list[KPoly] = []
-    for e in equations:
-        reals.append(e.re())
-        reals.append(e.im())
-    for p in reals:
-        if p.is_zero():
-            continue
-        if p.degree == 0:
-            consts.append(p)
-        elif p.degree == 1:
-            lins.append(p)
-        elif p.degree == 2:
-            quads.append(p)
-        else:
-            higher.append(p)
-    for p in consts:
-        if not ctx.is_zero(p.coeffs[0]):
-            return "refuted", []
-    if lins:
-        t0 = -lins[0].coeffs[0] * ctx.inv(lins[0].coeffs[1])
-        for p in lins[1:] + quads + higher:
-            if not ctx.is_zero(p.eval(t0)):
-                return "refuted", []
-        if domain_bound:
-            v = ctx.numeric(t0).real
-            if abs(v) > 1 + 1e-12:
-                one_minus = ctx.one - t0 * t0
-                if ctx.sign(one_minus) < 0:
-                    return "refuted", []
-        return "feasible", [t0]
-    if not quads and not higher:
-        return "feasible", [None]
-    if higher:
-        # not needed for the implemented lemmas; stay conservative
-        return "feasible", [None]
-    g = _poly_gcd(quads)
-    if g.degree == 0:
-        if ctx.is_zero(g.coeffs[0]):
-            return "feasible", [None]
+    reals = [q for e in equations for q in (e.re(), e.im()) if not q.is_zero()]
+    if any(p.degree == 0 for p in reals):
         return "refuted", []
+    lins = [p for p in reals if p.degree == 1]
+    quads = [p for p in reals if p.degree == 2]
+    if lins:
+        g = lins[0]
+    elif not quads or len(quads) < len(reals):
+        # nothing pins t, or a cubic the implemented lemmas never produce
+        return "feasible", [None]
+    else:
+        g = _poly_gcd(quads)
+        if g.degree == 0:
+            return "refuted", []
     if g.degree == 1:
+        # a root pins t: every equation must vanish there, inside the domain
         t0 = -g.coeffs[0] * ctx.inv(g.coeffs[1])
-        for p in quads:
-            if not ctx.is_zero(p.eval(t0)):
-                return "refuted", []
-        if domain_bound:
-            one_minus = ctx.one - t0 * t0
-            if ctx.sign(one_minus) < 0:
-                return "refuted", []
+        if any(not ctx.is_zero(p.eval(t0)) for p in reals):
+            return "refuted", []
+        if domain_bound and ctx.sign(ctx.one - t0 * t0) < 0:
+            return "refuted", []
         return "feasible", [t0]
     # all quadratics proportional to g: decide a real root in [-1, 1]
     a2, a1, a0 = g.coeffs[2], g.coeffs[1], g.coeffs[0]
@@ -675,16 +648,13 @@ def _resolve_t_system(ctx: ExactContext, equations: list[KPoly],
         return "refuted", []
     if not domain_bound:
         return "feasible", [None]
-    pm1 = g.eval(-ctx.one)
-    pp1 = g.eval(ctx.one)
-    s_m1, s_p1 = ctx.sign(pm1), ctx.sign(pp1)
+    s_m1, s_p1 = ctx.sign(g.eval(-ctx.one)), ctx.sign(g.eval(ctx.one))
     if s_m1 == 0 or s_p1 == 0 or s_m1 != s_p1:
         return "feasible", [None]
     # both endpoint values have the same sign: a root lies inside iff the
     # vertex is inside and the parabola crosses
     vertex_in = ctx.sign(ctx.int(4) * a2 * a2 - a1 * a1)  # |(-a1/2a2)| <= 1
-    s_a2 = ctx.sign(a2)
-    if sd > 0 and vertex_in >= 0 and s_m1 == s_a2:
+    if sd > 0 and vertex_in >= 0 and s_m1 == ctx.sign(a2):
         return "feasible", [None]
     if sd == 0 and vertex_in >= 0:
         return "feasible", [None]
@@ -695,14 +665,35 @@ def _resolve_t_system(ctx: ExactContext, equations: list[KPoly],
 # Cases I and II
 
 
-def _mu_components(ctx, mu0: KPoly, Rmu0: KPoly, R2mu0: KPoly) -> list[KPoly]:
-    third = ctx.q(Fraction(1, 3))
-    out = []
+def _g0_equations(ctx: ExactContext, mu0: KPoly, Rmu0: KPoly, R2mu0: KPoly,
+                  odd: bool, k_excl: int, rhs):
+    """The g = 0 equations that Cases I and II share for one branch.
+
+    mu_k is the ker(R - zeta3^k) component of mu(0) = mu0, R mu0, R^2 mu0.
+    Its value at the unit is real (J-fixed, Case I) or imaginary (J-odd,
+    ``odd``, Case II); it vanishes where the eigenspace is 0 or kills
+    evaluation at 0; on a pinned line its squared norm is |mu_k|^2 ||f0||^2.
+    When both eigenspaces other than k_excl are pinned, their norms sum to
+    ``rhs``.  Returns (mu_k, equations, pinned norms by k, None if free).
+    """
+    third = KPoly.const(ctx, ctx.q(Fraction(1, 3)))
+    mu_k = [(mu0 + Rmu0 * ctx.zeta3 ** (-k % 3) + R2mu0 * ctx.zeta3 ** k) * third
+            for k in range(3)]
+    eqs = [mu.re() if odd else mu.im() for mu in mu_k]
+    pin: dict = {}
     for k in range(3):
-        zk = ctx.zeta3 ** ((-k) % 3)
-        zk2 = ctx.zeta3 ** k
-        out.append((mu0 + Rmu0 * zk + R2mu0 * zk2) * KPoly.const(ctx, third))
-    return out
+        e = ctx.eig(k)
+        pin[k] = None
+        if e["eval0_zero"]:
+            eqs.append(mu_k[k])
+            if e["dim"] == 0:
+                pin[k] = KPoly.const(ctx, ctx.zero)
+        elif e["dim"] == 1 and e["f0"] is not None:
+            pin[k] = mu_k[k].abs2() * KPoly.const(ctx, e["norm_f0"])
+    included = [pin[k] for k in range(3) if k != k_excl]
+    if None not in included:
+        eqs.append(included[0] + included[1] - KPoly.const(ctx, rhs))
+    return mu_k, eqs, pin
 
 
 def _case_I(ctx: ExactContext, tag: CaseTag) -> Feasibility:
@@ -713,12 +704,8 @@ def _case_I(ctx: ExactContext, tag: CaseTag) -> Feasibility:
         if ctx.eig(tag.omegas[0])["dim"] < 2:
             return Feasibility(tag, False, "CaseI3 eigenspace dimension",
                                f"dim ker(R - z3^{tag.omegas[0]}) < 2")
-    s_exp = (tag.omegas[0] + tag.omegas[1]) % 3
-    k_excl = (-s_exp) % 3
-    included = [k for k in range(3) if k != k_excl]
-    inv2rn = ctx.inv(ctx.K_two * ctx.sqrt_n)
-    half_d = ctx.inv_d * ctx.q(Fraction(1, 2))
-    i_unit = ctx.zpow(ctx.N // 4)
+    k_excl = -sum(tag.omegas) % 3
+    inv2rn, half_d, i_unit = ctx.inv2rn, ctx.half_d, ctx.i
     T = KPoly.tvar(ctx)
     C = lambda a: KPoly.const(ctx, a)
 
@@ -743,28 +730,10 @@ def _case_I(ctx: ExactContext, tag: CaseTag) -> Feasibility:
 
     surviving = []
     for name, params, xi0, eta_sq, mu0, Rmu0, R2mu0, has_t in branches:
-        mu_k = _mu_components(ctx, mu0, Rmu0, R2mu0)
-        eqs: list[KPoly] = []
-        for k in range(3):
-            eqs.append(mu_k[k].im())  # J-fixed values at the unit are real
-        pin_norm = {}
-        for k in range(3):
-            e = ctx.eig(k)
-            if e["dim"] == 0 or e["eval0_zero"]:
-                eqs.append(mu_k[k])
-                pin_norm[k] = KPoly.const(ctx, ctx.zero) if e["dim"] == 0 else None
-            elif e["dim"] == 1 and e["f0"] is not None:
-                pin_norm[k] = mu_k[k].abs2() * C(e["norm_f0"])
-            else:
-                pin_norm[k] = None
-        for omega_exp in set(tag.omegas):
-            e = ctx.eig(omega_exp)
-            if e["dim"] == 0 or e["eval0_zero"]:
-                eqs.append(xi0)
-                eqs.append(eta_sq)
-        if all(pin_norm[k] is not None for k in included):
-            tot = pin_norm[included[0]] + pin_norm[included[1]]
-            eqs.append(tot - C(ctx.q(Fraction(1, 3))))
+        _, eqs, pin_norm = _g0_equations(ctx, mu0, Rmu0, R2mu0, False, k_excl,
+                                         ctx.q(Fraction(1, 3)))
+        if any(ctx.eig(w)["eval0_zero"] for w in tag.omegas):
+            eqs += [xi0, eta_sq]
         if tag.omegas[0] != tag.omegas[1]:
             for small_exp in set(tag.omegas):
                 e_small = ctx.eig(small_exp)
@@ -811,11 +780,7 @@ def _case_II(ctx: ExactContext, tag: CaseTag) -> Feasibility:
     if e_j["dim"] < 2:
         return Feasibility(tag, False, "CaseII3 eigenspace dimension",
                            f"dim ker(R - z3^{j}) = {e_j['dim']} < 2")
-    k_excl = j
-    included = [k for k in range(3) if k != k_excl]
-    inv2rn = ctx.inv(ctx.K_two * ctx.sqrt_n)
-    half_d = ctx.inv_d * ctx.q(Fraction(1, 2))
-    i_unit = ctx.zpow(ctx.N // 4)
+    inv2rn, half_d, i_unit = ctx.inv2rn, ctx.half_d, ctx.i
     T = KPoly.tvar(ctx)
     C = lambda a: KPoly.const(ctx, a)
 
@@ -829,40 +794,21 @@ def _case_II(ctx: ExactContext, tag: CaseTag) -> Feasibility:
         abseta_sq = (C(ctx.one) - T * T) * C(ctx.q(Fraction(1, 4 * n)))
         branches.append(("branch1", {"kappa1": kappa1}, mu0, Rmu0, R2mu0,
                          absxi0_sq, abseta_sq, True))
-    for kappa in (1, -1):
-        mu0 = C(ctx.int(kappa) * i_unit * ctx.inv(ctx.sqrt_n))
-        Rmu0 = C(w * (-half_d - ctx.int(kappa) * i_unit * inv2rn))
-        R2mu0 = C(ctx.conj(w) * (half_d - ctx.int(kappa) * i_unit * inv2rn))
-        branches.append(("branch2", {"kappa": kappa}, mu0, Rmu0, R2mu0,
-                         C(ctx.zero), C(ctx.zero), False))
+    # branch 2 needs two J-fixed vectors of ker(R - w) vanishing at 0
+    if sum(1 for v in e_j["jfixed"] if ctx.is_zero(v[0])) >= 2:
+        for kappa in (1, -1):
+            mu0 = C(ctx.int(kappa) * i_unit * ctx.inv_sqrt_n)
+            Rmu0 = C(w * (-half_d - ctx.int(kappa) * i_unit * inv2rn))
+            R2mu0 = C(ctx.conj(w) * (half_d - ctx.int(kappa) * i_unit * inv2rn))
+            branches.append(("branch2", {"kappa": kappa}, mu0, Rmu0, R2mu0,
+                             C(ctx.zero), C(ctx.zero), False))
 
+    rhs = ctx.q(Fraction(1, 3)) - ctx.inv_d * ctx.q(Fraction(2, 3))
     surviving = []
     for name, params, mu0, Rmu0, R2mu0, absxi0_sq, abseta_sq, has_t in branches:
-        if name == "branch2":
-            zero_at_0 = sum(1 for v in e_j["jfixed"] if ctx.is_zero(v[0]))
-            if zero_at_0 < 2:
-                continue
-        mu_k = _mu_components(ctx, mu0, Rmu0, R2mu0)
-        eqs: list[KPoly] = []
-        for k in range(3):
-            eqs.append(mu_k[k].re())  # J-odd values at the unit are imaginary
-        pin_norm = {}
-        for k in range(3):
-            e = ctx.eig(k)
-            if e["dim"] == 0 or e["eval0_zero"]:
-                eqs.append(mu_k[k])
-                pin_norm[k] = KPoly.const(ctx, ctx.zero) if e["dim"] == 0 else None
-            elif e["dim"] == 1 and e["f0"] is not None:
-                pin_norm[k] = mu_k[k].abs2() * C(e["norm_f0"])
-            else:
-                pin_norm[k] = None
+        mu_k, eqs, _ = _g0_equations(ctx, mu0, Rmu0, R2mu0, True, j, rhs)
         if e_j["eval0_zero"]:
-            eqs.append(absxi0_sq)
-            eqs.append(abseta_sq)
-        if all(pin_norm[k] is not None for k in included):
-            tot = pin_norm[included[0]] + pin_norm[included[1]]
-            target = ctx.q(Fraction(1, 3)) - ctx.inv_d * ctx.q(Fraction(2, 3))
-            eqs.append(tot - C(target))
+            eqs += [absxi0_sq, abseta_sq]
         status, wit = _resolve_t_system(ctx, eqs, domain_bound=has_t)
         if status == "feasible":
             surviving.append((name, params, wit, mu_k))
@@ -943,11 +889,10 @@ def _point_candidates_empty(ctx: ExactContext, A, ReB, ImB) -> bool:
     quarter = ctx.q(Fraction(1, n))
     if ctx.is_zero((ctx.K_two * ReB - ctx.K_two * A) ** 2 - quarter):
         return False  # H != 0 not excluded; no refutation attempted
-    inv_sqrt_n = ctx.inv(ctx.sqrt_n)
     half2n = ctx.q(Fraction(1, 2 * n))
     # H = 0, X = 0: (P + A)^2 = 1/n, then |R mu|^2 = 1/(2n), Re[(R mu)^2] = 0
     for sgn in (1, -1):
-        Pval = ctx.int(sgn) * inv_sqrt_n - A
+        Pval = ctx.int(sgn) * ctx.inv_sqrt_n - A
         e1 = (Pval + ReB) ** 2 + ImB ** 2 - half2n
         e3 = (Pval + ReB) ** 2 - ImB ** 2
         if ctx.is_zero(e1) and ctx.is_zero(e3):
@@ -972,8 +917,7 @@ def _case_III(ctx: ExactContext, tag: CaseTag) -> Feasibility:
     if G.element_order(g_chi) != 2:
         return Feasibility(tag, False, "chi must have order 2", "")
     perp = [g for g in ctx.els if ctx.bichar.phase(g, g_chi).is_one()]
-    half_d = ctx.inv_d * ctx.q(Fraction(1, 2))
-    inv2rn = ctx.inv(ctx.K_two * ctx.sqrt_n)
+    half_d, inv2rn = ctx.half_d, ctx.inv2rn
     half = ctx.q(Fraction(1, 2))
     if n == 2:
         for kappa in (1, -1):

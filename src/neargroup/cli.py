@@ -33,7 +33,7 @@ from .solutions import (
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_RESOURCE = 0, 1, 2, 3
 
 
-def parse_group(spec: str, canonicalize: bool = True) -> FiniteAbelianGroup:
+def parse_group(spec: str) -> FiniteAbelianGroup:
     parts = spec.strip().split("x")
     factors = []
     for p in parts:
@@ -42,7 +42,7 @@ def parse_group(spec: str, canonicalize: bool = True) -> FiniteAbelianGroup:
             raise ValueError(f"bad group spec {spec!r}; use Z<n> or Z2xZ2xZ3")
         factors.append(int(m.group(1)))
     G = FiniteAbelianGroup(tuple(factors))
-    if canonicalize and not G.is_canonical:
+    if not G.is_canonical:
         G, _ = G.canonicalized()
     return G
 
@@ -103,29 +103,17 @@ def cmd_forms(args, cfg):
     return EXIT_OK
 
 
-def cmd_solve(args, cfg):
+def cmd_classify(args, cfg):
+    """``solve`` and ``classify`` (G, m); ``solve --archive`` also stores each
+    class representative."""
     from .solvers import classify
 
-    G = parse_group(args.group)
-    res = classify(G, args.m, cfg.solve_config())
+    res = classify(parse_group(args.group), args.m, cfg.solve_config())
     payload = _classification_payload(res)
     if args.archive:
         arch = Archive(cfg.archive_path, cfg.tolerance)
         payload["archived"] = [str(arch.store(c.solution)) for c in res.classes]
     _emit(args, payload, res.summary())
-    return EXIT_OK
-
-
-def cmd_classify(args, cfg):
-    from .solvers import classify
-
-    G = parse_group(args.group)
-    try:
-        res = classify(G, args.m, cfg.solve_config())
-    except ValueError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    _emit(args, _classification_payload(res), res.summary())
     return EXIT_OK
 
 
@@ -342,12 +330,12 @@ def main(argv=None) -> int:
     p.add_argument("group")
     p.add_argument("m", type=int)
     p.add_argument("--archive", action="store_true")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("classify", help="classify (G, m)")
     p.add_argument("group")
     p.add_argument("m", type=int)
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, archive=False)
 
     p = sub.add_parser("verify", help="verify a solution file")
     p.add_argument("file")

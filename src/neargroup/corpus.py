@@ -166,7 +166,6 @@ def z2z2z3_m12() -> MNSolution:
         ah = Phase(1, 2) if h == (1, 1) else Phase(0)
         phases[g] = ah * Phase(g[2] * g[2] % 3, 3)
     a = _form_from_phases(b, phases)
-    d = 6 + 4 * math.sqrt(3)
     s3 = math.sqrt(3)
     uH = {(0, 0): 1.0, (1, 0): 0.5, (0, 1): 0.5, (1, 1): 0.0}
     wH = {(0, 0): 0.0, (1, 0): 1.0, (0, 1): -1.0, (1, 1): 0.0}

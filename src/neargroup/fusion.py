@@ -79,9 +79,6 @@ class FusionRing:
     def rank(self) -> int:
         return len(self.labels)
 
-    def mult_matrix(self, a: Label) -> np.ndarray:
-        return self.N[self.index[a]]
-
     def associativity_residual(self) -> int:
         lhs = np.einsum("abe,ecf->abcf", self.N, self.N)
         rhs = np.einsum("bce,aef->abcf", self.N, self.N)
@@ -214,7 +211,6 @@ def dimension_diagnosis(n: int, m: int) -> DimensionDiagnosis:
 def near_group_ring(G: FiniteAbelianGroup | None, m: int) -> FusionRing:
     """The based ring ZG + Z rho with rho^2 = sum_g g + m rho."""
     els = G.elements() if G is not None else [()]
-    n = len(els)
     labels: list[Label] = [("g", g) for g in els] + [("rho",)]
     k = len(labels)
     add = {g: {h: (G.add(g, h) if G is not None else ()) for h in els} for g in els}
@@ -275,7 +271,6 @@ class PrincipalGraph:
             lines.append(f'  "{v}" [shape=circle];')
         for w in self.odd_labels:
             lines.append(f'  "{w}" [shape=square];')
-        n = self.group.order
         for i, v in enumerate(self.even_labels):
             for j, w in enumerate(self.odd_labels):
                 mult = int(self.incidence[i, j])
@@ -291,8 +286,7 @@ class PrincipalGraph:
             "even": self.even_labels,
             "odd": self.odd_labels,
             "incidence": self.incidence.tolist(),
-            "metadata": {k: (v if not isinstance(v, float) else v)
-                         for k, v in self.metadata.items()},
+            "metadata": dict(self.metadata),
         }
 
 
@@ -481,7 +475,6 @@ def dequiv_twisted(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
                     raise ValueError("omega fails the 2-cocycle identity")
     # quotient group G/H presented on coset representatives
     reps = sorted({min(tuple(G.add(g, h)) for h in hset) for g in G})
-    rep_index = {r: i for i, r in enumerate(reps)}
     factors = _quotient_factors(G, hset, reps)
     Q = FiniteAbelianGroup(tuple(factors)) if factors else None
     m = (2**s) * len(reps)
@@ -668,12 +661,6 @@ def equiv_fusion(G: FiniteAbelianGroup, m: int, gamma) -> FusionRing:
 
     def add_invertible(g, s):
         return idx[("g", g, s)]
-
-    def resolve(g, s=1):
-        """gamma^-twist s times the induced class of g."""
-        if g in fixed:
-            return [(("g", g, s), 1)]
-        return [(("pi", pair_rep(g)), 1)]
 
     for g in fixed:
         for s1 in (1, -1):

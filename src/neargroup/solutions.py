@@ -452,8 +452,9 @@ def _gauge_stack(U: np.ndarray, bt: np.ndarray) -> np.ndarray:
     return np.einsum("pdu,pabcug->pabcdg", U.conj(), b)
 
 
-def in_gauge_group(u: np.ndarray, acj: ACJData, tol: float = 1e-9) -> bool:
+def in_gauge_group(u: np.ndarray, acj: ACJData) -> bool:
     """Membership in G(A,C,J): unitary, commutes with every A(g), C and J."""
+    tol = 1e-9
     L = acj.L
     u = np.asarray(u, dtype=complex)
     if u.shape != (L, L) or np.linalg.norm(u.conj().T @ u - np.eye(L)) > tol:
@@ -615,17 +616,16 @@ def fs_nu31_from_data(s) -> complex:
     return complex(tot)
 
 
-def fingerprint(s, digits: int = 7) -> tuple:
-    """Gauge/automorphism-invariant signature used for deduplication."""
+def fingerprint(s) -> tuple:
+    """Gauge/automorphism-invariant signature used for deduplication, to 7
+    decimals."""
 
     def r(x):
-        return round(float(np.real(x)), digits) + 0.0, round(float(np.imag(x)), digits) + 0.0
+        return round(float(np.real(x)), 7) + 0.0, round(float(np.imag(x)), 7) + 0.0
 
     if isinstance(s, MNSolution):
-        mags = tuple(sorted(round(float(v), digits) + 0.0 for v in np.abs(s.b)))
+        mags = tuple(sorted(round(float(v), 7) + 0.0 for v in np.abs(s.b)))
         return ("mn", s.group.factors, mags, r(s.c), r(fs_nu31_from_data(s)))
-    G, L = s.group, s.L
-    T = tables(G)
     traces = []
     for gi in range(s.n):
         Mg = s.bmatrix(gi)
@@ -634,7 +634,7 @@ def fingerprint(s, digits: int = 7) -> tuple:
             traces.append(r(np.trace(Mg @ Mh.conj().T)))
     return (
         "general",
-        G.factors,
+        s.group.factors,
         s.m,
         s.acj.eps,
         tuple(sorted(traces)),

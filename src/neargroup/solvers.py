@@ -151,59 +151,35 @@ def _galois_image(b: Bicharacter, a: QuadraticForm, k: int):
     return bb, QuadraticForm(bb, vals)
 
 
-def pair_classes(G: FiniteAbelianGroup, nondegenerate: bool = True):
+def pair_classes(G: FiniteAbelianGroup):
     """Representatives of (bicharacter, even form) pairs up to Aut(G),
     annotated with an orbit id under the coarser Aut + cyclotomic-Galois
     action (conjugation is the Galois substitution k = -1).
 
+    The Galois group acts on Aut-orbits, so the images of one representative
+    meet every representative of its orbit: the orbit is numbered by its
+    least representative, in order of first appearance.
+
     Returns a list of (bicharacter, form, galois_orbit_id).
     """
     auts = automorphisms(G)
-    bichars = enumerate_bicharacters(G, nondegenerate_only=nondegenerate)
-    aut_seen: set = set()
+    rep_of: dict = {}  # pull-back key -> index of its representative
     reps = []
-    for b in bichars:
+    for b in enumerate_bicharacters(G, nondegenerate_only=True):
         for a in enumerate_quadratic_forms(b):
-            if not a.is_even():
-                continue
-            k = _pair_key(b, a)
-            if k in aut_seen:
-                continue
-            aut_seen |= {_pair_key(b.pullback(th), a.pullback(th)) for th in auts}
-            reps.append((b, a))
-    # galois orbits on the representatives
-    lcm_den = 1
+            if a.is_even() and _pair_key(b, a) not in rep_of:
+                for th in auts:
+                    rep_of.setdefault(_pair_key(b.pullback(th), a.pullback(th)), len(reps))
+                reps.append((b, a))
+    lcm_den = math.lcm(*(p.den for b, a in reps
+                         for p in itertools.chain(*b.gram, a.values)))
+    ids: dict = {}  # least representative index of an orbit -> orbit id
+    out = []
     for b, a in reps:
-        for row in b.gram:
-            for p in row:
-                lcm_den = math.lcm(lcm_den, p.den)
-        for p in a.values:
-            lcm_den = math.lcm(lcm_den, p.den)
-    orbit_of: dict = {}
-    next_id = 0
-    key_to_rep = {}
-    for b, a in reps:
-        for th in auts:
-            key_to_rep[_pair_key(b.pullback(th), a.pullback(th))] = _pair_key(b, a)
-    for b, a in reps:
-        me = _pair_key(b, a)
-        if me in orbit_of:
-            continue
-        orbit_of[me] = next_id
-        stack = [(b, a)]
-        while stack:
-            bb, aa = stack.pop()
-            for k in range(1, lcm_den + 1):
-                if math.gcd(k, lcm_den) != 1:
-                    continue
-                gb, ga = _galois_image(bb, aa, k)
-                rep_key = key_to_rep.get(_pair_key(gb, ga))
-                if rep_key is not None and rep_key not in orbit_of:
-                    orbit_of[rep_key] = orbit_of[me]
-                    stack.append(next(
-                        (rb, ra) for rb, ra in reps if _pair_key(rb, ra) == rep_key))
-        next_id += 1
-    return [(b, a, orbit_of[_pair_key(b, a)]) for b, a in reps]
+        least = min(rep_of[_pair_key(*_galois_image(b, a, k))]
+                    for k in range(1, lcm_den + 1) if math.gcd(k, lcm_den) == 1)
+        out.append((b, a, ids.setdefault(least, len(ids))))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,7 @@ class AdmissibleTuple:
         return self.M2 @ np.conj(self.M1)
 
 
-def to_tuple(s: MNSolution | GeneralSolution, check: bool = True,
-             tolerance: float = DEFAULT_TOL) -> AdmissibleTuple:
+def to_tuple(s: MNSolution | GeneralSolution, check: bool = True) -> AdmissibleTuple:
     """Export a verified solution to explicit tuple matrices.
 
     K is l^2(G) (x) K0 with basis T_h(e_t) at index ``h_index * L + t``:
@@ -93,7 +92,7 @@ def to_tuple(s: MNSolution | GeneralSolution, check: bool = True,
         from .solutions import residual_mn
 
         if check:
-            rep = residual_mn(s, tolerance)
+            rep = residual_mn(s, DEFAULT_TOL)
             if not rep.passed:
                 raise ValueError(f"refusing to export a failing solution:\n{rep}")
         s = mn_to_general(s)
@@ -101,7 +100,7 @@ def to_tuple(s: MNSolution | GeneralSolution, check: bool = True,
         from .solutions import residual_general
 
         if check:
-            rep = residual_general(s, tolerance)
+            rep = residual_general(s, DEFAULT_TOL)
             if not rep.passed:
                 raise ValueError(f"refusing to export a failing solution:\n{rep}")
     G = s.group
@@ -276,11 +275,8 @@ def build_extraspecial_tuple(k: int, kind: str = "D", zeta: complex = 1.0) -> Ad
 # verification
 
 
-def verify_admissible(t: AdmissibleTuple, tolerance: float = DEFAULT_TOL,
-                      tol: float | None = None) -> ResidualReport:
+def verify_admissible(t: AdmissibleTuple, tolerance: float = DEFAULT_TOL) -> ResidualReport:
     """One residual per defining equation of admissibility."""
-    if tol is not None:
-        tolerance = tol
     n, m, d, eps = t.n, t.m, t.d, t.eps
     M1, M2, V, U, chi, L = t.M1, t.M2, t.V, t.U, t.chi, t.ltensor
     if V.shape != (n, m, m) or U.shape != (n, m, m) or L.shape != (m,) * 4:
@@ -349,7 +345,6 @@ def verify_admissible(t: AdmissibleTuple, tolerance: float = DEFAULT_TOL,
 
     # rhoU2
     W = t.w_matrix()
-    wvec = np.einsum("ji->ij", M1).ravel()  # w[(i,j)] = M1[j, i]
     worst = 0.0
     for g in range(n):
         lhsM = np.kron(W @ U[g] @ np.conj(W.T), U[g])

@@ -49,6 +49,47 @@ def test_case_iv_never_occurs():
     assert not res.feasible
 
 
+I_G0 = "CaseI g=0 values / norm identities (I51, I52, order-2 relation)"
+II_G0 = "CaseII g=0 values / norm identity"
+LEDGER = {
+    (2,): {("I", False, I_G0): 6, ("I", False, "CaseI3 eigenspace dimension"): 6,
+           ("II", False, "CaseII3 eigenspace dimension"): 6,
+           ("III", False, "CaseIII support/norm at |G|=2"): 2,
+           ("IV", False, "Case IV never occurs"): 2},
+    (3,): {("I", False, I_G0): 6, ("I", False, "CaseI3 eigenspace dimension"): 4,
+           ("I", True, None): 2, ("II", False, II_G0): 2,
+           ("II", False, "CaseII3 eigenspace dimension"): 4,
+           ("IV", False, "Case IV never occurs"): 2},
+    (4,): {("I", False, I_G0): 16, ("I", False, "CaseI3 eigenspace dimension"): 8,
+           ("II", False, II_G0): 4, ("II", False, "CaseII3 eigenspace dimension"): 8,
+           ("III", False, "CaseIII |G|=4: 24th-power test"): 4,
+           ("IV", False, "Case IV never occurs"): 4},
+    (2, 2): {("I", False, I_G0): 20, ("I", False, "CaseI3 eigenspace dimension"): 10,
+             ("II", False, II_G0): 4, ("II", False, "CaseII order-2 element relations"): 1,
+             ("II", False, "CaseII3 eigenspace dimension"): 10,
+             ("III", False, "CaseIII |G|=4: 24th-power test"): 6,
+             ("III", False, "CaseIII |G|=4: a(g_perp) != -1"): 9,
+             ("IV", False, "Case IV never occurs"): 5},
+}
+
+
+@pytest.mark.parametrize("factors", list(LEDGER))
+def test_m2n_refutation_ledger(factors):
+    """The (kind, feasible, refuted_by) counts over every tag of every pair of
+    the m = 2n table rows Z2/4, Z3/6, Z4/8 and Z2xZ2/8 (22, 20, 44 and 65
+    tags); their 115 refuted Case I/II tags are the ones the tensor solver
+    finds empty in test_refuted_tags_have_no_solutions."""
+    from collections import Counter
+
+    from neargroup.solvers import pair_classes
+
+    G = FiniteAbelianGroup(factors)
+    ledger = Counter((f.tag.kind, f.feasible, f.refuted_by)
+                     for b, a, _ in pair_classes(G)
+                     for f in all_case_feasibilities(G, b, a))
+    assert ledger == LEDGER[factors]
+
+
 def test_z2_m4_all_cases_refuted():
     G, b, a = _pair(2)
     res = all_case_feasibilities(G, b, a)
@@ -227,3 +268,21 @@ def test_sign_high_precision_fallback():
         want = 1 if 5 * q * q > p * p else -1
         assert ctx.sign(r5 - ctx.q(Fraction(p, q))) == want
     assert len(hp_calls) == 2
+
+
+def test_sign_bounds_double_rounding():
+    """10^12 (sqrt(5) - p/q) has coefficients near 10^13, so its double is off
+    by about 1e-3, more than its value: sign() must not trust that double.
+    Four convergents from q = 133957148 on, from both sides of sqrt(5)."""
+    G, b, a = _pair(5)
+    ctx = ExactContext(G, b, a)
+    r5 = ctx._sqrt_int(5)
+    p0, q0, p, q = 2, 1, 9, 4
+    wants = []
+    while len(wants) < 4:
+        if q >= 133957148:
+            x = (r5 - ctx.q(Fraction(p, q))) * ctx.int(10**12)
+            wants.append(1 if 5 * q * q > p * p else -1)
+            assert ctx.sign(x) == wants[-1], (p, q)
+        p0, q0, p, q = p, q, 4 * p + p0, 4 * q + q0
+    assert sorted(set(wants)) == [-1, 1]

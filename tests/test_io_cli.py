@@ -106,6 +106,26 @@ def test_cli_json_deterministic(capsys):
     assert data["num_classes"] == 1
 
 
+def test_cli_solve_archive(tmp_path, capsys):
+    """``solve --archive`` stores one file per class in the configured
+    archive_path."""
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"archive_path = {tmp_path / 'arch'}\n")
+    assert main(["--config", str(cfg), "--json", "solve", "Z2", "2", "--archive"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["classes"]) == 2
+    files = sorted((tmp_path / "arch").glob("*.json"))
+    assert sorted(map(str, files)) == sorted(data["archived"])
+    assert len(files) == len(data["classes"])
+    assert [s.m for s in Archive(tmp_path / "arch").load_all()] == [2, 2]
+
+
+def test_cli_classify_input_error(capsys):
+    """m not a multiple of |G| is an input error, exit code 2."""
+    assert main(["classify", "Z2", "3"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_fingerprint_hash_is_stable_across_processes():
     """The --json fingerprint digest depends on the fingerprint only, not on
     the per-process salt of Python's str hash."""

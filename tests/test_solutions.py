@@ -169,13 +169,13 @@ def test_mn_equivalence_checks_c():
     assert not equivalent(s, rotated)
 
 
-def test_fingerprints_invariant(rng):
+def test_fingerprints_invariant(rng, corpus_all):
     s = z3_m6()
     u = sample_gauge(s.acj, rng)
     assert fingerprint(gauge_act(u, s)) == fingerprint(s)
-    th = GroupAutomorphism(s.group, ((2,),))
-    s5 = z5_m5()
-    assert fingerprint(aut_act(th, s5) if False else s5) == fingerprint(s5)
+    for name, s in corpus_all.items():
+        for th in automorphisms(s.group):
+            assert fingerprint(aut_act(th, s)) == fingerprint(s), (name, th)
 
 
 def test_mn_to_general_consistency():

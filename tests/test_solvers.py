@@ -153,6 +153,12 @@ def test_pair_classes_galois_orbits():
     pairs3 = pair_classes(FiniteAbelianGroup((3,)))
     assert len(pairs3) == 2
     assert len({orbit for _, _, orbit in pairs3}) == 1
+    # (Aut-orbits of pairs, Galois orbits); ids number orbits as they appear
+    for factors, npairs, norbits in [((2, 2), 5, 4), ((2, 4), 4, 2),
+                                     ((2, 2, 2), 4, 2), ((3, 3), 2, 2)]:
+        orbits = [orbit for _, _, orbit in pair_classes(FiniteAbelianGroup(factors))]
+        assert len(orbits) == npairs, factors
+        assert list(dict.fromkeys(orbits)) == list(range(norbits)), factors
 
 
 def test_classify_counts_mn():
