@@ -20,8 +20,10 @@ product is A @ B with B's rows split into the first b1 letters and the rest
 (the mirror case splits A's columns); the matmul runs on the compressed row,
 inner and column index sets.  The completeness relation
 sum_i S_i S_i^* = 1 enters only through level raising, a Kronecker product
-with the identity (:func:`normalize`, :func:`normalize_residual`).  Nothing
-is pruned: residuals are the real largest coefficients.
+with the identity (:func:`normalize`, :func:`normalize_residual`).  The zero
+test raises one family member at a time, so its transient is one member's
+raised table.  Nothing is pruned: residuals are the real largest
+coefficients.
 
 The oracle builds the endomorphism rho on generators from an admissible
 tuple,
@@ -51,7 +53,6 @@ from .tuples import AdmissibleTuple
 
 __all__ = [
     "CuntzElement",
-    "cuntz_identity",
     "generator",
     "normalize",
     "normalize_residual",
@@ -253,10 +254,6 @@ class CuntzElement:
         return f"CuntzElement(N={self.N}{family}, {self.support()} terms)"
 
 
-def cuntz_identity(N: int) -> CuntzElement:
-    return CuntzElement.one(N)
-
-
 def generator(N: int, i: int) -> CuntzElement:
     return CuntzElement.word(N, (i,))
 
@@ -358,8 +355,11 @@ def normalize_residual(x: CuntzElement) -> float:
     top: dict[int, int] = {}
     for a, b in x.blocks:
         top[a - b] = max(top.get(a - b, 0), b)
-    y = _raised(x, lambda a, b: top[a - b] - b)
-    return max((float(np.abs(v).max()) for _, _, v in y.blocks.values()), default=0.0)
+    worst = 0.0
+    for k in range(x.K):  # members share no row: raise one at a time
+        y = _raised(x.members(k, k + 1), lambda a, b: top[a - b] - b)
+        worst = max([worst] + [float(np.abs(v).max()) for _, _, v in y.blocks.values()])
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,3 +26,16 @@ def corpus_tuples(corpus_all):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture
+def traced_peak_mb():
+    """Call f(*args) and return its tracemalloc peak in MB (2^20 bytes)."""
+    def peak(f, *args):
+        tracemalloc.start()
+        try:
+            f(*args)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    return peak

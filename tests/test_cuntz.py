@@ -209,6 +209,53 @@ def test_fs_z3_m3_value():
     assert abs(nu31 - np.sqrt(3) * np.exp(-1j * np.pi / 6)) < 1e-9
 
 
+def _zero_test_reference(x):
+    """normalize_residual with every member raised at once."""
+    top = {}
+    for a, b in x.blocks:
+        top[a - b] = max(top.get(a - b, 0), b)
+    y = cuntz._raised(x, lambda a, b: top[a - b] - b)
+    return max((float(np.abs(v).max()) for _, _, v in y.blocks.values()), default=0.0)
+
+
+def test_zero_test_matches_whole_family_raise(rng):
+    def element():
+        return _random_element(rng, N=3, max_len=3, terms=6)
+
+    cases = [cuntz._stack(*(element() for _ in range(K))) for K in (1, 3, 6)]
+    cases.append(cuntz._stack(element(), CuntzElement.zero(3), element()))
+    cases.append(cuntz._stack(CuntzElement.zero(3), element()))
+    for x in cases:
+        assert normalize_residual(x) == pytest.approx(_zero_test_reference(x), abs=1e-15)
+
+
+def test_zero_test_matches_on_oracle_residuals(monkeypatch):
+    """The four residual families of the z3_m3 oracle, clean and perturbed."""
+    seen = []
+
+    def recording(x):
+        seen.append((normalize_residual(x), _zero_test_reference(x)))
+        return seen[-1][0]
+
+    monkeypatch.setattr(cuntz, "normalize_residual", recording)
+    s = z3_m3()
+    b = s.b.copy()
+    b[1] += 1e-4
+    for t in (to_tuple(s), to_tuple(MNSolution(s.group, s.bichar, s.form, b, s.c),
+                                     check=False)):
+        oracle_check(t)
+    assert len(seen) == 8
+    for got, ref in seen:
+        assert got == pytest.approx(ref, abs=1e-15)
+    assert max(got for got, _ in seen[4:]) > 1e-5
+
+
+def test_oracle_memory_bound(corpus_tuples, traced_peak_mb):
+    """The zero test raises one member at a time; raising the rho^2 residual
+    of z5_m5 whole took 390 MB."""
+    assert traced_peak_mb(oracle_check, corpus_tuples["z5_m5"]) < 240
+
+
 def test_dump_format():
     x = CuntzElement.word(3, (0, 1), (2,), 0.5 + 0.25j)
     dump = x.dump()

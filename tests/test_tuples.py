@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,38 @@ def test_cross_system_consistency(corpus_all, corpus_tuples):
                   else residual_general(s))
         via_tuple = verify_admissible(corpus_tuples[name], tolerance=1e-9)
         assert direct.passed == via_tuple.passed, name
+
+
+def _l3_reference(t):
+    """The l3 residual as one dense m^6 identity."""
+    L, M1, U, V, W1 = t.ltensor, t.M1, t.U, t.V, t.w_matrix()
+    lhs = np.einsum("qpbc,tbyz->tpqcyz", np.conj(L), L, optimize=True)
+    K = np.einsum("tqbi,bxyc->tqixyc", L, L, optimize=True)
+    rhs1 = np.einsum("tqixyc,ipbc->tpqxyb", K, np.conj(L), optimize=True)
+    s2 = np.einsum("hij,jt->hit", V, W1)
+    wvecs = np.einsum("hxi,yi->hxy", U, M1)
+    vvecs = np.einsum("zj,hpj->hpz", M1, U)
+    rhs2 = np.einsum("hqt,hxy,hpz->tpqxyz", s2, wvecs, np.conj(vvecs),
+                     optimize=True) / t.d
+    return float(np.max(np.abs(lhs - rhs1 - rhs2)))
+
+
+def test_l3_matches_dense_reference(corpus_tuples):
+    rng = np.random.default_rng(11)
+    cases = {name: corpus_tuples[name] for name in ("z3_m6", "z2z2_m4")}
+    cases["extraspecial-2D"] = build_extraspecial_tuple(2, "D", ZETA3)
+    for name in ("z3_m6", "z2z2_m4"):
+        L = cases[name].ltensor
+        noise = rng.normal(size=L.shape) + 1j * rng.normal(size=L.shape)
+        cases[name + "+noise"] = replace(cases[name], ltensor=L + 1e-3 * noise)
+    for name, t in cases.items():
+        l3 = verify_admissible(t).per_equation["l3"]
+        assert abs(l3 - _l3_reference(t)) <= 1e-15, name
+        if name.endswith("+noise"):
+            assert l3 > 1e-4, name
+
+
+def test_verify_admissible_memory_bound(corpus_tuples, traced_peak_mb):
+    """l3 is evaluated one T at a time: the m = 12 entry stays far below its
+    m^6 arrays (48 MB each)."""
+    assert traced_peak_mb(verify_admissible, corpus_tuples["z2z2z3_m12"]) < 64
