@@ -312,10 +312,12 @@ class OutGroupResult:
 def out_group(s: MNSolution | GeneralSolution, grid: int = DEFAULT_GRID) -> OutGroupResult:
     """Out(C) = Aut(C): the pairs (theta, u) in Aut(G) x G(A,C,J) fixing the
     solution, found by :func:`~neargroup.solutions.gauge_orbit_search` of the
-    solution against itself and counted modulo (id, -I).
+    solution against itself and counted modulo (id, -I).  The search refines
+    its grid minima by minimising the sum of |db|^2; the distance tested here
+    is the largest entry max |db| of the refined difference.
 
-    A refined orbit distance below ``EQUAL_TOL`` is a symmetry.  One in the
-    gap below ``DISTINCT_TOL`` is neither a symmetry nor ruled out, and sets
+    A distance below ``EQUAL_TOL`` is a symmetry.  One in the gap below
+    ``DISTINCT_TOL`` is neither a symmetry nor ruled out, and sets
     ``inconclusive``.
     """
     found: list[tuple[GroupAutomorphism, np.ndarray]] = []

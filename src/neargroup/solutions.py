@@ -452,6 +452,13 @@ def _gauge_stack(U: np.ndarray, bt: np.ndarray) -> np.ndarray:
     return np.einsum("pdu,pabcug->pabcdg", U.conj(), b)
 
 
+def _expm_ah(X: np.ndarray) -> np.ndarray:
+    """exp(X) for a stack (..., L, L) of anti-Hermitian X, in closed form:
+    -iX = V diag(w) V* is Hermitian, so exp(X) = V diag(e^{iw}) V*."""
+    w, V = np.linalg.eigh(-1j * X)
+    return (V * np.exp(1j * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
+
+
 def in_gauge_group(u: np.ndarray, acj: ACJData) -> bool:
     """Membership in G(A,C,J): unitary, commutes with every A(g), C and J."""
     tol = 1e-9
@@ -488,12 +495,11 @@ def gauge_group_basis(acj: ACJData) -> tuple[list[np.ndarray], list[np.ndarray]]
     C and J; representatives of extra components are searched among signed
     permutation matrices compatible with the same constraints, and kept up to
     sign, since -1 acts trivially on b, and one per connected component: P is
-    dropped when +-Q^-1 P = expm(X), X in the algebra, for a kept Q.
+    dropped when +-Q^-1 P = exp(X), X in the algebra, for a kept Q.  The
+    exponential is the closed form of :func:`_expm_ah`.
     """
     if acj in _GAUGE_CACHE:
         return _GAUGE_CACHE[acj]
-    from scipy.linalg import expm
-
     L = acj.L
     # linear constraints on X (L x L complex, 2L^2 real unknowns)
     chi = acj.chi()
@@ -539,12 +545,12 @@ def gauge_group_basis(acj: ACJData) -> tuple[list[np.ndarray], list[np.ndarray]]
     F = np.reshape([real_flat(X) for X in Xs], (len(Xs), 2 * L * L))
 
     def connected(u) -> bool:
-        """u = expm(X) to 1e-10 for X = log(u) projected onto the algebra;
+        """u = exp(X) to 1e-10 for X = log(u) projected onto the algebra;
         False whenever that test fails."""
         w, V = np.linalg.eig(u)  # unitary, so diagonalisable: log u = V log(w) V^-1
         logu = (V * np.log(w.astype(complex))) @ np.linalg.inv(V)
         X = np.tensordot(F @ real_flat(logu), Xs, 1)
-        return np.max(np.abs(expm(X) - u)) < 1e-10
+        return np.max(np.abs(_expm_ah(X) - u)) < 1e-10
 
     # finite components: signed permutations preserving the structure
     comps = [np.eye(L)]
@@ -562,12 +568,9 @@ def gauge_group_basis(acj: ACJData) -> tuple[list[np.ndarray], list[np.ndarray]]
 
 def sample_gauge(acj: ACJData, rng: np.random.Generator) -> np.ndarray:
     """A random element of G(A,C,J)."""
-    from scipy.linalg import expm
-
     algebra, comps = gauge_group_basis(acj)
     X = sum(rng.normal() * Xb for Xb in algebra) if algebra else np.zeros((acj.L, acj.L))
-    u = comps[rng.integers(len(comps))] @ expm(X)
-    return u
+    return comps[rng.integers(len(comps))] @ _expm_ah(X)
 
 
 def aut_act(theta: GroupAutomorphism, s):
@@ -645,6 +648,15 @@ def fingerprint(s) -> tuple:
 EQUAL_TOL = 1e-7  # orbit distance below which two solutions are identified
 DISTINCT_TOL = 1e-3  # orbit distance above which they are told apart
 DEFAULT_GRID = 720  # gauge-algebra grid points per finite gauge component
+REFINE_MAX_ITER = 60  # iteration cap of the batched gauge refine
+REFINE_FLOOR = 1e-28  # mean |db|^2 per real entry at which a start has converged
+REFINE_STALL = 1e-14  # relative gain in sum |db|^2 below which a start has stalled
+REFINE_STEP = 1e-12  # largest step coordinate below which it has stalled too
+# the damping of both Levenberg-Marquardt loops, solvers._batched_lm and
+# _refine_gauges
+LM_LAMBDA0 = 1e-3  # initial damping
+LM_LAMBDA_MIN = 1e-12  # damping floor: keeps A + lambda diag(A) well conditioned
+LM_LAMBDA_MAX = 1e16  # past this a step is below the rounding of x: give up
 
 
 def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
@@ -654,13 +666,13 @@ def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
     characters chi_t and scalars c_t, and each finite gauge component, the
     component's coset of the gauge group is sampled on a grid (at least 8
     points per algebra direction, ``grid`` in total) in one batched
-    evaluation; every local grid minimum is refined by Nelder-Mead, the
-    lowest first.  Yields (distance, theta, u), the distance being the
-    largest entry of |b(u . theta^* s1) - b(s2)|.  An m = n solution is the
-    L = 1 case, whose gauge group {+-1} has no continuous part.
+    evaluation.  Every local grid minimum, and the global one, is then
+    refined in one batch by :func:`_refine_gauges`, which minimises the sum
+    of |b(u . theta^* s1) - b(s2)|^2.  Yields (distance, theta, u) in
+    ascending grid distance, the distance being the largest entry of
+    |b(u . theta^* s1) - b(s2)|.  An m = n solution is the L = 1 case, whose
+    gauge group {+-1} has no continuous part.
     """
-    from scipy.linalg import expm
-    from scipy.optimize import minimize  # per call: the benchmark tracer patches it
     from .abelian import automorphisms
 
     if isinstance(s1, MNSolution):
@@ -681,21 +693,16 @@ def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
         kdim = len(algebra)
         X = np.array(algebra).reshape(kdim, s1.L, s1.L)
         for comp in comps:
-
-            def gauges(coeffs):  # (P, kdim) algebra coefficients -> (P, L, L)
-                return comp @ expm(np.tensordot(coeffs, X, 1))
-
-            def dists(coeffs):
-                moved = _gauge_stack(gauges(coeffs), t.btensor)
-                return np.abs(moved - s2.btensor).reshape(len(coeffs), -1).max(axis=1)
-
             if kdim == 0:
-                yield float(dists(np.zeros((1, 0)))[0]), th, np.asarray(comp, complex)
+                u = np.asarray(comp, complex)
+                moved = _gauge_stack(u[None], t.btensor)[0]
+                yield float(np.abs(moved - s2.btensor).max()), th, u
                 continue
             npts = max(8, int(round(grid ** (1.0 / kdim))))
             axis = np.linspace(0.0, 2 * np.pi, npts, endpoint=False)
             pts = np.stack(np.meshgrid(*[axis] * kdim, indexing="ij"), -1).reshape(-1, kdim)
-            vals = dists(pts)
+            U = comp @ _expm_ah(np.tensordot(pts, X, 1))
+            vals = np.abs(_gauge_stack(U, t.btensor) - s2.btensor).reshape(len(U), -1).max(1)
             # local minima on the periodic grid (strictly below the previous
             # neighbour on every axis, so a flat stretch counts once) and the
             # global one, which a stretch flat along some axis would hide
@@ -704,16 +711,82 @@ def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
             for ax in range(kdim):
                 is_min &= (V < np.roll(V, 1, ax)) & (V <= np.roll(V, -1, ax))
             starts = np.union1d(np.flatnonzero(is_min), [np.argmin(vals)])
-            for i in starts[np.argsort(vals[starts], kind="stable")]:
-                res = minimize(lambda x: dists(x[None])[0], pts[i], method="Nelder-Mead",
-                               options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 600})
-                yield float(res.fun), th, gauges(res.x[None])[0]
+            starts = starts[np.argsort(vals[starts], kind="stable")]
+            for dist, u in zip(*_refine_gauges(U[starts], X, t.btensor, s2.btensor)):
+                yield float(dist), th, u
+
+
+def _refine_gauges(U: np.ndarray, X: np.ndarray, bt: np.ndarray, target: np.ndarray):
+    """Levenberg-Marquardt from every gauge of the stack U (S x L x L) at
+    once, minimising the sum of |b(u . bt) - target|^2 over u.
+
+    The coordinates are left-trivialised: a step delta moves u to
+    exp(sum_k delta_k X_k) u, which keeps u in its coset of the identity
+    component (a normal subgroup).  The Jacobian column of X_k is the
+    derivation of X_k applied to the moved tensor: X_k on its first two
+    indices, conj(X_k) on the last two.  Each start keeps its own damping
+    lambda (scaled by diag(J^T J); an accepted step divides it by 10, a
+    rejected one multiplies it by 10).  A start stops when it has converged
+    (mean |db|^2 per real entry below REFINE_FLOOR), when it has stalled (an
+    accepted step gains less than REFINE_STALL of the cost, or moves no
+    coordinate by more than REFINE_STEP: at the rounding floor of a nonzero
+    minimum the gain is noise of either sign), when lambda passes
+    LM_LAMBDA_MAX, or after REFINE_MAX_ITER iterations.  Returns the (S,)
+    distances max |b(u . bt) - target| and the refined gauges."""
+    U = U.copy()
+    Xc = X.conj()
+
+    def resid(B):  # moved tensors -> real residual rows (S, 2M)
+        R = (B - target).reshape(len(B), -1)
+        return np.concatenate([R.real, R.imag], axis=1)
+
+    def jac(B):  # moved tensors -> Jacobians (S, 2M, kdim)
+        D = (np.einsum("kar,srbcdg->skabcdg", X, B) + np.einsum("kbr,sarcdg->skabcdg", X, B)
+             + np.einsum("kcr,sabrdg->skabcdg", Xc, B) + np.einsum("kdr,sabcrg->skabcdg", Xc, B))
+        D = D.reshape(len(B), len(X), -1)
+        return np.concatenate([D.real, D.imag], axis=2).transpose(0, 2, 1)
+
+    B = _gauge_stack(U, bt)
+    R = resid(B)
+    cost = np.einsum("sm,sm->s", R, R)
+    J = jac(B)
+    lam = np.full(len(U), LM_LAMBDA0)
+    floor = REFINE_FLOOR * R.shape[1]
+    active = np.flatnonzero(cost > floor)
+    for _ in range(REFINE_MAX_ITER):
+        if not active.size:
+            break
+        Ja = J[active]
+        A = np.swapaxes(Ja, 1, 2) @ Ja
+        g = np.einsum("smi,sm->si", Ja, R[active])
+        diag = np.einsum("sii->si", A)
+        scale = np.where(diag > 0, diag, 1.0)
+        damped = A + (lam[active, None] * scale)[:, :, None] * np.eye(len(X))
+        step = np.linalg.solve(damped, -g[..., None])[..., 0]
+        Ut = _expm_ah(np.tensordot(step, X, 1)) @ U[active]
+        Bt = _gauge_stack(Ut, bt)
+        Rt = resid(Bt)
+        ct = np.einsum("sm,sm->s", Rt, Rt)
+        better = ct < cost[active]
+        stalled = better & ((cost[active] - ct <= REFINE_STALL * cost[active])
+                            | (np.abs(step).max(1) <= REFINE_STEP))
+        acc = active[better]
+        U[acc], B[acc], R[acc], cost[acc] = Ut[better], Bt[better], Rt[better], ct[better]
+        if acc.size:
+            J[acc] = jac(Bt[better])
+        lam[active] = np.where(better, np.maximum(lam[active] / 10, LM_LAMBDA_MIN),
+                               lam[active] * 10)
+        active = active[~stalled & (cost[active] > floor)
+                        & (lam[active] <= LM_LAMBDA_MAX)]
+    return np.abs(B - target).reshape(len(B), -1).max(1), U
 
 
 def equivalent(s1, s2, grid: int = DEFAULT_GRID) -> bool:
     """Equivalence up to Aut(G) x gauge, by :func:`gauge_orbit_search`.
 
-    True as soon as a refined orbit distance falls below ``EQUAL_TOL``; False
+    The search refines its grid minima by minimising the sum of |db|^2; the
+    distance compared here is the largest entry max |db| of the refined
+    difference.  True as soon as a distance falls below ``EQUAL_TOL``; False
     when the best distance is above ``DISTINCT_TOL``.  A best distance in the
     gap between the two raises ``ArithmeticError``: the search can neither
     identify nor separate the solutions.

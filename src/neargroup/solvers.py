@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares  # unused; perfbench/tracer.py patches it
 
 from .abelian import (
     Bicharacter,
@@ -40,6 +39,9 @@ from .abelian import (
 )
 from .cases import CaseTag, ExactContext, Feasibility, all_case_feasibilities
 from .solutions import (
+    LM_LAMBDA0,
+    LM_LAMBDA_MAX,
+    LM_LAMBDA_MIN,
     ACJData,
     GeneralSolution,
     MNSolution,
@@ -63,6 +65,18 @@ __all__ = [
     "classify",
     "pair_classes",
 ]
+
+
+def __getattr__(name):
+    # ``least_squares`` is resolved on first access only, so that importing
+    # the package does not load scipy.optimize; nothing here calls it, but
+    # perfbench/tracer.py patches it.  ROADMAP item 1 deletes it once the
+    # benchmark reads the package's own counters.
+    if name == "least_squares":
+        from scipy.optimize import least_squares
+
+        return least_squares
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -205,11 +219,6 @@ def _keep(points, lift, config: SolveConfig, cap: int | None = None) -> list:
         if cap is not None and len(found) >= cap:
             break
     return found
-
-
-LM_LAMBDA0 = 1e-3  # initial damping of _batched_lm
-LM_LAMBDA_MIN = 1e-12  # damping floor: keeps A + lambda diag(A) well conditioned
-LM_LAMBDA_MAX = 1e16  # past this a step is below the rounding of x: give up
 
 
 def _batched_lm(X0: np.ndarray, fun, jac, max_iter: int, tol: float):

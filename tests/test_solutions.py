@@ -1,9 +1,24 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from neargroup.abelian import FiniteAbelianGroup, GroupAutomorphism, automorphisms
+import neargroup
+from neargroup.abelian import (
+    FiniteAbelianGroup,
+    GroupAutomorphism,
+    automorphisms,
+    enumerate_bicharacters,
+    enumerate_quadratic_forms,
+)
+from neargroup.cases import CaseTag
 from neargroup.corpus import corpus_mn, z2_m2, z3_m6, z5_m5
 from neargroup.solutions import (
     GeneralSolution,
@@ -13,14 +28,17 @@ from neargroup.solutions import (
     dimension_d,
     equivalent,
     fingerprint,
+    _expm_ah,
     gauge_act,
     gauge_group_basis,
+    gauge_orbit_search,
     in_gauge_group,
     mn_to_general,
     residual_general,
     residual_mn,
     sample_gauge,
 )
+from neargroup.solvers import _acj_for_case
 
 
 def test_dimension_d_exact_forms():
@@ -229,3 +247,88 @@ def test_gauge_components_one_per_connected_component():
     algebra, comps = gauge_group_basis(z3_m6().acj)
     assert len(algebra) == 1
     assert sorted(round(np.linalg.det(P)) for P in comps) == [-1, 1]
+
+
+def _case_normal_forms(factors):
+    """(tag, ACJData) for every Case I and II tag over every nondegenerate
+    bicharacter and even form of the group; the gauge group depends only on
+    the pattern of the c_t, so c = 1 stands for every cube root."""
+    G = FiniteAbelianGroup(factors)
+    tags = ([CaseTag("I", omegas=w) for w in itertools.product(range(3), repeat=2)]
+            + [CaseTag("II", omega=w) for w in range(3)])
+    for b in enumerate_bicharacters(G):
+        if not b.is_nondegenerate():
+            continue
+        for a in enumerate_quadratic_forms(b):
+            for tag in tags:
+                yield tag, _acj_for_case(G, b, a, 1.0, tag)
+
+
+def test_expm_ah_matches_scipy(rng):
+    """The closed-form exponential of anti-Hermitian stacks against scipy's
+    Pade expm, kept here as an independent reference; 0 and i*theta*I have
+    repeated eigenvalues."""
+    for L in range(1, 5):
+        Z = rng.normal(size=(6, L, L)) + 1j * rng.normal(size=(6, L, L))
+        X = np.concatenate([Z - Z.conj().swapaxes(1, 2), np.zeros((1, L, L)),
+                            1j * 2.3 * np.eye(L)[None]])
+        got = _expm_ah(X)
+        assert got.shape == X.shape
+        for x, e in zip(X, got):
+            assert np.max(np.abs(e - expm(x))) < 1e-13, L
+
+
+def test_gauge_group_shapes_of_case_normal_forms():
+    """(algebra dimension, components) of G(A,C,J): O(2) for Case I with
+    equal c_t, {1, diag(1, -1)} for Case I with distinct c_t, and a
+    connected 3-dimensional group for Case II."""
+    for factors in ((3,), (2, 2), (4,), (5,)):
+        for tag, acj in _case_normal_forms(factors):
+            algebra, comps = gauge_group_basis(acj)
+            want = ((3, 1) if tag.kind == "II"
+                    else (1, 2) if tag.omegas[0] == tag.omegas[1] else (0, 2))
+            assert (len(algebra), len(comps)) == want, (factors, str(tag))
+
+
+def test_gauge_orbit_search_finds_random_gauge_moves(rng):
+    """On random b-tensors over the Z3 Case II normal form (3-dimensional
+    gauge algebra) and a Case I one (1-dimensional), each moved by a random
+    gauge element, the search gets back to within 1e-10 of the move."""
+    forms = {str(tag): acj for tag, acj in _case_normal_forms((3,))}
+    t0 = time.perf_counter()
+    for key, kdim in (("II(z3^0)", 3), ("I(z3^1, z3^1)", 1)):
+        acj = forms[key]
+        assert len(gauge_group_basis(acj)[0]) == kdim
+        for _ in range(20):
+            bt = rng.normal(size=(2, 2, 2, 2, 3)) + 1j * rng.normal(size=(2, 2, 2, 2, 3))
+            s1 = GeneralSolution(acj.group, acj, bt)
+            s2 = gauge_act(sample_gauge(acj, rng), s1)
+            best = min(dist for dist, _, _ in gauge_orbit_search(s1, s2))
+            assert best < 1e-10, key
+    assert time.perf_counter() - t0 < 15.0
+
+
+def test_package_loads_no_scipy_optimize_or_linalg():
+    """Importing every layer module and running the gauge search
+    (``equivalent``, ``out_group``) and ``classify`` leaves scipy.optimize,
+    scipy.linalg and sympy unloaded: the package needs numpy and
+    scipy.sparse only."""
+    src = str(Path(neargroup.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = """
+import math, sys
+import neargroup
+from neargroup import (abelian, cases, cli, config, corpus, cuntz, fusion, io,
+                       solutions, solvers, spectral, tuples)
+r = math.sqrt(math.sqrt(3) / 24)
+s = corpus.z3_m6()
+assert solutions.equivalent(s, corpus.z3_m6(x=r * math.cos(0.9), y=r * math.sin(0.9)))
+assert fusion.out_group(s, grid=32).order == 8
+assert solvers.classify(abelian.FiniteAbelianGroup((3,)), 3).num_classes == 1
+print(sorted(m for m in ("scipy.optimize", "scipy.linalg", "sympy") if m in sys.modules))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
