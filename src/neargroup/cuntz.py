@@ -17,12 +17,15 @@ recursion, :func:`_apply`).
 
 Products reduce with S_i^* S_j = delta_ij only.  For b1 <= a2 the block
 product is A @ B with B's rows split into the first b1 letters and the rest
-(the mirror case splits A's columns); the matmul runs on the compressed row,
-inner and column index sets.  The completeness relation
-sum_i S_i S_i^* = 1 enters only through level raising, a Kronecker product
-with the identity (:func:`normalize`, :func:`normalize_residual`).  The zero
-test raises one family member at a time, so its transient is one member's
-raised table.  Nothing is pruned: residuals are the real largest
+(the mirror case splits A's columns).  It is a sort-merge join on the inner
+index (:func:`_join`): B's entries are sorted by it once per split, shared by
+every block of A; each entry of A is paired with its run of B, and the pairs
+are summed per output entry, by a bincount over the compressed row x column
+table when that table is dense enough, else by one sort.  The completeness
+relation sum_i S_i S_i^* = 1 enters only through level raising, a Kronecker
+product with the identity (:func:`normalize`, :func:`normalize_residual`).
+The zero test raises one family member at a time, so its transient is one
+member's raised table.  Nothing is pruned: residuals are the real largest
 coefficients.
 
 The oracle builds the endomorphism rho on generators from an admissible
@@ -46,7 +49,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .solutions import ResidualReport
 from .tuples import AdmissibleTuple
@@ -64,8 +66,8 @@ __all__ = [
 
 Word = tuple[int, ...]
 
-# A block product with at most this many entry pairs joins by broadcasting;
-# a larger one by a sparse matmul on the compressed index sets.
+# A block product with at most this many candidate entry pairs joins by
+# broadcasting and _sum_duplicates; a larger one by the sort-merge join.
 _SMALL_JOIN = 2048
 
 
@@ -84,17 +86,42 @@ def _letters(N: int, index: int, length: int) -> Word:
     return tuple(reversed(out))
 
 
+def _sort(key):
+    """key sorted, and the stable permutation that sorts it, for an array of
+    int64 keys >= 0.  From 512 entries on, when the keys leave room for an
+    entry's index in their low bits, one value sort of the packed pairs does
+    it: about twice as fast as an argsort on 10^5 entries or more."""
+    shift = max(len(key) - 1, 1).bit_length()
+    if len(key) < 512 or int(key.max()) >> (63 - shift):
+        order = np.argsort(key, kind="stable")
+        return key[order], order
+    packed = key << shift
+    packed |= np.arange(len(key))
+    packed.sort()
+    order = packed & ((1 << shift) - 1)
+    packed >>= shift
+    return packed, order
+
+
+def _sum_by_key(key, val):
+    """The distinct values of an array of int64 keys >= 0, ascending, and the
+    sum of val over the entries of each."""
+    key, order = _sort(key)
+    first = np.empty(len(key), bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    return key[first], np.add.reduceat(val[order], first)
+
+
 def _sum_duplicates(r, c, v):
     """One entry per (row, col), duplicate coefficients summed."""
     if len(r) < 2:
         return r, c, v
     width = int(c.max()) + 1
-    key = r * width + c  # fits: _gather bounds every block's index space
-    order = np.argsort(key)
-    key = key[order]
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    key = key[first]
-    return key // width, key % width, np.add.reduceat(v[order], first)
+    # r * width + c fits: _gather bounds every block's index space
+    key, v = _sum_by_key(r * width + c, v)
+    return key // width, key % width, v
 
 
 def _gather(N: int, K: int, pieces: dict) -> "CuntzElement":
@@ -262,19 +289,51 @@ def generator(N: int, i: int) -> CuntzElement:
 # products
 
 
-def _join(jA, left, va, jB, right, vb):
+class _Side:
+    """The right operand B[key, right] = val of block joins, as COO entries.
+    Sorted by key, with right compressed, on the first join that needs it,
+    so every left operand on the same split of B shares that work."""
+
+    __slots__ = ("key", "right", "val", "_sorted")
+
+    def __init__(self, key, right, val):
+        self.key, self.right, self.val = key, right, val
+        self._sorted = None
+
+    def sorted(self):
+        if self._sorted is None:
+            key, order = _sort(self.key)
+            ur, ir = np.unique(self.right, return_inverse=True)
+            self._sorted = key, ir[order], self.val[order], ur
+        return self._sorted
+
+
+def _join(jA, left, va, B: _Side):
     """sum over j of A[left, j] B[j, right] for COO entries with arbitrary
-    int64 keys; one entry per (left, right)."""
-    if len(jA) * len(jB) <= _SMALL_JOIN:
-        ia, ib = np.nonzero(jA[:, None] == jB[None, :])
-        return _sum_duplicates(left[ia], right[ib], va[ia] * vb[ib])
-    uj, ij = np.unique(np.concatenate((jA, jB)), return_inverse=True)
+    int64 keys: one entry per (left, right), and from the merge join none
+    whose sum is exactly zero."""
+    if len(jA) * len(B.key) <= _SMALL_JOIN:
+        ia, ib = np.nonzero(jA[:, None] == B.key[None, :])
+        return _sum_duplicates(left[ia], B.right[ib], va[ia] * B.val[ib])
+    jb, ir, vb, ur = B.sorted()
     ul, il = np.unique(left, return_inverse=True)
-    ur, ir = np.unique(right, return_inverse=True)
-    A = sp.csr_matrix((va, (il, ij[:len(jA)])), shape=(len(ul), len(uj)))
-    B = sp.csr_matrix((vb, (ij[len(jA):], ir)), shape=(len(uj), len(ur)))
-    C = (A @ B).tocoo()
-    return ul[C.row], ur[C.col], C.data
+    lo = np.searchsorted(jb, jA)  # A entry i joins jb[lo[i]:lo[i] + n[i]]
+    n = np.searchsorted(jb, jA, "right") - lo
+    pairs = int(n.sum())
+    at = np.arange(pairs) + np.repeat(lo - (np.cumsum(n) - n), n)
+    key = np.repeat(il * len(ur), n) + ir[at]
+    val = np.repeat(va, n) * vb[at]
+    size = len(ul) * len(ur)
+    if size <= 2 * pairs + 4096:
+        re = np.bincount(key, val.real, size)
+        im = np.bincount(key, val.imag, size)
+        key = np.flatnonzero((re != 0) | (im != 0))
+        val = re[key] + 1j * im[key]
+    else:
+        key, val = _sum_by_key(key, val)
+        key, val = key[val != 0], val[val != 0]
+    i, j = np.divmod(key, len(ur))
+    return ul[i], ur[j], val
 
 
 def _multiply(x: CuntzElement, y: CuntzElement) -> CuntzElement:
@@ -283,18 +342,20 @@ def _multiply(x: CuntzElement, y: CuntzElement) -> CuntzElement:
         raise ValueError(f"multiplying families of sizes {x.K} and {y.K}")
     pairwise = x.K > 1 and y.K > 1
     pieces: dict = {}
-    for (a1, b1), (ra, ca, va) in x.blocks.items():
-        ka = ra // N**a1
-        for (a2, b2), (rb, cb, vb) in y.blocks.items():
-            kb, mu2 = np.divmod(rb, N**a2)
-            # kb rides in the join key (pairwise) or in the right key (broadcast)
-            kj, kr = (kb, 0) if pairwise else (0, kb)
+    for (a2, b2), (rb, cb, vb) in y.blocks.items():
+        kb, mu2 = np.divmod(rb, N**a2)
+        # kb rides in the join key (pairwise) or in the right key (broadcast)
+        kj, kr = (kb, 0) if pairwise else (0, kb)
+        sides = {}  # B keyed on the head of mu2 before a tail of t letters
+        for (a1, b1), (ra, ca, va) in x.blocks.items():
+            ka = ra // N**a1
+            t = max(a2 - b1, 0)
+            if t not in sides:
+                p, tail = np.divmod(mu2, N**t)
+                sides[t] = _Side(kj * N**(a2 - t) + p, (kr * N**t + tail) * N**b2 + cb, vb)
             if b1 <= a2:
                 # S_nu1^* S_mu2 = S_tail when mu2 = (nu1, tail)
-                t = a2 - b1
-                p, tail = np.divmod(mu2, N**t)
-                L, R, V = _join(ka * pairwise * N**b1 + ca, ra, va,
-                                kj * N**b1 + p, (kr * N**t + tail) * N**b2 + cb, vb)
+                L, R, V = _join(ka * pairwise * N**b1 + ca, ra, va, sides[t])
                 kt, nu2 = np.divmod(R, N**b2)
                 kbx, tail = np.divmod(kt, N**t)
                 rows = L * N**t + tail + kbx * N**(a1 + t)
@@ -303,8 +364,7 @@ def _multiply(x: CuntzElement, y: CuntzElement) -> CuntzElement:
                 # S_nu1^* S_mu2 = S_rest^* when nu1 = (mu2, rest)
                 r = b1 - a2
                 head, rest = np.divmod(ca, N**r)
-                L, R, V = _join(ka * pairwise * N**a2 + head, ra * N**r + rest, va,
-                                kj * N**a2 + mu2, kr * N**b2 + cb, vb)
+                L, R, V = _join(ka * pairwise * N**a2 + head, ra * N**r + rest, va, sides[0])
                 row0, rest = np.divmod(L, N**r)
                 kbx, nu2 = np.divmod(R, N**b2)
                 pieces.setdefault((a1, b2 + r), []).append(

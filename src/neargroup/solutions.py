@@ -710,7 +710,8 @@ def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
             is_min = np.ones(V.shape, dtype=bool)
             for ax in range(kdim):
                 is_min &= (V < np.roll(V, 1, ax)) & (V <= np.roll(V, -1, ax))
-            starts = np.union1d(np.flatnonzero(is_min), [np.argmin(vals)])
+            is_min.flat[np.argmin(vals)] = True
+            starts = np.flatnonzero(is_min)
             starts = starts[np.argsort(vals[starts], kind="stable")]
             for dist, u in zip(*_refine_gauges(U[starts], X, t.btensor, s2.btensor)):
                 yield float(dist), th, u

@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401 -- lazy in numpy; load it with the package, not in a solve
 
 from .abelian import (
     Bicharacter,

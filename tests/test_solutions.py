@@ -310,9 +310,9 @@ def test_gauge_orbit_search_finds_random_gauge_moves(rng):
 
 def test_package_loads_no_scipy_optimize_or_linalg():
     """Importing every layer module and running the gauge search
-    (``equivalent``, ``out_group``) and ``classify`` leaves scipy.optimize,
-    scipy.linalg and sympy unloaded: the package needs numpy and
-    scipy.sparse only."""
+    (``equivalent``, ``out_group``), ``classify``, the word oracle and the FS
+    indicators leaves scipy (every submodule) and sympy unloaded: the package
+    needs numpy only."""
     src = str(Path(neargroup.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -326,7 +326,9 @@ s = corpus.z3_m6()
 assert solutions.equivalent(s, corpus.z3_m6(x=r * math.cos(0.9), y=r * math.sin(0.9)))
 assert fusion.out_group(s, grid=32).order == 8
 assert solvers.classify(abelian.FiniteAbelianGroup((3,)), 3).num_classes == 1
-print(sorted(m for m in ("scipy.optimize", "scipy.linalg", "sympy") if m in sys.modules))
+t = tuples.to_tuple(corpus.z3_m3())
+assert cuntz.oracle_check(t).passed and cuntz.fs_indicators(t)[1].passed
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy")))
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300)
