@@ -5,7 +5,7 @@ from pathlib import Path
 
 from neargroup import corpus
 from neargroup.io import save_solution
-from neargroup.solutions import MNSolution, residual_general, residual_mn
+from neargroup.solutions import residual
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "neargroup" / "bundled"
 
@@ -13,8 +13,7 @@ OUT = Path(__file__).resolve().parent.parent / "src" / "neargroup" / "bundled"
 def main():
     OUT.mkdir(parents=True, exist_ok=True)
     for name, sol in corpus.corpus_all().items():
-        rep = (residual_mn(sol) if isinstance(sol, MNSolution)
-               else residual_general(sol))
+        rep = residual(sol)
         assert rep.passed, f"{name} fails residuals:\n{rep}"
         path = OUT / f"{name}.json"
         save_solution(sol, path)

@@ -11,7 +11,7 @@ import time
 
 from neargroup.corpus import corpus_all
 from neargroup.cuntz import fs_indicators, oracle_check
-from neargroup.solutions import MNSolution, residual_general, residual_mn
+from neargroup.solutions import residual
 from neargroup.tuples import to_tuple, verify_admissible
 
 
@@ -25,8 +25,7 @@ def main():
 
     failures = 0
     for name, s in corpus_all().items():
-        rep = (residual_mn(s, args.tolerance) if isinstance(s, MNSolution)
-               else residual_general(s, args.tolerance))
+        rep = residual(s, args.tolerance)
         print(f"{name:12s} residuals  max={rep.max_residual:.2e} "
               f"{'pass' if rep.passed else 'FAIL'}")
         failures += not rep.passed

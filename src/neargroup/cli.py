@@ -24,11 +24,7 @@ from .abelian import (
 )
 from .config import load_config
 from .io import Archive, bundled_path, load_solution, solution_to_json
-from .solutions import (
-    MNSolution,
-    residual_general,
-    residual_mn,
-)
+from .solutions import MNSolution, residual
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_RESOURCE = 0, 1, 2, 3
 
@@ -66,11 +62,6 @@ def _resolve_file(path: str):
 
 def _load(path: str):
     return load_solution(_resolve_file(path))
-
-
-def _verify(s, tol):
-    return (residual_mn(s, tol) if isinstance(s, MNSolution)
-            else residual_general(s, tol))
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -145,7 +136,7 @@ def _classification_payload(res) -> dict:
 
 def cmd_verify(args, cfg):
     s = _load(args.file)
-    rep = _verify(s, cfg.tolerance)
+    rep = residual(s, cfg.tolerance)
     payload = {
         "file": args.file,
         "passed": rep.passed,

@@ -21,8 +21,7 @@ from .solutions import (
     GeneralSolution,
     MNSolution,
     fingerprint,
-    residual_general,
-    residual_mn,
+    residual,
 )
 
 __all__ = [
@@ -202,9 +201,7 @@ class Archive:
         return f"Z{gname}_m{s.m}_{h}.json"
 
     def store(self, s) -> Path:
-        rep = (residual_mn(s, self.tolerance) if isinstance(s, MNSolution)
-               else residual_general(s, self.tolerance))
-        if not rep.passed:
+        if not residual(s, self.tolerance).passed:
             raise ValueError("refusing to archive a failing solution")
         path = self.root / self._key(s)
         save_solution(s, path)
@@ -212,9 +209,7 @@ class Archive:
 
     def load(self, name: str):
         s = load_solution(self.root / name)
-        rep = (residual_mn(s, self.tolerance) if isinstance(s, MNSolution)
-               else residual_general(s, self.tolerance))
-        if not rep.passed:
+        if not residual(s, self.tolerance).passed:
             raise ValueError(f"archived solution {name} fails re-verification")
         return s
 

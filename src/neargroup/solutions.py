@@ -41,6 +41,7 @@ __all__ = [
     "GeneralSolution",
     "residual_mn",
     "residual_general",
+    "residual",
     "mn_normal_form",
     "mn_to_general",
     "gauge_act",
@@ -431,6 +432,12 @@ def residual_general(s: GeneralSolution, tolerance: float = DEFAULT_TOL) -> Resi
     return ResidualReport(out, tolerance)
 
 
+def residual(s, tolerance: float = DEFAULT_TOL) -> ResidualReport:
+    """``residual_mn`` of an ``MNSolution``, ``residual_general`` of any other
+    solution.  Both are looked up by their module-level names at each call."""
+    return (residual_mn if isinstance(s, MNSolution) else residual_general)(s, tolerance)
+
+
 # ---------------------------------------------------------------------------
 # gauge and automorphism actions
 
@@ -459,6 +466,20 @@ def _expm_ah(X: np.ndarray) -> np.ndarray:
     return (V * np.exp(1j * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
+def _gauge_constraints(acj: ACJData) -> tuple[list[np.ndarray], np.ndarray]:
+    """What the gauge group G(A,C,J) commutes with: the diagonal matrices
+    diag(a(g) chi(g)), one per g, and diag(c_t), and the matrix Jm of the
+    anti-linear J e_t = eps_t e_{bar t}, for which u J = J u reads
+    u Jm = Jm conj(u)."""
+    chi = acj.chi()
+    a = acj.form.table()
+    mats = [np.diag(a[gi] * chi[:, gi]) for gi in range(acj.group.order)]
+    mats.append(np.diag(acj.c_t))
+    Jm = np.zeros((acj.L, acj.L), dtype=complex)
+    Jm[list(acj.bar), range(acj.L)] = acj.eps_t
+    return mats, Jm
+
+
 def in_gauge_group(u: np.ndarray, acj: ACJData) -> bool:
     """Membership in G(A,C,J): unitary, commutes with every A(g), C and J."""
     tol = 1e-9
@@ -466,23 +487,9 @@ def in_gauge_group(u: np.ndarray, acj: ACJData) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.shape != (L, L) or np.linalg.norm(u.conj().T @ u - np.eye(L)) > tol:
         return False
-    chi = acj.chi()
-    a = acj.form.table()
-    for gi in range(acj.group.order):
-        A = np.diag(a[gi] * chi[:, gi])
-        if np.linalg.norm(u @ A - A @ u) > tol:
-            return False
-    C = np.diag(acj.c_t)
-    if np.linalg.norm(u @ C - C @ u) > tol:
-        return False
-    # J e_t = eps_t e_{bar t}: anti-linear with matrix Jm
-    Jm = np.zeros((L, L), dtype=complex)
-    for t in range(L):
-        Jm[acj.bar[t], t] = acj.eps_t[t]
-    # u J = J u  <=>  u Jm = Jm conj(u)
-    if np.linalg.norm(u @ Jm - Jm @ np.conj(u)) > tol:
-        return False
-    return True
+    mats, Jm = _gauge_constraints(acj)
+    return bool(all(np.linalg.norm(u @ M - M @ u) <= tol for M in mats)
+                and np.linalg.norm(u @ Jm - Jm @ np.conj(u)) <= tol)
 
 
 _GAUGE_CACHE: dict = {}
@@ -502,13 +509,7 @@ def gauge_group_basis(acj: ACJData) -> tuple[list[np.ndarray], list[np.ndarray]]
         return _GAUGE_CACHE[acj]
     L = acj.L
     # linear constraints on X (L x L complex, 2L^2 real unknowns)
-    chi = acj.chi()
-    a = acj.form.table()
-    mats = [np.diag(a[gi] * chi[:, gi]) for gi in range(acj.group.order)]
-    mats.append(np.diag(acj.c_t))
-    Jm = np.zeros((L, L), dtype=complex)
-    for t in range(L):
-        Jm[acj.bar[t], t] = acj.eps_t[t]
+    mats, Jm = _gauge_constraints(acj)
 
     def real_flat(X):
         return np.concatenate([X.real.ravel(), X.imag.ravel()])
@@ -649,14 +650,61 @@ EQUAL_TOL = 1e-7  # orbit distance below which two solutions are identified
 DISTINCT_TOL = 1e-3  # orbit distance above which they are told apart
 DEFAULT_GRID = 720  # gauge-algebra grid points per finite gauge component
 REFINE_MAX_ITER = 60  # iteration cap of the batched gauge refine
-REFINE_FLOOR = 1e-28  # mean |db|^2 per real entry at which a start has converged
-REFINE_STALL = 1e-14  # relative gain in sum |db|^2 below which a start has stalled
-REFINE_STEP = 1e-12  # largest step coordinate below which it has stalled too
-# the damping of both Levenberg-Marquardt loops, solvers._batched_lm and
-# _refine_gauges
+REFINE_FLOOR = 1e-28  # mean |db|^2 per real entry at which a refine start has converged
+# the one Levenberg-Marquardt loop, _batched_lm, of the tensor solve
+# (solvers._solve_tensor) and of the gauge refine (_refine_gauges)
+LM_STALL = 1e-14  # relative gain in the cost at or below which a start has stalled
+LM_MIN_STEP = 1e-12  # largest step coordinate at or below which it has stalled too
 LM_LAMBDA0 = 1e-3  # initial damping
 LM_LAMBDA_MIN = 1e-12  # damping floor: keeps A + lambda diag(A) well conditioned
 LM_LAMBDA_MAX = 1e16  # past this a step is below the rounding of x: give up
+
+
+def _batched_lm(X0: np.ndarray, fun, jac, max_iter: int, floor: float, move=np.add):
+    """Levenberg-Marquardt from every start of the stack ``X0`` at once.
+
+    A start is any array along the leading axis.  ``fun`` maps a stack of
+    starts to residual rows (S, M), ``jac`` to their Jacobians (S, M, k) in the
+    step coordinates, and ``move(X, delta)`` applies the steps delta (S, k).
+    Each start keeps its own damping lambda, with Marquardt's scaling by
+    diag(J^T J): an accepted step divides it by 10, a rejected one multiplies
+    it by 10.  A start stops when its cost ||r||^2 is at most ``floor``; when
+    it has stalled (an accepted step gains at most LM_STALL of the cost, or
+    moves no coordinate by more than LM_MIN_STEP: at the rounding floor of a
+    nonzero minimum the gain is noise of either sign); when lambda passes
+    LM_LAMBDA_MAX; or after ``max_iter`` iterations.  Returns the final starts
+    and their costs."""
+    X = np.array(X0)
+    R = fun(X)
+    cost = np.einsum("sm,sm->s", R, R)
+    Jac = jac(X)
+    lam = np.full(len(X), LM_LAMBDA0)
+    active = np.flatnonzero(cost > floor)
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        J = Jac[active]
+        A = np.swapaxes(J, 1, 2) @ J
+        g = np.einsum("smi,sm->si", J, R[active])
+        diag = np.einsum("sii->si", A)
+        scale = np.where(diag > 0, diag, 1.0)
+        damped = A + (lam[active, None] * scale)[:, :, None] * np.eye(J.shape[2])
+        step = np.linalg.solve(damped, -g[..., None])[..., 0]
+        Xt = move(X[active], step)
+        Rt = fun(Xt)
+        ct = np.einsum("sm,sm->s", Rt, Rt)
+        better = ct < cost[active]
+        stalled = better & ((cost[active] - ct <= LM_STALL * cost[active])
+                            | (np.abs(step).max(1) <= LM_MIN_STEP))
+        acc = active[better]
+        X[acc], R[acc], cost[acc] = Xt[better], Rt[better], ct[better]
+        if acc.size:
+            Jac[acc] = jac(X[acc])
+        lam[active] = np.where(better, np.maximum(lam[active] / 10, LM_LAMBDA_MIN),
+                               lam[active] * 10)
+        active = active[~stalled & (cost[active] > floor)
+                        & (lam[active] <= LM_LAMBDA_MAX)]
+    return X, cost
 
 
 def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
@@ -718,68 +766,35 @@ def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
 
 
 def _refine_gauges(U: np.ndarray, X: np.ndarray, bt: np.ndarray, target: np.ndarray):
-    """Levenberg-Marquardt from every gauge of the stack U (S x L x L) at
-    once, minimising the sum of |b(u . bt) - target|^2 over u.
+    """Minimise the sum of |b(u . bt) - target|^2 over u from every gauge of
+    the stack U (S x L x L) by one :func:`_batched_lm` run.
 
     The coordinates are left-trivialised: a step delta moves u to
     exp(sum_k delta_k X_k) u, which keeps u in its coset of the identity
     component (a normal subgroup).  The Jacobian column of X_k is the
     derivation of X_k applied to the moved tensor: X_k on its first two
-    indices, conj(X_k) on the last two.  Each start keeps its own damping
-    lambda (scaled by diag(J^T J); an accepted step divides it by 10, a
-    rejected one multiplies it by 10).  A start stops when it has converged
-    (mean |db|^2 per real entry below REFINE_FLOOR), when it has stalled (an
-    accepted step gains less than REFINE_STALL of the cost, or moves no
-    coordinate by more than REFINE_STEP: at the rounding floor of a nonzero
-    minimum the gain is noise of either sign), when lambda passes
-    LM_LAMBDA_MAX, or after REFINE_MAX_ITER iterations.  Returns the (S,)
-    distances max |b(u . bt) - target| and the refined gauges."""
-    U = U.copy()
+    indices, conj(X_k) on the last two.  A start has converged at a mean
+    |db|^2 per real entry of REFINE_FLOOR, and stops after REFINE_MAX_ITER
+    iterations.  Returns the (S,) distances max |b(u . bt) - target| and the
+    refined gauges."""
     Xc = X.conj()
 
-    def resid(B):  # moved tensors -> real residual rows (S, 2M)
-        R = (B - target).reshape(len(B), -1)
+    def fun(U):  # gauges -> real residual rows (S, 2M)
+        R = (_gauge_stack(U, bt) - target).reshape(len(U), -1)
         return np.concatenate([R.real, R.imag], axis=1)
 
-    def jac(B):  # moved tensors -> Jacobians (S, 2M, kdim)
+    def jac(U):  # gauges -> Jacobians (S, 2M, kdim)
+        B = _gauge_stack(U, bt)
         D = (np.einsum("kar,srbcdg->skabcdg", X, B) + np.einsum("kbr,sarcdg->skabcdg", X, B)
              + np.einsum("kcr,sabrdg->skabcdg", Xc, B) + np.einsum("kdr,sabcrg->skabcdg", Xc, B))
         D = D.reshape(len(B), len(X), -1)
         return np.concatenate([D.real, D.imag], axis=2).transpose(0, 2, 1)
 
-    B = _gauge_stack(U, bt)
-    R = resid(B)
-    cost = np.einsum("sm,sm->s", R, R)
-    J = jac(B)
-    lam = np.full(len(U), LM_LAMBDA0)
-    floor = REFINE_FLOOR * R.shape[1]
-    active = np.flatnonzero(cost > floor)
-    for _ in range(REFINE_MAX_ITER):
-        if not active.size:
-            break
-        Ja = J[active]
-        A = np.swapaxes(Ja, 1, 2) @ Ja
-        g = np.einsum("smi,sm->si", Ja, R[active])
-        diag = np.einsum("sii->si", A)
-        scale = np.where(diag > 0, diag, 1.0)
-        damped = A + (lam[active, None] * scale)[:, :, None] * np.eye(len(X))
-        step = np.linalg.solve(damped, -g[..., None])[..., 0]
-        Ut = _expm_ah(np.tensordot(step, X, 1)) @ U[active]
-        Bt = _gauge_stack(Ut, bt)
-        Rt = resid(Bt)
-        ct = np.einsum("sm,sm->s", Rt, Rt)
-        better = ct < cost[active]
-        stalled = better & ((cost[active] - ct <= REFINE_STALL * cost[active])
-                            | (np.abs(step).max(1) <= REFINE_STEP))
-        acc = active[better]
-        U[acc], B[acc], R[acc], cost[acc] = Ut[better], Bt[better], Rt[better], ct[better]
-        if acc.size:
-            J[acc] = jac(Bt[better])
-        lam[active] = np.where(better, np.maximum(lam[active] / 10, LM_LAMBDA_MIN),
-                               lam[active] * 10)
-        active = active[~stalled & (cost[active] > floor)
-                        & (lam[active] <= LM_LAMBDA_MAX)]
-    return np.abs(B - target).reshape(len(B), -1).max(1), U
+    def move(U, step):
+        return _expm_ah(np.tensordot(step, X, 1)) @ U
+
+    U, _ = _batched_lm(U, fun, jac, REFINE_MAX_ITER, REFINE_FLOOR * 2 * bt.size, move)
+    return np.abs(_gauge_stack(U, bt) - target).reshape(len(U), -1).max(1), U
 
 
 def equivalent(s1, s2, grid: int = DEFAULT_GRID) -> bool:

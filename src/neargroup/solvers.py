@@ -6,9 +6,9 @@ cube root c for m = n (``solve_mn``), a Case I or II tag for m = 2n
 (``solve_m2n``), the simplest guess for m > 2n (``heuristic_search``).
 ``_solve_tensor`` solves it: the affine equations cut out an exact slice
 x0 + K y (``_affine_slice``), on which the quadratic ones are fitted once
-(``_quadratic``) and solved by one batched Levenberg-Marquardt run
-(``_batched_lm``) over all starts, with the exact Jacobian.  The converged
-points go through one keep step, ``_keep``: dedupe, and the residual
+(``_quadratic``) and solved from all starts at once, with the exact
+Jacobian, by ``solutions._batched_lm``: the one Levenberg-Marquardt loop of
+the package, which the gauge refine shares.  The converged points go through one keep step, ``_keep``: dedupe, and the residual
 verification of every candidate.  ``classify`` then keeps one solution per
 class up to Aut x gauge within each (bicharacter, form) pair (``_dedupe``).
 
@@ -40,12 +40,10 @@ from .abelian import (
 )
 from .cases import CaseTag, ExactContext, Feasibility, all_case_feasibilities
 from .solutions import (
-    LM_LAMBDA0,
-    LM_LAMBDA_MAX,
-    LM_LAMBDA_MIN,
     ACJData,
     GeneralSolution,
     MNSolution,
+    _batched_lm,
     dimension_d,
     equivalent,
     fingerprint,
@@ -222,44 +220,6 @@ def _keep(points, lift, config: SolveConfig, cap: int | None = None) -> list:
     return found
 
 
-def _batched_lm(X0: np.ndarray, fun, jac, max_iter: int, tol: float):
-    """Levenberg-Marquardt from every row of ``X0`` (S x k) at once.
-
-    ``fun`` maps (S, k) to residual rows (S, M) and ``jac`` to their Jacobians
-    (S, M, k).  Each start keeps its own damping lambda, with Marquardt's
-    scaling by diag(J^T J): an accepted step divides it by 10, a rejected one
-    multiplies it by 10.  A start stops when ||r||_2 <= ``tol``, when lambda
-    passes LM_LAMBDA_MAX, or after ``max_iter`` iterations.  Returns the final
-    points and the mask of starts that reached ``tol``."""
-    X = np.array(X0, dtype=float)
-    R = fun(X)
-    cost = np.einsum("sm,sm->s", R, R)
-    Jac = jac(X)
-    lam = np.full(len(X), LM_LAMBDA0)
-    active = np.flatnonzero(np.sqrt(cost) > tol)
-    for _ in range(max_iter):
-        if not active.size:
-            break
-        J = Jac[active]
-        A = np.swapaxes(J, 1, 2) @ J
-        g = np.einsum("smi,sm->si", J, R[active])
-        diag = np.einsum("sii->si", A)
-        scale = np.where(diag > 0, diag, 1.0)
-        damped = A + (lam[active, None] * scale)[:, :, None] * np.eye(X.shape[1])
-        Xt = X[active] + np.linalg.solve(damped, -g[..., None])[..., 0]
-        Rt = fun(Xt)
-        ct = np.einsum("sm,sm->s", Rt, Rt)
-        better = ct < cost[active]
-        acc = active[better]
-        X[acc], R[acc], cost[acc] = Xt[better], Rt[better], ct[better]
-        if acc.size:
-            Jac[acc] = jac(X[acc])
-        lam[active] = np.where(better, np.maximum(lam[active] / 10, LM_LAMBDA_MIN),
-                               lam[active] * 10)
-        active = active[(np.sqrt(cost[active]) > tol) & (lam[active] <= LM_LAMBDA_MAX)]
-    return X, np.sqrt(cost) <= tol
-
-
 # ---------------------------------------------------------------------------
 # m = n
 
@@ -414,9 +374,10 @@ def _solve_tensor(acj: ACJData, starts: int, seed_offset: int, config: SolveConf
         fun, jac, _ = _quadratic(resid, k)
         rng = np.random.default_rng(config.seed + seed_offset)
         scale = 1.0 / math.sqrt(acj.group.order)
-        Y, converged = _batched_lm(rng.uniform(-scale, scale, size=(starts, k)), fun, jac,
-                                   200 * (k + 1), config.newton_tol)
-        Y = Y[converged]
+        floor = config.newton_tol ** 2
+        Y, cost = _batched_lm(rng.uniform(-scale, scale, size=(starts, k)), fun, jac,
+                              200 * (k + 1), floor)
+        Y = Y[cost <= floor]
     return _keep(Y, lambda y: lift(btensor(y)), config, cap)
 
 

@@ -28,6 +28,7 @@ from .solutions import (
     MNSolution,
     ResidualReport,
     mn_to_general,
+    residual,
     tables,
 )
 
@@ -89,21 +90,12 @@ def to_tuple(s: MNSolution | GeneralSolution, check: bool = True) -> AdmissibleT
         l(T_g(e_u))     = sum_{h,k,r,s,t} <g,k> a(h) chi_r(h) b^{r,s}_{t,u}(g+h)
                           T_{h+k}(e_r) T_{-h}(e_s) T_k(e_t)^*
     """
+    if check:
+        rep = residual(s, DEFAULT_TOL)
+        if not rep.passed:
+            raise ValueError(f"refusing to export a failing solution:\n{rep}")
     if isinstance(s, MNSolution):
-        from .solutions import residual_mn
-
-        if check:
-            rep = residual_mn(s, DEFAULT_TOL)
-            if not rep.passed:
-                raise ValueError(f"refusing to export a failing solution:\n{rep}")
         s = mn_to_general(s)
-    else:
-        from .solutions import residual_general
-
-        if check:
-            rep = residual_general(s, DEFAULT_TOL)
-            if not rep.passed:
-                raise ValueError(f"refusing to export a failing solution:\n{rep}")
     G = s.group
     T = tables(G)
     n, L = s.n, s.L

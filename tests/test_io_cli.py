@@ -17,7 +17,7 @@ from neargroup.io import (
     solution_from_json,
     solution_to_json,
 )
-from neargroup.solutions import MNSolution, residual_mn
+from neargroup.solutions import MNSolution, residual, residual_general, residual_mn
 
 
 def test_roundtrip_mn(corpus_mn, tmp_path):
@@ -44,8 +44,9 @@ def test_roundtrip_general(corpus_all, tmp_path):
 def test_bundled_corpus_loads_and_verifies(corpus_all):
     for name in corpus_all:
         s = load_bundled(name)
-        if isinstance(s, MNSolution):
-            assert residual_mn(s).passed
+        rep = residual(s)
+        direct = residual_mn(s) if isinstance(s, MNSolution) else residual_general(s)
+        assert rep.passed and rep.per_equation == direct.per_equation, name
 
 
 def test_archive_roundtrip(corpus_mn, tmp_path):

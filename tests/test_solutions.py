@@ -23,7 +23,10 @@ from neargroup.corpus import corpus_mn, z2_m2, z3_m6, z5_m5
 from neargroup.solutions import (
     GeneralSolution,
     MNSolution,
+    LM_LAMBDA0,
+    LM_LAMBDA_MAX,
     QuadraticIrrational,
+    _batched_lm,
     aut_act,
     dimension_d,
     equivalent,
@@ -276,6 +279,44 @@ def test_expm_ah_matches_scipy(rng):
         assert got.shape == X.shape
         for x, e in zip(X, got):
             assert np.max(np.abs(e - expm(x))) < 1e-13, L
+
+
+def test_batched_lm_converges_and_stalls():
+    """The shared LM loop.  Starts on r(x, y) = (x^2 - 4, xy - 2) reach its
+    real roots +-(2, 1) with cost <= floor.  Starts on r(x) = (x^2, 1),
+    whose least cost is 1 at x = 0, stop on the stall rule: they never reach
+    ``floor``, stop long before ``max_iter``, and in fewer iterations than
+    lambda needs to pass LM_LAMBDA_MAX even if every step were rejected."""
+    def fun(X):
+        x, y = X.T
+        return np.stack([x * x - 4, x * y - 2], 1)
+
+    def jac(X):
+        x, y = X.T
+        return np.stack([np.stack([2 * x, 0 * x], 1), np.stack([y, x], 1)], 1)
+
+    rng = np.random.default_rng(5)
+    X0 = rng.uniform(0.5, 3.0, size=(16, 2)) * rng.choice([-1.0, 1.0], size=(16, 1))
+    X, cost = _batched_lm(X0, fun, jac, 200, 1e-24, move=np.add)
+    assert np.all(cost <= 1e-24)
+    assert np.max(np.abs(X - np.sign(X0[:, :1]) * [2.0, 1.0])) < 1e-12
+
+    calls = 0
+
+    def fun_min1(X):
+        nonlocal calls
+        calls += 1
+        return np.concatenate([X * X, np.ones_like(X)], 1)
+
+    def jac_min1(X):
+        return np.stack([2 * X, 0 * X], 1)
+
+    max_iter = 1000
+    X, cost = _batched_lm(np.array([[3.0], [-0.5], [1e-2]]), fun_min1, jac_min1,
+                          max_iter, 1e-24)
+    assert np.all(np.abs(cost - 1) < 1e-13) and np.max(np.abs(X)) < 1e-3
+    rejections_to_give_up = math.log10(LM_LAMBDA_MAX / LM_LAMBDA0)
+    assert calls - 1 < rejections_to_give_up < max_iter
 
 
 def test_gauge_group_shapes_of_case_normal_forms():
