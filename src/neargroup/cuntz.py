@@ -55,7 +55,6 @@ from .tuples import AdmissibleTuple
 
 __all__ = [
     "CuntzElement",
-    "generator",
     "normalize",
     "normalize_residual",
     "GeneratorEndomorphism",
@@ -279,10 +278,6 @@ class CuntzElement:
     def __repr__(self):
         family = f", K={self.K}" if self.K > 1 else ""
         return f"CuntzElement(N={self.N}{family}, {self.support()} terms)"
-
-
-def generator(N: int, i: int) -> CuntzElement:
-    return CuntzElement.word(N, (i,))
 
 
 # ---------------------------------------------------------------------------

@@ -660,24 +660,25 @@ LM_LAMBDA_MIN = 1e-12  # damping floor: keeps A + lambda diag(A) well conditione
 LM_LAMBDA_MAX = 1e16  # past this a step is below the rounding of x: give up
 
 
-def _batched_lm(X0: np.ndarray, fun, jac, max_iter: int, floor: float, move=np.add):
+def _batched_lm(X0: np.ndarray, model, max_iter: int, floor: float, move=np.add):
     """Levenberg-Marquardt from every start of the stack ``X0`` at once.
 
-    A start is any array along the leading axis.  ``fun`` maps a stack of
-    starts to residual rows (S, M), ``jac`` to their Jacobians (S, M, k) in the
-    step coordinates, and ``move(X, delta)`` applies the steps delta (S, k).
+    A start is any array along the leading axis.  ``model`` maps a stack of
+    points to their residual rows R (S, M) and the Jacobians J (S, M, k) of
+    those rows in the step coordinates; it is called once on ``X0`` and then
+    once per iteration, on the batch of trial points, and nowhere else.
+    ``move(X, delta)`` applies the steps delta (S, k).
     Each start keeps its own damping lambda, with Marquardt's scaling by
     diag(J^T J): an accepted step divides it by 10, a rejected one multiplies
     it by 10.  A start stops when its cost ||r||^2 is at most ``floor``; when
     it has stalled (an accepted step gains at most LM_STALL of the cost, or
     moves no coordinate by more than LM_MIN_STEP: at the rounding floor of a
     nonzero minimum the gain is noise of either sign); when lambda passes
-    LM_LAMBDA_MAX; or after ``max_iter`` iterations.  Returns the final starts
-    and their costs."""
+    LM_LAMBDA_MAX; or after ``max_iter`` iterations.  Returns the final
+    starts, their costs and their residual rows."""
     X = np.array(X0)
-    R = fun(X)
+    R, Jac = model(X)
     cost = np.einsum("sm,sm->s", R, R)
-    Jac = jac(X)
     lam = np.full(len(X), LM_LAMBDA0)
     active = np.flatnonzero(cost > floor)
     for _ in range(max_iter):
@@ -691,20 +692,18 @@ def _batched_lm(X0: np.ndarray, fun, jac, max_iter: int, floor: float, move=np.a
         damped = A + (lam[active, None] * scale)[:, :, None] * np.eye(J.shape[2])
         step = np.linalg.solve(damped, -g[..., None])[..., 0]
         Xt = move(X[active], step)
-        Rt = fun(Xt)
+        Rt, Jt = model(Xt)
         ct = np.einsum("sm,sm->s", Rt, Rt)
         better = ct < cost[active]
         stalled = better & ((cost[active] - ct <= LM_STALL * cost[active])
                             | (np.abs(step).max(1) <= LM_MIN_STEP))
         acc = active[better]
-        X[acc], R[acc], cost[acc] = Xt[better], Rt[better], ct[better]
-        if acc.size:
-            Jac[acc] = jac(X[acc])
+        X[acc], R[acc], Jac[acc], cost[acc] = Xt[better], Rt[better], Jt[better], ct[better]
         lam[active] = np.where(better, np.maximum(lam[active] / 10, LM_LAMBDA_MIN),
                                lam[active] * 10)
         active = active[~stalled & (cost[active] > floor)
                         & (lam[active] <= LM_LAMBDA_MAX)]
-    return X, cost
+    return X, cost, R
 
 
 def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
@@ -773,28 +772,29 @@ def _refine_gauges(U: np.ndarray, X: np.ndarray, bt: np.ndarray, target: np.ndar
     exp(sum_k delta_k X_k) u, which keeps u in its coset of the identity
     component (a normal subgroup).  The Jacobian column of X_k is the
     derivation of X_k applied to the moved tensor: X_k on its first two
-    indices, conj(X_k) on the last two.  A start has converged at a mean
-    |db|^2 per real entry of REFINE_FLOOR, and stops after REFINE_MAX_ITER
-    iterations.  Returns the (S,) distances max |b(u . bt) - target| and the
-    refined gauges."""
+    indices, conj(X_k) on the last two.  The model moves the tensor once per
+    gauge and reads both its rows and its Jacobian off that one stack.  A
+    start has converged at a mean |db|^2 per real entry of REFINE_FLOOR, and
+    stops after REFINE_MAX_ITER iterations.  Returns the (S,) distances
+    max |b(u . bt) - target|, from the loop's final rows, and the refined
+    gauges."""
     Xc = X.conj()
 
-    def fun(U):  # gauges -> real residual rows (S, 2M)
-        R = (_gauge_stack(U, bt) - target).reshape(len(U), -1)
-        return np.concatenate([R.real, R.imag], axis=1)
-
-    def jac(U):  # gauges -> Jacobians (S, 2M, kdim)
+    def model(U):  # gauges -> real residual rows (S, 2M) and Jacobians (S, 2M, kdim)
         B = _gauge_stack(U, bt)
+        R = (B - target).reshape(len(U), -1)
         D = (np.einsum("kar,srbcdg->skabcdg", X, B) + np.einsum("kbr,sarcdg->skabcdg", X, B)
              + np.einsum("kcr,sabrdg->skabcdg", Xc, B) + np.einsum("kdr,sabcrg->skabcdg", Xc, B))
         D = D.reshape(len(B), len(X), -1)
-        return np.concatenate([D.real, D.imag], axis=2).transpose(0, 2, 1)
+        return (np.concatenate([R.real, R.imag], axis=1),
+                np.concatenate([D.real, D.imag], axis=2).transpose(0, 2, 1))
 
     def move(U, step):
         return _expm_ah(np.tensordot(step, X, 1)) @ U
 
-    U, _ = _batched_lm(U, fun, jac, REFINE_MAX_ITER, REFINE_FLOOR * 2 * bt.size, move)
-    return np.abs(_gauge_stack(U, bt) - target).reshape(len(U), -1).max(1), U
+    U, _, R = _batched_lm(U, model, REFINE_MAX_ITER, REFINE_FLOOR * 2 * bt.size, move)
+    re, im = np.split(R, 2, axis=1)
+    return np.abs(re + 1j * im).max(1), U
 
 
 def equivalent(s1, s2, grid: int = DEFAULT_GRID) -> bool:

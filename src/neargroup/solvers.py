@@ -6,11 +6,14 @@ cube root c for m = n (``solve_mn``), a Case I or II tag for m = 2n
 (``solve_m2n``), the simplest guess for m > 2n (``heuristic_search``).
 ``_solve_tensor`` solves it: the affine equations cut out an exact slice
 x0 + K y (``_affine_slice``), on which the quadratic ones are fitted once
-(``_quadratic``) and solved from all starts at once, with the exact
-Jacobian, by ``solutions._batched_lm``: the one Levenberg-Marquardt loop of
-the package, which the gauge refine shares.  The converged points go through one keep step, ``_keep``: dedupe, and the residual
-verification of every candidate.  ``classify`` then keeps one solution per
-class up to Aut x gauge within each (bicharacter, form) pair (``_dedupe``).
+(``_quadratic``) and solved from all starts at once by
+``solutions._batched_lm``: the one Levenberg-Marquardt loop of the package,
+which the gauge refine shares.  The fit is its model: one call per batch of
+points gives the residual rows and their exact Jacobians together.  The
+converged points go through one keep step, ``_keep``: dedupe of their
+b-tensors, then ``solutions.residual`` on every candidate lifted to a
+solution.  ``classify`` then keeps one solution per class up to Aut x gauge
+within each (bicharacter, form) pair (``_dedupe``).
 
 Completeness discipline.  A solver result is labeled COMPLETE only where the
 reduction lemmas shrink the system to a parameter space the code exhausts:
@@ -48,12 +51,14 @@ from .solutions import (
     equivalent,
     fingerprint,
     mn_normal_form,
-    residual_general,
-    residual_mn,
+    residual,
     tensor_equations,
 )
 from .spectral import cube_root_scalars
-from .spectral import fixed_real_eigenbasis  # unused; perfbench/tracer.py patches it
+
+# unused here: perfbench/tracer.py patches these names on this module
+from .solutions import residual_general, residual_mn  # noqa: F401
+from .spectral import fixed_real_eigenbasis  # noqa: F401
 
 __all__ = [
     "SolveConfig",
@@ -78,12 +83,19 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+NEWTON_TOL = 1e-12  # ||r|| at or below which an LM start has converged
+
+
 @dataclass
 class SolveConfig:
     seed: int = 20260809
     random_starts: int = 1000
-    newton_tol: float = 1e-12
     residual_tol: float = 1e-10
+
+    @property
+    def newton_tol(self) -> float:
+        """NEWTON_TOL, read-only: perfbench/worker.py reads it here."""
+        return NEWTON_TOL
 
 
 DEDUPE_TOL = 1e-7  # largest entry of |b - b'| below which two solver outputs are one
@@ -199,21 +211,20 @@ def pair_classes(G: FiniteAbelianGroup):
 # the multistart drivers
 
 
-def _keep(points, lift, config: SolveConfig, cap: int | None = None) -> list:
-    """Lift each converged point, in order, to a solution; drop it if its data
-    (b, or the b-tensor) lies within DEDUPE_TOL of a solution already kept,
-    and keep it if it passes ``residual_mn``/``residual_general``.  Stops once
-    ``cap`` solutions are kept, so a lazy ``points`` is consumed no further."""
+def _keep(tensors, lift, config: SolveConfig, cap: int | None = None) -> list:
+    """Drop each b-tensor, in order, that lies within DEDUPE_TOL of one already
+    kept; lift the others to solutions and keep those that pass
+    ``solutions.residual``.  Stops once ``cap`` solutions are kept, so a lazy
+    ``tensors`` is consumed no further."""
+    kept: list = []
     found: list = []
-    for x in points:
-        s = lift(x)
-        mn = isinstance(s, MNSolution)
-        data = s.b if mn else s.btensor
-        if any(np.max(np.abs(data - (f.b if mn else f.btensor))) < DEDUPE_TOL
-               for f in found):
+    for bt in tensors:
+        if any(np.max(np.abs(bt - k)) < DEDUPE_TOL for k in kept):
             continue
-        if not (residual_mn if mn else residual_general)(s, config.residual_tol).passed:
+        s = lift(bt)
+        if not residual(s, config.residual_tol).passed:
             continue
+        kept.append(bt)
         found.append(s)
         if cap is not None and len(found) >= cap:
             break
@@ -236,7 +247,7 @@ def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
     are solved by one batched Levenberg-Marquardt run from
     ``config.random_starts`` seeded starts.
     Every candidate is lifted to an ``MNSolution`` and kept only if it passes
-    ``residual_mn``, (Gal6) included.
+    ``solutions.residual``, i.e. ``residual_mn``, (Gal6) included.
     """
     if config is None:
         config = SolveConfig()
@@ -359,7 +370,7 @@ def _tensor_system(acj: ACJData):
 def _solve_tensor(acj: ACJData, starts: int, seed_offset: int, config: SolveConfig,
                   lift, cap: int | None = None) -> list:
     """Solutions of the tensor equations of the normal form ``acj``: one
-    batched LM run on ``_tensor_system``'s slice, with the exact model of
+    batched LM run on ``_tensor_system``'s slice, with the model of
     ``_quadratic``, from ``starts`` random points drawn with the seed
     ``config.seed + seed_offset``; ``lift`` maps the b-tensor of each
     converged point to the solution object that ``_keep`` verifies.  A slice
@@ -371,14 +382,14 @@ def _solve_tensor(acj: ACJData, starts: int, seed_offset: int, config: SolveConf
     if k == 0:
         Y = np.zeros((1, 0))
     else:
-        fun, jac, _ = _quadratic(resid, k)
+        model, _ = _quadratic(resid, k)
         rng = np.random.default_rng(config.seed + seed_offset)
         scale = 1.0 / math.sqrt(acj.group.order)
-        floor = config.newton_tol ** 2
-        Y, cost = _batched_lm(rng.uniform(-scale, scale, size=(starts, k)), fun, jac,
-                              200 * (k + 1), floor)
+        floor = NEWTON_TOL ** 2
+        Y, cost, _ = _batched_lm(rng.uniform(-scale, scale, size=(starts, k)), model,
+                                 200 * (k + 1), floor)
         Y = Y[cost <= floor]
-    return _keep(Y, lambda y: lift(btensor(y)), config, cap)
+    return _keep((btensor(y) for y in Y), lift, config, cap)
 
 
 def _affine_slice(aff, nvar: int):
@@ -414,8 +425,9 @@ def _quadratic(resid, nvar: int):
     The values of the polynomial lie in the span of its coefficient vectors;
     the model is written in an orthonormal basis V of that span, which keeps
     ||r|| and J^T J and has at most 1 + nvar + nvar (nvar + 1) / 2 rows.
-    Returns ``(fun, jac, V)``: ``fun`` maps a batch X (S x nvar) to the rows
-    V^T r (S, P), ``jac`` to their Jacobians (S, P, nvar)."""
+    Returns ``(model, V)``: ``model`` maps a batch X (S x nvar) to the rows
+    V^T r (S, P) and their Jacobians (S, P, nvar), from one Q(x, .) per
+    batch."""
     eye = np.eye(nvar)
     c = resid(np.zeros(nvar))
     plus = np.array([resid(e) for e in eye]).reshape(nvar, len(c))
@@ -438,16 +450,11 @@ def _quadratic(resid, nvar: int):
     c, L = V.T @ c, V.T @ L
     Q = np.tensordot(V, Q, axes=(0, 0)).reshape(-1, nvar)  # rows (p, j), columns k
 
-    def QX(X):  # Q(x, .) for each row x of X: (S, P, nvar)
-        return (X @ Q.T).reshape(len(X), -1, nvar)
+    def model(X):
+        QX = (X @ Q.T).reshape(len(X), -1, nvar)  # Q(x, .) for each row x of X
+        return c + X @ L.T + (QX @ X[:, :, None])[..., 0], L + 2 * QX
 
-    def fun(X):
-        return c + X @ L.T + (QX(X) @ X[:, :, None])[..., 0]
-
-    def jac(X):
-        return L + 2 * QX(X)
-
-    return fun, jac, V
+    return model, V
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +505,7 @@ def classify(G: FiniteAbelianGroup, m: int,
     completeness = ("COMPLETE" if (m == n and n <= 5) or (m == 2 * n and n <= 4)
                     else "HEURISTIC")
     pairs = pair_classes(G)
-    classes: list[SolutionClass] = []
+    found: list = []  # (solution, case tag, galois orbit)
     all_feas: list[Feasibility] = []
     warnings: list[str] = []
     for b, a, orbit in pairs:
@@ -515,13 +522,13 @@ def classify(G: FiniteAbelianGroup, m: int,
         tags = {str(f.tag): f.tag for f in feas}
         # pair_classes gives one pair per Aut-orbit, and Aut x gauge moves no
         # solution to another pair: solutions of two pairs are never compared
-        for s in sols:
-            rep = (residual_mn if m == n else residual_general)(s, config.residual_tol)
-            classes.append(SolutionClass(s, tags.get(s.provenance.get("case")), rep,
-                                         fingerprint(s), completeness, galois_orbit=orbit))
+        found += [(s, tags.get(s.provenance.get("case")), orbit) for s in sols]
     if warnings:
         # a class count that rests on an inconclusive comparison is not certain
         completeness = "HEURISTIC"
+    classes = [SolutionClass(s, tag, residual(s, config.residual_tol), fingerprint(s),
+                             completeness, galois_orbit=orbit)
+               for s, tag, orbit in found]
     certified_empty = (m == 2 * n and not classes
                        and all(not f.feasible for f in all_feas))
     return ClassificationResult(

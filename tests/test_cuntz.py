@@ -9,7 +9,6 @@ from neargroup.cuntz import (
     CuntzElement,
     build_endomorphism,
     fs_indicators,
-    generator,
     normalize,
     normalize_residual,
     oracle_check,

@@ -27,6 +27,8 @@ from neargroup.solutions import (
     LM_LAMBDA_MAX,
     QuadraticIrrational,
     _batched_lm,
+    _gauge_stack,
+    _refine_gauges,
     aut_act,
     dimension_d,
     equivalent,
@@ -286,34 +288,38 @@ def test_batched_lm_converges_and_stalls():
     real roots +-(2, 1) with cost <= floor.  Starts on r(x) = (x^2, 1),
     whose least cost is 1 at x = 0, stop on the stall rule: they never reach
     ``floor``, stop long before ``max_iter``, and in fewer iterations than
-    lambda needs to pass LM_LAMBDA_MAX even if every step were rejected."""
-    def fun(X):
-        x, y = X.T
-        return np.stack([x * x - 4, x * y - 2], 1)
+    lambda needs to pass LM_LAMBDA_MAX even if every step were rejected.
+    The model is called once on the starts and then once per batch of trial
+    points, which ``move`` makes; the returned rows are the final starts'."""
+    evaluated, moved = [], []
 
-    def jac(X):
+    def model(X):
+        evaluated.append(len(X))
         x, y = X.T
-        return np.stack([np.stack([2 * x, 0 * x], 1), np.stack([y, x], 1)], 1)
+        return (np.stack([x * x - 4, x * y - 2], 1),
+                np.stack([np.stack([2 * x, 0 * x], 1), np.stack([y, x], 1)], 1))
+
+    def move(X, step):
+        moved.append(len(X))
+        return X + step
 
     rng = np.random.default_rng(5)
     X0 = rng.uniform(0.5, 3.0, size=(16, 2)) * rng.choice([-1.0, 1.0], size=(16, 1))
-    X, cost = _batched_lm(X0, fun, jac, 200, 1e-24, move=np.add)
+    X, cost, R = _batched_lm(X0, model, 200, 1e-24, move=move)
     assert np.all(cost <= 1e-24)
     assert np.max(np.abs(X - np.sign(X0[:, :1]) * [2.0, 1.0])) < 1e-12
+    assert evaluated == [len(X0)] + moved
+    assert np.array_equal(R, model(X)[0]) and np.array_equal(cost, np.sum(R * R, 1))
 
     calls = 0
 
-    def fun_min1(X):
+    def model_min1(X):
         nonlocal calls
         calls += 1
-        return np.concatenate([X * X, np.ones_like(X)], 1)
-
-    def jac_min1(X):
-        return np.stack([2 * X, 0 * X], 1)
+        return np.concatenate([X * X, np.ones_like(X)], 1), np.stack([2 * X, 0 * X], 1)
 
     max_iter = 1000
-    X, cost = _batched_lm(np.array([[3.0], [-0.5], [1e-2]]), fun_min1, jac_min1,
-                          max_iter, 1e-24)
+    X, cost, _ = _batched_lm(np.array([[3.0], [-0.5], [1e-2]]), model_min1, max_iter, 1e-24)
     assert np.all(np.abs(cost - 1) < 1e-13) and np.max(np.abs(X)) < 1e-3
     rejections_to_give_up = math.log10(LM_LAMBDA_MAX / LM_LAMBDA0)
     assert calls - 1 < rejections_to_give_up < max_iter
@@ -347,6 +353,23 @@ def test_gauge_orbit_search_finds_random_gauge_moves(rng):
             best = min(dist for dist, _, _ in gauge_orbit_search(s1, s2))
             assert best < 1e-10, key
     assert time.perf_counter() - t0 < 15.0
+
+
+def test_refine_gauges_distances_are_those_of_its_gauges(rng):
+    """The refine reads its distances off the LM loop's final rows: they are
+    max |b(u . bt) - target| of the gauges it returns, exactly.  z3_m6 against
+    a gauge-moved copy, from 8 points on each component; some start reaches
+    the move."""
+    s = z3_m6()
+    algebra, comps = gauge_group_basis(s.acj)
+    X = np.array(algebra)
+    target = gauge_act(sample_gauge(s.acj, rng), s).btensor
+    pts = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)[:, None] * np.ones(len(X))
+    U0 = np.concatenate([comp @ _expm_ah(np.tensordot(pts, X, 1)) for comp in comps])
+    dist, U = _refine_gauges(U0, X, s.btensor, target)
+    want = np.abs(_gauge_stack(U, s.btensor) - target).reshape(len(U), -1).max(1)
+    assert np.array_equal(dist, want)
+    assert dist.min() < 1e-10
 
 
 def test_package_loads_no_scipy_optimize_or_linalg():

@@ -73,15 +73,15 @@ def test_mn_tensor_form_exact_model(factors, k):
     b, a, _ = pair_classes(G)[0]
     systems = [(c, _tensor_system(mn_normal_form(b, a, c))) for c in cube_root_scalars(a)]
     c, (_, resid, btensor) = next((c, s) for c, s in systems if s is not None and s[0] == k)
-    fun, jac, V = _quadratic(resid, k)
+    model, V = _quadratic(resid, k)
     Y = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, k))
-    F, J = fun(Y), jac(Y)
+    F, J = model(Y)
     assert F.shape == (5, V.shape[1]) and J.shape == F.shape + (k,)
     h = 1e-6
     for y, f, j in zip(Y, F, J):
         rep = residual_mn(MNSolution(G, b, a, btensor(y).ravel(), c))
         assert max(rep.per_equation[e] for e in ("gal3", "gal4", "gal7", "mn1", "mn4")) < 1e-12
-        assert np.max(np.abs(fun(y[None])[0] - f)) < 1e-14
+        assert np.max(np.abs(model(y[None])[0][0] - f)) < 1e-14
         fd = np.array([(resid(y + h * e) - resid(y - h * e)) / (2 * h)
                        for e in np.eye(k)]).T
         assert np.max(np.abs(V @ j - fd)) < 1e-6
@@ -185,13 +185,15 @@ def _inconclusive_equivalent(monkeypatch) -> list:
 
 def test_classify_inconclusive_dedupe_is_heuristic(monkeypatch):
     """Z3/3 has two pairs with two solutions each: one comparison per pair,
-    each inconclusive, recorded once and counted as distinct."""
+    each inconclusive, recorded once and counted as distinct; the row and
+    every one of its classes are HEURISTIC."""
     calls = _inconclusive_equivalent(monkeypatch)
     res = classify(FiniteAbelianGroup((3,)), 3, FAST)
     assert len(calls) == 2
     assert all(s1.bichar == s2.bichar and s1.form == s2.form for s1, s2 in calls)
     assert res.num_classes_absolute == 4
     assert res.completeness == "HEURISTIC"
+    assert [c.completeness for c in res.classes] == ["HEURISTIC"] * 4
     assert "2 inconclusive equivalence comparison(s)" in res.summary()
 
 
@@ -292,9 +294,9 @@ def test_tensor_system_exact_quadratic_model(order, tag):
     eqs = tensor_equations(acj, dimension_d(order, 2 * order).value)
     affine = set(eqs) - {"p4", "p5", "bg_unitary", "p10"}
     k, resid, btensor = _tensor_system(acj)
-    fun, jac, V = _quadratic(resid, k)
+    model, V = _quadratic(resid, k)
     Y = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, k))
-    F, J = fun(Y), jac(Y)
+    F, J = model(Y)
     assert F.shape == (5, V.shape[1]) and J.shape == F.shape + (k,)
     assert V.shape[1] <= 1 + k + k * (k + 1) // 2
     h = 1e-6
@@ -305,8 +307,8 @@ def test_tensor_system_exact_quadratic_model(order, tag):
         assert np.max(np.abs(V @ f - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
         assert abs(np.linalg.norm(f) - np.linalg.norm(want)) < 1e-12 * max(
             1.0, np.linalg.norm(want))
-        fd = np.array([(fun((y + h * e)[None])[0] - fun((y - h * e)[None])[0]) / (2 * h)
-                       for e in np.eye(k)]).T
+        fd = np.array([(model((y + h * e)[None])[0][0] - model((y - h * e)[None])[0][0])
+                       / (2 * h) for e in np.eye(k)]).T
         assert np.max(np.abs(j - fd)) < 1e-6
         fd = np.array([(resid(y + h * e) - resid(y - h * e)) / (2 * h)
                        for e in np.eye(k)]).T
