@@ -277,9 +277,16 @@ class Bicharacter:
         return self.phase(g, h).value()
 
     def matrix(self) -> np.ndarray:
-        """Dense ``<g,h>`` table over the element order of ``group.elements()``."""
-        els = self.group.elements()
-        return np.array([[self(g, h) for h in els] for g in els])
+        """Dense ``<g,h>`` table over the element order of ``group.elements()``:
+        with D the common denominator of the Gram exponents, the integers
+        g (D gram) h^T mod D read through the table of ``Phase(j, D).value()``,
+        which equals ``self(g, h)`` bit for bit."""
+        exps = self.gram_exponents()
+        D = math.lcm(*(q.denominator for row in exps for q in row))
+        W = np.array([[int(q * D) for q in row] for row in exps], dtype=np.int64)
+        E = np.array(self.group.elements(), dtype=np.int64)
+        phases = np.array([Phase(j, D).value() for j in range(D)])
+        return phases[(E @ W @ E.T) % D]
 
     def radical(self) -> list[Element]:
         """Elements g with <g,h>=1 for all h (trivial iff nondegenerate)."""

@@ -13,6 +13,11 @@ Two regimes are covered:
 
 Residual evaluation never raises on a math failure; it returns a
 :class:`ResidualReport` with one maximum absolute residual per equation.
+
+Every reader of a normal form's tables (both residual systems, the gauge
+group, nu_31, the tuple export, the solvers' tensor system) goes through
+:class:`NormalForm`, built once per ``ACJData`` by the cached
+:func:`normal_form`; an m = n solution reads its L = 1 normal form.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -39,6 +44,8 @@ __all__ = [
     "MNSolution",
     "ACJData",
     "GeneralSolution",
+    "NormalForm",
+    "normal_form",
     "residual_mn",
     "residual_general",
     "residual",
@@ -120,31 +127,29 @@ class ResidualReport:
 # index tables
 
 
+def _frozen(x: np.ndarray) -> np.ndarray:
+    """``x`` made read-only: a cached table is shared by every reader."""
+    x.setflags(write=False)
+    return x
+
+
 class GroupTables:
     """Dense index tables for one group, shared by the residual evaluators."""
 
     def __init__(self, G: FiniteAbelianGroup):
-        self.G = G
-        els = G.elements()
         self.n = G.order
-        self.add = np.empty((self.n, self.n), dtype=int)
-        self.neg = np.empty(self.n, dtype=int)
-        for g in els:
-            ig = G.index_of(g)
-            self.neg[ig] = G.index_of(G.neg(g))
-            for h in els:
-                self.add[ig, G.index_of(h)] = G.index_of(G.add(g, h))
+        E = np.array(G.elements())
+
+        def index(X):  # G.index_of of each coordinate row of X, reduced
+            return _frozen(np.ravel_multi_index(np.moveaxis(X % G.factors, -1, 0), G.factors))
+        self.add = index(E[:, None] + E[None])
+        self.neg = index(-E)
         self.zero = G.index_of(G.zero())
 
 
-_TABLE_CACHE: dict[tuple[int, ...], GroupTables] = {}
-
-
+@cache
 def tables(G: FiniteAbelianGroup) -> GroupTables:
-    key = G.factors
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = GroupTables(G)
-    return _TABLE_CACHE[key]
+    return GroupTables(G)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +197,8 @@ class MNSolution:
 
 def residual_mn(s: MNSolution, tolerance: float = DEFAULT_TOL) -> ResidualReport:
     """All eight Galois-form equations plus the five original m=n equations."""
-    G, n, d = s.group, s.n, s.d
-    T = tables(G)
-    B = s.bichar.matrix()
-    a = s.form.table()
+    nf = normal_form(mn_normal_form(s.bichar, s.form, s.c))
+    T, B, a, n, d = nf.T, nf.B, nf.a, s.n, nf.d
     b = s.b
     cp = s.c_prime
     cc = s.c
@@ -253,11 +256,6 @@ class ACJData:
     @property
     def L(self) -> int:
         return len(self.bar)
-
-    def chi(self) -> np.ndarray:
-        """chi[t, g]-value table."""
-        G = self.group
-        return np.array([[self.bichar(g, gt) for g in G] for gt in self.g_t])
 
     def validate(self) -> list[str]:
         errs = []
@@ -340,94 +338,181 @@ def mn_to_general(s: MNSolution) -> GeneralSolution:
                            provenance=dict(s.provenance))
 
 
-def tensor_equations(acj: ACJData, d: float) -> dict:
-    """The tensor equations of the normal form ``acj`` at dimension ``d``, as
-    functions of the b-tensor: each returns the array lhs - rhs of one
-    equation, zero on a solution.  Keys: (p1)-(p11) and ``bg_unitary``."""
-    G = acj.group
-    n, L = G.order, acj.L
-    T = tables(G)
-    B = acj.bichar.matrix()
-    a = acj.form.table()
-    chi = acj.chi()  # (L, n)
-    eps_t = np.array(acj.eps_t, dtype=float)
-    c_t = np.array(acj.c_t, dtype=complex)
-    eps = acj.eps
-    bar = np.array(acj.bar, dtype=int)
-    gi = np.array([G.index_of(x) for x in acj.g_t], dtype=int)  # chi_t = <., g_t>
-    r, s, t, u, g = np.ogrid[:L, :L, :L, :L, :n]
+class NormalForm:
+    """The numeric tables of the normal form ``acj``, built once per ACJ by
+    :func:`normal_form` and shared by every reader.
 
-    eye = np.eye(L)
-    delta0 = np.zeros(n)
-    delta0[T.zero] = 1.0
-    rhs4 = (np.einsum("sb,ua->sbua", eye, eye)[..., None] / n
-            - np.einsum("su,ba->sbua", eye, eye)[..., None] * delta0 / d)
-    rhs5 = (np.einsum("ra,tb->ratb", eye, eye)[..., None] / n
-            - np.einsum("rt,ab->ratb", eye, eye)[..., None] * delta0 / d)
-    # (p6): b^{r,s}_{t,u} vanishes unless chi_r chi_s = chi_t chi_u
-    off_support = T.add[gi[r], gi[s]] != T.add[gi[t], gi[u]]
-    shift = T.add[gi[s], T.neg[gi[u]]]  # g_s - g_u, for (p11)
-    # B(g)* B(g) = B(g) B(g)* = (1/n) I - (delta_{g,0}/d) delta delta*
-    unit = np.broadcast_to(np.eye(L * L) / n, (n, L * L, L * L)).copy()
-    unit[T.zero] -= np.outer(eye.ravel(), eye.ravel()) / d
+    Eager, as read-only arrays: the group tables ``T``, the bicharacter table
+    ``B[g, h] = <g,h>``, the form ``a``, the characters ``chi[t, g] =
+    chi_t(g) = B[g, g_t]``, ``c_t``, ``eps_t``, ``bar`` and the dimension
+    ``d``.  Lazy: the tensor ``equations``, the gauge ``constraints`` and the
+    ``gauge`` group basis, each built on first use."""
 
-    def bg_unitary(b):
-        M = b.transpose(4, 0, 2, 1, 3).reshape(n, L * L, L * L)  # B(g), as bmatrix
-        Mh = M.conj().transpose(0, 2, 1)
-        return np.stack([Mh @ M - unit, M @ Mh - unit])
+    def __init__(self, acj: ACJData):
+        G = acj.group
+        self.acj = acj
+        self.T = tables(G)
+        self.B = _frozen(acj.bichar.matrix())
+        self.a = _frozen(acj.form.table())
+        self.gi = _frozen(np.array([G.index_of(x) for x in acj.g_t], dtype=int))
+        self.chi = _frozen(np.ascontiguousarray(self.B[:, self.gi].T))
+        self.c_t = _frozen(np.array(acj.c_t, dtype=complex))
+        self.eps_t = _frozen(np.array(acj.eps_t, dtype=float))
+        self.bar = _frozen(np.array(acj.bar, dtype=int))
+        self.d = dimension_d(G.order, acj.L * G.order).value
 
-    def p10(b):
-        # one (h, k) matrix equation for each (r, u, v, w, p, x) in Lambda^6
-        R, U, V, W, P, X, H, K = np.ogrid[:L, :L, :L, :L, :L, :L, :n, :n]
-        base = b[bar][:, :, bar][..., T.add]  # [r,u,t,s,g,h] = b[rb,u,tb,s,g+h]
-        lhs = (c_t * eps_t)[R] * np.einsum(
-            "t,vwqsg,rutsgh,pxqtgk->ruvwpxhk",
-            eps_t * np.conj(c_t), np.conj(b), base, b[..., T.add], optimize=True)
-        inner = np.einsum("pyvrk,xwyuh->ruvwpxhk", b, b[:, bar][:, :, :, bar])
-        rhs = (eps_t[U] * eps_t[W] * (chi[R, H] * np.conj(chi[U, H]))
-               * np.conj(B)[H, K] * inner)
-        rhs = rhs - np.where((R == U) & (W == bar[V]) & (X == bar[P]),
-                             c_t[U] * eps_t[bar[P]] * eps_t[V] / (d * math.sqrt(n)), 0)
-        return lhs - rhs
+    @cached_property
+    def equations(self) -> dict:
+        """The tensor equations as functions of the b-tensor: each returns the
+        array lhs - rhs of one equation, zero on a solution.  Keys: (p1)-(p11)
+        and ``bg_unitary``."""
+        T, B, a, chi, gi, d = self.T, self.B, self.a, self.chi, self.gi, self.d
+        c_t, eps_t, bar, eps = self.c_t, self.eps_t, self.bar, self.acj.eps
+        n, L = T.n, self.acj.L
+        r, s, t, u, g = np.ogrid[:L, :L, :L, :L, :n]
 
-    return {
-        "p1": lambda b: (np.einsum("gh,rstuh->rstug", B, b) / math.sqrt(n)
-                         - eps * eps_t[r] * eps_t[t] * c_t[u] * a[g] * chi[u, g]
-                         * b[s, bar[t], bar[r], u, g]),
-        "p2": lambda b: np.einsum("rsru->su", b[..., T.zero]) + eye / d,
-        "p3": lambda b: np.einsum("rsts->rt", b[..., T.zero]) + eye / d,
-        # B(g) column/row orthogonality
-        "p4": lambda b: np.einsum("rbtag,rstug->sbuag", np.conj(b), b) - rhs4,
-        "p5": lambda b: np.einsum("rstug,asbug->ratbg", b, np.conj(b)) - rhs5,
-        "p6": lambda b: np.where(off_support, b, 0),
-        "p7": lambda b: (np.conj(b) - eps_t[s] * eps_t[u] * a[g] * chi[u, g]
-                         * b[t, bar[s], r, bar[u], T.neg[g]]),
-        "p8": lambda b: (np.conj(b) - eps_t[t] * eps_t[r] * c_t[r] * np.conj(c_t[t])
-                         * a[g] * chi[r, g] * b[bar[r], u, bar[t], s, T.neg[g]]),
-        "p9": lambda b: (b - eps_t[r] * eps_t[s] * eps_t[t] * eps_t[u]
-                         * c_t[t] * np.conj(c_t[r]) * np.conj(chi[r, g] * chi[s, g])
-                         * b[bar[t], bar[u], bar[r], bar[s], g]),
-        # (p11) is implied by (p1) and (p9); checked as a transcription cross-check
-        "p11": lambda b: (b - c_t[r] * c_t[u] * np.conj(c_t[s] * c_t[t])
-                          * b[s, r, u, t, T.add[g, shift]]),
-        "bg_unitary": bg_unitary,
-        "p10": p10,
-    }
+        eye = np.eye(L)
+        delta0 = np.zeros(n)
+        delta0[T.zero] = 1.0
+        rhs4 = (np.einsum("sb,ua->sbua", eye, eye)[..., None] / n
+                - np.einsum("su,ba->sbua", eye, eye)[..., None] * delta0 / d)
+        rhs5 = (np.einsum("ra,tb->ratb", eye, eye)[..., None] / n
+                - np.einsum("rt,ab->ratb", eye, eye)[..., None] * delta0 / d)
+        # (p6): b^{r,s}_{t,u} vanishes unless chi_r chi_s = chi_t chi_u
+        off_support = T.add[gi[r], gi[s]] != T.add[gi[t], gi[u]]
+        shift = T.add[gi[s], T.neg[gi[u]]]  # g_s - g_u, for (p11)
+        # B(g)* B(g) = B(g) B(g)* = (1/n) I - (delta_{g,0}/d) delta delta*
+        unit = np.broadcast_to(np.eye(L * L) / n, (n, L * L, L * L)).copy()
+        unit[T.zero] -= np.outer(eye.ravel(), eye.ravel()) / d
+
+        def bg_unitary(b):
+            M = b.transpose(4, 0, 2, 1, 3).reshape(n, L * L, L * L)  # B(g), as bmatrix
+            Mh = M.conj().transpose(0, 2, 1)
+            return np.stack([Mh @ M - unit, M @ Mh - unit])
+
+        def p10(b):
+            # one (h, k) matrix equation for each (r, u, v, w, p, x) in Lambda^6
+            R, U, V, W, P, X, H, K = np.ogrid[:L, :L, :L, :L, :L, :L, :n, :n]
+            base = b[bar][:, :, bar][..., T.add]  # [r,u,t,s,g,h] = b[rb,u,tb,s,g+h]
+            lhs = (c_t * eps_t)[R] * np.einsum(
+                "t,vwqsg,rutsgh,pxqtgk->ruvwpxhk",
+                eps_t * np.conj(c_t), np.conj(b), base, b[..., T.add], optimize=True)
+            inner = np.einsum("pyvrk,xwyuh->ruvwpxhk", b, b[:, bar][:, :, :, bar])
+            rhs = (eps_t[U] * eps_t[W] * (chi[R, H] * np.conj(chi[U, H]))
+                   * np.conj(B)[H, K] * inner)
+            rhs = rhs - np.where((R == U) & (W == bar[V]) & (X == bar[P]),
+                                 c_t[U] * eps_t[bar[P]] * eps_t[V] / (d * math.sqrt(n)), 0)
+            return lhs - rhs
+
+        return {
+            "p1": lambda b: (np.einsum("gh,rstuh->rstug", B, b) / math.sqrt(n)
+                             - eps * eps_t[r] * eps_t[t] * c_t[u] * a[g] * chi[u, g]
+                             * b[s, bar[t], bar[r], u, g]),
+            "p2": lambda b: np.einsum("rsru->su", b[..., T.zero]) + eye / d,
+            "p3": lambda b: np.einsum("rsts->rt", b[..., T.zero]) + eye / d,
+            # B(g) column/row orthogonality
+            "p4": lambda b: np.einsum("rbtag,rstug->sbuag", np.conj(b), b) - rhs4,
+            "p5": lambda b: np.einsum("rstug,asbug->ratbg", b, np.conj(b)) - rhs5,
+            "p6": lambda b: np.where(off_support, b, 0),
+            "p7": lambda b: (np.conj(b) - eps_t[s] * eps_t[u] * a[g] * chi[u, g]
+                             * b[t, bar[s], r, bar[u], T.neg[g]]),
+            "p8": lambda b: (np.conj(b) - eps_t[t] * eps_t[r] * c_t[r] * np.conj(c_t[t])
+                             * a[g] * chi[r, g] * b[bar[r], u, bar[t], s, T.neg[g]]),
+            "p9": lambda b: (b - eps_t[r] * eps_t[s] * eps_t[t] * eps_t[u]
+                             * c_t[t] * np.conj(c_t[r]) * np.conj(chi[r, g] * chi[s, g])
+                             * b[bar[t], bar[u], bar[r], bar[s], g]),
+            # (p11) is implied by (p1) and (p9); checked as a transcription cross-check
+            "p11": lambda b: (b - c_t[r] * c_t[u] * np.conj(c_t[s] * c_t[t])
+                              * b[s, r, u, t, T.add[g, shift]]),
+            "bg_unitary": bg_unitary,
+            "p10": p10,
+        }
+
+    @cached_property
+    def constraints(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """What the gauge group G(A,C,J) commutes with: the diagonal matrices
+        diag(a(g) chi(g)), one per g, and diag(c_t), and the matrix Jm of the
+        anti-linear J e_t = eps_t e_{bar t}, for which u J = J u reads
+        u Jm = Jm conj(u)."""
+        L = self.acj.L
+        mats = [np.diag(self.a[gi] * self.chi[:, gi]) for gi in range(self.T.n)]
+        mats.append(np.diag(self.c_t))
+        Jm = np.zeros((L, L), dtype=complex)
+        Jm[self.bar, np.arange(L)] = self.eps_t
+        return [_frozen(M) for M in mats], _frozen(Jm)
+
+    @cached_property
+    def gauge(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """(Lie algebra basis, finite component representatives) of
+        G(A,C,J), as :func:`gauge_group_basis` describes them."""
+        L = self.acj.L
+        # linear constraints on X (L x L complex, 2L^2 real unknowns)
+        mats, Jm = self.constraints
+
+        def real_flat(X):
+            return np.concatenate([X.real.ravel(), X.imag.ravel()])
+
+        # E_ij and i E_ij for each (i, j), in that order
+        basis_real = [E * z for E in np.eye(L * L, dtype=complex).reshape(-1, L, L)
+                      for z in (1.0, 1j)]
+        # commutators with each A(g) and C, then with J, then anti-Hermitian
+        rows = [np.concatenate([real_flat(X @ M - M @ X) for M in mats]
+                               + [real_flat(X @ Jm - Jm @ np.conj(X)),
+                                  real_flat(X + X.conj().T)])
+                for X in basis_real]
+        A = np.array(rows).T  # constraints as columns act on coefficient vector
+        # kernel of A (coefficients over the real basis)
+        _, sv, vt = np.linalg.svd(A if A.size else np.zeros((1, len(basis_real))))
+        null = [vt[k] for k in range(len(sv), len(basis_real))] + [
+            vt[k] for k in range(len(sv)) if sv[k] < 1e-10
+        ]
+        algebra = []
+        for coeffs in null:
+            X = sum(c * Xb for c, Xb in zip(coeffs, basis_real))
+            if np.linalg.norm(X) > 1e-10:
+                algebra.append(_frozen(X))
+        # the algebra elements are orthonormal in the real_flat coordinates
+        Xs = np.reshape(algebra, (-1, L, L))
+        F = np.reshape([real_flat(X) for X in Xs], (len(Xs), 2 * L * L))
+
+        def connected(u) -> bool:
+            """u = exp(X) to 1e-10 for X = log(u) projected onto the algebra;
+            False whenever that test fails."""
+            w, V = np.linalg.eig(u)  # unitary, so diagonalisable: log u = V log(w) V^-1
+            logu = (V * np.log(w.astype(complex))) @ np.linalg.inv(V)
+            X = np.tensordot(F @ real_flat(logu), Xs, 1)
+            return np.max(np.abs(_expm_ah(X) - u)) < 1e-10
+
+        # finite components: signed permutations preserving the structure
+        comps = [_frozen(np.eye(L))]
+        for perm in itertools.permutations(range(L)):
+            for signs in itertools.product((1.0, -1.0), repeat=L):
+                P = np.zeros((L, L))
+                P[perm, range(L)] = signs
+                if in_gauge_group(P, self.acj) and not any(
+                        connected(sign * Q.T @ P) for Q in comps for sign in (1, -1)):
+                    comps.append(_frozen(P))
+        return algebra, comps
+
+
+@cache
+def normal_form(acj: ACJData) -> NormalForm:
+    """The one :class:`NormalForm` of ``acj``; equal ACJ data share it."""
+    return NormalForm(acj)
 
 
 def residual_general(s: GeneralSolution, tolerance: float = DEFAULT_TOL) -> ResidualReport:
     """The scalar relation of the normal form (``acj3``) and every equation of
-    :func:`tensor_equations`, each as its largest absolute residual.  Raises
+    ``NormalForm.equations``, each as its largest absolute residual.  Raises
     ``ValueError`` if the normal-form data is inconsistent."""
     errs = s.acj.validate()
     if errs:
         raise ValueError("; ".join(errs))
-    acj = s.acj
+    nf = normal_form(s.acj)
     # acj scalar relation: sum_g a(g) chi_t(g) = sqrt(n) c_t^{-3}
-    gsum = np.einsum("g,tg->t", acj.form.table(), acj.chi())
-    out = {"acj3": float(np.max(np.abs(
-        gsum - math.sqrt(s.n) * np.array(acj.c_t, dtype=complex) ** (-3.0))))}
-    for name, eq in tensor_equations(acj, s.d).items():
+    gsum = np.einsum("g,tg->t", nf.a, nf.chi)
+    out = {"acj3": float(np.max(np.abs(gsum - math.sqrt(s.n) * nf.c_t ** (-3.0))))}
+    for name, eq in nf.equations.items():
         out[name] = float(np.max(np.abs(eq(s.btensor))))
     return ResidualReport(out, tolerance)
 
@@ -466,20 +551,6 @@ def _expm_ah(X: np.ndarray) -> np.ndarray:
     return (V * np.exp(1j * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def _gauge_constraints(acj: ACJData) -> tuple[list[np.ndarray], np.ndarray]:
-    """What the gauge group G(A,C,J) commutes with: the diagonal matrices
-    diag(a(g) chi(g)), one per g, and diag(c_t), and the matrix Jm of the
-    anti-linear J e_t = eps_t e_{bar t}, for which u J = J u reads
-    u Jm = Jm conj(u)."""
-    chi = acj.chi()
-    a = acj.form.table()
-    mats = [np.diag(a[gi] * chi[:, gi]) for gi in range(acj.group.order)]
-    mats.append(np.diag(acj.c_t))
-    Jm = np.zeros((acj.L, acj.L), dtype=complex)
-    Jm[list(acj.bar), range(acj.L)] = acj.eps_t
-    return mats, Jm
-
-
 def in_gauge_group(u: np.ndarray, acj: ACJData) -> bool:
     """Membership in G(A,C,J): unitary, commutes with every A(g), C and J."""
     tol = 1e-9
@@ -487,12 +558,9 @@ def in_gauge_group(u: np.ndarray, acj: ACJData) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.shape != (L, L) or np.linalg.norm(u.conj().T @ u - np.eye(L)) > tol:
         return False
-    mats, Jm = _gauge_constraints(acj)
+    mats, Jm = normal_form(acj).constraints
     return bool(all(np.linalg.norm(u @ M - M @ u) <= tol for M in mats)
                 and np.linalg.norm(u @ Jm - Jm @ np.conj(u)) <= tol)
-
-
-_GAUGE_CACHE: dict = {}
 
 
 def gauge_group_basis(acj: ACJData) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -503,68 +571,10 @@ def gauge_group_basis(acj: ACJData) -> tuple[list[np.ndarray], list[np.ndarray]]
     permutation matrices compatible with the same constraints, and kept up to
     sign, since -1 acts trivially on b, and one per connected component: P is
     dropped when +-Q^-1 P = exp(X), X in the algebra, for a kept Q.  The
-    exponential is the closed form of :func:`_expm_ah`.
+    exponential is the closed form of :func:`_expm_ah`.  Built once per ACJ,
+    as ``normal_form(acj).gauge``.
     """
-    if acj in _GAUGE_CACHE:
-        return _GAUGE_CACHE[acj]
-    L = acj.L
-    # linear constraints on X (L x L complex, 2L^2 real unknowns)
-    mats, Jm = _gauge_constraints(acj)
-
-    def real_flat(X):
-        return np.concatenate([X.real.ravel(), X.imag.ravel()])
-
-    rows = []
-    basis_real = []
-    for i in range(L):
-        for j in range(L):
-            for im in (0, 1):
-                X = np.zeros((L, L), dtype=complex)
-                X[i, j] = 1j if im else 1.0
-                basis_real.append(X)
-    for X in basis_real:
-        row = []
-        for M in mats:
-            row.append(real_flat(X @ M - M @ X))
-        row.append(real_flat(X @ Jm - Jm @ np.conj(X)))
-        # anti-hermitian
-        row.append(real_flat(X + X.conj().T))
-        rows.append(np.concatenate(row))
-    A = np.array(rows).T  # constraints as columns act on coefficient vector
-    # kernel of A (coefficients over the real basis)
-    _, sv, vt = np.linalg.svd(A if A.size else np.zeros((1, len(basis_real))))
-    null = [vt[k] for k in range(len(sv), len(basis_real))] + [
-        vt[k] for k in range(len(sv)) if sv[k] < 1e-10
-    ]
-    algebra = []
-    for coeffs in null:
-        X = sum(c * Xb for c, Xb in zip(coeffs, basis_real))
-        if np.linalg.norm(X) > 1e-10:
-            algebra.append(X)
-    # the algebra elements are orthonormal in the real_flat coordinates
-    Xs = np.reshape(algebra, (-1, L, L))
-    F = np.reshape([real_flat(X) for X in Xs], (len(Xs), 2 * L * L))
-
-    def connected(u) -> bool:
-        """u = exp(X) to 1e-10 for X = log(u) projected onto the algebra;
-        False whenever that test fails."""
-        w, V = np.linalg.eig(u)  # unitary, so diagonalisable: log u = V log(w) V^-1
-        logu = (V * np.log(w.astype(complex))) @ np.linalg.inv(V)
-        X = np.tensordot(F @ real_flat(logu), Xs, 1)
-        return np.max(np.abs(_expm_ah(X) - u)) < 1e-10
-
-    # finite components: signed permutations preserving the structure
-    comps = [np.eye(L)]
-    for perm in itertools.permutations(range(L)):
-        for signs in itertools.product((1.0, -1.0), repeat=L):
-            P = np.zeros((L, L))
-            for i, j in enumerate(perm):
-                P[j, i] = signs[i]
-            if in_gauge_group(P, acj) and not any(
-                    connected(sign * Q.T @ P) for Q in comps for sign in (1, -1)):
-                comps.append(P)
-    _GAUGE_CACHE[acj] = (algebra, comps)
-    return algebra, comps
+    return normal_form(acj).gauge
 
 
 def sample_gauge(acj: ACJData, rng: np.random.Generator) -> np.ndarray:
@@ -604,20 +614,10 @@ def fs_nu31_from_data(s) -> complex:
     """tr(j1 o j2) evaluated from the normal form: for K = l^2(G) (x) K0 the
     map j1 j2 sends T_h(xi) to n^{-1/2} sum_k conj(<h,k>) T_k(C A(k) xi)."""
     if isinstance(s, MNSolution):
-        g = mn_to_general(s)
-    else:
-        g = s
-    G = g.group
-    n = G.order
-    a = g.acj.form.table()
-    chi = g.acj.chi()
-    c_t = np.array(g.acj.c_t)
-    B = g.acj.bichar.matrix()
-    tot = 0.0 + 0.0j
-    for gi in range(n):
-        diag_phase = np.conj(B[gi, gi])
-        tot += diag_phase * np.sum(c_t * a[gi] * chi[:, gi]) / math.sqrt(n)
-    return complex(tot)
+        s = mn_to_general(s)
+    nf = normal_form(s.acj)
+    return complex(sum(np.conj(nf.B[g, g]) * np.sum(nf.c_t * nf.a[g] * nf.chi[:, g])
+                       / math.sqrt(s.n) for g in range(s.n)))
 
 
 def fingerprint(s) -> tuple:

@@ -51,8 +51,8 @@ from .solutions import (
     equivalent,
     fingerprint,
     mn_normal_form,
+    normal_form,
     residual,
-    tensor_equations,
 )
 from .spectral import cube_root_scalars
 
@@ -342,9 +342,8 @@ def _tensor_system(acj: ACJData):
     The affine equations are affine in (Re b, Im b); their zero set is
     x0 + K y, y in R^k.  ``resid`` maps y to the real and imaginary parts of
     the quadratic equations, and ``btensor`` lifts y to the b-tensor."""
-    G, L = acj.group, acj.L
-    n = G.order
-    eqs = tensor_equations(acj, dimension_d(n, L * n).value)
+    L, n = acj.L, acj.group.order
+    eqs = normal_form(acj).equations
     N = L ** 4 * n
 
     def realified(names, lift):

@@ -28,8 +28,8 @@ from .solutions import (
     MNSolution,
     ResidualReport,
     mn_to_general,
+    normal_form,
     residual,
-    tables,
 )
 
 __all__ = [
@@ -96,18 +96,11 @@ def to_tuple(s: MNSolution | GeneralSolution, check: bool = True) -> AdmissibleT
             raise ValueError(f"refusing to export a failing solution:\n{rep}")
     if isinstance(s, MNSolution):
         s = mn_to_general(s)
-    G = s.group
-    T = tables(G)
+    nf = normal_form(s.acj)
+    T, B, a, chi_t = nf.T, nf.B, nf.a, nf.chi  # chi_t[t, g]
+    bar, c_t, eps_t, eps = nf.bar, nf.c_t, nf.eps_t, s.acj.eps
     n, L = s.n, s.L
     m = n * L
-    acj = s.acj
-    B = acj.bichar.matrix()
-    a = acj.form.table()
-    chi_t = acj.chi()  # (L, n), chi_t[t, g]
-    bar = acj.bar
-    c_t = np.array(acj.c_t)
-    eps_t = acj.eps_t
-    eps = acj.eps
 
     def idx(h: int, t: int) -> int:
         return h * L + t
@@ -146,11 +139,10 @@ def to_tuple(s: MNSolution | GeneralSolution, check: bool = True) -> AdmissibleT
                                     lt[idx(g, u), idx(T.add[h, k], r),
                                        idx(T.neg[h], ss), idx(k, t)] += v
 
-    chi = np.array([[B[h, g] for g in range(n)] for h in range(n)])
     return AdmissibleTuple(
-        mult=T.add.copy(), inv=T.neg.copy(), chi=chi, V=V, U=U, M1=M1, M2=M2,
+        mult=T.add.copy(), inv=T.neg.copy(), chi=B.copy(), V=V, U=U, M1=M1, M2=M2,
         ltensor=lt, eps=eps, d=float(s.d),
-        meta={"group": G.factors, "L": L, "source": "to_tuple",
+        meta={"group": s.group.factors, "L": L, "source": "to_tuple",
               "provenance": dict(s.provenance)},
     )
 

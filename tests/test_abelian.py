@@ -75,6 +75,24 @@ def test_bicharacter_resource_bound():
 
 # --- quadratic forms ----------------------------------------------------------
 
+def test_bicharacter_matrix_is_the_per_entry_table():
+    """matrix(), read from integer exponents, equals the per-entry phase
+    table bit for bit on every bicharacter of these groups, degenerate ones
+    included."""
+    groups = [(2,), (3,), (4,), (5,), (6,), (8,), (12,), (2, 2), (2, 4), (2, 6),
+              (3, 3), (2, 2, 2)]
+    count = 0
+    for factors in groups:
+        G = FiniteAbelianGroup(factors)
+        els = G.elements()
+        for b in enumerate_bicharacters(G):
+            ref = np.array([[b.phase(g, h).value() for h in els] for g in els])
+            assert np.array_equal(b.matrix().view(np.uint64), ref.view(np.uint64)), (
+                factors, b.gram_exponents())
+            count += 1
+    assert count == 179
+
+
 def test_z2_forms():
     b = bichar_zn(2)
     forms = enumerate_quadratic_forms(b)

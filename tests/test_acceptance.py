@@ -45,8 +45,8 @@ from neargroup.solutions import (
     gauge_act,
     gauge_group_basis,
     mn_to_general,
+    residual,
     residual_general,
-    residual_mn,
 )
 from neargroup.solvers import SolveConfig, classify
 from neargroup.spectral import ZETA3, conjugation, cube_root_scalars, rotation
@@ -67,12 +67,11 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 # -----------------------------------------------------------------------------
 def test_criterion_1_verification_corpus():
-    """Bundled solutions pass residual_mn / residual_general < 1e-10, < 1s each."""
+    """Bundled solutions pass solutions.residual < 1e-10, < 1s each."""
     worst = 0.0
     for name, s in corpus_all().items():
         t0 = time.time()
-        rep = (residual_mn(s, 1e-10) if isinstance(s, MNSolution)
-               else residual_general(s, 1e-10))
+        rep = residual(s, 1e-10)
         dt = time.time() - t0
         assert rep.passed, f"{name}:\n{rep}"
         assert dt < 1.0, f"{name} took {dt:.2f}s"

@@ -21,6 +21,7 @@ from neargroup.abelian import (
 from neargroup.cases import CaseTag
 from neargroup.corpus import corpus_mn, z2_m2, z3_m6, z5_m5
 from neargroup.solutions import (
+    ACJData,
     GeneralSolution,
     MNSolution,
     LM_LAMBDA0,
@@ -39,6 +40,7 @@ from neargroup.solutions import (
     gauge_orbit_search,
     in_gauge_group,
     mn_to_general,
+    normal_form,
     residual_general,
     residual_mn,
     sample_gauge,
@@ -398,3 +400,36 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy")))
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def _acjs(corpus_all):
+    """The corpus normal forms, and one Z3 normal form with nontrivial
+    characters chi_1 = <., 1>, chi_2 = <., 2>."""
+    for name, s in corpus_all.items():
+        yield name, (mn_to_general(s) if isinstance(s, MNSolution) else s).acj
+    b = s.acj.bichar  # z3_m6's
+    yield "z3 chi", ACJData(bichar=b, form=s.acj.form, bar=(1, 0), g_t=((1,), (2,)),
+                            c_t=(1.0, 1.0), eps_t=(1, 1), eps=1)
+
+
+def test_normal_form_chi_is_the_per_entry_character_table(corpus_all):
+    """chi, read off the bicharacter table, equals chi_t(g) = <g, g_t>
+    computed entry by entry, bit for bit."""
+    for name, acj in _acjs(corpus_all):
+        ref = np.array([[acj.bichar(g, gt) for g in acj.group] for gt in acj.g_t])
+        assert np.array_equal(normal_form(acj).chi.view(np.uint64), ref.view(np.uint64)), name
+
+
+def test_normal_form_is_built_once_per_acj():
+    """Equal ACJ data share one normal form, whose tables are read-only; a
+    residual leaves its gauge group unbuilt."""
+    normal_form.cache_clear()
+    s = z3_m6()
+    nf = normal_form(s.acj)
+    assert normal_form(s.acj) is nf
+    twin = z3_m6().acj
+    assert twin is not s.acj and normal_form(twin) is nf
+    with pytest.raises(ValueError):
+        nf.B[0, 0] = 0
+    assert residual_general(s).passed
+    assert "equations" in vars(nf) and "gauge" not in vars(nf)

@@ -284,14 +284,14 @@ def test_tensor_system_exact_quadratic_model(order, tag):
     quadratic residual, with the residual's norm; its Jacobian is the
     derivative of the model and, rotated back, of the residual."""
     from neargroup.cases import ExactContext
-    from neargroup.solutions import dimension_d, tensor_equations
+    from neargroup.solutions import normal_form
     from neargroup.solvers import _acj_for_case, _quadratic, _tensor_system
 
     G = FiniteAbelianGroup((order,))
     b, a, _ = pair_classes(G)[0]
     ctx = ExactContext(G, b, a)
     acj = _acj_for_case(G, b, a, ctx.numeric(ctx.c), tag)
-    eqs = tensor_equations(acj, dimension_d(order, 2 * order).value)
+    eqs = normal_form(acj).equations
     affine = set(eqs) - {"p4", "p5", "bg_unitary", "p10"}
     k, resid, btensor = _tensor_system(acj)
     model, V = _quadratic(resid, k)

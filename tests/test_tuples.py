@@ -102,11 +102,10 @@ def test_to_tuple_refuses_failing_solution():
 
 def test_cross_system_consistency(corpus_all, corpus_tuples):
     """to_tuple o verify_admissible passes iff the residual system passes."""
-    from neargroup.solutions import residual_general, residual_mn
+    from neargroup.solutions import residual
 
     for name, s in corpus_all.items():
-        direct = (residual_mn(s) if isinstance(s, MNSolution)
-                  else residual_general(s))
+        direct = residual(s)
         via_tuple = verify_admissible(corpus_tuples[name], tolerance=1e-9)
         assert direct.passed == via_tuple.passed, name
 
