@@ -4,7 +4,10 @@
 Runs ``neargroup --json classify`` on every row of
 ``run_classification.TABLE`` (plus any ``--row GROUP M``), then
 ``neargroup --json out`` on every bundled solution, in-process through
-``cli.main``.  Each answer is preceded by a ``# <command>`` line.  The output
+``cli.main``.  Each answer is preceded by a ``# <command>`` line.  Every
+m = 2|G| row is followed by the exact case analysis: ``str(f)`` of each
+``Feasibility`` of each ``pair_classes`` pair, so the witnesses and details
+of the ``cases`` layer are compared too.  The output
 is deterministic, so two checkouts give the same answers exactly when
 
     PYTHONPATH=src python3 scripts/dump_outputs.py > before.txt   # checkout 1
@@ -24,6 +27,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from run_classification import TABLE  # noqa: E402
 
 from neargroup import cli  # noqa: E402
+from neargroup.cases import all_case_feasibilities  # noqa: E402
+from neargroup.solvers import pair_classes  # noqa: E402
 
 
 def run(argv: list[str]) -> None:
@@ -31,6 +36,15 @@ def run(argv: list[str]) -> None:
     code = cli.main(["--json"] + argv)
     if code:
         sys.exit(f"{' '.join(argv)} exited with {code}")
+
+
+def case_analysis(group: str) -> None:
+    """Print every case tag's feasibility for every pair of ``group``."""
+    G = cli.parse_group(group)
+    print(f"# cases {group}")
+    for i, (b, a, _) in enumerate(pair_classes(G)):
+        for f in all_case_feasibilities(G, b, a):
+            print(f"pair {i}: {f}")
 
 
 def main():
@@ -42,6 +56,8 @@ def main():
     rows = [("x".join(f"Z{f}" for f in factors), str(m)) for factors, m in TABLE]
     for group, m in rows + args.row:
         run(["classify", group, m])
+        if int(m) == 2 * cli.parse_group(group).order:
+            case_analysis(group)
     bundled = resources.files("neargroup") / "bundled"
     for name in sorted(p.name for p in bundled.iterdir() if p.name.endswith(".json")):
         run(["out", f"bundled/{name}"])

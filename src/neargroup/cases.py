@@ -20,14 +20,19 @@ exact comparison of integer vectors.  The checks
 are the closed-form g = 0 values, the eigenspace dimension preconditions, the
 norm identities on pinned eigenspaces, the order-2 element relations, and a
 per-point decision tree on order-2 elements for the one stubborn Case II
-configuration.  A refutation is only reported on an exact contradiction, so
-zero-counts derived from these certificates do not rest on numerical search.
+configuration.  The g = 0 values and norm identities of a Case I/II branch
+are polynomials in its real parameter t, |t| <= 1, and one routine decides
+every such system, whatever its degree: the branch is refuted iff the gcd g
+of the real and imaginary parts is a nonzero constant, or its Sturm chain,
+every sign exact, counts no root of g in [-1, 1].  A refutation is only
+reported on an exact contradiction, so zero-counts derived from these
+certificates do not rest on numerical search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
@@ -73,7 +78,6 @@ class Feasibility:
     feasible: bool
     refuted_by: str | None = None
     details: str = ""
-    witnesses: list = field(default_factory=list)
     inconclusive: bool = False
 
     def __str__(self):
@@ -240,7 +244,6 @@ class ExactContext:
         for k in range(self.N):
             if (self.zpow(3 * k) * ahat0) == self.one:
                 c = self.zpow(k)
-                self.c_exponent = k
                 break
         if c is None:
             raise ValueError("no cube-root scalar c in the chosen field")
@@ -326,7 +329,8 @@ class ExactContext:
         cs = np.array([x / a.d for x in a.c])
         return complex(np.dot(cs, self._numeric_pows))
 
-    def numeric_hp(self, a, dps: int = 60) -> complex:
+    def numeric_hp(self, a, dps: int = 60):
+        """The value of ``a`` as an mpmath ``mpc`` evaluated at ``dps`` digits."""
         import mpmath
 
         with mpmath.workdps(dps):
@@ -334,7 +338,7 @@ class ExactContext:
             for j, x in enumerate(a.c):
                 if x:
                     tot += mpmath.mpf(x) * mpmath.e ** (2j * mpmath.pi * j / self.N)
-            return complex(tot / a.d)
+            return tot / a.d
 
     def is_zero(self, a) -> bool:
         return a == self.zero
@@ -342,15 +346,24 @@ class ExactContext:
     def sign(self, a) -> int:
         """Certified sign of an exactly real field element.  The double is
         trusted only beyond a bound on its rounding error, (deg + 4) ulp times
-        sum|c_j| / d; then the 60-digit value beyond the same bound at 1e-55."""
+        sum|c_j| / d; below it, the dps-digit mpmath value beyond the same
+        bound at 10^(5 - dps), for dps = 60, 120, 240, ... until one clears
+        it, which a nonzero element does at some precision."""
         if self.is_zero(a):
             return 0
         scale = (self.deg + 4) * sum(abs(x) for x in a.c) / a.d
-        for value, eps in ((self.numeric, 2.0 ** -52), (self.numeric_hp, 1e-55)):
-            v = value(a).real
-            if abs(v) > scale * eps:
-                return 1 if v > 0 else -1
-        raise ArithmeticError("cannot certify sign")
+        v = self.numeric(a).real
+        if abs(v) > scale * 2.0 ** -52:
+            return 1 if v > 0 else -1
+        import mpmath
+
+        dps = 60
+        while True:
+            v = self.numeric_hp(a, dps).real
+            with mpmath.workdps(dps):
+                if abs(v) > scale * mpmath.mpf(10) ** (5 - dps):
+                    return 1 if v > 0 else -1
+            dps *= 2
 
     def _sqrt_int(self, s: int):
         """sqrt of a squarefree positive integer as a field element."""
@@ -583,82 +596,70 @@ class KPoly:
             out = out * x + c
         return out
 
+    def deriv(self):
+        return KPoly(self.ctx, [c * self.ctx.int(k)
+                                for k, c in enumerate(self.coeffs)][1:] or [self.ctx.zero])
+
     def monic(self):
         lead = self.coeffs[-1]
         inv = self.ctx.inv(lead)
         return KPoly(self.ctx, [c * inv for c in self.coeffs])
 
     def rem(self, other: "KPoly") -> "KPoly":
-        a = self.coeffs[:]
-        b = other.coeffs
-        invlead = self.ctx.inv(b[-1])
-        while len(a) >= len(b) and not all(self.ctx.is_zero(c) for c in a):
-            while len(a) > 1 and self.ctx.is_zero(a[-1]):
-                a.pop()
-            if len(a) < len(b):
-                break
-            f = a[-1] * invlead
-            shift = len(a) - len(b)
-            for i, cb in enumerate(b):
-                a[shift + i] = a[shift + i] - f * cb
-            a.pop()
-        return KPoly(self.ctx, a if a else [self.ctx.zero])
+        """The remainder of ``self`` modulo the monic ``other``."""
+        a, b = self.coeffs[:], other.coeffs[:-1]
+        while len(a) > len(b):
+            f = a.pop()
+            if not self.ctx.is_zero(f):
+                shift = len(a) - len(b)
+                for i, cb in enumerate(b):
+                    a[shift + i] = a[shift + i] - f * cb
+        return KPoly(self.ctx, a or [self.ctx.zero])
 
 
 def _poly_gcd(ps: list[KPoly]) -> KPoly:
-    g = ps[0]
+    """The monic gcd of nonzero polynomials, taken lowest degree first so that
+    every divisor is monic; stops at the first constant."""
+    ps = sorted(ps, key=lambda p: p.degree)
+    g = ps[0].monic()
     for p in ps[1:]:
-        a, b = g, p
-        while not b.is_zero():
-            a, b = b, a.rem(b)
-        g = a.monic()
+        if g.degree == 0:
+            break
+        while not (r := p.rem(g)).is_zero():
+            p, g = g, r.monic()
     return g
 
 
-def _resolve_t_system(ctx: ExactContext, equations: list[KPoly],
-                      domain_bound: bool = True):
-    """Decide {p(t) = 0, t real, |t| <= 1}: returns (status, witnesses)."""
+def _resolve_t_system(ctx: ExactContext, equations: list[KPoly]):
+    """Decide {p(t) = 0 for every p, t real, |t| <= 1}: returns (feasible,
+    witness).  The real and imaginary parts of the equations, when any is
+    nonzero, have a common real root in [-1, 1] iff their gcd g does:
+    g(+-1) = 0, or the Sturm chain g, g', -rem(g, g'), ... has fewer sign
+    variations at +1 than at -1 (Sturm's theorem), every sign exact.  The
+    witness is the root of a linear g, else None."""
     reals = [q for e in equations for q in (e.re(), e.im()) if not q.is_zero()]
-    if any(p.degree == 0 for p in reals):
-        return "refuted", []
-    lins = [p for p in reals if p.degree == 1]
-    quads = [p for p in reals if p.degree == 2]
-    if lins:
-        g = lins[0]
-    elif not quads or len(quads) < len(reals):
-        # nothing pins t, or a cubic the implemented lemmas never produce
-        return "feasible", [None]
-    else:
-        g = _poly_gcd(quads)
-        if g.degree == 0:
-            return "refuted", []
-    if g.degree == 1:
-        # a root pins t: every equation must vanish there, inside the domain
-        t0 = -g.coeffs[0] * ctx.inv(g.coeffs[1])
-        if any(not ctx.is_zero(p.eval(t0)) for p in reals):
-            return "refuted", []
-        if domain_bound and ctx.sign(ctx.one - t0 * t0) < 0:
-            return "refuted", []
-        return "feasible", [t0]
-    # all quadratics proportional to g: decide a real root in [-1, 1]
-    a2, a1, a0 = g.coeffs[2], g.coeffs[1], g.coeffs[0]
-    disc = a1 * a1 - ctx.int(4) * a2 * a0
-    sd = ctx.sign(disc)
-    if sd < 0:
-        return "refuted", []
-    if not domain_bound:
-        return "feasible", [None]
-    s_m1, s_p1 = ctx.sign(g.eval(-ctx.one)), ctx.sign(g.eval(ctx.one))
-    if s_m1 == 0 or s_p1 == 0 or s_m1 != s_p1:
-        return "feasible", [None]
-    # both endpoint values have the same sign: a root lies inside iff the
-    # vertex is inside and the parabola crosses
-    vertex_in = ctx.sign(ctx.int(4) * a2 * a2 - a1 * a1)  # |(-a1/2a2)| <= 1
-    if sd > 0 and vertex_in >= 0 and s_m1 == ctx.sign(a2):
-        return "feasible", [None]
-    if sd == 0 and vertex_in >= 0:
-        return "feasible", [None]
-    return "refuted", []
+    if not reals:
+        return True, None
+    g = _poly_gcd(reals)
+    if g.degree == 0:
+        return False, None
+    chain = [g, g.deriv()]
+    while chain[-1].degree > 0:
+        r = chain[-2].rem(chain[-1].monic())
+        if r.is_zero():
+            break
+        chain.append(-r)
+
+    def variations(x):
+        signs = [s for s in (ctx.sign(p.eval(x)) for p in chain) if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    ends = (-ctx.one, ctx.one)
+    if any(ctx.is_zero(g.eval(x)) for x in ends) or variations(ends[0]) > variations(ends[1]):
+        return True, -g.coeffs[0] if g.degree == 1 else None
+    return False, None
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +718,7 @@ def _case_I(ctx: ExactContext, tag: CaseTag) -> Feasibility:
         Rmu0 = (T + C(ctx.int(kappa2) * i_unit)) * C(ctx.conj(w1 * w2) * inv2rn)
         R2mu0 = (T - C(ctx.int(kappa2) * i_unit)) * C(w1 * w2 * inv2rn)
         branches.append(("branch1", {"kappa2": kappa2},
-                         xi0, eta_sq, mu0, Rmu0, R2mu0, True))
+                         xi0, eta_sq, mu0, Rmu0, R2mu0))
     for kappa1 in (1, -1):
         for kappa2 in (1, -1):
             k1 = ctx.int(kappa1)
@@ -726,10 +727,10 @@ def _case_I(ctx: ExactContext, tag: CaseTag) -> Feasibility:
             Rmu0 = C(ctx.conj(w1 * w2) * (-k1 + ctx.int(kappa2) * i_unit) * inv2rn)
             R2mu0 = C(w1 * w2 * (-k1 - ctx.int(kappa2) * i_unit) * inv2rn)
             branches.append(("branch2", {"kappa1": kappa1, "kappa2": kappa2},
-                             xi0, C(ctx.zero), mu0, Rmu0, R2mu0, False))
+                             xi0, C(ctx.zero), mu0, Rmu0, R2mu0))
 
     surviving = []
-    for name, params, xi0, eta_sq, mu0, Rmu0, R2mu0, has_t in branches:
+    for name, params, xi0, eta_sq, mu0, Rmu0, R2mu0 in branches:
         _, eqs, pin_norm = _g0_equations(ctx, mu0, Rmu0, R2mu0, False, k_excl,
                                          ctx.q(Fraction(1, 3)))
         if any(ctx.eig(w)["eval0_zero"] for w in tag.omegas):
@@ -758,15 +759,12 @@ def _case_I(ctx: ExactContext, tag: CaseTag) -> Feasibility:
                         if not ctx.is_zero(diff):
                             eqs.append(xi0 * xi0 - eta_sq - eta_sq)
                             break
-        status, wit = _resolve_t_system(ctx, eqs, domain_bound=has_t)
-        if status == "feasible":
-            surviving.append((name, params, wit))
+        feasible, t0 = _resolve_t_system(ctx, eqs)
+        if feasible:
+            surviving.append(f"{name}{params}" + (
+                f" t={ctx.numeric(t0).real:.6f}" if t0 is not None else ""))
     if surviving:
-        det = "; ".join(
-            f"{nm}{pr}" + (f" t={ctx.numeric(w[0]).real:.6f}" if w and w[0] is not None else "")
-            for nm, pr, w in surviving)
-        return Feasibility(tag, True, details=det, witnesses=surviving,
-                           inconclusive=True)
+        return Feasibility(tag, True, details="; ".join(surviving), inconclusive=True)
     return Feasibility(tag, False,
                        "CaseI g=0 values / norm identities (I51, I52, order-2 relation)",
                        "all kappa branches exactly contradicted")
@@ -793,7 +791,7 @@ def _case_II(ctx: ExactContext, tag: CaseTag) -> Feasibility:
             * C(ctx.q(Fraction(1, 4 * n)))
         abseta_sq = (C(ctx.one) - T * T) * C(ctx.q(Fraction(1, 4 * n)))
         branches.append(("branch1", {"kappa1": kappa1}, mu0, Rmu0, R2mu0,
-                         absxi0_sq, abseta_sq, True))
+                         absxi0_sq, abseta_sq))
     # branch 2 needs two J-fixed vectors of ker(R - w) vanishing at 0
     if sum(1 for v in e_j["jfixed"] if ctx.is_zero(v[0])) >= 2:
         for kappa in (1, -1):
@@ -801,39 +799,36 @@ def _case_II(ctx: ExactContext, tag: CaseTag) -> Feasibility:
             Rmu0 = C(w * (-half_d - ctx.int(kappa) * i_unit * inv2rn))
             R2mu0 = C(ctx.conj(w) * (half_d - ctx.int(kappa) * i_unit * inv2rn))
             branches.append(("branch2", {"kappa": kappa}, mu0, Rmu0, R2mu0,
-                             C(ctx.zero), C(ctx.zero), False))
+                             C(ctx.zero), C(ctx.zero)))
 
     rhs = ctx.q(Fraction(1, 3)) - ctx.inv_d * ctx.q(Fraction(2, 3))
     surviving = []
-    for name, params, mu0, Rmu0, R2mu0, absxi0_sq, abseta_sq, has_t in branches:
+    for name, params, mu0, Rmu0, R2mu0, absxi0_sq, abseta_sq in branches:
         mu_k, eqs, _ = _g0_equations(ctx, mu0, Rmu0, R2mu0, True, j, rhs)
         if e_j["eval0_zero"]:
             eqs += [absxi0_sq, abseta_sq]
-        status, wit = _resolve_t_system(ctx, eqs, domain_bound=has_t)
-        if status == "feasible":
-            surviving.append((name, params, wit, mu_k))
+        feasible, t0 = _resolve_t_system(ctx, eqs)
+        if feasible:
+            surviving.append((f"{name}{params}", t0, mu_k))
     if not surviving:
         return Feasibility(tag, False, "CaseII g=0 values / norm identity",
                            "all kappa branches exactly contradicted")
-    still = []
-    for name, params, wit, mu_k in surviving:
-        if not _case_II_order2_refutation(ctx, tag, wit, mu_k):
-            still.append((name, params, wit))
+    still = [name for name, t0, mu_k in surviving
+             if not _case_II_order2_refutation(ctx, tag, t0, mu_k)]
     if still:
-        det = "; ".join(f"{nm}{pr}" for nm, pr, _ in still)
-        return Feasibility(tag, True, details=det, witnesses=still,
-                           inconclusive=True)
+        return Feasibility(tag, True, details="; ".join(still), inconclusive=True)
     return Feasibility(tag, False, "CaseII order-2 element relations",
                        "per-point decision tree exactly contradicted")
 
 
-def _case_II_order2_refutation(ctx: ExactContext, tag: CaseTag, wit,
+def _case_II_order2_refutation(ctx: ExactContext, tag: CaseTag, t0,
                                mu_k: list[KPoly]) -> bool:
     """Exact per-point decision tree on order-2 elements.
 
     Preconditions: every nonzero element has order 2, a = -1 off the unit,
     the omega eigenspace has dimension 2 and kills evaluation at 0, the other
-    two eigenspaces are pinned lines.  In the relative components
+    two eigenspaces are pinned lines.  ``t0`` is the branch's root in t, or
+    None when the branch has none pinned.  In the relative components
     mu_rel_i in ker(R - zeta3^i omega) the omega factors cancel from the
     pointwise identities, so the tree is the same for every omega.  Returns
     True only when every branch ends in an exact contradiction.
@@ -853,27 +848,25 @@ def _case_II_order2_refutation(ctx: ExactContext, tag: CaseTag, wit,
     if not (e1["dim"] == 1 and e1["f0"] is not None
             and e2["dim"] == 1 and e2["f0"] is not None):
         return False
-    witnesses = wit if wit else [None]
-    for witness in witnesses:
-        if witness is None:
-            if mu_k[k1].degree > 0 or mu_k[k2].degree > 0:
-                return False
-            mu1_0 = mu_k[k1].coeffs[0]
-            mu2_0 = mu_k[k2].coeffs[0]
-        else:
-            mu1_0 = mu_k[k1].eval(witness)
-            mu2_0 = mu_k[k2].eval(witness)
-        for gi, g in enumerate(ctx.els):
-            if g == G.zero():
-                continue
-            w1 = mu1_0 * e1["f0"][gi]
-            w2 = mu2_0 * e2["f0"][gi]
-            if not (ctx.is_zero(ctx.im(w1)) and ctx.is_zero(ctx.im(w2))):
-                return False
-            A = ctx.re(w1 + w2)
-            Bv = ctx.zeta3 * w1 + ctx.zeta3 ** 2 * w2
-            if not _point_candidates_empty(ctx, A, ctx.re(Bv), ctx.im(Bv)):
-                return False
+    if t0 is None:
+        if mu_k[k1].degree > 0 or mu_k[k2].degree > 0:
+            return False
+        mu1_0 = mu_k[k1].coeffs[0]
+        mu2_0 = mu_k[k2].coeffs[0]
+    else:
+        mu1_0 = mu_k[k1].eval(t0)
+        mu2_0 = mu_k[k2].eval(t0)
+    for gi, g in enumerate(ctx.els):
+        if g == G.zero():
+            continue
+        w1 = mu1_0 * e1["f0"][gi]
+        w2 = mu2_0 * e2["f0"][gi]
+        if not (ctx.is_zero(ctx.im(w1)) and ctx.is_zero(ctx.im(w2))):
+            return False
+        A = ctx.re(w1 + w2)
+        Bv = ctx.zeta3 * w1 + ctx.zeta3 ** 2 * w2
+        if not _point_candidates_empty(ctx, A, ctx.re(Bv), ctx.im(Bv)):
+            return False
     return True
 
 

@@ -11,8 +11,9 @@ Two regimes are covered:
   the ten tensor equations (p1)-(p10), the derived (p11), and the unitarity
   of the matrices B(g).
 
-Residual evaluation never raises on a math failure; it returns a
-:class:`ResidualReport` with one maximum absolute residual per equation.
+Residual evaluation returns a :class:`ResidualReport` with one maximum
+absolute residual per equation; ``residual_general`` raises ``ValueError``
+on inconsistent normal-form data (``ACJData.validate``).
 
 Every reader of a normal form's tables (both residual systems, the gauge
 group, nu_31, the tuple export, the solvers' tensor system) goes through
@@ -101,7 +102,6 @@ def dimension_d(n: int, m: int) -> QuadraticIrrational:
 class ResidualReport:
     per_equation: dict[str, float]
     tolerance: float = DEFAULT_TOL
-    errors: list[str] = field(default_factory=list)
 
     @property
     def max_residual(self) -> float:
@@ -109,7 +109,7 @@ class ResidualReport:
 
     @property
     def passed(self) -> bool:
-        return not self.errors and self.max_residual < self.tolerance
+        return self.max_residual < self.tolerance
 
     def worst(self, k: int = 3) -> list[tuple[str, float]]:
         return sorted(self.per_equation.items(), key=lambda kv: -kv[1])[:k]
@@ -119,7 +119,6 @@ class ResidualReport:
         lines = [f"[{status}] max residual {self.max_residual:.3e} (tol {self.tolerance:.1e})"]
         for name, val in sorted(self.per_equation.items()):
             lines.append(f"  {name:16s} {val:.3e}")
-        lines.extend(f"  error: {e}" for e in self.errors)
         return "\n".join(lines)
 
 

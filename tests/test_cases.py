@@ -21,6 +21,8 @@ from neargroup.abelian import (
 from neargroup.cases import (
     CaseTag,
     ExactContext,
+    KPoly,
+    _resolve_t_system,
     all_case_feasibilities,
     case_feasibility,
     case_tags,
@@ -70,6 +72,17 @@ LEDGER = {
              ("III", False, "CaseIII |G|=4: 24th-power test"): 6,
              ("III", False, "CaseIII |G|=4: a(g_perp) != -1"): 9,
              ("IV", False, "Case IV never occurs"): 5},
+    (5,): {("I", False, "CaseI3 eigenspace dimension"): 2, ("I", True, None): 10,
+           ("II", False, "CaseII3 eigenspace dimension"): 2, ("II", True, None): 4,
+           ("IV", False, "Case IV never occurs"): 2},
+    (6,): {("I", False, "CaseI3 eigenspace dimension"): 4, ("I", True, None): 20,
+           ("II", False, "CaseII3 eigenspace dimension"): 4, ("II", True, None): 8,
+           ("III", True, None): 4, ("IV", False, "Case IV never occurs"): 4},
+    (2, 4): {("I", True, None): 24, ("II", True, None): 12, ("III", True, None): 12,
+             ("IV", False, "Case IV never occurs"): 4},
+    (3, 3): {("I", False, "CaseI3 eigenspace dimension"): 1, ("I", True, None): 11,
+             ("II", False, "CaseII3 eigenspace dimension"): 1, ("II", True, None): 5,
+             ("IV", False, "Case IV never occurs"): 2},
 }
 
 
@@ -77,8 +90,9 @@ LEDGER = {
 def test_m2n_refutation_ledger(factors):
     """The (kind, feasible, refuted_by) counts over every tag of every pair of
     the m = 2n table rows Z2/4, Z3/6, Z4/8 and Z2xZ2/8 (22, 20, 44 and 65
-    tags); their 115 refuted Case I/II tags are the ones the tensor solver
-    finds empty in test_refuted_tags_have_no_solutions."""
+    tags), whose 115 refuted Case I/II tags are the ones the tensor solver
+    finds empty in test_refuted_tags_have_no_solutions, and of Z5/10, Z6/12,
+    Z2xZ4/16 and Z3xZ3/18 (20, 44, 52 and 20 tags)."""
     from collections import Counter
 
     from neargroup.solvers import pair_classes
@@ -286,3 +300,38 @@ def test_sign_bounds_double_rounding():
             assert ctx.sign(x) == wants[-1], (p, q)
         p0, q0, p, q = p, q, 4 * p + p0, 4 * q + q0
     assert sorted(set(wants)) == [-1, 1]
+
+
+def test_sign_certifies_past_sixty_digits():
+    """sqrt(5) minus its k-digit decimal truncation, k = 60 and 80, and minus
+    that truncation plus 10^-k: below the 60-digit bound, so sign() raises
+    its precision until the value clears the bound."""
+    ctx = ExactContext(*_pair(5))
+    r5 = ctx._sqrt_int(5)
+    for k in (60, 80):
+        p = math.isqrt(5 * 10 ** (2 * k))
+        assert ctx.sign(r5 - ctx.q(Fraction(p, 10 ** k))) == 1
+        assert ctx.sign(r5 - ctx.q(Fraction(p + 1, 10 ** k))) == -1
+        assert ctx.sign(ctx.q(Fraction(p + 1, 10 ** k)) - r5) == 1
+
+
+def test_resolve_t_system_decides_real_roots_in_the_unit_interval():
+    """Hand-built systems in t over the Z3 context: a common real root in
+    [-1, 1] of the real and imaginary parts, whatever the degree."""
+    ctx = ExactContext(*_pair(3))
+    t = KPoly.tvar(ctx)
+
+    def c(x):
+        return KPoly.const(ctx, ctx.q(Fraction(x)))
+
+    half = ctx.q(Fraction(1, 2))
+    assert _resolve_t_system(ctx, [t - c(Fraction(1, 2))]) == (True, half)
+    assert _resolve_t_system(ctx, [(t - c(2)) * (t - c(3)) * (t + c(5))]) == (False, None)
+    assert _resolve_t_system(ctx, [(t - c(Fraction(1, 3))) * (t * t + c(1))])[0]
+    assert _resolve_t_system(ctx, [t * t - c(4), t - c(2)]) == (False, None)
+    assert _resolve_t_system(ctx, [t * t - c(1)])[0]  # roots at the ends
+    double = (c(2) * t - c(1)) * (c(2) * t - c(1))
+    assert _resolve_t_system(ctx, [double]) == (True, None)
+    i_eq = (t - c(Fraction(1, 2))) * KPoly.const(ctx, ctx.i)
+    assert _resolve_t_system(ctx, [i_eq]) == (True, half)
+    assert _resolve_t_system(ctx, []) == (True, None)
