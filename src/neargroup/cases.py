@@ -13,11 +13,15 @@ returns either a refutation naming the violated constraint or a feasibility
 certificate with the surviving parameter branches.  All numbers live in a
 cyclotomic field Q(zeta_N) chosen large enough to contain the bicharacter and
 form values, the cube-root scalar c, sqrt(n) and the quadratic irrationality
-of d.  An element is a vector of phi(N) integers over one positive common
-denominator in the power basis 1, zeta, ..., zeta^(phi(N)-1), reduced mod
-the cyclotomic polynomial Phi_N and gcd-normalised, so every zero test is an
-exact comparison of integer vectors.  The checks
-are the closed-form g = 0 values, the eigenspace dimension preconditions, the
+of d.  An element holds only its nonzero integer coefficients in the power
+basis 1, zeta, ..., zeta^(phi(N)-1), as (j, x) terms sorted by j, over one
+positive common denominator, reduced mod the cyclotomic polynomial Phi_N and
+gcd-normalised: equal elements have equal terms and denominator, and zero is
+the element with no terms, so every zero test is exact.  Sums and products
+touch only nonzero terms; every context with the same N shares one table of
+the reduced zeta^j, j < N, that products, Galois maps and ``zpow`` read.
+Case I tags with the same omega_1 + omega_2 mod 3 share their branch
+systems, built once per context.  The checks are the closed-form g = 0 values, the eigenspace dimension preconditions, the
 norm identities on pinned eigenspaces, the order-2 element relations, and a
 per-point decision tree on order-2 elements for the one stubborn Case II
 configuration.  The g = 0 values and norm identities of a Case I/II branch
@@ -31,9 +35,12 @@ certificates do not rest on numerical search.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
 import numpy as np
 
 from .abelian import (
@@ -138,46 +145,93 @@ def _unit_generators(N: int) -> list[tuple[int, int]]:
     return out
 
 
+class _Table(NamedTuple):
+    """The data of Q(zeta_N) that every context with this N shares."""
+
+    deg: int  # phi(N)
+    zpows: tuple  # zpows[j]: the terms of zeta^j reduced mod Phi_N, j < N
+    units: tuple  # _unit_generators(N)
+    numeric_pows: np.ndarray  # the doubles zeta^j, j < deg
+
+
+@functools.cache
+def _field_table(N: int) -> _Table:
+    """Built on first use of each N, never at import.  zeta^deg is minus the
+    lower terms of Phi_N, and zeta^j for j > deg is zeta times zeta^(j-1)."""
+    phi = _cyclotomic(N)
+    deg = len(phi) - 1
+    top = tuple((j, -p) for j, p in enumerate(phi[:-1]) if p)
+    zpows = [((j, 1),) for j in range(deg)]
+    for _ in range(deg, N):
+        acc: dict = {}
+        for j, x in zpows[-1]:
+            if j + 1 < deg:
+                acc[j + 1] = acc.get(j + 1, 0) + x
+            else:
+                for i, p in top:
+                    acc[i] = acc.get(i, 0) + x * p
+        zpows.append(tuple((j, acc[j]) for j in sorted(acc) if acc[j]))
+    pows = np.exp(2j * np.pi * np.arange(deg) / N)
+    pows.flags.writeable = False
+    return _Table(deg, tuple(zpows), tuple(_unit_generators(N)), pows)
+
+
 class _Cyc:
-    """The element sum(c[j] zeta_N^j for j < deg) / d of Q(zeta_N), with
-    integer c, d > 0 and gcd(d, *c) = 1, so equal elements have equal (c, d)."""
+    """The element sum(x zeta_N^j for (j, x) in t) / d of Q(zeta_N).  t holds
+    the nonzero power-basis terms, 0 <= j < deg ascending, with integer x,
+    d > 0 and gcd(d, *x) = 1, so equal elements have equal (t, d) and zero is
+    ((), 1)."""
 
-    __slots__ = ("ctx", "c", "d")
+    __slots__ = ("ctx", "t", "d")
 
-    def __init__(self, ctx: "ExactContext", c: tuple, d: int):
-        self.ctx, self.c, self.d = ctx, c, d
+    def __init__(self, ctx: "ExactContext", t: tuple, d: int):
+        self.ctx, self.t, self.d = ctx, t, d
 
     def __add__(self, o):
+        if not o.t:
+            return self
+        if not self.t:
+            return o
         if self.d == o.d:
-            return self.ctx._elt([x + y for x, y in zip(self.c, o.c)], self.d)
-        return self.ctx._elt([x * o.d + y * self.d for x, y in zip(self.c, o.c)],
-                             self.d * o.d)
+            acc = dict(self.t)
+            for j, y in o.t:
+                acc[j] = acc.get(j, 0) + y
+            return self.ctx._elt(acc, self.d)
+        acc = {j: x * o.d for j, x in self.t}
+        for j, y in o.t:
+            acc[j] = acc.get(j, 0) + y * self.d
+        return self.ctx._elt(acc, self.d * o.d)
 
     def __sub__(self, o):
         return self + (-o)
 
     def __neg__(self):
-        return _Cyc(self.ctx, tuple(-x for x in self.c), self.d)
+        return _Cyc(self.ctx, tuple((j, -x) for j, x in self.t), self.d)
 
     def __mul__(self, o):
-        out = [0] * (2 * len(self.c) - 1)
-        ys = [(j, y) for j, y in enumerate(o.c) if y]
-        for i, x in enumerate(self.c):
-            if x:
-                for j, y in ys:
-                    out[i + j] += x * y
-        return self.ctx._elt(out, self.d * o.d)
+        if not (self.t and o.t):
+            return self.ctx.zero
+        acc: dict = {}
+        for i, x in self.t:
+            for j, y in o.t:
+                k = i + j
+                acc[k] = acc.get(k, 0) + x * y
+        return self.ctx._elt(acc, self.d * o.d)
 
     def __pow__(self, k: int):
         if k < 0:
             return self.ctx.inv(self) ** -k
-        out = self.ctx.one
-        for _ in range(k):
-            out = out * self
+        out, sq = self.ctx.one, self
+        while k:
+            if k & 1:
+                out = out * sq
+            k >>= 1
+            if k:
+                sq = sq * sq
         return out
 
     def __eq__(self, o):
-        return isinstance(o, _Cyc) and self.d == o.d and self.c == o.c
+        return isinstance(o, _Cyc) and self.d == o.d and self.t == o.t
 
 
 class ExactContext:
@@ -209,16 +263,11 @@ class ExactContext:
         for x in dens | primes:
             N = math.lcm(N, x)
         self.N = N
-        phi = _cyclotomic(N)
-        self.deg = len(phi) - 1
-        # zeta^deg = -sum(phi[j] zeta^j): the terms a reduction subtracts
-        self._tail = [(j, p) for j, p in enumerate(phi[:-1]) if p]
-        self._units = _unit_generators(N)
-        self.zero = _Cyc(self, (0,) * self.deg, 1)
+        self.table = _field_table(N)
+        self.deg = self.table.deg
+        self.zero = _Cyc(self, (), 1)
         self.one = self.int(1)
         self.K_two = self.int(2)
-        self._zpows = [self._elt([0] * j + [1], 1) for j in range(N)]
-        self._numeric_pows = np.exp(2j * np.pi * np.arange(self.deg) / N)
         half = self.q(Fraction(1, 2))
         self.i = self.zpow(N // 4)
         self._minus_half_i = -self.i * half
@@ -235,19 +284,16 @@ class ExactContext:
 
         self.B = [[self.phase(b.phase(g, h)) for h in els] for g in els]
         self.a = [self.phase(a.phase(g)) for g in els]
-        # c with c^3 a_hat(0) = 1
+        # c = zeta^c_exp with c^3 a_hat(0) = 1
         asum = self.zero
         for x in self.a:
             asum = asum + x
         ahat0 = asum * self.inv_sqrt_n
-        c = None
-        for k in range(self.N):
-            if (self.zpow(3 * k) * ahat0) == self.one:
-                c = self.zpow(k)
-                break
-        if c is None:
+        c_exp = next((k for k in range(N) if self.zpow(3 * k) * ahat0 == self.one), None)
+        if c_exp is None:
             raise ValueError("no cube-root scalar c in the chosen field")
-        self.c = c
+        self.c_exp = c_exp
+        self.c = self.zpow(c_exp)
         self.R = [
             [self.conj(self.c * self.a[i]) * self.B[i][j] * self.inv_sqrt_n
              for j in range(n)]
@@ -255,42 +301,38 @@ class ExactContext:
         ]
         self.zeta3 = self.zpow(self.N // 3)
         self._eig: dict[int, dict] = {}
+        self._branches_I: dict[int, list] = {}  # see _case_I_branches
 
     # -- the field Q(zeta_N) ---------------------------------------------------
 
-    def _elt(self, c: list, d: int) -> "_Cyc":
-        """The element sum(c[j] zeta^j) / d, d > 0, for any length of c."""
-        deg = self.deg
-        for i in range(len(c) - 1, deg - 1, -1):
-            x = c[i]
+    def _elt(self, acc: dict, d: int) -> "_Cyc":
+        """The element sum(x zeta^j for j, x in acc.items()) / d, d > 0, for
+        any j >= 0; ``acc`` is consumed."""
+        deg, zpows, N = self.deg, self.table.zpows, self.N
+        for j in [j for j in acc if j >= deg]:
+            x = acc.pop(j)
             if x:
-                s = i - deg
-                for j, p in self._tail:
-                    c[s + j] -= x * p
-        c = c[:deg] + [0] * (deg - len(c))
+                for i, p in zpows[j % N]:
+                    acc[i] = acc.get(i, 0) + x * p
         if d != 1:
-            g = math.gcd(d, *c)
+            g = math.gcd(d, *acc.values())
             if g != 1:
-                c = [x // g for x in c]
+                acc = {j: x // g for j, x in acc.items()}
                 d //= g
-        return _Cyc(self, tuple(c), d)
+        return _Cyc(self, tuple(sorted(jx for jx in acc.items() if jx[1])), d)
 
     def _galois(self, a: "_Cyc", k: int) -> "_Cyc":
         """sigma_k(a), the automorphism zeta -> zeta^k, gcd(k, N) = 1."""
-        out = [0] * self.N
-        for j, x in enumerate(a.c):
-            if x:
-                out[j * k % self.N] += x
-        return self._elt(out, a.d)
+        return self._elt({j * k % self.N: x for j, x in a.t}, a.d)
 
     def zpow(self, j: int):
-        return self._zpows[j % self.N]
+        return _Cyc(self, self.table.zpows[j % self.N], 1)
 
     def int(self, k: int):
         return self.q(Fraction(k))
 
     def q(self, fr: Fraction):
-        return _Cyc(self, (fr.numerator,) + (0,) * (self.deg - 1), fr.denominator)
+        return _Cyc(self, ((0, fr.numerator),) if fr else (), fr.denominator)
 
     def phase(self, p: Phase):
         return self.zpow(p.num * self.N // p.den)
@@ -308,11 +350,11 @@ class ExactContext:
         """a^-1 = prod(sigma(a) for sigma != 1) / N(a).  The norm is built up
         one generator of (Z/N)^x at a time, keeping a * cof = x, and stops as
         soon as the partial norm x is rational."""
-        if a == self.zero:
+        if self.is_zero(a):
             raise ZeroDivisionError("inverse of 0 in Q(zeta_N)")
         x, cof = a, self.one
-        for g, r in self._units:
-            if not any(x.c[1:]):
+        for g, r in self.table.units:
+            if x.t[-1][0] == 0:
                 break
             # the conjugates of x over the coset representatives g^t, 0 < t < r
             y = conjs = self._galois(x, g)
@@ -320,14 +362,18 @@ class ExactContext:
                 y = self._galois(y, g)
                 conjs = conjs * y
             x, cof = x * conjs, cof * conjs
-        num, den = x.c[0], x.d
+        num, den = x.t[0][1], x.d
         if num < 0:
             num, den = -num, -den
-        return self._elt([den * c for c in cof.c], num * cof.d)
+        return self._elt({j: den * c for j, c in cof.t}, num * cof.d)
 
     def numeric(self, a) -> complex:
-        cs = np.array([x / a.d for x in a.c])
-        return complex(np.dot(cs, self._numeric_pows))
+        """The double value: the dense vector of c_j / d, j < deg, dotted with
+        the doubles zeta^j."""
+        cs = np.zeros(self.deg)
+        for j, x in a.t:
+            cs[j] = x / a.d
+        return complex(np.dot(cs, self.table.numeric_pows))
 
     def numeric_hp(self, a, dps: int = 60):
         """The value of ``a`` as an mpmath ``mpc`` evaluated at ``dps`` digits."""
@@ -335,13 +381,12 @@ class ExactContext:
 
         with mpmath.workdps(dps):
             tot = mpmath.mpc(0)
-            for j, x in enumerate(a.c):
-                if x:
-                    tot += mpmath.mpf(x) * mpmath.e ** (2j * mpmath.pi * j / self.N)
+            for j, x in a.t:
+                tot += mpmath.mpf(x) * mpmath.e ** (2j * mpmath.pi * j / self.N)
             return tot / a.d
 
     def is_zero(self, a) -> bool:
-        return a == self.zero
+        return not a.t
 
     def sign(self, a) -> int:
         """Certified sign of an exactly real field element.  The double is
@@ -351,7 +396,7 @@ class ExactContext:
         it, which a nonzero element does at some precision."""
         if self.is_zero(a):
             return 0
-        scale = (self.deg + 4) * sum(abs(x) for x in a.c) / a.d
+        scale = (self.deg + 4) * sum(abs(x) for _, x in a.t) / a.d
         v = self.numeric(a).real
         if abs(v) > scale * 2.0 ** -52:
             return 1 if v > 0 else -1
@@ -697,15 +742,16 @@ def _g0_equations(ctx: ExactContext, mu0: KPoly, Rmu0: KPoly, R2mu0: KPoly,
     return mu_k, eqs, pin
 
 
-def _case_I(ctx: ExactContext, tag: CaseTag) -> Feasibility:
+def _case_I_branches(ctx: ExactContext, s: int) -> list:
+    """The Case I branches of every tag with omega_1 + omega_2 = s mod 3:
+    (name, params, xi0, |eta|^2, g = 0 equations, pinned norms).  They
+    depend on the tag only through zeta3^s = w1 w2 and k_excl = -s, so each
+    is built once per context; callers copy the equation list before adding
+    to it."""
+    if s in ctx._branches_I:
+        return ctx._branches_I[s]
     n = ctx.n
-    w1 = ctx.zeta3 ** tag.omegas[0]
-    w2 = ctx.zeta3 ** tag.omegas[1]
-    if tag.omegas[0] == tag.omegas[1]:
-        if ctx.eig(tag.omegas[0])["dim"] < 2:
-            return Feasibility(tag, False, "CaseI3 eigenspace dimension",
-                               f"dim ker(R - z3^{tag.omegas[0]}) < 2")
-    k_excl = -sum(tag.omegas) % 3
+    w12 = ctx.zeta3 ** s
     inv2rn, half_d, i_unit = ctx.inv2rn, ctx.half_d, ctx.i
     T = KPoly.tvar(ctx)
     C = lambda a: KPoly.const(ctx, a)
@@ -715,8 +761,8 @@ def _case_I(ctx: ExactContext, tag: CaseTag) -> Feasibility:
         xi0 = C(-half_d) - T * C(inv2rn)
         eta_sq = (C(ctx.one) - T * T) * C(ctx.q(Fraction(1, 4 * n)))
         mu0 = C(-half_d) + T * C(inv2rn)
-        Rmu0 = (T + C(ctx.int(kappa2) * i_unit)) * C(ctx.conj(w1 * w2) * inv2rn)
-        R2mu0 = (T - C(ctx.int(kappa2) * i_unit)) * C(w1 * w2 * inv2rn)
+        Rmu0 = (T + C(ctx.int(kappa2) * i_unit)) * C(ctx.conj(w12) * inv2rn)
+        R2mu0 = (T - C(ctx.int(kappa2) * i_unit)) * C(w12 * inv2rn)
         branches.append(("branch1", {"kappa2": kappa2},
                          xi0, eta_sq, mu0, Rmu0, R2mu0))
     for kappa1 in (1, -1):
@@ -724,15 +770,31 @@ def _case_I(ctx: ExactContext, tag: CaseTag) -> Feasibility:
             k1 = ctx.int(kappa1)
             xi0 = C(-half_d - k1 * inv2rn)
             mu0 = C(-half_d + k1 * inv2rn)
-            Rmu0 = C(ctx.conj(w1 * w2) * (-k1 + ctx.int(kappa2) * i_unit) * inv2rn)
-            R2mu0 = C(w1 * w2 * (-k1 - ctx.int(kappa2) * i_unit) * inv2rn)
+            Rmu0 = C(ctx.conj(w12) * (-k1 + ctx.int(kappa2) * i_unit) * inv2rn)
+            R2mu0 = C(w12 * (-k1 - ctx.int(kappa2) * i_unit) * inv2rn)
             branches.append(("branch2", {"kappa1": kappa1, "kappa2": kappa2},
                              xi0, C(ctx.zero), mu0, Rmu0, R2mu0))
+    out = []
+    for name, params, xi0, eta_sq, mu0, Rmu0, R2mu0 in branches:
+        _, eqs, pin_norm = _g0_equations(ctx, mu0, Rmu0, R2mu0, False, -s % 3,
+                                         ctx.q(Fraction(1, 3)))
+        out.append((name, params, xi0, eta_sq, eqs, pin_norm))
+    ctx._branches_I[s] = out
+    return out
+
+
+def _case_I(ctx: ExactContext, tag: CaseTag) -> Feasibility:
+    if tag.omegas[0] == tag.omegas[1]:
+        if ctx.eig(tag.omegas[0])["dim"] < 2:
+            return Feasibility(tag, False, "CaseI3 eigenspace dimension",
+                               f"dim ker(R - z3^{tag.omegas[0]}) < 2")
+    s = sum(tag.omegas) % 3
+    k_excl = -s % 3
+    C = lambda a: KPoly.const(ctx, a)
 
     surviving = []
-    for name, params, xi0, eta_sq, mu0, Rmu0, R2mu0 in branches:
-        _, eqs, pin_norm = _g0_equations(ctx, mu0, Rmu0, R2mu0, False, k_excl,
-                                         ctx.q(Fraction(1, 3)))
+    for name, params, xi0, eta_sq, g0_eqs, pin_norm in _case_I_branches(ctx, s):
+        eqs = list(g0_eqs)
         if any(ctx.eig(w)["eval0_zero"] for w in tag.omegas):
             eqs += [xi0, eta_sq]
         if tag.omegas[0] != tag.omegas[1]:
@@ -931,8 +993,7 @@ def _case_III(ctx: ExactContext, tag: CaseTag) -> Feasibility:
             return Feasibility(tag, False, "CaseIII |G|=4: a(g_perp) != -1",
                                "Re mu(g_perp) = 0 forces a(g_perp) = -1")
         sqrt2 = ctx._sqrt_int(2)
-        c24 = ctx.conj(ctx.c) ** 24
-        target = ctx.inv(c24)
+        target = ctx.zpow(24 * ctx.c_exp)  # 1 / conj(c)^24
         re_t, im_t = ctx.re(target), ctx.im(target)
         for kappa in (1, -1):
             mu0 = -half_d + ctx.int(kappa) * inv2rn
@@ -943,8 +1004,7 @@ def _case_III(ctx: ExactContext, tag: CaseTag) -> Feasibility:
             y2two = ctx.one - ctx.K_two * mu0 * mu0  # = 2 y^2 = sin^2(theta)
             if ctx.sign(y2two) <= 0:
                 continue
-            T24 = _cheb_eval(ctx, 24, cos_th, kind="t")
-            U23 = _cheb_eval(ctx, 23, cos_th, kind="u")
+            T24, U23 = _chebyshev(ctx, 24, cos_th)
             cond_re = ctx.is_zero(T24 - re_t)
             cond_im = ctx.is_zero(y2two * U23 * U23 - im_t * im_t)
             if cond_re and cond_im:
@@ -957,15 +1017,17 @@ def _case_III(ctx: ExactContext, tag: CaseTag) -> Feasibility:
                                "the tag is not searched")
 
 
-def _cheb_eval(ctx: ExactContext, deg: int, x, kind: str):
-    a, b = ctx.one, x  # T0, T1  /  U0 = 1, U1 = 2x
-    if kind == "u":
-        b = ctx.K_two * x
-    if deg == 0:
-        return a
-    for _ in range(deg - 1):
-        a, b = b, ctx.K_two * x * b - a
-    return b
+def _chebyshev(ctx: ExactContext, k: int, x):
+    """(T_k(x), U_{k-1}(x)) for k >= 1, by T_2k = 2 T_k^2 - 1 and
+    U_2k-1 = 2 T_k U_k-1, and for odd k one step up from k - 1:
+    T_k = x T_k-1 - (1 - x^2) U_k-2 and U_k-1 = x U_k-2 + T_k-1."""
+    if k == 1:
+        return x, ctx.one
+    if k % 2:
+        t, u = _chebyshev(ctx, k - 1, x)
+        return x * t - (ctx.one - x * x) * u, x * u + t
+    t, u = _chebyshev(ctx, k // 2, x)
+    return ctx.K_two * t * t - ctx.one, ctx.K_two * t * u
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import neargroup
+from neargroup import cases
 from neargroup.abelian import (
     FiniteAbelianGroup,
     Phase,
@@ -22,7 +23,9 @@ from neargroup.cases import (
     CaseTag,
     ExactContext,
     KPoly,
+    _cyclotomic,
     _resolve_t_system,
+    _unit_generators,
     all_case_feasibilities,
     case_feasibility,
     case_tags,
@@ -259,6 +262,136 @@ def test_field_galois_maps(N, data):
     assert ctx.conj(ctx.conj(a)) == a
     k = data.draw(st.sampled_from([k for k in range(1, N) if math.gcd(k, N) == 1]))
     assert ctx._galois(a * b, k) == ctx._galois(a, k) * ctx._galois(b, k)
+
+
+# The dense reference: an element is (c, d), c the phi(N) power-basis
+# coefficients; products are schoolbook, reduced mod Phi_N from the top.
+
+
+def _dense_reduce(N, c, d):
+    phi = _cyclotomic(N)
+    deg = len(phi) - 1
+    c = list(c)
+    for i in range(len(c) - 1, deg - 1, -1):
+        x = c[i]
+        if x:
+            for j, p in enumerate(phi[:-1]):
+                c[i - deg + j] -= x * p
+    c = c[:deg] + [0] * (deg - len(c))
+    g = math.gcd(d, *c)
+    return tuple(x // g for x in c), d // g
+
+
+def _dense_add(N, a, b):
+    return _dense_reduce(N, [x * b[1] + y * a[1] for x, y in zip(a[0], b[0])], a[1] * b[1])
+
+
+def _dense_mul(N, a, b):
+    out = [0] * (2 * len(a[0]) - 1)
+    for i, x in enumerate(a[0]):
+        for j, y in enumerate(b[0]):
+            out[i + j] += x * y
+    return _dense_reduce(N, out, a[1] * b[1])
+
+
+def _dense_galois(N, a, k):
+    out = [0] * N
+    for j, x in enumerate(a[0]):
+        out[j * k % N] += x
+    return _dense_reduce(N, out, a[1])
+
+
+def _dense_inv(N, a):
+    """a^-1 = cof / N(a), cof the product of every conjugate but a."""
+    x, cof = a, _dense_reduce(N, [1], 1)
+    for g, r in _unit_generators(N):
+        y = conjs = _dense_galois(N, x, g)
+        for _ in range(r - 2):
+            y = _dense_galois(N, y, g)
+            conjs = _dense_mul(N, conjs, y)
+        x, cof = _dense_mul(N, x, conjs), _dense_mul(N, cof, conjs)
+    assert not any(x[0][1:])
+    num, den = x[0][0], x[1]
+    sgn = 1 if num > 0 else -1
+    return _dense_reduce(N, [sgn * den * c for c in cof[0]], sgn * num * cof[1])
+
+
+def _dense(ctx, a):
+    c = [0] * ctx.deg
+    for j, x in a.t:
+        c[j] = x
+    return tuple(c), a.d
+
+
+def _dense_element(ctx):
+    """sum(k_j zeta^j for j < deg) / den with every k_j nonzero."""
+    def build(ks, den):
+        out = ctx.zero
+        for j, k in enumerate(ks):
+            out = out + ctx.int(k) * ctx.zpow(j)
+        return out * ctx.q(Fraction(1, den))
+    k = st.integers(-9, 9).filter(bool)
+    return st.builds(build, st.lists(k, min_size=ctx.deg, max_size=ctx.deg),
+                     st.integers(1, 12))
+
+
+def _any_element(ctx):
+    return st.one_of(_element(ctx), _dense_element(ctx), st.just(ctx.zero))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields, st.data())
+def test_sparse_arithmetic_matches_dense_reference(N, data):
+    """Every operation gives exactly the element (same terms, same
+    denominator) of the dense schoolbook arithmetic reduced mod Phi_N."""
+    ctx = _field(N)
+    a, b = data.draw(_any_element(ctx)), data.draw(_any_element(ctx))
+    k = data.draw(st.integers(0, 5))
+    unit = data.draw(st.sampled_from([u for u in range(1, N) if math.gcd(u, N) == 1]))
+    A, B = _dense(ctx, a), _dense(ctx, b)
+    power = _dense_reduce(N, [1], 1)
+    for _ in range(k):
+        power = _dense_mul(N, power, A)
+    neg_b = (tuple(-y for y in B[0]), B[1])
+    for got, want in [(a + b, _dense_add(N, A, B)), (a - b, _dense_add(N, A, neg_b)),
+                      (-b, neg_b), (a * b, _dense_mul(N, A, B)), (a ** k, power),
+                      (ctx._galois(a, unit), _dense_galois(N, A, unit)),
+                      (ctx.conj(a), _dense_galois(N, A, N - 1))]:
+        assert _dense(ctx, got) == want
+        assert all(x for _, x in got.t) and [j for j, _ in got.t] == sorted({j for j, _ in got.t})
+    if not ctx.is_zero(a):
+        assert _dense(ctx, ctx.inv(a)) == _dense_inv(N, A)
+        assert _dense(ctx, a ** -2) == _dense_mul(N, _dense_inv(N, A), _dense_inv(N, A))
+
+
+@pytest.mark.parametrize("N", sorted(_FIELD_GROUP))
+def test_zpow_table_is_shared_and_exact(N):
+    """zpow(j) is e^(2 pi i j / N) for every j < N, and contexts with the same
+    N share one table."""
+    ctx = _field(N)
+    for j in range(N):
+        assert abs(ctx.numeric(ctx.zpow(j)) - complex(math.cos(2 * math.pi * j / N),
+                                                      math.sin(2 * math.pi * j / N))) < 1e-12
+    n = _FIELD_GROUP[N]
+    other = ExactContext(*_pair(n, k=n - 1))
+    assert other is not ctx and other.N == N and other.table is ctx.table
+
+
+def test_case_I_branch_systems_built_once_per_sum(monkeypatch):
+    """Case I tags with the same omega_1 + omega_2 mod 3 share their branch
+    systems: 102 g = 0 builds over the 5 Z2xZ2/8 pairs, not one per tag and
+    branch (132)."""
+    from neargroup.solvers import pair_classes
+
+    G = FiniteAbelianGroup((2, 2))
+    pairs = list(pair_classes(G))
+    assert len(pairs) == 5
+    builds = []
+    g0 = cases._g0_equations
+    monkeypatch.setattr(cases, "_g0_equations", lambda *a: builds.append(1) or g0(*a))
+    for b, a, _ in pairs:
+        all_case_feasibilities(G, b, a)
+    assert len(builds) == 102
 
 
 def test_sign_high_precision_fallback():
