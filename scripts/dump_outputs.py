@@ -2,13 +2,14 @@
 """Print the CLI's ``--json`` answers on the classification table and corpus.
 
 Runs ``neargroup --json classify`` on every row of
-``run_classification.TABLE`` (plus any ``--row GROUP M``), then
-``neargroup --json out`` on every bundled solution, in-process through
-``cli.main``.  Each answer is preceded by a ``# <command>`` line.  Every
-m = 2|G| row is followed by the exact case analysis: ``str(f)`` of each
-``Feasibility`` of each ``pair_classes`` pair, so the witnesses and details
-of the ``cases`` layer are compared too.  The output
-is deterministic, so two checkouts give the same answers exactly when
+``run_classification.TABLE`` (plus any ``--row GROUP M``), then prints the
+exact m = 2|G| case analysis of every group in ``CASE_GROUPS``: ``str(f)``
+of each ``Feasibility`` of each ``pair_classes`` pair, so the witnesses and
+details of the ``cases`` layer are compared too, whatever rows are
+classified.  Last comes ``neargroup --json out`` on every bundled solution.
+Commands run in-process through ``cli.main``, and each answer is preceded
+by a ``# <command>`` line.  The output is deterministic, so two checkouts
+give the same answers exactly when
 
     PYTHONPATH=src python3 scripts/dump_outputs.py > before.txt   # checkout 1
     PYTHONPATH=src python3 scripts/dump_outputs.py > after.txt    # checkout 2
@@ -29,6 +30,9 @@ from run_classification import TABLE  # noqa: E402
 from neargroup import cli  # noqa: E402
 from neargroup.cases import all_case_feasibilities  # noqa: E402
 from neargroup.solvers import pair_classes  # noqa: E402
+
+CASE_GROUPS = ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z10", "Z12",
+               "Z2xZ2", "Z2xZ4", "Z2xZ6", "Z3xZ3", "Z2xZ2xZ2"]
 
 
 def run(argv: list[str]) -> None:
@@ -56,8 +60,8 @@ def main():
     rows = [("x".join(f"Z{f}" for f in factors), str(m)) for factors, m in TABLE]
     for group, m in rows + args.row:
         run(["classify", group, m])
-        if int(m) == 2 * cli.parse_group(group).order:
-            case_analysis(group)
+    for group in CASE_GROUPS:
+        case_analysis(group)
     bundled = resources.files("neargroup") / "bundled"
     for name in sorted(p.name for p in bundled.iterdir() if p.name.endswith(".json")):
         run(["out", f"bundled/{name}"])

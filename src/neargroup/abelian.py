@@ -52,6 +52,10 @@ class ResourceError(Exception):
     """Raised when a brute-force enumeration would exceed its resource bound."""
 
 
+MAX_ENUMERATED_ORDER = 64  # largest |G| whose bicharacters or Aut(G) are listed
+MAX_AUTOMORPHISMS = 10**6  # automorphisms listed before giving up
+
+
 Element = tuple[int, ...]
 
 
@@ -452,11 +456,11 @@ def subgroups(G: FiniteAbelianGroup) -> list[Subgroup]:
 
 
 def enumerate_bicharacters(
-    G: FiniteAbelianGroup, nondegenerate_only: bool = False, bound: int = 64
+    G: FiniteAbelianGroup, nondegenerate_only: bool = False
 ) -> list[Bicharacter]:
     """All symmetric bicharacters of G (optionally only nondegenerate ones)."""
-    if G.order > bound:
-        raise ResourceError(f"|G|={G.order} exceeds bound {bound}")
+    if G.order > MAX_ENUMERATED_ORDER:
+        raise ResourceError(f"|G|={G.order} exceeds bound {MAX_ENUMERATED_ORDER}")
     k = G.rank
     slots = [(i, j) for i in range(k) for j in range(i, k)]
     ranges = [math.gcd(G.factors[i], G.factors[j]) for i, j in slots]
@@ -472,16 +476,12 @@ def enumerate_bicharacters(
     return out
 
 
-def bicharacter_classes(
-    bichars: Sequence[Bicharacter], auts: Sequence[GroupAutomorphism] | None = None
-) -> list[list[Bicharacter]]:
+def bicharacter_classes(bichars: Sequence[Bicharacter]) -> list[list[Bicharacter]]:
     """Orbits of bicharacters under Aut(G); representatives are the
     lexicographically minimal Gram exponent matrices in each orbit."""
     if not bichars:
         return []
-    G = bichars[0].group
-    if auts is None:
-        auts = automorphisms(G)
+    auts = automorphisms(bichars[0].group)
     seen: set[tuple] = set()
     classes = []
     for b in bichars:
@@ -567,9 +567,7 @@ def reflection(G: FiniteAbelianGroup) -> np.ndarray:
 # automorphisms
 
 
-def automorphisms(
-    G: FiniteAbelianGroup, bound: int = 64, max_results: int = 10**6
-) -> list[GroupAutomorphism]:
+def automorphisms(G: FiniteAbelianGroup) -> list[GroupAutomorphism]:
     """Complete Aut(G) by pruned brute force over generator images.
 
     An automorphism preserves element orders, so the image of the i-th
@@ -578,8 +576,8 @@ def automorphisms(
     the full factor ``n_i`` at each step (injectivity), which also makes the
     final linear extension bijective.
     """
-    if G.order > bound:
-        raise ResourceError(f"|G|={G.order} exceeds bound {bound}")
+    if G.order > MAX_ENUMERATED_ORDER:
+        raise ResourceError(f"|G|={G.order} exceeds bound {MAX_ENUMERATED_ORDER}")
     els = G.elements()
     candidates = [
         [g for g in els if G.element_order(g) == n] for n in G.factors
@@ -587,7 +585,7 @@ def automorphisms(
     out: list[GroupAutomorphism] = []
 
     def extend(chosen: list[Element], span: set[Element]):
-        if len(out) >= max_results:
+        if len(out) >= MAX_AUTOMORPHISMS:
             raise ResourceError("automorphism count exceeds resource bound")
         i = len(chosen)
         if i == G.rank:

@@ -21,7 +21,12 @@ the element with no terms, so every zero test is exact.  Sums and products
 touch only nonzero terms; every context with the same N shares one table of
 the reduced zeta^j, j < N, that products, Galois maps and ``zpow`` read.
 Case I tags with the same omega_1 + omega_2 mod 3 share their branch
-systems, built once per context.  The checks are the closed-form g = 0 values, the eigenspace dimension preconditions, the
+systems, built once per context.  The eigenspaces ker(R - zeta3^k) of the
+rotation R (R^3 = 1) are read off their exact projectors
+(1 + zeta3^-k R + zeta3^-2k R^2) / 3, which commute with the anti-unitary J:
+the trace gives the dimension, the column at the unit the J-fixed vector f0
+with f0(0) = 1 and its norm, and no linear system is solved.  The checks are
+the closed-form g = 0 values, the eigenspace dimension preconditions, the
 norm identities on pinned eigenspaces, the order-2 element relations, and a
 per-point decision tree on order-2 elements for the one stubborn Case II
 configuration.  The g = 0 values and norm identities of a Case I/II branch
@@ -443,125 +448,52 @@ class ExactContext:
             raise ArithmeticError(f"sqrt({s}) construction failed")
         return out
 
-    # -- the anti-unitary J f(g) = conj(a(g) f(-g)) ---------------------------
-
-    def J_apply(self, v: list):
-        G, els = self.G, self.els
-        out = [self.zero] * self.n
-        for i, g in enumerate(els):
-            j = G.index_of(G.neg(g))
-            out[i] = self.conj(self.a[i] * v[j])
-        return out
-
     # -- exact eigenspaces -----------------------------------------------------
 
+    @functools.cached_property
+    def R2(self) -> list[list]:
+        R, n = self.R, self.n
+        return [[sum((R[i][l] * R[l][j] for l in range(n)), self.zero) for j in range(n)]
+                for i in range(n)]
+
     def eig(self, k: int) -> dict:
+        """ker(R - w), w = zeta3^k, read off its orthogonal projector
+        P = (1 + conj(w) R + conj(w)^2 R^2) / 3.  The anti-unitary
+        J f(g) = conj(a(g) f(-g)) has J R = R^2 J, so P commutes with J, and
+        J e_0 = e_0.  Hence dim = tr P; evaluation at 0 kills the eigenspace
+        iff P[0][0] = |P e_0|^2 = 0; otherwise f0 = P e_0 / P[0][0] is J-fixed
+        with f0(0) = 1 and |f0|^2 = 1 / P[0][0].  f0p, a J-fixed eigenvector
+        vanishing at 0, is the first nonzero P(e_j + J e_j) or
+        i P(e_j - J e_j) minus its f0 component, None if there is none."""
         k = k % 3
         if k in self._eig:
             return self._eig[k]
-        n = self.n
-        w = self.zeta3 ** k
-        M = [[self.R[i][j] - (w if i == j else self.zero) for j in range(n)]
-             for i in range(n)]
-        basis = self._nullspace(M)
-        jfixed = self._j_fixed_basis(basis)
-        # eval0_zero: every vector vanishes at 0 (so also when dim = 0)
-        data: dict = {"dim": len(basis), "jfixed": jfixed,
-                      "eval0_zero": all(self.is_zero(v[0]) for v in basis)}
-        f0 = f0p = None
-        if jfixed:
-            vals0 = [v[0] for v in jfixed]
-            nz = [i for i, x in enumerate(vals0) if not self.is_zero(x)]
-            if nz:
-                i0 = nz[0]
-                inv0 = self.inv(vals0[i0])
-                f0 = [x * inv0 for x in jfixed[i0]]
-                others = []
-                for i, v in enumerate(jfixed):
-                    if i == i0:
-                        continue
-                    cand = [v[c] * vals0[i0] - jfixed[i0][c] * vals0[i] for c in range(n)]
-                    if not all(self.is_zero(x) for x in cand):
-                        others.append(cand)
-                if others:
-                    f0p = others[0]
-            else:
-                f0p = jfixed[0]
-        data["f0"] = f0
-        data["f0p"] = f0p
-        data["norm_f0"] = self.vec_norm2(f0) if f0 is not None else None
+        n, R, R2, G = self.n, self.R, self.R2, self.G
+        wb = self.zeta3 ** (-k % 3)
+        wb2, third = wb * wb, self.q(Fraction(1, 3))
+        P = [[((self.one if i == j else self.zero) + wb * R[i][j] + wb2 * R2[i][j]) * third
+              for j in range(n)] for i in range(n)]
+        tr = sum((P[i][i] for i in range(n)), self.zero)
+        dim = tr.t[0][1] if tr.t else 0
+        if dim < 0 or tr != self.int(dim):
+            raise ArithmeticError(f"tr P = {self.numeric(tr)} is not a dimension")
+        f0 = norm_f0 = None
+        if not self.is_zero(P[0][0]):
+            norm_f0 = self.inv(P[0][0])
+            f0 = [P[i][0] * norm_f0 for i in range(n)]
+
+        def j_fixed():
+            """u P e_j + conj(u) P J e_j, u = 1, i, less its f0 component."""
+            for j, g in enumerate(self.els):
+                jn, aj = G.index_of(G.neg(g)), self.conj(self.a[j])
+                for u in (self.one, self.i):
+                    v = [u * P[i][j] + self.conj(u) * aj * P[i][jn] for i in range(n)]
+                    yield v if f0 is None else [x - v[0] * y for x, y in zip(v, f0)]
+
+        data = {"dim": dim, "eval0_zero": f0 is None, "f0": f0, "norm_f0": norm_f0,
+                "f0p": next((v for v in j_fixed() if not all(map(self.is_zero, v))), None)}
         self._eig[k] = data
         return data
-
-    def vec_norm2(self, v: list):
-        out = self.zero
-        for x in v:
-            out = out + x * self.conj(x)
-        return out
-
-    def _nullspace(self, M: list[list]) -> list[list]:
-        rows = len(M)
-        cols = len(M[0]) if rows else 0
-        A = [row[:] for row in M]
-        pivots: list[int] = []
-        r = 0
-        for c in range(cols):
-            pr = None
-            for rr in range(r, rows):
-                if not self.is_zero(A[rr][c]):
-                    pr = rr
-                    break
-            if pr is None:
-                continue
-            A[r], A[pr] = A[pr], A[r]
-            inv = self.inv(A[r][c])
-            A[r] = [x * inv for x in A[r]]
-            for rr in range(rows):
-                if rr != r and not self.is_zero(A[rr][c]):
-                    f = A[rr][c]
-                    A[rr] = [x - f * y for x, y in zip(A[rr], A[r])]
-            pivots.append(c)
-            r += 1
-            if r == rows:
-                break
-        free = [c for c in range(cols) if c not in pivots]
-        out = []
-        for fc in free:
-            v = [self.zero] * cols
-            v[fc] = self.one
-            for i, pc in enumerate(pivots):
-                v[pc] = -A[i][fc]
-            out.append(v)
-        return out
-
-    def _j_fixed_basis(self, basis: list[list]) -> list[list]:
-        """Real basis of {u in span(basis): J u = u}, via the real-linear
-        kernel of u - J u in coordinates u = sum (x_{2i} + i x_{2i+1}) v_i."""
-        if not basis:
-            return []
-        imgs = [self.J_apply(v) for v in basis]
-        k = len(basis)
-        n = self.n
-        i_unit = self.i
-        cols = []
-        for i in range(k):
-            cols.append([imgs[i][c] - basis[i][c] for c in range(n)])
-            cols.append([-i_unit * (imgs[i][c] + basis[i][c]) for c in range(n)])
-        A = [[self.zero] * (2 * k) for _ in range(2 * n)]
-        for j, col in enumerate(cols):
-            for c in range(n):
-                A[2 * c][j] = self.re(col[c])
-                A[2 * c + 1][j] = self.im(col[c])
-        out = []
-        for coeffs in self._nullspace(A):
-            vec = [self.zero] * n
-            for i in range(k):
-                coef = coeffs[2 * i] + i_unit * coeffs[2 * i + 1]
-                for c in range(n):
-                    vec[c] = vec[c] + coef * basis[i][c]
-            if not all(self.is_zero(x) for x in vec):
-                out.append(vec)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -663,15 +595,17 @@ class KPoly:
 
 
 def _poly_gcd(ps: list[KPoly]) -> KPoly:
-    """The monic gcd of nonzero polynomials, taken lowest degree first so that
-    every divisor is monic; stops at the first constant."""
+    """The gcd of nonzero polynomials, taken lowest degree first so that
+    every divisor of positive degree is monic; stops at the first constant,
+    which is returned as it is."""
     ps = sorted(ps, key=lambda p: p.degree)
-    g = ps[0].monic()
+    unit = lambda p: p.monic() if p.degree else p
+    g = unit(ps[0])
     for p in ps[1:]:
         if g.degree == 0:
             break
         while not (r := p.rem(g)).is_zero():
-            p, g = g, r.monic()
+            p, g = g, unit(r)
     return g
 
 
@@ -703,8 +637,6 @@ def _resolve_t_system(ctx: ExactContext, equations: list[KPoly]):
     if any(ctx.is_zero(g.eval(x)) for x in ends) or variations(ends[0]) > variations(ends[1]):
         return True, -g.coeffs[0] if g.degree == 1 else None
     return False, None
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -854,8 +786,10 @@ def _case_II(ctx: ExactContext, tag: CaseTag) -> Feasibility:
         abseta_sq = (C(ctx.one) - T * T) * C(ctx.q(Fraction(1, 4 * n)))
         branches.append(("branch1", {"kappa1": kappa1}, mu0, Rmu0, R2mu0,
                          absxi0_sq, abseta_sq))
-    # branch 2 needs two J-fixed vectors of ker(R - w) vanishing at 0
-    if sum(1 for v in e_j["jfixed"] if ctx.is_zero(v[0])) >= 2:
+    # branch 2 needs two real-independent J-fixed vectors of ker(R - w) that
+    # vanish at 0: the kernel of evaluation at 0 on the J-fixed vectors, a
+    # real space of dimension dim
+    if e_j["dim"] - (0 if e_j["eval0_zero"] else 1) >= 2:
         for kappa in (1, -1):
             mu0 = C(ctx.int(kappa) * i_unit * ctx.inv_sqrt_n)
             Rmu0 = C(w * (-half_d - ctx.int(kappa) * i_unit * inv2rn))

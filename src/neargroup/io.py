@@ -51,7 +51,10 @@ def _c(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _phase_of(z: complex, max_den: int = 240) -> dict | None:
+_PHASE_MAX_DEN = 240  # largest denominator _phase_of tries
+
+
+def _phase_of(z: complex) -> dict | None:
     """Optional exact-phase form of a unimodular complex number."""
     import math
 
@@ -59,7 +62,7 @@ def _phase_of(z: complex, max_den: int = 240) -> dict | None:
     if abs(abs(z) - 1.0) > 1e-13:
         return None
     ang = math.atan2(z.imag, z.real) / (2 * math.pi) % 1.0
-    for den in range(1, max_den + 1):
+    for den in range(1, _PHASE_MAX_DEN + 1):
         num = round(ang * den)
         cand = complex(np.exp(2j * np.pi * num / den))
         if abs(cand - z) < 1e-13:

@@ -186,6 +186,61 @@ def test_exact_context_basics():
     assert ctx.is_zero(ctx.d * ctx.d - ctx.int(3) - ctx.int(6) * ctx.d)
 
 
+def test_eigenspace_projector_data():
+    """eig(k) of every pair of Z2-Z6, Z2xZ2 and Z3xZ3: f0 is a J-fixed
+    eigenvector with f0(0) = 1 and norm norm_f0, f0p a J-fixed eigenvector
+    vanishing at 0 exactly when those span a nonzero real space, and dim the
+    numeric rank of R - zeta3^k, all exact but the rank."""
+    import numpy as np
+
+    from neargroup.solvers import pair_classes
+
+    groups = [FiniteAbelianGroup(f) for f in [(2,), (3,), (4,), (5,), (6,), (2, 2), (3, 3)]]
+    for G, (b, a, _) in [(G, p) for G in groups for p in pair_classes(G)]:
+        ctx = ExactContext(G, b, a)
+        n, els = ctx.n, ctx.els
+        neg = [G.index_of(G.neg(g)) for g in els]
+
+        def J(v):
+            return [ctx.conj(ctx.a[i] * v[neg[i]]) for i in range(n)]
+
+        def R(v):
+            return [sum((ctx.R[i][j] * v[j] for j in range(n)), ctx.zero) for i in range(n)]
+
+        R_num = np.array([[ctx.numeric(x) for x in row] for row in ctx.R])
+        dims = 0
+        for k in range(3):
+            e, w = ctx.eig(k), ctx.zeta3 ** k
+            rank = np.linalg.matrix_rank(R_num - ctx.numeric(w) * np.eye(n), tol=1e-8)
+            assert e["dim"] == n - rank
+            dims += e["dim"]
+            assert e["eval0_zero"] == (e["f0"] is None)
+            if e["f0"] is not None:
+                f0 = e["f0"]
+                assert R(f0) == [w * x for x in f0] and J(f0) == f0 and f0[0] == ctx.one
+                assert e["norm_f0"] == sum((x * ctx.conj(x) for x in f0), ctx.zero)
+            real_dim = e["dim"] - (0 if e["eval0_zero"] else 1)
+            assert (e["f0p"] is not None) == (real_dim > 0)
+            if e["f0p"] is not None:
+                f0p = e["f0p"]
+                assert not all(map(ctx.is_zero, f0p))
+                assert R(f0p) == [w * x for x in f0p] and J(f0p) == f0p
+                assert ctx.is_zero(f0p[0])
+        assert dims == n
+
+
+def test_z6_case_II_branch2_is_examined():
+    """On Z6 the eigenspace of II(z3^2) of the first pair holds a real plane
+    of J-fixed vectors vanishing at 0, so branch 2 is decided and survives."""
+    from neargroup.solvers import pair_classes
+
+    G = FiniteAbelianGroup((6,))
+    b, a, _ = pair_classes(G)[0]
+    res = case_feasibility(G, b, a, CaseTag("II", omega=2))
+    assert res.feasible
+    assert "branch2{'kappa': 1}" in res.details and "branch2{'kappa': -1}" in res.details
+
+
 def test_import_does_not_load_sympy():
     src = str(Path(neargroup.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
