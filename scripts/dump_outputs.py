@@ -6,7 +6,10 @@ Runs ``neargroup --json classify`` on every row of
 exact m = 2|G| case analysis of every group in ``CASE_GROUPS``: ``str(f)``
 of each ``Feasibility`` of each ``pair_classes`` pair, so the witnesses and
 details of the ``cases`` layer are compared too, whatever rows are
-classified.  Last comes ``neargroup --json out`` on every bundled solution.
+classified, each pair followed by its exact eigenspace data ``ctx.eig(k)``,
+k = 0, 1, 2: ``dim`` and the terms ``(x.t, x.d)`` of every entry of ``f0``,
+``norm_f0`` and ``f0p``.  Last comes ``neargroup --json out`` on every
+bundled solution.
 Commands run in-process through ``cli.main``, and each answer is preceded
 by a ``# <command>`` line.  The output is deterministic, so two checkouts
 give the same answers exactly when
@@ -28,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from run_classification import TABLE  # noqa: E402
 
 from neargroup import cli  # noqa: E402
-from neargroup.cases import all_case_feasibilities  # noqa: E402
+from neargroup.cases import ExactContext, all_case_feasibilities  # noqa: E402
 from neargroup.solvers import pair_classes  # noqa: E402
 
 CASE_GROUPS = ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z10", "Z12",
@@ -42,13 +45,28 @@ def run(argv: list[str]) -> None:
         sys.exit(f"{' '.join(argv)} exited with {code}")
 
 
+def terms(x):
+    """The exact terms of a field element, a list of them, or None."""
+    if x is None:
+        return None
+    if isinstance(x, list):
+        return [terms(y) for y in x]
+    return (x.t, x.d)
+
+
 def case_analysis(group: str) -> None:
-    """Print every case tag's feasibility for every pair of ``group``."""
+    """Print every case tag's feasibility for every pair of ``group``, and
+    the pair's eigenspace data."""
     G = cli.parse_group(group)
     print(f"# cases {group}")
     for i, (b, a, _) in enumerate(pair_classes(G)):
-        for f in all_case_feasibilities(G, b, a):
+        ctx = ExactContext(G, b, a)
+        for f in all_case_feasibilities(G, b, a, ctx=ctx):
             print(f"pair {i}: {f}")
+        for k in range(3):
+            e = ctx.eig(k)
+            print(f"pair {i} eig {k}: dim {e['dim']} f0 {terms(e['f0'])} "
+                  f"norm_f0 {terms(e['norm_f0'])} f0p {terms(e['f0p'])}")
 
 
 def main():

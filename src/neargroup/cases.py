@@ -21,11 +21,13 @@ the element with no terms, so every zero test is exact.  Sums and products
 touch only nonzero terms; every context with the same N shares one table of
 the reduced zeta^j, j < N, that products, Galois maps and ``zpow`` read.
 Case I tags with the same omega_1 + omega_2 mod 3 share their branch
-systems, built once per context.  The eigenspaces ker(R - zeta3^k) of the
-rotation R (R^3 = 1) are read off their exact projectors
-(1 + zeta3^-k R + zeta3^-2k R^2) / 3, which commute with the anti-unitary J:
-the trace gives the dimension, the column at the unit the J-fixed vector f0
-with f0(0) = 1 and its norm, and no linear system is solved.  The checks are
+systems, built once per context.  The rotation R is unitary, as b is
+nondegenerate, and R^3 = 1, as c^3 a_hat(0) = 1, so R^2 = R*: the eigenspaces
+ker(R - zeta3^k) are read off their exact projectors
+(1 + zeta3^-k R + zeta3^k R*) / 3, with no product of R with itself, and
+these commute with the anti-unitary J (J R = R* J): the trace gives the
+dimension, the column at the unit the J-fixed vector f0 with f0(0) = 1 and
+its norm, and no linear system is solved.  The checks are
 the closed-form g = 0 values, the eigenspace dimension preconditions, the
 norm identities on pinned eigenspaces, the order-2 element relations, and a
 per-point decision tree on order-2 elements for the one stubborn Case II
@@ -243,6 +245,8 @@ class ExactContext:
     """Exact rotation/eigen data for one (bicharacter, form) pair at m = 2n."""
 
     def __init__(self, G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm):
+        if not b.is_nondegenerate():
+            raise ValueError("bicharacter must be nondegenerate")
         self.G = G
         self.n = n = G.order
         self.m = 2 * n
@@ -287,23 +291,17 @@ class ExactContext:
         self.inv_d = self.inv(self.d)
         self.half_d = self.inv_d * half  # 1 / (2 d)
 
-        self.B = [[self.phase(b.phase(g, h)) for h in els] for g in els]
         self.a = [self.phase(a.phase(g)) for g in els]
         # c = zeta^c_exp with c^3 a_hat(0) = 1
-        asum = self.zero
-        for x in self.a:
-            asum = asum + x
-        ahat0 = asum * self.inv_sqrt_n
+        ahat0 = sum(self.a, self.zero) * self.inv_sqrt_n
         c_exp = next((k for k in range(N) if self.zpow(3 * k) * ahat0 == self.one), None)
         if c_exp is None:
             raise ValueError("no cube-root scalar c in the chosen field")
         self.c_exp = c_exp
         self.c = self.zpow(c_exp)
-        self.R = [
-            [self.conj(self.c * self.a[i]) * self.B[i][j] * self.inv_sqrt_n
-             for j in range(n)]
-            for i in range(n)
-        ]
+        # R = diag(conj(c a) / sqrt(n)) B, B[g][h] = b(g, h): one row factor per row
+        rows = [self.conj(self.c * x) * self.inv_sqrt_n for x in self.a]
+        self.R = [[r * self.phase(b.phase(g, h)) for h in els] for r, g in zip(rows, els)]
         self.zeta3 = self.zpow(self.N // 3)
         self._eig: dict[int, dict] = {}
         self._branches_I: dict[int, list] = {}  # see _case_I_branches
@@ -450,48 +448,53 @@ class ExactContext:
 
     # -- exact eigenspaces -----------------------------------------------------
 
-    @functools.cached_property
-    def R2(self) -> list[list]:
-        R, n = self.R, self.n
-        return [[sum((R[i][l] * R[l][j] for l in range(n)), self.zero) for j in range(n)]
-                for i in range(n)]
-
     def eig(self, k: int) -> dict:
         """ker(R - w), w = zeta3^k, read off its orthogonal projector
-        P = (1 + conj(w) R + conj(w)^2 R^2) / 3.  The anti-unitary
-        J f(g) = conj(a(g) f(-g)) has J R = R^2 J, so P commutes with J, and
-        J e_0 = e_0.  Hence dim = tr P; evaluation at 0 kills the eigenspace
-        iff P[0][0] = |P e_0|^2 = 0; otherwise f0 = P e_0 / P[0][0] is J-fixed
-        with f0(0) = 1 and |f0|^2 = 1 / P[0][0].  f0p, a J-fixed eigenvector
-        vanishing at 0, is the first nonzero P(e_j + J e_j) or
-        i P(e_j - J e_j) minus its f0 component, None if there is none."""
+        P = (1 + conj(w) R + w R*) / 3: R is unitary (b is nondegenerate) with
+        R^3 = 1 (c^3 a_hat(0) = 1), so R^2 = R*, and a column of P, built when
+        read, conjugates entries of R instead of multiplying R by itself.  The
+        anti-unitary J f(g) = conj(a(g) f(-g)) has J R = R* J, so P commutes
+        with J, and J e_0 = e_0.  Hence dim = tr P; evaluation at 0 kills the
+        eigenspace, and f0 is None, iff P[0][0] = |P e_0|^2 = 0; otherwise
+        f0 = P e_0 / P[0][0] is J-fixed with f0(0) = 1 and norm_f0 = |f0|^2 =
+        1 / P[0][0].  The J-fixed eigenvectors vanishing at 0 span a real space
+        of dimension ``vanishing``; f0p, one of them, is the first nonzero
+        P(e_j + J e_j) or i P(e_j - J e_j) less its f0 component, or None."""
         k = k % 3
         if k in self._eig:
             return self._eig[k]
-        n, R, R2, G = self.n, self.R, self.R2, self.G
-        wb = self.zeta3 ** (-k % 3)
-        wb2, third = wb * wb, self.q(Fraction(1, 3))
-        P = [[((self.one if i == j else self.zero) + wb * R[i][j] + wb2 * R2[i][j]) * third
-              for j in range(n)] for i in range(n)]
-        tr = sum((P[i][i] for i in range(n)), self.zero)
+        n, R, G, third = self.n, self.R, self.G, self.q(Fraction(1, 3))
+        w3 = self.zeta3 ** k * third
+        wb3 = self.conj(w3)
+
+        @functools.cache
+        def col(j: int) -> list:  # P e_j
+            return [(third if i == j else self.zero) + wb3 * R[i][j] + w3 * self.conj(R[j][i])
+                    for i in range(n)]
+
+        trR = sum((R[i][i] for i in range(n)), self.zero)
+        tr = self.int(n) * third + wb3 * trR + w3 * self.conj(trR)
         dim = tr.t[0][1] if tr.t else 0
         if dim < 0 or tr != self.int(dim):
             raise ArithmeticError(f"tr P = {self.numeric(tr)} is not a dimension")
         f0 = norm_f0 = None
-        if not self.is_zero(P[0][0]):
-            norm_f0 = self.inv(P[0][0])
-            f0 = [P[i][0] * norm_f0 for i in range(n)]
+        if not self.is_zero(col(0)[0]):
+            norm_f0 = self.inv(col(0)[0])
+            f0 = [x * norm_f0 for x in col(0)]
+        vanishing = dim - (0 if f0 is None else 1)
 
         def j_fixed():
             """u P e_j + conj(u) P J e_j, u = 1, i, less its f0 component."""
             for j, g in enumerate(self.els):
-                jn, aj = G.index_of(G.neg(g)), self.conj(self.a[j])
+                Pe, PJe = col(j), col(G.index_of(G.neg(g)))
                 for u in (self.one, self.i):
-                    v = [u * P[i][j] + self.conj(u) * aj * P[i][jn] for i in range(n)]
+                    uj = self.conj(u * self.a[j])
+                    v = [u * x + uj * y for x, y in zip(Pe, PJe)]
                     yield v if f0 is None else [x - v[0] * y for x, y in zip(v, f0)]
 
-        data = {"dim": dim, "eval0_zero": f0 is None, "f0": f0, "norm_f0": norm_f0,
-                "f0p": next((v for v in j_fixed() if not all(map(self.is_zero, v))), None)}
+        data = {"dim": dim, "vanishing": vanishing, "f0": f0, "norm_f0": norm_f0,
+                "f0p": next((v for v in j_fixed() if not all(map(self.is_zero, v))), None)
+                if vanishing else None}
         self._eig[k] = data
         return data
 
@@ -662,11 +665,11 @@ def _g0_equations(ctx: ExactContext, mu0: KPoly, Rmu0: KPoly, R2mu0: KPoly,
     for k in range(3):
         e = ctx.eig(k)
         pin[k] = None
-        if e["eval0_zero"]:
+        if e["f0"] is None:
             eqs.append(mu_k[k])
             if e["dim"] == 0:
                 pin[k] = KPoly.const(ctx, ctx.zero)
-        elif e["dim"] == 1 and e["f0"] is not None:
+        elif e["dim"] == 1:
             pin[k] = mu_k[k].abs2() * KPoly.const(ctx, e["norm_f0"])
     included = [pin[k] for k in range(3) if k != k_excl]
     if None not in included:
@@ -727,7 +730,7 @@ def _case_I(ctx: ExactContext, tag: CaseTag) -> Feasibility:
     surviving = []
     for name, params, xi0, eta_sq, g0_eqs, pin_norm in _case_I_branches(ctx, s):
         eqs = list(g0_eqs)
-        if any(ctx.eig(w)["eval0_zero"] for w in tag.omegas):
+        if any(ctx.eig(w)["f0"] is None for w in tag.omegas):
             eqs += [xi0, eta_sq]
         if tag.omegas[0] != tag.omegas[1]:
             for small_exp in set(tag.omegas):
@@ -741,8 +744,7 @@ def _case_I(ctx: ExactContext, tag: CaseTag) -> Feasibility:
             small = [exp for exp in set(tag.omegas) if dims[exp] == 1]
             if big and small:
                 ebig, esmall = ctx.eig(big[0]), ctx.eig(small[0])
-                if (ebig["f0"] is not None and ebig["f0p"] is not None
-                        and esmall["f0"] is not None):
+                if ebig["f0"] is not None and esmall["f0"] is not None:
                     for gi, g in enumerate(ctx.els):
                         if ctx.G.element_order(g) != 2:
                             continue
@@ -787,9 +789,8 @@ def _case_II(ctx: ExactContext, tag: CaseTag) -> Feasibility:
         branches.append(("branch1", {"kappa1": kappa1}, mu0, Rmu0, R2mu0,
                          absxi0_sq, abseta_sq))
     # branch 2 needs two real-independent J-fixed vectors of ker(R - w) that
-    # vanish at 0: the kernel of evaluation at 0 on the J-fixed vectors, a
-    # real space of dimension dim
-    if e_j["dim"] - (0 if e_j["eval0_zero"] else 1) >= 2:
+    # vanish at 0
+    if e_j["vanishing"] >= 2:
         for kappa in (1, -1):
             mu0 = C(ctx.int(kappa) * i_unit * ctx.inv_sqrt_n)
             Rmu0 = C(w * (-half_d - ctx.int(kappa) * i_unit * inv2rn))
@@ -801,7 +802,7 @@ def _case_II(ctx: ExactContext, tag: CaseTag) -> Feasibility:
     surviving = []
     for name, params, mu0, Rmu0, R2mu0, absxi0_sq, abseta_sq in branches:
         mu_k, eqs, _ = _g0_equations(ctx, mu0, Rmu0, R2mu0, True, j, rhs)
-        if e_j["eval0_zero"]:
+        if e_j["f0"] is None:
             eqs += [absxi0_sq, abseta_sq]
         feasible, t0 = _resolve_t_system(ctx, eqs)
         if feasible:
@@ -839,7 +840,7 @@ def _case_II_order2_refutation(ctx: ExactContext, tag: CaseTag, t0,
     ebig = ctx.eig(j)
     k1, k2 = (j + 1) % 3, (j + 2) % 3
     e1, e2 = ctx.eig(k1), ctx.eig(k2)
-    if not (ebig["eval0_zero"] and ebig["dim"] == 2):
+    if not (ebig["f0"] is None and ebig["dim"] == 2):
         return False
     if not (e1["dim"] == 1 and e1["f0"] is not None
             and e2["dim"] == 1 and e2["f0"] is not None):

@@ -274,19 +274,17 @@ def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
 
 def solve_m2n(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
               config: SolveConfig | None = None,
-              feasibilities: list[Feasibility] | None = None,
               warnings: list[str] | None = None
               ) -> tuple[list[GeneralSolution], list[Feasibility]]:
     """Solve the m = 2n system on the reduced parameter spaces of the cases
-    surviving the exact feasibility analysis.  Returns (solutions, report);
-    each solution's ``provenance["case"]`` is the tag whose solver found it.
-    Inconclusive equivalence comparisons of the dedupe are appended to
-    ``warnings``; their solutions are kept as distinct."""
+    surviving the exact feasibility analysis, which it runs.  Returns
+    (solutions, report); each solution's ``provenance["case"]`` is the tag
+    whose solver found it.  Inconclusive equivalence comparisons of the
+    dedupe are appended to ``warnings``; their solutions are kept as distinct."""
     if config is None:
         config = SolveConfig()
     ctx = ExactContext(G, b, a)
-    if feasibilities is None:
-        feasibilities = all_case_feasibilities(G, b, a, ctx=ctx)
+    feasibilities = all_case_feasibilities(G, b, a, ctx=ctx)
     sols: list[GeneralSolution] = []
     for feas in feasibilities:
         # Case III survivors (from |G| = 6 on; no exact test past |G| = 4)

@@ -186,17 +186,51 @@ def test_exact_context_basics():
     assert ctx.is_zero(ctx.d * ctx.d - ctx.int(3) - ctx.int(6) * ctx.d)
 
 
-def test_eigenspace_projector_data():
-    """eig(k) of every pair of Z2-Z6, Z2xZ2 and Z3xZ3: f0 is a J-fixed
-    eigenvector with f0(0) = 1 and norm norm_f0, f0p a J-fixed eigenvector
-    vanishing at 0 exactly when those span a nonzero real space, and dim the
-    numeric rank of R - zeta3^k, all exact but the rank."""
-    import numpy as np
-
+@functools.cache
+def _small_pairs():
+    """(G, b, a) for every ``pair_classes`` pair of Z2-Z6, Z2xZ2 and Z3xZ3."""
     from neargroup.solvers import pair_classes
 
     groups = [FiniteAbelianGroup(f) for f in [(2,), (3,), (4,), (5,), (6,), (2, 2), (3, 3)]]
-    for G, (b, a, _) in [(G, p) for G in groups for p in pair_classes(G)]:
+    return [(G, b, a) for G in groups for b, a, _ in pair_classes(G)]
+
+
+def test_R_squared_is_conjugate_transpose():
+    """R is unitary and R^3 = 1, so R R equals the conjugate transpose of R,
+    exactly, on every small pair; the dense product is the reference."""
+    for G, b, a in _small_pairs():
+        ctx = ExactContext(G, b, a)
+        R, n = ctx.R, ctx.n
+        R2 = [[sum((R[i][l] * R[l][j] for l in range(n)), ctx.zero) for j in range(n)]
+              for i in range(n)]
+        assert R2 == [[ctx.conj(R[j][i]) for j in range(n)] for i in range(n)], (G, b, a)
+
+
+def test_degenerate_bicharacter_is_rejected():
+    """A degenerate b makes R singular, so the context refuses it up front
+    rather than failing later in the cube-root search."""
+    count = 0
+    for f in [(2,), (3,), (4,), (5,), (6,), (2, 2)]:
+        G = FiniteAbelianGroup(f)
+        for b in enumerate_bicharacters(G):
+            if b.is_nondegenerate():
+                continue
+            for a in [a for a in enumerate_quadratic_forms(b) if a.is_even()]:
+                with pytest.raises(ValueError, match="nondegenerate"):
+                    ExactContext(G, b, a)
+                count += 1
+    assert count == 32
+
+
+def test_eigenspace_projector_data():
+    """eig(k) of every pair of Z2-Z6, Z2xZ2 and Z3xZ3: f0 is a J-fixed
+    eigenvector with f0(0) = 1 and norm norm_f0, f0p a J-fixed eigenvector
+    vanishing at 0 exactly when those span a nonzero real space, and dim and
+    vanishing the numeric ranks of R - zeta3^k and of it with evaluation at 0,
+    all exact but the ranks."""
+    import numpy as np
+
+    for G, b, a in _small_pairs():
         ctx = ExactContext(G, b, a)
         n, els = ctx.n, ctx.els
         neg = [G.index_of(G.neg(g)) for g in els]
@@ -211,16 +245,19 @@ def test_eigenspace_projector_data():
         dims = 0
         for k in range(3):
             e, w = ctx.eig(k), ctx.zeta3 ** k
-            rank = np.linalg.matrix_rank(R_num - ctx.numeric(w) * np.eye(n), tol=1e-8)
-            assert e["dim"] == n - rank
+            assert set(e) == {"dim", "vanishing", "f0", "norm_f0", "f0p"}
+            M = R_num - ctx.numeric(w) * np.eye(n)
+            assert e["dim"] == n - np.linalg.matrix_rank(M, tol=1e-8)
+            # J-fixed vectors of the J-invariant E cap ker(ev_0): a real space
+            # of the complex dimension of E cap ker(ev_0)
+            ev0 = np.eye(n)[:1]
+            assert e["vanishing"] == n - np.linalg.matrix_rank(np.vstack([M, ev0]), tol=1e-8)
             dims += e["dim"]
-            assert e["eval0_zero"] == (e["f0"] is None)
             if e["f0"] is not None:
                 f0 = e["f0"]
                 assert R(f0) == [w * x for x in f0] and J(f0) == f0 and f0[0] == ctx.one
                 assert e["norm_f0"] == sum((x * ctx.conj(x) for x in f0), ctx.zero)
-            real_dim = e["dim"] - (0 if e["eval0_zero"] else 1)
-            assert (e["f0p"] is not None) == (real_dim > 0)
+            assert (e["f0p"] is not None) == (e["vanishing"] > 0)
             if e["f0p"] is not None:
                 f0p = e["f0p"]
                 assert not all(map(ctx.is_zero, f0p))
