@@ -231,6 +231,14 @@ def _keep(tensors, lift, config: SolveConfig, cap: int | None = None) -> list:
     return found
 
 
+def _order_key(b) -> tuple:
+    """The sort key of a solution's b values, rounded to 6 places: solver
+    outputs sorted by it come in one order whatever the slice basis, the
+    cube-root order or the seed, so that a dedupe keeps the least member of
+    each class."""
+    return tuple(np.round(np.ravel(b).view(float), 6))
+
+
 # ---------------------------------------------------------------------------
 # m = n
 
@@ -265,6 +273,7 @@ def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
         # the three cube roots c never share a solution, so deduping within
         # one c's starts is deduping over all of them
         out += _solve_tensor(mn_normal_form(b, a, c), config.random_starts, 0, config, lift)
+    out.sort(key=lambda s: _order_key(s.b))
     return out
 
 
@@ -292,7 +301,7 @@ def solve_m2n(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
         if feas.feasible and feas.tag.kind in ("I", "II"):
             sols.extend(_solve_case(G, b, a, ctx, feas.tag, config))
     reps = _dedupe(sols, [] if warnings is None else warnings)
-    reps.sort(key=lambda s: tuple(np.round(s.btensor.ravel().view(float), 6)))
+    reps.sort(key=lambda s: _order_key(s.btensor))
     return reps, feasibilities
 
 

@@ -127,6 +127,24 @@ def test_solve_mn_default_config_pair_counts():
         assert all(residual_mn(s, 1e-10).passed for ss in sols for s in ss)
 
 
+def test_solve_mn_order_is_seed_independent():
+    """``solve_mn`` returns its solutions in one canonical order: two seeds
+    give the same list on every pair of Z3, Z4 and Z5 with two or more
+    solutions, so ``classify`` keeps the same member of each class."""
+    pairs = 0
+    for factors in [(3,), (4,), (5,)]:
+        G = FiniteAbelianGroup(factors)
+        for b, a, _ in pair_classes(G):
+            one, two = (solve_mn(G, b, a, SolveConfig(seed=seed)) for seed in (1, 2))
+            if len(one) < 2:
+                continue
+            pairs += 1
+            assert len(one) == len(two), factors
+            assert all(abs(s.c - t.c) < 1e-9 and np.max(np.abs(s.b - t.b)) < 1e-9
+                       for s, t in zip(one, two)), factors
+    assert pairs == 5
+
+
 def test_solve_m2n_z3_family():
     G, b, a = _pair(3)
     sols, feas = solve_m2n(G, b, a, SolveConfig(random_starts=10))
