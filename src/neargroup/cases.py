@@ -1,4 +1,5 @@
-"""Exact case analysis for the m = 2|G| classification.
+"""Exact case analysis for the m = 2|G| classification, on exact rotation
+eigenspaces that the m = n solver reads its slices off too.
 
 The unknown tensor b^{r,s}_{t,u}(g) with |Lambda| = 2 splits into four cases
 according to (chi_1, chi_2, eps, J):
@@ -242,7 +243,11 @@ class _Cyc:
 
 
 class ExactContext:
-    """Exact rotation/eigen data for one (bicharacter, form) pair at m = 2n."""
+    """Exact rotation/eigen data for one (bicharacter, form) pair: the
+    cube-root scalar ``c``, the rotation ``R`` and its eigenspaces ``eig(k)``
+    serve every m (``solvers.solve_mn`` reads its slices off them), while
+    ``m`` = 2n and ``d``, ``inv_d`` = 1/d and ``half_d`` = 1/(2d) for it are
+    constants of the m = 2n case analysis; the field holds that d."""
 
     def __init__(self, G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm):
         if not b.is_nondegenerate():
@@ -459,7 +464,8 @@ class ExactContext:
         f0 = P e_0 / P[0][0] is J-fixed with f0(0) = 1 and norm_f0 = |f0|^2 =
         1 / P[0][0].  The J-fixed eigenvectors vanishing at 0 span a real space
         of dimension ``vanishing``; f0p, one of them, is the first nonzero
-        P(e_j + J e_j) or i P(e_j - J e_j) less its f0 component, or None."""
+        P(e_j + J e_j) or i P(e_j - J e_j) less its f0 component, or None.
+        ``col(j)`` is the column P e_j, built when first read."""
         k = k % 3
         if k in self._eig:
             return self._eig[k]
@@ -493,6 +499,7 @@ class ExactContext:
                     yield v if f0 is None else [x - v[0] * y for x, y in zip(v, f0)]
 
         data = {"dim": dim, "vanishing": vanishing, "f0": f0, "norm_f0": norm_f0,
+                "col": col,
                 "f0p": next((v for v in j_fixed() if not all(map(self.is_zero, v))), None)
                 if vanishing else None}
         self._eig[k] = data

@@ -4,8 +4,10 @@ classification orchestrator.
 Every system is the tensor system of a normal form: the L = 1 form of each
 cube root c for m = n (``solve_mn``), a Case I or II tag for m = 2n
 (``solve_m2n``), the simplest guess for m > 2n (``heuristic_search``).
-``_solve_tensor`` solves it: the affine equations cut out an exact slice
-x0 + K y (``_affine_slice``), on which the quadratic ones are fitted once
+``_solve_tensor`` solves it on the slice x0 + K y of its affine equations,
+which the caller passes in: read off the exact eigenspaces of
+``cases.ExactContext`` for m = n (``_mn_slice``), found numerically for
+L >= 2 (``_numeric_slice``).  On it the quadratic equations are fitted once
 (``_quadratic``) and solved from all starts at once by
 ``solutions._batched_lm``: the one Levenberg-Marquardt loop of the package,
 which the gauge refine shares.  The fit is its model: one call per batch of
@@ -232,10 +234,9 @@ def _keep(tensors, lift, config: SolveConfig, cap: int | None = None) -> list:
 
 
 def _order_key(b) -> tuple:
-    """The sort key of a solution's b values, rounded to 6 places: solver
-    outputs sorted by it come in one order whatever the slice basis, the
-    cube-root order or the seed, so that a dedupe keeps the least member of
-    each class."""
+    """The sort key of solver outputs, their b values rounded to 6 places:
+    one order whatever the slice basis, the cube-root order or the seed, so
+    a dedupe keeps the least member of each class."""
     return tuple(np.round(np.ravel(b).view(float), 6))
 
 
@@ -245,36 +246,61 @@ def _order_key(b) -> tuple:
 
 def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
              config: SolveConfig | None = None) -> list[MNSolution]:
-    """All solutions of the m = n system for a fixed (bicharacter, form).
+    """All solutions of the m = n system for a fixed (bicharacter, form), in
+    the order of ``_order_key``.
 
     The m = n system is the L = 1 case of the tensor normal form (see
-    ``solutions.mn_to_general``), one for each of the three cube roots c of
-    ``spectral.cube_root_scalars``.  ``_solve_tensor`` solves each: the affine
-    (p1)-(p3) and (p7), i.e. (Gal3), (Gal4) and (Gal7), cut out an exact
-    slice, on which the quadratic (p4), (p5) and ``bg_unitary``, i.e. (Gal5),
-    are solved by one batched Levenberg-Marquardt run from
+    ``solutions.mn_to_general``), one for each cube root c = ``ctx.c``
+    zeta3^k of the pair's ``cases.ExactContext``.  Its affine (p1)-(p3) and
+    (p7), i.e. (Gal3), (Gal4) and (Gal7), cut out the slice ``_mn_slice``;
+    on it the quadratic (p4), (p5) and ``bg_unitary``, i.e. (Gal5), are
+    solved by one batched Levenberg-Marquardt run from
     ``config.random_starts`` seeded starts.
     Every candidate is lifted to an ``MNSolution`` and kept only if it passes
     ``solutions.residual``, i.e. ``residual_mn``, (Gal6) included.
     """
     if config is None:
         config = SolveConfig()
-    if not b.is_nondegenerate():
-        raise ValueError("bicharacter must be nondegenerate")
     if not a.is_even():
         raise ValueError("form must be even")
+    ctx = ExactContext(G, b, a)  # raises on a degenerate bicharacter
+    d = dimension_d(G.order, G.order).value
     out: list[MNSolution] = []
-    for c in cube_root_scalars(a):
+    for k in range(3):
+        c = ctx.numeric(ctx.c * ctx.zeta3 ** k)
 
         def lift(bt) -> MNSolution:
-            return MNSolution(G, b, a, bt.ravel(), complex(c),
+            return MNSolution(G, b, a, bt.ravel(), c,
                               provenance={"solver": "solve_mn", "seed": config.seed})
 
         # the three cube roots c never share a solution, so deduping within
         # one c's starts is deduping over all of them
-        out += _solve_tensor(mn_normal_form(b, a, c), config.random_starts, 0, config, lift)
+        out += _solve_tensor(mn_normal_form(b, a, c), _mn_slice(ctx, k, d),
+                             config.random_starts, 0, config, lift)
     out.sort(key=lambda s: _order_key(s.b))
     return out
+
+
+def _mn_slice(ctx: ExactContext, k: int, d: float):
+    """The slice ``(x0, K)`` of the m = n normal form of the cube root
+    ``ctx.c`` zeta3^k in the coordinates (Re b, Im b), or None if it is
+    empty: the J-fixed b in ker(R - zeta3^k) with b(0) = -1/d, read off
+    ``ctx.eig(k)``.  x0 = -f0 / d, and K is the top ``vanishing`` left
+    singular vectors of the J-fixed projector columns, each less its value
+    at 0 times f0: the exact dimension counts K's columns."""
+    e = ctx.eig(k)
+    if e["f0"] is None:  # every eigenvector vanishes at 0, and b(0) != 0
+        return None
+    G = ctx.G
+    f0 = np.array([ctx.numeric(x) for x in e["f0"]])
+    P = np.array([[ctx.numeric(x) for x in e["col"](j)] for j in range(ctx.n)]).T
+    a = np.array([ctx.numeric(x) for x in ctx.a])
+    neg = [G.index_of(G.neg(g)) for g in ctx.els]
+    # J(u e_j) = conj(u a(j)) e_-j, and J commutes with P
+    V = np.hstack([u * P + np.conj(u * a) * P[:, neg] for u in (1, 1j)])
+    V -= np.outer(f0, V[0])
+    U = np.linalg.svd(np.vstack([V.real, V.imag]))[0]
+    return np.concatenate([f0.real, f0.imag]) / -d, U[:, :e["vanishing"]]
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +353,8 @@ def _solve_case(G, b, a, ctx, tag, config) -> list[GeneralSolution]:
             "solver": "solve_m2n", "case": str(tag), "seed": config.seed})
 
     # a handful of distinct points is enough to detect the gauge orbit
-    return _solve_tensor(acj, config.random_starts, {"I": 1, "II": 2}[tag.kind],
-                         config, lift, cap=8)
+    return _solve_tensor(acj, _numeric_slice(acj), config.random_starts,
+                         {"I": 1, "II": 2}[tag.kind], config, lift, cap=8)
 
 
 # ---------------------------------------------------------------------------
@@ -341,47 +367,64 @@ SLICE_NULL = 1e-9  # singular values below this fraction of the largest are zero
 SLICE_RANK = 1e-5  # and above this one nonzero; one in between has no clear rank
 
 
-def _tensor_system(acj: ACJData):
-    """The tensor equations of the normal form ``acj`` on the exact slice cut
-    out by its affine ones: ``(k, resid, btensor)``, or None if the slice is
-    empty.
-
-    The affine equations are affine in (Re b, Im b); their zero set is
-    x0 + K y, y in R^k.  ``resid`` maps y to the real and imaginary parts of
-    the quadratic equations, and ``btensor`` lifts y to the b-tensor."""
-    L, n = acj.L, acj.group.order
+def _realified(acj: ACJData, names, lift):
+    """The equations ``names`` of the normal form ``acj`` at the b-tensor
+    lift(x), as one real vector of their real and imaginary parts."""
     eqs = normal_form(acj).equations
-    N = L ** 4 * n
 
-    def realified(names, lift):
-        def resid(x):
-            parts = np.concatenate([eqs[k](lift(x)).ravel() for k in names])
-            return np.concatenate([parts.real, parts.imag])
-        return resid
+    def resid(x):
+        parts = np.concatenate([eqs[k](lift(x)).ravel() for k in names])
+        return np.concatenate([parts.real, parts.imag])
+    return resid
+
+
+def _unpacker(acj: ACJData):
+    """The map from real coordinates x = (Re b, Im b) to the b-tensor of
+    ``acj``."""
+    L, n = acj.L, acj.group.order
+    N = L ** 4 * n
 
     def unpack(x):
         return (x[:N] + 1j * x[N:]).reshape(L, L, L, L, n)
+    return unpack
 
-    affine_slice = _affine_slice(realified(AFFINE_EQUATIONS, unpack), 2 * N)
+
+def _numeric_slice(acj: ACJData):
+    """The slice of ``acj`` in the real coordinates (Re b, Im b) of its
+    b-tensor: ``_affine_slice`` of its affine equations."""
+    return _affine_slice(_realified(acj, AFFINE_EQUATIONS, _unpacker(acj)),
+                         2 * acj.L ** 4 * acj.group.order)
+
+
+def _tensor_system(acj: ACJData, affine_slice):
+    """The tensor equations of the normal form ``acj`` on its slice
+    ``affine_slice``: ``(k, resid, btensor)``, or None if the slice is None,
+    i.e. empty.
+
+    The slice ``(x0, K)`` is the zero set x0 + K y, y in R^k, of the affine
+    equations in the coordinates (Re b, Im b).  ``resid`` maps y to the real
+    and imaginary parts of the quadratic equations, and ``btensor`` lifts y
+    to the b-tensor."""
     if affine_slice is None:
         return None
     x0, K = affine_slice
+    unpack = _unpacker(acj)
 
     def btensor(y):
         return unpack(x0 + K @ y)
 
-    return K.shape[1], realified(QUADRATIC_EQUATIONS, btensor), btensor
+    return K.shape[1], _realified(acj, QUADRATIC_EQUATIONS, btensor), btensor
 
 
-def _solve_tensor(acj: ACJData, starts: int, seed_offset: int, config: SolveConfig,
-                  lift, cap: int | None = None) -> list:
+def _solve_tensor(acj: ACJData, affine_slice, starts: int, seed_offset: int,
+                  config: SolveConfig, lift, cap: int | None = None) -> list:
     """Solutions of the tensor equations of the normal form ``acj``: one
-    batched LM run on ``_tensor_system``'s slice, with the model of
-    ``_quadratic``, from ``starts`` random points drawn with the seed
-    ``config.seed + seed_offset``; ``lift`` maps the b-tensor of each
-    converged point to the solution object that ``_keep`` verifies.  A slice
-    that is a single point (k = 0) goes to ``_keep`` as it is."""
-    system = _tensor_system(acj)
+    batched LM run on the slice ``affine_slice`` (see ``_tensor_system``),
+    with the model of ``_quadratic``, from ``starts`` random points drawn
+    with the seed ``config.seed + seed_offset``; ``lift`` maps the b-tensor
+    of each converged point to the solution object that ``_keep`` verifies.
+    A slice that is a single point (k = 0) goes to ``_keep`` as it is."""
+    system = _tensor_system(acj, affine_slice)
     if system is None:
         return []
     k, resid, btensor = system
@@ -573,4 +616,4 @@ def heuristic_search(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
         return GeneralSolution(G, acj, bt, provenance={
             "solver": "heuristic_search", "completeness": "HEURISTIC", "seed": config.seed})
 
-    return _solve_tensor(acj, HEURISTIC_STARTS, 3, config, lift)
+    return _solve_tensor(acj, _numeric_slice(acj), HEURISTIC_STARTS, 3, config, lift)

@@ -225,7 +225,8 @@ def test_degenerate_bicharacter_is_rejected():
 def test_eigenspace_projector_data():
     """eig(k) of every pair of Z2-Z6, Z2xZ2 and Z3xZ3: f0 is a J-fixed
     eigenvector with f0(0) = 1 and norm norm_f0, f0p a J-fixed eigenvector
-    vanishing at 0 exactly when those span a nonzero real space, and dim and
+    vanishing at 0 exactly when those span a nonzero real space, col(j) the
+    column P e_j of an idempotent of trace dim onto the eigenspace, and dim and
     vanishing the numeric ranks of R - zeta3^k and of it with evaluation at 0,
     all exact but the ranks."""
     import numpy as np
@@ -245,7 +246,7 @@ def test_eigenspace_projector_data():
         dims = 0
         for k in range(3):
             e, w = ctx.eig(k), ctx.zeta3 ** k
-            assert set(e) == {"dim", "vanishing", "f0", "norm_f0", "f0p"}
+            assert set(e) == {"dim", "vanishing", "f0", "norm_f0", "f0p", "col"}
             M = R_num - ctx.numeric(w) * np.eye(n)
             assert e["dim"] == n - np.linalg.matrix_rank(M, tol=1e-8)
             # J-fixed vectors of the J-invariant E cap ker(ev_0): a real space
@@ -263,6 +264,12 @@ def test_eigenspace_projector_data():
                 assert not all(map(ctx.is_zero, f0p))
                 assert R(f0p) == [w * x for x in f0p] and J(f0p) == f0p
                 assert ctx.is_zero(f0p[0])
+            cols = [e["col"](j) for j in range(n)]
+            assert all(R(v) == [w * x for x in v] for v in cols)
+            assert sum((v[j] for j, v in enumerate(cols)), ctx.zero) == ctx.int(e["dim"])
+            P = [[v[i] for v in cols] for i in range(n)]  # P[i][j] = (P e_j)_i
+            assert all(sum((P[i][j] * v[j] for j in range(n)), ctx.zero) == v[i]
+                       for v in cols for i in range(n))
         assert dims == n
 
 

@@ -66,12 +66,13 @@ def test_mn_tensor_form_exact_model(factors, k):
     its Jacobian, rotated back, is the derivative of the quadratic residual
     (central differences)."""
     from neargroup.solutions import MNSolution, mn_normal_form, residual_mn
-    from neargroup.solvers import _quadratic, _tensor_system
+    from neargroup.solvers import _numeric_slice, _quadratic, _tensor_system
     from neargroup.spectral import cube_root_scalars
 
     G = FiniteAbelianGroup(factors)
     b, a, _ = pair_classes(G)[0]
-    systems = [(c, _tensor_system(mn_normal_form(b, a, c))) for c in cube_root_scalars(a)]
+    acjs = [(c, mn_normal_form(b, a, c)) for c in cube_root_scalars(a)]
+    systems = [(c, _tensor_system(acj, _numeric_slice(acj))) for c, acj in acjs]
     c, (_, resid, btensor) = next((c, s) for c, s in systems if s is not None and s[0] == k)
     model, V = _quadratic(resid, k)
     Y = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, k))
@@ -91,7 +92,7 @@ def test_solve_tensor_point_slice():
     """A slice that is a single point (k = 0) goes straight to the keep step:
     on Z2/2 two cube roots give a point slice, one of which is the solution."""
     from neargroup.solutions import MNSolution, mn_normal_form
-    from neargroup.solvers import _solve_tensor, _tensor_system
+    from neargroup.solvers import _numeric_slice, _solve_tensor, _tensor_system
     from neargroup.spectral import cube_root_scalars
 
     G, b, _ = _pair(2)
@@ -99,12 +100,12 @@ def test_solve_tensor_point_slice():
     found, points = [], 0
     for c in cube_root_scalars(a):
         acj = mn_normal_form(b, a, c)
-        system = _tensor_system(acj)
+        system = _tensor_system(acj, _numeric_slice(acj))
         if system is None:
             continue
         assert system[0] == 0
         points += 1
-        found += _solve_tensor(acj, 40, 0, FAST,
+        found += _solve_tensor(acj, _numeric_slice(acj), 40, 0, FAST,
                                lambda bt: MNSolution(G, b, a, bt.ravel(), complex(c)))
     assert points == 2
     assert len(found) == 1 and abs(found[0].b[1] - (1 - 1j) / 2) < 1e-9
@@ -303,7 +304,7 @@ def test_tensor_system_exact_quadratic_model(order, tag):
     derivative of the model and, rotated back, of the residual."""
     from neargroup.cases import ExactContext
     from neargroup.solutions import normal_form
-    from neargroup.solvers import _acj_for_case, _quadratic, _tensor_system
+    from neargroup.solvers import _acj_for_case, _numeric_slice, _quadratic, _tensor_system
 
     G = FiniteAbelianGroup((order,))
     b, a, _ = pair_classes(G)[0]
@@ -311,7 +312,7 @@ def test_tensor_system_exact_quadratic_model(order, tag):
     acj = _acj_for_case(G, b, a, ctx.numeric(ctx.c), tag)
     eqs = normal_form(acj).equations
     affine = set(eqs) - {"p4", "p5", "bg_unitary", "p10"}
-    k, resid, btensor = _tensor_system(acj)
+    k, resid, btensor = _tensor_system(acj, _numeric_slice(acj))
     model, V = _quadratic(resid, k)
     Y = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, k))
     F, J = model(Y)
@@ -345,6 +346,63 @@ def test_affine_slice():
     gap = math.sqrt(SLICE_NULL * SLICE_RANK)
     with pytest.raises(ArithmeticError):
         _affine_slice(lambda x: np.array([x[0], gap * x[1], 1.0]), 2)
+
+
+def test_mn_slice_is_the_numeric_affine_slice():
+    """On every cube root of every pair of Z2-Z10, Z2xZ2, Z2xZ4 and Z3xZ3 the
+    exact m = n slice read off ``ExactContext.eig(k)`` has the dimension
+    ``vanishing`` that ``_affine_slice`` finds numerically, is empty exactly
+    where f0 is None, which ``_affine_slice`` confirms, and has an
+    orthonormal K on which x0 + K y meets every affine equation."""
+    from neargroup.cases import ExactContext
+    from neargroup.solutions import dimension_d, mn_normal_form
+    from neargroup.solvers import (
+        AFFINE_EQUATIONS,
+        _mn_slice,
+        _numeric_slice,
+        _realified,
+        _unpacker,
+    )
+
+    rng = np.random.default_rng(3)
+    slices = empty = 0
+    for factors in [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (10,),
+                    (2, 2), (2, 4), (3, 3)]:
+        G = FiniteAbelianGroup(factors)
+        d = dimension_d(G.order, G.order).value
+        for b, a, _ in pair_classes(G):
+            ctx = ExactContext(G, b, a)
+            for k in range(3):
+                acj = mn_normal_form(b, a, ctx.numeric(ctx.c * ctx.zeta3 ** k))
+                exact, numeric = _mn_slice(ctx, k, d), _numeric_slice(acj)
+                slices += 1
+                assert (exact is None) == (numeric is None) == (ctx.eig(k)["f0"] is None)
+                if exact is None:
+                    empty += 1
+                    continue
+                x0, K = exact
+                assert K.shape[1] == numeric[1].shape[1] == ctx.eig(k)["vanishing"]
+                assert np.max(np.abs(K.T @ K - np.eye(K.shape[1])), initial=0.0) < 1e-12
+                aff = _realified(acj, AFFINE_EQUATIONS, _unpacker(acj))
+                for y in rng.uniform(-1.0, 1.0, size=(3, K.shape[1])):
+                    assert np.max(np.abs(aff(x0 + K @ y))) < 1e-12
+    assert (slices, empty) == (111, 5)
+
+
+def test_classify_mn_needs_no_numeric_slice(monkeypatch):
+    """m = n classification reads its slices off the exact eigenspaces only:
+    with ``_affine_slice`` disabled, each of Z2/2, Z3/3, Z4/4, Z2xZ2/4 and
+    Z5/5 keeps its one COMPLETE class."""
+    from neargroup import solvers
+
+    def no_slice(*args):
+        raise AssertionError("_affine_slice called")
+
+    monkeypatch.setattr(solvers, "_affine_slice", no_slice)
+    for factors in [(2,), (3,), (4,), (2, 2), (5,)]:
+        G = FiniteAbelianGroup(factors)
+        res = classify(G, G.order)
+        assert res.num_classes == 1 and res.completeness == "COMPLETE", factors
 
 
 def test_refuted_tags_have_no_solutions():
