@@ -27,9 +27,9 @@ def main():
     cfg = SolveConfig(seed=args.seed, random_starts=args.starts)
     for factors, m in TABLE:
         G = FiniteAbelianGroup(factors)
-        t0 = time.time()
+        t0 = time.perf_counter()
         res = classify(G, m, cfg)
-        print(res.summary() + f"  ({time.time()-t0:.1f}s)")
+        print(res.summary() + f"  ({time.perf_counter()-t0:.1f}s)")
         if args.refutations and res.refutations:
             seen = set()
             for f in res.refutations:

@@ -9,6 +9,7 @@ oracle.  Prints one line per solution per layer.
 import argparse
 import time
 
+from neargroup.config import Config
 from neargroup.corpus import corpus_all
 from neargroup.cuntz import fs_indicators, oracle_check
 from neargroup.solutions import residual
@@ -19,8 +20,8 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--max-alphabet", type=int, default=10,
                     help="run the word oracle up to this alphabet size")
-    ap.add_argument("--tolerance", type=float, default=1e-10)
-    ap.add_argument("--oracle-tolerance", type=float, default=1e-9)
+    ap.add_argument("--tolerance", type=float, default=Config().tolerance)
+    ap.add_argument("--oracle-tolerance", type=float, default=Config().oracle_tolerance)
     args = ap.parse_args()
 
     failures = 0
@@ -35,10 +36,10 @@ def main():
               f"{'pass' if rep.passed else 'FAIL'}")
         failures += not rep.passed
         if t.alphabet <= args.max_alphabet:
-            t0 = time.time()
+            t0 = time.perf_counter()
             rep = oracle_check(t, args.oracle_tolerance)
             print(f"{name:12s} oracle     max={rep.max_residual:.2e} "
-                  f"{'pass' if rep.passed else 'FAIL'} ({time.time()-t0:.1f}s)")
+                  f"{'pass' if rep.passed else 'FAIL'} ({time.perf_counter()-t0:.1f}s)")
             failures += not rep.passed
         (nu21, nu31, nu41), rep = fs_indicators(t, args.oracle_tolerance)
         print(f"{name:12s} indicators nu21={nu21.real:+.0f} nu31={nu31:.4f} "

@@ -12,10 +12,11 @@ L >= 2 (``_numeric_slice``).  On it the quadratic equations are fitted once
 ``solutions._batched_lm``: the one Levenberg-Marquardt loop of the package,
 which the gauge refine shares.  The fit is its model: one call per batch of
 points gives the residual rows and their exact Jacobians together.  The
-converged points go through one keep step, ``_keep``: dedupe of their
-b-tensors, then ``solutions.residual`` on every candidate lifted to a
-solution.  ``classify`` then keeps one solution per class up to Aut x gauge
-within each (bicharacter, form) pair (``_dedupe``).
+converged points are lifted to b-tensors in one batch and go through one
+keep step, ``_keep``: every candidate not within DEDUPE_TOL of a kept one is
+lifted to a solution and checked by ``solutions.residual``.  ``classify``
+then keeps one solution per class up to Aut x gauge within each
+(bicharacter, form) pair (``_dedupe``).
 
 Completeness discipline.  A solver result is labeled COMPLETE only where the
 reduction lemmas shrink the system to a parameter space the code exhausts:
@@ -213,23 +214,25 @@ def pair_classes(G: FiniteAbelianGroup):
 # the multistart drivers
 
 
-def _keep(tensors, lift, config: SolveConfig, cap: int | None = None) -> list:
-    """Drop each b-tensor, in order, that lies within DEDUPE_TOL of one already
-    kept; lift the others to solutions and keep those that pass
-    ``solutions.residual``.  Stops once ``cap`` solutions are kept, so a lazy
-    ``tensors`` is consumed no further."""
-    kept: list = []
+def _keep(B, lift, config: SolveConfig, cap: int | None = None) -> list:
+    """Walk the stack ``B`` of b-tensors in order, lifting each one not within
+    DEDUPE_TOL (largest entry of |b - b'|) of one already kept to a solution,
+    which is kept if it passes ``solutions.residual``.  A kept tensor masks
+    its near-duplicates further down the stack in one comparison.  Stops once
+    ``cap`` solutions are kept."""
+    axes = tuple(range(1, B.ndim))
+    live = np.ones(len(B), dtype=bool)
     found: list = []
-    for bt in tensors:
-        if any(np.max(np.abs(bt - k)) < DEDUPE_TOL for k in kept):
+    for i, bt in enumerate(B):
+        if not live[i]:
             continue
         s = lift(bt)
         if not residual(s, config.residual_tol).passed:
             continue
-        kept.append(bt)
         found.append(s)
         if cap is not None and len(found) >= cap:
             break
+        live[i + 1:] &= np.max(np.abs(B[i + 1:] - bt), axis=axes) >= DEDUPE_TOL
     return found
 
 
@@ -256,8 +259,9 @@ def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
     on it the quadratic (p4), (p5) and ``bg_unitary``, i.e. (Gal5), are
     solved by one batched Levenberg-Marquardt run from
     ``config.random_starts`` seeded starts.
-    Every candidate is lifted to an ``MNSolution`` and kept only if it passes
-    ``solutions.residual``, i.e. ``residual_mn``, (Gal6) included.
+    Every candidate not within DEDUPE_TOL of a kept one is lifted to an
+    ``MNSolution`` and kept only if it passes ``solutions.residual``, i.e.
+    ``residual_mn``, (Gal6) included.
     """
     if config is None:
         config = SolveConfig()
@@ -378,59 +382,40 @@ def _realified(acj: ACJData, names, lift):
     return resid
 
 
-def _unpacker(acj: ACJData):
-    """The map from real coordinates x = (Re b, Im b) to the b-tensor of
-    ``acj``."""
+def _unpack(acj: ACJData, X):
+    """The b-tensors of ``acj`` at the real coordinates (Re b, Im b) in the
+    last axis of ``X``."""
     L, n = acj.L, acj.group.order
     N = L ** 4 * n
-
-    def unpack(x):
-        return (x[:N] + 1j * x[N:]).reshape(L, L, L, L, n)
-    return unpack
+    return (X[..., :N] + 1j * X[..., N:]).reshape(X.shape[:-1] + (L, L, L, L, n))
 
 
 def _numeric_slice(acj: ACJData):
     """The slice of ``acj`` in the real coordinates (Re b, Im b) of its
     b-tensor: ``_affine_slice`` of its affine equations."""
-    return _affine_slice(_realified(acj, AFFINE_EQUATIONS, _unpacker(acj)),
+    return _affine_slice(_realified(acj, AFFINE_EQUATIONS, lambda x: _unpack(acj, x)),
                          2 * acj.L ** 4 * acj.group.order)
-
-
-def _tensor_system(acj: ACJData, affine_slice):
-    """The tensor equations of the normal form ``acj`` on its slice
-    ``affine_slice``: ``(k, resid, btensor)``, or None if the slice is None,
-    i.e. empty.
-
-    The slice ``(x0, K)`` is the zero set x0 + K y, y in R^k, of the affine
-    equations in the coordinates (Re b, Im b).  ``resid`` maps y to the real
-    and imaginary parts of the quadratic equations, and ``btensor`` lifts y
-    to the b-tensor."""
-    if affine_slice is None:
-        return None
-    x0, K = affine_slice
-    unpack = _unpacker(acj)
-
-    def btensor(y):
-        return unpack(x0 + K @ y)
-
-    return K.shape[1], _realified(acj, QUADRATIC_EQUATIONS, btensor), btensor
 
 
 def _solve_tensor(acj: ACJData, affine_slice, starts: int, seed_offset: int,
                   config: SolveConfig, lift, cap: int | None = None) -> list:
-    """Solutions of the tensor equations of the normal form ``acj``: one
-    batched LM run on the slice ``affine_slice`` (see ``_tensor_system``),
-    with the model of ``_quadratic``, from ``starts`` random points drawn
-    with the seed ``config.seed + seed_offset``; ``lift`` maps the b-tensor
-    of each converged point to the solution object that ``_keep`` verifies.
+    """Solutions of the tensor equations of the normal form ``acj`` on its
+    slice ``affine_slice``: the zero set x0 + K y, y in R^k, of the affine
+    equations in the coordinates (Re b, Im b), or None if it is empty.  The
+    quadratic equations on it are solved by one batched LM run, with the
+    model of ``_quadratic``, from ``starts`` random points drawn with the
+    seed ``config.seed + seed_offset``.  All converged points are lifted to
+    b-tensors at once and go to ``_keep``, whose ``lift`` maps each b-tensor
+    not within DEDUPE_TOL of a kept one to the solution object it verifies.
     A slice that is a single point (k = 0) goes to ``_keep`` as it is."""
-    system = _tensor_system(acj, affine_slice)
-    if system is None:
+    if affine_slice is None:
         return []
-    k, resid, btensor = system
+    x0, K = affine_slice
+    k = K.shape[1]
     if k == 0:
         Y = np.zeros((1, 0))
     else:
+        resid = _realified(acj, QUADRATIC_EQUATIONS, lambda y: _unpack(acj, x0 + K @ y))
         model, _ = _quadratic(resid, k)
         rng = np.random.default_rng(config.seed + seed_offset)
         scale = 1.0 / math.sqrt(acj.group.order)
@@ -438,7 +423,8 @@ def _solve_tensor(acj: ACJData, affine_slice, starts: int, seed_offset: int,
         Y, cost, _ = _batched_lm(rng.uniform(-scale, scale, size=(starts, k)), model,
                                  200 * (k + 1), floor)
         Y = Y[cost <= floor]
-    return _keep((btensor(y) for y in Y), lift, config, cap)
+    # K @ y row by row, the bits of a single K @ y; Y @ K.T rounds differently
+    return _keep(_unpack(acj, x0 + (K @ Y[:, :, None])[..., 0]), lift, config, cap)
 
 
 def _affine_slice(aff, nvar: int):

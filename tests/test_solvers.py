@@ -66,14 +66,25 @@ def test_mn_tensor_form_exact_model(factors, k):
     its Jacobian, rotated back, is the derivative of the quadratic residual
     (central differences)."""
     from neargroup.solutions import MNSolution, mn_normal_form, residual_mn
-    from neargroup.solvers import _numeric_slice, _quadratic, _tensor_system
+    from neargroup.solvers import (
+        QUADRATIC_EQUATIONS,
+        _numeric_slice,
+        _quadratic,
+        _realified,
+        _unpack,
+    )
     from neargroup.spectral import cube_root_scalars
 
     G = FiniteAbelianGroup(factors)
     b, a, _ = pair_classes(G)[0]
     acjs = [(c, mn_normal_form(b, a, c)) for c in cube_root_scalars(a)]
-    systems = [(c, _tensor_system(acj, _numeric_slice(acj))) for c, acj in acjs]
-    c, (_, resid, btensor) = next((c, s) for c, s in systems if s is not None and s[0] == k)
+    slices = [(c, acj, _numeric_slice(acj)) for c, acj in acjs]
+    c, acj, (x0, K) = next(s for s in slices if s[2] is not None and s[2][1].shape[1] == k)
+
+    def btensor(y):
+        return _unpack(acj, x0 + K @ y)
+
+    resid = _realified(acj, QUADRATIC_EQUATIONS, btensor)
     model, V = _quadratic(resid, k)
     Y = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, k))
     F, J = model(Y)
@@ -92,7 +103,7 @@ def test_solve_tensor_point_slice():
     """A slice that is a single point (k = 0) goes straight to the keep step:
     on Z2/2 two cube roots give a point slice, one of which is the solution."""
     from neargroup.solutions import MNSolution, mn_normal_form
-    from neargroup.solvers import _numeric_slice, _solve_tensor, _tensor_system
+    from neargroup.solvers import _numeric_slice, _solve_tensor
     from neargroup.spectral import cube_root_scalars
 
     G, b, _ = _pair(2)
@@ -100,15 +111,42 @@ def test_solve_tensor_point_slice():
     found, points = [], 0
     for c in cube_root_scalars(a):
         acj = mn_normal_form(b, a, c)
-        system = _tensor_system(acj, _numeric_slice(acj))
-        if system is None:
+        affine_slice = _numeric_slice(acj)
+        if affine_slice is None:
             continue
-        assert system[0] == 0
+        assert affine_slice[1].shape[1] == 0
         points += 1
-        found += _solve_tensor(acj, _numeric_slice(acj), 40, 0, FAST,
+        found += _solve_tensor(acj, affine_slice, 40, 0, FAST,
                                lambda bt: MNSolution(G, b, a, bt.ravel(), complex(c)))
     assert points == 2
     assert len(found) == 1 and abs(found[0].b[1] - (1 - 1j) / 2) < 1e-9
+
+
+def test_keep_lifts_in_order_and_masks_near_duplicates():
+    """The keep step walks its stack in order and lifts only the b-tensors
+    not within DEDUPE_TOL of a kept one: a candidate that fails the residual
+    system masks nothing, a near copy or a repeat of a kept one is never
+    lifted, and ``cap`` stops the walk."""
+    from neargroup.solutions import MNSolution
+    from neargroup.solvers import DEDUPE_TOL, _keep
+
+    s = z2_m2()
+    lifted = []
+
+    def lift(bt):
+        lifted.append(bt)
+        return MNSolution(s.group, s.bichar, s.form, bt.ravel(), s.c)
+
+    b = s.b.reshape(1, 1, 1, 1, 2)
+    assert _keep(np.zeros((0, 1, 1, 1, 1, 2), dtype=complex), lift, FAST) == []
+    stack = np.array([b + 5e-8, b, b + DEDUPE_TOL / 10, b + 1e-3, b])
+    kept = _keep(stack, lift, FAST)
+    assert len(kept) == 1 and np.array_equal(kept[0].b, s.b)
+    assert len(lifted) == 3
+    assert all(np.array_equal(x, y) for x, y in zip(lifted, stack[[0, 1, 3]]))
+    lifted.clear()
+    assert len(_keep(np.array([b, b + 1e-3]), lift, FAST, cap=1)) == 1
+    assert len(lifted) == 1
 
 
 def test_solve_mn_default_config_pair_counts():
@@ -304,7 +342,14 @@ def test_tensor_system_exact_quadratic_model(order, tag):
     derivative of the model and, rotated back, of the residual."""
     from neargroup.cases import ExactContext
     from neargroup.solutions import normal_form
-    from neargroup.solvers import _acj_for_case, _numeric_slice, _quadratic, _tensor_system
+    from neargroup.solvers import (
+        QUADRATIC_EQUATIONS,
+        _acj_for_case,
+        _numeric_slice,
+        _quadratic,
+        _realified,
+        _unpack,
+    )
 
     G = FiniteAbelianGroup((order,))
     b, a, _ = pair_classes(G)[0]
@@ -312,7 +357,13 @@ def test_tensor_system_exact_quadratic_model(order, tag):
     acj = _acj_for_case(G, b, a, ctx.numeric(ctx.c), tag)
     eqs = normal_form(acj).equations
     affine = set(eqs) - {"p4", "p5", "bg_unitary", "p10"}
-    k, resid, btensor = _tensor_system(acj, _numeric_slice(acj))
+    x0, K = _numeric_slice(acj)
+    k = K.shape[1]
+
+    def btensor(y):
+        return _unpack(acj, x0 + K @ y)
+
+    resid = _realified(acj, QUADRATIC_EQUATIONS, btensor)
     model, V = _quadratic(resid, k)
     Y = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, k))
     F, J = model(Y)
@@ -361,7 +412,7 @@ def test_mn_slice_is_the_numeric_affine_slice():
         _mn_slice,
         _numeric_slice,
         _realified,
-        _unpacker,
+        _unpack,
     )
 
     rng = np.random.default_rng(3)
@@ -383,7 +434,7 @@ def test_mn_slice_is_the_numeric_affine_slice():
                 x0, K = exact
                 assert K.shape[1] == numeric[1].shape[1] == ctx.eig(k)["vanishing"]
                 assert np.max(np.abs(K.T @ K - np.eye(K.shape[1])), initial=0.0) < 1e-12
-                aff = _realified(acj, AFFINE_EQUATIONS, _unpacker(acj))
+                aff = _realified(acj, AFFINE_EQUATIONS, lambda x: _unpack(acj, x))
                 for y in rng.uniform(-1.0, 1.0, size=(3, K.shape[1])):
                     assert np.max(np.abs(aff(x0 + K @ y))) < 1e-12
     assert (slices, empty) == (111, 5)
