@@ -31,9 +31,10 @@ def main():
               f"{'pass' if rep.passed else 'FAIL'}")
         failures += not rep.passed
         t = to_tuple(s, check=False)
+        t0 = time.perf_counter()
         rep = verify_admissible(t, args.oracle_tolerance)
         print(f"{name:12s} admissible max={rep.max_residual:.2e} "
-              f"{'pass' if rep.passed else 'FAIL'}")
+              f"{'pass' if rep.passed else 'FAIL'} ({time.perf_counter()-t0:.3f}s)")
         failures += not rep.passed
         if t.alphabet <= args.max_alphabet:
             t0 = time.perf_counter()

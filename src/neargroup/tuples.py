@@ -12,8 +12,13 @@ so ``l(T_t)`` is the slice ``ltensor[t]``.  Anti-unitaries act as
 nonabelian (extra-special) groups use the same container.
 
 ``verify_admissible`` evaluates each defining equation as a dense identity,
-except l3, whose m^6 identity it evaluates one T (one m^5 slice) at a time,
-and reports one residual per equation name.
+except l3, an m^6 identity in T, q and two pairs of letters (x, y), (p, z).
+Its terms vanish between pairs that the supports of l and of U(h) M1^T do
+not link, so it is evaluated only on the diagonal blocks of that partition
+of pair space (``_l3_blocks``), every T at once and in row chunks of at
+most m^5 entries.  A graded export splits into one block per grade; a tuple
+whose supports link every pair is one block.  One residual is reported per
+equation name.
 """
 
 from __future__ import annotations
@@ -78,6 +83,15 @@ class AdmissibleTuple:
         return self.M2 @ np.conj(self.M1)
 
 
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y with each real product rounded on its own, as numpy's complex
+    scalar product has it (its array product may fuse them into one FMA)."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
 def to_tuple(s: MNSolution | GeneralSolution, check: bool = True) -> AdmissibleTuple:
     """Export a verified solution to explicit tuple matrices.
 
@@ -102,7 +116,7 @@ def to_tuple(s: MNSolution | GeneralSolution, check: bool = True) -> AdmissibleT
     n, L = s.n, s.L
     m = n * L
 
-    def idx(h: int, t: int) -> int:
+    def idx(h, t):  # ints or index arrays
         return h * L + t
 
     V = np.zeros((n, m, m), dtype=complex)
@@ -122,22 +136,13 @@ def to_tuple(s: MNSolution | GeneralSolution, check: bool = True) -> AdmissibleT
                     eps * eps_t[t] * np.conj(c_t[t]) * np.conj(B[h, k]) / math.sqrt(n)
                 )
 
+    # l(T_g(e_u)) term by term over the axes (g, u, h, k, r, s, t); every
+    # target index is hit once, so += adds each product to a zero once
+    g, u, h, k, r, ss, tt = np.ogrid[:n, :L, :n, :n, :L, :L, :L]
+    coef = _cmul(_cmul(_cmul(B[g, k], a[h]), chi_t[r, h]),
+                 s.btensor[r, ss, tt, u, T.add[g, h]])
     lt = np.zeros((m, m, m, m), dtype=complex)
-    bt = s.btensor
-    for g in range(n):
-        for u in range(L):
-            for h in range(n):
-                gh = T.add[g, h]
-                for k in range(n):
-                    pref = B[g, k]
-                    for r in range(L):
-                        coef0 = pref * a[h] * chi_t[r, h]
-                        for ss in range(L):
-                            for t in range(L):
-                                v = coef0 * bt[r, ss, t, u, gh]
-                                if v != 0:
-                                    lt[idx(g, u), idx(T.add[h, k], r),
-                                       idx(T.neg[h], ss), idx(k, t)] += v
+    lt[idx(g, u), idx(T.add[h, k], r), idx(T.neg[h], ss), idx(k, tt)] += coef
 
     return AdmissibleTuple(
         mult=T.add.copy(), inv=T.neg.copy(), chi=B.copy(), V=V, U=U, M1=M1, M2=M2,
@@ -260,6 +265,44 @@ def build_extraspecial_tuple(k: int, kind: str = "D", zeta: complex = 1.0) -> Ad
 # verification
 
 
+def _l3_blocks(L: np.ndarray, wh: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The finest partition of the pairs (x, y), flat index x m + y, that all
+    three l3 terms respect: one (pairs, letters) per block.
+
+    RHS1 links a pair (x, y) to a letter c when some L[b, x, y, c] != 0; LHS
+    links (x, y) to (p, z) when some b has L[., p, b, x] != 0 and
+    L[., b, y, z] != 0; RHS2 links them when some h has wh[h, xy] != 0 and
+    wh[h, pz] != 0.  A block is a connected component of these links over
+    pairs and letters.  A pair with no link, not even to itself, is in no
+    block: every l3 term vanishes on its row and column.
+    """
+    m = L.shape[0]
+    mm = m * m
+    nz = (L != 0).any(axis=0)  # nz[a, b, c]: some L[., a, b, c] != 0
+    f = nz.astype(float)  # lhs[xy, pz] = sum_b nz[p, b, x] nz[b, y, z] > 0
+    lhs = np.tensordot(f, f, axes=(1, 0)).transpose(1, 2, 0, 3).reshape(mm, mm) > 0
+    w = (wh != 0).astype(float)
+    adj = np.zeros((mm + m, mm + m), dtype=bool)
+    adj[:mm, :mm] = lhs | lhs.T | (w.T @ w > 0)
+    adj[:mm, mm:] = nz.reshape(mm, m)
+    adj[mm:, :mm] = adj[:mm, mm:].T
+    # label propagation: each node takes its least neighbour's label, then
+    # its label's label, until every component carries one label
+    label = np.arange(mm + m)
+    while True:
+        new = np.minimum(label, np.where(adj, label, mm + m).min(axis=1))
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    linked = adj.any(axis=1)
+    blocks = []
+    for lab in np.unique(label[:mm][linked[:mm]]):
+        members = np.flatnonzero(label == lab)
+        blocks.append((members[members < mm], members[members >= mm] - mm))
+    return blocks
+
+
 def verify_admissible(t: AdmissibleTuple, tolerance: float = DEFAULT_TOL) -> ResidualReport:
     """One residual per defining equation of admissibility."""
     n, m, d, eps = t.n, t.m, t.d, t.eps
@@ -281,7 +324,7 @@ def verify_admissible(t: AdmissibleTuple, tolerance: float = DEFAULT_TOL) -> Res
     out["period3"] = float(np.max(np.abs(R @ R @ R - eye)))
     out["weyl"] = float(np.max(np.abs(
         np.einsum("gij,hjk->ghik", U, V)
-        - chi.T[:, :, None, None].transpose(1, 0, 2, 3) * np.einsum("hij,gjk->ghik", V, U)
+        - chi[:, :, None, None] * np.einsum("hij,gjk->ghik", V, U)
     )))
     out["symmetric"] = float(np.max(np.abs(chi - chi.T)))
     # character identity n delta_{g,e} = (n/d^2) sum_h chi_h(g) + (n/d) Tr U(g)
@@ -290,12 +333,12 @@ def verify_admissible(t: AdmissibleTuple, tolerance: float = DEFAULT_TOL) -> Res
     rep = (n / d**2) * chi.sum(axis=0) + (n / d) * np.einsum("gii->g", U)
     out["representation"] = float(np.max(np.abs(lhs - rep)))
 
-    # invariance: (V(g) (x) V(g)) l(T) V(g)^* = l(T)
+    # invariance: (V(g) (x) V(g)) l(T) V(g)^* = l(T), one letter at a time
     worst = 0.0
     for g in range(n):
-        moved = np.einsum("xa,yb,zc,tabc->txyz", V[g], V[g], np.conj(V[g]), L,
-                          optimize=True)
-        worst = max(worst, float(np.max(np.abs(moved - L))))
+        moved = V[g] @ (L @ np.conj(V[g]).T)  # [t, a, y, z]
+        moved = V[g] @ moved.reshape(m, m, m * m)  # [t, x, (y, z)]
+        worst = max(worst, float(np.max(np.abs(moved.reshape(L.shape) - L))))
     out["invariance"] = worst
 
     # orthogonality1: (eps/d) sum_g (V(g) j2 T)^* + sum_i j1(T_i)^* T_i^* l(T) = 0
@@ -306,9 +349,9 @@ def verify_admissible(t: AdmissibleTuple, tolerance: float = DEFAULT_TOL) -> Res
 
     # orthogonality2: (1/d) sum_h |V(h) j2 T'><V(h) j2 T| + l(T')^* l(T) = <T,T'> Q
     A = VM2  # [g, k, t] = (V(g) j2 T_t)[k]
-    term1 = np.einsum("gls,gkt->stlk", A, np.conj(A)) / d  # [T', T, row, col]
-    term2 = np.einsum("sijl,tijk->stlk", np.conj(L), L)
-    target = np.einsum("st,lk->stlk", eye, eye)
+    term1 = np.tensordot(A, np.conj(A), axes=(0, 0)).transpose(1, 3, 0, 2) / d
+    term2 = np.tensordot(np.conj(L), L, axes=([1, 2], [1, 2])).transpose(0, 2, 1, 3)
+    target = np.einsum("st,lk->stlk", eye, eye)  # [T', T, row, col]
     out["orthogonality2"] = float(np.max(np.abs(term1 + term2 - target)))
 
     # Frobenius1 / Frobenius2
@@ -323,21 +366,21 @@ def verify_admissible(t: AdmissibleTuple, tolerance: float = DEFAULT_TOL) -> Res
     # element U(g) dresses only the outer letters of each word
     worst = 0.0
     for g in range(n):
-        lhs = np.einsum("pt,pxyz->txyz", V[g], L)
-        rhs = np.einsum("xa,zc,tayc->txyz", U[g], np.conj(U[g]), L, optimize=True)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        lhs = V[g].T @ L.reshape(m, m**3)
+        rhs = U[g] @ (L @ np.conj(U[g]).T).reshape(m, m, m * m)  # [t, x, (y, z)]
+        worst = max(worst, float(np.max(np.abs(lhs - rhs.reshape(m, m**3)))))
     out["equivariance"] = worst
 
     # rhoU2
     W = t.w_matrix()
     wh = np.einsum("hxi,yi->hxy", U, M1).reshape(n, m * m)  # (U(h) M1^T).ravel()
+    cLk = np.conj(L).transpose(3, 0, 1, 2).reshape(m * m, m * m)  # [(k, i), (a, b)]
     worst = 0.0
     for g in range(n):
         lhsM = np.kron(W @ U[g] @ np.conj(W.T), U[g])
         rhs1M = (wh.T * chi[:, g]) @ np.conj(wh) / d
-        LU = np.einsum("pi,pxyk->ixyk", U[g], L)
-        rhs2M = np.einsum("ixyk,iabk->xyab", LU, np.conj(L),
-                          optimize=True).reshape(m * m, m * m)
+        LU = np.tensordot(L, U[g], axes=(0, 0)).reshape(m * m, m * m)  # [(x, y), (k, i)]
+        rhs2M = LU @ cLk
         worst = max(worst, float(np.max(np.abs(lhsM - rhs1M - rhs2M))))
     out["rhoU2"] = worst
 
@@ -367,18 +410,34 @@ def verify_admissible(t: AdmissibleTuple, tolerance: float = DEFAULT_TOL) -> Res
     out["l2"] = float(np.max(np.abs(lhs - rhs)))
 
     # l3 (the pairing against T'' evaluates as T''^* V(h) W1 T, matching l1's
-    # convention above), one T at a time on m^5 slices [q x y, p z]:
+    # convention above), for all T, q and pairs (x, y), (p, z):
     #   sum_b conj(L)[q,p,b,x] L[t,b,y,z] = sum_{b,i,c} L[t,q,b,i] L[b,x,y,c]
-    #   conj(L)[i,p,z,c] + (1/d) sum_h (V(h) W1)[q,t] wh[h,x,y] conj(wh[h,p,z])
-    cL = np.conj(L).transpose(0, 3, 1, 2).copy()  # [q, x, p, b] = [i, c, p, z]
-    s2 = np.einsum("hij,jt->hit", V, W1)  # s2[h, q, t] = (V(h) W1)[q, t]
+    #   conj(L)[i,p,z,c] + (1/d) sum_h (V(h) W1)[q,t] wh[h,x,y] conj(wh[h,p,z]).
+    # Every term vanishes unless (x, y) and (p, z) lie in one block of
+    # _l3_blocks, so only the diagonal blocks are evaluated, every T at once
+    # and a chunk of a block's rows at a time, each array at most m^5 entries.
+    s2 = (V @ W1).transpose(0, 2, 1)  # [h, t, q] = (V(h) W1)[q, t]
+    Lt = L.transpose(0, 1, 3, 2).reshape(m**3, m)  # [(t, q, i), b]
+    cLx = np.conj(L).transpose(3, 1, 0, 2)  # [x, p, q, b] = conj(L)[q, p, b, x]
+    Ly = L.transpose(2, 3, 1, 0)  # [y, z, b, t] = L[t, b, y, z]
     worst = 0.0
-    for tt in range(m):
-        K = np.einsum("qbi,bxyc->qxyic", L[tt], L, optimize=True).reshape(m**3, m * m)
-        r = K @ cL.reshape(m * m, m * m)
-        r += (s2[:, :, tt, None] * wh[:, None, :]).reshape(n, m**3).T @ np.conj(wh) / d
-        r -= np.einsum("qxpb,byz->qxypz", cL, L[tt], optimize=True).reshape(m**3, m * m)
-        worst = max(worst, float(np.max(np.abs(r))))
+    for pairs, letters in _l3_blocks(L, wh):
+        x, y = np.divmod(pairs, m)
+        p, c = len(pairs), len(letters)
+        Lb = L.reshape(m, m * m, m)[:, pairs][:, :, letters]  # [b, (x, y), c]
+        cLb = np.conj(Lb).transpose(0, 2, 1).reshape(m * c, p)  # [(i, c), (p, z)]
+        cwhb = np.conj(wh[:, pairs])
+        step = max(1, m**3 // max(p, n, m * c))
+        for lo in range(0, p, step):
+            rows = slice(lo, lo + step)
+            k = len(pairs[rows])
+            r = (Lt @ Lb[:, rows].reshape(m, k * c)).reshape(m * m, m, k, c)  # [(t, q), i, xy, c]
+            r = r.transpose(0, 2, 1, 3).reshape(m * m * k, m * c) @ cLb  # RHS1
+            r += (s2[:, :, :, None] * wh[:, None, None, pairs[rows]]).reshape(
+                n, m * m * k).T @ cwhb / d
+            r = r.reshape(m, m, k, p)  # [t, q, (x, y), (p, z)]
+            r -= (cLx[x[rows, None], x] @ Ly[y[rows, None], y]).transpose(3, 2, 0, 1)
+            worst = max(worst, float(np.max(np.abs(r))))
     out["l3"] = worst
 
     return ResidualReport(out, tolerance)
