@@ -24,7 +24,7 @@ from .abelian import (
 )
 from .config import load_config
 from .io import Archive, bundled_path, load_solution, solution_to_json
-from .solutions import MNSolution, residual
+from .solutions import residual
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_RESOURCE = 0, 1, 2, 3
 
@@ -207,7 +207,7 @@ def cmd_dequiv(args, cfg):
     from .fusion import dequiv_fusion, dequiv_twisted
 
     s = _load(args.file)
-    if not isinstance(s, MNSolution):
+    if s.m != s.n:
         print("input error: de-equivariantization needs an m=n solution",
               file=sys.stderr)
         return EXIT_INPUT
@@ -218,9 +218,9 @@ def cmd_dequiv(args, cfg):
         omega = {}
         for entry in table:
             omega[(tuple(entry["h"]), tuple(entry["k"]))] = complex(*entry["v"])
-        ring = dequiv_twisted(G, s.bichar, s.form, H, omega)
+        ring = dequiv_twisted(G, s.acj.bichar, s.acj.form, H, omega)
     else:
-        ring = dequiv_fusion(G, s.bichar, s.form, H)
+        ring = dequiv_fusion(G, s.acj.bichar, s.acj.form, H)
     payload = ring.to_json()
     payload["dimension_residual"] = ring.dimension_residual()
     human = (f"{ring.name}: rank {ring.rank}, associativity exact, "

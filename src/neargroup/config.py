@@ -24,6 +24,8 @@ class Config:
     def __post_init__(self):
         if not (0.0 < self.tolerance < 1e-3):
             raise ValueError("tolerance must lie in (0, 1e-3)")
+        if not (0.0 < self.oracle_tolerance < 1e-3):
+            raise ValueError("oracle_tolerance must lie in (0, 1e-3)")
         if self.random_starts <= 0:
             raise ValueError("random_starts must be positive")
 

@@ -242,7 +242,7 @@ def corpus_mn() -> dict[str, MNSolution]:
     }
 
 
-def corpus_all() -> dict[str, MNSolution | GeneralSolution]:
+def corpus_all() -> dict[str, GeneralSolution]:
     out: dict = dict(corpus_mn())
     out["z3_m6"] = z3_m6()
     return out

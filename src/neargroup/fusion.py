@@ -35,7 +35,6 @@ from .solutions import (
     DISTINCT_TOL,
     EQUAL_TOL,
     GeneralSolution,
-    MNSolution,
     QuadraticIrrational,
     dimension_d,
     gauge_act,
@@ -309,7 +308,7 @@ class OutGroupResult:
     element_orders: tuple[int, ...] = ()
 
 
-def out_group(s: MNSolution | GeneralSolution, grid: int = DEFAULT_GRID) -> OutGroupResult:
+def out_group(s: GeneralSolution, grid: int = DEFAULT_GRID) -> OutGroupResult:
     """Out(C) = Aut(C): the pairs (theta, u) in Aut(G) x G(A,C,J) fixing the
     solution, found by :func:`~neargroup.solutions.gauge_orbit_search` of the
     solution against itself and counted modulo (id, -I).  The search refines

@@ -3,8 +3,9 @@
 Schema ``neargroup-solution/1``: groups as {"factors": [n1, ...]}, elements
 as residue arrays, exact phases as {"num": p, "den": q}, complex doubles as
 [re, im] pairs.  Phases round-trip bit-exactly; doubles round-trip through
-Python's repr (exact for binary64).  Every stored solution re-verifies on
-load.
+Python's repr (exact for binary64).  ``Archive`` re-verifies every solution
+it loads; ``load_solution`` and ``load_bundled`` read a file as it is, so that
+``neargroup verify`` can report a failing one.
 """
 
 from __future__ import annotations
@@ -87,56 +88,55 @@ def _form_json(a: QuadraticForm) -> dict:
     return {"values": [_phase(p) for p in a.values]}
 
 
-def solution_to_json(s: MNSolution | GeneralSolution) -> dict:
-    G = s.group
-    base = {
-        "schema": SCHEMA,
-        "group": _group_json(G),
-        "provenance": dict(s.provenance),
-    }
-    if isinstance(s, MNSolution):
-        base.update({
-            "kind": "mn",
-            "bicharacter": _bichar_json(s.bichar),
-            "form": _form_json(s.form),
-            "b": [_c(z) for z in s.b],
-            "c": _c(s.c),
-            "c_phase": _phase_of(s.c),
-            "d_exact": {"p": s.d_exact.p, "q": s.d_exact.q,
-                        "D": s.d_exact.D, "r": s.d_exact.r},
-        })
-        return base
-    acj = s.acj
+def _btensor_json(bt: np.ndarray) -> list[dict]:
     sparse = []
-    L, n = s.L, s.n
+    L, n = bt.shape[0], bt.shape[-1]
     for r in range(L):
         for ss in range(L):
             for t in range(L):
                 for u in range(L):
                     for gi in range(n):
-                        v = s.btensor[r, ss, t, u, gi]
+                        v = bt[r, ss, t, u, gi]
                         if v != 0:
                             sparse.append({"idx": [r, ss, t, u], "g": gi,
                                            "v": _c(v)})
-    base.update({
-        "kind": "general",
+    return sparse
+
+
+def solution_to_json(s: GeneralSolution) -> dict:
+    acj = s.acj
+    mn = isinstance(s, MNSolution)
+    out = {
+        "schema": SCHEMA,
+        "group": _group_json(s.group),
+        "provenance": dict(s.provenance),
+        "kind": "mn" if mn else "general",
         "bicharacter": _bichar_json(acj.bichar),
         "form": _form_json(acj.form),
-        "acj": {
-            "bar": list(acj.bar),
-            "g_t": [list(g) for g in acj.g_t],
-            "c_t": [_c(z) for z in acj.c_t],
-            "eps_t": list(acj.eps_t),
-            "eps": acj.eps,
-        },
-        "btensor": sparse,
-        "d_exact": {"p": s.d_exact.p, "q": s.d_exact.q,
-                    "D": s.d_exact.D, "r": s.d_exact.r},
-    })
-    return base
+    }
+    if mn:
+        out.update({
+            "b": [_c(z) for z in s.b],
+            "c": _c(s.c),
+            "c_phase": _phase_of(s.c),
+        })
+    else:
+        out.update({
+            "acj": {
+                "bar": list(acj.bar),
+                "g_t": [list(g) for g in acj.g_t],
+                "c_t": [_c(z) for z in acj.c_t],
+                "eps_t": list(acj.eps_t),
+                "eps": acj.eps,
+            },
+            "btensor": _btensor_json(s.btensor),
+        })
+    out["d_exact"] = {"p": s.d_exact.p, "q": s.d_exact.q,
+                      "D": s.d_exact.D, "r": s.d_exact.r}
+    return out
 
 
-def solution_from_json(data: dict) -> MNSolution | GeneralSolution:
+def solution_from_json(data: dict) -> GeneralSolution:
     if data.get("schema") != SCHEMA:
         raise ValueError(f"unknown schema {data.get('schema')!r}")
     G = FiniteAbelianGroup(tuple(data["group"]["factors"]))

@@ -1,15 +1,14 @@
 """Solution data for the classification systems and their residual checks.
 
-Two regimes are covered:
-
-* ``MNSolution`` (m = |G|): the tuple (<.,.>, a, b, c) of the m=n theorem,
-  checked against both the Galois-form system (Gal1)-(Gal8), written with
-  c' = conj(c)/sqrt(n), and the original five m=n equations.  The two systems
-  are redundant on purpose; they cross-check each other's transcription.
-* ``GeneralSolution`` (m a multiple of |G|, d irrational): the normal form
-  (eps, <.,.>, Lambda, chi_t, c_t, eps_t, a, b^{r,s}_{t,u}(g)) together with
-  the ten tensor equations (p1)-(p10), the derived (p11), and the unitarity
-  of the matrices B(g).
+A solution is a ``GeneralSolution`` (m a multiple of |G|, d irrational): the
+normal form (eps, <.,.>, Lambda, chi_t, c_t, eps_t, a, b^{r,s}_{t,u}(g))
+together with the ten tensor equations (p1)-(p10), the derived (p11), and
+the unitarity of the matrices B(g).  An m = n solution (m = |G|) is its
+L = 1 case: ``MNSolution`` builds it from the tuple (<.,.>, a, b, c) of the
+m=n theorem and reads those data back, and ``residual`` checks it against
+the Galois-form system (Gal1)-(Gal8), written with c' = conj(c)/sqrt(n), and
+the original five m=n equations.  These and the tensor equations are
+redundant on purpose; they cross-check each other's transcription.
 
 Residual evaluation returns a :class:`ResidualReport` with one maximum
 absolute residual per equation; ``residual_general`` raises ``ValueError``
@@ -18,7 +17,7 @@ on inconsistent normal-form data (``ACJData.validate``).
 Every reader of a normal form's tables (both residual systems, the gauge
 group, nu_31, the tuple export, the solvers' tensor system) goes through
 :class:`NormalForm`, built once per ``ACJData`` by the cached
-:func:`normal_form`; an m = n solution reads its L = 1 normal form.
+:func:`normal_form`.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "residual_general",
     "residual",
     "mn_normal_form",
-    "mn_to_general",
     "gauge_act",
     "aut_act",
     "gauge_group_basis",
@@ -149,85 +147,6 @@ class GroupTables:
 @cache
 def tables(G: FiniteAbelianGroup) -> GroupTables:
     return GroupTables(G)
-
-
-# ---------------------------------------------------------------------------
-# m = n solutions
-
-
-@dataclass(frozen=True)
-class MNSolution:
-    """Data (<.,.>, a, b, c) for m = |G|; d is pinned by d^2 = n + n d."""
-
-    group: FiniteAbelianGroup
-    bichar: Bicharacter
-    form: QuadraticForm
-    b: np.ndarray  # complex, indexed like group.elements()
-    c: complex
-    provenance: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=complex))
-
-    @property
-    def n(self) -> int:
-        return self.group.order
-
-    @property
-    def m(self) -> int:
-        return self.group.order
-
-    @cached_property
-    def d_exact(self) -> QuadraticIrrational:
-        return dimension_d(self.n, self.m)
-
-    @property
-    def d(self) -> float:
-        return self.d_exact.value
-
-    @property
-    def c_prime(self) -> complex:
-        return np.conj(self.c) / math.sqrt(self.n)
-
-    def conj(self) -> "MNSolution":
-        return MNSolution(self.group, self.bichar.conj(), self.form.conj(),
-                          np.conj(self.b), np.conj(self.c))
-
-
-def residual_mn(s: MNSolution, tolerance: float = DEFAULT_TOL) -> ResidualReport:
-    """All eight Galois-form equations plus the five original m=n equations."""
-    nf = normal_form(mn_normal_form(s.bichar, s.form, s.c))
-    T, B, a, n, d = nf.T, nf.B, nf.a, s.n, nf.d
-    b = s.b
-    cp = s.c_prime
-    cc = s.c
-    out: dict[str, float] = {}
-
-    delta0 = np.zeros(n)
-    delta0[T.zero] = 1.0
-
-    out["gal1"] = abs(cp**3 - a.sum() / n**2)
-    out["gal2"] = abs(d * d - d * n - n)
-    Rb = cp * np.conj(a) * (B @ b)
-    out["gal3"] = float(np.max(np.abs(Rb - b)))
-    out["gal4"] = abs(b[T.zero] + 1 / d)
-    out["gal5"] = float(np.max(np.abs(a * b * b[T.neg] - (1 / n - delta0 / d))))
-    lhs6 = np.einsum("g,g,gh,gk->hk", a, b[T.neg], b[T.add], b[T.add])
-    rhs6 = np.conj(B) * np.outer(b, b) - 1 / (cp * d * n)
-    out["gal6"] = float(np.max(np.abs(lhs6 - rhs6)))
-    Jb = np.conj(a * b[T.neg])
-    out["gal7"] = float(np.max(np.abs(Jb - b)))
-    out["gal8"] = 0.0 if d > 0 else float(abs(d))
-
-    bhat = np.conj(B) @ b / math.sqrt(n)
-    out["mn1"] = float(np.max(np.abs(bhat - cc * a * b[T.neg])))
-    out["mn2"] = out["gal4"]
-    out["mn3"] = float(np.max(np.abs(np.abs(b) ** 2 - (1 / n - delta0 / d))))
-    out["mn4"] = float(np.max(np.abs(np.conj(b) - a * b[T.neg])))
-    lhs5 = np.einsum("gh,gk,g->hk", b[T.add], b[T.add], np.conj(b))
-    rhs5 = np.conj(B) * np.outer(b, b) - cc / (d * math.sqrt(n))
-    out["mn5"] = float(np.max(np.abs(lhs5 - rhs5)))
-    return ResidualReport(out, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +249,43 @@ def mn_normal_form(bichar: Bicharacter, form: QuadraticForm, c: complex) -> ACJD
                    c_t=(complex(c),), eps_t=(1,), eps=1)
 
 
-def mn_to_general(s: MNSolution) -> GeneralSolution:
-    """View an m=n solution as the L=1 case of the general normal form."""
-    bt = s.b.reshape(1, 1, 1, 1, s.n)
-    return GeneralSolution(s.group, mn_normal_form(s.bichar, s.form, s.c), bt,
-                           provenance=dict(s.provenance))
+class MNSolution(GeneralSolution):
+    """An m = n solution (<.,.>, a, b, c), m = |G|: the L = 1
+    ``GeneralSolution`` with ``acj = mn_normal_form(bichar, form, c)`` and
+    b stored as the (1, 1, 1, 1, n) ``btensor``.  ``bichar``, ``form``,
+    ``b``, ``c`` and ``c_prime`` are read off those two fields; d is pinned
+    by d^2 = n + n d."""
+
+    def __init__(self, group: FiniteAbelianGroup, bichar: Bicharacter,
+                 form: QuadraticForm, b, c: complex, provenance: dict | None = None):
+        bt = np.asarray(b, dtype=complex).reshape(1, 1, 1, 1, group.order)
+        super().__init__(group, mn_normal_form(bichar, form, c), bt,
+                         {} if provenance is None else provenance)
+
+    @property
+    def bichar(self) -> Bicharacter:
+        return self.acj.bichar
+
+    @property
+    def form(self) -> QuadraticForm:
+        return self.acj.form
+
+    @property
+    def b(self) -> np.ndarray:
+        """b(g), indexed like group.elements()."""
+        return self.btensor[0, 0, 0, 0]
+
+    @property
+    def c(self) -> complex:
+        return self.acj.c_t[0]
+
+    @property
+    def c_prime(self) -> complex:
+        return np.conj(self.c) / math.sqrt(self.n)
+
+    def conj(self) -> "MNSolution":
+        return MNSolution(self.group, self.bichar.conj(), self.form.conj(),
+                          np.conj(self.b), np.conj(self.c))
 
 
 class NormalForm:
@@ -516,6 +467,42 @@ def residual_general(s: GeneralSolution, tolerance: float = DEFAULT_TOL) -> Resi
     return ResidualReport(out, tolerance)
 
 
+def residual_mn(s: MNSolution, tolerance: float = DEFAULT_TOL) -> ResidualReport:
+    """All eight Galois-form equations plus the five original m=n equations."""
+    nf = normal_form(s.acj)
+    T, B, a, n, d = nf.T, nf.B, nf.a, s.n, nf.d
+    b = s.b
+    cp = s.c_prime
+    cc = s.c
+    out: dict[str, float] = {}
+
+    delta0 = np.zeros(n)
+    delta0[T.zero] = 1.0
+
+    out["gal1"] = abs(cp**3 - a.sum() / n**2)
+    out["gal2"] = abs(d * d - d * n - n)
+    Rb = cp * np.conj(a) * (B @ b)
+    out["gal3"] = float(np.max(np.abs(Rb - b)))
+    out["gal4"] = abs(b[T.zero] + 1 / d)
+    out["gal5"] = float(np.max(np.abs(a * b * b[T.neg] - (1 / n - delta0 / d))))
+    lhs6 = np.einsum("g,g,gh,gk->hk", a, b[T.neg], b[T.add], b[T.add])
+    rhs6 = np.conj(B) * np.outer(b, b) - 1 / (cp * d * n)
+    out["gal6"] = float(np.max(np.abs(lhs6 - rhs6)))
+    Jb = np.conj(a * b[T.neg])
+    out["gal7"] = float(np.max(np.abs(Jb - b)))
+    out["gal8"] = 0.0 if d > 0 else float(abs(d))
+
+    bhat = np.conj(B) @ b / math.sqrt(n)
+    out["mn1"] = float(np.max(np.abs(bhat - cc * a * b[T.neg])))
+    out["mn2"] = out["gal4"]
+    out["mn3"] = float(np.max(np.abs(np.abs(b) ** 2 - (1 / n - delta0 / d))))
+    out["mn4"] = float(np.max(np.abs(np.conj(b) - a * b[T.neg])))
+    lhs5 = np.einsum("gh,gk,g->hk", b[T.add], b[T.add], np.conj(b))
+    rhs5 = np.conj(B) * np.outer(b, b) - cc / (d * math.sqrt(n))
+    out["mn5"] = float(np.max(np.abs(lhs5 - rhs5)))
+    return ResidualReport(out, tolerance)
+
+
 def residual(s, tolerance: float = DEFAULT_TOL) -> ResidualReport:
     """``residual_mn`` of an ``MNSolution``, ``residual_general`` of any other
     solution.  Both are looked up by their module-level names at each call."""
@@ -585,7 +572,8 @@ def sample_gauge(acj: ACJData, rng: np.random.Generator) -> np.ndarray:
 
 def aut_act(theta: GroupAutomorphism, s):
     """Pull a solution back along a group automorphism; residual status is
-    invariant.  The transformed solution lives over (<theta.,theta.>, a∘theta)."""
+    invariant.  The transformed solution lives over (<theta.,theta.>, a∘theta).
+    An ``MNSolution`` stays one, so its image keeps the ``"mn"`` fingerprint."""
     G = s.group
     perm = theta.permutation()  # perm[index(g)] = index(theta(g))
     if isinstance(s, MNSolution):
@@ -612,8 +600,6 @@ def aut_act(theta: GroupAutomorphism, s):
 def fs_nu31_from_data(s) -> complex:
     """tr(j1 o j2) evaluated from the normal form: for K = l^2(G) (x) K0 the
     map j1 j2 sends T_h(xi) to n^{-1/2} sum_k conj(<h,k>) T_k(C A(k) xi)."""
-    if isinstance(s, MNSolution):
-        s = mn_to_general(s)
     nf = normal_form(s.acj)
     return complex(sum(np.conj(nf.B[g, g]) * np.sum(nf.c_t * nf.a[g] * nf.chi[:, g])
                        / math.sqrt(s.n) for g in range(s.n)))
@@ -721,10 +707,6 @@ def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
     """
     from .abelian import automorphisms
 
-    if isinstance(s1, MNSolution):
-        s1 = mn_to_general(s1)
-    if isinstance(s2, MNSolution):
-        s2 = mn_to_general(s2)
     if s1.group.factors != s2.group.factors or s1.L != s2.L:
         return
     ref = s2.acj

@@ -107,7 +107,7 @@ HEURISTIC_STARTS = 200  # random starts of heuristic_search
 
 @dataclass
 class SolutionClass:
-    solution: MNSolution | GeneralSolution
+    solution: GeneralSolution
     case: CaseTag | None
     residuals: object
     fingerprint: tuple
@@ -252,8 +252,8 @@ def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
     """All solutions of the m = n system for a fixed (bicharacter, form), in
     the order of ``_order_key``.
 
-    The m = n system is the L = 1 case of the tensor normal form (see
-    ``solutions.mn_to_general``), one for each cube root c = ``ctx.c``
+    The m = n system is the L = 1 case of the tensor normal form
+    (``solutions.mn_normal_form``), one for each cube root c = ``ctx.c``
     zeta3^k of the pair's ``cases.ExactContext``.  Its affine (p1)-(p3) and
     (p7), i.e. (Gal3), (Gal4) and (Gal7), cut out the slice ``_mn_slice``;
     on it the quadratic (p4), (p5) and ``bg_unitary``, i.e. (Gal5), are

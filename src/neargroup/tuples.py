@@ -28,14 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solutions import (
-    GeneralSolution,
-    MNSolution,
-    ResidualReport,
-    mn_to_general,
-    normal_form,
-    residual,
-)
+from .solutions import GeneralSolution, ResidualReport, normal_form, residual
 
 __all__ = [
     "AdmissibleTuple",
@@ -92,7 +85,7 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def to_tuple(s: MNSolution | GeneralSolution, check: bool = True) -> AdmissibleTuple:
+def to_tuple(s: GeneralSolution, check: bool = True) -> AdmissibleTuple:
     """Export a verified solution to explicit tuple matrices.
 
     K is l^2(G) (x) K0 with basis T_h(e_t) at index ``h_index * L + t``:
@@ -108,8 +101,6 @@ def to_tuple(s: MNSolution | GeneralSolution, check: bool = True) -> AdmissibleT
         rep = residual(s, DEFAULT_TOL)
         if not rep.passed:
             raise ValueError(f"refusing to export a failing solution:\n{rep}")
-    if isinstance(s, MNSolution):
-        s = mn_to_general(s)
     nf = normal_form(s.acj)
     T, B, a, chi_t = nf.T, nf.B, nf.a, nf.chi  # chi_t[t, g]
     bar, c_t, eps_t, eps = nf.bar, nf.c_t, nf.eps_t, s.acj.eps
@@ -297,7 +288,8 @@ def _l3_blocks(L: np.ndarray, wh: np.ndarray) -> list[tuple[np.ndarray, np.ndarr
         label = new
     linked = adj.any(axis=1)
     blocks = []
-    for lab in np.unique(label[:mm][linked[:mm]]):
+    # the distinct labels, ascending; np.unique would import numpy.ma on first use
+    for lab in np.flatnonzero(np.bincount(label[:mm][linked[:mm]])):
         members = np.flatnonzero(label == lab)
         blocks.append((members[members < mm], members[members >= mm] - mm))
     return blocks

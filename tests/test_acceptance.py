@@ -38,13 +38,11 @@ from neargroup.fusion import (
     principal_graph,
 )
 from neargroup.solutions import (
-    MNSolution,
     aut_act,
     dimension_d,
     fs_nu31_from_data,
     gauge_act,
     gauge_group_basis,
-    mn_to_general,
     residual,
     residual_general,
 )
@@ -127,23 +125,22 @@ def test_criterion_4_gauge_aut_invariance(rng):
     from scipy.linalg import expm
 
     for name, s in corpus_all().items():
-        gen = mn_to_general(s) if isinstance(s, MNSolution) else s
-        base = residual_general(gen)
+        base = residual_general(s)
         assert base.passed
-        algebra, comps = gauge_group_basis(gen.acj)
+        algebra, comps = gauge_group_basis(s.acj)
         worst_drift = 0.0
         for _ in range(1000):
             X = (sum(rng.normal() * Xb for Xb in algebra)
-                 if algebra else np.zeros((gen.L, gen.L)))
-            u = comps[rng.integers(len(comps))] @ (expm(X) if algebra else np.eye(gen.L))
-            moved = gauge_act(u, gen, check=False)
+                 if algebra else np.zeros((s.L, s.L)))
+            u = comps[rng.integers(len(comps))] @ (expm(X) if algebra else np.eye(s.L))
+            moved = gauge_act(u, s, check=False)
             rep = residual_general(moved)
             worst_drift = max(worst_drift, abs(
                 max(v for k, v in rep.per_equation.items() if k != "p10")
                 - max(v for k, v in base.per_equation.items() if k != "p10")))
             assert rep.passed
         for th in automorphisms(s.group):
-            rep = residual_general(aut_act(th, gen))
+            rep = residual_general(aut_act(th, s))
             assert rep.passed, f"{name} under {th.images}"
         assert worst_drift < 1e-12, f"{name}: drift {worst_drift:.2e}"
     _report("criterion 4 (gauge/automorphism invariance)", True,

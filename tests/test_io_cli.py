@@ -78,6 +78,20 @@ def test_config_defaults_and_env(tmp_path):
         Config(tolerance=1.0)
 
 
+def test_config_checks_oracle_tolerance(tmp_path, capsys):
+    """oracle_tolerance lies in (0, 1e-3), as tolerance does: a negative one
+    fails every tuple, a large one passes a wrong one.  A config file out of
+    range is an input error."""
+    for bad in (-1.0, 0.0, 1e-3, 10.0):
+        with pytest.raises(ValueError):
+            Config(oracle_tolerance=bad)
+    f = tmp_path / "cfg"
+    for bad in ("-1", "10"):
+        f.write_text(f"oracle_tolerance = {bad}\n")
+        assert main(["--config", str(f), "indicators", "bundled/z3_m3.json"]) == 2
+        assert "oracle_tolerance" in capsys.readouterr().err
+
+
 def test_parse_group():
     assert parse_group("Z4").factors == (4,)
     assert parse_group("Z2xZ2xZ3").factors == (2, 6)  # canonicalized
@@ -119,6 +133,12 @@ def test_cli_solve_archive(tmp_path, capsys):
     assert sorted(map(str, files)) == sorted(data["archived"])
     assert len(files) == len(data["classes"])
     assert [s.m for s in Archive(tmp_path / "arch").load_all()] == [2, 2]
+
+
+def test_cli_dequiv_refuses_a_general_solution(capsys):
+    """De-equivariantization needs m = n: z3_m6 (m = 2n) is an input error."""
+    assert main(["dequiv", "bundled/z3_m6.json", "--subgroup", "0"]) == 2
+    assert "needs an m=n solution" in capsys.readouterr().err
 
 
 def test_cli_classify_input_error(capsys):

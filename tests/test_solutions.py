@@ -20,6 +20,7 @@ from neargroup.abelian import (
 )
 from neargroup.cases import CaseTag
 from neargroup.corpus import corpus_mn, z2_m2, z3_m6, z5_m5
+from neargroup.io import load_bundled
 from neargroup.solutions import (
     ACJData,
     GeneralSolution,
@@ -39,7 +40,7 @@ from neargroup.solutions import (
     gauge_group_basis,
     gauge_orbit_search,
     in_gauge_group,
-    mn_to_general,
+    mn_normal_form,
     normal_form,
     residual_general,
     residual_mn,
@@ -203,12 +204,24 @@ def test_fingerprints_invariant(rng, corpus_all):
             assert fingerprint(aut_act(th, s)) == fingerprint(s), (name, th)
 
 
-def test_mn_to_general_consistency():
-    s = z2_m2()
-    g = mn_to_general(s)
-    rep = residual_general(g)
-    assert rep.passed
-    assert g.m == 2 and g.L == 1
+def test_mn_solution_is_the_l1_general_solution():
+    """Every bundled m = n entry is the L = 1 normal form of its (<.,.>, a, c)
+    with b as its b-tensor, passes ``residual_general`` as it is, gives b and
+    c back bit for bit through ``MNSolution(group, bichar, form, b, c)``, and
+    keeps its type under ``aut_act`` and ``conj``."""
+    for name in corpus_mn():
+        s = load_bundled(name)
+        assert isinstance(s, MNSolution), name
+        assert s.acj == mn_normal_form(s.bichar, s.form, s.c), name
+        assert s.btensor.shape == (1, 1, 1, 1, s.n), name
+        assert s.L == 1 and s.m == s.n, name
+        assert residual_general(s).passed, name
+        t = MNSolution(s.group, s.bichar, s.form, s.b, s.c)
+        assert t.b.tobytes() == s.b.tobytes(), name
+        assert np.array(t.c).tobytes() == np.array(s.c).tobytes(), name
+        for th in automorphisms(s.group):
+            assert isinstance(aut_act(th, s), MNSolution), (name, th)
+        assert isinstance(s.conj(), MNSolution), name
 
 
 def test_bmatrix_delta_eigenvector():
@@ -242,8 +255,7 @@ def test_gauge_components_distinct_up_to_sign(corpus_all):
     """-1 acts trivially, so no finite gauge component is the negative of
     another one."""
     for name, s in corpus_all.items():
-        gen = mn_to_general(s) if isinstance(s, MNSolution) else s
-        _, comps = gauge_group_basis(gen.acj)
+        _, comps = gauge_group_basis(s.acj)
         for i, P in enumerate(comps):
             assert not any(np.allclose(-P, Q) for Q in comps[:i]), name
 
@@ -376,9 +388,10 @@ def test_refine_gauges_distances_are_those_of_its_gauges(rng):
 
 def test_package_loads_no_scipy_optimize_or_linalg():
     """Importing every layer module and running the gauge search
-    (``equivalent``, ``out_group``), ``classify``, the word oracle and the FS
-    indicators leaves scipy (every submodule) and sympy unloaded: the package
-    needs numpy only."""
+    (``equivalent``, ``out_group``), ``classify``, the tuple equations, the
+    word oracle and the FS indicators leaves scipy (every submodule) and sympy
+    unloaded: the package needs numpy only.  ``numpy.ma``, which a plain
+    ``np.unique`` imports, stays unloaded too."""
     src = str(Path(neargroup.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -393,8 +406,10 @@ assert solutions.equivalent(s, corpus.z3_m6(x=r * math.cos(0.9), y=r * math.sin(
 assert fusion.out_group(s, grid=32).order == 8
 assert solvers.classify(abelian.FiniteAbelianGroup((3,)), 3).num_classes == 1
 t = tuples.to_tuple(corpus.z3_m3())
+assert tuples.verify_admissible(t).passed
 assert cuntz.oracle_check(t).passed and cuntz.fs_indicators(t)[1].passed
-print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy")))
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy")
+             or m == "numpy.ma"))
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300)
@@ -406,7 +421,7 @@ def _acjs(corpus_all):
     """The corpus normal forms, and one Z3 normal form with nontrivial
     characters chi_1 = <., 1>, chi_2 = <., 2>."""
     for name, s in corpus_all.items():
-        yield name, (mn_to_general(s) if isinstance(s, MNSolution) else s).acj
+        yield name, s.acj
     b = s.acj.bichar  # z3_m6's
     yield "z3 chi", ACJData(bichar=b, form=s.acj.form, bar=(1, 0), g_t=((1,), (2,)),
                             c_t=(1.0, 1.0), eps_t=(1, 1), eps=1)

@@ -113,10 +113,8 @@ def test_cross_system_consistency(corpus_all, corpus_tuples):
 
 def _ltensor_reference(s):
     """to_tuple's l tensor filled term by term, as a seven-deep loop."""
-    from neargroup.solutions import mn_to_general, normal_form
+    from neargroup.solutions import normal_form
 
-    if isinstance(s, MNSolution):
-        s = mn_to_general(s)
     nf = normal_form(s.acj)
     T, B, a, chi_t, bt = nf.T, nf.B, nf.a, nf.chi, s.btensor
     n, L = s.n, s.L
