@@ -6,10 +6,15 @@ cases), and prints the refutation ledger for the zero-counts.
 """
 
 import argparse
+import os
 import time
 
-from neargroup.abelian import FiniteAbelianGroup
-from neargroup.solvers import SolveConfig, classify
+# the package's numpy work is on arrays of a few dozen entries, where a
+# second OpenBLAS thread only spins; this must run before numpy is imported
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from neargroup.abelian import FiniteAbelianGroup  # noqa: E402
+from neargroup.solvers import SolveConfig, classify  # noqa: E402
 
 TABLE = [
     ((2,), 2), ((3,), 3), ((4,), 4), ((2, 2), 4), ((5,), 5),

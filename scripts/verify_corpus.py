@@ -7,13 +7,18 @@ oracle.  Prints one line per solution per layer.
 """
 
 import argparse
+import os
 import time
 
-from neargroup.config import Config
-from neargroup.corpus import corpus_all
-from neargroup.cuntz import fs_indicators, oracle_check
-from neargroup.solutions import residual
-from neargroup.tuples import to_tuple, verify_admissible
+# the package's numpy work is on arrays of a few dozen entries, where a
+# second OpenBLAS thread only spins; this must run before numpy is imported
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from neargroup.config import Config  # noqa: E402
+from neargroup.corpus import corpus_all  # noqa: E402
+from neargroup.cuntz import fs_indicators, oracle_check  # noqa: E402
+from neargroup.solutions import residual  # noqa: E402
+from neargroup.tuples import to_tuple, verify_admissible  # noqa: E402
 
 
 def main():

@@ -89,23 +89,15 @@ def _form_json(a: QuadraticForm) -> dict:
 
 
 def _btensor_json(bt: np.ndarray) -> list[dict]:
-    sparse = []
-    L, n = bt.shape[0], bt.shape[-1]
-    for r in range(L):
-        for ss in range(L):
-            for t in range(L):
-                for u in range(L):
-                    for gi in range(n):
-                        v = bt[r, ss, t, u, gi]
-                        if v != 0:
-                            sparse.append({"idx": [r, ss, t, u], "g": gi,
-                                           "v": _c(v)})
-    return sparse
+    return [{"idx": ix[:4], "g": ix[4], "v": _c(bt[tuple(ix)])}
+            for ix in np.argwhere(bt).tolist()]
 
 
 def solution_to_json(s: GeneralSolution) -> dict:
+    """``"kind": "mn"`` with b and c for an m = n solution (``is_mn``),
+    else ``"kind": "general"`` with the ACJ data and the nonzero b entries."""
     acj = s.acj
-    mn = isinstance(s, MNSolution)
+    mn = s.is_mn
     out = {
         "schema": SCHEMA,
         "group": _group_json(s.group),
@@ -115,10 +107,11 @@ def solution_to_json(s: GeneralSolution) -> dict:
         "form": _form_json(acj.form),
     }
     if mn:
+        c = acj.c_t[0]
         out.update({
-            "b": [_c(z) for z in s.b],
-            "c": _c(s.c),
-            "c_phase": _phase_of(s.c),
+            "b": [_c(z) for z in s.btensor[0, 0, 0, 0]],
+            "c": _c(c),
+            "c_phase": _phase_of(c),
         })
     else:
         out.update({

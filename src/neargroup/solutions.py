@@ -3,12 +3,13 @@
 A solution is a ``GeneralSolution`` (m a multiple of |G|, d irrational): the
 normal form (eps, <.,.>, Lambda, chi_t, c_t, eps_t, a, b^{r,s}_{t,u}(g))
 together with the ten tensor equations (p1)-(p10), the derived (p11), and
-the unitarity of the matrices B(g).  An m = n solution (m = |G|) is its
-L = 1 case: ``MNSolution`` builds it from the tuple (<.,.>, a, b, c) of the
-m=n theorem and reads those data back, and ``residual`` checks it against
-the Galois-form system (Gal1)-(Gal8), written with c' = conj(c)/sqrt(n), and
-the original five m=n equations.  These and the tensor equations are
-redundant on purpose; they cross-check each other's transcription.
+the unitarity of the matrices B(g).  An m = n solution (m = |G|) is any
+solution whose data are the L = 1 case (``is_mn``), with its b and c read
+as ``btensor[0, 0, 0, 0]`` and ``acj.c_t[0]``; ``residual`` checks it
+against the Galois-form system (Gal1)-(Gal8), written with c' =
+conj(c)/sqrt(n), and the original five m=n equations.  These and the
+tensor equations are redundant on purpose; they cross-check each other's
+transcription.
 
 Residual evaluation returns a :class:`ResidualReport` with one maximum
 absolute residual per equation; ``residual_general`` raises ``ValueError``
@@ -224,6 +225,11 @@ class GeneralSolution:
     def d(self) -> float:
         return self.d_exact.value
 
+    @property
+    def is_mn(self) -> bool:
+        """An m = n solution: L = 1, trivial chi and eps_t = (1,)."""
+        return self.acj == mn_normal_form(self.acj.bichar, self.acj.form, self.acj.c_t[0])
+
     def bmatrix(self, gi: int) -> np.ndarray:
         """B(g) with ((r,t),(s,u)) entries b^{r,s}_{t,u}(g), lexicographic."""
         L = self.L
@@ -236,7 +242,7 @@ class GeneralSolution:
             acj.form.conj(),
             acj.bar,
             acj.g_t,
-            tuple(np.conj(c) for c in acj.c_t),
+            tuple(complex(c).conjugate() for c in acj.c_t),
             acj.eps_t,
             acj.eps,
         )
@@ -250,11 +256,12 @@ def mn_normal_form(bichar: Bicharacter, form: QuadraticForm, c: complex) -> ACJD
 
 
 class MNSolution(GeneralSolution):
-    """An m = n solution (<.,.>, a, b, c), m = |G|: the L = 1
+    """Builds the m = n solution (<.,.>, a, b, c), m = |G|: the L = 1
     ``GeneralSolution`` with ``acj = mn_normal_form(bichar, form, c)`` and
     b stored as the (1, 1, 1, 1, n) ``btensor``.  ``bichar``, ``form``,
-    ``b``, ``c`` and ``c_prime`` are read off those two fields; d is pinned
-    by d^2 = n + n d."""
+    ``b``, ``c`` and ``c_prime`` are read-only views of those two fields; d
+    is pinned by d^2 = n + n d.  Nothing dispatches on this type (``is_mn``
+    reads the data)."""
 
     def __init__(self, group: FiniteAbelianGroup, bichar: Bicharacter,
                  form: QuadraticForm, b, c: complex, provenance: dict | None = None):
@@ -282,10 +289,6 @@ class MNSolution(GeneralSolution):
     @property
     def c_prime(self) -> complex:
         return np.conj(self.c) / math.sqrt(self.n)
-
-    def conj(self) -> "MNSolution":
-        return MNSolution(self.group, self.bichar.conj(), self.form.conj(),
-                          np.conj(self.b), np.conj(self.c))
 
 
 class NormalForm:
@@ -467,13 +470,14 @@ def residual_general(s: GeneralSolution, tolerance: float = DEFAULT_TOL) -> Resi
     return ResidualReport(out, tolerance)
 
 
-def residual_mn(s: MNSolution, tolerance: float = DEFAULT_TOL) -> ResidualReport:
-    """All eight Galois-form equations plus the five original m=n equations."""
+def residual_mn(s: GeneralSolution, tolerance: float = DEFAULT_TOL) -> ResidualReport:
+    """All eight Galois-form equations plus the five original m=n equations
+    of an m = n solution (``is_mn``)."""
     nf = normal_form(s.acj)
     T, B, a, n, d = nf.T, nf.B, nf.a, s.n, nf.d
-    b = s.b
-    cp = s.c_prime
-    cc = s.c
+    b = s.btensor[0, 0, 0, 0]
+    cc = s.acj.c_t[0]
+    cp = np.conj(cc) / math.sqrt(n)
     out: dict[str, float] = {}
 
     delta0 = np.zeros(n)
@@ -504,9 +508,10 @@ def residual_mn(s: MNSolution, tolerance: float = DEFAULT_TOL) -> ResidualReport
 
 
 def residual(s, tolerance: float = DEFAULT_TOL) -> ResidualReport:
-    """``residual_mn`` of an ``MNSolution``, ``residual_general`` of any other
-    solution.  Both are looked up by their module-level names at each call."""
-    return (residual_mn if isinstance(s, MNSolution) else residual_general)(s, tolerance)
+    """``residual_mn`` of an m = n solution (``is_mn``), ``residual_general``
+    of any other.  Both are looked up by their module-level names at each
+    call."""
+    return (residual_mn if s.is_mn else residual_general)(s, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +577,11 @@ def sample_gauge(acj: ACJData, rng: np.random.Generator) -> np.ndarray:
 
 def aut_act(theta: GroupAutomorphism, s):
     """Pull a solution back along a group automorphism; residual status is
-    invariant.  The transformed solution lives over (<theta.,theta.>, a∘theta).
-    An ``MNSolution`` stays one, so its image keeps the ``"mn"`` fingerprint."""
+    invariant.  The transformed solution lives over (<theta.,theta.>, a∘theta),
+    with chi_t pulled back too; the trivial chi of an m = n solution stays
+    trivial, so its image is again one (``is_mn``)."""
     G = s.group
     perm = theta.permutation()  # perm[index(g)] = index(theta(g))
-    if isinstance(s, MNSolution):
-        return MNSolution(G, s.bichar.pullback(theta), s.form.pullback(theta),
-                          s.b[perm], s.c, provenance=dict(s.provenance))
     acj = s.acj
     thinv = theta.inverse()
     new_acj = ACJData(
@@ -612,9 +615,10 @@ def fingerprint(s) -> tuple:
     def r(x):
         return round(float(np.real(x)), 7) + 0.0, round(float(np.imag(x)), 7) + 0.0
 
-    if isinstance(s, MNSolution):
-        mags = tuple(sorted(round(float(v), 7) + 0.0 for v in np.abs(s.b)))
-        return ("mn", s.group.factors, mags, r(s.c), r(fs_nu31_from_data(s)))
+    if s.is_mn:
+        b = s.btensor[0, 0, 0, 0]
+        mags = tuple(sorted(round(float(v), 7) + 0.0 for v in np.abs(b)))
+        return ("mn", s.group.factors, mags, r(s.acj.c_t[0]), r(fs_nu31_from_data(s)))
     traces = []
     for gi in range(s.n):
         Mg = s.bmatrix(gi)

@@ -13,10 +13,11 @@ L >= 2 (``_numeric_slice``).  On it the quadratic equations are fitted once
 which the gauge refine shares.  The fit is its model: one call per batch of
 points gives the residual rows and their exact Jacobians together.  The
 converged points are lifted to b-tensors in one batch and go through one
-keep step, ``_keep``: every candidate not within DEDUPE_TOL of a kept one is
-lifted to a solution and checked by ``solutions.residual``.  ``classify``
-then keeps one solution per class up to Aut x gauge within each
-(bicharacter, form) pair (``_dedupe``).
+keep step, ``_keep``: every candidate not within DEDUPE_TOL of a kept one
+becomes a ``GeneralSolution`` of the normal form it solved, for every m,
+and is checked by ``solutions.residual``.  ``classify`` then keeps one
+solution per class up to Aut x gauge within each (bicharacter, form) pair
+(``_dedupe``).
 
 Completeness discipline.  A solver result is labeled COMPLETE only where the
 reduction lemmas shrink the system to a parameter space the code exhausts:
@@ -48,7 +49,6 @@ from .cases import CaseTag, ExactContext, Feasibility, all_case_feasibilities
 from .solutions import (
     ACJData,
     GeneralSolution,
-    MNSolution,
     _batched_lm,
     dimension_d,
     equivalent,
@@ -214,9 +214,11 @@ def pair_classes(G: FiniteAbelianGroup):
 # the multistart drivers
 
 
-def _keep(B, lift, config: SolveConfig, cap: int | None = None) -> list:
-    """Walk the stack ``B`` of b-tensors in order, lifting each one not within
-    DEDUPE_TOL (largest entry of |b - b'|) of one already kept to a solution,
+def _keep(B, acj: ACJData, provenance: dict, config: SolveConfig,
+          cap: int | None = None) -> list[GeneralSolution]:
+    """Walk the stack ``B`` of b-tensors of the normal form ``acj`` in order,
+    making each one not within DEDUPE_TOL (largest entry of |b - b'|) of one
+    already kept the ``GeneralSolution`` (with a copy of ``provenance``),
     which is kept if it passes ``solutions.residual``.  A kept tensor masks
     its near-duplicates further down the stack in one comparison.  Stops once
     ``cap`` solutions are kept."""
@@ -226,7 +228,7 @@ def _keep(B, lift, config: SolveConfig, cap: int | None = None) -> list:
     for i, bt in enumerate(B):
         if not live[i]:
             continue
-        s = lift(bt)
+        s = GeneralSolution(acj.group, acj, bt, dict(provenance))
         if not residual(s, config.residual_tol).passed:
             continue
         found.append(s)
@@ -248,7 +250,7 @@ def _order_key(b) -> tuple:
 
 
 def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
-             config: SolveConfig | None = None) -> list[MNSolution]:
+             config: SolveConfig | None = None) -> list[GeneralSolution]:
     """All solutions of the m = n system for a fixed (bicharacter, form), in
     the order of ``_order_key``.
 
@@ -259,8 +261,9 @@ def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
     on it the quadratic (p4), (p5) and ``bg_unitary``, i.e. (Gal5), are
     solved by one batched Levenberg-Marquardt run from
     ``config.random_starts`` seeded starts.
-    Every candidate not within DEDUPE_TOL of a kept one is lifted to an
-    ``MNSolution`` and kept only if it passes ``solutions.residual``, i.e.
+    Every candidate not within DEDUPE_TOL of a kept one becomes a
+    ``GeneralSolution`` of that normal form, an m = n solution by its data
+    (``is_mn``), and is kept only if it passes ``solutions.residual``, i.e.
     ``residual_mn``, (Gal6) included.
     """
     if config is None:
@@ -269,19 +272,15 @@ def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
         raise ValueError("form must be even")
     ctx = ExactContext(G, b, a)  # raises on a degenerate bicharacter
     d = dimension_d(G.order, G.order).value
-    out: list[MNSolution] = []
+    out: list[GeneralSolution] = []
     for k in range(3):
         c = ctx.numeric(ctx.c * ctx.zeta3 ** k)
-
-        def lift(bt) -> MNSolution:
-            return MNSolution(G, b, a, bt.ravel(), c,
-                              provenance={"solver": "solve_mn", "seed": config.seed})
-
         # the three cube roots c never share a solution, so deduping within
         # one c's starts is deduping over all of them
         out += _solve_tensor(mn_normal_form(b, a, c), _mn_slice(ctx, k, d),
-                             config.random_starts, 0, config, lift)
-    out.sort(key=lambda s: _order_key(s.b))
+                             config.random_starts, 0, config,
+                             {"solver": "solve_mn", "seed": config.seed})
+    out.sort(key=lambda s: _order_key(s.btensor))
     return out
 
 
@@ -351,14 +350,10 @@ def _acj_for_case(G, b, a, c_num, tag) -> ACJData:
 def _solve_case(G, b, a, ctx, tag, config) -> list[GeneralSolution]:
     """The tensor system of a Case I or II tag in its normal form."""
     acj = _acj_for_case(G, b, a, ctx.numeric(ctx.c), tag)
-
-    def lift(bt) -> GeneralSolution:
-        return GeneralSolution(G, acj, bt, provenance={
-            "solver": "solve_m2n", "case": str(tag), "seed": config.seed})
-
     # a handful of distinct points is enough to detect the gauge orbit
     return _solve_tensor(acj, _numeric_slice(acj), config.random_starts,
-                         {"I": 1, "II": 2}[tag.kind], config, lift, cap=8)
+                         {"I": 1, "II": 2}[tag.kind], config,
+                         {"solver": "solve_m2n", "case": str(tag), "seed": config.seed}, cap=8)
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +393,17 @@ def _numeric_slice(acj: ACJData):
 
 
 def _solve_tensor(acj: ACJData, affine_slice, starts: int, seed_offset: int,
-                  config: SolveConfig, lift, cap: int | None = None) -> list:
+                  config: SolveConfig, provenance: dict, cap: int | None = None) -> list:
     """Solutions of the tensor equations of the normal form ``acj`` on its
     slice ``affine_slice``: the zero set x0 + K y, y in R^k, of the affine
     equations in the coordinates (Re b, Im b), or None if it is empty.  The
     quadratic equations on it are solved by one batched LM run, with the
     model of ``_quadratic``, from ``starts`` random points drawn with the
     seed ``config.seed + seed_offset``.  All converged points are lifted to
-    b-tensors at once and go to ``_keep``, whose ``lift`` maps each b-tensor
-    not within DEDUPE_TOL of a kept one to the solution object it verifies.
-    A slice that is a single point (k = 0) goes to ``_keep`` as it is."""
+    b-tensors at once and go to ``_keep``, which makes each b-tensor not
+    within DEDUPE_TOL of a kept one a ``GeneralSolution`` of ``acj`` with
+    ``provenance`` and verifies it.  A slice that is a single point (k = 0)
+    goes to ``_keep`` as it is."""
     if affine_slice is None:
         return []
     x0, K = affine_slice
@@ -424,7 +420,7 @@ def _solve_tensor(acj: ACJData, affine_slice, starts: int, seed_offset: int,
                                  200 * (k + 1), floor)
         Y = Y[cost <= floor]
     # K @ y row by row, the bits of a single K @ y; Y @ K.T rounds differently
-    return _keep(_unpack(acj, x0 + (K @ Y[:, :, None])[..., 0]), lift, config, cap)
+    return _keep(_unpack(acj, x0 + (K @ Y[:, :, None])[..., 0]), acj, provenance, config, cap)
 
 
 def _affine_slice(aff, nvar: int):
@@ -597,9 +593,5 @@ def heuristic_search(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
                   g_t=tuple(G.zero() for _ in range(L)),
                   c_t=tuple(c0 for _ in range(L)),
                   eps_t=tuple(1 for _ in range(L)), eps=1)
-
-    def lift(bt) -> GeneralSolution:
-        return GeneralSolution(G, acj, bt, provenance={
-            "solver": "heuristic_search", "completeness": "HEURISTIC", "seed": config.seed})
-
-    return _solve_tensor(acj, _numeric_slice(acj), HEURISTIC_STARTS, 3, config, lift)
+    return _solve_tensor(acj, _numeric_slice(acj), HEURISTIC_STARTS, 3, config, {
+        "solver": "heuristic_search", "completeness": "HEURISTIC", "seed": config.seed})

@@ -17,7 +17,16 @@ from neargroup.io import (
     solution_from_json,
     solution_to_json,
 )
-from neargroup.solutions import MNSolution, residual, residual_general, residual_mn
+from neargroup.solutions import (
+    ACJData,
+    GeneralSolution,
+    MNSolution,
+    fingerprint,
+    gauge_act,
+    residual,
+    residual_general,
+    residual_mn,
+)
 
 
 def test_roundtrip_mn(corpus_mn, tmp_path):
@@ -47,6 +56,31 @@ def test_bundled_corpus_loads_and_verifies(corpus_all):
         rep = residual(s)
         direct = residual_mn(s) if isinstance(s, MNSolution) else residual_general(s)
         assert rep.passed and rep.per_equation == direct.per_equation, name
+
+
+def test_mn_kind_is_read_off_the_data(corpus_mn, tmp_path):
+    """An m = n solution is told by its data, not by how it was built: each
+    bundled m = n entry moved by the identity gauge (a plain
+    ``GeneralSolution``) fingerprints as ``"mn"``, gets the Galois-form and
+    m=n equations, serialises as ``"kind": "mn"`` and is archived under the
+    entry's own key.  An L = 1 normal form with eps_t = (-1,) is not one."""
+    mn_keys = {f"gal{i}" for i in range(1, 9)} | {f"mn{i}" for i in range(1, 6)}
+    arch = Archive(tmp_path / "arch")
+    for name, s in corpus_mn.items():
+        t = gauge_act(np.eye(1), s)
+        assert type(t) is GeneralSolution, name
+        assert fingerprint(t)[0] == "mn" and fingerprint(t) == fingerprint(s), name
+        assert set(residual(t).per_equation) == mn_keys, name
+        assert solution_to_json(t)["kind"] == "mn", name
+        assert arch._key(t) == arch._key(s), name
+    s = corpus_mn["z2_m2"]
+    a = s.acj
+    planted = GeneralSolution(s.group, ACJData(a.bichar, a.form, a.bar, a.g_t, a.c_t,
+                                               (-1,), a.eps), s.btensor)
+    assert not planted.is_mn
+    assert fingerprint(planted)[0] == "general"
+    assert set(residual(planted).per_equation) == set(residual_general(planted).per_equation)
+    assert solution_to_json(planted)["kind"] == "general"
 
 
 def test_archive_roundtrip(corpus_mn, tmp_path):

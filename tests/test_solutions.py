@@ -20,7 +20,7 @@ from neargroup.abelian import (
 )
 from neargroup.cases import CaseTag
 from neargroup.corpus import corpus_mn, z2_m2, z3_m6, z5_m5
-from neargroup.io import load_bundled
+from neargroup.io import load_bundled, solution_to_json
 from neargroup.solutions import (
     ACJData,
     GeneralSolution,
@@ -208,10 +208,11 @@ def test_mn_solution_is_the_l1_general_solution():
     """Every bundled m = n entry is the L = 1 normal form of its (<.,.>, a, c)
     with b as its b-tensor, passes ``residual_general`` as it is, gives b and
     c back bit for bit through ``MNSolution(group, bichar, form, b, c)``, and
-    keeps its type under ``aut_act`` and ``conj``."""
+    keeps the m = n schema and the ``"mn"`` fingerprint under ``aut_act`` and
+    ``conj``."""
     for name in corpus_mn():
         s = load_bundled(name)
-        assert isinstance(s, MNSolution), name
+        assert s.is_mn, name
         assert s.acj == mn_normal_form(s.bichar, s.form, s.c), name
         assert s.btensor.shape == (1, 1, 1, 1, s.n), name
         assert s.L == 1 and s.m == s.n, name
@@ -219,9 +220,11 @@ def test_mn_solution_is_the_l1_general_solution():
         t = MNSolution(s.group, s.bichar, s.form, s.b, s.c)
         assert t.b.tobytes() == s.b.tobytes(), name
         assert np.array(t.c).tobytes() == np.array(s.c).tobytes(), name
-        for th in automorphisms(s.group):
-            assert isinstance(aut_act(th, s), MNSolution), (name, th)
-        assert isinstance(s.conj(), MNSolution), name
+        images = [aut_act(th, s) for th in automorphisms(s.group)] + [s.conj()]
+        for t in images:
+            assert t.is_mn and t.btensor.shape == (1, 1, 1, 1, s.n), name
+            assert solution_to_json(t)["kind"] == "mn", name
+            assert fingerprint(t)[0] == "mn", name
 
 
 def test_bmatrix_delta_eigenvector():

@@ -35,7 +35,7 @@ def test_solve_mn_z2_unique():
     a = [f for f in even_quadratic_forms(b) if f.phase((1,)) == Phase(1, 4)][0]
     sols = solve_mn(G, b, a, FAST)
     assert len(sols) == 1
-    assert abs(sols[0].b[1] - (1 - 1j) / 2) < 1e-9
+    assert abs(sols[0].btensor[0, 0, 0, 0, 1] - (1 - 1j) / 2) < 1e-9
     assert abs(sols[0].d - (1 + math.sqrt(3))) < 1e-12
     assert equivalent(sols[0], z2_m2())
 
@@ -102,7 +102,7 @@ def test_mn_tensor_form_exact_model(factors, k):
 def test_solve_tensor_point_slice():
     """A slice that is a single point (k = 0) goes straight to the keep step:
     on Z2/2 two cube roots give a point slice, one of which is the solution."""
-    from neargroup.solutions import MNSolution, mn_normal_form
+    from neargroup.solutions import mn_normal_form
     from neargroup.solvers import _numeric_slice, _solve_tensor
     from neargroup.spectral import cube_root_scalars
 
@@ -116,37 +116,42 @@ def test_solve_tensor_point_slice():
             continue
         assert affine_slice[1].shape[1] == 0
         points += 1
-        found += _solve_tensor(acj, affine_slice, 40, 0, FAST,
-                               lambda bt: MNSolution(G, b, a, bt.ravel(), complex(c)))
+        found += _solve_tensor(acj, affine_slice, 40, 0, FAST, {})
     assert points == 2
-    assert len(found) == 1 and abs(found[0].b[1] - (1 - 1j) / 2) < 1e-9
+    assert len(found) == 1 and abs(found[0].btensor[0, 0, 0, 0, 1] - (1 - 1j) / 2) < 1e-9
 
 
-def test_keep_lifts_in_order_and_masks_near_duplicates():
-    """The keep step walks its stack in order and lifts only the b-tensors
-    not within DEDUPE_TOL of a kept one: a candidate that fails the residual
-    system masks nothing, a near copy or a repeat of a kept one is never
-    lifted, and ``cap`` stops the walk."""
-    from neargroup.solutions import MNSolution
+def test_keep_lifts_in_order_and_masks_near_duplicates(monkeypatch):
+    """The keep step walks its stack in order and residual-checks only the
+    b-tensors not within DEDUPE_TOL of a kept one: a candidate that fails the
+    residual system masks nothing, a near copy or a repeat of a kept one is
+    never checked, and ``cap`` stops the walk.  Each kept solution is the
+    ``GeneralSolution`` of the given normal form and provenance."""
+    from neargroup import solutions
     from neargroup.solvers import DEDUPE_TOL, _keep
 
     s = z2_m2()
-    lifted = []
+    checked = []
+    residual_mn = solutions.residual_mn
 
-    def lift(bt):
-        lifted.append(bt)
-        return MNSolution(s.group, s.bichar, s.form, bt.ravel(), s.c)
+    def counted(t, tolerance):
+        checked.append(t.btensor)
+        return residual_mn(t, tolerance)
 
-    b = s.b.reshape(1, 1, 1, 1, 2)
-    assert _keep(np.zeros((0, 1, 1, 1, 1, 2), dtype=complex), lift, FAST) == []
+    monkeypatch.setattr(solutions, "residual_mn", counted)
+    b = s.btensor
+    prov = {"solver": "test"}
+    assert _keep(np.zeros((0, 1, 1, 1, 1, 2), dtype=complex), s.acj, prov, FAST) == []
     stack = np.array([b + 5e-8, b, b + DEDUPE_TOL / 10, b + 1e-3, b])
-    kept = _keep(stack, lift, FAST)
-    assert len(kept) == 1 and np.array_equal(kept[0].b, s.b)
-    assert len(lifted) == 3
-    assert all(np.array_equal(x, y) for x, y in zip(lifted, stack[[0, 1, 3]]))
-    lifted.clear()
-    assert len(_keep(np.array([b, b + 1e-3]), lift, FAST, cap=1)) == 1
-    assert len(lifted) == 1
+    kept = _keep(stack, s.acj, prov, FAST)
+    assert len(kept) == 1 and np.array_equal(kept[0].btensor, b)
+    assert kept[0].acj == s.acj and kept[0].is_mn and kept[0].provenance == prov
+    assert kept[0].provenance is not prov
+    assert len(checked) == 3
+    assert all(np.array_equal(x, y) for x, y in zip(checked, stack[[0, 1, 3]]))
+    checked.clear()
+    assert len(_keep(np.array([b, b + 1e-3]), s.acj, prov, FAST, cap=1)) == 1
+    assert len(checked) == 1
 
 
 def test_solve_mn_default_config_pair_counts():
@@ -179,7 +184,8 @@ def test_solve_mn_order_is_seed_independent():
                 continue
             pairs += 1
             assert len(one) == len(two), factors
-            assert all(abs(s.c - t.c) < 1e-9 and np.max(np.abs(s.b - t.b)) < 1e-9
+            assert all(abs(s.acj.c_t[0] - t.acj.c_t[0]) < 1e-9
+                       and np.max(np.abs(s.btensor - t.btensor)) < 1e-9
                        for s, t in zip(one, two)), factors
     assert pairs == 5
 
@@ -247,7 +253,8 @@ def test_classify_inconclusive_dedupe_is_heuristic(monkeypatch):
     calls = _inconclusive_equivalent(monkeypatch)
     res = classify(FiniteAbelianGroup((3,)), 3, FAST)
     assert len(calls) == 2
-    assert all(s1.bichar == s2.bichar and s1.form == s2.form for s1, s2 in calls)
+    assert all(s1.acj.bichar == s2.acj.bichar and s1.acj.form == s2.acj.form
+               for s1, s2 in calls)
     assert res.num_classes_absolute == 4
     assert res.completeness == "HEURISTIC"
     assert [c.completeness for c in res.classes] == ["HEURISTIC"] * 4
