@@ -10,8 +10,11 @@ import os
 import time
 
 # the package's numpy work is on arrays of a few dozen entries, where a
-# second OpenBLAS thread only spins; this must run before numpy is imported
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# second OpenBLAS thread only spins; this must run before numpy is imported.
+# Only when run as a script: dump_outputs.py imports TABLE from here and
+# keeps OpenBLAS's default.
+if __name__ == "__main__":
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from neargroup.abelian import FiniteAbelianGroup  # noqa: E402
 from neargroup.solvers import SolveConfig, classify  # noqa: E402

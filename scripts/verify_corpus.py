@@ -12,7 +12,8 @@ import time
 
 # the package's numpy work is on arrays of a few dozen entries, where a
 # second OpenBLAS thread only spins; this must run before numpy is imported
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+if __name__ == "__main__":
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from neargroup.config import Config  # noqa: E402
 from neargroup.corpus import corpus_all  # noqa: E402

@@ -259,9 +259,9 @@ class MNSolution(GeneralSolution):
     """Builds the m = n solution (<.,.>, a, b, c), m = |G|: the L = 1
     ``GeneralSolution`` with ``acj = mn_normal_form(bichar, form, c)`` and
     b stored as the (1, 1, 1, 1, n) ``btensor``.  ``bichar``, ``form``,
-    ``b``, ``c`` and ``c_prime`` are read-only views of those two fields; d
-    is pinned by d^2 = n + n d.  Nothing dispatches on this type (``is_mn``
-    reads the data)."""
+    ``b`` and ``c`` are read-only views of those two fields; d is pinned by
+    d^2 = n + n d.  Nothing dispatches on this type (``is_mn`` reads the
+    data)."""
 
     def __init__(self, group: FiniteAbelianGroup, bichar: Bicharacter,
                  form: QuadraticForm, b, c: complex, provenance: dict | None = None):
@@ -285,10 +285,6 @@ class MNSolution(GeneralSolution):
     @property
     def c(self) -> complex:
         return self.acj.c_t[0]
-
-    @property
-    def c_prime(self) -> complex:
-        return np.conj(self.c) / math.sqrt(self.n)
 
 
 class NormalForm:

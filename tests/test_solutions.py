@@ -67,7 +67,8 @@ def test_corpus_residuals_pass(corpus_mn):
 
 def test_z2_solution_values():
     s = z2_m2()
-    assert abs(s.c_prime - np.exp(-7j * np.pi / 12) / math.sqrt(2)) < 1e-15
+    c_prime = np.conj(s.c) / math.sqrt(2)
+    assert abs(c_prime - np.exp(-7j * np.pi / 12) / math.sqrt(2)) < 1e-15
     assert abs(s.d - (1 + math.sqrt(3))) < 1e-15
     assert abs(s.b[1] - (1 - 1j) / 2) < 1e-15
 
