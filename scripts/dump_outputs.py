@@ -60,7 +60,7 @@ def case_analysis(group: str) -> None:
     G = cli.parse_group(group)
     print(f"# cases {group}")
     for i, (b, a, _) in enumerate(pair_classes(G)):
-        ctx = ExactContext(G, b, a)
+        ctx = ExactContext(G, b, a, 2 * G.order)
         for f in all_case_feasibilities(G, b, a, ctx=ctx):
             print(f"pair {i}: {f}")
         for k in range(3):

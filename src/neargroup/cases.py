@@ -13,14 +13,15 @@ according to (chi_1, chi_2, eps, J):
 returns either a refutation naming the violated constraint or a feasibility
 certificate with the surviving parameter branches.  All numbers live in a
 cyclotomic field Q(zeta_N) chosen large enough to contain the bicharacter and
-form values, the cube-root scalar c, sqrt(n) and the quadratic irrationality
-of d.  An element holds only its nonzero integer coefficients in the power
-basis 1, zeta, ..., zeta^(phi(N)-1), as (j, x) terms sorted by j, over one
-positive common denominator, reduced mod the cyclotomic polynomial Phi_N and
-gcd-normalised: equal elements have equal terms and denominator, and zero is
-the element with no terms, so every zero test is exact.  Sums and products
-touch only nonzero terms; every context with the same N shares one table of
-the reduced zeta^j, j < N, that products, Galois maps and ``zpow`` read.
+form values, the cube-root scalar c, sqrt(n) and, at the m = 2n of the case
+analysis, the quadratic irrationality of d.  An element holds only its nonzero
+integer coefficients in the power basis 1, zeta, ..., zeta^(phi(N)-1), as
+(j, x) terms sorted by j, over one positive common denominator, reduced mod
+the cyclotomic polynomial Phi_N and gcd-normalised: equal elements have equal
+terms and denominator, and zero is the element with no terms, so every zero
+test is exact.  Sums and products touch only nonzero terms; every context with
+the same N shares one table of the reduced zeta^j, j < N, that products,
+Galois maps and ``zpow`` read.
 Case I tags with the same omega_1 + omega_2 mod 3 share their branch
 systems, built once per context.  The rotation R is unitary, as b is
 nondegenerate, and R^3 = 1, as c^3 a_hat(0) = 1, so R^2 = R*: the eigenspaces
@@ -245,16 +246,18 @@ class _Cyc:
 class ExactContext:
     """Exact rotation/eigen data for one (bicharacter, form) pair: the
     cube-root scalar ``c``, the rotation ``R`` and its eigenspaces ``eig(k)``
-    serve every m (``solvers.solve_mn`` reads its slices off them), while
-    ``m`` = 2n and ``d``, ``inv_d`` = 1/d and ``half_d`` = 1/(2d) for it are
-    constants of the m = 2n case analysis; the field holds that d."""
+    serve every m (``solvers.solve_mn`` reads its slices off them).  Built
+    with an ``m``, the field also holds d = (m + sqrt(m^2 + 4n)) / 2, and
+    ``d``, ``inv_d`` = 1/d and ``half_d`` = 1/(2d) are set: the constants of
+    the case analysis at that m.  Built without one, ``m`` is None."""
 
-    def __init__(self, G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm):
+    def __init__(self, G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
+                 m: int | None = None):
         if not b.is_nondegenerate():
             raise ValueError("bicharacter must be nondegenerate")
         self.G = G
         self.n = n = G.order
-        self.m = 2 * n
+        self.m = m
         self.bichar = b
         self.form = a
         els = G.elements()
@@ -266,8 +269,10 @@ class ExactContext:
                 dens.add(p.den)
         for p in a.values:
             dens.add(p.den)
-        D0 = _squarefree(self.m * self.m + 4 * n)
-        sq_args = {_squarefree(n), D0}
+        sq_args = {_squarefree(n)}
+        if m is not None:
+            D0 = _squarefree(m * m + 4 * n)
+            sq_args.add(D0)
         primes = set()
         for s in sq_args:
             primes |= {p for p in _factorize(s) if p != 2}
@@ -287,14 +292,15 @@ class ExactContext:
         self._minus_half_i = -self.i * half
 
         self.sqrt_n = self._sqrt_int(_squarefree(n)) * self.int(math.isqrt(n // _squarefree(n)))
-        self.inv_sqrt_n = self.inv(self.sqrt_n)
+        inv_n = self.q(Fraction(1, n))
+        self.inv_sqrt_n = self.sqrt_n * inv_n
         self.inv2rn = self.inv_sqrt_n * half  # 1 / (2 sqrt(n))
-        # d = (m + sqrt(m^2 + 4n)) / 2 as a field element
-        Dfull = self.m * self.m + 4 * n
-        s0 = int(math.isqrt(Dfull // D0))
-        self.d = (self.int(self.m) + self.int(s0) * self._sqrt_int(D0)) * half
-        self.inv_d = self.inv(self.d)
-        self.half_d = self.inv_d * half  # 1 / (2 d)
+        if m is not None:
+            # d = (m + sqrt(m^2 + 4n)) / 2, and d (d - m) = n
+            s0 = math.isqrt((m * m + 4 * n) // D0)
+            self.d = (self.int(m) + self.int(s0) * self._sqrt_int(D0)) * half
+            self.inv_d = (self.d - self.int(m)) * inv_n
+            self.half_d = self.inv_d * half  # 1 / (2 d)
 
         self.a = [self.phase(a.phase(g)) for g in els]
         # c = zeta^c_exp with c^3 a_hat(0) = 1
@@ -978,11 +984,14 @@ def _chebyshev(ctx: ExactContext, k: int, x):
 
 def case_feasibility(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
                      tag: CaseTag, ctx: ExactContext | None = None) -> Feasibility:
+    if ctx is not None and ctx.m != 2 * G.order:
+        raise ValueError(f"the case analysis needs the context at m = {2 * G.order}, "
+                         f"not at m = {ctx.m}")
     if tag.kind == "IV":
         return Feasibility(tag, False, "Case IV never occurs",
                            "norm bookkeeping on the B(g) support pattern")
     if ctx is None:
-        ctx = ExactContext(G, b, a)
+        ctx = ExactContext(G, b, a, 2 * G.order)
     if tag.kind == "I":
         return _case_I(ctx, tag)
     if tag.kind == "II":
@@ -996,5 +1005,5 @@ def all_case_feasibilities(G: FiniteAbelianGroup, b: Bicharacter,
                            a: QuadraticForm,
                            ctx: ExactContext | None = None) -> list[Feasibility]:
     if ctx is None:
-        ctx = ExactContext(G, b, a)
+        ctx = ExactContext(G, b, a, 2 * G.order)
     return [case_feasibility(G, b, a, tag, ctx=ctx) for tag in case_tags(G)]

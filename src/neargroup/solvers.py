@@ -321,7 +321,7 @@ def solve_m2n(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
     dedupe are appended to ``warnings``; their solutions are kept as distinct."""
     if config is None:
         config = SolveConfig()
-    ctx = ExactContext(G, b, a)
+    ctx = ExactContext(G, b, a, 2 * G.order)
     feasibilities = all_case_feasibilities(G, b, a, ctx=ctx)
     sols: list[GeneralSolution] = []
     for feas in feasibilities:

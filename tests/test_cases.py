@@ -174,7 +174,7 @@ def test_z2z2_gram2_uniform_form_needs_order2_tree():
 
 def test_exact_context_basics():
     G, b, a = _pair(3)
-    ctx = ExactContext(G, b, a)
+    ctx = ExactContext(G, b, a, 2 * G.order)
     # c^3 a_hat(0) = 1 exactly
     asum = ctx.zero
     for x in ctx.a:
@@ -204,6 +204,39 @@ def test_R_squared_is_conjugate_transpose():
         R2 = [[sum((R[i][l] * R[l][j] for l in range(n)), ctx.zero) for j in range(n)]
               for i in range(n)]
         assert R2 == [[ctx.conj(R[j][i]) for j in range(n)] for i in range(n)], (G, b, a)
+
+
+def test_field_holds_d_only_at_an_m():
+    """Built without m, a context has no d and no sqrt(m^2 + 4n) in its
+    field; at m = 2n its field grows by it on the first pair of Z10, Z6, Z4
+    and Z2xZ2, not on Z3's; and the case analysis refuses a context at any
+    other m."""
+    from neargroup.solvers import pair_classes
+
+    for factors, N, N2n in [((10,), 120, 1320), ((6,), 24, 168), ((4,), 24, 120),
+                            ((2, 2), 24, 120), ((3,), 24, 24)]:
+        G = FiniteAbelianGroup(factors)
+        b, a, _ = pair_classes(G)[0]
+        ctx, ctx2n = ExactContext(G, b, a), ExactContext(G, b, a, 2 * G.order)
+        assert (ctx.m, ctx.N, ctx2n.m, ctx2n.N) == (None, N, 2 * G.order, N2n), factors
+        assert not any(hasattr(ctx, x) for x in ("d", "inv_d", "half_d"))
+        assert ctx.c_exp * N2n == ctx2n.c_exp * N
+    for tag in (CaseTag("I", omegas=(0, 0)), CaseTag("IV")):
+        with pytest.raises(ValueError, match="m = 6"):
+            case_feasibility(G, b, a, tag, ctx=ctx)
+    with pytest.raises(ValueError, match="m = 6"):
+        all_case_feasibilities(G, b, a, ctx=ExactContext(G, b, a, 3))
+
+
+def test_closed_form_inverses():
+    """1/sqrt(n) = sqrt(n) / n and 1/d = (d - m) / n, as d^2 = n + m d, are
+    the exact inverses on every small pair, with and without m."""
+    for G, b, a in _small_pairs():
+        ctx, ctx2n = ExactContext(G, b, a), ExactContext(G, b, a, 2 * G.order)
+        for c in (ctx, ctx2n):
+            assert c.inv_sqrt_n * c.sqrt_n == c.one, (G, b, a)
+        assert ctx2n.inv_d * ctx2n.d == ctx2n.one, (G, b, a)
+        assert ctx2n.d * ctx2n.d == ctx2n.int(G.order) + ctx2n.int(2 * G.order) * ctx2n.d
 
 
 def test_degenerate_bicharacter_is_rejected():
@@ -301,7 +334,8 @@ _FIELD_GROUP = {24: 3, 120: 5, 168: 6}  # N of the first Z_n pair at m = 2n
 
 @functools.cache
 def _field(N):
-    ctx = ExactContext(*_pair(_FIELD_GROUP[N]))
+    n = _FIELD_GROUP[N]
+    ctx = ExactContext(*_pair(n), 2 * n)
     assert ctx.N == N
     return ctx
 
@@ -472,7 +506,7 @@ def test_zpow_table_is_shared_and_exact(N):
         assert abs(ctx.numeric(ctx.zpow(j)) - complex(math.cos(2 * math.pi * j / N),
                                                       math.sin(2 * math.pi * j / N))) < 1e-12
     n = _FIELD_GROUP[N]
-    other = ExactContext(*_pair(n, k=n - 1))
+    other = ExactContext(*_pair(n, k=n - 1), 2 * n)
     assert other is not ctx and other.N == N and other.table is ctx.table
 
 

@@ -104,8 +104,8 @@ def test_product_matches_word_reduction(rng, monkeypatch, small_join):
 
 
 def test_sort_matches_stable_argsort(rng):
-    """_sort packs an entry's index into the low bits of its key when there
-    is room, and falls back to an argsort when there is not."""
+    """_sort gives the keys in order and the stable permutation that sorts
+    them, empty and single entries included."""
     for n, top in [(0, 1), (1, 1), (511, 50), (512, 50), (5000, 300), (5000, 2**40),
                    (5000, 2**62)]:
         key = rng.integers(0, top, n)

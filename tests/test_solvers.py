@@ -360,7 +360,7 @@ def test_tensor_system_exact_quadratic_model(order, tag):
 
     G = FiniteAbelianGroup((order,))
     b, a, _ = pair_classes(G)[0]
-    ctx = ExactContext(G, b, a)
+    ctx = ExactContext(G, b, a, 2 * G.order)
     acj = _acj_for_case(G, b, a, ctx.numeric(ctx.c), tag)
     eqs = normal_form(acj).equations
     affine = set(eqs) - {"p4", "p5", "bg_unitary", "p10"}
@@ -475,7 +475,7 @@ def test_refuted_tags_have_no_solutions():
     for factors in [(2,), (3,), (4,), (2, 2)]:
         G = FiniteAbelianGroup(factors)
         for b, a, _ in pair_classes(G):
-            ctx = ExactContext(G, b, a)
+            ctx = ExactContext(G, b, a, 2 * G.order)
             for feas in all_case_feasibilities(G, b, a, ctx=ctx):
                 if feas.tag.kind not in ("I", "II"):
                     continue
