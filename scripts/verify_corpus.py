@@ -46,7 +46,7 @@ def main():
             t0 = time.perf_counter()
             rep = oracle_check(t, args.oracle_tolerance)
             print(f"{name:12s} oracle     max={rep.max_residual:.2e} "
-                  f"{'pass' if rep.passed else 'FAIL'} ({time.perf_counter()-t0:.1f}s)")
+                  f"{'pass' if rep.passed else 'FAIL'} ({time.perf_counter()-t0:.3f}s)")
             failures += not rep.passed
         (nu21, nu31, nu41), rep = fs_indicators(t, args.oracle_tolerance)
         print(f"{name:12s} indicators nu21={nu21.real:+.0f} nu31={nu31:.4f} "

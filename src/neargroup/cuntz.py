@@ -419,28 +419,38 @@ def _fold(x: CuntzElement) -> CuntzElement:
     return CuntzElement(N, out)
 
 
-def _apply(fold: CuntzElement, fold_adj: CuntzElement, x: CuntzElement) -> CuntzElement:
-    """phi(x), member by member, for the endomorphism with
-    fold = sum_i phi(S_i) S_i^* and fold_adj = sum_i phi(S_i)^* S_i^*.
+def _unfold(fold: CuntzElement, fold_adj: CuntzElement, x: CuntzElement):
+    """(x_0, Y, Z) with phi(x) = x_0 + fold Y + fold_adj Z, member by member,
+    for the endomorphism with fold = sum_i phi(S_i) S_i^* and
+    fold_adj = sum_i phi(S_i)^* S_i^*.
 
-    Words with mu nonempty split on their first letter,
-    x_k = sum_i S_i x_(k,i), so phi(x)_k = sum_i phi(S_i) phi(x_(k,i)); words
-    S_nu^* split on the last letter of nu, x_k = sum_i S_i^* x_(k,i).  The
+    x_0 is the scalar part of x.  Words with mu nonempty split on their first
+    letter, x_k = sum_i S_i x_(k,i), and Y_k = sum_i S_i phi(x_(k,i)), so
+    fold Y_k = sum_i phi(S_i) phi(x_(k,i)); words S_nu^* split on the last
+    letter of nu, x_k = sum_i S_i^* x_(k,i), into Z the same way.  The
     x_(k,i) form a family of K N members with the same storage."""
     N, K = x.N, x.K
-    out = CuntzElement(N, {k: v for k, v in x.blocks.items() if k == (0, 0)}, K)
+    x0 = CuntzElement(N, {k: v for k, v in x.blocks.items() if k == (0, 0)}, K)
     head = {(a - 1, b): blk for (a, b), blk in x.blocks.items() if a}
     tail = {}
     for (a, b), (r, c, v) in x.blocks.items():
         if a == 0 and b:
             nu, i = np.divmod(c, N)
             tail[(0, b - 1)] = (r * N + i, nu, v)
-    for left, part in ((fold, head), (fold_adj, tail)):
-        if part:
-            y = _apply(fold, fold_adj, CuntzElement(N, part, K * N))
-            # member (k, i) of y becomes the word S_i y_(k,i) of member k
-            out = out + left * CuntzElement(
-                N, {(a + 1, b): blk for (a, b), blk in y.blocks.items()}, K)
+    parts = []
+    for part in (head, tail):
+        y = _apply(fold, fold_adj, CuntzElement(N, part, K * N)) if part else CuntzElement(N)
+        # member (k, i) of y becomes the word S_i y_(k,i) of member k
+        parts.append(CuntzElement(N, {(a + 1, b): blk for (a, b), blk in y.blocks.items()}, K))
+    return x0, *parts
+
+
+def _apply(fold: CuntzElement, fold_adj: CuntzElement, x: CuntzElement) -> CuntzElement:
+    """phi(x), member by member, with the folds of :func:`_unfold`."""
+    out, Y, Z = _unfold(fold, fold_adj, x)
+    for left, y in ((fold, Y), (fold_adj, Z)):
+        if y.blocks:
+            out = out + left * y
     return out
 
 
@@ -533,37 +543,57 @@ def _sandwich(x: CuntzElement, C: np.ndarray) -> CuntzElement:
 # the oracle
 
 
+def _sigma(t: AdmissibleTuple, R: CuntzElement) -> CuntzElement:
+    """The family sigma(S_x) = sum_g S_g alpha_g(S_x) S_g^* + sum_i T_i R_x T_i^*
+    over the letters x, from R = {rho(S_x)}_x; the first sum is
+    sum_{g,y} A_g[y, x] S_g S_y S_g^*."""
+    n, m, N = t.n, t.m, R.N
+    A = np.stack([_alpha_matrix(t, g) for g in range(n)])
+    gs, ys, xs = np.nonzero(A)
+    C = np.zeros((N, N, N), complex)
+    C[:, n + np.arange(m), n + np.arange(m)] = 1.0
+    return _entries(N, N, 2, 1, xs, gs * N + ys, gs, A[gs, ys, xs]) + _sandwich(R, C)
+
+
 def oracle_check(t: AdmissibleTuple, tolerance: float = 1e-9) -> ResidualReport:
     """Independent verification through the Cuntz word engine:
 
     (i)   rho maps the generators to isometries with orthogonal ranges,
     (ii)  the ranges of the images are complete,
-    (iii) rho^2(x) = sum_g S_g alpha_g(x) S_g^* + sum_i T_i rho(x) T_i^*
-          for every generator x,
+    (iii) rho^2(x) = sum_g S_g alpha_g(x) S_g^* + sum_i T_i rho(x) T_i^* =: sigma(x)
+          for every generator x, read one fold down as Y = fold^* sigma(x),
     (iv)  rho(U(g)) = sum_h S_h S_{hg}^* + (W U_K(g) W^*) (x) U(g).
+
+    In (iii), fold = sum_i rho(S_i) S_i^* and rho^2(x) = fold Y, Y the step of
+    :func:`_unfold` before the last and largest product, which is never made:
+
+        rho^2(x) - sigma(x) = fold (Y - fold^* sigma(x)) + (fold fold^* - 1) sigma(x),
+        Y - fold^* sigma(x) = fold^* (rho^2(x) - sigma(x)) + (1 - fold^* fold) Y,
+
+    so given (i) (fold^* fold = 1) and (ii) (fold fold^* = 1), the reading is
+    zero exactly when (iii) holds.  (iv) applies rho directly.
     """
     n, m = t.n, t.m
     N = n + m
     rho = build_endomorphism(t)
     R = rho.images
     fold = rho.folds[0]
+    fold_star = fold.adjoint()
     letters = np.arange(N)
     out: dict[str, float] = {}
 
     # (i) member j of fold^* R is sum_i S_i rho(S_i)^* rho(S_j); minus S_j
     out["rho_isometry"] = normalize_residual(
-        fold.adjoint() * R - _entries(N, N, 1, 0, letters, letters, 0, 1.0))
+        fold_star * R - _entries(N, N, 1, 0, letters, letters, 0, 1.0))
 
     # (ii) fold fold^* = sum_i rho(S_i) rho(S_i)^*
-    out["rho_complete"] = normalize_residual(fold * fold.adjoint() - CuntzElement.one(N))
+    out["rho_complete"] = normalize_residual(fold * fold_star - CuntzElement.one(N))
 
-    # (iii) sum_g S_g alpha_g(S_x) S_g^* = sum_{g,y} A_g[y, x] S_g S_y S_g^*
-    A = np.stack([_alpha_matrix(t, g) for g in range(n)])
-    gs, ys, xs = np.nonzero(A)
-    C = np.zeros((N, N, N), complex)
-    C[:, n + np.arange(m), n + np.arange(m)] = 1.0
-    rhs = _entries(N, N, 2, 1, xs, gs * N + ys, gs, A[gs, ys, xs]) + _sandwich(R, C)
-    out["rho_squared"] = normalize_residual(rho.apply(R) - rhs)
+    # (iii) every word of R has mu nonempty, so rho^2(S_x) = fold Y: compare
+    # fold^* rho^2(S_x) = Y with fold^* sigma(S_x), and never form fold Y
+    x0, Y, Z = _unfold(*rho.folds, R)
+    assert not x0.blocks and not Z.blocks
+    out["rho_squared"] = normalize_residual(Y - fold_star * _sigma(t, R))
 
     # (iv) rho(U(g))
     W = t.w_matrix()

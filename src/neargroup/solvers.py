@@ -141,10 +141,13 @@ class ClassificationResult:
     def summary(self) -> str:
         lines = [f"classify({self.group}, m={self.m}): {self.num_classes} class(es)"
                  f" [{self.completeness}]"]
-        inconclusive = len(self.provenance.get("warnings", []))
+        warnings = self.provenance.get("warnings", [])
+        skipped = [w for w in warnings if w.startswith("case ")]  # tags not searched
+        inconclusive = len(warnings) - len(skipped)
         if inconclusive:
             lines.append(f"  {inconclusive} inconclusive equivalence comparison(s),"
                          " counted as distinct classes")
+        lines += [f"  {w}" for w in skipped]
         if self.conjugate_folded and self.num_classes_absolute != self.num_classes:
             lines.append(f"  ({self.num_classes_absolute} before folding "
                          "Galois/conjugate companions)")
@@ -318,7 +321,10 @@ def solve_m2n(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
     surviving the exact feasibility analysis, which it runs.  Returns
     (solutions, report); each solution's ``provenance["case"]`` is the tag
     whose solver found it.  Inconclusive equivalence comparisons of the
-    dedupe are appended to ``warnings``; their solutions are kept as distinct."""
+    dedupe are appended to ``warnings``; their solutions are kept as distinct.
+    With a ``warnings`` list, a tag whose slice or quadratic model fails
+    (``LinAlgError`` or ``ArithmeticError``) is recorded there and skipped;
+    without one, the error propagates."""
     if config is None:
         config = SolveConfig()
     ctx = ExactContext(G, b, a, 2 * G.order)
@@ -328,7 +334,12 @@ def solve_m2n(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
         # Case III survivors (from |G| = 6 on; no exact test past |G| = 4)
         # have no normal form in _acj_for_case and are not searched
         if feas.feasible and feas.tag.kind in ("I", "II"):
-            sols.extend(_solve_case(G, b, a, ctx, feas.tag, config))
+            try:
+                sols.extend(_solve_case(G, b, a, ctx, feas.tag, config))
+            except (np.linalg.LinAlgError, ArithmeticError) as e:
+                if warnings is None:
+                    raise
+                warnings.append(f"case {feas.tag}: not searched: {e}")
     reps = _dedupe(sols, [] if warnings is None else warnings)
     reps.sort(key=lambda s: _order_key(s.btensor))
     return reps, feasibilities

@@ -350,8 +350,32 @@ def test_zero_test_matches_on_oracle_residuals(monkeypatch):
 
 def test_oracle_memory_bound(corpus_tuples, traced_peak_mb):
     """The zero test raises one member at a time; raising the rho^2 residual
-    of z5_m5 whole took 390 MB."""
-    assert traced_peak_mb(oracle_check, corpus_tuples["z5_m5"]) < 240
+    of z5_m5 whole took 390 MB, and forming rho^2 at all took 181 MB."""
+    assert traced_peak_mb(oracle_check, corpus_tuples["z5_m5"]) < 130
+
+
+def _rho_squared_direct(t):
+    """(iii) with rho^2 formed: the zero test of rho(R) - sigma(R)."""
+    rho = build_endomorphism(t)
+    return normalize_residual(rho.apply(rho.images) - cuntz._sigma(t, rho.images))
+
+
+def test_rho_squared_matches_direct_route(corpus_tuples):
+    """oracle_check reads (iii) one fold down; on the bundled entries up to
+    alphabet 9 both readings are at rounding level, and on perturbed tuples
+    they agree within a factor of 4."""
+    small = [t for t in corpus_tuples.values() if t.alphabet <= 9]
+    assert len(small) == 5
+    for t in small:
+        assert oracle_check(t).per_equation["rho_squared"] < 1e-14
+        assert _rho_squared_direct(t) < 1e-14
+    for s in (z2_m2(), z3_m3()):
+        for eps in (1e-3, 1e-8, 5e-15):
+            b = s.b.copy()
+            b[1] += eps
+            t = to_tuple(MNSolution(s.group, s.bichar, s.form, b, s.c), check=False)
+            got, direct = oracle_check(t).per_equation["rho_squared"], _rho_squared_direct(t)
+            assert direct / 4 <= got <= 4 * direct, (eps, got, direct)
 
 
 def test_dump_format():

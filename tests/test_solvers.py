@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from neargroup import solvers
 from neargroup.abelian import (
     FiniteAbelianGroup,
     Phase,
@@ -272,6 +273,39 @@ def test_classify_records_each_comparison_once(monkeypatch):
     assert all(s1.acj.bichar == s2.acj.bichar and s1.acj.form == s2.acj.form
                for s1, s2 in calls)
     assert len(res.provenance["warnings"]) == len(calls)
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("SVD did not converge"),
+                                   ArithmeticError("no clear rank")])
+def test_failed_slice_skips_its_tag(monkeypatch, error):
+    """On Z3/6, a slice that fails skips its tag with a warning naming it, and
+    the row is HEURISTIC and not certified empty; with no warnings list the
+    error propagates."""
+    def fail(aff, nvar):
+        raise error
+
+    monkeypatch.setattr(solvers, "_affine_slice", fail)
+    G = FiniteAbelianGroup((3,))
+    searched = []
+    for b, a, _ in pair_classes(G):
+        warnings = []
+        sols, feas = solve_m2n(G, b, a, FAST, warnings=warnings)
+        tags = [str(f.tag) for f in feas if f.feasible and f.tag.kind in ("I", "II")]
+        assert sols == []
+        assert warnings == [f"case {tag}: not searched: {error}" for tag in tags]
+        if tags:
+            with pytest.raises(type(error)):
+                solve_m2n(G, b, a, FAST)
+        searched += tags
+    assert searched
+    res = classify(G, 6, FAST)
+    assert res.num_classes_absolute == 0
+    assert res.completeness == "HEURISTIC"
+    assert not res.certified_empty
+    assert len(res.provenance["warnings"]) == len(searched)
+    summary = res.summary()
+    assert "inconclusive" not in summary and "NOT certified" in summary
+    assert all(f"case {tag}: not searched" in summary for tag in searched)
 
 
 def test_classify_z2z2_m4_matches_bundled():
