@@ -314,7 +314,10 @@ class NormalForm:
     def equations(self) -> dict:
         """The tensor equations as functions of the b-tensor: each returns the
         array lhs - rhs of one equation, zero on a solution.  Keys: (p1)-(p11)
-        and ``bg_unitary``."""
+        and ``bg_unitary``.  Every equation but (p10) also takes a stack of
+        b-tensors (..., L, L, L, L, n) and returns the stack of its arrays, so
+        one call evaluates a stack of points, each as if alone; (p10), read
+        only by ``residual_general``, takes a single b-tensor."""
         T, B, a, chi, gi, d = self.T, self.B, self.a, self.chi, self.gi, self.d
         c_t, eps_t, bar, eps = self.c_t, self.eps_t, self.bar, self.acj.eps
         n, L = T.n, self.acj.L
@@ -335,9 +338,11 @@ class NormalForm:
         unit[T.zero] -= np.outer(eye.ravel(), eye.ravel()) / d
 
         def bg_unitary(b):
-            M = b.transpose(4, 0, 2, 1, 3).reshape(n, L * L, L * L)  # B(g), as bmatrix
-            Mh = M.conj().transpose(0, 2, 1)
-            return np.stack([Mh @ M - unit, M @ Mh - unit])
+            # B(g), as bmatrix: [..., g, (r, t), (s, u)]
+            M = np.moveaxis(b.swapaxes(-4, -3), -1, -5).reshape(
+                b.shape[:-5] + (n, L * L, L * L))
+            Mh = M.conj().swapaxes(-1, -2)
+            return np.stack([Mh @ M - unit, M @ Mh - unit], axis=-4)
 
         def p10(b):
             # one (h, k) matrix equation for each (r, u, v, w, p, x) in Lambda^6
@@ -354,25 +359,25 @@ class NormalForm:
             return lhs - rhs
 
         return {
-            "p1": lambda b: (np.einsum("gh,rstuh->rstug", B, b) / math.sqrt(n)
+            "p1": lambda b: (np.einsum("gh,...rstuh->...rstug", B, b) / math.sqrt(n)
                              - eps * eps_t[r] * eps_t[t] * c_t[u] * a[g] * chi[u, g]
-                             * b[s, bar[t], bar[r], u, g]),
-            "p2": lambda b: np.einsum("rsru->su", b[..., T.zero]) + eye / d,
-            "p3": lambda b: np.einsum("rsts->rt", b[..., T.zero]) + eye / d,
+                             * b[..., s, bar[t], bar[r], u, g]),
+            "p2": lambda b: np.einsum("...rsru->...su", b[..., T.zero]) + eye / d,
+            "p3": lambda b: np.einsum("...rsts->...rt", b[..., T.zero]) + eye / d,
             # B(g) column/row orthogonality
-            "p4": lambda b: np.einsum("rbtag,rstug->sbuag", np.conj(b), b) - rhs4,
-            "p5": lambda b: np.einsum("rstug,asbug->ratbg", b, np.conj(b)) - rhs5,
+            "p4": lambda b: np.einsum("...rbtag,...rstug->...sbuag", np.conj(b), b) - rhs4,
+            "p5": lambda b: np.einsum("...rstug,...asbug->...ratbg", b, np.conj(b)) - rhs5,
             "p6": lambda b: np.where(off_support, b, 0),
             "p7": lambda b: (np.conj(b) - eps_t[s] * eps_t[u] * a[g] * chi[u, g]
-                             * b[t, bar[s], r, bar[u], T.neg[g]]),
+                             * b[..., t, bar[s], r, bar[u], T.neg[g]]),
             "p8": lambda b: (np.conj(b) - eps_t[t] * eps_t[r] * c_t[r] * np.conj(c_t[t])
-                             * a[g] * chi[r, g] * b[bar[r], u, bar[t], s, T.neg[g]]),
+                             * a[g] * chi[r, g] * b[..., bar[r], u, bar[t], s, T.neg[g]]),
             "p9": lambda b: (b - eps_t[r] * eps_t[s] * eps_t[t] * eps_t[u]
                              * c_t[t] * np.conj(c_t[r]) * np.conj(chi[r, g] * chi[s, g])
-                             * b[bar[t], bar[u], bar[r], bar[s], g]),
+                             * b[..., bar[t], bar[u], bar[r], bar[s], g]),
             # (p11) is implied by (p1) and (p9); checked as a transcription cross-check
             "p11": lambda b: (b - c_t[r] * c_t[u] * np.conj(c_t[s] * c_t[t])
-                              * b[s, r, u, t, T.add[g, shift]]),
+                              * b[..., s, r, u, t, T.add[g, shift]]),
             "bg_unitary": bg_unitary,
             "p10": p10,
         }

@@ -12,6 +12,9 @@ L >= 2 (``_numeric_slice``).  On it the quadratic equations are fitted once
 ``solutions._batched_lm``: the one Levenberg-Marquardt loop of the package,
 which the gauge refine shares.  The fit is its model: one call per batch of
 points gives the residual rows and their exact Jacobians together.  The
+equations of ``solutions.NormalForm`` take a stack of b-tensors, so the
+numeric slice and the fit each evaluate their map once, on the stack of
+all the points they read (``_realified``).  The
 converged points are lifted to b-tensors in one batch and go through one
 keep step, ``_keep``: every candidate not within DEDUPE_TOL of a kept one
 becomes a ``GeneralSolution`` of the normal form it solved, for every m,
@@ -30,7 +33,6 @@ carry the exact refutation certificates from :mod:`neargroup.cases`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -203,7 +205,7 @@ def pair_classes(G: FiniteAbelianGroup):
                     rep_of.setdefault(_pair_key(b.pullback(th), a.pullback(th)), len(reps))
                 reps.append((b, a))
     lcm_den = math.lcm(*(p.den for b, a in reps
-                         for p in itertools.chain(*b.gram, a.values)))
+                         for row in (*b.gram, a.values) for p in row))
     ids: dict = {}  # least representative index of an orbit -> orbit id
     out = []
     for b, a in reps:
@@ -378,13 +380,18 @@ SLICE_RANK = 1e-5  # and above this one nonzero; one in between has no clear ran
 
 
 def _realified(acj: ACJData, names, lift):
-    """The equations ``names`` of the normal form ``acj`` at the b-tensor
-    lift(x), as one real vector of their real and imaginary parts."""
+    """The equations ``names`` of the normal form ``acj`` as a real map: a
+    stack X (S, nvar) of points goes to the rows (S, 2M) of the real and
+    imaginary parts of the equations at the b-tensors lift(X), one call of
+    each equation for the whole stack.  A single point x (nvar,) gives its
+    one row (2M,)."""
     eqs = normal_form(acj).equations
 
-    def resid(x):
-        parts = np.concatenate([eqs[k](lift(x)).ravel() for k in names])
-        return np.concatenate([parts.real, parts.imag])
+    def resid(X):
+        B = lift(X)
+        batch = B.shape[:-5]
+        parts = np.concatenate([eqs[k](B).reshape(batch + (-1,)) for k in names], axis=-1)
+        return np.concatenate([parts.real, parts.imag], axis=-1)
     return resid
 
 
@@ -422,7 +429,9 @@ def _solve_tensor(acj: ACJData, affine_slice, starts: int, seed_offset: int,
     if k == 0:
         Y = np.zeros((1, 0))
     else:
-        resid = _realified(acj, QUADRATIC_EQUATIONS, lambda y: _unpack(acj, x0 + K @ y))
+        # the polarisation points are 0/+-1 vectors: Y @ K.T lifts them with
+        # the bits of K @ y
+        resid = _realified(acj, QUADRATIC_EQUATIONS, lambda Y: _unpack(acj, x0 + Y @ K.T))
         model, _ = _quadratic(resid, k)
         rng = np.random.default_rng(config.seed + seed_offset)
         scale = 1.0 / math.sqrt(acj.group.order)
@@ -436,14 +445,16 @@ def _solve_tensor(acj: ACJData, affine_slice, starts: int, seed_offset: int,
 
 def _affine_slice(aff, nvar: int):
     """The zero set of an affine map ``aff`` on R^nvar, from its values at 0
-    and at the unit vectors: ``(x0, K)`` for the set x0 + K y, with K's
+    and at the unit vectors, taken in one call of ``aff`` on the stack
+    [0; I] (rows are points): ``(x0, K)`` for the set x0 + K y, with K's
     columns an orthonormal basis of the null space, or None if the set is
     empty.  Raises ArithmeticError if a singular value of the linear part, or
     the miss of its least-squares zero, lies between SLICE_NULL and SLICE_RANK
     times the larger of the largest singular value and |aff(0)|: no clear
     rank."""
-    c = aff(np.zeros(nvar))
-    A = np.array([aff(e) - c for e in np.eye(nvar)]).T
+    values = aff(np.vstack([np.zeros(nvar), np.eye(nvar)]))
+    c = values[0]
+    A = (values[1:] - c).T
     # zero rows pad A to at least nvar rows, so that Vt spans all of R^nvar
     padded = np.vstack([A, np.zeros((max(0, nvar - len(A)), nvar))])
     U, sv, Vt = np.linalg.svd(padded, full_matrices=False)
@@ -461,8 +472,10 @@ def _affine_slice(aff, nvar: int):
 def _quadratic(resid, nvar: int):
     """The exact polynomial c + L x + Q(x, x) of a quadratic map ``resid`` on
     R^nvar, recovered by polarisation from 1 + 2 nvar + nvar (nvar - 1) / 2
-    evaluations.  Raises ArithmeticError if the polynomial misses ``resid``
-    at a further point, i.e. if ``resid`` is not quadratic.
+    evaluations, all taken with one further point in one call of ``resid``
+    on the stack [0; I; -I; e_j + e_k (j < k); x] (rows are points).  Raises
+    ArithmeticError if the polynomial misses ``resid`` at the further point
+    x, i.e. if ``resid`` is not quadratic.
 
     The values of the polynomial lie in the span of its coefficient vectors;
     the model is written in an orthonormal basis V of that span, which keeps
@@ -471,17 +484,16 @@ def _quadratic(resid, nvar: int):
     V^T r (S, P) and their Jacobians (S, P, nvar), from one Q(x, .) per
     batch."""
     eye = np.eye(nvar)
-    c = resid(np.zeros(nvar))
-    plus = np.array([resid(e) for e in eye]).reshape(nvar, len(c))
-    minus = np.array([resid(-e) for e in eye]).reshape(nvar, len(c))
+    j, k = np.triu_indices(nvar, 1)
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, nvar)
+    values = resid(np.vstack([np.zeros(nvar), eye, -eye, eye[j] + eye[k], x]))
+    c, want = values[0], values[-1]
+    plus, minus = values[1:1 + nvar], values[1 + nvar:1 + 2 * nvar]
     L = ((plus - minus) / 2).T  # L[i, j]
     Q = np.empty((len(c), nvar, nvar))  # Q[i, j, k], symmetric in j, k
     Q[:, range(nvar), range(nvar)] = ((plus + minus) / 2 - c).T
-    for j, k in itertools.combinations(range(nvar), 2):
-        Q[:, j, k] = Q[:, k, j] = (resid(eye[j] + eye[k]) - plus[j] - plus[k] + c) / 2
+    Q[:, j, k] = Q[:, k, j] = ((values[1 + 2 * nvar:-1] - plus[j] - plus[k] + c) / 2).T
 
-    x = np.random.default_rng(0).uniform(-1.0, 1.0, nvar)
-    want = resid(x)
     if np.max(np.abs(c + (L + Q @ x) @ x - want)) > 1e-12 * max(1.0, np.max(np.abs(want))):
         raise ArithmeticError("residual map is not quadratic: its polarisation "
                               "model misses it at a test point")

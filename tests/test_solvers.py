@@ -82,8 +82,8 @@ def test_mn_tensor_form_exact_model(factors, k):
     slices = [(c, acj, _numeric_slice(acj)) for c, acj in acjs]
     c, acj, (x0, K) = next(s for s in slices if s[2] is not None and s[2][1].shape[1] == k)
 
-    def btensor(y):
-        return _unpack(acj, x0 + K @ y)
+    def btensor(Y):
+        return _unpack(acj, x0 + Y @ K.T)
 
     resid = _realified(acj, QUADRATIC_EQUATIONS, btensor)
     model, V = _quadratic(resid, k)
@@ -95,8 +95,7 @@ def test_mn_tensor_form_exact_model(factors, k):
         rep = residual_mn(MNSolution(G, b, a, btensor(y).ravel(), c))
         assert max(rep.per_equation[e] for e in ("gal3", "gal4", "gal7", "mn1", "mn4")) < 1e-12
         assert np.max(np.abs(model(y[None])[0][0] - f)) < 1e-14
-        fd = np.array([(resid(y + h * e) - resid(y - h * e)) / (2 * h)
-                       for e in np.eye(k)]).T
+        fd = ((resid(y + h * np.eye(k)) - resid(y - h * np.eye(k))) / (2 * h)).T
         assert np.max(np.abs(V @ j - fd)) < 1e-6
 
 
@@ -401,8 +400,8 @@ def test_tensor_system_exact_quadratic_model(order, tag):
     x0, K = _numeric_slice(acj)
     k = K.shape[1]
 
-    def btensor(y):
-        return _unpack(acj, x0 + K @ y)
+    def btensor(Y):
+        return _unpack(acj, x0 + Y @ K.T)
 
     resid = _realified(acj, QUADRATIC_EQUATIONS, btensor)
     model, V = _quadratic(resid, k)
@@ -421,9 +420,74 @@ def test_tensor_system_exact_quadratic_model(order, tag):
         fd = np.array([(model((y + h * e)[None])[0][0] - model((y - h * e)[None])[0][0])
                        / (2 * h) for e in np.eye(k)]).T
         assert np.max(np.abs(j - fd)) < 1e-6
-        fd = np.array([(resid(y + h * e) - resid(y - h * e)) / (2 * h)
-                       for e in np.eye(k)]).T
+        fd = ((resid(y + h * np.eye(k)) - resid(y - h * np.eye(k))) / (2 * h)).T
         assert np.max(np.abs(V @ j - fd)) < 1e-6
+
+
+def test_equations_take_a_batch_axis():
+    """Every equation the solver reads, and ``_realified`` over the affine and
+    the quadratic equations, evaluates a stack of b-tensors in one call to
+    the bits of evaluating each point alone, row by row: on an L = 1 m = n
+    form, a Z3 Case I form, a Z5 Case II form and an L = 3
+    ``heuristic_search`` form."""
+    from neargroup.cases import ExactContext
+    from neargroup.solutions import ACJData, mn_normal_form, normal_form
+    from neargroup.solvers import (
+        AFFINE_EQUATIONS,
+        QUADRATIC_EQUATIONS,
+        _acj_for_case,
+        _realified,
+        _unpack,
+    )
+    from neargroup.spectral import cube_root_scalars
+
+    b, a, _ = pair_classes(FiniteAbelianGroup((3,)))[0]
+    acjs = [mn_normal_form(b, a, complex(cube_root_scalars(a)[0]))]
+    for order, tag in [(3, CaseTag("I", omegas=(2, 2))), (5, CaseTag("II", omega=0))]:
+        G = FiniteAbelianGroup((order,))
+        b, a, _ = pair_classes(G)[0]
+        ctx = ExactContext(G, b, a, 2 * G.order)
+        acjs.append(_acj_for_case(G, b, a, ctx.numeric(ctx.c), tag))
+    G, b, a = _pair(2)
+    c0 = complex(cube_root_scalars(a)[0])  # heuristic_search's form for m = 6
+    acjs.append(ACJData(bichar=b, form=a, bar=(0, 1, 2), g_t=(G.zero(),) * 3,
+                        c_t=(c0,) * 3, eps_t=(1, 1, 1), eps=1))
+    rng = np.random.default_rng(11)
+    for acj in acjs:
+        eqs = normal_form(acj).equations
+        X = rng.standard_normal((5, 2 * acj.L ** 4 * acj.group.order))
+        B = _unpack(acj, X)  # five random complex b-tensors
+        for name in AFFINE_EQUATIONS + QUADRATIC_EQUATIONS:
+            stacked = eqs[name](B)
+            assert len(stacked) == len(B)
+            for row, bt in zip(stacked, B):
+                assert np.array_equal(row, eqs[name](bt)), (acj.L, name)
+        for names in (AFFINE_EQUATIONS, QUADRATIC_EQUATIONS):
+            resid = _realified(acj, names, lambda X: _unpack(acj, X))
+            R = resid(X)
+            assert R.shape == (len(X), len(resid(X[0])))
+            for row, x in zip(R, X):
+                assert np.array_equal(row, resid(x)), (acj.L, names)
+
+
+def test_slice_and_model_call_their_map_once(monkeypatch):
+    """On Z3/6's Case I slice, ``_affine_slice`` and ``_quadratic`` each
+    evaluate their map in one call, on the stack of all their points."""
+    from neargroup.cases import ExactContext
+
+    calls = []
+    for name in ("_affine_slice", "_quadratic"):
+        def counting(f, nvar, real=getattr(solvers, name), name=name):
+            def counted(X):
+                calls.append(name)
+                return f(X)
+            return real(counted, nvar)
+        monkeypatch.setattr(solvers, name, counting)
+    G = FiniteAbelianGroup((3,))
+    b, a, _ = pair_classes(G)[0]
+    ctx = ExactContext(G, b, a, 2 * G.order)
+    assert solvers._solve_case(G, b, a, ctx, CaseTag("I", omegas=(2, 2)), FAST)
+    assert calls == ["_affine_slice", "_quadratic"]
 
 
 def test_affine_slice():
@@ -431,13 +495,16 @@ def test_affine_slice():
     value between the two thresholds is no clear rank."""
     from neargroup.solvers import SLICE_NULL, SLICE_RANK, _affine_slice
 
-    x0, K = _affine_slice(lambda x: np.array([x[0] + x[1] - 1.0, 2 * x[0] + 2 * x[1] - 2.0]), 2)
+    def affine(A, c):  # x -> A x + c on each row of a stack
+        return lambda X: X @ np.array(A, dtype=float).T + c
+
+    x0, K = _affine_slice(affine([[1, 1], [2, 2]], [-1.0, -2.0]), 2)
     assert np.allclose(x0, [0.5, 0.5]) and K.shape == (2, 1)
     assert np.allclose(np.abs(K[:, 0]), [2 ** -0.5, 2 ** -0.5])
-    assert _affine_slice(lambda x: np.array([x[0], x[0] - 1.0]), 2) is None
+    assert _affine_slice(affine([[1, 0], [1, 0]], [0.0, -1.0]), 2) is None
     gap = math.sqrt(SLICE_NULL * SLICE_RANK)
     with pytest.raises(ArithmeticError):
-        _affine_slice(lambda x: np.array([x[0], gap * x[1], 1.0]), 2)
+        _affine_slice(affine([[1, 0], [0, gap], [0, 0]], [0.0, 0.0, 1.0]), 2)
 
 
 def test_mn_slice_is_the_numeric_affine_slice():
@@ -528,4 +595,5 @@ def test_quadratic_model_rejects_cubic_map():
     from neargroup.solvers import _quadratic
 
     with pytest.raises(ArithmeticError):
-        _quadratic(lambda x: np.array([x[0] * x[1], x[0] ** 3 + x[1]]), 2)
+        _quadratic(lambda X: np.stack([X[..., 0] * X[..., 1], X[..., 0] ** 3 + X[..., 1]],
+                                      axis=-1), 2)
