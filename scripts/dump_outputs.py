@@ -8,8 +8,11 @@ of each ``Feasibility`` of each ``pair_classes`` pair, so the witnesses and
 details of the ``cases`` layer are compared too, whatever rows are
 classified, each pair followed by its exact eigenspace data ``ctx.eig(k)``,
 k = 0, 1, 2: ``dim`` and the terms ``(x.t, x.d)`` of every entry of ``f0``,
-``norm_f0`` and ``f0p``.  Last comes ``neargroup --json out`` on every
-bundled solution.
+``norm_f0`` and ``f0p``.  Then comes ``neargroup --json out`` on every
+bundled solution, and last ``equivalent(s, t)`` for every ordered pair of
+bundled solutions, as a boolean (or ``inconclusive``), so the gauge search
+is compared too (a pair of different groups or L is told apart before any
+search).
 Commands run in-process through ``cli.main``, and each answer is preceded
 by a ``# <command>`` line.  The output is deterministic, so two checkouts
 give the same answers exactly when
@@ -32,6 +35,8 @@ from run_classification import TABLE  # noqa: E402
 
 from neargroup import cli  # noqa: E402
 from neargroup.cases import ExactContext, all_case_feasibilities  # noqa: E402
+from neargroup.io import load_bundled  # noqa: E402
+from neargroup.solutions import equivalent  # noqa: E402
 from neargroup.solvers import pair_classes  # noqa: E402
 
 CASE_GROUPS = ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z10", "Z12",
@@ -69,6 +74,20 @@ def case_analysis(group: str) -> None:
                   f"norm_f0 {terms(e['norm_f0'])} f0p {terms(e['f0p'])}")
 
 
+def equivalences(names: list[str]) -> None:
+    """Print ``equivalent(s, t)`` for every ordered pair of the named bundled
+    solutions."""
+    print("# equivalent")
+    sols = {name: load_bundled(name) for name in names}
+    for a, s in sols.items():
+        for b, t in sols.items():
+            try:
+                answer = equivalent(s, t)
+            except ArithmeticError:
+                answer = "inconclusive"
+            print(f"{a} {b}: {answer}")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--row", nargs=2, action="append", default=[],
@@ -81,8 +100,10 @@ def main():
     for group in CASE_GROUPS:
         case_analysis(group)
     bundled = resources.files("neargroup") / "bundled"
-    for name in sorted(p.name for p in bundled.iterdir() if p.name.endswith(".json")):
+    names = sorted(p.name for p in bundled.iterdir() if p.name.endswith(".json"))
+    for name in names:
         run(["out", f"bundled/{name}"])
+    equivalences(names)
 
 
 if __name__ == "__main__":

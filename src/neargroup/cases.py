@@ -631,8 +631,16 @@ def _resolve_t_system(ctx: ExactContext, equations: list[KPoly]):
     nonzero, have a common real root in [-1, 1] iff their gcd g does:
     g(+-1) = 0, or the Sturm chain g, g', -rem(g, g'), ... has fewer sign
     variations at +1 than at -1 (Sturm's theorem), every sign exact.  The
-    witness is the root of a linear g, else None."""
-    reals = [q for e in equations for q in (e.re(), e.im()) if not q.is_zero()]
+    witness is the root of a linear g, else None.  A nonzero constant part
+    refutes the system as soon as it is split off, before the equations
+    after it are split."""
+    reals = []
+    for e in equations:
+        for q in (e.re(), e.im()):
+            if not q.is_zero():
+                if q.degree == 0:
+                    return False, None
+                reals.append(q)
     if not reals:
         return True, None
     g = _poly_gcd(reals)

@@ -524,16 +524,44 @@ def gauge_act(u: np.ndarray, s: GeneralSolution, check: bool = True) -> GeneralS
     u = np.asarray(u, dtype=complex)
     if check and not in_gauge_group(u, s.acj):
         raise ValueError("u is not in the gauge group G(A,C,J)")
-    bt = _gauge_stack(u[None], s.btensor)[0]
+    bt = np.ascontiguousarray(_gauge_stack(u[None], s.btensor)[0])
     return GeneralSolution(s.group, s.acj, bt, provenance=dict(s.provenance))
 
 
+def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A ⊗ B for stacks of L x L matrices (broadcast on the leading axes):
+    (A ⊗ B)[(r', s'), (r, s)] = A[r', r] B[s', s], shape (..., L², L²)."""
+    K = A[..., :, None, :, None] * B[..., None, :, None, :]
+    return K.reshape(K.shape[:-4] + (K.shape[-4] * K.shape[-3],) * 2)
+
+
+def _pair_form(bt: np.ndarray) -> np.ndarray:
+    """The b-tensor as the matrices B_g[(r, s), (t, u)], g on the middle
+    axis: shape (L², n, L²), a view."""
+    L2 = bt.shape[0] ** 2
+    return bt.reshape(L2, L2, -1).transpose(0, 2, 1)
+
+
+def _gauge_pairs(U: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """W B_g W^H, W = u ⊗ u, for each gauge u of the stack U (P, L, L) and
+    each matrix of the pair form B (L², n, L²): W is formed for the whole
+    stack in one broadcast product, then two batched matmuls move every B_g.
+    Shape (P, L², n, L²)."""
+    W = _kron(U, U)
+    P, L2, _ = W.shape
+    M = (W @ B.reshape(L2, -1)).reshape(P, -1, L2) @ W.conj().swapaxes(1, 2)
+    return M.reshape(P, L2, -1, L2)
+
+
 def _gauge_stack(U: np.ndarray, bt: np.ndarray) -> np.ndarray:
-    """The b-tensors moved by each gauge of the stack U (shape (P, L, L))."""
-    b = np.einsum("par,rstug->pastug", U, bt)
-    b = np.einsum("pbs,pastug->pabtug", U, b)
-    b = np.einsum("pct,pabtug->pabcug", U.conj(), b)
-    return np.einsum("pdu,pabcug->pabcdg", U.conj(), b)
+    """The b-tensors moved by each gauge of the stack U (shape (P, L, L)).
+
+    Read as the L² x L² matrices B_g[(r, s), (t, u)], a b-tensor is moved by
+    u as B_g -> W B_g W^H with W = u ⊗ u, since u acts on r and s and
+    conj(u) on t and u (:func:`_gauge_pairs`).  Shape (P, L, L, L, L, n)."""
+    P, L, _ = U.shape
+    M = _gauge_pairs(U, _pair_form(bt))
+    return M.reshape(P, L, L, -1, L, L).transpose(0, 1, 2, 4, 5, 3)
 
 
 def _expm_ah(X: np.ndarray) -> np.ndarray:
@@ -750,35 +778,50 @@ def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
                 yield float(dist), th, u
 
 
+def _gauge_model(X: np.ndarray, bt: np.ndarray, target: np.ndarray):
+    """The model of the gauge refine: a stack of gauges U (S x L x L) maps to
+    the real rows (S, 2M) of b(u . bt) - target and their Jacobians
+    (S, 2M, kdim) in the left-trivialised coordinates of the algebra basis
+    X (kdim x L x L).  exp(delta X_k) moves W = u ⊗ u by exp(delta Y_k),
+    Y_k = X_k ⊗ 1 + 1 ⊗ X_k, so the Jacobian column of X_k is
+    Y_k M + M Y_k^H for the moved pair form M (:func:`_gauge_pairs`).  Each
+    call moves the tensor once per gauge and reads both the rows and the
+    Jacobian off that one stack."""
+    L2 = bt.shape[0] ** 2
+    B, T = _pair_form(bt), _pair_form(target)
+    eye = np.eye(len(bt))
+    Y = _kron(X, eye) + _kron(eye, X)
+    Yh = Y.conj().swapaxes(1, 2)
+
+    def model(U):
+        S = len(U)
+        M = _gauge_pairs(U, B)
+        R = (M - T).reshape(S, -1)
+        D = ((Y @ M.reshape(S, 1, L2, -1)).reshape(S, len(X), -1)
+             + (M.reshape(S, 1, -1, L2) @ Yh).reshape(S, len(X), -1))
+        return (np.concatenate([R.real, R.imag], axis=1),
+                np.concatenate([D.real, D.imag], axis=2).transpose(0, 2, 1))
+
+    return model
+
+
 def _refine_gauges(U: np.ndarray, X: np.ndarray, bt: np.ndarray, target: np.ndarray):
     """Minimise the sum of |b(u . bt) - target|^2 over u from every gauge of
-    the stack U (S x L x L) by one :func:`_batched_lm` run.
+    the stack U (S x L x L) by one :func:`_batched_lm` run on
+    :func:`_gauge_model`.
 
     The coordinates are left-trivialised: a step delta moves u to
     exp(sum_k delta_k X_k) u, which keeps u in its coset of the identity
-    component (a normal subgroup).  The Jacobian column of X_k is the
-    derivation of X_k applied to the moved tensor: X_k on its first two
-    indices, conj(X_k) on the last two.  The model moves the tensor once per
-    gauge and reads both its rows and its Jacobian off that one stack.  A
-    start has converged at a mean |db|^2 per real entry of REFINE_FLOOR, and
-    stops after REFINE_MAX_ITER iterations.  Returns the (S,) distances
-    max |b(u . bt) - target|, from the loop's final rows, and the refined
-    gauges."""
-    Xc = X.conj()
-
-    def model(U):  # gauges -> real residual rows (S, 2M) and Jacobians (S, 2M, kdim)
-        B = _gauge_stack(U, bt)
-        R = (B - target).reshape(len(U), -1)
-        D = (np.einsum("kar,srbcdg->skabcdg", X, B) + np.einsum("kbr,sarcdg->skabcdg", X, B)
-             + np.einsum("kcr,sabrdg->skabcdg", Xc, B) + np.einsum("kdr,sabcrg->skabcdg", Xc, B))
-        D = D.reshape(len(B), len(X), -1)
-        return (np.concatenate([R.real, R.imag], axis=1),
-                np.concatenate([D.real, D.imag], axis=2).transpose(0, 2, 1))
+    component (a normal subgroup).  A start has converged at a mean |db|^2
+    per real entry of REFINE_FLOOR, and stops after REFINE_MAX_ITER
+    iterations.  Returns the (S,) distances max |b(u . bt) - target|, from
+    the loop's final rows, and the refined gauges."""
 
     def move(U, step):
         return _expm_ah(np.tensordot(step, X, 1)) @ U
 
-    U, _, R = _batched_lm(U, model, REFINE_MAX_ITER, REFINE_FLOOR * 2 * bt.size, move)
+    U, _, R = _batched_lm(U, _gauge_model(X, bt, target), REFINE_MAX_ITER,
+                          REFINE_FLOOR * 2 * bt.size, move)
     re, im = np.split(R, 2, axis=1)
     return np.abs(re + 1j * im).max(1), U
 

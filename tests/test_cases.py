@@ -601,3 +601,19 @@ def test_resolve_t_system_decides_real_roots_in_the_unit_interval():
     i_eq = (t - c(Fraction(1, 2))) * KPoly.const(ctx, ctx.i)
     assert _resolve_t_system(ctx, [i_eq]) == (True, half)
     assert _resolve_t_system(ctx, []) == (True, None)
+
+
+def test_resolve_t_system_refutes_at_the_first_nonzero_constant():
+    """An equation whose real part is a nonzero constant refutes the system
+    before any equation after it is split into real and imaginary parts."""
+    ctx = ExactContext(*_pair(3))
+    t = KPoly.tvar(ctx)
+
+    class Unsplittable:
+        def re(self):
+            raise AssertionError("split after a nonzero constant")
+
+        im = re
+
+    first = KPoly.const(ctx, ctx.one) + t * KPoly.const(ctx, ctx.i)
+    assert _resolve_t_system(ctx, [first, Unsplittable()]) == (False, None)
