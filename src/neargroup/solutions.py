@@ -383,70 +383,82 @@ class NormalForm:
         }
 
     @cached_property
-    def constraints(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """What the gauge group G(A,C,J) commutes with: the diagonal matrices
-        diag(a(g) chi(g)), one per g, and diag(c_t), and the matrix Jm of the
-        anti-linear J e_t = eps_t e_{bar t}, for which u J = J u reads
-        u Jm = Jm conj(u)."""
+    def constraints(self) -> tuple[np.ndarray, np.ndarray]:
+        """What the gauge group G(A,C,J) commutes with: the stack (n + 1, L,
+        L) of the diagonal matrices diag(a(g) chi(g)), one per g, then
+        diag(c_t), and the matrix Jm of the anti-linear J e_t = eps_t
+        e_{bar t}, for which u J = J u reads u Jm = Jm conj(u)."""
         L = self.acj.L
-        mats = [np.diag(self.a[gi] * self.chi[:, gi]) for gi in range(self.T.n)]
-        mats.append(np.diag(self.c_t))
+        mats = np.zeros((self.T.n + 1, L, L), dtype=complex)
+        diag = np.arange(L)
+        mats[:-1, diag, diag] = self.a[:, None] * self.chi.T
+        mats[-1, diag, diag] = self.c_t
         Jm = np.zeros((L, L), dtype=complex)
         Jm[self.bar, np.arange(L)] = self.eps_t
-        return [_frozen(M) for M in mats], _frozen(Jm)
+        return _frozen(mats), _frozen(Jm)
 
     @cached_property
     def gauge(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """(Lie algebra basis, finite component representatives) of
-        G(A,C,J), as :func:`gauge_group_basis` describes them."""
+        G(A,C,J), as :func:`gauge_group_basis` describes them.
+
+        Array-wise: the linear constraints on X come from one stacked product
+        over the real basis E_ij, i E_ij; every signed permutation's
+        membership is tested at once; and "same connected component" is
+        decided for every pair of member permutations, both signs, in one
+        batched eig/log/exp.  The first member of each component is kept,
+        in the order of the permutations, then the signs."""
         L = self.acj.L
-        # linear constraints on X (L x L complex, 2L^2 real unknowns)
         mats, Jm = self.constraints
 
-        def real_flat(X):
-            return np.concatenate([X.real.ravel(), X.imag.ravel()])
+        def real_flat(X):  # (..., L, L) -> (..., 2 L^2): real parts, then imaginary
+            return np.concatenate([X.real, X.imag], -2).reshape(X.shape[:-2] + (2 * L * L,))
 
         # E_ij and i E_ij for each (i, j), in that order
-        basis_real = [E * z for E in np.eye(L * L, dtype=complex).reshape(-1, L, L)
-                      for z in (1.0, 1j)]
+        basis = (np.eye(L * L).reshape(-1, 1, L, L) * np.array([1.0, 1j])[:, None, None]
+                 ).reshape(-1, L, L)
         # commutators with each A(g) and C, then with J, then anti-Hermitian
-        rows = [np.concatenate([real_flat(X @ M - M @ X) for M in mats]
-                               + [real_flat(X @ Jm - Jm @ np.conj(X)),
-                                  real_flat(X + X.conj().T)])
-                for X in basis_real]
-        A = np.array(rows).T  # constraints as columns act on coefficient vector
+        Xb = basis[:, None]
+        C = np.concatenate([Xb @ mats - mats @ Xb, Xb @ Jm - Jm @ Xb.conj(),
+                            Xb + Xb.conj().swapaxes(-1, -2)], 1)
+        A = real_flat(C).reshape(len(basis), -1).T  # constraints as columns
         # kernel of A (coefficients over the real basis)
-        _, sv, vt = np.linalg.svd(A if A.size else np.zeros((1, len(basis_real))))
-        null = [vt[k] for k in range(len(sv), len(basis_real))] + [
-            vt[k] for k in range(len(sv)) if sv[k] < 1e-10
-        ]
-        algebra = []
-        for coeffs in null:
-            X = sum(c * Xb for c, Xb in zip(coeffs, basis_real))
-            if np.linalg.norm(X) > 1e-10:
-                algebra.append(_frozen(X))
+        _, sv, vt = np.linalg.svd(A)
+        null = np.concatenate([vt[len(sv):], vt[:len(sv)][sv < 1e-10]])
+        # coefficients of (E_ij, i E_ij) are (real, imaginary) parts: a complex
+        # view; + 0.0 makes every zero +0
+        Xs = (null + 0.0).view(complex).reshape(-1, L, L)
+        algebra = [_frozen(X) for X in Xs]
         # the algebra elements are orthonormal in the real_flat coordinates
-        Xs = np.reshape(algebra, (-1, L, L))
-        F = np.reshape([real_flat(X) for X in Xs], (len(Xs), 2 * L * L))
+        F = real_flat(Xs)
 
-        def connected(u) -> bool:
-            """u = exp(X) to 1e-10 for X = log(u) projected onto the algebra;
-            False whenever that test fails."""
-            w, V = np.linalg.eig(u)  # unitary, so diagonalisable: log u = V log(w) V^-1
-            logu = (V * np.log(w.astype(complex))) @ np.linalg.inv(V)
-            X = np.tensordot(F @ real_flat(logu), Xs, 1)
-            return np.max(np.abs(_expm_ah(X) - u)) < 1e-10
+        def connected(U):
+            """For each u of the stack U: u = exp(X) to 1e-10 for X = log(u)
+            projected onto the algebra; False whenever that test fails."""
+            w, V = np.linalg.eig(U)  # unitary, so diagonalisable: log u = V log(w) V^-1
+            logu = (V * np.log(w.astype(complex))[..., None, :]) @ np.linalg.inv(V)
+            X = np.tensordot(real_flat(logu) @ F.T, Xs, 1)
+            return np.abs(_expm_ah(X) - U).max((-2, -1)) < 1e-10
 
-        # finite components: signed permutations preserving the structure
-        comps = [_frozen(np.eye(L))]
-        for perm in itertools.permutations(range(L)):
-            for signs in itertools.product((1.0, -1.0), repeat=L):
-                P = np.zeros((L, L))
-                P[perm, range(L)] = signs
-                if in_gauge_group(P, self.acj) and not any(
-                        connected(sign * Q.T @ P) for Q in comps for sign in (1, -1)):
-                    comps.append(_frozen(P))
-        return algebra, comps
+        # finite components: signed permutations preserving the structure,
+        # P[perm[c], c] = sign[c] for each perm, then each sign: the identity first
+        perms = list(itertools.permutations(range(L)))
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=L)))
+        P = np.zeros((len(perms), len(signs), L, L))
+        P[np.arange(len(perms))[:, None, None], np.arange(len(signs))[:, None],
+          np.array(perms)[:, None], np.arange(L)] = signs
+        P = P.reshape(-1, L, L)
+        P = P[_commutes(P, self.acj)]
+        i, j = np.triu_indices(len(P), 1)
+        Q = P[i].swapaxes(1, 2) @ P[j]
+        same = connected(np.stack([Q, -Q])).any(0)
+        linked = np.zeros((len(P),) * 2, dtype=bool)
+        linked[i, j] = same
+        keep = [0]
+        for k in range(1, len(P)):
+            if not linked[keep, k].any():
+                keep.append(k)
+        return algebra, [_frozen(P[k]) for k in keep]
 
 
 @cache
@@ -571,16 +583,46 @@ def _expm_ah(X: np.ndarray) -> np.ndarray:
     return (V * np.exp(1j * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
+def _one_parameter_exps(X: np.ndarray):
+    """The products exp(t_1 X_1) ⋯ exp(t_k X_k) along the directions of an
+    anti-Hermitian basis X (k x L x L, k >= 1), from one eigh per direction.
+
+    -iX_k = V_k diag(w_k) V_k* once, and then exp(t X_k) = V_k
+    diag(e^{i t w_k}) V_k* for every t.  Returns the map from a stack T
+    (..., k) of parameters to the stack (..., L, L) of products; for k = 1
+    it is t -> exp(t X_1), the map of ``_expm_ah(t * X_1)``."""
+    w, V = np.linalg.eigh(-1j * X)
+    Vh = V.conj().swapaxes(-1, -2)
+
+    def exps(T):
+        E = (V * np.exp(1j * T[..., None] * w)[..., None, :]) @ Vh
+        out = E[..., 0, :, :]
+        for k in range(1, len(X)):
+            out = out @ E[..., k, :, :]
+        return out
+
+    return exps
+
+
+GAUGE_TOL = 1e-9  # Frobenius norm of a commutator, or of u*u - 1, read as zero
+
+
+def _commutes(U: np.ndarray, acj: ACJData) -> np.ndarray:
+    """For each u of the stack U (..., L, L): u commutes with every A(g), C
+    and J (``NormalForm.constraints``), each commutator to GAUGE_TOL."""
+    mats, Jm = normal_form(acj).constraints
+    Ue = U[..., None, :, :]
+    return ((np.linalg.norm(Ue @ mats - mats @ Ue, axis=(-2, -1)) <= GAUGE_TOL).all(-1)
+            & (np.linalg.norm(U @ Jm - Jm @ np.conj(U), axis=(-2, -1)) <= GAUGE_TOL))
+
+
 def in_gauge_group(u: np.ndarray, acj: ACJData) -> bool:
     """Membership in G(A,C,J): unitary, commutes with every A(g), C and J."""
-    tol = 1e-9
     L = acj.L
     u = np.asarray(u, dtype=complex)
-    if u.shape != (L, L) or np.linalg.norm(u.conj().T @ u - np.eye(L)) > tol:
+    if u.shape != (L, L) or np.linalg.norm(u.conj().T @ u - np.eye(L)) > GAUGE_TOL:
         return False
-    mats, Jm = normal_form(acj).constraints
-    return bool(all(np.linalg.norm(u @ M - M @ u) <= tol for M in mats)
-                and np.linalg.norm(u @ Jm - Jm @ np.conj(u)) <= tol)
+    return bool(_commutes(u, acj))
 
 
 def gauge_group_basis(acj: ACJData) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -590,9 +632,11 @@ def gauge_group_basis(acj: ACJData) -> tuple[list[np.ndarray], list[np.ndarray]]
     C and J; representatives of extra components are searched among signed
     permutation matrices compatible with the same constraints, and kept up to
     sign, since -1 acts trivially on b, and one per connected component: P is
-    dropped when +-Q^-1 P = exp(X), X in the algebra, for a kept Q.  The
-    exponential is the closed form of :func:`_expm_ah`.  Built once per ACJ,
-    as ``normal_form(acj).gauge``.
+    dropped when +-Q^-1 P = exp(X), X in the algebra, for a kept Q.  Every
+    member's pair test against every earlier member is made in one batch
+    (eig, log, and the closed-form exponential of :func:`_expm_ah`), and the
+    first member of each component is kept, in the order of the signed
+    permutations.  Built once per ACJ, as ``normal_form(acj).gauge``.
     """
     return normal_form(acj).gauge
 
@@ -728,12 +772,15 @@ def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
     """Search Aut(G) x G(A,C,J) for (theta, u) moving s1 onto s2.
 
     For each theta whose pull-back of s1 matches s2 in bicharacter, form,
-    characters chi_t and scalars c_t, and each finite gauge component, the
-    component's coset of the gauge group is sampled on a grid (at least 8
-    points per algebra direction, ``grid`` in total) in one batched
-    evaluation.  Every local grid minimum, and the global one, is then
-    refined in one batch by :func:`_refine_gauges`, which minimises the sum
-    of |b(u . theta^* s1) - b(s2)|^2.  Yields (distance, theta, u) in
+    characters chi_t and scalars c_t, and each finite gauge component comp,
+    the component's coset of the gauge group is sampled on a grid (at least
+    8 points per algebra direction, ``grid`` in total) in one batched
+    evaluation: the grid point (t_1, ..., t_k) in [0, 2 pi)^k is the gauge
+    comp exp(t_1 X_1) ⋯ exp(t_k X_k) over the algebra basis X, each factor
+    from one eigh of -iX_k per theta (:func:`_one_parameter_exps`); for k = 1
+    this is comp exp(t X_1).  Every local grid minimum, and the global one,
+    is then refined in one batch by :func:`_refine_gauges`, which minimises
+    the sum of |b(u . theta^* s1) - b(s2)|^2.  Yields (distance, theta, u) in
     ascending grid distance, the distance being the largest entry of
     |b(u . theta^* s1) - b(s2)|.  An m = n solution is the L = 1 case, whose
     gauge group {+-1} has no continuous part.
@@ -753,6 +800,7 @@ def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
         algebra, comps = gauge_group_basis(t.acj)
         kdim = len(algebra)
         X = np.array(algebra).reshape(kdim, s1.L, s1.L)
+        exps = _one_parameter_exps(X) if kdim else None
         for comp in comps:
             if kdim == 0:
                 u = np.asarray(comp, complex)
@@ -762,7 +810,7 @@ def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
             npts = max(8, int(round(grid ** (1.0 / kdim))))
             axis = np.linspace(0.0, 2 * np.pi, npts, endpoint=False)
             pts = np.stack(np.meshgrid(*[axis] * kdim, indexing="ij"), -1).reshape(-1, kdim)
-            U = comp @ _expm_ah(np.tensordot(pts, X, 1))
+            U = comp @ exps(pts)
             vals = np.abs(_gauge_stack(U, t.btensor) - s2.btensor).reshape(len(U), -1).max(1)
             # local minima on the periodic grid (strictly below the previous
             # neighbour on every axis, so a flat stretch counts once) and the
@@ -811,17 +859,18 @@ def _refine_gauges(U: np.ndarray, X: np.ndarray, bt: np.ndarray, target: np.ndar
     :func:`_gauge_model`.
 
     The coordinates are left-trivialised: a step delta moves u to
-    exp(sum_k delta_k X_k) u, which keeps u in its coset of the identity
-    component (a normal subgroup).  A start has converged at a mean |db|^2
+    exp(delta_1 X_1) ⋯ exp(delta_k X_k) u, from one eigh of -iX_k per
+    direction (:func:`_one_parameter_exps`), which keeps u in its coset of
+    the identity component (a normal subgroup).  Its derivative at delta = 0
+    along delta_k is X_k u, as for exp(sum_k delta_k X_k) u, so the Jacobian
+    of :func:`_gauge_model` is exact.  A start has converged at a mean |db|^2
     per real entry of REFINE_FLOOR, and stops after REFINE_MAX_ITER
     iterations.  Returns the (S,) distances max |b(u . bt) - target|, from
     the loop's final rows, and the refined gauges."""
 
-    def move(U, step):
-        return _expm_ah(np.tensordot(step, X, 1)) @ U
-
+    exps = _one_parameter_exps(X)
     U, _, R = _batched_lm(U, _gauge_model(X, bt, target), REFINE_MAX_ITER,
-                          REFINE_FLOOR * 2 * bt.size, move)
+                          REFINE_FLOOR * 2 * bt.size, lambda U, step: exps(step) @ U)
     re, im = np.split(R, 2, axis=1)
     return np.abs(re + 1j * im).max(1), U
 

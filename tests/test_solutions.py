@@ -31,6 +31,7 @@ from neargroup.solutions import (
     _batched_lm,
     _gauge_model,
     _gauge_stack,
+    _one_parameter_exps,
     _refine_gauges,
     aut_act,
     dimension_d,
@@ -436,6 +437,110 @@ def test_gauge_model_jacobian_matches_central_differences(rng):
             plus = model(_expm_ah(h * X[k]) @ U)[0]
             minus = model(_expm_ah(-h * X[k]) @ U)[0]
             assert np.abs((plus - minus) / (2 * h) - J[..., k]).max() < 1e-6, (kdim, k)
+
+
+def test_one_parameter_exps_match_expm_ah(rng):
+    """One eigh per direction gives exp(t X_k) for every t: z3_m6's so(2)
+    direction and each direction of II(z3^0), at t = 0, 2 pi and random t,
+    against ``_expm_ah(t X_k)``; commuting (diagonal) directions give the
+    exponential of the sum; the kdim-1 grid of the search is the old one to
+    1e-15."""
+    forms = {str(tag): acj for tag, acj in _case_normal_forms((3,))}
+    X6 = np.array(gauge_group_basis(z3_m6().acj)[0])
+    XII = np.array(gauge_group_basis(forms["II(z3^0)"])[0])
+    assert (len(X6), len(XII)) == (1, 3)
+    for Xk in list(X6) + list(XII):
+        exps = _one_parameter_exps(Xk[None])
+        for t in (0.0, 2 * np.pi, *rng.uniform(-7.0, 7.0, 4)):
+            got = exps(np.array([t]))
+            assert got.shape == (2, 2)
+            assert np.abs(got - _expm_ah(t * Xk)).max() < 1e-14, t
+    for L, k in ((2, 2), (3, 3), (4, 2)):
+        X = 1j * np.stack([np.diag(rng.normal(size=L)) for _ in range(k)])
+        T = rng.uniform(-7.0, 7.0, size=(5, k))
+        got = _one_parameter_exps(X)(T)
+        assert got.shape == (5, L, L)
+        assert np.abs(got - _expm_ah(np.tensordot(T, X, 1))).max() < 1e-13, (L, k)
+    pts = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)[:, None]
+    grid = _one_parameter_exps(X6)(pts)
+    assert np.abs(grid - _expm_ah(np.tensordot(pts, X6, 1))).max() <= 1e-15
+
+
+def _sequential_gauge(acj):
+    """G(A,C,J)'s (algebra, components) as built one basis element and one
+    signed permutation at a time, kept as the reference of the array-wise
+    ``NormalForm.gauge``."""
+    L = acj.L
+    mats, Jm = normal_form(acj).constraints
+
+    def real_flat(X):
+        return np.concatenate([X.real.ravel(), X.imag.ravel()])
+
+    basis_real = [E * z for E in np.eye(L * L, dtype=complex).reshape(-1, L, L)
+                  for z in (1.0, 1j)]
+    rows = [np.concatenate([real_flat(X @ M - M @ X) for M in mats]
+                           + [real_flat(X @ Jm - Jm @ np.conj(X)),
+                              real_flat(X + X.conj().T)])
+            for X in basis_real]
+    _, sv, vt = np.linalg.svd(np.array(rows).T)
+    null = [vt[k] for k in range(len(sv), len(basis_real))] + [
+        vt[k] for k in range(len(sv)) if sv[k] < 1e-10]
+    algebra = []
+    for coeffs in null:
+        X = sum(c * Xb for c, Xb in zip(coeffs, basis_real))
+        if np.linalg.norm(X) > 1e-10:
+            algebra.append(X)
+    Xs = np.reshape(algebra, (-1, L, L))
+    F = np.reshape([real_flat(X) for X in Xs], (len(Xs), 2 * L * L))
+
+    def connected(u):
+        w, V = np.linalg.eig(u)
+        logu = (V * np.log(w.astype(complex))) @ np.linalg.inv(V)
+        X = np.tensordot(F @ real_flat(logu), Xs, 1)
+        return np.max(np.abs(_expm_ah(X) - u)) < 1e-10
+
+    comps = [np.eye(L)]
+    for perm in itertools.permutations(range(L)):
+        for signs in itertools.product((1.0, -1.0), repeat=L):
+            P = np.zeros((L, L))
+            P[perm, range(L)] = signs
+            if in_gauge_group(P, acj) and not any(
+                    connected(sign * Q.T @ P) for Q in comps for sign in (1, -1)):
+                comps.append(P)
+    return algebra, comps
+
+
+def test_gauge_matches_sequential_component_loop(corpus_all):
+    """The array-wise ``NormalForm.gauge`` gives the algebra and the
+    components of the sequential build, byte for byte and in the same order,
+    on every Case I/II normal form of Z3, Z2 x Z2 and Z5 and on every bundled
+    entry."""
+    acjs = [(f"{factors} {tag}", acj) for factors in ((3,), (2, 2), (5,))
+            for tag, acj in _case_normal_forms(factors)]
+    acjs += [(name, s.acj) for name, s in corpus_all.items()]
+    for key, acj in acjs:
+        got = gauge_group_basis(acj)
+        for ref, new in zip(_sequential_gauge(acj), got):
+            assert len(ref) == len(new), key
+            for x, y in zip(ref, new):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), key
+
+
+def test_gauge_search_crosses_automorphisms_and_gauges(corpus_all):
+    """Cross-entry searches: every bundled entry s is ``equivalent`` to
+    aut_act(theta, gauge_act(u, s)) for every theta in Aut(G) and random
+    gauges u, whose normal form differs from s's whenever theta moves the
+    bicharacter, form or characters; z3_m6 at a generic point of its family
+    is not ``equivalent`` to its conjugate."""
+    rng = np.random.default_rng(3001)
+    for name, s in corpus_all.items():
+        for th in automorphisms(s.group):
+            for _ in range(2):
+                moved = aut_act(th, gauge_act(sample_gauge(s.acj, rng), s))
+                assert equivalent(s, moved), (name, th)
+    r = math.sqrt(math.sqrt(3) / 24)
+    s = z3_m6(x=r * math.cos(0.7), y=r * math.sin(0.7))
+    assert not equivalent(s, s.conj())
 
 
 def test_package_loads_no_scipy_optimize_or_linalg():
