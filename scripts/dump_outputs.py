@@ -9,10 +9,10 @@ details of the ``cases`` layer are compared too, whatever rows are
 classified, each pair followed by its exact eigenspace data ``ctx.eig(k)``,
 k = 0, 1, 2: ``dim`` and the terms ``(x.t, x.d)`` of every entry of ``f0``,
 ``norm_f0`` and ``f0p``.  Then comes ``neargroup --json out`` on every
-bundled solution, and last ``equivalent(s, t)`` for every ordered pair of
-bundled solutions, as a boolean (or ``inconclusive``), so the gauge search
-is compared too (a pair of different groups or L is told apart before any
-search).
+bundled solution, then the README's fusion commands (``FUSION``), and last
+``equivalent(s, t)`` for every ordered pair of bundled solutions, as a
+boolean (or ``inconclusive``), so the gauge search is compared too (a pair
+of different groups or L is told apart before any search).
 Commands run in-process through ``cli.main``, and each answer is preceded
 by a ``# <command>`` line.  The output is deterministic, so two checkouts
 give the same answers exactly when
@@ -41,6 +41,10 @@ from neargroup.solvers import pair_classes  # noqa: E402
 
 CASE_GROUPS = ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z10", "Z12",
                "Z2xZ2", "Z2xZ4", "Z2xZ6", "Z3xZ3", "Z2xZ2xZ2"]
+FUSION = [["dequiv", "bundled/z2z2_m4.json", "--subgroup", "1,1"],
+          ["equiv", "bundled/z3_m6.json", "--gamma", "D8"],
+          ["equiv", "bundled/z5_m5.json", "--aut", "4"],
+          ["graph", "Z3", "2"]]
 
 
 def run(argv: list[str]) -> None:
@@ -103,6 +107,8 @@ def main():
     names = sorted(p.name for p in bundled.iterdir() if p.name.endswith(".json"))
     for name in names:
         run(["out", f"bundled/{name}"])
+    for argv in FUSION:
+        run(argv)
     equivalences(names)
 
 

@@ -40,6 +40,7 @@ from .solutions import (
     gauge_act,
     gauge_group_basis,
     gauge_orbit_search,
+    tables,
 )
 
 __all__ = [
@@ -163,6 +164,12 @@ def _plain(x):
     return x
 
 
+def _associative(ring: FusionRing, what: str) -> FusionRing:
+    if ring.associativity_residual() != 0:
+        raise AssertionError(f"{what} ring is not associative")
+    return ring
+
+
 # ---------------------------------------------------------------------------
 # dimension diagnosis
 
@@ -210,20 +217,13 @@ def dimension_diagnosis(n: int, m: int) -> DimensionDiagnosis:
 def near_group_ring(G: FiniteAbelianGroup | None, m: int) -> FusionRing:
     """The based ring ZG + Z rho with rho^2 = sum_g g + m rho."""
     els = G.elements() if G is not None else [()]
-    labels: list[Label] = [("g", g) for g in els] + [("rho",)]
-    k = len(labels)
-    add = {g: {h: (G.add(g, h) if G is not None else ()) for h in els} for g in els}
-    N = np.zeros((k, k, k), dtype=int)
-    idx = {lab: i for i, lab in enumerate(labels)}
-    rho = idx[("rho",)]
-    for g in els:
-        for h in els:
-            N[idx[("g", g)], idx[("g", h)], idx[("g", add[g][h])]] = 1
-        N[idx[("g", g)], rho, rho] = 1
-        N[rho, idx[("g", g)], rho] = 1
-        N[rho, rho, idx[("g", g)]] = 1
-    N[rho, rho, rho] = m
-    ring = FusionRing(labels, N, name=f"K({G}, {m})" if G is not None else f"K(1, {m})")
+    n = len(els)
+    N = np.zeros((n + 1,) * 3, dtype=int)
+    N[np.arange(n)[:, None], np.arange(n), tables(G).add if G is not None else 0] = 1
+    N[:n, n, n] = N[n, :n, n] = N[n, n, :n] = 1  # g rho = rho g = rho, rho^2 = sum_g g
+    N[n, n, n] = m
+    ring = FusionRing([("g", g) for g in els] + [("rho",)], N,
+                      name=f"K({G}, {m})" if G is not None else f"K(1, {m})")
     assert ring.associativity_residual() == 0
     return ring
 
@@ -387,58 +387,39 @@ def dequiv_fusion(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
         sigma sigma = (+)_{k in Hperp/H} alpha~_{k - g_a}
                       (+) |Hperp/H| (+)_{g in G/Hperp} alpha~_g sigma
 
-    with alpha~-labels in G/H and sigma-labels in G/Hperp.
+    with alpha~-labels in G/H and sigma-labels in G/Hperp, each coset named
+    by its least element.
     """
     from .abelian import orthogonal_and_lagrangian
 
     perp, isotropic, _ = orthogonal_and_lagrangian(G, b, a, H)
     if not isotropic:
         raise ValueError("H is not isotropic (H not within H_perp)")
-    g_a = None
-    for cand in G:
-        if all(a.phase(h) == b.phase(h, cand) for h in H.elements):
-            g_a = cand
-            break
+    g_a = next((g for g in G if all(a.phase(h) == b.phase(h, g) for h in H.elements)), None)
     if g_a is None:
         raise ValueError("no g_a with a(h) = <h, g_a> on H; a is not a form for b")
-
-    hset = H.elements
-    perp_set = perp.elements
-
-    def coset(g, mod):
-        return min(tuple(G.add(g, h)) for h in mod)
-
-    alpha_labels = sorted({coset(g, hset) for g in G})
-    sigma_labels = sorted({coset(g, perp_set) for g in G})
-    labels: list[Label] = [("g", g) for g in alpha_labels] + [("sigma", g) for g in sigma_labels]
-    idx = {lab: i for i, lab in enumerate(labels)}
-    k = len(labels)
-    N = np.zeros((k, k, k), dtype=int)
-    mult_perp = len(perp_set) // len(hset)  # |Hperp/H|
-    for g in alpha_labels:
-        for h in alpha_labels:
-            N[idx[("g", g)], idx[("g", h)], idx[("g", coset(G.add(g, h), hset))]] = 1
-        for sgl in sigma_labels:
-            N[idx[("g", g)], idx[("sigma", sgl)],
-              idx[("sigma", coset(G.add(g, sgl), perp_set))]] = 1
-            # alpha_g sigma = sigma alpha_{-g}
-            N[idx[("sigma", sgl)], idx[("g", g)],
-              idx[("sigma", coset(G.sub(sgl, g), perp_set))]] = 1
-    perp_cosets = sorted({coset(k, hset) for k in perp_set})  # H_perp / H
-    for s1 in sigma_labels:
-        for s2 in sigma_labels:
-            # (alpha_{s1} sigma)(alpha_{s2} sigma) = alpha_{s1 - s2} sigma^2
-            base = G.sub(s1, s2)
-            for kk in perp_cosets:
-                lab = coset(G.add(base, G.sub(kk, g_a)), hset)
-                N[idx[("sigma", s1)], idx[("sigma", s2)], idx[("g", lab)]] += 1
-            for g in sigma_labels:
-                lab = coset(G.add(base, g), perp_set)
-                N[idx[("sigma", s1)], idx[("sigma", s2)], idx[("sigma", lab)]] += mult_perp
-    ring = FusionRing(labels, N, name=f"dequiv({G}/{len(hset)})")
-    if ring.associativity_residual() != 0:
-        raise AssertionError("de-equivariantized ring is not associative")
-    return ring
+    add, neg = tables(G).add, tables(G).neg
+    hs = [G.index_of(h) for h in H.elements]
+    ps = [G.index_of(k) for k in perp.elements]
+    coset_h, coset_perp = add[:, hs].min(axis=1), add[:, ps].min(axis=1)
+    alpha, sigma = np.unique(coset_h), np.unique(coset_perp)
+    na, ns = len(alpha), len(sigma)
+    A = np.searchsorted(alpha, coset_h)  # label of alpha~ over each element
+    S = na + np.searchsorted(sigma, coset_perp)  # label of alpha~ sigma over each element
+    ia, isg = np.arange(na), na + np.arange(ns)
+    N = np.zeros((na + ns,) * 3, dtype=int)
+    N[ia[:, None], ia, A[add[alpha[:, None], alpha]]] = 1
+    N[ia[:, None], isg, S[add[alpha[:, None], sigma]]] = 1
+    N[isg, ia[:, None], S[add[neg[alpha][:, None], sigma]]] = 1  # alpha_g sigma = sigma alpha_{-g}
+    # (alpha_{s1} sigma)(alpha_{s2} sigma) = alpha_{s1 - s2} sigma^2
+    base = add[sigma[:, None], neg[sigma]][..., None]
+    k_minus_ga = add[np.unique(coset_h[ps]), neg[G.index_of(g_a)]]  # k in Hperp/H
+    N[isg[:, None, None], isg[:, None], A[add[base, k_minus_ga]]] = 1
+    N[isg[:, None, None], isg[:, None], S[add[base, sigma]]] = len(ps) // len(hs)  # |Hperp/H|
+    els = G.elements()
+    labels = [("g", els[g]) for g in alpha] + [("sigma", els[g]) for g in sigma]
+    ring = FusionRing(labels, N, name=f"dequiv({G}/{len(hs)})")
+    return _associative(ring, "de-equivariantized")
 
 
 def dequiv_twisted(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
@@ -581,130 +562,77 @@ def d8_rep_data() -> GammaRepData:
 
 
 def equiv_fusion(G: FiniteAbelianGroup, m: int, gamma) -> FusionRing:
-    """Fusion ring of the equivariantization.
+    """Fusion ring of the equivariantization of K(G, m).
 
-    * ``gamma`` a :class:`GammaRepData`: labels {gamma^_pi alpha~_g} and
-      {gamma^_pi rho~} with
+    * ``gamma`` a :class:`GammaRepData` (m = n dim pi0): Rep(Gamma) (x) K(G, 0)
+      on the labels {gamma^_pi alpha~_g} and {gamma^_pi rho~}, with
 
           rho~^2 = (+)_g alpha~_g (+) n gamma^_{pi0} rho~.
 
-    * ``gamma`` a :class:`GroupAutomorphism` of order 2 (m = n case): labels
+    * ``gamma`` a :class:`GroupAutomorphism` of order 2 (m = n): labels
       {alpha~_g^{+-}} for g in G^theta, {pi_g} for the theta-orbit pairs, and
       {rho~, gamma^ rho~}.
     """
     n = G.order
     if isinstance(gamma, GammaRepData):
         gamma.validate()
-        k = len(gamma.names)
-        labels: list[Label] = []
-        for i in range(k):
-            for g in G:
-                labels.append(("rep", gamma.names[i], g))
-        for i in range(k):
-            labels.append(("rho", gamma.names[i]))
-        idx = {lab: j for j, lab in enumerate(labels)}
-        K = len(labels)
-        N = np.zeros((K, K, K), dtype=int)
-        T = gamma.tensor
-        for i in range(k):
-            for j in range(k):
-                targets = [(r, int(T[i, j, r])) for r in range(k) if T[i, j, r]]
-                for g in G:
-                    for h in G:
-                        for r, mult in targets:
-                            N[idx[("rep", gamma.names[i], g)],
-                              idx[("rep", gamma.names[j], h)],
-                              idx[("rep", gamma.names[r], G.add(g, h))]] += mult
-                    for r, mult in targets:
-                        N[idx[("rep", gamma.names[i], g)], idx[("rho", gamma.names[j])],
-                          idx[("rho", gamma.names[r])]] += mult
-                        N[idx[("rho", gamma.names[j])], idx[("rep", gamma.names[i], g)],
-                          idx[("rho", gamma.names[r])]] += mult
-                # rho_i rho_j = sum_g gamma_{i x j} alpha_g + n gamma_{i x j x pi0} rho
-                for r, mult in targets:
-                    for g in G:
-                        N[idx[("rho", gamma.names[i])], idx[("rho", gamma.names[j])],
-                          idx[("rep", gamma.names[r], g)]] += mult
-                    for r2 in range(k):
-                        extra = int(T[r, gamma.pi0, r2]) * mult
-                        if extra:
-                            N[idx[("rho", gamma.names[i])], idx[("rho", gamma.names[j])],
-                              idx[("rho", gamma.names[r2])]] += n * extra
+        if m != n * gamma.dims[gamma.pi0]:
+            raise ValueError(f"the Gamma-equivariantization is of K({G}, "
+                             f"{n * gamma.dims[gamma.pi0]}), not of K({G}, {m})")
+        T, k = gamma.tensor, len(gamma.names)
+        # the einsum puts (pi, x), x in G + {rho}, at pi (n + 1) + x; the
+        # labels list every (pi, g) first, then every (pi, rho)
+        at = np.arange(k * (n + 1)).reshape(k, n + 1)
+        order = np.r_[at[:, :n].ravel(), at[:, n]]
+        N = np.einsum("ijr,xyz->ixjyrz", T, near_group_ring(G, 0).N)
+        N = N.reshape((k * (n + 1),) * 3)[np.ix_(order, order, order)]
+        N[k * n:, k * n:, k * n:] += n * T @ T[:, gamma.pi0]  # n gamma^_{i x j x pi0} rho~
+        labels = ([("rep", pi, g) for pi in gamma.names for g in G]
+                  + [("rho", pi) for pi in gamma.names])
         ring = FusionRing(labels, N, name=f"equiv({G}, m={m})")
-        if ring.associativity_residual() != 0:
-            raise AssertionError("equivariantized ring is not associative")
-        return ring
+        return _associative(ring, "equivariantized")
 
     theta: GroupAutomorphism = gamma
     if not theta.compose(theta).is_identity():
         raise ValueError("theta must have order dividing 2")
-    fixed = [g for g in G if theta(g) == g]
-    pairs = []
-    seen = set(fixed)
-    for g in G:
-        if g in seen:
-            continue
-        seen.add(g)
-        seen.add(theta(g))
-        pairs.append(g)
-
-    def pair_rep(g):
-        if g in fixed:
-            return None
-        return min(g, theta(g))
-
-    labels = [("g", g, s) for g in fixed for s in (1, -1)]
-    labels += [("pi", g) for g in pairs]
-    labels += [("rho", 1), ("rho", -1)]
-    idx = {lab: i for i, lab in enumerate(labels)}
-    K = len(labels)
-    N = np.zeros((K, K, K), dtype=int)
-
-    def add_invertible(g, s):
-        return idx[("g", g, s)]
-
-    for g in fixed:
-        for s1 in (1, -1):
-            for h in fixed:
-                for s2 in (1, -1):
-                    N[add_invertible(g, s1), add_invertible(h, s2),
-                      add_invertible(G.add(g, h), s1 * s2)] = 1
-            for h in pairs:
-                N[add_invertible(g, s1), idx[("pi", h)], idx[("pi", pair_rep(G.add(g, h)))]] = 1
-                N[idx[("pi", h)], add_invertible(g, s1), idx[("pi", pair_rep(G.add(g, h)))]] = 1
-            # invertibles times rho~: alpha_g rho = rho; gamma^ rho = the twist
-            for srho in (1, -1):
-                N[add_invertible(g, s1), idx[("rho", srho)], idx[("rho", srho * s1)]] = 1
-                N[idx[("rho", srho)], add_invertible(g, s1), idx[("rho", srho * s1)]] = 1
-    for g in pairs:
-        for h in pairs:
-            for target in (G.add(g, h), G.add(g, theta(h))):
-                if target in fixed:
-                    N[idx[("pi", g)], idx[("pi", h)], add_invertible(target, 1)] += 1
-                    N[idx[("pi", g)], idx[("pi", h)], add_invertible(target, -1)] += 1
-                else:
-                    N[idx[("pi", g)], idx[("pi", h)], idx[("pi", pair_rep(target))]] += 1
-        for srho in (1, -1):
-            N[idx[("pi", g)], idx[("rho", srho)], idx[("rho", 1)]] += 1
-            N[idx[("pi", g)], idx[("rho", srho)], idx[("rho", -1)]] += 1
-            N[idx[("rho", srho)], idx[("pi", g)], idx[("rho", 1)]] += 1
-            N[idx[("rho", srho)], idx[("pi", g)], idx[("rho", -1)]] += 1
-    nf = len(fixed)
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            row = idx[("rho", s1)]
-            col = idx[("rho", s2)]
-            tw = s1 * s2
-            for g in fixed:
-                N[row, col, add_invertible(g, tw)] += 1
-            for g in pairs:
-                N[row, col, idx[("pi", g)]] += 1
-            N[row, col, idx[("rho", tw)]] += (n + nf) // 2
-            N[row, col, idx[("rho", -tw)]] += (n - nf) // 2
+    if m != n:
+        raise ValueError(f"the theta-equivariantization is of K({G}, {n}), "
+                         f"not of K({G}, {m})")
+    perm, add = theta.permutation(), tables(G).add
+    fixed = np.flatnonzero(perm == np.arange(n))
+    moved = np.flatnonzero(np.arange(n) < perm)  # the least element of each pair
+    nf, r = len(fixed), 2 * len(fixed) + len(moved)  # rho~ and gamma^ rho~ at r, r + 1
+    # the objects over an element: (g, +1) and (g, -1) at over[g] and over[g] + 1
+    # for g fixed by theta, pi_g at over[g] for a moved one
+    over = np.empty(n, dtype=int)
+    over[fixed] = 2 * np.arange(nf)
+    over[moved] = over[perm[moved]] = 2 * nf + np.arange(len(moved))
+    inv, pis, sign = np.arange(2 * nf), np.arange(2 * nf, r), np.array([0, 1])
+    g_inv, s_inv = fixed[inv // 2], inv % 2  # element and sign bit of each invertible
+    N = np.zeros((r + 2,) * 3, dtype=int)
+    N[inv[:, None], inv, over[add[g_inv[:, None], g_inv]] + (s_inv[:, None] ^ s_inv)] = 1
+    N[inv[:, None], pis, over[add[g_inv[:, None], moved]]] = 1
+    N[pis, inv[:, None], over[add[g_inv[:, None], moved]]] = 1
+    # alpha_g rho = rho; gamma^ rho = the twist
+    N[inv[:, None], r + sign, r + (s_inv[:, None] ^ sign)] = 1
+    N[r + sign, inv[:, None], r + (s_inv[:, None] ^ sign)] = 1
+    for t in (add[moved[:, None], moved], add[moved[:, None], perm[moved]]):
+        # pi_g pi_h = the objects over g + h and over g + theta(h)
+        np.add.at(N, (pis[:, None], pis, over[t]), 1)
+        np.add.at(N, (pis[:, None], pis, over[t] + 1), perm[t] == t)
+    N[2 * nf:r, r:, r:] = N[r:, 2 * nf:r, r:] = 1  # pi rho~ = rho~ pi = rho~ + gamma^ rho~
+    # rho~_s1 rho~_s2 = sum over G^theta of alpha~^{s1 s2} + sum pi
+    #                   + (n + |G^theta|)/2 rho~_{s1 s2} + (n - |G^theta|)/2 rho~_{-s1 s2}
+    twist = sign[:, None] ^ sign
+    N[r + sign[:, None, None], r + sign[:, None], over[fixed] + twist[..., None]] = 1
+    N[r:, r:, 2 * nf:r] = 1
+    N[r + sign[:, None], r + sign, r + twist] = (n + nf) // 2
+    N[r + sign[:, None], r + sign, r + 1 - twist] = (n - nf) // 2
+    els = G.elements()
+    labels = ([("g", els[g], s) for g in fixed for s in (1, -1)]
+              + [("pi", els[g]) for g in moved] + [("rho", 1), ("rho", -1)])
     ring = FusionRing(labels, N, name=f"equiv({G}, theta)")
-    if ring.associativity_residual() != 0:
-        raise AssertionError("equivariantized ring is not associative")
-    return ring
+    return _associative(ring, "equivariantized")
 
 
 def find_near_group_subring(ring: FusionRing) -> FusionRing | None:

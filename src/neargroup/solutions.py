@@ -682,8 +682,10 @@ def fs_nu31_from_data(s) -> complex:
 
 
 def fingerprint(s) -> tuple:
-    """Gauge/automorphism-invariant signature used for deduplication, to 7
-    decimals."""
+    """Gauge/automorphism-invariant signature, to 7 decimals: the key of a
+    class record (``SolutionClass.fingerprint``), of an archived solution
+    and of the CLI's ``fingerprint_hash``.  Deduplication compares by
+    :func:`equivalent` instead."""
 
     def r(x):
         return round(float(np.real(x)), 7) + 0.0, round(float(np.imag(x)), 7) + 0.0
@@ -692,12 +694,9 @@ def fingerprint(s) -> tuple:
         b = s.btensor[0, 0, 0, 0]
         mags = tuple(sorted(round(float(v), 7) + 0.0 for v in np.abs(b)))
         return ("mn", s.group.factors, mags, r(s.acj.c_t[0]), r(fs_nu31_from_data(s)))
-    traces = []
-    for gi in range(s.n):
-        Mg = s.bmatrix(gi)
-        for hi in range(s.n):
-            Mh = s.bmatrix(hi)
-            traces.append(r(np.trace(Mg @ Mh.conj().T)))
+    # tr(B(g) B(h)*) is the Gram matrix of the b-tensor's g-slices
+    Bs = s.btensor.reshape(-1, s.n).T
+    traces = [r(x) for x in (Bs @ Bs.conj().T).ravel()]
     return (
         "general",
         s.group.factors,

@@ -322,11 +322,11 @@ def solve_m2n(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
     """Solve the m = 2n system on the reduced parameter spaces of the cases
     surviving the exact feasibility analysis, which it runs.  Returns
     (solutions, report); each solution's ``provenance["case"]`` is the tag
-    whose solver found it.  Inconclusive equivalence comparisons of the
-    dedupe are appended to ``warnings``; their solutions are kept as distinct.
-    With a ``warnings`` list, a tag whose slice or quadratic model fails
+    whose solver found it.  With a ``warnings`` list, an inconclusive
+    equivalence comparison of the dedupe is recorded there and its solutions
+    are kept as distinct, and a tag whose slice or quadratic model fails
     (``LinAlgError`` or ``ArithmeticError``) is recorded there and skipped;
-    without one, the error propagates."""
+    without one, either error propagates."""
     if config is None:
         config = SolveConfig()
     ctx = ExactContext(G, b, a, 2 * G.order)
@@ -342,7 +342,7 @@ def solve_m2n(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
                 if warnings is None:
                     raise
                 warnings.append(f"case {feas.tag}: not searched: {e}")
-    reps = _dedupe(sols, [] if warnings is None else warnings)
+    reps = _dedupe(sols, warnings)
     reps.sort(key=lambda s: _order_key(s.btensor))
     return reps, feasibilities
 
@@ -515,17 +515,19 @@ def _quadratic(resid, nvar: int):
 # classification
 
 
-def _equiv_or_warn(s, other, warnings: list) -> bool:
+def _equiv_or_warn(s, other, warnings: list | None) -> bool:
     """``equivalent``, with an inconclusive comparison recorded in
-    ``warnings`` and counted as not equivalent."""
+    ``warnings`` and counted as not equivalent; without a list it raises."""
     try:
         return equivalent(s, other)
     except ArithmeticError as e:
+        if warnings is None:
+            raise
         warnings.append(str(e))
         return False
 
 
-def _dedupe(sols: list, warnings: list) -> list:
+def _dedupe(sols: list, warnings: list | None) -> list:
     """One representative, the first in order, of each class of ``sols`` up to
     Aut x gauge; each pair of solutions is compared at most once."""
     reps: list = []

@@ -10,6 +10,7 @@ from neargroup.abelian import (
     Phase,
     QuadraticForm,
     Bicharacter,
+    automorphisms,
     lagrangian_subgroups,
     subgroup_generated_by,
 )
@@ -26,7 +27,7 @@ from neargroup.fusion import (
     out_group,
     principal_graph,
 )
-from neargroup.solutions import GeneralSolution
+from neargroup.solutions import GeneralSolution, dimension_d
 
 
 # --- dimension diagnosis -----------------------------------------------------
@@ -276,3 +277,30 @@ def test_equiv_identity_doubles_trivially():
     r1 = ring.index[("rho", 1)]
     assert ring.N[r1, r1, r1] == 5
     assert ring.N[r1, r1, ring.index[("rho", -1)]] == 0
+
+
+def test_equiv_rejects_a_mismatched_m():
+    """The D8-equivariantization is of K(G, 2n), the theta one of K(G, n)."""
+    Z3, Z5 = FiniteAbelianGroup((3,)), FiniteAbelianGroup((5,))
+    with pytest.raises(ValueError, match="not of K"):
+        equiv_fusion(Z3, 3, d8_rep_data())
+    with pytest.raises(ValueError, match="not of K"):
+        equiv_fusion(Z5, 10, GroupAutomorphism(Z5, ((4,),)))
+
+
+@pytest.mark.parametrize("factors", [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2),
+                                     (2, 4), (3, 3), (2, 2, 2), (2, 2, 3)])
+def test_equiv_rho_dimensions(factors):
+    """The PF dimension of each rho~ label gamma^_pi rho~ is dim(pi) d(n, m):
+    for D8 with m = 2n, and for every theta with theta^2 = 1 with m = n."""
+    G = FiniteAbelianGroup(factors)
+    n = G.order
+    gamma = d8_rep_data()
+    cases = [(gamma, 2 * n, dict(zip(gamma.names, gamma.dims)))]
+    cases += [(th, n, {1: 1, -1: 1}) for th in automorphisms(G)
+              if th.compose(th).is_identity()]
+    for symmetry, m, dims in cases:
+        ring = equiv_fusion(G, m, symmetry)
+        d = dimension_d(n, m).value
+        for lab, dim in dims.items():
+            assert abs(ring.dimension_of(("rho", lab)) - dim * d) < 1e-9 * d, (symmetry, lab)

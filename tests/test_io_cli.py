@@ -218,9 +218,13 @@ def test_cli_dequiv_and_equiv(capsys):
     capsys.readouterr()
     assert main(["equiv", "bundled/z3_m6.json", "--gamma", "D8"]) == 0
     capsys.readouterr()
-    # input errors
+    # input errors; the theta-equivariantization is of K(G, n), the D8 one of K(G, 2n)
     assert main(["dequiv", "bundled/z2z2_m4.json", "--subgroup", "1,0"]) == 2
     capsys.readouterr()
+    assert main(["equiv", "bundled/z3_m6.json", "--aut", "2"]) == 2
+    assert "not of K(Z3, 6)" in capsys.readouterr().err
+    assert main(["equiv", "bundled/z5_m5.json", "--gamma", "D8"]) == 2
+    assert "not of K(Z5, 5)" in capsys.readouterr().err
 
 
 def test_cli_export_tuple(tmp_path, capsys):

@@ -207,6 +207,18 @@ def test_fingerprints_invariant(rng, corpus_all):
             assert fingerprint(aut_act(th, s)) == fingerprint(s), (name, th)
 
 
+def test_fingerprint_traces_match_the_matrix_loop(corpus_all):
+    """The general fingerprint's traces, read off one Gram matrix of the
+    b-tensor's g-slices, are the rounded tr(B(g) B(h)*) of every pair."""
+    general = {name: s for name, s in corpus_all.items() if not s.is_mn}
+    assert general
+    for name, s in general.items():
+        loop = sorted((round(float(t.real), 7) + 0.0, round(float(t.imag), 7) + 0.0)
+                      for g in range(s.n) for h in range(s.n)
+                      for t in [np.trace(s.bmatrix(g) @ s.bmatrix(h).conj().T)])
+        assert np.allclose(fingerprint(s)[4], loop, rtol=0, atol=2e-7), name
+
+
 def test_mn_solution_is_the_l1_general_solution():
     """Every bundled m = n entry is the L = 1 normal form of its (<.,.>, a, c)
     with b as its b-tensor, passes ``residual_general`` as it is, gives b and

@@ -274,6 +274,22 @@ def test_classify_records_each_comparison_once(monkeypatch):
     assert len(res.provenance["warnings"]) == len(calls)
 
 
+def test_inconclusive_comparison_without_warnings_propagates(monkeypatch):
+    """With every comparison inconclusive, solve_m2n on Z3/6's first pair
+    records each one in its warnings list and keeps the solutions distinct;
+    with no list the error propagates."""
+    calls = _inconclusive_equivalent(monkeypatch)
+    G = FiniteAbelianGroup((3,))
+    b, a, _ = pair_classes(G)[0]
+    config = SolveConfig(random_starts=16)
+    warnings = []
+    sols, _ = solve_m2n(G, b, a, config, warnings=warnings)
+    assert len(sols) > 1
+    assert warnings and len(warnings) == len(calls)
+    with pytest.raises(ArithmeticError, match="inconclusive"):
+        solve_m2n(G, b, a, config)
+
+
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError("SVD did not converge"),
                                    ArithmeticError("no clear rank")])
 def test_failed_slice_skips_its_tag(monkeypatch, error):
