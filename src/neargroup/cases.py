@@ -19,13 +19,19 @@ integer coefficients in the power basis 1, zeta, ..., zeta^(phi(N)-1), as
 (j, x) terms sorted by j, over one positive common denominator, reduced mod
 the cyclotomic polynomial Phi_N and gcd-normalised: equal elements have equal
 terms and denominator, and zero is the element with no terms, so every zero
-test is exact.  Sums and products touch only nonzero terms; every context with
-the same N shares one table of the reduced zeta^j, j < N, that products,
-Galois maps and ``zpow`` read.
-Case I tags with the same omega_1 + omega_2 mod 3 share their branch
-systems, built once per context.  The rotation R is unitary, as b is
-nondegenerate, and R^3 = 1, as c^3 a_hat(0) = 1, so R^2 = R*: the eigenspaces
-ker(R - zeta3^k) are read off their exact projectors
+test is exact.  Sums and products touch only nonzero terms.  An element, and
+a polynomial over the field, holds the field (``_Field``), not a pair: every
+context with the same N shares it, with its table of the reduced zeta^j,
+j < N, that products, Galois maps and ``zpow`` read.
+The branch data of Cases I and II (the eigencomponents mu_k(t) of mu(0), their
+real and imaginary parts and |mu_k|^2) and the |G| = 4 values of Case III
+depend on the field, n and m only, so they are built once per (N, n, m) and
+shared by every pair with those; a Case I tag with omega_1 + omega_2 = s
+reads mu_(k+s), a Case II tag omega = j reads mu_(k-j), both exact equalities
+of field elements, and only the pair's eigen data are applied per pair.
+The rotation R is unitary, as b is nondegenerate, and R^3 = 1, as
+c^3 a_hat(0) = 1, so R^2 = R*: the eigenspaces ker(R - zeta3^k) are read
+off their exact projectors
 (1 + zeta3^-k R + zeta3^k R*) / 3, with no product of R with itself, and
 these commute with the anti-unitary J (J R = R* J): the trace gives the
 dimension, the column at the unit the J-fixed vector f0 with f0(0) = 1 and
@@ -45,6 +51,7 @@ certificates do not rest on numerical search.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,47 +161,16 @@ def _unit_generators(N: int) -> list[tuple[int, int]]:
     return out
 
 
-class _Table(NamedTuple):
-    """The data of Q(zeta_N) that every context with this N shares."""
-
-    deg: int  # phi(N)
-    zpows: tuple  # zpows[j]: the terms of zeta^j reduced mod Phi_N, j < N
-    units: tuple  # _unit_generators(N)
-    numeric_pows: np.ndarray  # the doubles zeta^j, j < deg
-
-
-@functools.cache
-def _field_table(N: int) -> _Table:
-    """Built on first use of each N, never at import.  zeta^deg is minus the
-    lower terms of Phi_N, and zeta^j for j > deg is zeta times zeta^(j-1)."""
-    phi = _cyclotomic(N)
-    deg = len(phi) - 1
-    top = tuple((j, -p) for j, p in enumerate(phi[:-1]) if p)
-    zpows = [((j, 1),) for j in range(deg)]
-    for _ in range(deg, N):
-        acc: dict = {}
-        for j, x in zpows[-1]:
-            if j + 1 < deg:
-                acc[j + 1] = acc.get(j + 1, 0) + x
-            else:
-                for i, p in top:
-                    acc[i] = acc.get(i, 0) + x * p
-        zpows.append(tuple((j, acc[j]) for j in sorted(acc) if acc[j]))
-    pows = np.exp(2j * np.pi * np.arange(deg) / N)
-    pows.flags.writeable = False
-    return _Table(deg, tuple(zpows), tuple(_unit_generators(N)), pows)
-
-
 class _Cyc:
-    """The element sum(x zeta_N^j for (j, x) in t) / d of Q(zeta_N).  t holds
-    the nonzero power-basis terms, 0 <= j < deg ascending, with integer x,
-    d > 0 and gcd(d, *x) = 1, so equal elements have equal (t, d) and zero is
-    ((), 1)."""
+    """The element sum(x zeta_N^j for (j, x) in t) / d of the field F =
+    Q(zeta_N).  t holds the nonzero power-basis terms, 0 <= j < deg
+    ascending, with integer x, d > 0 and gcd(d, *x) = 1, so equal elements
+    have equal (t, d) and zero is ((), 1)."""
 
-    __slots__ = ("ctx", "t", "d")
+    __slots__ = ("F", "t", "d")
 
-    def __init__(self, ctx: "ExactContext", t: tuple, d: int):
-        self.ctx, self.t, self.d = ctx, t, d
+    def __init__(self, F: "_Field", t: tuple, d: int):
+        self.F, self.t, self.d = F, t, d
 
     def __add__(self, o):
         if not o.t:
@@ -205,32 +181,32 @@ class _Cyc:
             acc = dict(self.t)
             for j, y in o.t:
                 acc[j] = acc.get(j, 0) + y
-            return self.ctx._elt(acc, self.d)
+            return self.F._elt(acc, self.d)
         acc = {j: x * o.d for j, x in self.t}
         for j, y in o.t:
             acc[j] = acc.get(j, 0) + y * self.d
-        return self.ctx._elt(acc, self.d * o.d)
+        return self.F._elt(acc, self.d * o.d)
 
     def __sub__(self, o):
         return self + (-o)
 
     def __neg__(self):
-        return _Cyc(self.ctx, tuple((j, -x) for j, x in self.t), self.d)
+        return _Cyc(self.F, tuple((j, -x) for j, x in self.t), self.d)
 
     def __mul__(self, o):
         if not (self.t and o.t):
-            return self.ctx.zero
+            return self.F.zero
         acc: dict = {}
         for i, x in self.t:
             for j, y in o.t:
                 k = i + j
                 acc[k] = acc.get(k, 0) + x * y
-        return self.ctx._elt(acc, self.d * o.d)
+        return self.F._elt(acc, self.d * o.d)
 
     def __pow__(self, k: int):
         if k < 0:
-            return self.ctx.inv(self) ** -k
-        out, sq = self.ctx.one, self
+            return self.F.inv(self) ** -k
+        out, sq = self.F.one, self
         while k:
             if k & 1:
                 out = out * sq
@@ -243,13 +219,113 @@ class _Cyc:
         return isinstance(o, _Cyc) and self.d == o.d and self.t == o.t
 
 
+class _Field:
+    """Q(zeta_N), 4 | N: the table of the reduced zeta^j and the arithmetic
+    that every element, polynomial and context with this N share.
+    zeta^deg is minus the lower terms of Phi_N, and zeta^j for j > deg is
+    zeta times zeta^(j-1)."""
+
+    def __init__(self, N: int):
+        phi = _cyclotomic(N)
+        self.N = N
+        self.deg = deg = len(phi) - 1  # phi(N)
+        top = tuple((j, -p) for j, p in enumerate(phi[:-1]) if p)
+        zpows = [((j, 1),) for j in range(deg)]
+        for _ in range(deg, N):
+            acc: dict = {}
+            for j, x in zpows[-1]:
+                if j + 1 < deg:
+                    acc[j + 1] = acc.get(j + 1, 0) + x
+                else:
+                    for i, p in top:
+                        acc[i] = acc.get(i, 0) + x * p
+            zpows.append(tuple((j, acc[j]) for j in sorted(acc) if acc[j]))
+        self.zpows = tuple(zpows)  # zpows[j]: the terms of zeta^j, j < N
+        self.units = tuple(_unit_generators(N))
+        self.numeric_pows = np.exp(2j * np.pi * np.arange(deg) / N)  # zeta^j, j < deg
+        self.numeric_pows.flags.writeable = False
+        self.zero = _Cyc(self, (), 1)
+        self.one = self.int(1)
+        self._half = self.q(Fraction(1, 2))
+        self._minus_half_i = -self.zpow(N // 4) * self._half
+
+    def _elt(self, acc: dict, d: int):
+        """The element sum(x zeta^j for j, x in acc.items()) / d, d > 0, for
+        any j >= 0; ``acc`` is consumed."""
+        deg, zpows, N = self.deg, self.zpows, self.N
+        for j in [j for j in acc if j >= deg]:
+            x = acc.pop(j)
+            if x:
+                for i, p in zpows[j % N]:
+                    acc[i] = acc.get(i, 0) + x * p
+        if d != 1:
+            g = math.gcd(d, *acc.values())
+            if g != 1:
+                acc = {j: x // g for j, x in acc.items()}
+                d //= g
+        return _Cyc(self, tuple(sorted(jx for jx in acc.items() if jx[1])), d)
+
+    def _galois(self, a, k: int):
+        """sigma_k(a), the automorphism zeta -> zeta^k, gcd(k, N) = 1."""
+        return self._elt({j * k % self.N: x for j, x in a.t}, a.d)
+
+    def zpow(self, j: int):
+        return _Cyc(self, self.zpows[j % self.N], 1)
+
+    def int(self, k: int):
+        return self.q(Fraction(k))
+
+    def q(self, fr: Fraction):
+        return _Cyc(self, ((0, fr.numerator),) if fr else (), fr.denominator)
+
+    def conj(self, a):
+        return self._galois(a, -1)
+
+    def re(self, a):
+        return (a + self.conj(a)) * self._half
+
+    def im(self, a):
+        return (a - self.conj(a)) * self._minus_half_i
+
+    def inv(self, a):
+        """a^-1 = prod(sigma(a) for sigma != 1) / N(a).  The norm is built up
+        one generator of (Z/N)^x at a time, keeping a * cof = x, and stops as
+        soon as the partial norm x is rational."""
+        if self.is_zero(a):
+            raise ZeroDivisionError("inverse of 0 in Q(zeta_N)")
+        x, cof = a, self.one
+        for g, r in self.units:
+            if x.t[-1][0] == 0:
+                break
+            # the conjugates of x over the coset representatives g^t, 0 < t < r
+            y = conjs = self._galois(x, g)
+            for _ in range(r - 2):
+                y = self._galois(y, g)
+                conjs = conjs * y
+            x, cof = x * conjs, cof * conjs
+        num, den = x.t[0][1], x.d
+        if num < 0:
+            num, den = -num, -den
+        return self._elt({j: den * c for j, c in cof.t}, num * cof.d)
+
+    @staticmethod
+    def is_zero(a) -> bool:
+        return not a.t
+
+
+_field = functools.cache(_Field)  # built on first use of each N, never at import
+
+
 class ExactContext:
     """Exact rotation/eigen data for one (bicharacter, form) pair: the
     cube-root scalar ``c``, the rotation ``R`` and its eigenspaces ``eig(k)``
     serve every m (``solvers.solve_mn`` reads its slices off them).  Built
     with an ``m``, the field also holds d = (m + sqrt(m^2 + 4n)) / 2, and
     ``d``, ``inv_d`` = 1/d and ``half_d`` = 1/(2d) are set: the constants of
-    the case analysis at that m.  Built without one, ``m`` is None."""
+    the case analysis at that m.  Built without one, ``m`` is None.  The
+    arithmetic (``zero``, ``one``, ``zpow``, ``int``, ``q``, ``conj``, ``re``,
+    ``im``, ``inv``, ``is_zero``) is that of ``field``, shared by every
+    context with the same N."""
 
     def __init__(self, G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
                  m: int | None = None):
@@ -282,14 +358,15 @@ class ExactContext:
         for x in dens | primes:
             N = math.lcm(N, x)
         self.N = N
-        self.table = _field_table(N)
-        self.deg = self.table.deg
-        self.zero = _Cyc(self, (), 1)
-        self.one = self.int(1)
+        F = self.field = _field(N)
+        self.deg = F.deg
+        # the field's arithmetic, read through the context
+        self.zero, self.one = F.zero, F.one
+        self.zpow, self.int, self.q = F.zpow, F.int, F.q
+        self.conj, self.re, self.im, self.inv, self.is_zero = F.conj, F.re, F.im, F.inv, F.is_zero
         self.K_two = self.int(2)
         half = self.q(Fraction(1, 2))
         self.i = self.zpow(N // 4)
-        self._minus_half_i = -self.i * half
 
         self.sqrt_n = self._sqrt_int(_squarefree(n)) * self.int(math.isqrt(n // _squarefree(n)))
         inv_n = self.q(Fraction(1, n))
@@ -315,71 +392,11 @@ class ExactContext:
         self.R = [[r * self.phase(b.phase(g, h)) for h in els] for r, g in zip(rows, els)]
         self.zeta3 = self.zpow(self.N // 3)
         self._eig: dict[int, dict] = {}
-        self._branches_I: dict[int, list] = {}  # see _case_I_branches
 
-    # -- the field Q(zeta_N) ---------------------------------------------------
-
-    def _elt(self, acc: dict, d: int) -> "_Cyc":
-        """The element sum(x zeta^j for j, x in acc.items()) / d, d > 0, for
-        any j >= 0; ``acc`` is consumed."""
-        deg, zpows, N = self.deg, self.table.zpows, self.N
-        for j in [j for j in acc if j >= deg]:
-            x = acc.pop(j)
-            if x:
-                for i, p in zpows[j % N]:
-                    acc[i] = acc.get(i, 0) + x * p
-        if d != 1:
-            g = math.gcd(d, *acc.values())
-            if g != 1:
-                acc = {j: x // g for j, x in acc.items()}
-                d //= g
-        return _Cyc(self, tuple(sorted(jx for jx in acc.items() if jx[1])), d)
-
-    def _galois(self, a: "_Cyc", k: int) -> "_Cyc":
-        """sigma_k(a), the automorphism zeta -> zeta^k, gcd(k, N) = 1."""
-        return self._elt({j * k % self.N: x for j, x in a.t}, a.d)
-
-    def zpow(self, j: int):
-        return _Cyc(self, self.table.zpows[j % self.N], 1)
-
-    def int(self, k: int):
-        return self.q(Fraction(k))
-
-    def q(self, fr: Fraction):
-        return _Cyc(self, ((0, fr.numerator),) if fr else (), fr.denominator)
+    # -- phases, values and signs ---------------------------------------------
 
     def phase(self, p: Phase):
         return self.zpow(p.num * self.N // p.den)
-
-    def conj(self, a):
-        return self._galois(a, -1)
-
-    def re(self, a):
-        return (a + self.conj(a)) * self.q(Fraction(1, 2))
-
-    def im(self, a):
-        return (a - self.conj(a)) * self._minus_half_i
-
-    def inv(self, a):
-        """a^-1 = prod(sigma(a) for sigma != 1) / N(a).  The norm is built up
-        one generator of (Z/N)^x at a time, keeping a * cof = x, and stops as
-        soon as the partial norm x is rational."""
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of 0 in Q(zeta_N)")
-        x, cof = a, self.one
-        for g, r in self.table.units:
-            if x.t[-1][0] == 0:
-                break
-            # the conjugates of x over the coset representatives g^t, 0 < t < r
-            y = conjs = self._galois(x, g)
-            for _ in range(r - 2):
-                y = self._galois(y, g)
-                conjs = conjs * y
-            x, cof = x * conjs, cof * conjs
-        num, den = x.t[0][1], x.d
-        if num < 0:
-            num, den = -num, -den
-        return self._elt({j: den * c for j, c in cof.t}, num * cof.d)
 
     def numeric(self, a) -> complex:
         """The double value: the dense vector of c_j / d, j < deg, dotted with
@@ -387,7 +404,7 @@ class ExactContext:
         cs = np.zeros(self.deg)
         for j, x in a.t:
             cs[j] = x / a.d
-        return complex(np.dot(cs, self.table.numeric_pows))
+        return complex(np.dot(cs, self.field.numeric_pows))
 
     def numeric_hp(self, a, dps: int = 60):
         """The value of ``a`` as an mpmath ``mpc`` evaluated at ``dps`` digits."""
@@ -398,9 +415,6 @@ class ExactContext:
             for j, x in a.t:
                 tot += mpmath.mpf(x) * mpmath.e ** (2j * mpmath.pi * j / self.N)
             return tot / a.d
-
-    def is_zero(self, a) -> bool:
-        return not a.t
 
     def sign(self, a) -> int:
         """Certified sign of an exactly real field element.  The double is
@@ -425,30 +439,19 @@ class ExactContext:
             dps *= 2
 
     def _sqrt_int(self, s: int):
-        """sqrt of a squarefree positive integer as a field element."""
-        if s == 1:
-            return self.one
+        """sqrt of a squarefree positive integer as a field element: the
+        product of sqrt(2) = zeta8 + 1/zeta8 and of the Gauss sum
+        sum((k/p) zeta_p^k), which is sqrt(p) or, for p = 3 mod 4, i sqrt(p),
+        over its primes, with its sign read off the double."""
         out = self.one
-        rem = s
-        if rem % 2 == 0:
-            out = out * (self.zpow(self.N // 8) + self.zpow(self.N - self.N // 8))
-            rem //= 2
-        p = 3
-        while p * p <= rem or rem > 1:
-            if rem % p == 0:
-                g = self.zero
-                for k in range(1, p):
-                    leg = pow(k, (p - 1) // 2, p)
-                    sgn = 1 if leg == 1 else -1
-                    g = g + self.int(sgn) * self.zpow(k * self.N // p)
-                if p % 4 == 3:
-                    # g = i sqrt(p); divide by i
-                    g = -g * self.i
-                out = out * g
-                rem //= p
-            if rem == 1:
-                break
-            p += 2
+        for p in _factorize(s):
+            if p == 2:
+                out = out * (self.zpow(self.N // 8) + self.zpow(-(self.N // 8)))
+                continue
+            legendre = (1 if pow(k, (p - 1) // 2, p) == 1 else -1 for k in range(1, p))
+            g = sum((self.int(x) * self.zpow(k * self.N // p)
+                     for k, x in enumerate(legendre, 1)), self.zero)
+            out = out * (-g * self.i if p % 4 == 3 else g)
         approx = self.numeric(out)
         if abs(approx - math.sqrt(s)) > 1e-6:
             out = -out
@@ -517,97 +520,97 @@ class ExactContext:
 
 
 class KPoly:
-    """Polynomial in one real variable with exact field coefficients."""
+    """Polynomial in one real variable with exact coefficients in the field F."""
 
-    def __init__(self, ctx: ExactContext, coeffs: list):
-        while len(coeffs) > 1 and ctx.is_zero(coeffs[-1]):
+    def __init__(self, F: _Field, coeffs: list):
+        while len(coeffs) > 1 and F.is_zero(coeffs[-1]):
             coeffs = coeffs[:-1]
-        self.ctx = ctx
+        self.F = F
         self.coeffs = coeffs
 
     @staticmethod
-    def const(ctx, a):
-        return KPoly(ctx, [a])
+    def const(F, a):
+        return KPoly(F, [a])
 
     @staticmethod
-    def tvar(ctx):
-        return KPoly(ctx, [ctx.zero, ctx.one])
+    def tvar(F):
+        return KPoly(F, [F.zero, F.one])
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
-        return all(self.ctx.is_zero(c) for c in self.coeffs)
+        return all(self.F.is_zero(c) for c in self.coeffs)
 
     def __add__(self, other):
         other = self._lift(other)
         n = max(len(self.coeffs), len(other.coeffs))
         cs = []
         for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else self.ctx.zero
-            b = other.coeffs[i] if i < len(other.coeffs) else self.ctx.zero
+            a = self.coeffs[i] if i < len(self.coeffs) else self.F.zero
+            b = other.coeffs[i] if i < len(other.coeffs) else self.F.zero
             cs.append(a + b)
-        return KPoly(self.ctx, cs)
+        return KPoly(self.F, cs)
 
     def __neg__(self):
-        return KPoly(self.ctx, [-c for c in self.coeffs])
+        return KPoly(self.F, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-self._lift(other))
 
     def __mul__(self, other):
         other = self._lift(other)
-        cs = [self.ctx.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        cs = [self.F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if self.ctx.is_zero(a):
+            if self.F.is_zero(a):
                 continue
             for j, b in enumerate(other.coeffs):
                 cs[i + j] = cs[i + j] + a * b
-        return KPoly(self.ctx, cs)
+        return KPoly(self.F, cs)
 
     def _lift(self, other):
         if isinstance(other, KPoly):
             return other
-        return KPoly.const(self.ctx, other)
+        return KPoly.const(self.F, other)
 
     def conj(self):
-        return KPoly(self.ctx, [self.ctx.conj(c) for c in self.coeffs])
+        return KPoly(self.F, [self.F.conj(c) for c in self.coeffs])
 
     def re(self):
-        return KPoly(self.ctx, [self.ctx.re(c) for c in self.coeffs])
+        return KPoly(self.F, [self.F.re(c) for c in self.coeffs])
 
     def im(self):
-        return KPoly(self.ctx, [self.ctx.im(c) for c in self.coeffs])
+        return KPoly(self.F, [self.F.im(c) for c in self.coeffs])
 
     def abs2(self):
         return self * self.conj()
 
     def eval(self, x):
-        out = self.ctx.zero
+        out = self.F.zero
         for c in reversed(self.coeffs):
             out = out * x + c
         return out
 
     def deriv(self):
-        return KPoly(self.ctx, [c * self.ctx.int(k)
-                                for k, c in enumerate(self.coeffs)][1:] or [self.ctx.zero])
+        return KPoly(self.F, [c * self.F.int(k)
+                              for k, c in enumerate(self.coeffs)][1:] or [self.F.zero])
 
     def monic(self):
         lead = self.coeffs[-1]
-        inv = self.ctx.inv(lead)
-        return KPoly(self.ctx, [c * inv for c in self.coeffs])
+        inv = self.F.inv(lead)
+        return KPoly(self.F, [c * inv for c in self.coeffs])
 
     def rem(self, other: "KPoly") -> "KPoly":
         """The remainder of ``self`` modulo the monic ``other``."""
         a, b = self.coeffs[:], other.coeffs[:-1]
         while len(a) > len(b):
             f = a.pop()
-            if not self.ctx.is_zero(f):
+            if not self.F.is_zero(f):
                 shift = len(a) - len(b)
                 for i, cb in enumerate(b):
                     a[shift + i] = a[shift + i] - f * cb
-        return KPoly(self.ctx, a or [self.ctx.zero])
+        return KPoly(self.F, a or [self.F.zero])
 
 
 def _poly_gcd(ps: list[KPoly]) -> KPoly:
@@ -625,22 +628,21 @@ def _poly_gcd(ps: list[KPoly]) -> KPoly:
     return g
 
 
-def _resolve_t_system(ctx: ExactContext, equations: list[KPoly]):
-    """Decide {p(t) = 0 for every p, t real, |t| <= 1}: returns (feasible,
-    witness).  The real and imaginary parts of the equations, when any is
-    nonzero, have a common real root in [-1, 1] iff their gcd g does:
-    g(+-1) = 0, or the Sturm chain g, g', -rem(g, g'), ... has fewer sign
-    variations at +1 than at -1 (Sturm's theorem), every sign exact.  The
-    witness is the root of a linear g, else None.  A nonzero constant part
-    refutes the system as soon as it is split off, before the equations
-    after it are split."""
+def _resolve_t_system(ctx: ExactContext, parts) -> tuple:
+    """Decide {q(t) = 0 for every q in ``parts``, t real, |t| <= 1}, the
+    parts real polynomials (the real and imaginary parts of a system's
+    equations): returns (feasible, witness).  The nonzero parts, when any
+    is, have a common real root in [-1, 1] iff their gcd g does: g(+-1) = 0,
+    or the Sturm chain g, g', -rem(g, g'), ... has fewer sign variations at
+    +1 than at -1 (Sturm's theorem), every sign exact.  The witness is the
+    root of a linear g, else None.  A nonzero constant part refutes the
+    system as soon as it is read, before the parts after it are."""
     reals = []
-    for e in equations:
-        for q in (e.re(), e.im()):
-            if not q.is_zero():
-                if q.degree == 0:
-                    return False, None
-                reals.append(q)
+    for q in parts:
+        if not q.is_zero():
+            if q.degree == 0:
+                return False, None
+            reals.append(q)
     if not reals:
         return True, None
     g = _poly_gcd(reals)
@@ -664,121 +666,197 @@ def _resolve_t_system(ctx: ExactContext, equations: list[KPoly]):
 
 
 # ---------------------------------------------------------------------------
-# Cases I and II
+# the branch data, shared per (N, n, m)
 
 
-def _g0_equations(ctx: ExactContext, mu0: KPoly, Rmu0: KPoly, R2mu0: KPoly,
-                  odd: bool, k_excl: int, rhs):
-    """The g = 0 equations that Cases I and II share for one branch.
-
-    mu_k is the ker(R - zeta3^k) component of mu(0) = mu0, R mu0, R^2 mu0.
-    Its value at the unit is real (J-fixed, Case I) or imaginary (J-odd,
-    ``odd``, Case II); it vanishes where the eigenspace is 0 or kills
-    evaluation at 0; on a pinned line its squared norm is |mu_k|^2 ||f0||^2.
-    When both eigenspaces other than k_excl are pinned, their norms sum to
-    ``rhs``.  Returns (mu_k, equations, pinned norms by k, None if free).
-    """
-    third = KPoly.const(ctx, ctx.q(Fraction(1, 3)))
-    mu_k = [(mu0 + Rmu0 * ctx.zeta3 ** (-k % 3) + R2mu0 * ctx.zeta3 ** k) * third
-            for k in range(3)]
-    eqs = [mu.re() if odd else mu.im() for mu in mu_k]
-    pin: dict = {}
-    for k in range(3):
-        e = ctx.eig(k)
-        pin[k] = None
-        if e["f0"] is None:
-            eqs.append(mu_k[k])
-            if e["dim"] == 0:
-                pin[k] = KPoly.const(ctx, ctx.zero)
-        elif e["dim"] == 1:
-            pin[k] = mu_k[k].abs2() * KPoly.const(ctx, e["norm_f0"])
-    included = [pin[k] for k in range(3) if k != k_excl]
-    if None not in included:
-        eqs.append(included[0] + included[1] - KPoly.const(ctx, rhs))
-    return mu_k, eqs, pin
+_SHARED: dict = {}  # (N, n, m) -> _branch_data
 
 
-def _case_I_branches(ctx: ExactContext, s: int) -> list:
-    """The Case I branches of every tag with omega_1 + omega_2 = s mod 3:
-    (name, params, xi0, |eta|^2, g = 0 equations, pinned norms).  They
-    depend on the tag only through zeta3^s = w1 w2 and k_excl = -s, so each
-    is built once per context; callers copy the equation list before adding
-    to it."""
-    if s in ctx._branches_I:
-        return ctx._branches_I[s]
-    n = ctx.n
-    w12 = ctx.zeta3 ** s
+class _Branch(NamedTuple):
+    """One Case I/II branch at the tag with omega_1 + omega_2 = 0 (Case I)
+    or omega = 0 (Case II): mu_k(t), the ker(R - zeta3^k) component of
+    mu(0), k = 0, 1, 2, with the real and imaginary parts and |mu_k|^2 of
+    each, and the branch's other polynomials."""
+
+    name: str  # with its kappa parameters
+    odd: bool  # mu_k(0) is imaginary (J-odd, Case II), else real (J-fixed)
+    rhs: _Cyc  # the norms of the two eigenspaces other than k_excl sum to it
+    mu: tuple
+    re: tuple
+    im: tuple
+    abs2: tuple
+    extra: tuple  # Case I: xi0, |eta|^2, xi0^2 - 2|eta|^2; Case II: |xi0|^2, |eta|^2
+
+
+class _BranchData(NamedTuple):
+    case_I: tuple  # _Branch
+    case_II: tuple  # _Branch, branch 1
+    case_II_vanishing: tuple  # _Branch, branch 2
+    case_III: tuple  # (kappa, mu(0), mu(0)^2 = 1/2, T_24, 2 y^2 U_23^2)
+
+
+def _branch_data(ctx: ExactContext) -> _BranchData:
+    """The branches of Cases I, II and III, built on first use once per
+    (N, n, m): they read a context only through its field and the constants
+    that n and m fix in it (sqrt(n), i, zeta3, d), so every pair with the
+    same N, n and m shares them, and their elements and polynomials hold the
+    field, not a pair.
+
+    Cases I and II are built at omega_1 + omega_2 = 0 and omega = 0.  A Case
+    I tag with sum s has R mu(0) = conj(zeta3^s) R mu0 and R^2 mu(0) =
+    zeta3^s R^2 mu0, so its mu_k is mu_(k+s) of these; the Case II tag omega
+    = j has R mu(0) = zeta3^j R mu0 and R^2 mu(0) = conj(zeta3^j) R^2 mu0,
+    so its mu_k is mu_(k-j): every tag reads them rotated, exactly.  A Case
+    III branch kappa has mu(0) = -1/(2d) + kappa / (2 sqrt(n)), and at |G| =
+    4, when 2 y^2 = 1 - 2 mu(0)^2 > 0, T_24 and 2 y^2 U_23^2 at cos(theta) =
+    sqrt(2) mu(0) (else None)."""
+    key = (ctx.N, ctx.n, ctx.m)
+    if key in _SHARED:
+        return _SHARED[key]
+    F, n = ctx.field, ctx.n
     inv2rn, half_d, i_unit = ctx.inv2rn, ctx.half_d, ctx.i
-    T = KPoly.tvar(ctx)
-    C = lambda a: KPoly.const(ctx, a)
+    T = KPoly.tvar(F)
+    C = functools.partial(KPoly.const, F)
+    third, quarter_n = ctx.q(Fraction(1, 3)), C(ctx.q(Fraction(1, 4 * n)))
 
-    branches = []
+    def branch(name, params, odd, rhs, mu0, Rmu0, R2mu0, extra):
+        mu = tuple((mu0 + Rmu0 * ctx.zeta3 ** (-k % 3) + R2mu0 * ctx.zeta3 ** k) * C(third)
+                   for k in range(3))
+        return _Branch(f"{name}{params}", odd, rhs, mu, tuple(p.re() for p in mu),
+                       tuple(p.im() for p in mu), tuple(p.abs2() for p in mu), extra)
+
+    case_I = []
     for kappa2 in (1, -1):
         xi0 = C(-half_d) - T * C(inv2rn)
-        eta_sq = (C(ctx.one) - T * T) * C(ctx.q(Fraction(1, 4 * n)))
+        eta_sq = (C(ctx.one) - T * T) * quarter_n
         mu0 = C(-half_d) + T * C(inv2rn)
-        Rmu0 = (T + C(ctx.int(kappa2) * i_unit)) * C(ctx.conj(w12) * inv2rn)
-        R2mu0 = (T - C(ctx.int(kappa2) * i_unit)) * C(w12 * inv2rn)
-        branches.append(("branch1", {"kappa2": kappa2},
-                         xi0, eta_sq, mu0, Rmu0, R2mu0))
+        Rmu0 = (T + C(ctx.int(kappa2) * i_unit)) * C(inv2rn)
+        R2mu0 = (T - C(ctx.int(kappa2) * i_unit)) * C(inv2rn)
+        case_I.append(branch("branch1", {"kappa2": kappa2}, False, third, mu0, Rmu0, R2mu0,
+                             (xi0, eta_sq, xi0 * xi0 - eta_sq - eta_sq)))
     for kappa1 in (1, -1):
         for kappa2 in (1, -1):
             k1 = ctx.int(kappa1)
             xi0 = C(-half_d - k1 * inv2rn)
             mu0 = C(-half_d + k1 * inv2rn)
-            Rmu0 = C(ctx.conj(w12) * (-k1 + ctx.int(kappa2) * i_unit) * inv2rn)
-            R2mu0 = C(w12 * (-k1 - ctx.int(kappa2) * i_unit) * inv2rn)
-            branches.append(("branch2", {"kappa1": kappa1, "kappa2": kappa2},
-                             xi0, C(ctx.zero), mu0, Rmu0, R2mu0))
-    out = []
-    for name, params, xi0, eta_sq, mu0, Rmu0, R2mu0 in branches:
-        _, eqs, pin_norm = _g0_equations(ctx, mu0, Rmu0, R2mu0, False, -s % 3,
-                                         ctx.q(Fraction(1, 3)))
-        out.append((name, params, xi0, eta_sq, eqs, pin_norm))
-    ctx._branches_I[s] = out
+            Rmu0 = C((-k1 + ctx.int(kappa2) * i_unit) * inv2rn)
+            R2mu0 = C((-k1 - ctx.int(kappa2) * i_unit) * inv2rn)
+            case_I.append(branch("branch2", {"kappa1": kappa1, "kappa2": kappa2}, False,
+                                 third, mu0, Rmu0, R2mu0, (xi0, C(ctx.zero), xi0 * xi0)))
+
+    rhs = third - ctx.inv_d * ctx.q(Fraction(2, 3))
+    case_II, case_II_vanishing = [], []
+    for kappa1 in (1, -1):
+        mu0 = (C(ctx.int(kappa1)) - T) * C(i_unit * inv2rn)
+        Rmu0 = C(-half_d) - T * C(i_unit * inv2rn)
+        R2mu0 = C(half_d) - T * C(i_unit * inv2rn)
+        absxi0_sq = (C(ctx.int(kappa1)) + T) * (C(ctx.int(kappa1)) + T) * quarter_n
+        abseta_sq = (C(ctx.one) - T * T) * quarter_n
+        case_II.append(branch("branch1", {"kappa1": kappa1}, True, rhs, mu0, Rmu0, R2mu0,
+                              (absxi0_sq, abseta_sq)))
+    for kappa in (1, -1):
+        mu0 = C(ctx.int(kappa) * i_unit * ctx.inv_sqrt_n)
+        Rmu0 = C(-half_d - ctx.int(kappa) * i_unit * inv2rn)
+        R2mu0 = C(half_d - ctx.int(kappa) * i_unit * inv2rn)
+        case_II_vanishing.append(branch("branch2", {"kappa": kappa}, True, rhs,
+                                        mu0, Rmu0, R2mu0, ()))
+
+    case_III = []
+    for kappa in (1, -1):
+        mu0 = -half_d + ctx.int(kappa) * inv2rn
+        half_sq = mu0 * mu0 == ctx.q(Fraction(1, 2))
+        T24 = V = None
+        if n == 4 and not (half_sq or ctx.is_zero(mu0)):
+            y2two = ctx.one - ctx.K_two * mu0 * mu0  # = 2 y^2 = sin^2(theta)
+            if ctx.sign(y2two) > 0:
+                T24, U23 = _chebyshev(ctx, 24, ctx._sqrt_int(2) * mu0)
+                V = y2two * U23 * U23
+        case_III.append((kappa, mu0, half_sq, T24, V))
+    out = _SHARED[key] = _BranchData(tuple(case_I), tuple(case_II),
+                                     tuple(case_II_vanishing), tuple(case_III))
     return out
 
 
+# ---------------------------------------------------------------------------
+# Cases I and II
+
+
+def _pin(ctx: ExactContext, br: _Branch, rot: list, k: int):
+    """The squared norm of the ker(R - zeta3^k) component of mu(0) at the tag
+    whose mu_k is br.mu[rot[k]]: |mu_k|^2 ||f0||^2 on a pinned line, 0 on a
+    zero eigenspace, None when it is free."""
+    e = ctx.eig(k)
+    if e["f0"] is None:
+        return KPoly.const(ctx.field, ctx.zero) if e["dim"] == 0 else None
+    if e["dim"] == 1:
+        return br.abs2[rot[k]] * KPoly.const(ctx.field, e["norm_f0"])
+    return None
+
+
+def _g0_equations(ctx: ExactContext, br: _Branch, rot: list, k_excl: int):
+    """The g = 0 equations that Cases I and II share, for branch ``br`` at
+    the tag whose mu_k is br.mu[rot[k]], as real polynomials: each is read
+    off the branch data (``_branch_data``, once per (N, n, m)) or, when it
+    holds the pair's norm_f0, built when the resolver reaches it.
+
+    mu_k(0) is real (J-fixed, Case I) or imaginary (``br.odd``, J-odd, Case
+    II); mu_k vanishes where the eigenspace kills evaluation at 0; when both
+    eigenspaces other than k_excl are pinned (``_pin``), their norms sum to
+    ``br.rhs``.  Only these pair data are read: which f0 is None, the
+    dimensions and norm_f0."""
+    yield from ((br.re if br.odd else br.im)[r] for r in rot)
+    for k in range(3):
+        if ctx.eig(k)["f0"] is None:
+            yield br.re[rot[k]]
+            yield br.im[rot[k]]
+    pins = [_pin(ctx, br, rot, k) for k in range(3) if k != k_excl]
+    if None not in pins:
+        yield pins[0] + pins[1] - KPoly.const(ctx.field, br.rhs)
+
+
 def _case_I(ctx: ExactContext, tag: CaseTag) -> Feasibility:
-    if tag.omegas[0] == tag.omegas[1]:
-        if ctx.eig(tag.omegas[0])["dim"] < 2:
-            return Feasibility(tag, False, "CaseI3 eigenspace dimension",
-                               f"dim ker(R - z3^{tag.omegas[0]}) < 2")
-    s = sum(tag.omegas) % 3
+    w1, w2 = tag.omegas
+    if w1 == w2 and ctx.eig(w1)["dim"] < 2:
+        return Feasibility(tag, False, "CaseI3 eigenspace dimension",
+                           f"dim ker(R - z3^{w1}) < 2")
+    s = (w1 + w2) % 3
     k_excl = -s % 3
-    C = lambda a: KPoly.const(ctx, a)
+    rot = [(k + s) % 3 for k in range(3)]
+    C = functools.partial(KPoly.const, ctx.field)
+    unpinned = any(ctx.eig(w)["f0"] is None for w in tag.omegas)
+    # the tag's pinned lines, for the norm identities I51/I52, and whether an
+    # order-2 element relation holds: pair data, the same for every branch
+    small_norms, order2 = [], False
+    if w1 != w2:
+        es, e_excl = [ctx.eig(w) for w in sorted(tag.omegas)], ctx.eig(k_excl)
+        small = [e for e in es if e["dim"] == 1 and e["f0"] is not None]
+        if e_excl["dim"] == (0 if e_excl["f0"] is None else 1):
+            small_norms = [e["norm_f0"] for e in small]
+        big = [e for e in es if e["dim"] == 2 and e["f0"] is not None]
+        if big and small:
+            f0b, f0s = big[0]["f0"], small[0]["f0"]
+            order2 = any(ctx.G.element_order(g) == 2 and ctx.is_zero(big[0]["f0p"][gi])
+                         and f0b[gi] * ctx.conj(f0b[gi]) != f0s[gi] * ctx.conj(f0s[gi])
+                         for gi, g in enumerate(ctx.els))
+
+    def parts(br):
+        yield from _g0_equations(ctx, br, rot, k_excl)
+        xi0, eta_sq, xi_eta = br.extra
+        if unpinned:
+            yield xi0
+            yield eta_sq
+        if small_norms:
+            pin_excl = _pin(ctx, br, rot, k_excl) * C(ctx.int(3)) - C(ctx.inv_d)
+            for norm in small_norms:
+                yield xi_eta * C(norm) - pin_excl
+        if order2:
+            yield xi_eta
 
     surviving = []
-    for name, params, xi0, eta_sq, g0_eqs, pin_norm in _case_I_branches(ctx, s):
-        eqs = list(g0_eqs)
-        if any(ctx.eig(w)["f0"] is None for w in tag.omegas):
-            eqs += [xi0, eta_sq]
-        if tag.omegas[0] != tag.omegas[1]:
-            for small_exp in set(tag.omegas):
-                e_small = ctx.eig(small_exp)
-                if (e_small["dim"] == 1 and e_small["f0"] is not None
-                        and pin_norm[k_excl] is not None):
-                    eqs.append((xi0 * xi0 - eta_sq - eta_sq) * C(e_small["norm_f0"])
-                               - pin_norm[k_excl] * C(ctx.int(3)) + C(ctx.inv_d))
-            dims = {exp: ctx.eig(exp)["dim"] for exp in tag.omegas}
-            big = [exp for exp in set(tag.omegas) if dims[exp] == 2]
-            small = [exp for exp in set(tag.omegas) if dims[exp] == 1]
-            if big and small:
-                ebig, esmall = ctx.eig(big[0]), ctx.eig(small[0])
-                if ebig["f0"] is not None and esmall["f0"] is not None:
-                    for gi, g in enumerate(ctx.els):
-                        if ctx.G.element_order(g) != 2:
-                            continue
-                        if not ctx.is_zero(ebig["f0p"][gi]):
-                            continue
-                        diff = (ebig["f0"][gi] * ctx.conj(ebig["f0"][gi])
-                                - esmall["f0"][gi] * ctx.conj(esmall["f0"][gi]))
-                        if not ctx.is_zero(diff):
-                            eqs.append(xi0 * xi0 - eta_sq - eta_sq)
-                            break
-        feasible, t0 = _resolve_t_system(ctx, eqs)
+    for br in _branch_data(ctx).case_I:
+        feasible, t0 = _resolve_t_system(ctx, parts(br))
         if feasible:
-            surviving.append(f"{name}{params}" + (
+            surviving.append(br.name + (
                 f" t={ctx.numeric(t0).real:.6f}" if t0 is not None else ""))
     if surviving:
         return Feasibility(tag, True, details="; ".join(surviving), inconclusive=True)
@@ -788,46 +866,25 @@ def _case_I(ctx: ExactContext, tag: CaseTag) -> Feasibility:
 
 
 def _case_II(ctx: ExactContext, tag: CaseTag) -> Feasibility:
-    n = ctx.n
     j = tag.omega % 3
-    w = ctx.zeta3 ** j
     e_j = ctx.eig(j)
     if e_j["dim"] < 2:
         return Feasibility(tag, False, "CaseII3 eigenspace dimension",
                            f"dim ker(R - z3^{j}) = {e_j['dim']} < 2")
-    inv2rn, half_d, i_unit = ctx.inv2rn, ctx.half_d, ctx.i
-    T = KPoly.tvar(ctx)
-    C = lambda a: KPoly.const(ctx, a)
-
-    branches = []
-    for kappa1 in (1, -1):
-        mu0 = (C(ctx.int(kappa1)) - T) * C(i_unit * inv2rn)
-        Rmu0 = C(-w * half_d) - T * C(w * i_unit * inv2rn)
-        R2mu0 = C(ctx.conj(w) * half_d) - T * C(ctx.conj(w) * i_unit * inv2rn)
-        absxi0_sq = (C(ctx.int(kappa1)) + T) * (C(ctx.int(kappa1)) + T) \
-            * C(ctx.q(Fraction(1, 4 * n)))
-        abseta_sq = (C(ctx.one) - T * T) * C(ctx.q(Fraction(1, 4 * n)))
-        branches.append(("branch1", {"kappa1": kappa1}, mu0, Rmu0, R2mu0,
-                         absxi0_sq, abseta_sq))
+    rot = [(k - j) % 3 for k in range(3)]
+    data = _branch_data(ctx)
     # branch 2 needs two real-independent J-fixed vectors of ker(R - w) that
     # vanish at 0
-    if e_j["vanishing"] >= 2:
-        for kappa in (1, -1):
-            mu0 = C(ctx.int(kappa) * i_unit * ctx.inv_sqrt_n)
-            Rmu0 = C(w * (-half_d - ctx.int(kappa) * i_unit * inv2rn))
-            R2mu0 = C(ctx.conj(w) * (half_d - ctx.int(kappa) * i_unit * inv2rn))
-            branches.append(("branch2", {"kappa": kappa}, mu0, Rmu0, R2mu0,
-                             C(ctx.zero), C(ctx.zero)))
+    branches = data.case_II + (data.case_II_vanishing if e_j["vanishing"] >= 2 else ())
 
-    rhs = ctx.q(Fraction(1, 3)) - ctx.inv_d * ctx.q(Fraction(2, 3))
     surviving = []
-    for name, params, mu0, Rmu0, R2mu0, absxi0_sq, abseta_sq in branches:
-        mu_k, eqs, _ = _g0_equations(ctx, mu0, Rmu0, R2mu0, True, j, rhs)
+    for br in branches:
+        parts = _g0_equations(ctx, br, rot, j)
         if e_j["f0"] is None:
-            eqs += [absxi0_sq, abseta_sq]
-        feasible, t0 = _resolve_t_system(ctx, eqs)
+            parts = itertools.chain(parts, br.extra)
+        feasible, t0 = _resolve_t_system(ctx, parts)
         if feasible:
-            surviving.append((f"{name}{params}", t0, mu_k))
+            surviving.append((br.name, t0, [br.mu[r] for r in rot]))
     if not surviving:
         return Feasibility(tag, False, "CaseII g=0 values / norm identity",
                            "all kappa branches exactly contradicted")
@@ -866,14 +923,10 @@ def _case_II_order2_refutation(ctx: ExactContext, tag: CaseTag, t0,
     if not (e1["dim"] == 1 and e1["f0"] is not None
             and e2["dim"] == 1 and e2["f0"] is not None):
         return False
-    if t0 is None:
-        if mu_k[k1].degree > 0 or mu_k[k2].degree > 0:
-            return False
-        mu1_0 = mu_k[k1].coeffs[0]
-        mu2_0 = mu_k[k2].coeffs[0]
-    else:
-        mu1_0 = mu_k[k1].eval(t0)
-        mu2_0 = mu_k[k2].eval(t0)
+    if t0 is None and (mu_k[k1].degree > 0 or mu_k[k2].degree > 0):
+        return False
+    t0 = ctx.zero if t0 is None else t0
+    mu1_0, mu2_0 = mu_k[k1].eval(t0), mu_k[k2].eval(t0)
     for gi, g in enumerate(ctx.els):
         if g == G.zero():
             continue
@@ -928,14 +981,10 @@ def _case_III(ctx: ExactContext, tag: CaseTag) -> Feasibility:
     if G.element_order(g_chi) != 2:
         return Feasibility(tag, False, "chi must have order 2", "")
     perp = [g for g in ctx.els if ctx.bichar.phase(g, g_chi).is_one()]
-    half_d, inv2rn = ctx.half_d, ctx.inv2rn
-    half = ctx.q(Fraction(1, 2))
     if n == 2:
-        for kappa in (1, -1):
-            mu0 = -half_d + ctx.int(kappa) * inv2rn
-            if ctx.is_zero(mu0 * mu0 - half):
-                return Feasibility(tag, True, details="norm identity satisfied",
-                                   inconclusive=True)
+        if any(half_sq for _, _, half_sq, _, _ in _branch_data(ctx).case_III):
+            return Feasibility(tag, True, details="norm identity satisfied",
+                               inconclusive=True)
         return Feasibility(tag, False, "CaseIII support/norm at |G|=2",
                            "mu(0)^2 = 1/2 fails exactly")
     if n == 4:
@@ -948,22 +997,13 @@ def _case_III(ctx: ExactContext, tag: CaseTag) -> Feasibility:
         if not ctx.is_zero(a_gp + ctx.one):
             return Feasibility(tag, False, "CaseIII |G|=4: a(g_perp) != -1",
                                "Re mu(g_perp) = 0 forces a(g_perp) = -1")
-        sqrt2 = ctx._sqrt_int(2)
         target = ctx.zpow(24 * ctx.c_exp)  # 1 / conj(c)^24
         re_t, im_t = ctx.re(target), ctx.im(target)
-        for kappa in (1, -1):
-            mu0 = -half_d + ctx.int(kappa) * inv2rn
-            if ctx.is_zero(mu0 * mu0 - half) or ctx.is_zero(mu0):
+        for kappa, mu0, half_sq, T24, y2two_U23_sq in _branch_data(ctx).case_III:
+            if half_sq or ctx.is_zero(mu0):
                 return Feasibility(tag, True, details="degenerate support",
                                    inconclusive=True)
-            cos_th = sqrt2 * mu0
-            y2two = ctx.one - ctx.K_two * mu0 * mu0  # = 2 y^2 = sin^2(theta)
-            if ctx.sign(y2two) <= 0:
-                continue
-            T24, U23 = _chebyshev(ctx, 24, cos_th)
-            cond_re = ctx.is_zero(T24 - re_t)
-            cond_im = ctx.is_zero(y2two * U23 * U23 - im_t * im_t)
-            if cond_re and cond_im:
+            if T24 is not None and T24 == re_t and y2two_U23_sq == im_t * im_t:
                 return Feasibility(tag, True, inconclusive=True,
                                    details=f"kappa={kappa} passes the 24th-power test")
         return Feasibility(tag, False, "CaseIII |G|=4: 24th-power test",

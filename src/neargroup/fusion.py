@@ -165,8 +165,12 @@ def _plain(x):
 
 
 def _associative(ring: FusionRing, what: str) -> FusionRing:
+    """``ring``, or ``ValueError`` if it is not associative: the rules are
+    written from the inputs, so such a ring means inputs that give no fusion
+    ring (a de-equivariantization by an isotropic H meets this for some
+    forms that are not even, while others give a ring)."""
     if ring.associativity_residual() != 0:
-        raise AssertionError(f"{what} ring is not associative")
+        raise ValueError(f"{what} ring is not associative")
     return ring
 
 
@@ -533,8 +537,14 @@ class GammaRepData:
 
     def validate(self):
         k = len(self.names)
+        if len(self.dims) != k:
+            raise ValueError(f"Gamma has {k} names but {len(self.dims)} dims")
+        if self.pi0 not in range(k):
+            raise ValueError(f"pi0 = {self.pi0} does not index one of the {k} irreps")
         if self.tensor.shape != (k, k, k):
             raise ValueError("Gamma tensor decomposition has wrong shape")
+        if not np.array_equal(self.tensor, self.tensor.transpose(1, 0, 2)):
+            raise ValueError("Gamma tensor decomposition is not commutative")
         dims = np.array(self.dims)
         if not np.array_equal(np.einsum("ijk,k->ij", self.tensor, dims),
                               np.outer(dims, dims)):

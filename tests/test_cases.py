@@ -394,7 +394,8 @@ def test_field_galois_maps(N, data):
     assert abs(ctx.numeric(ctx.conj(a)) - z.conjugate()) <= 1e-9 * max(1.0, abs(z))
     assert ctx.conj(ctx.conj(a)) == a
     k = data.draw(st.sampled_from([k for k in range(1, N) if math.gcd(k, N) == 1]))
-    assert ctx._galois(a * b, k) == ctx._galois(a, k) * ctx._galois(b, k)
+    F = ctx.field
+    assert F._galois(a * b, k) == F._galois(a, k) * F._galois(b, k)
 
 
 # The dense reference: an element is (c, d), c the phi(N) power-basis
@@ -488,7 +489,7 @@ def test_sparse_arithmetic_matches_dense_reference(N, data):
     neg_b = (tuple(-y for y in B[0]), B[1])
     for got, want in [(a + b, _dense_add(N, A, B)), (a - b, _dense_add(N, A, neg_b)),
                       (-b, neg_b), (a * b, _dense_mul(N, A, B)), (a ** k, power),
-                      (ctx._galois(a, unit), _dense_galois(N, A, unit)),
+                      (ctx.field._galois(a, unit), _dense_galois(N, A, unit)),
                       (ctx.conj(a), _dense_galois(N, A, N - 1))]:
         assert _dense(ctx, got) == want
         assert all(x for _, x in got.t) and [j for j, _ in got.t] == sorted({j for j, _ in got.t})
@@ -500,31 +501,118 @@ def test_sparse_arithmetic_matches_dense_reference(N, data):
 @pytest.mark.parametrize("N", sorted(_FIELD_GROUP))
 def test_zpow_table_is_shared_and_exact(N):
     """zpow(j) is e^(2 pi i j / N) for every j < N, and contexts with the same
-    N share one table."""
+    N share one field, which their elements hold."""
     ctx = _field(N)
     for j in range(N):
         assert abs(ctx.numeric(ctx.zpow(j)) - complex(math.cos(2 * math.pi * j / N),
                                                       math.sin(2 * math.pi * j / N))) < 1e-12
     n = _FIELD_GROUP[N]
     other = ExactContext(*_pair(n, k=n - 1), 2 * n)
-    assert other is not ctx and other.N == N and other.table is ctx.table
+    assert other is not ctx and other.N == N and other.field is ctx.field
+    assert other.c.F is ctx.field and (ctx.c * other.c).F is ctx.field
 
 
-def test_case_I_branch_systems_built_once_per_sum(monkeypatch):
-    """Case I tags with the same omega_1 + omega_2 mod 3 share their branch
-    systems: 102 g = 0 builds over the 5 Z2xZ2/8 pairs, not one per tag and
-    branch (132)."""
+def test_case_analysis_field_element_budget(monkeypatch):
+    """A deterministic work guard on the exact front end: with no branch
+    data shared yet, the case analysis of the five Z2xZ2/8 pairs, their
+    contexts included, reduces at most 3413 field elements (``_elt``); it
+    reduced 10850 when every context built its own branch systems."""
     from neargroup.solvers import pair_classes
 
     G = FiniteAbelianGroup((2, 2))
     pairs = list(pair_classes(G))
     assert len(pairs) == 5
-    builds = []
-    g0 = cases._g0_equations
-    monkeypatch.setattr(cases, "_g0_equations", lambda *a: builds.append(1) or g0(*a))
+    ExactContext(G, *pairs[0][:2], 8)  # builds the field, which is not counted
+    monkeypatch.setattr(cases, "_SHARED", {})
+    built = []
+    elt = cases._Field._elt
+    monkeypatch.setattr(cases._Field, "_elt",
+                        lambda F, acc, d: built.append(1) or elt(F, acc, d))
     for b, a, _ in pairs:
         all_case_feasibilities(G, b, a)
-    assert len(builds) == 102
+    assert len(built) <= 3413
+
+
+def _direct_mu(ctx, mu0, Rmu0, R2mu0):
+    third = KPoly.const(ctx.field, ctx.q(Fraction(1, 3)))
+    return [(mu0 + Rmu0 * ctx.zeta3 ** (-k % 3) + R2mu0 * ctx.zeta3 ** k) * third
+            for k in range(3)]
+
+
+def _direct_case_I(ctx, s):
+    """(name, mu_k) of each Case I branch of the tags with omega_1 + omega_2
+    = s, from the formulas with w1 w2 = zeta3^s written out."""
+    w12, inv2rn, half_d, i = ctx.zeta3 ** s, ctx.inv2rn, ctx.half_d, ctx.i
+    T = KPoly.tvar(ctx.field)
+    C = functools.partial(KPoly.const, ctx.field)
+    out = []
+    for kappa2 in (1, -1):
+        mu0 = C(-half_d) + T * C(inv2rn)
+        Rmu0 = (T + C(ctx.int(kappa2) * i)) * C(ctx.conj(w12) * inv2rn)
+        R2mu0 = (T - C(ctx.int(kappa2) * i)) * C(w12 * inv2rn)
+        out.append(("branch1" + str({"kappa2": kappa2}), _direct_mu(ctx, mu0, Rmu0, R2mu0)))
+    for kappa1 in (1, -1):
+        for kappa2 in (1, -1):
+            k1 = ctx.int(kappa1)
+            mu0 = C(-half_d + k1 * inv2rn)
+            Rmu0 = C(ctx.conj(w12) * (-k1 + ctx.int(kappa2) * i) * inv2rn)
+            R2mu0 = C(w12 * (-k1 - ctx.int(kappa2) * i) * inv2rn)
+            name = "branch2" + str({"kappa1": kappa1, "kappa2": kappa2})
+            out.append((name, _direct_mu(ctx, mu0, Rmu0, R2mu0)))
+    return out
+
+
+def _direct_case_II(ctx, j):
+    """(name, mu_k) of each Case II branch of the tag omega = j, from the
+    formulas with w = zeta3^j written out."""
+    w, inv2rn, half_d, i = ctx.zeta3 ** j, ctx.inv2rn, ctx.half_d, ctx.i
+    T = KPoly.tvar(ctx.field)
+    C = functools.partial(KPoly.const, ctx.field)
+    out = []
+    for kappa1 in (1, -1):
+        mu0 = (C(ctx.int(kappa1)) - T) * C(i * inv2rn)
+        Rmu0 = C(-w * half_d) - T * C(w * i * inv2rn)
+        R2mu0 = C(ctx.conj(w) * half_d) - T * C(ctx.conj(w) * i * inv2rn)
+        out.append(("branch1" + str({"kappa1": kappa1}), _direct_mu(ctx, mu0, Rmu0, R2mu0)))
+    for kappa in (1, -1):
+        mu0 = C(ctx.int(kappa) * i * ctx.inv_sqrt_n)
+        Rmu0 = C(w * (-half_d - ctx.int(kappa) * i * inv2rn))
+        R2mu0 = C(ctx.conj(w) * (half_d - ctx.int(kappa) * i * inv2rn))
+        out.append(("branch2" + str({"kappa": kappa}), _direct_mu(ctx, mu0, Rmu0, R2mu0)))
+    return out
+
+
+def test_branch_data_is_shared_and_rotated():
+    """On every pair of Z2-Z9, Z2xZ2, Z2xZ4 and Z3xZ3 at m = 2n, the mu_k
+    that the direct formulas build for each Case I sum s and Case II omega j
+    equal, term for term, the shared branch data read at k + s and k - j,
+    and so do their real and imaginary parts and |mu_k|^2; pairs with the
+    same (N, n, m) get the same shared objects."""
+    from neargroup.solvers import pair_classes
+
+    shared: dict = {}
+    pairs_per_key: dict = {}
+    for f in [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (2, 2), (2, 4), (3, 3)]:
+        G = FiniteAbelianGroup(f)
+        for b, a, _ in pair_classes(G):
+            ctx = ExactContext(G, b, a, 2 * G.order)
+            data = cases._branch_data(ctx)
+            key = (ctx.N, ctx.n, ctx.m)
+            assert shared.setdefault(key, data) is data, f
+            pairs_per_key[key] = pairs_per_key.get(key, 0) + 1
+            I_branches, II1, II2 = data.case_I, data.case_II, data.case_II_vanishing
+            rotations = [(I_branches, _direct_case_I(ctx, s), s) for s in range(3)]
+            rotations += [(II1 + II2, _direct_case_II(ctx, j), -j) for j in range(3)]
+            for branches, direct, shift in rotations:
+                assert [br.name for br in branches] == [name for name, _ in direct]
+                for br, (_, mu) in zip(branches, direct):
+                    for k in range(3):
+                        r = (k + shift) % 3
+                        assert br.mu[r].coeffs == mu[k].coeffs, (f, br.name, shift, k)
+                        assert br.re[r].coeffs == mu[k].re().coeffs
+                        assert br.im[r].coeffs == mu[k].im().coeffs
+                        assert br.abs2[r].coeffs == mu[k].abs2().coeffs
+    assert max(pairs_per_key.values()) > 1
 
 
 def test_sign_high_precision_fallback():
@@ -581,39 +669,45 @@ def test_sign_certifies_past_sixty_digits():
         assert ctx.sign(ctx.q(Fraction(p + 1, 10 ** k)) - r5) == 1
 
 
+def _split(equations):
+    """The real and imaginary parts of each equation, in order."""
+    return [q for e in equations for q in (e.re(), e.im())]
+
+
 def test_resolve_t_system_decides_real_roots_in_the_unit_interval():
     """Hand-built systems in t over the Z3 context: a common real root in
     [-1, 1] of the real and imaginary parts, whatever the degree."""
     ctx = ExactContext(*_pair(3))
-    t = KPoly.tvar(ctx)
+    t = KPoly.tvar(ctx.field)
 
     def c(x):
-        return KPoly.const(ctx, ctx.q(Fraction(x)))
+        return KPoly.const(ctx.field, ctx.q(Fraction(x)))
+
+    def resolve(*equations):
+        return _resolve_t_system(ctx, _split(equations))
 
     half = ctx.q(Fraction(1, 2))
-    assert _resolve_t_system(ctx, [t - c(Fraction(1, 2))]) == (True, half)
-    assert _resolve_t_system(ctx, [(t - c(2)) * (t - c(3)) * (t + c(5))]) == (False, None)
-    assert _resolve_t_system(ctx, [(t - c(Fraction(1, 3))) * (t * t + c(1))])[0]
-    assert _resolve_t_system(ctx, [t * t - c(4), t - c(2)]) == (False, None)
-    assert _resolve_t_system(ctx, [t * t - c(1)])[0]  # roots at the ends
+    assert resolve(t - c(Fraction(1, 2))) == (True, half)
+    assert resolve((t - c(2)) * (t - c(3)) * (t + c(5))) == (False, None)
+    assert resolve((t - c(Fraction(1, 3))) * (t * t + c(1)))[0]
+    assert resolve(t * t - c(4), t - c(2)) == (False, None)
+    assert resolve(t * t - c(1))[0]  # roots at the ends
     double = (c(2) * t - c(1)) * (c(2) * t - c(1))
-    assert _resolve_t_system(ctx, [double]) == (True, None)
-    i_eq = (t - c(Fraction(1, 2))) * KPoly.const(ctx, ctx.i)
-    assert _resolve_t_system(ctx, [i_eq]) == (True, half)
-    assert _resolve_t_system(ctx, []) == (True, None)
+    assert resolve(double) == (True, None)
+    i_eq = (t - c(Fraction(1, 2))) * KPoly.const(ctx.field, ctx.i)
+    assert resolve(i_eq) == (True, half)
+    assert resolve() == (True, None)
 
 
 def test_resolve_t_system_refutes_at_the_first_nonzero_constant():
-    """An equation whose real part is a nonzero constant refutes the system
-    before any equation after it is split into real and imaginary parts."""
+    """A part that is a nonzero constant refutes the system before any part
+    after it is read."""
     ctx = ExactContext(*_pair(3))
-    t = KPoly.tvar(ctx)
+    t = KPoly.tvar(ctx.field)
+    first = KPoly.const(ctx.field, ctx.one) + t * KPoly.const(ctx.field, ctx.i)
 
-    class Unsplittable:
-        def re(self):
-            raise AssertionError("split after a nonzero constant")
+    def parts():
+        yield first.re()
+        raise AssertionError("read past a nonzero constant")
 
-        im = re
-
-    first = KPoly.const(ctx, ctx.one) + t * KPoly.const(ctx, ctx.i)
-    assert _resolve_t_system(ctx, [first, Unsplittable()]) == (False, None)
+    assert _resolve_t_system(ctx, parts()) == (False, None)

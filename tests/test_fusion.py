@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -196,6 +197,18 @@ def test_dequiv_rejects_nonisotropic():
         dequiv_fusion(s.group, s.bichar, s.form, H)
 
 
+def test_dequiv_non_associative_ring_is_an_input_error():
+    """On Z9 with <1, 1> = 1/9, H = <3> is isotropic for this form, which is
+    not even, and the rules it gives are not associative: a ValueError (the
+    CLI's exit 2), not an assertion."""
+    G = FiniteAbelianGroup((9,))
+    b = Bicharacter(G, ((Phase(1, 9),),))
+    a = QuadraticForm(b, tuple(Phase(k, 9) for k in (0, 5, 0, 3, 5, 6, 6, 5, 3)))
+    assert not a.is_even()
+    with pytest.raises(ValueError, match="not associative"):
+        dequiv_fusion(G, b, a, subgroup_generated_by(G, [(3,)]))
+
+
 def test_dequiv_dimension_bookkeeping():
     Z33, b, a = _z3z3_data()
     H = lagrangian_subgroups(Z33, b, a)[0]
@@ -286,6 +299,28 @@ def test_equiv_rejects_a_mismatched_m():
         equiv_fusion(Z3, 3, d8_rep_data())
     with pytest.raises(ValueError, match="not of K"):
         equiv_fusion(Z5, 10, GroupAutomorphism(Z5, ((4,),)))
+
+
+def test_gamma_validate_rejects_a_noncommutative_tensor():
+    """t1 t2 = 1 but t2 t1 = t3: the dimensions still add up, but no Rep(Gamma)
+    has such a tensor.  d8_rep_data() itself validates."""
+    gamma = d8_rep_data()
+    gamma.validate()
+    T = gamma.tensor.copy()
+    T[1, 2] = np.eye(5, dtype=int)[0]
+    with pytest.raises(ValueError, match="not commutative"):
+        dataclasses.replace(gamma, tensor=T).validate()
+
+
+def test_gamma_validate_rejects_pi0_outside_the_names():
+    for pi0 in (-1, 5):
+        with pytest.raises(ValueError, match="pi0"):
+            dataclasses.replace(d8_rep_data(), pi0=pi0).validate()
+
+
+def test_gamma_validate_rejects_dims_of_another_length():
+    with pytest.raises(ValueError, match="dims"):
+        dataclasses.replace(d8_rep_data(), dims=(1, 1, 1, 1)).validate()
 
 
 @pytest.mark.parametrize("factors", [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2),
