@@ -25,9 +25,15 @@ succeeds.
 """
 
 import argparse
+import os
 import sys
 from importlib import resources
 from pathlib import Path
+
+# the package's numpy work is on arrays of a few dozen entries, where a
+# second OpenBLAS thread only spins; this must run before numpy is imported
+if __name__ == "__main__":
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 

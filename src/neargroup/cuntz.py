@@ -23,10 +23,11 @@ every block of A; each entry of A is paired with its run of B, and the pairs
 are summed per output entry, by a bincount over the compressed row x column
 table when that table is dense enough, else by one sort.  The completeness
 relation sum_i S_i S_i^* = 1 enters only through level raising, a Kronecker
-product with the identity (:func:`normalize`, :func:`normalize_residual`).
-The zero test raises one family member at a time, so its transient is one
-member's raised table.  Nothing is pruned: residuals are the real largest
-coefficients.
+product with the identity (:func:`normalize`).  The zero test
+(:func:`normalize_residual`) reads the largest raised coefficient off a walk
+over the word tree of each grade and never forms the raised table, so its
+memory is that of the stored entries.  Nothing is pruned: residuals are the
+real largest coefficients.
 
 The oracle builds the endomorphism rho on generators from an admissible
 tuple,
@@ -44,6 +45,7 @@ generator, and the closed form of rho(U(g)).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -91,15 +93,27 @@ def _sort(key):
     return key[order], order
 
 
+def _divmod(key, n: int):
+    """np.divmod(key, n) for int64 keys >= 0; numpy divides by a scalar
+    faster than it takes the remainder."""
+    q = key // n
+    return q, key - q * n
+
+
 def _sum_by_key(key, val):
     """The distinct values of an array of int64 keys >= 0, ascending, and the
     sum of val over the entries of each."""
     key, order = _sort(key)
+    first = np.flatnonzero(_starts(key))
+    return key[first], np.add.reduceat(val[order], first)
+
+
+def _starts(key):
+    """Where each run of equal entries of a sorted array begins."""
     first = np.empty(len(key), bool)
     first[:1] = True
     np.not_equal(key[1:], key[:-1], out=first[1:])
-    first = np.flatnonzero(first)
-    return key[first], np.add.reduceat(val[order], first)
+    return first
 
 
 def _sum_duplicates(r, c, v):
@@ -395,15 +409,89 @@ def normalize(x: CuntzElement, level: int | None = None) -> CuntzElement:
 def normalize_residual(x: CuntzElement) -> float:
     """max |coefficient| of x (of every member) once each grade a - b is
     raised to its longest word; this is 0 exactly when x = 0 in the Cuntz
-    algebra."""
-    top: dict[int, int] = {}
-    for a, b in x.blocks:
-        top[a - b] = max(top.get(a - b, 0), b)
+    algebra.
+
+    The raised table is never formed.  A stored S_mu S_nu^* of level
+    p = min(a, b) is keyed by its member, the first |a - b| letters of its
+    longer word, and then its other letters as pairs (mu_i, nu_i), one
+    base-N^2 digit each.  Raising appends the digit t(N + 1), so a key whose
+    last digit has that form is the child of key // N^2, and a raised
+    coefficient is the sum of the stored ones along its chain of ancestors.
+    :func:`_tree_max` sums along the chains of the touched keys (the stored
+    ones and their ancestors) and reads the sums at the top level and at
+    every key with fewer than N touched children: each of these is a raised
+    coefficient, and every raised coefficient is one of them or 0."""
+    N, grades = x.N, {}
+    for (a, b), (r, c, v) in x.blocks.items():
+        p = min(a, b)
+        if a >= b:
+            prefix, mu = _divmod(r, N**p)
+            nu = c
+        else:
+            k, mu = _divmod(r, N**a)
+            head, nu = _divmod(c, N**p)
+            prefix = k * N**(b - a) + head
+        # below K N^(a + b), which _gather bounds
+        key, order = _sort(prefix * N**(2 * p) + N * _spread(N, p, mu) + _spread(N, p, nu))
+        grades.setdefault(a - b, {})[p] = key, v[order]
+    return max((_tree_max(N, levels) for levels in grades.values()), default=0.0)
+
+
+def _spread(N: int, p: int, word):
+    """Words of p letters as the base-N^2 numbers with the same digits."""
+    if p > 1 and N**p > 2**16:  # keep the tables small
+        high, low = _divmod(word, N**(p // 2))
+        return _spread(N, p - p // 2, high) * N**(2 * (p // 2)) + _spread(N, p // 2, low)
+    return _spread_table(N, p)[word]
+
+
+@functools.cache
+def _spread_table(N: int, p: int) -> np.ndarray:
+    out = np.zeros(1, np.int64)
+    for _ in range(p):
+        out = (out[:, None] * N**2 + np.arange(N)).ravel()
+    return out
+
+
+def _tree_max(N: int, levels: dict) -> float:
+    """normalize_residual of one grade, levels[p] = (sorted keys, values) of
+    its stored words of level p (see there)."""
+    top, low = max(levels), min(levels)
+    keys, vals = levels[top]
+    stored, children, up = {top: vals}, {}, {}
+    for p in range(top - 1, low - 1, -1):  # the touched keys of each level
+        parent, digit = _divmod(keys, N**2)
+        child = np.flatnonzero(digit == digit // (N + 1) * (N + 1))
+        parent = parent[child]  # sorted, as keys are
+        first = _starts(parent)
+        skeys, svals = levels.get(p, (keys[:0], vals[:0]))
+        keys, at_s, at_p = _merge(skeys, parent[first])
+        stored[p] = np.zeros(len(keys), complex)
+        stored[p][at_s] = svals
+        count = np.diff(np.flatnonzero(np.append(first, True)))
+        children[p] = np.zeros(len(keys), np.int64)
+        children[p][at_p] = count
+        up[p + 1] = child, at_p, count
     worst = 0.0
-    for k in range(x.K):  # members share no row: raise one at a time
-        y = _raised(x.members(k, k + 1), lambda a, b: top[a - b] - b)
-        worst = max([worst] + [float(np.abs(v).max()) for _, _, v in y.blocks.values()])
+    for p in range(low, top + 1):  # the sums along the chains
+        acc = stored[p]
+        if p > low:
+            child, at, count = up[p]
+            acc[child] += np.repeat(below[at], count)
+        seen = acc if p == top else acc[children[p] < N]
+        worst = max(worst, float(np.abs(seen).max(initial=0.0)))
+        below = acc
     return worst
+
+
+def _merge(a, b):
+    """The union of two sorted arrays of distinct keys, and the position in
+    it of each entry of a and of b."""
+    key, order = _sort(np.concatenate([a, b]))
+    first = _starts(key)
+    at = np.empty(len(key), np.int64)
+    at[order] = np.cumsum(first) - 1
+    return key[first], at[:len(a)], at[len(a):]
 
 
 # ---------------------------------------------------------------------------

@@ -348,10 +348,61 @@ def test_zero_test_matches_on_oracle_residuals(monkeypatch):
     assert max(got for got, _ in seen[4:]) > 1e-5
 
 
+def _fan(N, mu, nu, c, drop=()):
+    """c S_mu S_nu^* - sum_i c S_{mu i} S_{nu i}^* over the letters i not in
+    drop: 0 in O_N when drop is empty."""
+    out = CuntzElement.word(N, mu, nu, c)
+    for i in range(N):
+        if i not in drop:
+            out = out - CuntzElement.word(N, mu + (i,), nu + (i,), c)
+    return out
+
+
+def test_zero_test_on_fans():
+    """A complete fan reads exactly 0, at one level and across two, and a
+    fan with one child missing reads |c|, in grades of both signs and for
+    words longer than one spread table covers (N = 8, 9 letters)."""
+    c = 0.3 - 1.7j
+    for N, mu, nu in [(2, (), ()), (3, (1,), ()), (3, (), (2, 0)), (5, (4, 1), (3,)),
+                      (8, (1,) * 9, (2,) * 8), (8, (5,) * 7, (6,) * 9)]:
+        two = _fan(N, mu, nu, c) + _fan(N, mu + (0,), nu + (0,), c)
+        assert normalize_residual(_fan(N, mu, nu, c)) == 0.0
+        assert normalize_residual(two) == 0.0
+        assert normalize_residual(_fan(N, mu, nu, c, drop=(N - 1,))) == abs(c)
+        assert normalize_residual(two + CuntzElement.word(N, mu + (0, 1), nu + (0, 1), c)) \
+            == abs(c)
+
+
+def test_zero_test_on_families_and_empty_elements():
+    c = 2.0 - 0.5j
+    fan, gap = _fan(3, (), (1,), c), _fan(3, (), (1,), c, drop=(0,))
+    assert normalize_residual(cuntz._stack(fan, CuntzElement.zero(3), fan)) == 0.0
+    assert normalize_residual(cuntz._stack(fan, CuntzElement.zero(3), gap)) == abs(c)
+    assert normalize_residual(CuntzElement.zero(3)) == 0.0
+    assert normalize_residual(CuntzElement(3, K=4)) == 0.0
+
+
+@pytest.mark.parametrize("K", [1, 3, 6])
+def test_zero_test_tree_walk_matches_raise(rng, K):
+    """Random families, each member with a planted fan, against the whole
+    family raised to the top of each grade."""
+    for _ in range(40):
+        N = int(rng.integers(2, 5))
+        members = []
+        for _ in range(K):
+            mu, nu = (tuple(rng.integers(0, N, size=rng.integers(0, 3)).tolist())
+                      for _ in range(2))
+            members.append(_random_element(rng, N=N, max_len=3, terms=int(rng.integers(0, 10)))
+                           + _fan(N, mu, nu, complex(rng.normal(), rng.normal())))
+        x = cuntz._stack(*members)
+        assert normalize_residual(x) == pytest.approx(_zero_test_reference(x), abs=1e-15)
+
+
 def test_oracle_memory_bound(corpus_tuples, traced_peak_mb):
-    """The zero test raises one member at a time; raising the rho^2 residual
-    of z5_m5 whole took 390 MB, and forming rho^2 at all took 181 MB."""
-    assert traced_peak_mb(oracle_check, corpus_tuples["z5_m5"]) < 130
+    """The zero test walks the word tree and raises nothing; raising the
+    rho^2 residual of z5_m5 whole took 390 MB, one member at a time 109 MB,
+    and forming rho^2 at all took 181 MB."""
+    assert traced_peak_mb(oracle_check, corpus_tuples["z5_m5"]) < 88
 
 
 def _rho_squared_direct(t):
