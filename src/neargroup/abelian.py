@@ -8,11 +8,18 @@ Conventions used throughout the package:
 * Roots of unity are kept exact as :class:`Phase` objects, ``exp(2*pi*i*p/q)``
   with a reduced fraction ``p/q``; complex doubles only appear when a phase is
   evaluated.
+* Bulk group data is read off the index tables ``tables(G)``: elements are
+  indexed by ``G.index_of`` (the order of ``G.elements()``), and the tables
+  hold the coordinate rows and the indices of ``g + h`` and ``-g``.
 * A bicharacter ``<.,.>`` is stored through its Gram matrix of phases on the
-  standard generators and evaluated by bilinearity.  It is *symmetric* when
-  ``<g,h> = <h,g>`` and *nondegenerate* when ``g -> <g,.>`` is injective.
+  standard generators and evaluated through its integer exponent table
+  ``(D, X)``: ``<g,h> = exp(2*pi*i*X[g,h]/D)`` over element indices.  It is
+  *symmetric* when ``<g,h> = <h,g>`` and *nondegenerate* when
+  ``g -> <g,.>`` is injective.
 * A quadratic form ``a`` satisfies ``a(g+h) <g,h> = a(g) a(h)``; it is *even*
-  when ``a(-g) = a(g)``.
+  when ``a(-g) = a(g)``.  Its values are indexed like the elements.
+* An automorphism is stored through its generator images and acts on
+  indexed data by its index permutation (``GroupAutomorphism.permutation``).
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, cached_property, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -32,8 +39,11 @@ __all__ = [
     "Bicharacter",
     "QuadraticForm",
     "GroupAutomorphism",
+    "GroupTables",
     "Subgroup",
     "ResourceError",
+    "tables",
+    "invariant_factors",
     "enumerate_bicharacters",
     "bicharacter_classes",
     "enumerate_quadratic_forms",
@@ -248,6 +258,53 @@ def _squarefree(n: int) -> int:
     return math.prod(p for p, e in _factorize(n).items() if e % 2)
 
 
+def invariant_factors(orders: Sequence[int]) -> tuple[int, ...]:
+    """The invariant factors, ascending, of the finite abelian group whose
+    element orders (one per element) are ``orders``; () for the trivial group.
+
+    For a prime p let c_k = #{x : ord x | p^k}; then c_k / c_(k-1) = p^m_k,
+    where m_k is the number of cyclic p-parts of order >= p^k."""
+    orders = np.asarray(orders)
+    parts: dict[int, list[int]] = {}  # p -> [m_1, m_2, ...]
+    for p in _factorize(len(orders)):
+        parts[p], prev, q = [], 1, p
+        while (c := int(np.sum(q % orders == 0))) > prev:
+            parts[p].append(round(math.log(c // prev, p)))
+            prev, q = c, q * p
+    depth = max((m[0] for m in parts.values()), default=0)
+    return tuple(math.prod(p ** sum(mk > i for mk in m) for p, m in parts.items())
+                 for i in reversed(range(depth)))
+
+
+def _frozen(x: np.ndarray) -> np.ndarray:
+    """``x`` made read-only: a cached table is shared by every reader."""
+    x.setflags(write=False)
+    return x
+
+
+class GroupTables:
+    """Dense index tables for one group: the coordinate rows ``E`` of the
+    elements in index order, and the indices ``add[g, h]`` of g + h and
+    ``neg[g]`` of -g; ``zero`` is the index of 0."""
+
+    def __init__(self, G: FiniteAbelianGroup):
+        self.n = G.order
+        self.factors = G.factors
+        self.E = E = _frozen(np.array(G.elements(), dtype=np.int64))
+        self.add = _frozen(self.index(E[:, None] + E[None]))
+        self.neg = _frozen(self.index(-E))
+        self.zero = G.index_of(G.zero())
+
+    def index(self, X: np.ndarray) -> np.ndarray:
+        """``G.index_of`` of each coordinate row of ``X``, reduced."""
+        return np.ravel_multi_index(np.moveaxis(X % self.factors, -1, 0), self.factors)
+
+
+@cache
+def tables(G: FiniteAbelianGroup) -> GroupTables:
+    return GroupTables(G)
+
+
 @dataclass(frozen=True)
 class Bicharacter:
     """Symmetric bicharacter given by its Gram matrix of phases on generators."""
@@ -267,50 +324,53 @@ class Bicharacter:
                 if g % self.gram[i][j].order != 0:
                     raise ValueError("gram entry order must divide gcd of factor orders")
 
+    @cached_property
+    def exponents(self) -> tuple[int, np.ndarray]:
+        """(D, X): D the common denominator of the Gram exponents and
+        X[g, h] = g (D gram) h^T mod D over element indices, so that
+        <g,h> = exp(2 pi i X[g,h] / D)."""
+        D = math.lcm(*(p.den for row in self.gram for p in row))
+        W = np.array([[p.num * (D // p.den) for p in row] for row in self.gram])
+        E = tables(self.group).E
+        return D, _frozen((E @ W @ E.T) % D)
+
     def phase(self, g: Element, h: Element) -> Phase:
-        q = Fraction(0)
-        for i, gi in enumerate(g):
-            if gi == 0:
-                continue
-            for j, hj in enumerate(h):
-                if hj:
-                    q += gi * hj * self.gram[i][j].exponent
-        return Phase.from_fraction(q)
+        D, X = self.exponents
+        return Phase(int(X[self.group.index_of(g), self.group.index_of(h)]), D)
 
     def __call__(self, g: Element, h: Element) -> complex:
         return self.phase(g, h).value()
 
     def matrix(self) -> np.ndarray:
         """Dense ``<g,h>`` table over the element order of ``group.elements()``:
-        with D the common denominator of the Gram exponents, the integers
-        g (D gram) h^T mod D read through the table of ``Phase(j, D).value()``,
-        which equals ``self(g, h)`` bit for bit."""
-        exps = self.gram_exponents()
-        D = math.lcm(*(q.denominator for row in exps for q in row))
-        W = np.array([[int(q * D) for q in row] for row in exps], dtype=np.int64)
-        E = np.array(self.group.elements(), dtype=np.int64)
-        phases = np.array([Phase(j, D).value() for j in range(D)])
-        return phases[(E @ W @ E.T) % D]
+        X read through the table of ``Phase(j, D).value()``, which equals
+        ``self(g, h)`` bit for bit."""
+        D, X = self.exponents
+        return np.array([Phase(j, D).value() for j in range(D)])[X]
 
     def radical(self) -> list[Element]:
         """Elements g with <g,h>=1 for all h (trivial iff nondegenerate)."""
-        gens = self.group.generators()
-        return [g for g in self.group if all(self.phase(g, e).is_one() for e in gens)]
+        els = self.group.elements()
+        return [els[i] for i in np.flatnonzero(~self.exponents[1].any(axis=1))]
 
     def is_nondegenerate(self) -> bool:
         return len(self.radical()) == 1
 
+    def galois(self, k: int) -> "Bicharacter":
+        """The image under zeta -> zeta^k: every exponent times k."""
+        return Bicharacter(self.group, tuple(tuple(p**k for p in row) for row in self.gram))
+
     def conj(self) -> "Bicharacter":
-        return Bicharacter(self.group, tuple(tuple(p.conj() for p in row) for row in self.gram))
+        return self.galois(-1)
 
     def pullback(self, theta: "GroupAutomorphism") -> "Bicharacter":
-        """The bicharacter (g,h) -> <theta(g), theta(h)>."""
-        gens = self.group.generators()
-        gram = tuple(
-            tuple(self.phase(theta(gens[i]), theta(gens[j])) for j in range(self.group.rank))
-            for i in range(self.group.rank)
-        )
-        return Bicharacter(self.group, gram)
+        """The bicharacter (g,h) -> <theta(g), theta(h)>: X at the permuted
+        generator indices."""
+        G = self.group
+        D, X = self.exponents
+        q = theta.permutation()[[G.index_of(e) for e in G.generators()]]
+        return Bicharacter(G, tuple(tuple(Phase(x, D) for x in row)
+                                    for row in X[np.ix_(q, q)].tolist()))
 
     def gram_exponents(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(p.exponent for p in row) for row in self.gram)
@@ -327,6 +387,13 @@ class QuadraticForm:
     def group(self) -> FiniteAbelianGroup:
         return self.bichar.group
 
+    @cached_property
+    def exponents(self) -> tuple[int, np.ndarray]:
+        """(D, A): D the common denominator of the values and of the
+        bicharacter's exponents, and a(g) = exp(2 pi i A[g] / D)."""
+        D = math.lcm(self.bichar.exponents[0], *(p.den for p in self.values))
+        return D, _frozen(np.array([p.num * (D // p.den) for p in self.values]))
+
     def phase(self, g: Element) -> Phase:
         return self.values[self.group.index_of(g)]
 
@@ -337,27 +404,25 @@ class QuadraticForm:
         return np.array([p.value() for p in self.values])
 
     def is_valid(self) -> bool:
-        G = self.group
-        for g in G:
-            for h in G:
-                if self.phase(G.add(g, h)) * self.bichar.phase(g, h) != self.phase(g) * self.phase(h):
-                    return False
-        return True
+        D, A = self.exponents
+        Db, X = self.bichar.exponents
+        return not ((A[tables(self.group).add] + X * (D // Db) - A[:, None] - A) % D).any()
 
     def is_even(self) -> bool:
-        G = self.group
-        return all(self.phase(G.neg(g)) == self.phase(g) for g in G)
+        A = self.exponents[1]
+        return bool(np.array_equal(A[tables(self.group).neg], A))
+
+    def galois(self, k: int) -> "QuadraticForm":
+        """The image under zeta -> zeta^k, over the bicharacter's image."""
+        return QuadraticForm(self.bichar.galois(k), tuple(p**k for p in self.values))
 
     def conj(self) -> "QuadraticForm":
-        return QuadraticForm(self.bichar.conj(), tuple(p.conj() for p in self.values))
+        return self.galois(-1)
 
     def pullback(self, theta: "GroupAutomorphism") -> "QuadraticForm":
         """The form g -> a(theta(g)), living over the pulled-back bicharacter."""
-        G = self.group
-        vals = [None] * G.order
-        for g in G:
-            vals[G.index_of(g)] = self.phase(theta(g))
-        return QuadraticForm(self.bichar.pullback(theta), tuple(vals))
+        return QuadraticForm(self.bichar.pullback(theta),
+                             tuple(self.values[i] for i in theta.permutation()))
 
     def gauss_sum(self) -> complex:
         """The normalized Gauss sum ``a_hat(0) = sum_g a(g) / sqrt(n)``."""
@@ -370,27 +435,30 @@ class GroupAutomorphism:
     images: tuple[Element, ...]  # image of each standard generator
 
     def __call__(self, g: Element) -> Element:
-        G = self.group
-        out = G.zero()
-        for gi, img in zip(g, self.images):
-            if gi:
-                out = G.add(out, G.smul(gi, img))
-        return out
+        return self.group.reduce(np.dot(g, self.images))
 
     def compose(self, other: "GroupAutomorphism") -> "GroupAutomorphism":
-        return GroupAutomorphism(self.group, tuple(self(other(e)) for e in self.group.generators()))
+        return GroupAutomorphism(self.group, tuple(self(g) for g in other.images))
 
     def inverse(self) -> "GroupAutomorphism":
-        table = {self(g): g for g in self.group}
-        return GroupAutomorphism(self.group, tuple(table[e] for e in self.group.generators()))
+        G = self.group
+        inv = np.argsort(self.permutation())
+        E = tables(G).E
+        return GroupAutomorphism(G, tuple(tuple(E[inv[G.index_of(e)]].tolist())
+                                          for e in G.generators()))
 
     def is_identity(self) -> bool:
         return all(self(e) == e for e in self.group.generators())
 
     def permutation(self) -> np.ndarray:
-        """index permutation p with p[index(g)] = index(theta(g))."""
-        G = self.group
-        return np.array([G.index_of(self(g)) for g in G])
+        """index permutation p with p[index(g)] = index(theta(g)): the
+        coordinate rows times the images, reduced (read-only, made once)."""
+        return self._permutation
+
+    @cached_property
+    def _permutation(self) -> np.ndarray:
+        T = tables(self.group)
+        return _frozen(T.index(T.E @ np.array(self.images)))
 
 
 @dataclass(frozen=True)
@@ -500,21 +568,15 @@ def bicharacter_classes(bichars: Sequence[Bicharacter]) -> list[list[Bicharacter
 
 
 def enumerate_quadratic_forms(b: Bicharacter) -> list[QuadraticForm]:
-    """All solutions a of a(g+h)<g,h>=a(g)a(h); exactly |G| of them."""
+    """All solutions a of a(g+h)<g,h>=a(g)a(h); exactly |G| of them: the base
+    solution times each character g -> prod zeta_{n_i}^{c_i g_i}, c in G,
+    whose exponents over L = lcm(n_i) are the rows of E (L / n_i) c."""
     G = b.group
     base = _base_quadratic_form(b)
-    forms = []
-    for chi_idx in G:
-        # multiply the base solution by the character <., chi_idx>-like twist:
-        # characters of G are exactly g -> prod zeta_{n_i}^{c_i g_i}
-        vals = []
-        for g in G:
-            tw = Fraction(0)
-            for gi, ci, n in zip(g, chi_idx, G.factors):
-                tw += Fraction(gi * ci, n)
-            vals.append(base[G.index_of(g)] * Phase.from_fraction(tw))
-        forms.append(QuadraticForm(b, tuple(vals)))
-    return forms
+    L = math.lcm(*G.factors)
+    twist = tables(G).E * (L // np.array(G.factors))
+    return [QuadraticForm(b, tuple(p * Phase(t, L) for p, t in zip(base, (twist @ c).tolist())))
+            for c in G.elements()]
 
 
 def even_quadratic_forms(b: Bicharacter) -> list[QuadraticForm]:
@@ -556,10 +618,8 @@ def fourier(f: np.ndarray, b: Bicharacter) -> np.ndarray:
 
 def reflection(G: FiniteAbelianGroup) -> np.ndarray:
     """Permutation matrix of g -> -g in the element order."""
-    els = G.elements()
     P = np.zeros((G.order, G.order))
-    for g in els:
-        P[G.index_of(G.neg(g)), G.index_of(g)] = 1.0
+    P[tables(G).neg, np.arange(G.order)] = 1.0
     return P
 
 
@@ -624,9 +684,9 @@ def orthogonal_and_lagrangian(
     """
     if not H.is_closed():
         raise ValueError("H is not closed under addition")
-    perp_els = [
-        g for g in G if all(b.phase(g, h).is_one() for h in H.generators)
-    ]
+    X, els = b.exponents[1], G.elements()
+    perp_els = [els[i] for i in
+                np.flatnonzero(~X[:, [G.index_of(h) for h in H.generators]].any(axis=1))]
     perp = Subgroup(G, tuple(sorted(perp_els)), _generating_set(G, perp_els))
     hset = set(H.elements)
     isotropic = hset <= set(perp.elements)

@@ -66,6 +66,7 @@ from .abelian import (
     QuadraticForm,
     _factorize,
     _squarefree,
+    tables,
 )
 
 __all__ = [
@@ -336,8 +337,7 @@ class ExactContext:
         self.m = m
         self.bichar = b
         self.form = a
-        els = G.elements()
-        self.els = els
+        self.els = G.elements()
 
         dens = {24, 4}
         for row in b.gram:
@@ -379,7 +379,7 @@ class ExactContext:
             self.inv_d = (self.d - self.int(m)) * inv_n
             self.half_d = self.inv_d * half  # 1 / (2 d)
 
-        self.a = [self.phase(a.phase(g)) for g in els]
+        self.a = [self.phase(p) for p in a.values]
         # c = zeta^c_exp with c^3 a_hat(0) = 1
         ahat0 = sum(self.a, self.zero) * self.inv_sqrt_n
         c_exp = next((k for k in range(N) if self.zpow(3 * k) * ahat0 == self.one), None)
@@ -387,9 +387,11 @@ class ExactContext:
             raise ValueError("no cube-root scalar c in the chosen field")
         self.c_exp = c_exp
         self.c = self.zpow(c_exp)
-        # R = diag(conj(c a) / sqrt(n)) B, B[g][h] = b(g, h): one row factor per row
+        # R = diag(conj(c a) / sqrt(n)) B, B[g][h] = b(g, h) = zeta^(X[g, h] N / D):
+        # one row factor per row
         rows = [self.conj(self.c * x) * self.inv_sqrt_n for x in self.a]
-        self.R = [[r * self.phase(b.phase(g, h)) for h in els] for r, g in zip(rows, els)]
+        D, X = b.exponents
+        self.R = [[r * self.zpow(x * (N // D)) for x in row] for r, row in zip(rows, X.tolist())]
         self.zeta3 = self.zpow(self.N // 3)
         self._eig: dict[int, dict] = {}
 
@@ -478,7 +480,7 @@ class ExactContext:
         k = k % 3
         if k in self._eig:
             return self._eig[k]
-        n, R, G, third = self.n, self.R, self.G, self.q(Fraction(1, 3))
+        n, R, third = self.n, self.R, self.q(Fraction(1, 3))
         w3 = self.zeta3 ** k * third
         wb3 = self.conj(w3)
 
@@ -500,8 +502,8 @@ class ExactContext:
 
         def j_fixed():
             """u P e_j + conj(u) P J e_j, u = 1, i, less its f0 component."""
-            for j, g in enumerate(self.els):
-                Pe, PJe = col(j), col(G.index_of(G.neg(g)))
+            for j, nj in enumerate(tables(self.G).neg.tolist()):
+                Pe, PJe = col(j), col(nj)
                 for u in (self.one, self.i):
                     uj = self.conj(u * self.a[j])
                     v = [u * x + uj * y for x, y in zip(Pe, PJe)]
@@ -980,7 +982,8 @@ def _case_III(ctx: ExactContext, tag: CaseTag) -> Feasibility:
     g_chi = tag.chi
     if G.element_order(g_chi) != 2:
         return Feasibility(tag, False, "chi must have order 2", "")
-    perp = [g for g in ctx.els if ctx.bichar.phase(g, g_chi).is_one()]
+    X = ctx.bichar.exponents[1]
+    perp = [ctx.els[i] for i in np.flatnonzero(X[:, G.index_of(g_chi)] == 0)]
     if n == 2:
         if any(half_sq for _, _, half_sq, _, _ in _branch_data(ctx).case_III):
             return Feasibility(tag, True, details="norm identity satisfied",

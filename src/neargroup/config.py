@@ -4,10 +4,8 @@ Settings come from (in increasing precedence) defaults, a key=value config
 file, and the NEARGROUP_TOLERANCE environment variable.
 """
 
-from __future__ import annotations
-
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 __all__ = ["Config", "load_config"]
@@ -36,13 +34,7 @@ class Config:
                            residual_tol=self.tolerance)
 
 
-_COERCE = {
-    "tolerance": float,
-    "oracle_tolerance": float,
-    "random_starts": int,
-    "archive_path": str,
-    "seed": int,
-}
+_COERCE = {f.name: f.type for f in fields(Config)}  # key -> its field's type
 
 
 def load_config(path: str | Path | None = None, env: dict | None = None) -> Config:

@@ -168,7 +168,7 @@ class _Terms(Mapping):
         if self._dict is None:
             x, d = self._x, {}
             for (a, b), (r, c, v) in x.blocks.items():
-                k, mu = np.divmod(r, x.N**a)
+                k, mu = _divmod(r, x.N**a)
                 for kk, m, nu, val in zip(k.tolist(), mu.tolist(), c.tolist(), v.tolist()):
                     key = (_letters(x.N, m, a), _letters(x.N, nu, b))
                     d[key if x.K == 1 else (kk,) + key] = val
@@ -238,7 +238,7 @@ class CuntzElement:
         """The adjoint of every member: a conjugate transpose per block."""
         N, out = self.N, {}
         for (a, b), (r, c, v) in self.blocks.items():
-            k, mu = np.divmod(r, N**a)
+            k, mu = _divmod(r, N**a)
             out[(b, a)] = (k * N**b + c, mu, v.conj())
         return CuntzElement(N, out, self.K)
 
@@ -330,7 +330,7 @@ def _join(jA, left, va, B: _Side):
     else:
         key, val = _sum_by_key(key, val)
         key, val = key[val != 0], val[val != 0]
-    i, j = np.divmod(key, len(ur))
+    i, j = _divmod(key, len(ur))
     return ul[i], ur[j], val
 
 
@@ -341,7 +341,7 @@ def _multiply(x: CuntzElement, y: CuntzElement) -> CuntzElement:
     pairwise = x.K > 1 and y.K > 1
     pieces: dict = {}
     for (a2, b2), (rb, cb, vb) in y.blocks.items():
-        kb, mu2 = np.divmod(rb, N**a2)
+        kb, mu2 = _divmod(rb, N**a2)
         # kb rides in the join key (pairwise) or in the right key (broadcast)
         kj, kr = (kb, 0) if pairwise else (0, kb)
         sides = {}  # B keyed on the head of mu2 before a tail of t letters
@@ -349,22 +349,22 @@ def _multiply(x: CuntzElement, y: CuntzElement) -> CuntzElement:
             ka = ra // N**a1
             t = max(a2 - b1, 0)
             if t not in sides:
-                p, tail = np.divmod(mu2, N**t)
+                p, tail = _divmod(mu2, N**t)
                 sides[t] = _Side(kj * N**(a2 - t) + p, (kr * N**t + tail) * N**b2 + cb, vb)
             if b1 <= a2:
                 # S_nu1^* S_mu2 = S_tail when mu2 = (nu1, tail)
                 L, R, V = _join(ka * pairwise * N**b1 + ca, ra, va, sides[t])
-                kt, nu2 = np.divmod(R, N**b2)
-                kbx, tail = np.divmod(kt, N**t)
+                kt, nu2 = _divmod(R, N**b2)
+                kbx, tail = _divmod(kt, N**t)
                 rows = L * N**t + tail + kbx * N**(a1 + t)
                 pieces.setdefault((a1 + t, b2), []).append((rows, nu2, V))
             else:
                 # S_nu1^* S_mu2 = S_rest^* when nu1 = (mu2, rest)
                 r = b1 - a2
-                head, rest = np.divmod(ca, N**r)
+                head, rest = _divmod(ca, N**r)
                 L, R, V = _join(ka * pairwise * N**a2 + head, ra * N**r + rest, va, sides[0])
-                row0, rest = np.divmod(L, N**r)
-                kbx, nu2 = np.divmod(R, N**b2)
+                row0, rest = _divmod(L, N**r)
+                kbx, nu2 = _divmod(R, N**b2)
                 pieces.setdefault((a1, b2 + r), []).append(
                     (row0 + kbx * N**a1, nu2 * N**r + rest, V))
     return _gather(N, max(x.K, y.K), pieces)
@@ -502,7 +502,7 @@ def _fold(x: CuntzElement) -> CuntzElement:
     """sum_k x_k S_k^* of a family (K <= N)."""
     N, out = x.N, {}
     for (a, b), (r, c, v) in x.blocks.items():
-        k, mu = np.divmod(r, N**a)
+        k, mu = _divmod(r, N**a)
         out[(a, b + 1)] = (mu, k * N**b + c, v)
     return CuntzElement(N, out)
 
@@ -523,7 +523,7 @@ def _unfold(fold: CuntzElement, fold_adj: CuntzElement, x: CuntzElement):
     tail = {}
     for (a, b), (r, c, v) in x.blocks.items():
         if a == 0 and b:
-            nu, i = np.divmod(c, N)
+            nu, i = _divmod(c, N)
             tail[(0, b - 1)] = (r * N + i, nu, v)
     parts = []
     for part in (head, tail):
@@ -618,7 +618,7 @@ def _sandwich(x: CuntzElement, C: np.ndarray) -> CuntzElement:
     N, pieces = x.N, {}
     cs, ds = np.nonzero(np.any(C != 0, axis=0))
     for (a, b), (r, cols, v) in x.blocks.items():
-        k, mu = np.divmod(r, N**a)
+        k, mu = _divmod(r, N**a)
         w = (C[:, cs, ds][k] * v[:, None]).ravel()
         rows = ((k[:, None] * N + cs) * N**a + mu[:, None]).ravel()
         keep = w != 0

@@ -27,8 +27,10 @@ from .abelian import (
     GroupAutomorphism,
     QuadraticForm,
     Subgroup,
-    _factorize,
     automorphisms,
+    invariant_factors,
+    orthogonal_and_lagrangian,
+    tables,
 )
 from .solutions import (
     DEFAULT_GRID,
@@ -40,7 +42,6 @@ from .solutions import (
     gauge_act,
     gauge_group_basis,
     gauge_orbit_search,
-    tables,
 )
 
 __all__ = [
@@ -394,16 +395,15 @@ def dequiv_fusion(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
     with alpha~-labels in G/H and sigma-labels in G/Hperp, each coset named
     by its least element.
     """
-    from .abelian import orthogonal_and_lagrangian
-
     perp, isotropic, _ = orthogonal_and_lagrangian(G, b, a, H)
     if not isotropic:
         raise ValueError("H is not isotropic (H not within H_perp)")
-    g_a = next((g for g in G if all(a.phase(h) == b.phase(h, g) for h in H.elements)), None)
-    if g_a is None:
+    hs = [G.index_of(h) for h in H.elements]
+    (D, A), (Db, X) = a.exponents, b.exponents
+    g_a = np.flatnonzero((X[hs] * (D // Db) == A[hs, None]).all(axis=0))
+    if not len(g_a):
         raise ValueError("no g_a with a(h) = <h, g_a> on H; a is not a form for b")
     add, neg = tables(G).add, tables(G).neg
-    hs = [G.index_of(h) for h in H.elements]
     ps = [G.index_of(k) for k in perp.elements]
     coset_h, coset_perp = add[:, hs].min(axis=1), add[:, ps].min(axis=1)
     alpha, sigma = np.unique(coset_h), np.unique(coset_perp)
@@ -417,7 +417,7 @@ def dequiv_fusion(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
     N[isg, ia[:, None], S[add[neg[alpha][:, None], sigma]]] = 1  # alpha_g sigma = sigma alpha_{-g}
     # (alpha_{s1} sigma)(alpha_{s2} sigma) = alpha_{s1 - s2} sigma^2
     base = add[sigma[:, None], neg[sigma]][..., None]
-    k_minus_ga = add[np.unique(coset_h[ps]), neg[G.index_of(g_a)]]  # k in Hperp/H
+    k_minus_ga = add[np.unique(coset_h[ps]), neg[g_a[0]]]  # k in Hperp/H
     N[isg[:, None, None], isg[:, None], A[add[base, k_minus_ga]]] = 1
     N[isg[:, None, None], isg[:, None], S[add[base, sigma]]] = len(ps) // len(hs)  # |Hperp/H|
     els = G.elements()
@@ -440,10 +440,10 @@ def dequiv_twisted(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
     if 2**srank != hnum or srank % 2 != 0:
         raise ValueError("H must have order 2^{2s}")
     s = srank // 2
-    # nondegeneracy of the restriction
-    for h in hset:
-        if h != G.zero() and all(b.phase(h, k).is_one() for k in hset):
-            raise ValueError("<.,.> restricted to H is degenerate")
+    T = tables(G)
+    hs = [G.index_of(h) for h in hset]
+    if np.sum(~b.exponents[1][np.ix_(hs, hs)].any(axis=1)) > 1:
+        raise ValueError("<.,.> restricted to H is degenerate")
     # cocycle checks
     for h in hset:
         for k in hset:
@@ -459,65 +459,13 @@ def dequiv_twisted(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
                 rhs = omega[(k, l)] * omega[(h, G.add(k, l))]
                 if abs(lhs - rhs) > 1e-9:
                     raise ValueError("omega fails the 2-cocycle identity")
-    # quotient group G/H presented on coset representatives
-    reps = sorted({min(tuple(G.add(g, h)) for h in hset) for g in G})
-    factors = _quotient_factors(G, hset, reps)
-    Q = FiniteAbelianGroup(tuple(factors)) if factors else None
-    m = (2**s) * len(reps)
-    if Q is not None and Q.order != len(reps):
-        raise AssertionError("quotient presentation mismatch")
-    return near_group_ring(Q, m)
-
-
-def _quotient_factors(G: FiniteAbelianGroup, hset, reps) -> list[int]:
-    """Invariant factors of G/H, classified by counting p^k-torsion."""
-
-    def coset(g):
-        return min(tuple(G.add(g, h)) for h in hset)
-
-    zero = coset(G.zero())
-    els = list(reps)
-    order = len(els)
-    if order == 1:
-        return []
-    primes = sorted(_factorize(order))
-    # c_k = #{x in Q : p^k x = 0} = p^{sum_i min(k, lambda_i)} determines the
-    # partition (lambda_i) of the p-primary part
-    primary: dict[int, list[int]] = {}
-    for p in primes:
-        counts = []
-        k = 1
-        while True:
-            c_k = sum(1 for g in els if coset(G.smul(p**k, g)) == zero)
-            counts.append(int(round(math.log(c_k, p))))
-            if len(counts) > 1 and counts[-1] == counts[-2]:
-                counts.pop()
-                break
-            if c_k == order:
-                break
-            k += 1
-        # counts[k-1] = sum_i min(k, lambda_i); recover the partition
-        lambdas = []
-        prev = 0
-        for k, e in enumerate(counts, start=1):
-            at_least_k = e - prev
-            lambdas.append(at_least_k)
-            prev = e
-        # lambdas[k-1] = #parts >= k; convert to the partition itself
-        parts = []
-        for k, cnt in enumerate(lambdas, start=1):
-            nxt = lambdas[k] if k < len(lambdas) else 0
-            parts.extend([k] * (cnt - nxt))
-        primary[p] = sorted((p**e for e in parts), reverse=True)
-    depth = max(len(v) for v in primary.values())
-    invariant = []
-    for i in range(depth):
-        q = 1
-        for p in primes:
-            if i < len(primary[p]):
-                q *= primary[p][i]
-        invariant.append(q)
-    return sorted(invariant)
+    # G/H on its cosets, each named by its least element; the order of the
+    # coset of r is the least k >= 1 with k r in H
+    reps = np.unique(T.add[:, hs].min(axis=1))
+    in_h = np.isin(T.index(np.arange(1, T.n + 1)[:, None, None] * T.E[reps]), hs)
+    factors = invariant_factors(in_h.argmax(axis=0) + 1)
+    return near_group_ring(FiniteAbelianGroup(factors) if factors else None,
+                           2**s * len(reps))
 
 
 # ---------------------------------------------------------------------------

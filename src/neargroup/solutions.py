@@ -35,7 +35,9 @@ from .abelian import (
     FiniteAbelianGroup,
     GroupAutomorphism,
     QuadraticForm,
+    _frozen,
     _squarefree,
+    tables,
 )
 
 __all__ = [
@@ -119,35 +121,6 @@ class ResidualReport:
         for name, val in sorted(self.per_equation.items()):
             lines.append(f"  {name:16s} {val:.3e}")
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# index tables
-
-
-def _frozen(x: np.ndarray) -> np.ndarray:
-    """``x`` made read-only: a cached table is shared by every reader."""
-    x.setflags(write=False)
-    return x
-
-
-class GroupTables:
-    """Dense index tables for one group, shared by the residual evaluators."""
-
-    def __init__(self, G: FiniteAbelianGroup):
-        self.n = G.order
-        E = np.array(G.elements())
-
-        def index(X):  # G.index_of of each coordinate row of X, reduced
-            return _frozen(np.ravel_multi_index(np.moveaxis(X % G.factors, -1, 0), G.factors))
-        self.add = index(E[:, None] + E[None])
-        self.neg = index(-E)
-        self.zero = G.index_of(G.zero())
-
-
-@cache
-def tables(G: FiniteAbelianGroup) -> GroupTables:
-    return GroupTables(G)
 
 
 # ---------------------------------------------------------------------------
@@ -874,7 +847,7 @@ def _refine_gauges(U: np.ndarray, X: np.ndarray, bt: np.ndarray, target: np.ndar
     return np.abs(re + 1j * im).max(1), U
 
 
-def equivalent(s1, s2, grid: int = DEFAULT_GRID) -> bool:
+def equivalent(s1, s2) -> bool:
     """Equivalence up to Aut(G) x gauge, by :func:`gauge_orbit_search`.
 
     The search refines its grid minima by minimising the sum of |db|^2; the
@@ -885,7 +858,7 @@ def equivalent(s1, s2, grid: int = DEFAULT_GRID) -> bool:
     identify nor separate the solutions.
     """
     best = np.inf
-    for dist, _, _ in gauge_orbit_search(s1, s2, grid):
+    for dist, _, _ in gauge_orbit_search(s1, s2):
         if dist < EQUAL_TOL:
             return True
         best = min(best, dist)

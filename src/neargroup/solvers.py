@@ -46,6 +46,7 @@ from .abelian import (
     automorphisms,
     enumerate_bicharacters,
     enumerate_quadratic_forms,
+    tables,
 )
 from .cases import CaseTag, ExactContext, Feasibility, all_case_feasibilities
 from .solutions import (
@@ -59,7 +60,6 @@ from .solutions import (
     normal_form,
     residual,
 )
-from .spectral import cube_root_scalars
 
 # unused here: perfbench/tracer.py patches these names on this module
 from .solutions import residual_general, residual_mn  # noqa: F401
@@ -169,50 +169,38 @@ class ClassificationResult:
 # pair enumeration
 
 
-def _pair_key(b: Bicharacter, a: QuadraticForm):
-    return (b.gram_exponents(), tuple(p.exponent for p in a.values))
-
-
-def _galois_image(b: Bicharacter, a: QuadraticForm, k: int):
-    """The cyclotomic substitution zeta -> zeta^k applied to all phases."""
-    from .abelian import Phase
-
-    gram = tuple(tuple(Phase.from_fraction(k * p.exponent) for p in row)
-                 for row in b.gram)
-    bb = Bicharacter(b.group, gram)
-    vals = tuple(Phase.from_fraction(k * p.exponent) for p in a.values)
-    return bb, QuadraticForm(bb, vals)
-
-
 def pair_classes(G: FiniteAbelianGroup):
     """Representatives of (bicharacter, even form) pairs up to Aut(G),
     annotated with an orbit id under the coarser Aut + cyclotomic-Galois
     action (conjugation is the Galois substitution k = -1).
 
-    The Galois group acts on Aut-orbits, so the images of one representative
-    meet every representative of its orbit: the orbit is numbered by its
-    least representative, in order of first appearance.
+    A form fixes its bicharacter, <g,h> = a(g) a(h) / a(g+h), so a pair is
+    keyed by its form's exponent array over one common D: an automorphism
+    permutes the array by its index permutation, and the substitution
+    zeta -> zeta^k multiplies it by k.  The Galois group acts on
+    Aut-orbits, so the images of one representative meet every
+    representative of its orbit: the orbit is numbered by its least
+    representative, in order of first appearance.
 
     Returns a list of (bicharacter, form, galois_orbit_id).
     """
-    auts = automorphisms(G)
-    rep_of: dict = {}  # pull-back key -> index of its representative
+    pairs = [(b, a) for b in enumerate_bicharacters(G, nondegenerate_only=True)
+             for a in enumerate_quadratic_forms(b) if a.is_even()]
+    D = math.lcm(*(a.exponents[0] for _, a in pairs))
+    A = np.array([a.exponents[1] * (D // a.exponents[0]) for _, a in pairs])
+    perms = np.array([th.permutation() for th in automorphisms(G)])
+    rep_of: dict = {}  # pulled-back exponent array -> index of its representative
     reps = []
-    for b in enumerate_bicharacters(G, nondegenerate_only=True):
-        for a in enumerate_quadratic_forms(b):
-            if a.is_even() and _pair_key(b, a) not in rep_of:
-                for th in auts:
-                    rep_of.setdefault(_pair_key(b.pullback(th), a.pullback(th)), len(reps))
-                reps.append((b, a))
-    lcm_den = math.lcm(*(p.den for b, a in reps
-                         for row in (*b.gram, a.values) for p in row))
+    for i, key in enumerate(A):
+        if key.tobytes() not in rep_of:
+            for pulled in key[perms]:
+                rep_of.setdefault(pulled.tobytes(), len(reps))
+            reps.append(i)
+    units = [k for k in range(1, D + 1) if math.gcd(k, D) == 1]
     ids: dict = {}  # least representative index of an orbit -> orbit id
-    out = []
-    for b, a in reps:
-        least = min(rep_of[_pair_key(*_galois_image(b, a, k))]
-                    for k in range(1, lcm_den + 1) if math.gcd(k, lcm_den) == 1)
-        out.append((b, a, ids.setdefault(least, len(ids))))
-    return out
+    return [(*pairs[i], ids.setdefault(min(rep_of[(k * A[i] % D).tobytes()] for k in units),
+                                       len(ids)))
+            for i in reps]
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +287,10 @@ def _mn_slice(ctx: ExactContext, k: int, d: float):
     e = ctx.eig(k)
     if e["f0"] is None:  # every eigenvector vanishes at 0, and b(0) != 0
         return None
-    G = ctx.G
     f0 = np.array([ctx.numeric(x) for x in e["f0"]])
     P = np.array([[ctx.numeric(x) for x in e["col"](j)] for j in range(ctx.n)]).T
     a = np.array([ctx.numeric(x) for x in ctx.a])
-    neg = [G.index_of(G.neg(g)) for g in ctx.els]
+    neg = tables(ctx.G).neg
     # J(u e_j) = conj(u a(j)) e_-j, and J commutes with P
     V = np.hstack([u * P + np.conj(u * a) * P[:, neg] for u in (1, 1j)])
     V -= np.outer(f0, V[0])
@@ -613,7 +600,8 @@ def heuristic_search(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
     L = m // n
     if m % n != 0 or L < 1:
         raise ValueError("m must be a positive multiple of |G|")
-    c0 = complex(cube_root_scalars(a)[0])
+    ctx = ExactContext(G, b, a)
+    c0 = ctx.numeric(ctx.c)
     acj = ACJData(bichar=b, form=a, bar=tuple(range(L)),
                   g_t=tuple(G.zero() for _ in range(L)),
                   c_t=tuple(c0 for _ in range(L)),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import Bicharacter, FiniteAbelianGroup, QuadraticForm
+from .abelian import Bicharacter, FiniteAbelianGroup, QuadraticForm, tables
 
 __all__ = [
     "AntiUnitary",
@@ -107,11 +107,9 @@ def rotation(b: Bicharacter, a: QuadraticForm, c: complex) -> RotationOperator:
 
 def conjugation(a: QuadraticForm) -> AntiUnitary:
     """J f(g) = conj(a(g) f(-g)); an involutive anti-unitary."""
-    G = a.group
-    n = G.order
+    n = a.group.order
     U = np.zeros((n, n), dtype=complex)
-    for g in G:
-        U[G.index_of(g), G.index_of(G.neg(g))] = np.conj(a(g))
+    U[np.arange(n), tables(a.group).neg] = np.conj(a.table())
     return AntiUnitary(U, involutive_sign=1)
 
 

@@ -266,3 +266,227 @@ def test_plancherel_and_double_transform(G, pick, data):
     from neargroup.abelian import reflection
 
     assert np.allclose(fourier(fh, b), reflection(G) @ f, atol=1e-9)
+
+
+# --- the index-table path against element-wise references ----------------------
+#
+# Each reference below evaluates one element (or one pair) at a time, with
+# Fraction exponents and tuple arithmetic; the package reads the same data off
+# the index tables and the bicharacter's exponent table.
+
+TABLE_GROUPS = [FiniteAbelianGroup(f) for f in
+                [(n,) for n in range(2, 13)] + [(2, 2), (2, 4), (2, 6), (3, 3), (2, 2, 2)]]
+
+
+def ref_phase(b, g, h):
+    """sum_ij g_i h_j q_ij over the Gram exponents q_ij, summed over their
+    common denominator L."""
+    L = math.lcm(*(p.den for row in b.gram for p in row))
+    return Phase.from_fraction(Fraction(sum(gi * hj * b.gram[i][j].num * (L // b.gram[i][j].den)
+                                            for i, gi in enumerate(g)
+                                            for j, hj in enumerate(h)), L))
+
+
+def ref_apply(th, g):
+    G = th.group
+    out = G.zero()
+    for gi, img in zip(g, th.images):
+        out = G.add(out, G.smul(gi, img))
+    return out
+
+
+def ref_radical(b):
+    G = b.group
+    return [g for g in G if all(ref_phase(b, g, e).is_one() for e in G.generators())]
+
+
+def ref_bichar_pullback(b, th):
+    gens = [ref_apply(th, e) for e in b.group.generators()]
+    return Bicharacter(b.group, tuple(tuple(ref_phase(b, e, f) for f in gens) for e in gens))
+
+
+def ref_form_values_pullback(a, images):
+    """a(theta(g)) over the elements, given the index of theta(g) for each g."""
+    return tuple(a.values[i] for i in images)
+
+
+def ref_is_valid(a, b_table):
+    """a(g+h) <g,h> = a(g) a(h) everywhere, given the exponents of ref_phase:
+    the exponents of both sides differ by an integer."""
+    G = a.group
+    q = [p.exponent for p in a.values]
+    return all((q[G.index_of(G.add(g, h))] + b_table[g, h] - q[i] - q[j]).denominator == 1
+               for i, g in enumerate(G) for j, h in enumerate(G))
+
+
+def ref_is_even(a):
+    G = a.group
+    return all(a.phase(G.neg(g)) == a.phase(g) for g in G)
+
+
+def ref_inverse_images(th):
+    G = th.group
+    table = {ref_apply(th, g): g for g in G}
+    return tuple(table[e] for e in G.generators())
+
+
+def _units(D):
+    return [k for k in range(1, D + 1) if math.gcd(k, D) == 1]
+
+
+def test_bicharacters_on_the_exponent_table():
+    """phase, radical, the Galois image at every unit k and the pull-back by
+    every automorphism equal their element-wise references on every
+    bicharacter, degenerate ones included."""
+    count = 0
+    for G in TABLE_GROUPS:
+        els, auts = G.elements(), automorphisms(G)
+        for b in enumerate_bicharacters(G):
+            assert all(b.phase(g, h) == ref_phase(b, g, h) for g in els for h in els), b
+            assert b.radical() == ref_radical(b), b
+            assert b.is_nondegenerate() == (len(ref_radical(b)) == 1), b
+            D = b.exponents[0]
+            for k in _units(D):
+                gram = tuple(tuple(Phase.from_fraction(k * p.exponent) for p in row)
+                             for row in b.gram)
+                assert b.galois(k).gram == gram, (b, k)
+            assert b.conj() == b.galois(-1) == b.galois(D - 1)
+            for th in auts:
+                assert b.pullback(th) == ref_bichar_pullback(b, th), (b, th)
+            count += 1
+    assert count == 216
+
+
+def test_automorphisms_on_the_index_tables():
+    """permutation() is theta(g) element by element, inverse() inverts it,
+    and every automorphism is a bijection."""
+    count = 0
+    for G in TABLE_GROUPS:
+        els = G.elements()
+        for th in automorphisms(G):
+            perm = th.permutation()
+            assert perm.tolist() == [G.index_of(ref_apply(th, g)) for g in els], th
+            assert sorted(perm.tolist()) == list(range(G.order)), th
+            inv = th.inverse()
+            assert inv.images == ref_inverse_images(th), th
+            assert inv.compose(th).is_identity() and th.compose(inv).is_identity(), th
+            assert all(th(g) == ref_apply(th, g) for g in els), th
+            count += 1
+    assert count == 1 + 2 + 2 + 4 + 2 + 6 + 4 + 6 + 4 + 10 + 4 + 6 + 8 + 12 + 48 + 168
+
+
+def test_quadratic_forms_on_the_index_tables():
+    """enumerate_quadratic_forms gives |G| distinct forms of each
+    bicharacter, so all of them; is_valid, is_even, the Galois image at every
+    unit k and the pull-back by every automorphism equal their element-wise
+    references on every one.  is_valid is also read on each form's values put over
+    the next bicharacter in the list: a form fixes its bicharacter,
+    <g,h> = a(g) a(h) / a(g+h), so that is never valid."""
+    forms = valid = even = 0
+    for G in TABLE_GROUPS:
+        els = G.elements()
+        auts = [(th, [G.index_of(ref_apply(th, g)) for g in els]) for th in automorphisms(G)]
+        bs = enumerate_bicharacters(G)
+        tabs = {b: {(g, h): ref_phase(b, g, h).exponent for g in els for h in els} for b in bs}
+        for b, other in zip(bs, bs[1:] + bs[:1]):
+            pulled = [b.pullback(th) for th, _ in auts]
+            b_forms = enumerate_quadratic_forms(b)
+            assert len({a.values for a in b_forms}) == G.order  # all of them, with validity
+            for a in b_forms:
+                assert a.is_valid() and ref_is_valid(a, tabs[b]), a
+                moved = QuadraticForm(other, a.values)
+                assert moved.is_valid() == ref_is_valid(moved, tabs[other]), moved
+                valid += moved.is_valid()
+                assert a.is_even() == ref_is_even(a), a
+                even += a.is_even()
+                for k in _units(a.exponents[0]):
+                    ak = a.galois(k)
+                    assert ak.bichar == b.galois(k), (a, k)
+                    assert ak.values == tuple(Phase.from_fraction(k * p.exponent)
+                                              for p in a.values), (a, k)
+                assert a.conj() == a.galois(-1)
+                for (th, images), bb in zip(auts, pulled):
+                    ap = a.pullback(th)
+                    assert ap.values == ref_form_values_pullback(a, images), (a, th)
+                    assert ap.bichar == bb, (a, th)
+                forms += 1
+    assert (forms, even, valid) == (1852, 850, 0)
+
+
+def ref_pair_classes(G):
+    """The element-wise pair enumeration the table path replaced: each pair
+    keyed by its Gram exponents and form exponents, pulled back by every
+    automorphism and moved by every Galois substitution entry by entry."""
+    auts = automorphisms(G)
+    els = G.elements()
+
+    def key(b, a):
+        return b.gram_exponents(), tuple(p.exponent for p in a.values)
+
+    def pulled(b, a, th):
+        images = [G.index_of(ref_apply(th, g)) for g in els]
+        return ref_bichar_pullback(b, th), ref_form_values_pullback(a, images)
+
+    def galois(b, a, k):
+        gram = tuple(tuple(Phase.from_fraction(k * p.exponent) for p in row) for row in b.gram)
+        bk = Bicharacter(G, gram)
+        return bk, QuadraticForm(bk, tuple(Phase.from_fraction(k * p.exponent)
+                                           for p in a.values))
+
+    rep_of, reps = {}, []
+    for b in enumerate_bicharacters(G):
+        if len(ref_radical(b)) != 1:
+            continue
+        for a in enumerate_quadratic_forms(b):
+            if ref_is_even(a) and key(b, a) not in rep_of:
+                for th in auts:
+                    bb, vals = pulled(b, a, th)
+                    rep_of.setdefault((bb.gram_exponents(), tuple(p.exponent for p in vals)),
+                                      len(reps))
+                reps.append((b, a))
+    lcm_den = math.lcm(*(p.den for b, a in reps for row in (*b.gram, a.values) for p in row))
+    ids, out = {}, []
+    for b, a in reps:
+        least = min(rep_of[key(*galois(b, a, k))] for k in _units(lcm_den))
+        out.append((b, a, ids.setdefault(least, len(ids))))
+    return out
+
+
+def test_pair_classes_matches_the_element_wise_enumeration():
+    """pair_classes, keyed on permuted exponent arrays, gives the
+    representatives, their order and the Galois orbit ids of the element-wise
+    enumeration."""
+    from neargroup.solvers import pair_classes
+
+    for G in TABLE_GROUPS:
+        assert pair_classes(G) == ref_pair_classes(G), G
+
+
+def _orders_of(G, H):
+    """The order of each coset g + H of G/H, one per coset."""
+    hset, orders = set(H.elements), {}
+    for g in G:
+        coset = min(G.add(g, h) for h in hset)
+        k, x = 1, g
+        while x not in hset:
+            k, x = k + 1, G.add(x, g)
+        orders[coset] = k
+    return sorted(orders.values())
+
+
+def test_invariant_factors_from_element_orders():
+    """G's element orders give canonicalized()'s factors, and each quotient
+    G/H, read off its coset orders, has order |G|/|H| and the element orders
+    of the group its factors name."""
+    from neargroup.abelian import invariant_factors
+
+    quotients = 0
+    for G in TABLE_GROUPS + [FiniteAbelianGroup((2, 2, 3)), FiniteAbelianGroup((4, 6))]:
+        assert invariant_factors([G.element_order(g) for g in G]) == G.canonicalized()[0].factors
+        for H in subgroups(G):
+            factors = invariant_factors(_orders_of(G, H))
+            Q = FiniteAbelianGroup(factors) if factors else None
+            assert (Q.order if Q else 1) == G.order // H.order, (G, H.elements)
+            assert (sorted(Q.element_order(x) for x in Q) if Q else [1]) == _orders_of(G, H)
+            quotients += 1
+    assert quotients == 105

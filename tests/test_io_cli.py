@@ -110,6 +110,12 @@ def test_config_defaults_and_env(tmp_path):
     assert cfg.tolerance == 1e-8
     with pytest.raises(ValueError):
         Config(tolerance=1.0)
+    # every key is read, as its field's type
+    f.write_text("tolerance = 1e-9\noracle_tolerance = 1e-8\nrandom_starts = 5\n"
+                 "archive_path = ./arch\nseed = 7\n")
+    cfg = load_config(f)
+    assert cfg == Config(1e-9, 1e-8, 5, "./arch", 7)
+    assert [type(getattr(cfg, k)) for k in vars(cfg)] == [float, float, int, str, int]
 
 
 def test_config_checks_oracle_tolerance(tmp_path, capsys):

@@ -178,7 +178,7 @@ def test_equivalence_reflexive_and_circle():
 
     r = _m.sqrt(_m.sqrt(3) / 24)
     other = build(x=r * math.cos(0.9), y=r * math.sin(0.9))
-    assert equivalent(s, other, grid=200)
+    assert equivalent(s, other)
     assert not equivalent(s, s.conj())  # opposite bicharacter classes
 
 
