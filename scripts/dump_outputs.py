@@ -2,7 +2,10 @@
 """Print the CLI's ``--json`` answers on the classification table and corpus.
 
 Runs ``neargroup --json classify`` on every row of
-``run_classification.TABLE`` (plus any ``--row GROUP M``), then prints the
+``run_classification.TABLE``, then on the m = n rows of ``MATCHING_ROWS``
+(Z3xZ3/9 and Z2xZ4/8, whose dedupe compares solutions under 48 and 8
+automorphisms, most of which move the form, so the automorphism matching of
+the gauge search is compared too), plus any ``--row GROUP M``; then prints the
 exact m = 2|G| case analysis of every group in ``CASE_GROUPS``: ``str(f)``
 of each ``Feasibility`` of each ``pair_classes`` pair, so the witnesses and
 details of the ``cases`` layer are compared too, whatever rows are
@@ -45,6 +48,7 @@ from neargroup.io import load_bundled  # noqa: E402
 from neargroup.solutions import equivalent  # noqa: E402
 from neargroup.solvers import pair_classes  # noqa: E402
 
+MATCHING_ROWS = [("Z3xZ3", "9"), ("Z2xZ4", "8")]
 CASE_GROUPS = ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z10", "Z12",
                "Z2xZ2", "Z2xZ4", "Z2xZ6", "Z3xZ3", "Z2xZ2xZ2"]
 FUSION = [["dequiv", "bundled/z2z2_m4.json", "--subgroup", "1,1"],
@@ -105,7 +109,7 @@ def main():
                     help="also classify this row, e.g. --row Z5 10")
     args = ap.parse_args()
     rows = [("x".join(f"Z{f}" for f in factors), str(m)) for factors, m in TABLE]
-    for group, m in rows + args.row:
+    for group, m in rows + MATCHING_ROWS + args.row:
         run(["classify", group, m])
     for group in CASE_GROUPS:
         case_analysis(group)

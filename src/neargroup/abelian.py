@@ -43,6 +43,7 @@ __all__ = [
     "Subgroup",
     "ResourceError",
     "tables",
+    "form_exponents",
     "invariant_factors",
     "enumerate_bicharacters",
     "bicharacter_classes",
@@ -206,9 +207,6 @@ class FiniteAbelianGroup:
 
     def neg(self, g: Element) -> Element:
         return tuple((-a) % n for a, n in zip(g, self.factors))
-
-    def sub(self, g: Element, h: Element) -> Element:
-        return self.add(g, self.neg(h))
 
     def smul(self, k: int, g: Element) -> Element:
         return tuple((k * a) % n for a, n in zip(g, self.factors))
@@ -429,6 +427,16 @@ class QuadraticForm:
         return sum(p.value() for p in self.values) / math.sqrt(self.group.order)
 
 
+def form_exponents(forms: Sequence[QuadraticForm]) -> tuple[int, np.ndarray]:
+    """(D, A): the exponent arrays of forms on one group over one common D,
+    one row per form.  A form fixes its bicharacter, <g,h> = a(g) a(h) /
+    a(g+h), so two pairs (<.,.>, a) are equal exactly when their rows are;
+    an automorphism theta pulls a row back to ``row[theta.permutation()]``
+    and the substitution zeta -> zeta^k multiplies it by k, mod D."""
+    D = math.lcm(*(a.exponents[0] for a in forms))
+    return D, np.array([a.exponents[1] * (D // a.exponents[0]) for a in forms])
+
+
 @dataclass(frozen=True)
 class GroupAutomorphism:
     group: FiniteAbelianGroup
@@ -472,9 +480,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def contains(self, g: Element) -> bool:
-        return g in set(self.elements)
 
     def is_closed(self) -> bool:
         s = set(self.elements)
@@ -627,8 +632,10 @@ def reflection(G: FiniteAbelianGroup) -> np.ndarray:
 # automorphisms
 
 
-def automorphisms(G: FiniteAbelianGroup) -> list[GroupAutomorphism]:
-    """Complete Aut(G) by pruned brute force over generator images.
+@cache
+def automorphisms(G: FiniteAbelianGroup) -> tuple[GroupAutomorphism, ...]:
+    """Complete Aut(G) by pruned brute force over generator images, listed
+    once per group.
 
     An automorphism preserves element orders, so the image of the i-th
     standard generator ranges over elements of order exactly ``n_i``; partial
@@ -658,7 +665,7 @@ def automorphisms(G: FiniteAbelianGroup) -> list[GroupAutomorphism]:
                 extend(chosen + [g], new_span)
 
     extend([], {G.zero()})
-    return out
+    return tuple(out)
 
 
 def _span_with(G, span: set[Element], g: Element, n: int) -> set[Element]:

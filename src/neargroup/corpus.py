@@ -192,14 +192,10 @@ def z3_m6(x: float | None = None, y: float = 0.0) -> GeneralSolution:
     """The (Z3, m=6) solution at parameters (x, y), default (sqrt(sqrt3/24), 0)."""
     if x is None:
         x = math.sqrt(math.sqrt(3) / 24)
-    G = FiniteAbelianGroup((3,))
-    bichar = _cyclic_bichar(G, 1)
-    form = _form_from_phases(bichar, {(0,): Phase(0), (1,): Phase(1, 3), (2,): Phase(1, 3)})
+    form = _form_from_phases(_cyclic_bichar(FiniteAbelianGroup((3,)), 1),
+                             {(0,): Phase(0), (1,): Phase(1, 3), (2,): Phase(1, 3)})
     c = np.exp(-1j * np.pi / 6)
-    acj = ACJData(
-        bichar=bichar, form=form, bar=(0, 1), g_t=((0,), (0,)),
-        c_t=(c, c), eps_t=(1, 1), eps=1,
-    )
+    acj = ACJData(form=form, bar=(0, 1), g_t=((0,), (0,)), c_t=(c, c), eps_t=(1, 1), eps=1)
     s3 = math.sqrt(3)
     f0 = np.array([1.0, -ZETA3 / 2, -ZETA3 / 2])
     f0p = np.array([0.0, ZETA3 * 1j, -ZETA3 * 1j])
@@ -225,7 +221,7 @@ def z3_m6(x: float | None = None, y: float = 0.0) -> GeneralSolution:
     for (r, t), vals in rows.items():
         for (sidx, u), vec in zip(cols, vals):
             bt[r, sidx, t, u, :] = vec
-    return GeneralSolution(G, acj, bt, provenance={
+    return GeneralSolution(acj, bt, provenance={
         "source": "Z3 m=6 classification (m=2n section), Case I with omega1=omega2=1",
         "values": f"(x, y) = ({x}, {y}); x^2+y^2 = sqrt(3)/24",
     })

@@ -235,14 +235,15 @@ def near_group_ring(G: FiniteAbelianGroup | None, m: int) -> FusionRing:
 
 @dataclass
 class PrincipalGraph:
-    """Bipartite 2^G_l 1 graph: even vertices {v_g} + v_rho, odd {w_g} + w_pi."""
+    """Bipartite 2^G_l 1 graph: even vertices {v_g} + v_rho, odd {w_g} + w_pi;
+    labels, incidence and metadata are derived from (group, l)."""
 
     group: FiniteAbelianGroup
     l: int
-    even_labels: list[str] = field(default_factory=list)
-    odd_labels: list[str] = field(default_factory=list)
-    incidence: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
+    even_labels: list[str] = field(init=False)
+    odd_labels: list[str] = field(init=False)
+    incidence: np.ndarray = field(init=False)
+    metadata: dict = field(init=False)
 
     def __post_init__(self):
         n = self.group.order

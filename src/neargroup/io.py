@@ -142,7 +142,7 @@ def solution_from_json(data: dict) -> GeneralSolution:
         return MNSolution(G, b, a, bvec, _unc(data["c"]), provenance=prov)
     acj_d = data["acj"]
     acj = ACJData(
-        bichar=b, form=a,
+        form=a,
         bar=tuple(acj_d["bar"]),
         g_t=tuple(tuple(g) for g in acj_d["g_t"]),
         c_t=tuple(_unc(z) for z in acj_d["c_t"]),
@@ -154,7 +154,7 @@ def solution_from_json(data: dict) -> GeneralSolution:
     for entry in data["btensor"]:
         r, ss, t, u = entry["idx"]
         bt[r, ss, t, u, entry["g"]] = _unc(entry["v"])
-    return GeneralSolution(G, acj, bt, provenance=prov)
+    return GeneralSolution(acj, bt, provenance=prov)
 
 
 def save_solution(s, path: str | Path):

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 
 import numpy as np
 
+from . import abelian
 from .abelian import (
     Bicharacter,
     FiniteAbelianGroup,
@@ -112,9 +113,6 @@ class ResidualReport:
     def passed(self) -> bool:
         return self.max_residual < self.tolerance
 
-    def worst(self, k: int = 3) -> list[tuple[str, float]]:
-        return sorted(self.per_equation.items(), key=lambda kv: -kv[1])[:k]
-
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
         lines = [f"[{status}] max residual {self.max_residual:.3e} (tol {self.tolerance:.1e})"]
@@ -129,11 +127,11 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class ACJData:
-    """Normal-form data on K0: involution on Lambda, characters chi_t (stored
-    through the group elements g_t with chi_t = <., g_t>), cube-root scalars
-    c_t, signs eps_t, global sign eps, and the base form a."""
+    """Normal-form data on K0: the base form a, involution on Lambda,
+    characters chi_t (stored through the group elements g_t with chi_t =
+    <., g_t>), cube-root scalars c_t, signs eps_t and global sign eps.  The
+    group and the bicharacter <.,.> are read off the form."""
 
-    bichar: Bicharacter
     form: QuadraticForm
     bar: tuple[int, ...]  # involution on range(L)
     g_t: tuple[tuple[int, ...], ...]  # chi_t = <., g_t>
@@ -142,8 +140,12 @@ class ACJData:
     eps: int
 
     @property
+    def bichar(self) -> Bicharacter:
+        return self.form.bichar
+
+    @property
     def group(self) -> FiniteAbelianGroup:
-        return self.bichar.group
+        return self.form.group
 
     @property
     def L(self) -> int:
@@ -168,15 +170,19 @@ class ACJData:
 
 @dataclass(frozen=True)
 class GeneralSolution:
-    """(eps, <.,.>, ACJ data, b^{r,s}_{t,u}(g)) for m = L * |G| irrational."""
+    """(ACJ data, b^{r,s}_{t,u}(g)) for m = L * |G| irrational; the group
+    is the ACJ form's."""
 
-    group: FiniteAbelianGroup
     acj: ACJData
     btensor: np.ndarray  # shape (L, L, L, L, n)
     provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "btensor", np.asarray(self.btensor, dtype=complex))
+
+    @property
+    def group(self) -> FiniteAbelianGroup:
+        return self.acj.group
 
     @property
     def n(self) -> int:
@@ -201,7 +207,7 @@ class GeneralSolution:
     @property
     def is_mn(self) -> bool:
         """An m = n solution: L = 1, trivial chi and eps_t = (1,)."""
-        return self.acj == mn_normal_form(self.acj.bichar, self.acj.form, self.acj.c_t[0])
+        return self.acj == mn_normal_form(self.acj.form, self.acj.c_t[0])
 
     def bmatrix(self, gi: int) -> np.ndarray:
         """B(g) with ((r,t),(s,u)) entries b^{r,s}_{t,u}(g), lexicographic."""
@@ -209,38 +215,33 @@ class GeneralSolution:
         return self.btensor[..., gi].transpose(0, 2, 1, 3).reshape(L * L, L * L)
 
     def conj(self) -> "GeneralSolution":
+        """The complex conjugate: form (and with it the bicharacter), c_t, b."""
         acj = self.acj
-        new_acj = ACJData(
-            acj.bichar.conj(),
-            acj.form.conj(),
-            acj.bar,
-            acj.g_t,
-            tuple(complex(c).conjugate() for c in acj.c_t),
-            acj.eps_t,
-            acj.eps,
-        )
-        return GeneralSolution(self.group, new_acj, np.conj(self.btensor))
+        return GeneralSolution(replace(acj, form=acj.form.conj(), c_t=tuple(
+            complex(c).conjugate() for c in acj.c_t)), np.conj(self.btensor))
 
 
-def mn_normal_form(bichar: Bicharacter, form: QuadraticForm, c: complex) -> ACJData:
+def mn_normal_form(form: QuadraticForm, c: complex) -> ACJData:
     """The L = 1 normal form of the m = n system with cube-root scalar c."""
-    return ACJData(bichar=bichar, form=form, bar=(0,), g_t=(bichar.group.zero(),),
-                   c_t=(complex(c),), eps_t=(1,), eps=1)
+    return ACJData(form=form, bar=(0,), g_t=(form.group.zero(),), c_t=(complex(c),),
+                   eps_t=(1,), eps=1)
 
 
 class MNSolution(GeneralSolution):
     """Builds the m = n solution (<.,.>, a, b, c), m = |G|: the L = 1
-    ``GeneralSolution`` with ``acj = mn_normal_form(bichar, form, c)`` and
-    b stored as the (1, 1, 1, 1, n) ``btensor``.  ``bichar``, ``form``,
-    ``b`` and ``c`` are read-only views of those two fields; d is pinned by
-    d^2 = n + n d.  Nothing dispatches on this type (``is_mn`` reads the
-    data)."""
+    ``GeneralSolution`` with ``acj = mn_normal_form(form, c)`` and b stored
+    as the (1, 1, 1, 1, n) ``btensor``; raises ``ValueError`` unless the
+    form lives over ``bichar`` and ``bichar`` over ``group``.  ``bichar``,
+    ``form``, ``b`` and ``c`` are read-only views of those two fields; d is
+    pinned by d^2 = n + n d.  Nothing dispatches on this type (``is_mn``
+    reads the data)."""
 
     def __init__(self, group: FiniteAbelianGroup, bichar: Bicharacter,
                  form: QuadraticForm, b, c: complex, provenance: dict | None = None):
+        if form.bichar != bichar or bichar.group != group:
+            raise ValueError("form, bicharacter and group do not match")
         bt = np.asarray(b, dtype=complex).reshape(1, 1, 1, 1, group.order)
-        super().__init__(group, mn_normal_form(bichar, form, c), bt,
-                         {} if provenance is None else provenance)
+        super().__init__(mn_normal_form(form, c), bt, {} if provenance is None else provenance)
 
     @property
     def bichar(self) -> Bicharacter:
@@ -510,7 +511,7 @@ def gauge_act(u: np.ndarray, s: GeneralSolution, check: bool = True) -> GeneralS
     if check and not in_gauge_group(u, s.acj):
         raise ValueError("u is not in the gauge group G(A,C,J)")
     bt = np.ascontiguousarray(_gauge_stack(u[None], s.btensor)[0])
-    return GeneralSolution(s.group, s.acj, bt, provenance=dict(s.provenance))
+    return GeneralSolution(s.acj, bt, provenance=dict(s.provenance))
 
 
 def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -623,23 +624,15 @@ def sample_gauge(acj: ACJData, rng: np.random.Generator) -> np.ndarray:
 
 def aut_act(theta: GroupAutomorphism, s):
     """Pull a solution back along a group automorphism; residual status is
-    invariant.  The transformed solution lives over (<theta.,theta.>, a∘theta),
-    with chi_t pulled back too; the trivial chi of an m = n solution stays
-    trivial, so its image is again one (``is_mn``)."""
-    G = s.group
-    perm = theta.permutation()  # perm[index(g)] = index(theta(g))
+    invariant.  The transformed solution lives over the form a∘theta, whose
+    bicharacter is <theta.,theta.>, with chi_t pulled back too; the trivial
+    chi of an m = n solution stays trivial, so its image is again one
+    (``is_mn``)."""
     acj = s.acj
-    thinv = theta.inverse()
-    new_acj = ACJData(
-        acj.bichar.pullback(theta),
-        acj.form.pullback(theta),
-        acj.bar,
-        tuple(thinv(gt) for gt in acj.g_t),
-        acj.c_t,
-        acj.eps_t,
-        acj.eps,
-    )
-    return GeneralSolution(G, new_acj, s.btensor[..., perm], provenance=dict(s.provenance))
+    new_acj = replace(acj, form=acj.form.pullback(theta),
+                      g_t=tuple(map(theta.inverse(), acj.g_t)))
+    return GeneralSolution(new_acj, s.btensor[..., theta.permutation()],
+                           provenance=dict(s.provenance))
 
 
 # ---------------------------------------------------------------------------
@@ -743,11 +736,14 @@ def _batched_lm(X0: np.ndarray, model, max_iter: int, floor: float, move=np.add)
 def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
     """Search Aut(G) x G(A,C,J) for (theta, u) moving s1 onto s2.
 
-    For each theta whose pull-back of s1 matches s2 in bicharacter, form,
-    characters chi_t and scalars c_t, and each finite gauge component comp,
-    the component's coset of the gauge group is sampled on a grid (at least
-    8 points per algebra direction, ``grid`` in total) in one batched
-    evaluation: the grid point (t_1, ..., t_k) in [0, 2 pi)^k is the gauge
+    theta is kept, by one array test over the stacked index permutations of
+    ``abelian.automorphisms(G)``, when it pulls s1's form back onto s2's
+    (``abelian.form_exponents``; the bicharacter comes with it) and moves
+    s2's chi_t indices onto s1's; c_t, which theta does not move, is compared
+    once.  Only a kept theta reaches :func:`aut_act`.  For each kept theta
+    and each finite gauge component comp, the component's coset of the gauge
+    group is sampled on a grid (at least 8 points per algebra direction,
+    ``grid`` in total) in one batched evaluation: the grid point (t_1, ..., t_k) in [0, 2 pi)^k is the gauge
     comp exp(t_1 X_1) ⋯ exp(t_k X_k) over the algebra basis X, each factor
     from one eigh of -iX_k per theta (:func:`_one_parameter_exps`); for k = 1
     this is comp exp(t X_1).  Every local grid minimum, and the global one,
@@ -757,18 +753,17 @@ def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
     |b(u . theta^* s1) - b(s2)|.  An m = n solution is the L = 1 case, whose
     gauge group {+-1} has no continuous part.
     """
-    from .abelian import automorphisms
-
-    if s1.group.factors != s2.group.factors or s1.L != s2.L:
+    G, acj1, acj2 = s1.group, s1.acj, s2.acj
+    if (G.factors != s2.group.factors or s1.L != s2.L
+            or np.max(np.abs(np.subtract(acj1.c_t, acj2.c_t))) >= EQUAL_TOL):
         return
-    ref = s2.acj
-    for th in automorphisms(s1.group):
+    auts = abelian.automorphisms(G)  # read at each call: perfbench patches it
+    P = np.array([th.permutation() for th in auts])
+    _, (A1, A2) = abelian.form_exponents([acj1.form, acj2.form])
+    chi1, chi2 = ([G.index_of(g) for g in acj.g_t] for acj in (acj1, acj2))
+    kept = (A1[P] == A2).all(1) & (np.sort(P[:, chi2], 1) == np.sort(chi1)).all(1)
+    for th in itertools.compress(auts, kept):
         t = aut_act(th, s1)
-        if (t.acj.bichar.gram_exponents() != ref.bichar.gram_exponents()
-                or any(p != q for p, q in zip(t.acj.form.values, ref.form.values))
-                or sorted(t.acj.g_t) != sorted(ref.g_t)
-                or np.max(np.abs(np.subtract(t.acj.c_t, ref.c_t))) >= EQUAL_TOL):
-            continue
         algebra, comps = gauge_group_basis(t.acj)
         kdim = len(algebra)
         X = np.array(algebra).reshape(kdim, s1.L, s1.L)

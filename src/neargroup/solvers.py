@@ -46,6 +46,7 @@ from .abelian import (
     automorphisms,
     enumerate_bicharacters,
     enumerate_quadratic_forms,
+    form_exponents,
     tables,
 )
 from .cases import CaseTag, ExactContext, Feasibility, all_case_feasibilities
@@ -174,20 +175,18 @@ def pair_classes(G: FiniteAbelianGroup):
     annotated with an orbit id under the coarser Aut + cyclotomic-Galois
     action (conjugation is the Galois substitution k = -1).
 
-    A form fixes its bicharacter, <g,h> = a(g) a(h) / a(g+h), so a pair is
-    keyed by its form's exponent array over one common D: an automorphism
-    permutes the array by its index permutation, and the substitution
-    zeta -> zeta^k multiplies it by k.  The Galois group acts on
-    Aut-orbits, so the images of one representative meet every
-    representative of its orbit: the orbit is numbered by its least
-    representative, in order of first appearance.
+    A pair is keyed by its form's exponent array over one common D
+    (``abelian.form_exponents``): an automorphism permutes the array by its
+    index permutation, and the substitution zeta -> zeta^k multiplies it by
+    k.  The Galois group acts on Aut-orbits, so the images of one
+    representative meet every representative of its orbit: the orbit is
+    numbered by its least representative, in order of first appearance.
 
     Returns a list of (bicharacter, form, galois_orbit_id).
     """
     pairs = [(b, a) for b in enumerate_bicharacters(G, nondegenerate_only=True)
              for a in enumerate_quadratic_forms(b) if a.is_even()]
-    D = math.lcm(*(a.exponents[0] for _, a in pairs))
-    A = np.array([a.exponents[1] * (D // a.exponents[0]) for _, a in pairs])
+    D, A = form_exponents([a for _, a in pairs])
     perms = np.array([th.permutation() for th in automorphisms(G)])
     rep_of: dict = {}  # pulled-back exponent array -> index of its representative
     reps = []
@@ -221,7 +220,7 @@ def _keep(B, acj: ACJData, provenance: dict, config: SolveConfig,
     for i, bt in enumerate(B):
         if not live[i]:
             continue
-        s = GeneralSolution(acj.group, acj, bt, dict(provenance))
+        s = GeneralSolution(acj, bt, dict(provenance))
         if not residual(s, config.residual_tol).passed:
             continue
         found.append(s)
@@ -270,7 +269,7 @@ def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
         c = ctx.numeric(ctx.c * ctx.zeta3 ** k)
         # the three cube roots c never share a solution, so deduping within
         # one c's starts is deduping over all of them
-        out += _solve_tensor(mn_normal_form(b, a, c), _mn_slice(ctx, k, d),
+        out += _solve_tensor(mn_normal_form(a, c), _mn_slice(ctx, k, d),
                              config.random_starts, 0, config,
                              {"solver": "solve_mn", "seed": config.seed})
     out.sort(key=lambda s: _order_key(s.btensor))
@@ -324,7 +323,7 @@ def solve_m2n(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
         # have no normal form in _acj_for_case and are not searched
         if feas.feasible and feas.tag.kind in ("I", "II"):
             try:
-                sols.extend(_solve_case(G, b, a, ctx, feas.tag, config))
+                sols.extend(_solve_case(a, ctx, feas.tag, config))
             except (np.linalg.LinAlgError, ArithmeticError) as e:
                 if warnings is None:
                     raise
@@ -334,22 +333,21 @@ def solve_m2n(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
     return reps, feasibilities
 
 
-def _acj_for_case(G, b, a, c_num, tag) -> ACJData:
+def _acj_for_case(a: QuadraticForm, c_num, tag) -> ACJData:
     w = [np.exp(2j * np.pi * k / 3) for k in range(3)]
+    zero = (a.group.zero(),) * 2
     if tag.kind == "I":
         c_t = (complex(c_num * w[tag.omegas[0]]), complex(c_num * w[tag.omegas[1]]))
-        return ACJData(bichar=b, form=a, bar=(0, 1), g_t=(G.zero(), G.zero()),
-                       c_t=c_t, eps_t=(1, 1), eps=1)
+        return ACJData(form=a, bar=(0, 1), g_t=zero, c_t=c_t, eps_t=(1, 1), eps=1)
     if tag.kind == "II":
         c0 = complex(c_num * w[tag.omega])
-        return ACJData(bichar=b, form=a, bar=(1, 0), g_t=(G.zero(), G.zero()),
-                       c_t=(c0, c0), eps_t=(1, -1), eps=-1)
+        return ACJData(form=a, bar=(1, 0), g_t=zero, c_t=(c0, c0), eps_t=(1, -1), eps=-1)
     raise ValueError("no ACJ normal form for this tag")
 
 
-def _solve_case(G, b, a, ctx, tag, config) -> list[GeneralSolution]:
+def _solve_case(a, ctx, tag, config) -> list[GeneralSolution]:
     """The tensor system of a Case I or II tag in its normal form."""
-    acj = _acj_for_case(G, b, a, ctx.numeric(ctx.c), tag)
+    acj = _acj_for_case(a, ctx.numeric(ctx.c), tag)
     # a handful of distinct points is enough to detect the gauge orbit
     return _solve_tensor(acj, _numeric_slice(acj), config.random_starts,
                          {"I": 1, "II": 2}[tag.kind], config,
@@ -602,9 +600,7 @@ def heuristic_search(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
         raise ValueError("m must be a positive multiple of |G|")
     ctx = ExactContext(G, b, a)
     c0 = ctx.numeric(ctx.c)
-    acj = ACJData(bichar=b, form=a, bar=tuple(range(L)),
-                  g_t=tuple(G.zero() for _ in range(L)),
-                  c_t=tuple(c0 for _ in range(L)),
-                  eps_t=tuple(1 for _ in range(L)), eps=1)
+    acj = ACJData(form=a, bar=tuple(range(L)), g_t=(G.zero(),) * L, c_t=(c0,) * L,
+                  eps_t=(1,) * L, eps=1)
     return _solve_tensor(acj, _numeric_slice(acj), HEURISTIC_STARTS, 3, config, {
         "solver": "heuristic_search", "completeness": "HEURISTIC", "seed": config.seed})

@@ -156,6 +156,14 @@ def test_automorphism_counts():
     assert len(automorphisms(Z22)) == 6  # GL(2, F2)
 
 
+def test_automorphisms_listed_once_per_group():
+    """Aut(G) is built once per group and shared, as a tuple."""
+    for G in (Z5, Z22, FiniteAbelianGroup((3, 3))):
+        auts = automorphisms(G)
+        assert isinstance(auts, tuple) and automorphisms(G) is auts
+        assert automorphisms(FiniteAbelianGroup(G.factors)) is auts
+
+
 def test_automorphisms_bijective_and_closed():
     auts = automorphisms(Z22)
     for th in auts:

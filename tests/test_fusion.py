@@ -26,6 +26,7 @@ from neargroup.fusion import (
     find_near_group_subring,
     near_group_ring,
     out_group,
+    PrincipalGraph,
     principal_graph,
 )
 from neargroup.solutions import GeneralSolution, dimension_d
@@ -101,6 +102,14 @@ def test_principal_graph_invalid_l():
         principal_graph(FiniteAbelianGroup((2,)), 0)
 
 
+@pytest.mark.parametrize("name", ["even_labels", "odd_labels", "incidence", "metadata"])
+def test_principal_graph_derives_its_fields(name):
+    """The labels, incidence and metadata are derived from (group, l): passing
+    one raises instead of being overwritten in silence."""
+    with pytest.raises(TypeError):
+        PrincipalGraph(FiniteAbelianGroup((3,)), 2, **{name: np.eye(4)})
+
+
 # --- Out groups ----------------------------------------------------------------
 
 def test_out_groups_mn():
@@ -125,7 +134,7 @@ def test_out_group_noisy_solution_is_inconclusive():
     s = z3_m6()
     rng = np.random.default_rng(7)
     noise = rng.normal(size=s.btensor.shape) + 1j * rng.normal(size=s.btensor.shape)
-    noisy = GeneralSolution(s.group, s.acj, s.btensor + 1e-5 * noise)
+    noisy = GeneralSolution(s.acj, s.btensor + 1e-5 * noise)
     assert out_group(noisy, grid=32).inconclusive
 
 

@@ -75,8 +75,7 @@ def test_mn_kind_is_read_off_the_data(corpus_mn, tmp_path):
         assert arch._key(t) == arch._key(s), name
     s = corpus_mn["z2_m2"]
     a = s.acj
-    planted = GeneralSolution(s.group, ACJData(a.bichar, a.form, a.bar, a.g_t, a.c_t,
-                                               (-1,), a.eps), s.btensor)
+    planted = GeneralSolution(ACJData(a.form, a.bar, a.g_t, a.c_t, (-1,), a.eps), s.btensor)
     assert not planted.is_mn
     assert fingerprint(planted)[0] == "general"
     assert set(residual(planted).per_equation) == set(residual_general(planted).per_equation)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 import neargroup
+from neargroup import solutions
 from neargroup.abelian import (
     FiniteAbelianGroup,
     GroupAutomorphism,
@@ -22,6 +24,7 @@ from neargroup.cases import CaseTag
 from neargroup.corpus import corpus_mn, z2_m2, z3_m6, z5_m5
 from neargroup.io import load_bundled, solution_to_json
 from neargroup.solutions import (
+    EQUAL_TOL,
     ACJData,
     GeneralSolution,
     MNSolution,
@@ -48,7 +51,7 @@ from neargroup.solutions import (
     residual_mn,
     sample_gauge,
 )
-from neargroup.solvers import _acj_for_case
+from neargroup.solvers import SolveConfig, _acj_for_case, pair_classes, solve_mn
 
 
 def test_dimension_d_exact_forms():
@@ -99,14 +102,14 @@ def test_z3_m6_residuals_and_family():
 
 def test_zero_btensor_p2_residual():
     s = z3_m6()
-    z = GeneralSolution(s.group, s.acj, np.zeros_like(s.btensor))
+    z = GeneralSolution(s.acj, np.zeros_like(s.btensor))
     rep = residual_general(z)
     assert abs(rep.per_equation["p2"] - 1 / s.d) < 1e-12
 
 
 def test_rescaled_btensor_breaks_unitarity():
     s = z3_m6()
-    bad = GeneralSolution(s.group, s.acj, 1.01 * s.btensor)
+    bad = GeneralSolution(s.acj, 1.01 * s.btensor)
     rep = residual_general(bad)
     assert rep.per_equation["p4"] >= 1e-3
 
@@ -228,7 +231,7 @@ def test_mn_solution_is_the_l1_general_solution():
     for name in corpus_mn():
         s = load_bundled(name)
         assert s.is_mn, name
-        assert s.acj == mn_normal_form(s.bichar, s.form, s.c), name
+        assert s.acj == mn_normal_form(s.form, s.c), name
         assert s.btensor.shape == (1, 1, 1, 1, s.n), name
         assert s.L == 1 and s.m == s.n, name
         assert residual_general(s).passed, name
@@ -298,7 +301,7 @@ def _case_normal_forms(factors):
             continue
         for a in enumerate_quadratic_forms(b):
             for tag in tags:
-                yield tag, _acj_for_case(G, b, a, 1.0, tag)
+                yield tag, _acj_for_case(a, 1.0, tag)
 
 
 def test_expm_ah_matches_scipy(rng):
@@ -380,7 +383,7 @@ def test_gauge_orbit_search_finds_random_gauge_moves(rng):
         assert len(gauge_group_basis(acj)[0]) == kdim
         for _ in range(20):
             bt = rng.normal(size=(2, 2, 2, 2, 3)) + 1j * rng.normal(size=(2, 2, 2, 2, 3))
-            s1 = GeneralSolution(acj.group, acj, bt)
+            s1 = GeneralSolution(acj, bt)
             s2 = gauge_act(sample_gauge(acj, rng), s1)
             best = min(dist for dist, _, _ in gauge_orbit_search(s1, s2))
             assert best < 1e-10, key
@@ -437,7 +440,7 @@ def test_gauge_model_jacobian_matches_central_differences(rng):
     acj = forms["II(z3^0)"]
     bt = rng.normal(size=(2, 2, 2, 2, 3)) + 1j * rng.normal(size=(2, 2, 2, 2, 3))
     h = 1e-5
-    for s, kdim in ((z3_m6(), 1), (GeneralSolution(acj.group, acj, bt), 3)):
+    for s, kdim in ((z3_m6(), 1), (GeneralSolution(acj, bt), 3)):
         X = np.array(gauge_group_basis(s.acj)[0])
         assert len(X) == kdim
         target = gauge_act(sample_gauge(s.acj, rng), s).btensor
@@ -555,6 +558,100 @@ def test_gauge_search_crosses_automorphisms_and_gauges(corpus_all):
     assert not equivalent(s, s.conj())
 
 
+def _element_wise_thetas(s1, s2, images):
+    """The reference automorphism test: theta is kept when aut_act(theta, s1)
+    (given as ``images``, one per theta of ``automorphisms``) matches s2 in
+    its Gram exponents, its form values phase by phase, its sorted g_t and
+    its c_t."""
+    if s1.group.factors != s2.group.factors or s1.L != s2.L:
+        return []
+    ref = s2.acj
+    return [th for th, t in zip(automorphisms(s1.group), images)
+            if t.acj.bichar.gram_exponents() == ref.bichar.gram_exponents()
+            and all(p == q for p, q in zip(t.acj.form.values, ref.form.values))
+            and sorted(t.acj.g_t) == sorted(ref.g_t)
+            and np.max(np.abs(np.subtract(t.acj.c_t, ref.c_t))) < EQUAL_TOL]
+
+
+def _matching_pool(corpus_all):
+    """Solutions grouped by their group: every bundled entry, its image
+    under every automorphism and its conjugate; the m = n solutions of one
+    Z3xZ3 pair and one Z2xZ4 pair, the first one's images under every
+    automorphism, and their conjugates."""
+    pool: dict = {}
+    for s in corpus_all.values():
+        pool.setdefault(s.group, []).extend(
+            [s, s.conj()] + [aut_act(th, s) for th in automorphisms(s.group)])
+    for factors, pair in (((3, 3), 0), ((2, 4), 2)):
+        G = FiniteAbelianGroup(factors)
+        b, a, _ = pair_classes(G)[pair]
+        sols = solve_mn(G, b, a, SolveConfig(random_starts=100))
+        assert sols, factors
+        pool[G] = (sols + [s.conj() for s in sols]
+                   + [aut_act(th, sols[0]) for th in automorphisms(G)])
+    return pool
+
+
+def test_gauge_orbit_search_keeps_the_element_wise_thetas(corpus_all):
+    """The theta that ``gauge_orbit_search(s, t, grid=8)`` yields, in order,
+    are those of the element-wise test, for every ordered pair (s, t) of
+    solutions on one group in ``_matching_pool``; on Z3xZ3 and Z2xZ2xZ3 most
+    automorphisms move the form."""
+    for G, sols in _matching_pool(corpus_all).items():
+        kept_any = moved_any = False
+        for s in sols:
+            images = [aut_act(th, s) for th in automorphisms(G)]
+            for t in sols:
+                want = _element_wise_thetas(s, t, images)
+                got = []
+                for _, th, _ in gauge_orbit_search(s, t, grid=8):
+                    if not got or got[-1] is not th:
+                        got.append(th)
+                assert got == want, (G, s.acj, t.acj)
+                kept_any |= bool(want)
+                moved_any |= len(want) < len(images) and s.L == t.L
+        assert kept_any and moved_any, G
+
+
+def test_gauge_orbit_search_moves_only_the_kept_thetas(monkeypatch):
+    """A fully consumed search on a Z3xZ3 pair calls ``aut_act`` once for
+    each theta that passes the array test, not once for each of the 48
+    automorphisms."""
+    G = FiniteAbelianGroup((3, 3))
+    b, a, _ = pair_classes(G)[0]
+    s = solve_mn(G, b, a, SolveConfig(random_starts=100))[0]
+    auts = automorphisms(G)
+    t = aut_act(auts[7], s)
+    want = _element_wise_thetas(s, t, [aut_act(th, s) for th in auts])
+    assert len(auts) == 48 and 0 < len(want) < len(auts)
+    calls = []
+
+    def counting(th, sol):
+        calls.append(th)
+        return aut_act(th, sol)
+    monkeypatch.setattr(solutions, "aut_act", counting)
+    assert min(dist for dist, _, _ in gauge_orbit_search(s, t)) < EQUAL_TOL
+    assert calls == want
+
+
+def test_solutions_read_group_and_bicharacter_off_the_form():
+    """``ACJData`` stores no bicharacter and ``GeneralSolution`` no group:
+    both are read off the form.  ``MNSolution`` refuses a form over another
+    bicharacter, and a bicharacter over another group."""
+    assert "bichar" not in {f.name for f in fields(ACJData)}
+    assert "group" not in {f.name for f in fields(GeneralSolution)}
+    s = load_bundled("z2z2_m4")
+    assert s.acj.bichar is s.acj.form.bichar and s.group is s.acj.form.bichar.group
+    other = next(b for b in enumerate_bicharacters(s.group, nondegenerate_only=True)
+                 if b != s.bichar)
+    with pytest.raises(ValueError):
+        MNSolution(s.group, other, s.form, s.b, s.c)
+    with pytest.raises(ValueError):
+        MNSolution(FiniteAbelianGroup((4,)), s.bichar, s.form, s.b, s.c)
+    t = MNSolution(s.group, s.bichar, s.form, s.b, s.c)
+    assert t.acj == s.acj
+
+
 def test_package_loads_no_scipy_optimize_or_linalg():
     """Importing every layer module and running the gauge search
     (``equivalent``, ``out_group``), ``classify``, the tuple equations, the
@@ -591,8 +688,7 @@ def _acjs(corpus_all):
     characters chi_1 = <., 1>, chi_2 = <., 2>."""
     for name, s in corpus_all.items():
         yield name, s.acj
-    b = s.acj.bichar  # z3_m6's
-    yield "z3 chi", ACJData(bichar=b, form=s.acj.form, bar=(1, 0), g_t=((1,), (2,)),
+    yield "z3 chi", ACJData(form=s.acj.form, bar=(1, 0), g_t=((1,), (2,)),  # z3_m6's form
                             c_t=(1.0, 1.0), eps_t=(1, 1), eps=1)
 
 

@@ -78,7 +78,7 @@ def test_mn_tensor_form_exact_model(factors, k):
 
     G = FiniteAbelianGroup(factors)
     b, a, _ = pair_classes(G)[0]
-    acjs = [(c, mn_normal_form(b, a, c)) for c in cube_root_scalars(a)]
+    acjs = [(c, mn_normal_form(a, c)) for c in cube_root_scalars(a)]
     slices = [(c, acj, _numeric_slice(acj)) for c, acj in acjs]
     c, acj, (x0, K) = next(s for s in slices if s[2] is not None and s[2][1].shape[1] == k)
 
@@ -110,7 +110,7 @@ def test_solve_tensor_point_slice():
     a = [f for f in even_quadratic_forms(b) if f.phase((1,)) == Phase(1, 4)][0]
     found, points = [], 0
     for c in cube_root_scalars(a):
-        acj = mn_normal_form(b, a, c)
+        acj = mn_normal_form(a, c)
         affine_slice = _numeric_slice(acj)
         if affine_slice is None:
             continue
@@ -410,7 +410,7 @@ def test_tensor_system_exact_quadratic_model(order, tag):
     G = FiniteAbelianGroup((order,))
     b, a, _ = pair_classes(G)[0]
     ctx = ExactContext(G, b, a, 2 * G.order)
-    acj = _acj_for_case(G, b, a, ctx.numeric(ctx.c), tag)
+    acj = _acj_for_case(a, ctx.numeric(ctx.c), tag)
     eqs = normal_form(acj).equations
     affine = set(eqs) - {"p4", "p5", "bg_unitary", "p10"}
     x0, K = _numeric_slice(acj)
@@ -458,15 +458,15 @@ def test_equations_take_a_batch_axis():
     from neargroup.spectral import cube_root_scalars
 
     b, a, _ = pair_classes(FiniteAbelianGroup((3,)))[0]
-    acjs = [mn_normal_form(b, a, complex(cube_root_scalars(a)[0]))]
+    acjs = [mn_normal_form(a, complex(cube_root_scalars(a)[0]))]
     for order, tag in [(3, CaseTag("I", omegas=(2, 2))), (5, CaseTag("II", omega=0))]:
         G = FiniteAbelianGroup((order,))
         b, a, _ = pair_classes(G)[0]
         ctx = ExactContext(G, b, a, 2 * G.order)
-        acjs.append(_acj_for_case(G, b, a, ctx.numeric(ctx.c), tag))
+        acjs.append(_acj_for_case(a, ctx.numeric(ctx.c), tag))
     G, b, a = _pair(2)
     c0 = complex(cube_root_scalars(a)[0])  # heuristic_search's form for m = 6
-    acjs.append(ACJData(bichar=b, form=a, bar=(0, 1, 2), g_t=(G.zero(),) * 3,
+    acjs.append(ACJData(form=a, bar=(0, 1, 2), g_t=(G.zero(),) * 3,
                         c_t=(c0,) * 3, eps_t=(1, 1, 1), eps=1))
     rng = np.random.default_rng(11)
     for acj in acjs:
@@ -502,7 +502,7 @@ def test_slice_and_model_call_their_map_once(monkeypatch):
     G = FiniteAbelianGroup((3,))
     b, a, _ = pair_classes(G)[0]
     ctx = ExactContext(G, b, a, 2 * G.order)
-    assert solvers._solve_case(G, b, a, ctx, CaseTag("I", omegas=(2, 2)), FAST)
+    assert solvers._solve_case(a, ctx, CaseTag("I", omegas=(2, 2)), FAST)
     assert calls == ["_affine_slice", "_quadratic"]
 
 
@@ -548,7 +548,7 @@ def test_mn_slice_is_the_numeric_affine_slice():
         for b, a, _ in pair_classes(G):
             ctx = ExactContext(G, b, a)
             for k in range(3):
-                acj = mn_normal_form(b, a, ctx.numeric(ctx.c * ctx.zeta3 ** k))
+                acj = mn_normal_form(a, ctx.numeric(ctx.c * ctx.zeta3 ** k))
                 exact, numeric = _mn_slice(ctx, k, d), _numeric_slice(acj)
                 slices += 1
                 assert (exact is None) == (numeric is None) == (ctx.eig(k)["f0"] is None)
@@ -596,7 +596,7 @@ def test_refuted_tags_have_no_solutions():
             for feas in all_case_feasibilities(G, b, a, ctx=ctx):
                 if feas.tag.kind not in ("I", "II"):
                     continue
-                found = _solve_case(G, b, a, ctx, feas.tag, config)
+                found = _solve_case(a, ctx, feas.tag, config)
                 if feas.feasible:
                     # the same search does find the Z3, m = 6 solutions
                     assert found, (G, feas.tag)
