@@ -11,7 +11,10 @@ of each ``Feasibility`` of each ``pair_classes`` pair, so the witnesses and
 details of the ``cases`` layer are compared too, whatever rows are
 classified, each pair followed by its exact eigenspace data ``ctx.eig(k)``,
 k = 0, 1, 2: ``dim`` and the terms ``(x.t, x.d)`` of every entry of ``f0``,
-``norm_f0`` and ``f0p``.  Then comes ``neargroup --json out`` on every
+``norm_f0`` and ``f0p``; each group's analysis is preceded by
+``neargroup --json forms GROUP --all``, every bicharacter's Gram phases and
+its even forms' values, so the exact phases that JSON and the CLI print are
+compared too.  Then comes ``neargroup --json out`` on every
 bundled solution, then the README's fusion commands (``FUSION``), and last
 ``equivalent(s, t)`` for every ordered pair of bundled solutions, as a
 boolean (or ``inconclusive``), so the gauge search is compared too (a pair
@@ -112,6 +115,7 @@ def main():
     for group, m in rows + MATCHING_ROWS + args.row:
         run(["classify", group, m])
     for group in CASE_GROUPS:
+        run(["forms", group, "--all"])
         case_analysis(group)
     bundled = resources.files("neargroup") / "bundled"
     names = sorted(p.name for p in bundled.iterdir() if p.name.endswith(".json"))

@@ -5,19 +5,21 @@ Conventions used throughout the package:
 * A group ``G = Z_{n_1} x ... x Z_{n_k}`` is held as its factor list; elements
   are tuples of residues ``(g_1, ..., g_k)`` with ``0 <= g_i < n_i`` and
   additive notation.
-* Roots of unity are kept exact as :class:`Phase` objects, ``exp(2*pi*i*p/q)``
-  with a reduced fraction ``p/q``; complex doubles only appear when a phase is
-  evaluated.
+* Group data is held as integer exponents x over a least denominator D,
+  ``exp(2*pi*i*x/D)``, so equality and hashing read integers.  Exact
+  :class:`Phase` objects are made only at the boundary: the constructors,
+  ``phase()`` and the ``gram``/``values`` views that JSON and the CLI read.
 * Bulk group data is read off the index tables ``tables(G)``: elements are
   indexed by ``G.index_of`` (the order of ``G.elements()``), and the tables
   hold the coordinate rows and the indices of ``g + h`` and ``-g``.
-* A bicharacter ``<.,.>`` is stored through its Gram matrix of phases on the
-  standard generators and evaluated through its integer exponent table
-  ``(D, X)``: ``<g,h> = exp(2*pi*i*X[g,h]/D)`` over element indices.  It is
+* A bicharacter ``<.,.>`` is stored as its Gram exponents (D, W) on the
+  generators and evaluated through its integer exponent table ``(D, X)``:
+  ``<g,h> = exp(2*pi*i*X[g,h]/D)`` over element indices.  It is
   *symmetric* when ``<g,h> = <h,g>`` and *nondegenerate* when
   ``g -> <g,.>`` is injective.
 * A quadratic form ``a`` satisfies ``a(g+h) <g,h> = a(g) a(h)``; it is *even*
-  when ``a(-g) = a(g)``.  Its values are indexed like the elements.
+  when ``a(-g) = a(g)``.  It is stored as its value exponents (D, A),
+  indexed like the elements; D is a multiple of the bicharacter's D.
 * An automorphism is stored through its generator images and acts on
   indexed data by its index permutation (``GroupAutomorphism.permutation``).
 """
@@ -46,7 +48,6 @@ __all__ = [
     "form_exponents",
     "invariant_factors",
     "enumerate_bicharacters",
-    "bicharacter_classes",
     "enumerate_quadratic_forms",
     "even_quadratic_forms",
     "lagrangian_subgroups",
@@ -103,9 +104,6 @@ class Phase:
 
     def conj(self) -> "Phase":
         return Phase.from_fraction(-self.exponent)
-
-    def inv(self) -> "Phase":
-        return self.conj()
 
     @property
     def order(self) -> int:
@@ -303,34 +301,56 @@ def tables(G: FiniteAbelianGroup) -> GroupTables:
     return GroupTables(G)
 
 
-@dataclass(frozen=True)
+def _least(D: int, X: np.ndarray, base: int = 1) -> tuple[int, np.ndarray]:
+    """The exponents X over D put over their least denominator that is a
+    multiple of ``base`` (a divisor of D), reduced into [0, D)."""
+    X = X % D
+    L = math.lcm(base, D // math.gcd(D, *X.ravel().tolist()))
+    return L, X // (D // L)
+
+
+@dataclass(frozen=True, init=False)
 class Bicharacter:
-    """Symmetric bicharacter given by its Gram matrix of phases on generators."""
+    """Symmetric bicharacter: <e_i, e_j> = exp(2 pi i W[i][j] / D) on the
+    standard generators, D least.  Built from its Gram matrix of phases."""
 
     group: FiniteAbelianGroup
-    gram: tuple[tuple[Phase, ...], ...]
+    D: int
+    W: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        k = self.group.rank
-        if len(self.gram) != k or any(len(row) != k for row in self.gram):
+    def __init__(self, group: FiniteAbelianGroup, gram: Sequence[Sequence[Phase]]):
+        k = group.rank
+        if len(gram) != k or any(len(row) != k for row in gram):
             raise ValueError("gram must be k x k")
         for i in range(k):
             for j in range(k):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise ValueError("gram must be symmetric")
-                g = math.gcd(self.group.factors[i], self.group.factors[j])
-                if g % self.gram[i][j].order != 0:
+                if math.gcd(group.factors[i], group.factors[j]) % gram[i][j].order != 0:
                     raise ValueError("gram entry order must divide gcd of factor orders")
+        D = math.lcm(*(p.den for row in gram for p in row))
+        W = tuple(tuple(p.num * (D // p.den) for p in row) for row in gram)
+        self.__dict__.update(group=group, D=D, W=W)
+
+    @staticmethod
+    def _of(group: FiniteAbelianGroup, D: int, W: np.ndarray) -> "Bicharacter":
+        """The bicharacter of exponents W over D, valid by construction: unchecked."""
+        D, W = _least(D, W)
+        b = object.__new__(Bicharacter)
+        b.__dict__.update(group=group, D=D, W=tuple(map(tuple, W.tolist())))
+        return b
+
+    @cached_property
+    def gram(self) -> tuple[tuple[Phase, ...], ...]:
+        """The Gram matrix of phases, for JSON and the CLI."""
+        return tuple(tuple(Phase(w, self.D) for w in row) for row in self.W)
 
     @cached_property
     def exponents(self) -> tuple[int, np.ndarray]:
-        """(D, X): D the common denominator of the Gram exponents and
-        X[g, h] = g (D gram) h^T mod D over element indices, so that
+        """(D, X): X[g, h] = g W h^T mod D over element indices, so that
         <g,h> = exp(2 pi i X[g,h] / D)."""
-        D = math.lcm(*(p.den for row in self.gram for p in row))
-        W = np.array([[p.num * (D // p.den) for p in row] for row in self.gram])
         E = tables(self.group).E
-        return D, _frozen((E @ W @ E.T) % D)
+        return self.D, _frozen((E @ np.array(self.W) @ E.T) % self.D)
 
     def phase(self, g: Element, h: Element) -> Phase:
         D, X = self.exponents
@@ -356,7 +376,7 @@ class Bicharacter:
 
     def galois(self, k: int) -> "Bicharacter":
         """The image under zeta -> zeta^k: every exponent times k."""
-        return Bicharacter(self.group, tuple(tuple(p**k for p in row) for row in self.gram))
+        return Bicharacter._of(self.group, self.D, k * np.array(self.W))
 
     def conj(self) -> "Bicharacter":
         return self.galois(-1)
@@ -365,35 +385,48 @@ class Bicharacter:
         """The bicharacter (g,h) -> <theta(g), theta(h)>: X at the permuted
         generator indices."""
         G = self.group
-        D, X = self.exponents
         q = theta.permutation()[[G.index_of(e) for e in G.generators()]]
-        return Bicharacter(G, tuple(tuple(Phase(x, D) for x in row)
-                                    for row in X[np.ix_(q, q)].tolist()))
-
-    def gram_exponents(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(p.exponent for p in row) for row in self.gram)
+        return Bicharacter._of(G, self.D, self.exponents[1][np.ix_(q, q)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuadraticForm:
-    """Phase-valued a(g) with a(g+h)<g,h> = a(g)a(h) for a fixed bicharacter."""
+    """a(g) = exp(2 pi i A[index_of(g)] / D) with a(g+h)<g,h> = a(g)a(h) for
+    a fixed bicharacter, D the least multiple of the bicharacter's D that
+    every value's denominator divides.  Built from its values as phases."""
 
     bichar: Bicharacter
-    values: tuple[Phase, ...]  # indexed by group.index_of
+    D: int
+    A: tuple[int, ...]  # indexed by group.index_of
+
+    def __init__(self, bichar: Bicharacter, values: Sequence[Phase]):
+        D = math.lcm(bichar.D, *(p.den for p in values))
+        self.__dict__.update(bichar=bichar, D=D, A=tuple(p.num * (D // p.den) for p in values))
+
+    @staticmethod
+    def _of(bichar: Bicharacter, D: int, A: np.ndarray) -> "QuadraticForm":
+        """The form of exponents A over D, valid by construction: unchecked."""
+        D, A = _least(D, A, bichar.D)
+        a = object.__new__(QuadraticForm)
+        a.__dict__.update(bichar=bichar, D=D, A=tuple(A.tolist()))
+        return a
 
     @property
     def group(self) -> FiniteAbelianGroup:
         return self.bichar.group
 
     @cached_property
+    def values(self) -> tuple[Phase, ...]:
+        """The values as phases, for JSON and the CLI."""
+        return tuple(Phase(x, self.D) for x in self.A)
+
+    @cached_property
     def exponents(self) -> tuple[int, np.ndarray]:
-        """(D, A): D the common denominator of the values and of the
-        bicharacter's exponents, and a(g) = exp(2 pi i A[g] / D)."""
-        D = math.lcm(self.bichar.exponents[0], *(p.den for p in self.values))
-        return D, _frozen(np.array([p.num * (D // p.den) for p in self.values]))
+        """(D, A) with A as a read-only array."""
+        return self.D, _frozen(np.array(self.A))
 
     def phase(self, g: Element) -> Phase:
-        return self.values[self.group.index_of(g)]
+        return Phase(self.A[self.group.index_of(g)], self.D)
 
     def __call__(self, g: Element) -> complex:
         return self.phase(g).value()
@@ -412,15 +445,15 @@ class QuadraticForm:
 
     def galois(self, k: int) -> "QuadraticForm":
         """The image under zeta -> zeta^k, over the bicharacter's image."""
-        return QuadraticForm(self.bichar.galois(k), tuple(p**k for p in self.values))
+        return QuadraticForm._of(self.bichar.galois(k), self.D, k * self.exponents[1])
 
     def conj(self) -> "QuadraticForm":
         return self.galois(-1)
 
     def pullback(self, theta: "GroupAutomorphism") -> "QuadraticForm":
         """The form g -> a(theta(g)), living over the pulled-back bicharacter."""
-        return QuadraticForm(self.bichar.pullback(theta),
-                             tuple(self.values[i] for i in theta.permutation()))
+        return QuadraticForm._of(self.bichar.pullback(theta), self.D,
+                                 self.exponents[1][theta.permutation()])
 
     def gauss_sum(self) -> complex:
         """The normalized Gauss sum ``a_hat(0) = sum_g a(g) / sqrt(n)``."""
@@ -433,8 +466,8 @@ def form_exponents(forms: Sequence[QuadraticForm]) -> tuple[int, np.ndarray]:
     a(g+h), so two pairs (<.,.>, a) are equal exactly when their rows are;
     an automorphism theta pulls a row back to ``row[theta.permutation()]``
     and the substitution zeta -> zeta^k multiplies it by k, mod D."""
-    D = math.lcm(*(a.exponents[0] for a in forms))
-    return D, np.array([a.exponents[1] * (D // a.exponents[0]) for a in forms])
+    D = math.lcm(*(a.D for a in forms))
+    return D, np.array([a.exponents[1] * (D // a.D) for a in forms])
 
 
 @dataclass(frozen=True)
@@ -549,65 +582,32 @@ def enumerate_bicharacters(
     return out
 
 
-def bicharacter_classes(bichars: Sequence[Bicharacter]) -> list[list[Bicharacter]]:
-    """Orbits of bicharacters under Aut(G); representatives are the
-    lexicographically minimal Gram exponent matrices in each orbit."""
-    if not bichars:
-        return []
-    auts = automorphisms(bichars[0].group)
-    seen: set[tuple] = set()
-    classes = []
-    for b in bichars:
-        key = b.gram_exponents()
-        if key in seen:
-            continue
-        orbit = {}
-        for th in auts:
-            bb = b.pullback(th)
-            orbit[bb.gram_exponents()] = bb
-        seen |= set(orbit)
-        members = [orbit[k] for k in sorted(orbit)]
-        classes.append(members)
-    # canonical representative first
-    return [sorted(cls, key=lambda b: b.gram_exponents()) for cls in classes]
-
-
 def enumerate_quadratic_forms(b: Bicharacter) -> list[QuadraticForm]:
     """All solutions a of a(g+h)<g,h>=a(g)a(h); exactly |G| of them: the base
     solution times each character g -> prod zeta_{n_i}^{c_i g_i}, c in G,
-    whose exponents over L = lcm(n_i) are the rows of E (L / n_i) c."""
+    whose exponents over L = lcm(n_i) are the rows of E (L / n_i) c, all
+    over M = lcm(2D, L)."""
     G = b.group
-    base = _base_quadratic_form(b)
+    E = tables(G).E
     L = math.lcm(*G.factors)
-    twist = tables(G).E * (L // np.array(G.factors))
-    return [QuadraticForm(b, tuple(p * Phase(t, L) for p, t in zip(base, (twist @ c).tolist())))
-            for c in G.elements()]
+    M = math.lcm(2 * b.D, L)
+    base = _base_quadratic_form(b) * (M // (2 * b.D))
+    twists = (E * (L // np.array(G.factors))) @ E.T * (M // L)  # column c: character c
+    return [QuadraticForm._of(b, M, base + t) for t in twists.T]
 
 
 def even_quadratic_forms(b: Bicharacter) -> list[QuadraticForm]:
     return [a for a in enumerate_quadratic_forms(b) if a.is_even()]
 
 
-def _base_quadratic_form(b: Bicharacter) -> list[Phase]:
+def _base_quadratic_form(b: Bicharacter) -> np.ndarray:
     """One particular solution of the coboundary equation (a symmetric
-    2-cocycle on a finite abelian group is always a coboundary)."""
-    G = b.group
-    k = G.rank
-    # per-generator seed: x^{n_i} = <e_i,e_i>^{n_i(n_i-1)/2}
-    seeds = []
-    for i, n in enumerate(G.factors):
-        rhs = b.gram[i][i].exponent * (n * (n - 1) // 2)
-        seeds.append(Phase.from_fraction(Fraction(rhs, n)))
-    vals: list[Phase] = [Phase(0, 1)] * G.order
-    for g in G:
-        q = Fraction(0)
-        for i, gi in enumerate(g):
-            q += gi * seeds[i].exponent - b.gram[i][i].exponent * (gi * (gi - 1) // 2)
-        for i in range(k):
-            for j in range(i + 1, k):
-                q -= g[i] * g[j] * b.gram[i][j].exponent
-        vals[G.index_of(g)] = Phase.from_fraction(q)
-    return vals
+    2-cocycle on a finite abelian group is always a coboundary), over 2D:
+    2 A(g) for a(g) = exp(2 pi i A(g) / D) and
+    A(g) = sum_i W_ii g_i (n_i - g_i) / 2 - sum_{i<j} W_ij g_i g_j,
+    whose i-th term makes a(e_i)^{n_i} = <e_i,e_i>^{n_i(n_i-1)/2}."""
+    E, W = tables(b.group).E, np.array(b.W)
+    return E @ (np.diag(W) * b.group.factors) - np.einsum("gi,ij,gj->g", E, W, E)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,6 @@ import numpy as np
 from .abelian import (
     Bicharacter,
     FiniteAbelianGroup,
-    Phase,
     QuadraticForm,
     _factorize,
     _squarefree,
@@ -339,25 +338,13 @@ class ExactContext:
         self.form = a
         self.els = G.elements()
 
-        dens = {24, 4}
-        for row in b.gram:
-            for p in row:
-                dens.add(p.den)
-        for p in a.values:
-            dens.add(p.den)
+        # N: 24 (zeta_3, i, sqrt(2)), the form's D and the odd primes of sqrt(n), sqrt(D0)
         sq_args = {_squarefree(n)}
         if m is not None:
             D0 = _squarefree(m * m + 4 * n)
             sq_args.add(D0)
-        primes = set()
-        for s in sq_args:
-            primes |= {p for p in _factorize(s) if p != 2}
-            if s % 2 == 0:
-                dens.add(8)
-        N = 1
-        for x in dens | primes:
-            N = math.lcm(N, x)
-        self.N = N
+        primes = {p for s in sq_args for p in _factorize(s) if p != 2}
+        self.N = N = math.lcm(24, a.D, *primes)
         F = self.field = _field(N)
         self.deg = F.deg
         # the field's arithmetic, read through the context
@@ -379,7 +366,7 @@ class ExactContext:
             self.inv_d = (self.d - self.int(m)) * inv_n
             self.half_d = self.inv_d * half  # 1 / (2 d)
 
-        self.a = [self.phase(p) for p in a.values]
+        self.a = [self.zpow(x * (N // a.D)) for x in a.A]
         # c = zeta^c_exp with c^3 a_hat(0) = 1
         ahat0 = sum(self.a, self.zero) * self.inv_sqrt_n
         c_exp = next((k for k in range(N) if self.zpow(3 * k) * ahat0 == self.one), None)
@@ -395,10 +382,7 @@ class ExactContext:
         self.zeta3 = self.zpow(self.N // 3)
         self._eig: dict[int, dict] = {}
 
-    # -- phases, values and signs ---------------------------------------------
-
-    def phase(self, p: Phase):
-        return self.zpow(p.num * self.N // p.den)
+    # -- values and signs -----------------------------------------------------
 
     def numeric(self, a) -> complex:
         """The double value: the dense vector of c_j / d, j < deg, dotted with

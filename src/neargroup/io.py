@@ -5,7 +5,9 @@ as residue arrays, exact phases as {"num": p, "den": q}, complex doubles as
 [re, im] pairs.  Phases round-trip bit-exactly; doubles round-trip through
 Python's repr (exact for binary64).  ``Archive`` re-verifies every solution
 it loads; ``load_solution`` and ``load_bundled`` read a file as it is, so that
-``neargroup verify`` can report a failing one.
+``neargroup verify`` can report a failing one.  A Gram matrix that is no
+bicharacter, or form values that are no quadratic form over it, are refused
+with ``ValueError`` on load.
 """
 
 from __future__ import annotations
@@ -136,6 +138,8 @@ def solution_from_json(data: dict) -> GeneralSolution:
     gram = tuple(tuple(_unphase(p) for p in row) for row in data["bicharacter"]["gram"])
     b = Bicharacter(G, gram)
     a = QuadraticForm(b, tuple(_unphase(p) for p in data["form"]["values"]))
+    if len(a.A) != G.order or not a.is_valid():
+        raise ValueError("form is not a quadratic form over the bicharacter")
     prov = data.get("provenance", {})
     if data["kind"] == "mn":
         bvec = np.array([_unc(v) for v in data["b"]])

@@ -13,7 +13,6 @@ from neargroup.abelian import (
     QuadraticForm,
     ResourceError,
     automorphisms,
-    bicharacter_classes,
     enumerate_bicharacters,
     enumerate_quadratic_forms,
     even_quadratic_forms,
@@ -53,19 +52,26 @@ def test_z2_unique_nondegenerate_bicharacter():
     assert bs[0].phase((1,), (1,)) == Phase(1, 2)
 
 
-def test_z2z2_two_classes_up_to_aut():
-    bs = enumerate_bicharacters(Z22, nondegenerate_only=True)
-    classes = bicharacter_classes(bs)
-    assert len(classes) == 2
-
-
 def test_z3_two_bicharacters_two_aut_classes():
-    # zeta3^{+-gh}; Aut(Z3) fixes each (theta=2 squares the exponent, 4=1 mod 3)
+    # zeta3^{+-gh}, complex conjugates of each other
     bs = enumerate_bicharacters(Z3, nondegenerate_only=True)
     assert len(bs) == 2
-    assert len(bicharacter_classes(bs)) == 2
-    conj_related = bs[0].conj().gram_exponents() == bs[1].gram_exponents()
-    assert conj_related
+    assert bs[0].conj() == bs[1]
+
+
+def test_bicharacter_constructor_checks_its_gram():
+    """A Gram matrix that is not k x k, not symmetric, or has an entry whose
+    order does not divide gcd(n_i, n_j) is no bicharacter."""
+    Z24 = FiniteAbelianGroup((2, 4))
+    one, half, quarter = Phase(0), Phase(1, 2), Phase(1, 4)
+    for gram in [((one,),),  # 1 x 1 on a rank-2 group
+                 ((one, one), (one,)),  # ragged
+                 ((one, half), (one, one)),  # asymmetric
+                 ((one, quarter), (quarter, one)),  # order 4 does not divide gcd(2, 4)
+                 ((quarter, one), (one, one))]:  # nor gcd(2, 2)
+        with pytest.raises(ValueError):
+            Bicharacter(Z24, gram)
+    assert Bicharacter(Z24, ((half, half), (half, quarter))).D == 4
 
 
 def test_bicharacter_resource_bound():
@@ -88,7 +94,7 @@ def test_bicharacter_matrix_is_the_per_entry_table():
         for b in enumerate_bicharacters(G):
             ref = np.array([[b.phase(g, h).value() for h in els] for g in els])
             assert np.array_equal(b.matrix().view(np.uint64), ref.view(np.uint64)), (
-                factors, b.gram_exponents())
+                factors, b.gram)
             count += 1
     assert count == 179
 
@@ -342,10 +348,17 @@ def _units(D):
     return [k for k in range(1, D + 1) if math.gcd(k, D) == 1]
 
 
+def same(x, ref):
+    """x equals ref, built by the Phase constructor from reference values,
+    under == and hash: the stored exponents are over the same least D."""
+    return x == ref and hash(x) == hash(ref)
+
+
 def test_bicharacters_on_the_exponent_table():
     """phase, radical, the Galois image at every unit k and the pull-back by
     every automorphism equal their element-wise references on every
-    bicharacter, degenerate ones included."""
+    bicharacter, degenerate ones included; the images and pull-backs equal,
+    under == and hash, the bicharacters built from the reference phases."""
     count = 0
     for G in TABLE_GROUPS:
         els, auts = G.elements(), automorphisms(G)
@@ -358,9 +371,10 @@ def test_bicharacters_on_the_exponent_table():
                 gram = tuple(tuple(Phase.from_fraction(k * p.exponent) for p in row)
                              for row in b.gram)
                 assert b.galois(k).gram == gram, (b, k)
+                assert same(b.galois(k), Bicharacter(G, gram)), (b, k)
             assert b.conj() == b.galois(-1) == b.galois(D - 1)
             for th in auts:
-                assert b.pullback(th) == ref_bichar_pullback(b, th), (b, th)
+                assert same(b.pullback(th), ref_bichar_pullback(b, th)), (b, th)
             count += 1
     assert count == 216
 
@@ -389,7 +403,9 @@ def test_quadratic_forms_on_the_index_tables():
     unit k and the pull-back by every automorphism equal their element-wise
     references on every one.  is_valid is also read on each form's values put over
     the next bicharacter in the list: a form fixes its bicharacter,
-    <g,h> = a(g) a(h) / a(g+h), so that is never valid."""
+    <g,h> = a(g) a(h) / a(g+h), so that is never valid.  Every enumerated
+    form, Galois image and pull-back equals, under == and hash, the form the
+    Phase constructors build from its reference values."""
     forms = valid = even = 0
     for G in TABLE_GROUPS:
         els = G.elements()
@@ -398,10 +414,12 @@ def test_quadratic_forms_on_the_index_tables():
         tabs = {b: {(g, h): ref_phase(b, g, h).exponent for g in els for h in els} for b in bs}
         for b, other in zip(bs, bs[1:] + bs[:1]):
             pulled = [b.pullback(th) for th, _ in auts]
+            ref_pulled = [ref_bichar_pullback(b, th) for th, _ in auts]
             b_forms = enumerate_quadratic_forms(b)
             assert len({a.values for a in b_forms}) == G.order  # all of them, with validity
             for a in b_forms:
                 assert a.is_valid() and ref_is_valid(a, tabs[b]), a
+                assert same(a, QuadraticForm(b, a.values)), a
                 moved = QuadraticForm(other, a.values)
                 assert moved.is_valid() == ref_is_valid(moved, tabs[other]), moved
                 valid += moved.is_valid()
@@ -410,13 +428,18 @@ def test_quadratic_forms_on_the_index_tables():
                 for k in _units(a.exponents[0]):
                     ak = a.galois(k)
                     assert ak.bichar == b.galois(k), (a, k)
-                    assert ak.values == tuple(Phase.from_fraction(k * p.exponent)
-                                              for p in a.values), (a, k)
+                    ref_values = tuple(Phase.from_fraction(k * p.exponent) for p in a.values)
+                    assert ak.values == ref_values, (a, k)
+                    ref_gram = tuple(tuple(Phase.from_fraction(k * p.exponent) for p in row)
+                                     for row in b.gram)
+                    assert same(ak, QuadraticForm(Bicharacter(G, ref_gram), ref_values)), (a, k)
                 assert a.conj() == a.galois(-1)
-                for (th, images), bb in zip(auts, pulled):
+                for (th, images), bb, ref_bb in zip(auts, pulled, ref_pulled):
                     ap = a.pullback(th)
-                    assert ap.values == ref_form_values_pullback(a, images), (a, th)
+                    ref_values = ref_form_values_pullback(a, images)
+                    assert ap.values == ref_values, (a, th)
                     assert ap.bichar == bb, (a, th)
+                    assert same(ap, QuadraticForm(ref_bb, ref_values)), (a, th)
                 forms += 1
     assert (forms, even, valid) == (1852, 850, 0)
 
@@ -429,7 +452,7 @@ def ref_pair_classes(G):
     els = G.elements()
 
     def key(b, a):
-        return b.gram_exponents(), tuple(p.exponent for p in a.values)
+        return b.gram, tuple(p.exponent for p in a.values)
 
     def pulled(b, a, th):
         images = [G.index_of(ref_apply(th, g)) for g in els]
@@ -449,7 +472,7 @@ def ref_pair_classes(G):
             if ref_is_even(a) and key(b, a) not in rep_of:
                 for th in auts:
                     bb, vals = pulled(b, a, th)
-                    rep_of.setdefault((bb.gram_exponents(), tuple(p.exponent for p in vals)),
+                    rep_of.setdefault((bb.gram, tuple(p.exponent for p in vals)),
                                       len(reps))
                 reps.append((b, a))
     lcm_den = math.lcm(*(p.den for b, a in reps for row in (*b.gram, a.values) for p in row))

@@ -11,6 +11,7 @@ from neargroup.cli import main, parse_group
 from neargroup.config import Config, load_config
 from neargroup.io import (
     Archive,
+    bundled_path,
     load_bundled,
     load_solution,
     save_solution,
@@ -96,6 +97,27 @@ def test_archive_rejects_bad(tmp_path, corpus_mn):
     bad = MNSolution(s.group, s.bichar, s.form, s.b + 1e-2, s.c)
     with pytest.raises(ValueError):
         Archive(tmp_path / "arch2").store(bad)
+
+
+def test_load_refuses_group_data_that_is_not_a_pair(tmp_path, capsys):
+    """A form value that breaks a(g+h)<g,h> = a(g)a(h), or a missing one, is
+    refused on load with ValueError, as a Gram entry of too large an order
+    is: each is an input error of ``verify``, exit 2, not a failing solution."""
+    good = json.loads(bundled_path("z3_m3.json").read_text())
+    bad_form = json.loads(json.dumps(good))
+    bad_form["form"]["values"][1] = {"num": 0, "den": 1}
+    short_form = json.loads(json.dumps(good))
+    short_form["form"]["values"].pop()
+    bad_gram = json.loads(json.dumps(good))
+    bad_gram["bicharacter"]["gram"][0][0] = {"num": 1, "den": 2}
+    solution_from_json(good)
+    for data in (bad_form, short_form, bad_gram):
+        with pytest.raises(ValueError):
+            solution_from_json(data)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data))
+        assert main(["verify", str(p)]) == 2
+        capsys.readouterr()
 
 
 def test_config_defaults_and_env(tmp_path):

@@ -561,13 +561,13 @@ def test_gauge_search_crosses_automorphisms_and_gauges(corpus_all):
 def _element_wise_thetas(s1, s2, images):
     """The reference automorphism test: theta is kept when aut_act(theta, s1)
     (given as ``images``, one per theta of ``automorphisms``) matches s2 in
-    its Gram exponents, its form values phase by phase, its sorted g_t and
+    its Gram phases, its form values phase by phase, its sorted g_t and
     its c_t."""
     if s1.group.factors != s2.group.factors or s1.L != s2.L:
         return []
     ref = s2.acj
     return [th for th, t in zip(automorphisms(s1.group), images)
-            if t.acj.bichar.gram_exponents() == ref.bichar.gram_exponents()
+            if t.acj.bichar.gram == ref.bichar.gram
             and all(p == q for p, q in zip(t.acj.form.values, ref.form.values))
             and sorted(t.acj.g_t) == sorted(ref.g_t)
             and np.max(np.abs(np.subtract(t.acj.c_t, ref.c_t))) < EQUAL_TOL]
