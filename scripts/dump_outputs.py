@@ -14,7 +14,11 @@ k = 0, 1, 2: ``dim`` and the terms ``(x.t, x.d)`` of every entry of ``f0``,
 ``norm_f0`` and ``f0p``; each group's analysis is preceded by
 ``neargroup --json forms GROUP --all``, every bicharacter's Gram phases and
 its even forms' values, so the exact phases that JSON and the CLI print are
-compared too.  Then comes ``neargroup --json out`` on every
+compared too, and followed by its subgroup layer: the ``elements`` of
+every subgroup of ``subgroups(G)``, in order, and for each ``pair_classes``
+pair and each subgroup H the ``elements`` of H's perp and whether H is
+isotropic and Lagrangian (``orthogonal_and_lagrangian``).  Then comes
+``neargroup --json out`` on every
 bundled solution, then the README's fusion commands (``FUSION``), and last
 ``equivalent(s, t)`` for every ordered pair of bundled solutions, as a
 boolean (or ``inconclusive``), so the gauge search is compared too (a pair
@@ -46,6 +50,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from run_classification import TABLE  # noqa: E402
 
 from neargroup import cli  # noqa: E402
+from neargroup.abelian import orthogonal_and_lagrangian, subgroups  # noqa: E402
 from neargroup.cases import ExactContext, all_case_feasibilities  # noqa: E402
 from neargroup.io import load_bundled  # noqa: E402
 from neargroup.solutions import equivalent  # noqa: E402
@@ -91,6 +96,21 @@ def case_analysis(group: str) -> None:
                   f"norm_f0 {terms(e['norm_f0'])} f0p {terms(e['f0p'])}")
 
 
+def subgroup_layer(group: str) -> None:
+    """Print every subgroup of ``group``, then each pair's perp, isotropic
+    and Lagrangian answers for every subgroup."""
+    G = cli.parse_group(group)
+    print(f"# subgroups {group}")
+    subs = subgroups(G)
+    for j, H in enumerate(subs):
+        print(f"subgroup {j}: {H.elements}")
+    for i, (b, a, _) in enumerate(pair_classes(G)):
+        for j, H in enumerate(subs):
+            perp, isotropic, lagrangian = orthogonal_and_lagrangian(G, b, a, H)
+            print(f"pair {i} subgroup {j}: perp {perp.elements} "
+                  f"isotropic {isotropic} lagrangian {lagrangian}")
+
+
 def equivalences(names: list[str]) -> None:
     """Print ``equivalent(s, t)`` for every ordered pair of the named bundled
     solutions."""
@@ -117,6 +137,7 @@ def main():
     for group in CASE_GROUPS:
         run(["forms", group, "--all"])
         case_analysis(group)
+        subgroup_layer(group)
     bundled = resources.files("neargroup") / "bundled"
     names = sorted(p.name for p in bundled.iterdir() if p.name.endswith(".json"))
     for name in names:

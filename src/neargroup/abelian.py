@@ -20,8 +20,11 @@ Conventions used throughout the package:
 * A quadratic form ``a`` satisfies ``a(g+h) <g,h> = a(g) a(h)``; it is *even*
   when ``a(-g) = a(g)``.  It is stored as its value exponents (D, A),
   indexed like the elements; D is a multiple of the bicharacter's D.
+* A subgroup is stored as its sorted element indices (``Subgroup.index``);
+  its ``elements`` are a view for the CLI and the tests.
 * An automorphism is stored through its generator images and acts on
-  indexed data by its index permutation (``GroupAutomorphism.permutation``).
+  indexed data by its index permutation (``GroupAutomorphism.permutation``);
+  composition, inverse and the identity test read the permutations.
 """
 
 from __future__ import annotations
@@ -281,7 +284,8 @@ def _frozen(x: np.ndarray) -> np.ndarray:
 class GroupTables:
     """Dense index tables for one group: the coordinate rows ``E`` of the
     elements in index order, and the indices ``add[g, h]`` of g + h and
-    ``neg[g]`` of -g; ``zero`` is the index of 0."""
+    ``neg[g]`` of -g; ``zero`` is the index of 0 and ``gens`` those of the
+    standard generators."""
 
     def __init__(self, G: FiniteAbelianGroup):
         self.n = G.order
@@ -290,6 +294,7 @@ class GroupTables:
         self.add = _frozen(self.index(E[:, None] + E[None]))
         self.neg = _frozen(self.index(-E))
         self.zero = G.index_of(G.zero())
+        self.gens = _frozen(self.index(np.eye(G.rank, dtype=np.int64)))
 
     def index(self, X: np.ndarray) -> np.ndarray:
         """``G.index_of`` of each coordinate row of ``X``, reduced."""
@@ -384,9 +389,8 @@ class Bicharacter:
     def pullback(self, theta: "GroupAutomorphism") -> "Bicharacter":
         """The bicharacter (g,h) -> <theta(g), theta(h)>: X at the permuted
         generator indices."""
-        G = self.group
-        q = theta.permutation()[[G.index_of(e) for e in G.generators()]]
-        return Bicharacter._of(G, self.D, self.exponents[1][np.ix_(q, q)])
+        q = theta.permutation()[tables(self.group).gens]
+        return Bicharacter._of(self.group, self.D, self.exponents[1][np.ix_(q, q)])
 
 
 @dataclass(frozen=True, init=False)
@@ -479,17 +483,21 @@ class GroupAutomorphism:
         return self.group.reduce(np.dot(g, self.images))
 
     def compose(self, other: "GroupAutomorphism") -> "GroupAutomorphism":
-        return GroupAutomorphism(self.group, tuple(self(g) for g in other.images))
+        """g -> self(other(g))."""
+        return self._of_permutation(self.permutation()[other.permutation()])
 
     def inverse(self) -> "GroupAutomorphism":
-        G = self.group
-        inv = np.argsort(self.permutation())
-        E = tables(G).E
-        return GroupAutomorphism(G, tuple(tuple(E[inv[G.index_of(e)]].tolist())
-                                          for e in G.generators()))
+        return self._of_permutation(np.argsort(self.permutation()))
 
     def is_identity(self) -> bool:
-        return all(self(e) == e for e in self.group.generators())
+        p = self.permutation()
+        return bool((p == np.arange(len(p))).all())
+
+    def _of_permutation(self, p: np.ndarray) -> "GroupAutomorphism":
+        """The automorphism of index permutation p: its generator images
+        are the rows of E at p of the generators."""
+        T = tables(self.group)
+        return GroupAutomorphism(self.group, tuple(map(tuple, T.E[p[T.gens]].tolist())))
 
     def permutation(self) -> np.ndarray:
         """index permutation p with p[index(g)] = index(theta(g)): the
@@ -504,57 +512,53 @@ class GroupAutomorphism:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """Subgroup as a sorted element list with a generating certificate."""
+    """Subgroup as its sorted element indices (``G.index_of``)."""
 
     group: FiniteAbelianGroup
-    elements: tuple[Element, ...]
-    generators: tuple[Element, ...]
+    index: tuple[int, ...]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.index)
+
+    @property
+    def elements(self) -> tuple[Element, ...]:
+        """The elements in index order, which is sorted order."""
+        return tuple(map(tuple, tables(self.group).E[list(self.index)].tolist()))
 
     def is_closed(self) -> bool:
-        s = set(self.elements)
-        return self.group.zero() in s and all(
-            self.group.add(a, b) in s for a in s for b in s
-        )
+        return np.array_equal(_closure(tables(self.group), self.index), self.index)
+
+
+def _closure(T: GroupTables, index: Iterable[int]) -> np.ndarray:
+    """The sorted indices of the subgroup generated by ``index``: the set
+    with 0 closed under + until it stops growing."""
+    H = np.union1d(np.asarray(list(index), dtype=np.int64), T.zero)
+    while len(K := np.unique(T.add[np.ix_(H, H)])) > len(H):
+        H = K
+    return H
 
 
 def subgroup_generated_by(G: FiniteAbelianGroup, gens: Iterable[Element]) -> Subgroup:
-    gens = [G.reduce(g) for g in gens]
-    seen = {G.zero()}
-    frontier = [G.zero()]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = G.add(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return Subgroup(G, tuple(sorted(seen)), tuple(gens))
+    return Subgroup(G, tuple(_closure(tables(G), map(G.index_of, gens)).tolist()))
 
 
 def subgroups(G: FiniteAbelianGroup) -> list[Subgroup]:
-    """All subgroups, found by closing generator sets (fine for small G)."""
-    found: dict[tuple[Element, ...], Subgroup] = {}
-    trivial = subgroup_generated_by(G, [])
-    found[trivial.elements] = trivial
-    frontier = [trivial]
+    """All subgroups, found by closing H and g for each found H and each g
+    outside it (fine for small G), sorted by order, then by elements."""
+    T = tables(G)
+    trivial = (T.zero,)
+    found, frontier = {trivial}, [trivial]
     while frontier:
         nxt = []
         for H in frontier:
-            for g in G:
-                if g in set(H.elements):
-                    continue
-                K = subgroup_generated_by(G, list(H.generators) + [g])
-                if K.elements not in found:
-                    found[K.elements] = K
+            for g in np.setdiff1d(np.arange(T.n), H):
+                K = tuple(_closure(T, H + (g,)).tolist())
+                if K not in found:
+                    found.add(K)
                     nxt.append(K)
         frontier = nxt
-    return sorted(found.values(), key=lambda H: (H.order, H.elements))
+    return [Subgroup(G, H) for H in sorted(found, key=lambda H: (len(H), H))]
 
 
 # ---------------------------------------------------------------------------
@@ -691,28 +695,14 @@ def orthogonal_and_lagrangian(
     """
     if not H.is_closed():
         raise ValueError("H is not closed under addition")
-    X, els = b.exponents[1], G.elements()
-    perp_els = [els[i] for i in
-                np.flatnonzero(~X[:, [G.index_of(h) for h in H.generators]].any(axis=1))]
-    perp = Subgroup(G, tuple(sorted(perp_els)), _generating_set(G, perp_els))
-    hset = set(H.elements)
-    isotropic = hset <= set(perp.elements)
-    lagrangian = hset == set(perp.elements)
+    hs = list(H.index)
+    in_perp = ~b.exponents[1][:, hs].any(axis=1)
+    perp = Subgroup(G, tuple(np.flatnonzero(in_perp).tolist()))
+    isotropic = bool(in_perp[hs].all())
+    lagrangian = isotropic and H.order == perp.order
     if lagrangian and a is not None:
-        lagrangian = all(a.phase(h).is_one() for h in H.elements)
+        lagrangian = not a.exponents[1][hs].any()
     return perp, isotropic, lagrangian
-
-
-def _generating_set(G: FiniteAbelianGroup, els: Sequence[Element]) -> tuple[Element, ...]:
-    gens: list[Element] = []
-    span = {G.zero()}
-    for g in sorted(els, key=G.element_order, reverse=True):
-        if g not in span:
-            gens.append(g)
-            span = set(subgroup_generated_by(G, gens).elements)
-        if len(span) == len(els):
-            break
-    return tuple(gens)
 
 
 def lagrangian_subgroups(

@@ -14,6 +14,7 @@ import json
 import re
 import sys
 import zlib
+from pathlib import Path
 
 from .abelian import (
     FiniteAbelianGroup,
@@ -214,7 +215,7 @@ def cmd_dequiv(args, cfg):
     G = s.group
     H = subgroup_generated_by(G, parse_elements(args.subgroup, G))
     if args.cocycle:
-        table = json.loads(open(args.cocycle).read())
+        table = json.loads(Path(args.cocycle).read_text())
         omega = {}
         for entry in table:
             omega[(tuple(entry["h"]), tuple(entry["k"]))] = complex(*entry["v"])

@@ -311,7 +311,7 @@ class OutGroupResult:
     generators: list  # list of (theta images, gauge matrix or +-1)
     isomorphism_type: str | None
     inconclusive: bool = False
-    element_orders: tuple[int, ...] = ()
+    element_orders: tuple[int | None, ...] = ()  # None: no order up to _MAX_PAIR_ORDER
 
 
 def out_group(s: GeneralSolution, grid: int = DEFAULT_GRID) -> OutGroupResult:
@@ -323,7 +323,8 @@ def out_group(s: GeneralSolution, grid: int = DEFAULT_GRID) -> OutGroupResult:
 
     A distance below ``EQUAL_TOL`` is a symmetry.  One in the gap below
     ``DISTINCT_TOL`` is neither a symmetry nor ruled out, and sets
-    ``inconclusive``.
+    ``inconclusive``, as does a symmetry whose order is not found (its
+    element order is None, and no isomorphism type is named).
     """
     found: list[tuple[GroupAutomorphism, np.ndarray]] = []
     inconclusive = False
@@ -334,26 +335,27 @@ def out_group(s: GeneralSolution, grid: int = DEFAULT_GRID) -> OutGroupResult:
                      and min(np.max(np.abs(u2 - u)), np.max(np.abs(u2 + u))) < 1e-5
                      for th2, u2 in found):
             found.append((th, u))
-    orders = tuple(sorted(_pair_order(th, u) for th, u in found))
+    orders = tuple(sorted((_pair_order(th, u) for th, u in found), key=lambda k: (k is None, k)))
+    unknown = None in orders
     return OutGroupResult(len(found), [(th.images, u.round(8).tolist()) for th, u in found],
-                          _iso_type(orders), inconclusive=inconclusive,
-                          element_orders=orders)
+                          None if unknown else _iso_type(orders),
+                          inconclusive=inconclusive or unknown, element_orders=orders)
 
 
-def _pair_order(th: GroupAutomorphism, u: np.ndarray) -> int:
-    k = 1
-    cur_t, cur_u = th, u
-    while True:
-        if cur_t.is_identity() and (
-            np.max(np.abs(cur_u - np.eye(len(u)))) < 1e-6
-            or np.max(np.abs(cur_u + np.eye(len(u)))) < 1e-6
-        ):
+_MAX_PAIR_ORDER = 64
+
+
+def _pair_order(th: GroupAutomorphism, u: np.ndarray) -> int | None:
+    """The least k <= _MAX_PAIR_ORDER with theta^k = id and u^k = +-I, or
+    None if there is none."""
+    p, eye = th.permutation(), np.eye(len(u))
+    cur_p, cur_u = p, u
+    for k in range(1, _MAX_PAIR_ORDER + 1):
+        if (cur_p == np.arange(len(p))).all() and min(
+                np.max(np.abs(cur_u - eye)), np.max(np.abs(cur_u + eye))) < 1e-6:
             return k
-        cur_t = cur_t.compose(th)
-        cur_u = cur_u @ u
-        k += 1
-        if k > 64:
-            return k
+        cur_p, cur_u = cur_p[p], cur_u @ u
+    return None
 
 
 # Sorted element orders of every group of order <= 8; each of these groups is
@@ -399,13 +401,12 @@ def dequiv_fusion(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
     perp, isotropic, _ = orthogonal_and_lagrangian(G, b, a, H)
     if not isotropic:
         raise ValueError("H is not isotropic (H not within H_perp)")
-    hs = [G.index_of(h) for h in H.elements]
+    hs, ps = list(H.index), list(perp.index)
     (D, A), (Db, X) = a.exponents, b.exponents
     g_a = np.flatnonzero((X[hs] * (D // Db) == A[hs, None]).all(axis=0))
     if not len(g_a):
         raise ValueError("no g_a with a(h) = <h, g_a> on H; a is not a form for b")
     add, neg = tables(G).add, tables(G).neg
-    ps = [G.index_of(k) for k in perp.elements]
     coset_h, coset_perp = add[:, hs].min(axis=1), add[:, ps].min(axis=1)
     alpha, sigma = np.unique(coset_h), np.unique(coset_perp)
     na, ns = len(alpha), len(sigma)
@@ -442,7 +443,7 @@ def dequiv_twisted(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
         raise ValueError("H must have order 2^{2s}")
     s = srank // 2
     T = tables(G)
-    hs = [G.index_of(h) for h in hset]
+    hs = list(H.index)
     if np.sum(~b.exponents[1][np.ix_(hs, hs)].any(axis=1)) > 1:
         raise ValueError("<.,.> restricted to H is degenerate")
     # cocycle checks

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -217,7 +218,7 @@ def test_trivial_subgroup_perp_is_group():
 def test_unclosed_subgroup_rejected():
     from neargroup.abelian import Subgroup
 
-    H = Subgroup(Z3, ((0,), (1,)), ((1,),))
+    H = Subgroup(Z3, (0, 1))
     with pytest.raises(ValueError):
         orthogonal_and_lagrangian(Z3, bichar_zn(3), None, H)
 
@@ -521,3 +522,133 @@ def test_invariant_factors_from_element_orders():
             assert (sorted(Q.element_order(x) for x in Q) if Q else [1]) == _orders_of(G, H)
             quotients += 1
     assert quotients == 105
+
+
+# --- subgroups and automorphism operations against the element-wise code ------
+
+def ref_subgroup_generated_by(G, gens):
+    """The tuple-set closure the index tables replaced: (sorted elements,
+    generators)."""
+    gens = [G.reduce(g) for g in gens]
+    seen = {G.zero()}
+    frontier = [G.zero()]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = G.add(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return tuple(sorted(seen)), tuple(gens)
+
+
+def ref_subgroups(G):
+    """The breadth-first search over generator sets the index tables
+    replaced: (elements, generators) of every subgroup, sorted by order, then
+    by elements."""
+    trivial = ref_subgroup_generated_by(G, [])
+    found = {trivial[0]: trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for els, gens in frontier:
+            for g in G:
+                if g in set(els):
+                    continue
+                K = ref_subgroup_generated_by(G, list(gens) + [g])
+                if K[0] not in found:
+                    found[K[0]] = K
+                    nxt.append(K)
+        frontier = nxt
+    return sorted(found.values(), key=lambda K: (len(K[0]), K[0]))
+
+
+def ref_orthogonal_and_lagrangian(G, b, a, els, gens):
+    """H_perp's elements, isotropic and Lagrangian, read element by element
+    off H's generators and elements."""
+    perp = tuple(g for g in G if all(b.phase(g, h).is_one() for h in gens))
+    isotropic = set(els) <= set(perp)
+    lagrangian = set(els) == set(perp)
+    if lagrangian and a is not None:
+        lagrangian = all(a.phase(h).is_one() for h in els)
+    return perp, isotropic, lagrangian
+
+
+def ref_compose_images(th, other):
+    return tuple(ref_apply(th, g) for g in other.images)
+
+
+SUBGROUP_GROUPS = TABLE_GROUPS + [FiniteAbelianGroup((2, 2, 2, 2))]
+
+
+def test_subgroups_match_the_element_wise_search():
+    """subgroups() lists the subgroups of the tuple-set search, in its
+    order; each is closed and is the subgroup generated by the search's
+    generators."""
+    count = 0
+    for G in SUBGROUP_GROUPS:
+        subs, ref = subgroups(G), ref_subgroups(G)
+        assert [H.elements for H in subs] == [els for els, _ in ref], G
+        for H, (els, gens) in zip(subs, ref):
+            assert H.is_closed() and H.order == len(els), (G, els)
+            assert subgroup_generated_by(G, gens) == H, (G, els)
+            assert ref_subgroup_generated_by(G, gens)[0] == els, (G, els)
+        count += len(subs)
+    assert count == 79 + 67
+
+
+def test_is_closed_on_small_index_sets():
+    """is_closed holds for an index set of at most three elements exactly
+    when it is the index set of a subgroup."""
+    from neargroup.abelian import Subgroup
+
+    for G in SUBGROUP_GROUPS:
+        closed = {H.index for H in subgroups(G) if H.order <= 3}
+        for k in (1, 2, 3):
+            for index in itertools.combinations(range(G.order), k):
+                assert Subgroup(G, index).is_closed() == (index in closed), (G, index)
+
+
+def test_perp_and_lagrangians_match_the_element_wise_code():
+    """For every pair (b, a) and every subgroup H, orthogonal_and_lagrangian
+    gives the element-wise H_perp, isotropic and Lagrangian answers, with the
+    form and without it.  The pairs are every nondegenerate b with each of
+    its forms, and on Z2^4 (448 such b, 16 forms each) the pair_classes
+    pairs."""
+    from neargroup.solvers import pair_classes
+
+    checked = lagrangians = 0
+    for G in SUBGROUP_GROUPS:
+        subs = list(zip(subgroups(G), ref_subgroups(G)))
+        if G in TABLE_GROUPS:
+            pairs = [(b, a) for b in enumerate_bicharacters(G, nondegenerate_only=True)
+                     for a in enumerate_quadratic_forms(b)]
+        else:
+            pairs = [(b, a) for b, a, _ in pair_classes(G)]
+        for b, a in pairs:
+            for H, (els, gens) in subs:
+                for form in (None, a):
+                    perp, isotropic, lagrangian = orthogonal_and_lagrangian(G, b, form, H)
+                    ref = ref_orthogonal_and_lagrangian(G, b, form, els, gens)
+                    assert (perp.elements, isotropic, lagrangian) == ref, (b, form, els)
+                    lagrangians += lagrangian and form is not None
+                checked += 1
+    assert (checked, lagrangians) == (7424, 114)
+
+
+def test_automorphism_operations_match_the_element_wise_code():
+    """compose and is_identity, read off the index permutations, equal the
+    element-wise answers for every pair of automorphisms; inverse is checked
+    against them in test_automorphisms_on_the_index_tables."""
+    pairs = 0
+    for G in TABLE_GROUPS:
+        auts = automorphisms(G)
+        for th in auts:
+            for other in auts:
+                composed, ref = th.compose(other), ref_compose_images(th, other)
+                assert composed.images == ref, (th, other)
+                assert composed.is_identity() == (list(ref) == G.generators()), (th, other)
+                pairs += 1
+    assert pairs == sum(k * k for k in (1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4, 6, 8, 12, 48, 168))

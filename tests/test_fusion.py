@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from neargroup import fusion
 from neargroup.abelian import (
     FiniteAbelianGroup,
     GroupAutomorphism,
@@ -15,6 +17,7 @@ from neargroup.abelian import (
     lagrangian_subgroups,
     subgroup_generated_by,
 )
+from neargroup.cli import main
 from neargroup.corpus import z2_m2, z2z2_m4, z2z2z3_m12, z3_m3, z3_m6, z4_m4, z5_m5
 from neargroup.fusion import (
     _iso_type,
@@ -138,6 +141,21 @@ def test_out_group_noisy_solution_is_inconclusive():
     assert out_group(noisy, grid=32).inconclusive
 
 
+def test_pair_order_not_found_is_inconclusive(monkeypatch):
+    """A symmetry (id, u) with u = diag(e^{i sqrt 2}, e^{-i sqrt 2}) has no
+    finite order: its element order is None, and out_group names no type and
+    says it is inconclusive."""
+    s = z3_m3()
+    ident = GroupAutomorphism(s.group, ((1,),))
+    u = np.diag(np.exp([1j * math.sqrt(2), -1j * math.sqrt(2)]))
+    assert fusion._pair_order(ident, u) is None
+    monkeypatch.setattr(fusion, "gauge_orbit_search",
+                        lambda s1, s2, grid: [(0.0, ident, np.eye(2)), (0.0, ident, u)])
+    res = out_group(s)
+    assert res.order == 2 and res.element_orders == (1, None)
+    assert res.isomorphism_type is None and res.inconclusive
+
+
 @pytest.mark.parametrize("orders, name", [
     ((1, 2, 4, 4, 8, 8, 8, 8), "Z8"),
     ((1, 2, 2, 2, 4, 4, 4, 4), "Z4xZ2"),
@@ -245,6 +263,25 @@ def test_dequiv_twisted_z2z2z3_to_z3_m6():
     H = subgroup_generated_by(G, [(1, 0, 0), (0, 1, 0)])
     ring = dequiv_twisted(G, s.bichar, s.form, H, _omega_table(G))
     assert ring.isomorphic_to(near_group_ring(FiniteAbelianGroup((3,)), 6))
+
+
+def test_cli_dequiv_twisted_reads_the_cocycle_file(tmp_path, capsys):
+    """``dequiv --cocycle FILE`` gives K(Z3, 6) from z2z2z3_m12 and closes
+    the file it reads."""
+    path = tmp_path / "omega.json"
+    omega = _omega_table(FiniteAbelianGroup((2, 2, 3)))
+    path.write_text(json.dumps([{"h": h, "k": k, "v": [complex(v).real, complex(v).imag]}
+                                for (h, k), v in omega.items()]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["--json", "dequiv", "bundled/z2z2z3_m12.json",
+                     "--subgroup", "1,0,0;0,1,0", "--cocycle", str(path)])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    ring = near_group_ring(FiniteAbelianGroup((3,)), 6)
+    assert data["name"] == ring.name
+    assert data["structure_constants"] == ring.N.tolist()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_dequiv_twisted_rejects_bad_cocycle():
