@@ -31,7 +31,12 @@ give the same answers exactly when
     PYTHONPATH=src python3 scripts/dump_outputs.py > after.txt    # checkout 2
     cmp before.txt after.txt
 
-succeeds.
+succeeds.  Where a change may move the last bits of floats only,
+
+    python3 scripts/compare_dumps.py before.txt after.txt --rtol 1e-9
+
+checks that every other token is byte-equal and lists each line that
+differs.
 """
 
 import argparse

@@ -25,7 +25,8 @@ TABLE = [
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--starts", type=int, default=SolveConfig().random_starts)
+    ap.add_argument("--starts", type=int, default=SolveConfig().random_starts,
+                    help="random starts per m = 2n case tag (m = n rows draw none)")
     ap.add_argument("--seed", type=int, default=SolveConfig().seed)
     ap.add_argument("--refutations", action="store_true",
                     help="print the per-case refutation lemmas")

@@ -655,7 +655,7 @@ def _resolve_t_system(ctx: ExactContext, parts) -> tuple:
 # the branch data, shared per (N, n, m)
 
 
-_SHARED: dict = {}  # (N, n, m) -> _branch_data
+_SHARED: dict = {}  # (N, n, m) -> _BranchData
 
 
 class _Branch(NamedTuple):
@@ -674,19 +674,23 @@ class _Branch(NamedTuple):
     extra: tuple  # Case I: xi0, |eta|^2, xi0^2 - 2|eta|^2; Case II: |xi0|^2, |eta|^2
 
 
-class _BranchData(NamedTuple):
-    case_I: tuple  # _Branch
-    case_II: tuple  # _Branch, branch 1
-    case_II_vanishing: tuple  # _Branch, branch 2
-    case_III: tuple  # (kappa, mu(0), mu(0)^2 = 1/2, T_24, 2 y^2 U_23^2)
-
-
 def _branch_data(ctx: ExactContext) -> _BranchData:
-    """The branches of Cases I, II and III, built on first use once per
-    (N, n, m): they read a context only through its field and the constants
-    that n and m fix in it (sqrt(n), i, zeta3, d), so every pair with the
-    same N, n and m shares them, and their elements and polynomials hold the
-    field, not a pair.
+    """The shared ``_BranchData`` of the context's (N, n, m), made on first
+    use; each case's branches in it are built when a tag of that case first
+    reads them."""
+    key = (ctx.N, ctx.n, ctx.m)
+    if key not in _SHARED:
+        _SHARED[key] = _BranchData(ctx)
+    return _SHARED[key]
+
+
+class _BranchData:
+    """The branches of Cases I, II and III of one (N, n, m), each case's
+    built on first use, once: they read a context only through its field and
+    the constants that n and m fix in it (sqrt(n), i, zeta3, d), so every
+    pair with the same N, n and m shares them, and their elements and
+    polynomials hold the field, not a pair.  ``ctx`` is the context of the
+    first pair, read for those constants only.
 
     Cases I and II are built at omega_1 + omega_2 = 0 and omega = 0.  A Case
     I tag with sum s has R mu(0) = conj(zeta3^s) R mu0 and R^2 mu(0) =
@@ -696,71 +700,99 @@ def _branch_data(ctx: ExactContext) -> _BranchData:
     III branch kappa has mu(0) = -1/(2d) + kappa / (2 sqrt(n)), and at |G| =
     4, when 2 y^2 = 1 - 2 mu(0)^2 > 0, T_24 and 2 y^2 U_23^2 at cos(theta) =
     sqrt(2) mu(0) (else None)."""
-    key = (ctx.N, ctx.n, ctx.m)
-    if key in _SHARED:
-        return _SHARED[key]
-    F, n = ctx.field, ctx.n
-    inv2rn, half_d, i_unit = ctx.inv2rn, ctx.half_d, ctx.i
-    T = KPoly.tvar(F)
-    C = functools.partial(KPoly.const, F)
-    third, quarter_n = ctx.q(Fraction(1, 3)), C(ctx.q(Fraction(1, 4 * n)))
 
-    def branch(name, params, odd, rhs, mu0, Rmu0, R2mu0, extra):
-        mu = tuple((mu0 + Rmu0 * ctx.zeta3 ** (-k % 3) + R2mu0 * ctx.zeta3 ** k) * C(third)
+    def __init__(self, ctx: ExactContext):
+        self.ctx = ctx
+
+    @functools.cached_property
+    def _polys(self):
+        """The parameter t, the constant maker, 1/3 and 1/(4n) as KPoly."""
+        ctx = self.ctx
+        C = functools.partial(KPoly.const, ctx.field)
+        return KPoly.tvar(ctx.field), C, ctx.q(Fraction(1, 3)), C(ctx.q(Fraction(1, 4 * ctx.n)))
+
+    def _branch(self, name, params, odd, rhs, mu0, Rmu0, R2mu0, extra) -> _Branch:
+        _, C, third, _ = self._polys
+        zeta3 = self.ctx.zeta3
+        mu = tuple((mu0 + Rmu0 * zeta3 ** (-k % 3) + R2mu0 * zeta3 ** k) * C(third)
                    for k in range(3))
         return _Branch(f"{name}{params}", odd, rhs, mu, tuple(p.re() for p in mu),
                        tuple(p.im() for p in mu), tuple(p.abs2() for p in mu), extra)
 
-    case_I = []
-    for kappa2 in (1, -1):
-        xi0 = C(-half_d) - T * C(inv2rn)
-        eta_sq = (C(ctx.one) - T * T) * quarter_n
-        mu0 = C(-half_d) + T * C(inv2rn)
-        Rmu0 = (T + C(ctx.int(kappa2) * i_unit)) * C(inv2rn)
-        R2mu0 = (T - C(ctx.int(kappa2) * i_unit)) * C(inv2rn)
-        case_I.append(branch("branch1", {"kappa2": kappa2}, False, third, mu0, Rmu0, R2mu0,
-                             (xi0, eta_sq, xi0 * xi0 - eta_sq - eta_sq)))
-    for kappa1 in (1, -1):
+    @functools.cached_property
+    def case_I(self) -> tuple:
+        ctx = self.ctx
+        inv2rn, half_d, i_unit = ctx.inv2rn, ctx.half_d, ctx.i
+        T, C, third, quarter_n = self._polys
+        out = []
         for kappa2 in (1, -1):
-            k1 = ctx.int(kappa1)
-            xi0 = C(-half_d - k1 * inv2rn)
-            mu0 = C(-half_d + k1 * inv2rn)
-            Rmu0 = C((-k1 + ctx.int(kappa2) * i_unit) * inv2rn)
-            R2mu0 = C((-k1 - ctx.int(kappa2) * i_unit) * inv2rn)
-            case_I.append(branch("branch2", {"kappa1": kappa1, "kappa2": kappa2}, False,
-                                 third, mu0, Rmu0, R2mu0, (xi0, C(ctx.zero), xi0 * xi0)))
+            xi0 = C(-half_d) - T * C(inv2rn)
+            eta_sq = (C(ctx.one) - T * T) * quarter_n
+            mu0 = C(-half_d) + T * C(inv2rn)
+            Rmu0 = (T + C(ctx.int(kappa2) * i_unit)) * C(inv2rn)
+            R2mu0 = (T - C(ctx.int(kappa2) * i_unit)) * C(inv2rn)
+            out.append(self._branch("branch1", {"kappa2": kappa2}, False, third, mu0, Rmu0,
+                                    R2mu0, (xi0, eta_sq, xi0 * xi0 - eta_sq - eta_sq)))
+        for kappa1 in (1, -1):
+            for kappa2 in (1, -1):
+                k1 = ctx.int(kappa1)
+                xi0 = C(-half_d - k1 * inv2rn)
+                mu0 = C(-half_d + k1 * inv2rn)
+                Rmu0 = C((-k1 + ctx.int(kappa2) * i_unit) * inv2rn)
+                R2mu0 = C((-k1 - ctx.int(kappa2) * i_unit) * inv2rn)
+                out.append(self._branch("branch2", {"kappa1": kappa1, "kappa2": kappa2}, False,
+                                        third, mu0, Rmu0, R2mu0, (xi0, C(ctx.zero), xi0 * xi0)))
+        return tuple(out)
 
-    rhs = third - ctx.inv_d * ctx.q(Fraction(2, 3))
-    case_II, case_II_vanishing = [], []
-    for kappa1 in (1, -1):
-        mu0 = (C(ctx.int(kappa1)) - T) * C(i_unit * inv2rn)
-        Rmu0 = C(-half_d) - T * C(i_unit * inv2rn)
-        R2mu0 = C(half_d) - T * C(i_unit * inv2rn)
-        absxi0_sq = (C(ctx.int(kappa1)) + T) * (C(ctx.int(kappa1)) + T) * quarter_n
-        abseta_sq = (C(ctx.one) - T * T) * quarter_n
-        case_II.append(branch("branch1", {"kappa1": kappa1}, True, rhs, mu0, Rmu0, R2mu0,
-                              (absxi0_sq, abseta_sq)))
-    for kappa in (1, -1):
-        mu0 = C(ctx.int(kappa) * i_unit * ctx.inv_sqrt_n)
-        Rmu0 = C(-half_d - ctx.int(kappa) * i_unit * inv2rn)
-        R2mu0 = C(half_d - ctx.int(kappa) * i_unit * inv2rn)
-        case_II_vanishing.append(branch("branch2", {"kappa": kappa}, True, rhs,
+    @functools.cached_property
+    def _case_II(self) -> tuple:
+        ctx = self.ctx
+        inv2rn, half_d, i_unit = ctx.inv2rn, ctx.half_d, ctx.i
+        T, C, third, quarter_n = self._polys
+        rhs = third - ctx.inv_d * ctx.q(Fraction(2, 3))
+        branch1, branch2 = [], []
+        for kappa1 in (1, -1):
+            mu0 = (C(ctx.int(kappa1)) - T) * C(i_unit * inv2rn)
+            Rmu0 = C(-half_d) - T * C(i_unit * inv2rn)
+            R2mu0 = C(half_d) - T * C(i_unit * inv2rn)
+            absxi0_sq = (C(ctx.int(kappa1)) + T) * (C(ctx.int(kappa1)) + T) * quarter_n
+            abseta_sq = (C(ctx.one) - T * T) * quarter_n
+            branch1.append(self._branch("branch1", {"kappa1": kappa1}, True, rhs, mu0, Rmu0,
+                                        R2mu0, (absxi0_sq, abseta_sq)))
+        for kappa in (1, -1):
+            mu0 = C(ctx.int(kappa) * i_unit * ctx.inv_sqrt_n)
+            Rmu0 = C(-half_d - ctx.int(kappa) * i_unit * inv2rn)
+            R2mu0 = C(half_d - ctx.int(kappa) * i_unit * inv2rn)
+            branch2.append(self._branch("branch2", {"kappa": kappa}, True, rhs,
                                         mu0, Rmu0, R2mu0, ()))
+        return tuple(branch1), tuple(branch2)
 
-    case_III = []
-    for kappa in (1, -1):
-        mu0 = -half_d + ctx.int(kappa) * inv2rn
-        half_sq = mu0 * mu0 == ctx.q(Fraction(1, 2))
-        T24 = V = None
-        if n == 4 and not (half_sq or ctx.is_zero(mu0)):
-            y2two = ctx.one - ctx.K_two * mu0 * mu0  # = 2 y^2 = sin^2(theta)
-            if ctx.sign(y2two) > 0:
-                T24, U23 = _chebyshev(ctx, 24, ctx._sqrt_int(2) * mu0)
-                V = y2two * U23 * U23
-        case_III.append((kappa, mu0, half_sq, T24, V))
-    out = _SHARED[key] = _BranchData(tuple(case_I), tuple(case_II),
-                                     tuple(case_II_vanishing), tuple(case_III))
-    return out
+    @property
+    def case_II(self) -> tuple:
+        """Branch 1 of Case II."""
+        return self._case_II[0]
+
+    @property
+    def case_II_vanishing(self) -> tuple:
+        """Branch 2 of Case II."""
+        return self._case_II[1]
+
+    @functools.cached_property
+    def case_III(self) -> tuple:
+        """(kappa, mu(0), mu(0)^2 = 1/2, T_24, 2 y^2 U_23^2) per branch."""
+        ctx = self.ctx
+        out = []
+        for kappa in (1, -1):
+            mu0 = -ctx.half_d + ctx.int(kappa) * ctx.inv2rn
+            half_sq = mu0 * mu0 == ctx.q(Fraction(1, 2))
+            T24 = V = None
+            if ctx.n == 4 and not (half_sq or ctx.is_zero(mu0)):
+                y2two = ctx.one - ctx.K_two * mu0 * mu0  # = 2 y^2 = sin^2(theta)
+                if ctx.sign(y2two) > 0:
+                    T24, U23 = _chebyshev(ctx, 24, ctx._sqrt_int(2) * mu0)
+                    V = y2two * U23 * U23
+            out.append((kappa, mu0, half_sq, T24, V))
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------

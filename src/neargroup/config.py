@@ -15,7 +15,7 @@ __all__ = ["Config", "load_config"]
 class Config:
     tolerance: float = 1e-10
     oracle_tolerance: float = 1e-9
-    random_starts: int = 1000
+    random_starts: int = 1000  # per m = 2n case tag; the m = n solver draws none
     archive_path: str = "./neargroup_archive"
     seed: int = 20260809
 

@@ -8,9 +8,12 @@ cube root c for m = n (``solve_mn``), a Case I or II tag for m = 2n
 which the caller passes in: read off the exact eigenspaces of
 ``cases.ExactContext`` for m = n (``_mn_slice``), found numerically for
 L >= 2 (``_numeric_slice``).  On it the quadratic equations are fitted once
-(``_quadratic``) and solved from all starts at once by
-``solutions._batched_lm``: the one Levenberg-Marquardt loop of the package,
-which the gauge refine shares.  The fit is its model: one call per batch of
+(``_quadratic``).  For m = n every root of the fit comes from the null space
+of its Macaulay matrix (``_macaulay_roots``), with no random start; for L >=
+2 the fit is searched from random starts.  Either way the points go to one
+run of ``solutions._batched_lm``, which polishes the roots or solves from
+all starts at once: the one Levenberg-Marquardt loop of the package, which
+the gauge refine shares.  The fit is its model: one call per batch of
 points gives the residual rows and their exact Jacobians together.  The
 equations of ``solutions.NormalForm`` take a stack of b-tensors, so the
 numeric slice and the fit each evaluate their map once, on the stack of
@@ -25,16 +28,19 @@ solution per class up to Aut x gauge within each (bicharacter, form) pair
 Completeness discipline.  A solver result is labeled COMPLETE only where the
 reduction lemmas shrink the system to a parameter space the code exhausts:
 m = n for |G| <= 5 (the Galois-form linear constraints, which are the affine
-slice of (p1)-(p3) and (p7) at L = 1, plus dense multistart) and m = 2n for
-|G| <= 4 (the exact case analysis).  Everything else is labeled HEURISTIC:
-numerical search cannot certify emptiness, and the m = 2n zero-counts instead
-carry the exact refutation certificates from :mod:`neargroup.cases`.
+slice of (p1)-(p3) and (p7) at L = 1, plus every root of the quadratic
+equations on it) and m = 2n for |G| <= 4 (the exact case analysis).
+Everything else is labeled HEURISTIC: numerical search cannot certify
+emptiness, and the m = 2n zero-counts instead carry the exact refutation
+certificates from :mod:`neargroup.cases`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 import numpy.random  # noqa: F401 -- lazy in numpy; load it with the package, not in a solve
@@ -94,6 +100,8 @@ NEWTON_TOL = 1e-12  # ||r|| at or below which an LM start has converged
 
 @dataclass
 class SolveConfig:
+    # the random starts of the m = 2n solver, and their seed; m = n draws
+    # none, and heuristic_search draws HEURISTIC_STARTS with this seed
     seed: int = 20260809
     random_starts: int = 1000
     residual_tol: float = 1e-10
@@ -145,7 +153,8 @@ class ClassificationResult:
         lines = [f"classify({self.group}, m={self.m}): {self.num_classes} class(es)"
                  f" [{self.completeness}]"]
         warnings = self.provenance.get("warnings", [])
-        skipped = [w for w in warnings if w.startswith("case ")]  # tags not searched
+        # m = 2n tags and m = n pairs not searched
+        skipped = [w for w in warnings if w.startswith(("case ", "pair "))]
         inconclusive = len(warnings) - len(skipped)
         if inconclusive:
             lines.append(f"  {inconclusive} inconclusive equivalence comparison(s),"
@@ -203,7 +212,7 @@ def pair_classes(G: FiniteAbelianGroup):
 
 
 # ---------------------------------------------------------------------------
-# the multistart drivers
+# keeping the solvers' points
 
 
 def _keep(B, acj: ACJData, provenance: dict, config: SolveConfig,
@@ -250,13 +259,16 @@ def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
     (``solutions.mn_normal_form``), one for each cube root c = ``ctx.c``
     zeta3^k of the pair's ``cases.ExactContext``.  Its affine (p1)-(p3) and
     (p7), i.e. (Gal3), (Gal4) and (Gal7), cut out the slice ``_mn_slice``;
-    on it the quadratic (p4), (p5) and ``bg_unitary``, i.e. (Gal5), are
-    solved by one batched Levenberg-Marquardt run from
-    ``config.random_starts`` seeded starts.
+    on it every root of the quadratic (p4), (p5) and ``bg_unitary``, i.e.
+    (Gal5), comes from linear algebra (``_macaulay_roots``), and the real
+    ones are polished by one short batched Levenberg-Marquardt run.  No
+    random start is drawn: ``config.random_starts`` and ``config.seed`` do
+    not change the result (the seed is only recorded in the provenance).
     Every candidate not within DEDUPE_TOL of a kept one becomes a
     ``GeneralSolution`` of that normal form, an m = n solution by its data
     (``is_mn``), and is kept only if it passes ``solutions.residual``, i.e.
-    ``residual_mn``, (Gal6) included.
+    ``residual_mn``, (Gal6) included.  Raises ArithmeticError where the roots
+    of a slice cannot be counted (see ``_macaulay_roots``).
     """
     if config is None:
         config = SolveConfig()
@@ -269,8 +281,7 @@ def solve_mn(G: FiniteAbelianGroup, b: Bicharacter, a: QuadraticForm,
         c = ctx.numeric(ctx.c * ctx.zeta3 ** k)
         # the three cube roots c never share a solution, so deduping within
         # one c's starts is deduping over all of them
-        out += _solve_tensor(mn_normal_form(a, c), _mn_slice(ctx, k, d),
-                             config.random_starts, 0, config,
+        out += _solve_tensor(mn_normal_form(a, c), _mn_slice(ctx, k, d), None, 0, config,
                              {"solver": "solve_mn", "seed": config.seed})
     out.sort(key=lambda s: _order_key(s.btensor))
     return out
@@ -395,18 +406,19 @@ def _numeric_slice(acj: ACJData):
                          2 * acj.L ** 4 * acj.group.order)
 
 
-def _solve_tensor(acj: ACJData, affine_slice, starts: int, seed_offset: int,
+def _solve_tensor(acj: ACJData, affine_slice, starts: int | None, seed_offset: int,
                   config: SolveConfig, provenance: dict, cap: int | None = None) -> list:
     """Solutions of the tensor equations of the normal form ``acj`` on its
     slice ``affine_slice``: the zero set x0 + K y, y in R^k, of the affine
     equations in the coordinates (Re b, Im b), or None if it is empty.  The
-    quadratic equations on it are solved by one batched LM run, with the
-    model of ``_quadratic``, from ``starts`` random points drawn with the
-    seed ``config.seed + seed_offset``.  All converged points are lifted to
-    b-tensors at once and go to ``_keep``, which makes each b-tensor not
-    within DEDUPE_TOL of a kept one a ``GeneralSolution`` of ``acj`` with
-    ``provenance`` and verifies it.  A slice that is a single point (k = 0)
-    goes to ``_keep`` as it is."""
+    quadratic equations on it, with the model of ``_quadratic``, are solved
+    by one batched LM run: from ``starts`` random points drawn with the seed
+    ``config.seed + seed_offset``, or, with ``starts`` None, from every real
+    root that ``_macaulay_roots`` finds, which the run only polishes.  All
+    converged points are lifted to b-tensors at once and go to ``_keep``,
+    which makes each b-tensor not within DEDUPE_TOL of a kept one a
+    ``GeneralSolution`` of ``acj`` with ``provenance`` and verifies it.  A
+    slice that is a single point (k = 0) goes to ``_keep`` as it is."""
     if affine_slice is None:
         return []
     x0, K = affine_slice
@@ -418,11 +430,14 @@ def _solve_tensor(acj: ACJData, affine_slice, starts: int, seed_offset: int,
         # the bits of K @ y
         resid = _realified(acj, QUADRATIC_EQUATIONS, lambda Y: _unpack(acj, x0 + Y @ K.T))
         model, _ = _quadratic(resid, k)
-        rng = np.random.default_rng(config.seed + seed_offset)
-        scale = 1.0 / math.sqrt(acj.group.order)
+        if starts is None:
+            Y0, max_iter = _macaulay_roots(model), POLISH_ITER
+        else:
+            rng = np.random.default_rng(config.seed + seed_offset)
+            scale = 1.0 / math.sqrt(acj.group.order)
+            Y0, max_iter = rng.uniform(-scale, scale, size=(starts, k)), 200 * (k + 1)
         floor = NEWTON_TOL ** 2
-        Y, cost, _ = _batched_lm(rng.uniform(-scale, scale, size=(starts, k)), model,
-                                 200 * (k + 1), floor)
+        Y, cost, _ = _batched_lm(Y0, model, max_iter, floor)
         Y = Y[cost <= floor]
     # K @ y row by row, the bits of a single K @ y; Y @ K.T rounds differently
     return _keep(_unpack(acj, x0 + (K @ Y[:, :, None])[..., 0]), acj, provenance, config, cap)
@@ -444,11 +459,11 @@ def _affine_slice(aff, nvar: int):
     padded = np.vstack([A, np.zeros((max(0, nvar - len(A)), nvar))])
     U, sv, Vt = np.linalg.svd(padded, full_matrices=False)
     top = max(sv[0], np.linalg.norm(c), np.finfo(float).tiny)
-    rank = int(np.sum(sv >= SLICE_RANK * top))
+    rank = _clear_rank(sv, top, "affine slice")
     x0 = -Vt[:rank].T @ ((U[:len(A), :rank].T @ c) / sv[:rank])
     miss = np.linalg.norm(A @ x0 + c)
-    if np.any(sv[rank:] > SLICE_NULL * top) or SLICE_NULL * top < miss < SLICE_RANK * top:
-        raise ArithmeticError("affine slice: singular values show no clear rank gap")
+    if SLICE_NULL * top < miss < SLICE_RANK * top:
+        raise ArithmeticError("affine slice: its least-squares zero misses by no clear gap")
     if miss >= SLICE_RANK * top:
         return None
     return x0, Vt[rank:].T
@@ -465,9 +480,9 @@ def _quadratic(resid, nvar: int):
     The values of the polynomial lie in the span of its coefficient vectors;
     the model is written in an orthonormal basis V of that span, which keeps
     ||r|| and J^T J and has at most 1 + nvar + nvar (nvar + 1) / 2 rows.
-    Returns ``(model, V)``: ``model`` maps a batch X (S x nvar) to the rows
-    V^T r (S, P) and their Jacobians (S, P, nvar), from one Q(x, .) per
-    batch."""
+    Returns ``(model, V)``: ``model``, a ``_QuadraticModel``, holds the
+    coefficients of the rows V^T r and maps a batch X (S x nvar) to them and
+    their Jacobians."""
     eye = np.eye(nvar)
     j, k = np.triu_indices(nvar, 1)
     x = np.random.default_rng(0).uniform(-1.0, 1.0, nvar)
@@ -486,14 +501,133 @@ def _quadratic(resid, nvar: int):
     U, sv, _ = np.linalg.svd(np.column_stack([c, L, Q[:, upper[0], upper[1]]]),
                              full_matrices=False)
     V = U[:, sv > sv[0] * len(c) * np.finfo(float).eps]
-    c, L = V.T @ c, V.T @ L
-    Q = np.tensordot(V, Q, axes=(0, 0)).reshape(-1, nvar)  # rows (p, j), columns k
+    return _QuadraticModel(V.T @ c, V.T @ L, np.tensordot(V, Q, axes=(0, 0))), V
 
-    def model(X):
-        QX = (X @ Q.T).reshape(len(X), -1, nvar)  # Q(x, .) for each row x of X
-        return c + X @ L.T + (QX @ X[:, :, None])[..., 0], L + 2 * QX
 
-    return model, V
+@dataclass(frozen=True, eq=False)
+class _QuadraticModel:
+    """The rows c + L x + Q(x, x) of ``_quadratic``: c (P,), L (P, k) and Q
+    (P, k, k), symmetric in its last two axes.  Called on a batch X (S x k)
+    it gives the rows (S, P) and their Jacobians (S, P, k), from one Q(x, .)
+    per batch."""
+
+    c: np.ndarray
+    L: np.ndarray
+    Q: np.ndarray
+
+    def __call__(self, X):
+        P, k = self.L.shape
+        QX = (X @ self.Q.reshape(-1, k).T).reshape(len(X), P, k)  # Q(x, .) for each row x
+        return self.c + X @ self.L.T + (QX @ X[:, :, None])[..., 0], self.L + 2 * QX
+
+
+# the roots of a quadratic model by the Macaulay null-space method: Dreesen,
+# Batselier & De Moor, IFAC Proc. 45(16) (2012); Telen & Van Barel,
+# J. Comput. Appl. Math. 342 (2018)
+MACAULAY_MAX_DEGREE = 8  # a nullity not settled at this degree raises
+REAL_ROOT_TOL = 1e-6  # |Im z| over max(1, |z|) up to which a root is polished as real
+POLISH_ITER = 50  # LM iterations of the polish that starts at the real roots
+
+
+@cache
+def _product_columns(k: int, d: int, e: int) -> np.ndarray:
+    """Where products land among the monomials in k variables in graded
+    order (1, x_0, ..., x_(k-1), x_0^2, x_0 x_1, ...): entry [s, t] is the
+    position of the s-th monomial of degree <= d times the t-th of degree
+    <= e.  The degree-2 monomials x_i x_j come in ``np.triu_indices(k)``
+    order."""
+    exps = [np.bincount(m, minlength=k) for deg in range(d + e + 1)
+            for m in itertools.combinations_with_replacement(range(k), deg)]
+    position = {x.tobytes(): i for i, x in enumerate(exps)}
+    rows, cols = math.comb(k + d, d), math.comb(k + e, e)
+    return np.array([[position[(x + y).tobytes()] for y in exps[:cols]]
+                     for x in exps[:rows]])
+
+
+def _clear_rank(sv, top: float, what: str) -> int:
+    """The number of singular values ``sv`` (descending) at or above
+    SLICE_RANK ``top``; raises ArithmeticError if one of the others is above
+    SLICE_NULL ``top``: no clear rank."""
+    rank = int(np.sum(sv >= SLICE_RANK * top))
+    if np.any(sv[rank:] > SLICE_NULL * top):
+        raise ArithmeticError(f"{what}: singular values show no clear rank gap")
+    return rank
+
+
+def _affine_gap(N, k: int, D: int):
+    """``(d, r)`` for the null space N of a Macaulay matrix of degree D in k
+    variables: r is the rank of N's rows of degree <= d, and d the first
+    degree >= 1 at which it equals the rank at d - 1, or d = 0 when r = 0
+    there (N is 0 at the monomial 1); None when the rank rises up to D.  N's
+    columns are orthonormal, so each rank is taken against 1."""
+    previous = None
+    for d in range(D + 1):
+        rows = N[:math.comb(k + d, d)]
+        r = _clear_rank(np.linalg.svd(rows, compute_uv=False), 1.0, "Macaulay null space")
+        if r == 0 or r == previous:
+            return d, r
+        previous = r
+    return None
+
+
+def _macaulay_roots(model: _QuadraticModel) -> np.ndarray:
+    """The real roots y in R^k of the P quadratic rows of ``model``, as the
+    real parts of all its affine complex roots that are real within
+    REAL_ROOT_TOL: an (r, k) array, one root a row, a multiple root once per
+    multiplicity.
+
+    The Macaulay matrix of degree D stacks every row times every monomial of
+    degree <= D - 2, on the monomials of degree <= D; its null space N holds
+    the vector of monomials of each root.  If N is 0 the system has no
+    complex root.  The roots at infinity live on N's rows of top degree
+    only, so the rank of N's rows of degree <= d grows with d, stays at the
+    number r of affine roots over a gap, and grows again (``_affine_gap``).
+    D runs from 2 until the nullity repeats and N shows that gap.  On the
+    column space of N's rows of degree <= d, the shift by a generic linear
+    form h . y from the rows of degree <= d - 1 to those of degree <= d is
+    an r x r eigenproblem whose eigenvectors map to the monomial vectors of
+    the roots: each root is read off at x_j over 1.  The rank decisions on
+    N's rows are taken against its orthonormal columns, which suits roots of
+    order 1, as a solution's slice coordinates are (its b-values have
+    modulus below 1): a root far out reads as one at infinity.
+
+    Raises ArithmeticError if the nullity, with a gap, has not settled at
+    MACAULAY_MAX_DEGREE (a root set of positive dimension), or if a rank
+    decision has no clear gap (``_clear_rank``)."""
+    P, k = model.L.shape
+    i, j = np.triu_indices(k)
+    # the coefficients of the terms 1, x_j, x_i x_j of each row
+    coef = np.column_stack([model.c, model.L, (model.Q * (2 - np.eye(k)))[:, i, j]])
+    previous = None
+    for D in range(2, MACAULAY_MAX_DEGREE + 1):
+        cols = _product_columns(k, D - 2, 2)
+        ncol = math.comb(k + D, D)
+        M = np.zeros((len(cols), P, ncol))
+        M[np.arange(len(cols))[:, None], :, cols] = coef.T
+        _, sv, Vt = np.linalg.svd(M.reshape(-1, ncol))
+        rank = _clear_rank(sv, sv[0] if len(sv) else 0.0, "Macaulay matrix")
+        if rank == ncol:  # 1 is in the row span
+            return np.zeros((0, k))
+        N = Vt[rank:].T  # orthonormal columns
+        if ncol - rank == previous:
+            gap = _affine_gap(N, k, D)
+            if gap is not None:
+                break
+        previous = ncol - rank
+    else:
+        raise ArithmeticError(f"Macaulay nullity not settled at degree {MACAULAY_MAX_DEGREE}")
+    d, r = gap
+    if r == 0:
+        return np.zeros((0, k))
+    low = math.comb(k + d - 1, d - 1)  # the rows of degree <= d - 1
+    Z = np.linalg.svd(N[:math.comb(k + d, d)])[0][:, :r]  # the affine part
+    shifts = _product_columns(k, d - 1, 1)[:, 1:]  # x_j times each row of degree <= d - 1
+    h = np.cos(np.arange(1.0, k + 1))  # a generic linear form, fixed
+    shift = np.linalg.lstsq(Z[:low], h @ Z[shifts], rcond=None)[0]
+    V = Z @ np.linalg.eig(shift)[1]  # monomial vectors of the roots, up to scale
+    roots = (V[1:k + 1] / V[0]).T
+    real = np.abs(roots.imag).max(1) <= REAL_ROOT_TOL * np.maximum(1.0, np.abs(roots).max(1))
+    return roots[real].real
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +665,11 @@ def classify(G: FiniteAbelianGroup, m: int,
     additionally folded (the worked m = n examples count an E6-type conjugate
     pair once), while for m > n counts are absolute (the Z3, m = 6 theorem
     counts its conjugate pair as two categories).
+
+    A pair whose solver fails (``LinAlgError`` or ``ArithmeticError``: an
+    m = n slice whose roots cannot be counted, an m = 2n tag whose slice
+    fails) is recorded in the provenance's ``warnings`` and skipped, and
+    the row is then HEURISTIC.
     """
     if config is None:
         config = SolveConfig()
@@ -549,10 +688,15 @@ def classify(G: FiniteAbelianGroup, m: int,
     found: list = []  # (solution, case tag, galois orbit)
     all_feas: list[Feasibility] = []
     warnings: list[str] = []
-    for b, a, orbit in pairs:
+    for i, (b, a, orbit) in enumerate(pairs):
         feas: list[Feasibility] = []
         if m == n:
-            sols = _dedupe(solve_mn(G, b, a, config), warnings)
+            try:
+                sols = solve_mn(G, b, a, config)
+            except (np.linalg.LinAlgError, ArithmeticError) as e:
+                warnings.append(f"pair {i}: not searched: {e}")
+                sols = []
+            sols = _dedupe(sols, warnings)
         elif m == 2 * n:
             sols, feas = solve_m2n(G, b, a, config, warnings=warnings)
         else:

@@ -533,6 +533,38 @@ def test_case_analysis_field_element_budget(monkeypatch):
     assert len(built) <= 3413
 
 
+def test_branch_data_builds_each_case_when_a_tag_reads_it(monkeypatch):
+    """On Z2/4 every Case II tag is refuted by its eigenspace dimension, so
+    the case analysis of its pairs builds the Case I and Case III branches
+    and no Case II branch: 612 field elements, not the 870 of building all
+    three.  The Case II tag omega = 0 of Z5/10's first pair does read them,
+    and only them, once."""
+    from neargroup.solvers import pair_classes
+
+    G = FiniteAbelianGroup((2,))
+    pairs = list(pair_classes(G))
+    ExactContext(G, *pairs[0][:2], 4)  # builds the field, which is not counted
+    monkeypatch.setattr(cases, "_SHARED", {})
+    built = []
+    elt = cases._Field._elt
+    monkeypatch.setattr(cases._Field, "_elt",
+                        lambda F, acc, d: built.append(1) or elt(F, acc, d))
+    for b, a, _ in pairs:
+        all_case_feasibilities(G, b, a)
+    (data,) = cases._SHARED.values()
+    assert {"case_I", "case_III"} <= set(vars(data)) and "_case_II" not in vars(data)
+    assert len(built) <= 612
+    G = FiniteAbelianGroup((5,))
+    b, a, _ = pair_classes(G)[0]
+    ctx = ExactContext(G, b, a, 10)
+    case_feasibility(G, b, a, CaseTag("II", omega=0), ctx=ctx)
+    data = cases._branch_data(ctx)
+    assert "_case_II" in vars(data) and "case_I" not in vars(data)
+    first = data.case_II
+    case_feasibility(G, b, a, CaseTag("II", omega=0), ctx=ctx)
+    assert cases._branch_data(ctx).case_II is first
+
+
 def _direct_mu(ctx, mu0, Rmu0, R2mu0):
     third = KPoly.const(ctx.field, ctx.q(Fraction(1, 3)))
     return [(mu0 + Rmu0 * ctx.zeta3 ** (-k % 3) + R2mu0 * ctx.zeta3 ** k) * third

@@ -155,10 +155,10 @@ def test_keep_lifts_in_order_and_masks_near_duplicates(monkeypatch):
 
 
 def test_solve_mn_default_config_pair_counts():
-    """At the default configuration (1000 random starts per cube root) every
-    (bicharacter, form) pair of the COMPLETE m = n groups, and of the groups
-    of orders 6 to 9, gives its known number of solutions, each passing the
-    residual system at 1e-10."""
+    """At the default configuration (every root of each cube root's slice
+    system, from ``_macaulay_roots``) every (bicharacter, form) pair of the
+    COMPLETE m = n groups, and of the groups of orders 6 to 9, gives its
+    known number of solutions, each passing the residual system at 1e-10."""
     from neargroup.solutions import residual_mn
 
     want = {(2,): [1, 1], (3,): [2, 2], (4,): [0, 2, 2, 0], (5,): [1, 4],
@@ -613,3 +613,148 @@ def test_quadratic_model_rejects_cubic_map():
     with pytest.raises(ArithmeticError):
         _quadratic(lambda X: np.stack([X[..., 0] * X[..., 1], X[..., 0] ** 3 + X[..., 1]],
                                       axis=-1), 2)
+
+
+# ---------------------------------------------------------------------------
+# every root of a slice system: the Macaulay null-space method
+
+
+def _planted(rows, k):
+    """The ``_quadratic`` model of the planted map y -> rows(*y) on R^k."""
+    from neargroup.solvers import _quadratic
+
+    return _quadratic(lambda Y: np.stack(rows(*Y.T), axis=-1), k)[0]
+
+
+def _polish(roots, model):
+    from neargroup.solutions import _batched_lm
+    from neargroup.solvers import NEWTON_TOL, POLISH_ITER
+
+    Y, cost, _ = _batched_lm(roots, model, POLISH_ITER, NEWTON_TOL ** 2)
+    assert np.all(cost <= NEWTON_TOL ** 2)
+    return Y
+
+
+def _same_points(found, want, tol):
+    found = sorted(map(tuple, found), key=lambda y: tuple(np.round(y, 4)))
+    return len(found) == len(want) and all(
+        np.max(np.abs(np.subtract(f, w))) < tol for f, w in zip(found, sorted(want)))
+
+
+def test_macaulay_roots_planted_k2():
+    """Planted k = 2 slices: every real root is found, and no complex one.
+    x^2 + y^2 = 5, xy = 2 has four real roots; x^2 = 1, y^2 = -x has two
+    real and two complex; x^2 + y^2 = 1, x^2 - y^2 = 3 has only complex
+    roots."""
+    from neargroup.solvers import _macaulay_roots
+
+    model = _planted(lambda x, y: [x * x + y * y - 5, x * y - 2], 2)
+    roots = _macaulay_roots(model)
+    assert _same_points(roots, [(-2, -1), (-1, -2), (1, 2), (2, 1)], 1e-9)
+    assert _same_points(_polish(roots, model), [(-2, -1), (-1, -2), (1, 2), (2, 1)], 1e-12)
+    model = _planted(lambda x, y: [x * x - 1 + 0 * y, y * y + x], 2)
+    assert _same_points(_polish(_macaulay_roots(model), model), [(-1, -1), (-1, 1)], 1e-12)
+    model = _planted(lambda x, y: [x * x + y * y - 1, x * x - y * y - 3], 2)
+    assert _macaulay_roots(model).shape == (0, 2)
+
+
+def test_macaulay_roots_planted_double_root():
+    """(x - 1)^2 = 0, y^2 = x: the real roots (1, 1) and (1, -1) are double.
+    Each is found once per multiplicity, to about the square root of the
+    rounding, and the polish brings every copy to the LM floor."""
+    from neargroup.solvers import _macaulay_roots
+
+    model = _planted(lambda x, y: [x * x - 2 * x + 1 + 0 * y, y * y - x], 2)
+    roots = _macaulay_roots(model)
+    want = [(1, -1), (1, -1), (1, 1), (1, 1)]
+    assert _same_points(roots, want, 1e-6)
+    assert _same_points(_polish(roots, model), want, 1e-6)
+
+
+def test_macaulay_roots_z9_k3_slice():
+    """Both k = 3 slices of Z9 (P = 4 rows): the nullity settles at 4, but
+    only two roots are affine, the other two lie at infinity and are split
+    off by the rank gap of the null space's low rows.  The two real roots
+    are simple; they are found, polished and pass ``residual``."""
+    from neargroup.cases import ExactContext
+    from neargroup.solutions import dimension_d, mn_normal_form, residual
+    from neargroup.solvers import (
+        QUADRATIC_EQUATIONS,
+        _macaulay_roots,
+        _mn_slice,
+        _quadratic,
+        _realified,
+        _solve_tensor,
+        _unpack,
+    )
+
+    G = FiniteAbelianGroup((9,))
+    d = dimension_d(9, 9).value
+    slices = 0
+    for b, a, _ in pair_classes(G):
+        ctx = ExactContext(G, b, a)
+        for k in range(3):
+            affine_slice = _mn_slice(ctx, k, d)
+            if affine_slice is None or affine_slice[1].shape[1] != 3:
+                continue
+            slices += 1
+            x0, K = affine_slice
+            acj = mn_normal_form(a, ctx.numeric(ctx.c * ctx.zeta3 ** k))
+            resid = _realified(acj, QUADRATIC_EQUATIONS, lambda Y: _unpack(acj, x0 + Y @ K.T))
+            model, _ = _quadratic(resid, 3)
+            assert len(model.c) == 4
+            roots = _macaulay_roots(model)
+            assert len(roots) == 2
+            assert np.max(np.abs(model(roots)[0])) < 1e-12
+            found = _solve_tensor(acj, affine_slice, None, 0, SolveConfig(), {})
+            assert len(found) == 2
+            assert all(residual(s, 1e-10).passed for s in found)
+    assert slices == 2
+
+
+def test_macaulay_roots_raise_when_they_cannot_be_counted():
+    """A root set of positive dimension (a circle; a map that vanishes on the
+    whole line) never settles the nullity, and a Macaulay singular value
+    between SLICE_NULL and SLICE_RANK leaves no clear rank: each raises."""
+    from neargroup.solvers import _macaulay_roots
+
+    with pytest.raises(ArithmeticError, match="not settled"):
+        _macaulay_roots(_planted(lambda x, y: [x * x + y * y - 1], 2))
+    with pytest.raises(ArithmeticError, match="not settled"):
+        _macaulay_roots(_planted(lambda x: [0 * x], 1))
+    with pytest.raises(ArithmeticError, match="no clear rank"):
+        _macaulay_roots(_planted(lambda x: [x * x - 1, 1e-7 * (x - 5)], 1))
+
+
+def test_classify_mn_skips_a_pair_whose_roots_cannot_be_counted(monkeypatch):
+    """With the quadratic equations of every k >= 1 slice planted to vanish
+    identically, Z3/3's two pairs cannot count their roots: each is recorded
+    as not searched, the row is HEURISTIC and says why, and nothing
+    crashes."""
+    real = solvers._quadratic
+    monkeypatch.setattr(solvers, "_quadratic",
+                        lambda resid, nvar: real(lambda Y: 0 * resid(Y), nvar))
+    res = classify(FiniteAbelianGroup((3,)), 3)
+    assert res.completeness == "HEURISTIC" and res.num_classes_absolute == 0
+    warnings = res.provenance["warnings"]
+    assert warnings == [f"pair {i}: not searched: Macaulay nullity not settled at degree "
+                        f"{solvers.MACAULAY_MAX_DEGREE}" for i in range(2)]
+    summary = res.summary()
+    assert "inconclusive" not in summary
+    assert all(w in summary for w in warnings)
+    with pytest.raises(ArithmeticError):
+        solve_mn(FiniteAbelianGroup((3,)), *pair_classes(FiniteAbelianGroup((3,)))[0][:2])
+
+
+def test_solve_mn_reads_no_seed_and_no_starts():
+    """``solve_mn`` draws no random start: two seeds and two
+    ``random_starts`` give the same solutions, bit for bit, on every pair of
+    Z5, Z2xZ4 and Z3xZ3."""
+    configs = [SolveConfig(), SolveConfig(seed=1, random_starts=3)]
+    for factors in [(5,), (2, 4), (3, 3)]:
+        G = FiniteAbelianGroup(factors)
+        for b, a, _ in pair_classes(G):
+            one, two = (solve_mn(G, b, a, config) for config in configs)
+            assert len(one) == len(two), factors
+            assert all(s.acj == t.acj and np.array_equal(s.btensor, t.btensor)
+                       for s, t in zip(one, two)), factors
