@@ -40,7 +40,12 @@ tuple,
 and checks, as word identities: isometry relations of the images, range
 completeness, the defining relation
 rho^2(x) = sum_g S_g alpha_g(x) S_g^* + sum_i T_i rho(x) T_i^* on every
-generator, and the closed form of rho(U(g)).
+generator, and the closed form of rho(U(g)).  The defining relation is read
+two folds down: both sides are multiplied by fold^* = sum_i S_i rho(S_i)^*,
+split on their first letter (:func:`_split`) and multiplied by fold^* once
+more, so the two largest products of rho^2 are never made.  Given the first
+two checks, which make fold unitary, this reading is zero exactly when the
+relation holds (:func:`oracle_check` has the derivation).
 """
 
 from __future__ import annotations
@@ -507,6 +512,21 @@ def _fold(x: CuntzElement) -> CuntzElement:
     return CuntzElement(N, out)
 
 
+def _split(x: CuntzElement) -> CuntzElement:
+    """The family x_(k,i) = S_i^* x_k of K N members, so that
+    x_k = sum_i S_i x_(k,i): a word S_i mu S_nu^* goes to member (k, i) as
+    S_mu S_nu^*, a word S_nu^* to every member (k, i) as S_{nu i}^*."""
+    N, pieces = x.N, {}
+    for (a, b), (r, c, v) in x.blocks.items():
+        if a:  # row k N^a + i N^(a-1) + mu is row (k N + i) N^(a-1) + mu
+            pieces.setdefault((a - 1, b), []).append((r, c, v))
+        else:
+            i = np.arange(N)
+            pieces.setdefault((0, b + 1), []).append(
+                ((r[:, None] * N + i).ravel(), (c[:, None] * N + i).ravel(), np.repeat(v, N)))
+    return _gather(N, x.K * N, pieces)
+
+
 def _unfold(fold: CuntzElement, fold_adj: CuntzElement, x: CuntzElement):
     """(x_0, Y, Z) with phi(x) = x_0 + fold Y + fold_adj Z, member by member,
     for the endomorphism with fold = sum_i phi(S_i) S_i^* and
@@ -649,17 +669,25 @@ def oracle_check(t: AdmissibleTuple, tolerance: float = 1e-9) -> ResidualReport:
     (i)   rho maps the generators to isometries with orthogonal ranges,
     (ii)  the ranges of the images are complete,
     (iii) rho^2(x) = sum_g S_g alpha_g(x) S_g^* + sum_i T_i rho(x) T_i^* =: sigma(x)
-          for every generator x, read one fold down as Y = fold^* sigma(x),
+          for every generator x, read two folds down (below),
     (iv)  rho(U(g)) = sum_h S_h S_{hg}^* + (W U_K(g) W^*) (x) U(g).
 
-    In (iii), fold = sum_i rho(S_i) S_i^* and rho^2(x) = fold Y, Y the step of
-    :func:`_unfold` before the last and largest product, which is never made:
+    In (iii), fold = sum_i rho(S_i) S_i^* and fold_adj = sum_i rho(S_i)^* S_i^*.
+    R_k = rho(S_k) = sum_i S_i X_(k,i) for X = :func:`_split` of R, so
+    rho^2(S_k) = fold Y_k with Y_k = sum_i S_i rho(X_(k,i)).  :func:`_unfold`
+    gives rho(X) = X_0 + fold Y' + fold_adj Z', and E = _split(fold^* sigma)
+    has fold^* sigma_k = sum_i S_i E_(k,i).  With A = rho(X) - E,
 
         rho^2(x) - sigma(x) = fold (Y - fold^* sigma(x)) + (fold fold^* - 1) sigma(x),
         Y - fold^* sigma(x) = fold^* (rho^2(x) - sigma(x)) + (1 - fold^* fold) Y,
+        Y - fold^* sigma(x) = sum_i S_i A_(k,i),
+        Y' - fold^* (E - X_0 - fold_adj Z') = fold^* A + (1 - fold^* fold) Y'.
 
-    so given (i) (fold^* fold = 1) and (ii) (fold fold^* = 1), the reading is
-    zero exactly when (iii) holds.  (iv) applies rho directly.
+    The oracle reads the last left side.  Given (i) (fold^* fold = 1) it is
+    fold^* A, and given (ii) (fold fold^* = 1) A = fold fold^* A, so it is
+    zero exactly when A is, that is exactly when (iii) holds.  Neither
+    fold Y' nor fold Y, the two largest products of rho^2, is made.  (iv)
+    applies rho directly.
     """
     n, m = t.n, t.m
     N = n + m
@@ -677,11 +705,10 @@ def oracle_check(t: AdmissibleTuple, tolerance: float = 1e-9) -> ResidualReport:
     # (ii) fold fold^* = sum_i rho(S_i) rho(S_i)^*
     out["rho_complete"] = normalize_residual(fold * fold_star - CuntzElement.one(N))
 
-    # (iii) every word of R has mu nonempty, so rho^2(S_x) = fold Y: compare
-    # fold^* rho^2(S_x) = Y with fold^* sigma(S_x), and never form fold Y
-    x0, Y, Z = _unfold(*rho.folds, R)
-    assert not x0.blocks and not Z.blocks
-    out["rho_squared"] = normalize_residual(Y - fold_star * _sigma(t, R))
+    # (iii) compare Y' with fold^* (E - X_0 - fold_adj Z'), never forming fold Y'
+    X0, Y1, Z1 = _unfold(*rho.folds, _split(R))
+    rest = _split(fold_star * _sigma(t, R)) - X0 - rho.folds[1] * Z1
+    out["rho_squared"] = normalize_residual(Y1 - fold_star * rest)
 
     # (iv) rho(U(g))
     W = t.w_matrix()

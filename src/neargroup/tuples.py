@@ -12,13 +12,16 @@ so ``l(T_t)`` is the slice ``ltensor[t]``.  Anti-unitaries act as
 nonabelian (extra-special) groups use the same container.
 
 ``verify_admissible`` evaluates each defining equation as a dense identity,
-except l3, an m^6 identity in T, q and two pairs of letters (x, y), (p, z).
-Its terms vanish between pairs that the supports of l and of U(h) M1^T do
-not link, so it is evaluated only on the diagonal blocks of that partition
-of pair space (``_l3_blocks``), every T at once and in row chunks of at
-most m^5 entries.  A graded export splits into one block per grade; a tuple
-whose supports link every pair is one block.  One residual is reported per
-equation name.
+except l3 and the right-hand side of rhoU2.  l3 is an m^6 identity in T, q
+and two pairs of letters (x, y), (p, z).  Its terms vanish between pairs
+that the supports of l and of U(h) M1^T do not link, so it is evaluated only
+on the diagonal blocks of that partition of pair space (``_l3_blocks``),
+every T at once and in row chunks of at most m^5 entries.  rhoU2 is an
+m^2 x m^2 identity per g over pairs whose right-hand terms vanish off the
+same blocks; they are evaluated per block, and the left side off the blocks
+is compared with 0.  A graded export splits into one block per grade; a
+tuple whose supports link every pair is one block.  One residual is
+reported per equation name.
 """
 
 from __future__ import annotations
@@ -363,18 +366,26 @@ def verify_admissible(t: AdmissibleTuple, tolerance: float = DEFAULT_TOL) -> Res
         worst = max(worst, float(np.max(np.abs(lhs - rhs.reshape(m, m**3)))))
     out["equivariance"] = worst
 
-    # rhoU2
+    # rhoU2: kron(W U(g) W^*, U(g)) = RHS1 + RHS2 over pairs (x, y), (a, b),
+    #   RHS1 = (1/d) sum_h chi_h(g) wh[h, x, y] conj(wh[h, a, b]),
+    #   RHS2 = sum_{t,i,c} L[t, x, y, c] U(g)[t, i] conj(L)[i, a, b, c].
+    # Both right-hand terms link only pairs of one block of _l3_blocks, so
+    # they are taken from the left side per block, for every g at once, and
+    # off the blocks the left side is compared with 0.
     W = t.w_matrix()
     wh = np.einsum("hxi,yi->hxy", U, M1).reshape(n, m * m)  # (U(h) M1^T).ravel()
-    cLk = np.conj(L).transpose(3, 0, 1, 2).reshape(m * m, m * m)  # [(k, i), (a, b)]
-    worst = 0.0
-    for g in range(n):
-        lhsM = np.kron(W @ U[g] @ np.conj(W.T), U[g])
-        rhs1M = (wh.T * chi[:, g]) @ np.conj(wh) / d
-        LU = np.tensordot(L, U[g], axes=(0, 0)).reshape(m * m, m * m)  # [(x, y), (k, i)]
-        rhs2M = LU @ cLk
-        worst = max(worst, float(np.max(np.abs(lhsM - rhs1M - rhs2M))))
-    out["rhoU2"] = worst
+    blocks = _l3_blocks(L, wh)
+    WUW = W @ U @ np.conj(W.T)
+    r = (WUW[:, :, None, :, None] * U[:, None, :, None, :]).reshape(n, m * m, m * m)
+    for pairs, letters in blocks:
+        Lb = L.reshape(m, m * m, m)[:, pairs][:, :, letters]  # [t, (x, y), c]
+        LU = np.tensordot(U, Lb, axes=(1, 0)).transpose(0, 2, 1, 3)  # [g, (x, y), i, c]
+        cLb = np.conj(Lb).transpose(0, 2, 1).reshape(-1, len(pairs))  # [(i, c), (a, b)]
+        rhs = LU.reshape(n, len(pairs), -1) @ cLb
+        rhs += (wh[:, pairs].T * chi.T[:, None]) @ np.conj(wh[:, pairs]) / d
+        r[:, pairs[:, None], pairs] -= rhs
+    out["rhoU2"] = float(np.max(np.abs(r)))
+    del r  # n m^4 entries, not to be held through l1 and l3
 
     # S*rho2S: (1/d) sum_{i,j} j2(T_i)^* l(l2_{ij}(T)) j2(T_j) = (1 - 2n/d^2) T
     Q = np.einsum("xi,bxyz,zj->bijy", np.conj(M2), L, M2, optimize=True)
@@ -413,7 +424,7 @@ def verify_admissible(t: AdmissibleTuple, tolerance: float = DEFAULT_TOL) -> Res
     cLx = np.conj(L).transpose(3, 1, 0, 2)  # [x, p, q, b] = conj(L)[q, p, b, x]
     Ly = L.transpose(2, 3, 1, 0)  # [y, z, b, t] = L[t, b, y, z]
     worst = 0.0
-    for pairs, letters in _l3_blocks(L, wh):
+    for pairs, letters in blocks:
         x, y = np.divmod(pairs, m)
         p, c = len(pairs), len(letters)
         Lb = L.reshape(m, m * m, m)[:, pairs][:, :, letters]  # [b, (x, y), c]
