@@ -22,7 +22,10 @@ isotropic and Lagrangian (``orthogonal_and_lagrangian``).  Then comes
 bundled solution, then the README's fusion commands (``FUSION``), and last
 ``equivalent(s, t)`` for every ordered pair of bundled solutions, as a
 boolean (or ``inconclusive``), so the gauge search is compared too (a pair
-of different groups or L is told apart before any search).
+of different groups or L is told apart before any search), and for every
+ordered pair of ``z3_m6_variants()``: points of the z3_m6 family and moved,
+conjugated and perturbed copies, whose searches cross entries on a
+1-dimensional gauge algebra and reach both a match and a "distinct" verdict.
 Commands run in-process through ``cli.main``, and each answer is preceded
 by a ``# <command>`` line.  The output is deterministic, so two checkouts
 give the same answers exactly when
@@ -40,6 +43,7 @@ differs.
 """
 
 import argparse
+import math
 import os
 import sys
 from importlib import resources
@@ -54,11 +58,24 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from run_classification import TABLE  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 from neargroup import cli  # noqa: E402
-from neargroup.abelian import orthogonal_and_lagrangian, subgroups  # noqa: E402
+from neargroup.abelian import (  # noqa: E402
+    GroupAutomorphism,
+    orthogonal_and_lagrangian,
+    subgroups,
+)
 from neargroup.cases import ExactContext, all_case_feasibilities  # noqa: E402
 from neargroup.io import load_bundled  # noqa: E402
-from neargroup.solutions import equivalent  # noqa: E402
+from neargroup.corpus import z3_m6  # noqa: E402
+from neargroup.solutions import (  # noqa: E402
+    GeneralSolution,
+    aut_act,
+    equivalent,
+    gauge_act,
+    sample_gauge,
+)
 from neargroup.solvers import pair_classes  # noqa: E402
 
 MATCHING_ROWS = [("Z3xZ3", "9"), ("Z2xZ4", "8")]
@@ -116,11 +133,24 @@ def subgroup_layer(group: str) -> None:
                   f"isotropic {isotropic} lagrangian {lagrangian}")
 
 
-def equivalences(names: list[str]) -> None:
-    """Print ``equivalent(s, t)`` for every ordered pair of the named bundled
+def z3_m6_variants() -> dict:
+    """Two points of the z3_m6 family (x + iy at angles 0.4 and 2.1 on its
+    circle, one gauge orbit) and, of the first, a copy moved by a seeded
+    gauge, its image under the negation automorphism, its conjugate (another
+    c_t: no theta is kept) and a copy with b perturbed by 1e-2 (the same
+    normal form at orbit distance 1e-2: "distinct" after the full grid)."""
+    r = math.sqrt(math.sqrt(3) / 24)
+    s, t = (z3_m6(x=r * math.cos(a), y=r * math.sin(a)) for a in (0.4, 2.1))
+    return {"z3_m6@0.4": s, "z3_m6@2.1": t,
+            "gauge": gauge_act(sample_gauge(s.acj, np.random.default_rng(40)), s),
+            "negation": aut_act(GroupAutomorphism(s.group, ((2,),)), s),
+            "conj": s.conj(),
+            "perturbed": GeneralSolution(s.acj, s.btensor + 1e-2)}
+
+
+def equivalences(sols: dict) -> None:
+    """Print ``equivalent(s, t)`` for every ordered pair of the named
     solutions."""
-    print("# equivalent")
-    sols = {name: load_bundled(name) for name in names}
     for a, s in sols.items():
         for b, t in sols.items():
             try:
@@ -149,7 +179,9 @@ def main():
         run(["out", f"bundled/{name}"])
     for argv in FUSION:
         run(argv)
-    equivalences(names)
+    print("# equivalent")
+    equivalences({name: load_bundled(name) for name in names})
+    equivalences(z3_m6_variants())
 
 
 if __name__ == "__main__":

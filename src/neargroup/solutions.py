@@ -676,6 +676,7 @@ def fingerprint(s) -> tuple:
 EQUAL_TOL = 1e-7  # orbit distance below which two solutions are identified
 DISTINCT_TOL = 1e-3  # orbit distance above which they are told apart
 DEFAULT_GRID = 720  # gauge-algebra grid points per finite gauge component
+COARSE_AXIS_POINTS = 4  # grid points per algebra direction of equivalent's first stage
 REFINE_MAX_ITER = 60  # iteration cap of the batched gauge refine
 REFINE_FLOOR = 1e-28  # mean |db|^2 per real entry at which a refine start has converged
 # the one Levenberg-Marquardt loop, _batched_lm, of the tensor solve
@@ -733,7 +734,7 @@ def _batched_lm(X0: np.ndarray, model, max_iter: int, floor: float, move=np.add)
     return X, cost, R
 
 
-def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
+def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID, per_axis: int | None = None):
     """Search Aut(G) x G(A,C,J) for (theta, u) moving s1 onto s2.
 
     theta is kept, by one array test over the stacked index permutations of
@@ -743,7 +744,8 @@ def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
     once.  Only a kept theta reaches :func:`aut_act`.  For each kept theta
     and each finite gauge component comp, the component's coset of the gauge
     group is sampled on a grid (at least 8 points per algebra direction,
-    ``grid`` in total) in one batched evaluation: the grid point (t_1, ..., t_k) in [0, 2 pi)^k is the gauge
+    ``grid`` in total; exactly ``per_axis`` points per direction when that is
+    given) in one batched evaluation: the grid point (t_1, ..., t_k) in [0, 2 pi)^k is the gauge
     comp exp(t_1 X_1) ⋯ exp(t_k X_k) over the algebra basis X, each factor
     from one eigh of -iX_k per theta (:func:`_one_parameter_exps`); for k = 1
     this is comp exp(t X_1).  Every local grid minimum, and the global one,
@@ -774,7 +776,7 @@ def gauge_orbit_search(s1, s2, grid: int = DEFAULT_GRID):
                 moved = _gauge_stack(u[None], t.btensor)[0]
                 yield float(np.abs(moved - s2.btensor).max()), th, u
                 continue
-            npts = max(8, int(round(grid ** (1.0 / kdim))))
+            npts = per_axis or max(8, int(round(grid ** (1.0 / kdim))))
             axis = np.linspace(0.0, 2 * np.pi, npts, endpoint=False)
             pts = np.stack(np.meshgrid(*[axis] * kdim, indexing="ij"), -1).reshape(-1, kdim)
             U = comp @ exps(pts)
@@ -843,20 +845,34 @@ def _refine_gauges(U: np.ndarray, X: np.ndarray, bt: np.ndarray, target: np.ndar
 
 
 def equivalent(s1, s2) -> bool:
-    """Equivalence up to Aut(G) x gauge, by :func:`gauge_orbit_search`.
+    """Equivalence up to Aut(G) x gauge, by :func:`gauge_orbit_search` in
+    two stages.
 
     The search refines its grid minima by minimising the sum of |db|^2; the
     distance compared here is the largest entry max |db| of the refined
-    difference.  True as soon as a distance falls below ``EQUAL_TOL``; False
-    when the best distance is above ``DISTINCT_TOL``.  A best distance in the
-    gap between the two raises ``ArithmeticError``: the search can neither
-    identify nor separate the solutions.
+    difference.  True as soon as a distance falls below ``EQUAL_TOL``, which
+    certifies a match whatever grid the refine started from.  The first
+    stage samples COARSE_AXIS_POINTS points per gauge-algebra direction;
+    only if it finds no match does the second stage search on the
+    ``DEFAULT_GRID`` grid, so a False or inconclusive verdict rests on the
+    full grid.  The
+    second stage is skipped where it would repeat the first: when the first
+    yields no candidate (no theta kept, or c_t differ), and when the gauge
+    algebra (s1's: a kept theta's pullback only permutes the diagonal
+    matrices it commutes with) is 0-dimensional, so that there is no grid.
+    False when the best distance over both stages is above
+    ``DISTINCT_TOL``.  A best distance in the gap between the two raises
+    ``ArithmeticError``: the search can neither identify nor separate the
+    solutions.
     """
     best = np.inf
-    for dist, _, _ in gauge_orbit_search(s1, s2):
-        if dist < EQUAL_TOL:
-            return True
-        best = min(best, dist)
+    for per_axis in (COARSE_AXIS_POINTS, None):
+        for dist, _, _ in gauge_orbit_search(s1, s2, per_axis=per_axis):
+            if dist < EQUAL_TOL:
+                return True
+            best = min(best, dist)
+        if best == np.inf or not gauge_group_basis(s1.acj)[0]:
+            break
     if best > DISTINCT_TOL:
         return False
     raise ArithmeticError(

@@ -348,6 +348,7 @@ def verify_admissible(t: AdmissibleTuple, tolerance: float = DEFAULT_TOL) -> Res
     term2 = np.tensordot(np.conj(L), L, axes=([1, 2], [1, 2])).transpose(0, 2, 1, 3)
     target = np.einsum("st,lk->stlk", eye, eye)  # [T', T, row, col]
     out["orthogonality2"] = float(np.max(np.abs(term1 + term2 - target)))
+    del term1, term2, target  # m^4 entries each, not to be held through rhoU2
 
     # Frobenius1 / Frobenius2
     lhs1 = np.einsum("pt,pxyz->txyz", M1, L)
@@ -356,6 +357,7 @@ def verify_admissible(t: AdmissibleTuple, tolerance: float = DEFAULT_TOL) -> Res
     lhs2 = np.einsum("pt,pxyz->txyz", M2, L)
     rhs2 = np.einsum("tazy,ax->txyz", np.conj(L), M1)
     out["frobenius2"] = float(np.max(np.abs(lhs2 - rhs2)))
+    del lhs1, rhs1, lhs2, rhs2
 
     # equivariance: l(V(g)T) = U(g) l(T) U(g)^*; conjugation by the grade-0
     # element U(g) dresses only the outer letters of each word

@@ -24,6 +24,8 @@ from neargroup.cases import CaseTag
 from neargroup.corpus import corpus_mn, z2_m2, z3_m6, z5_m5
 from neargroup.io import load_bundled, solution_to_json
 from neargroup.solutions import (
+    COARSE_AXIS_POINTS,
+    DEFAULT_GRID,
     EQUAL_TOL,
     ACJData,
     GeneralSolution,
@@ -375,7 +377,9 @@ def test_gauge_group_shapes_of_case_normal_forms():
 def test_gauge_orbit_search_finds_random_gauge_moves(rng):
     """On random b-tensors over the Z3 Case II normal form (3-dimensional
     gauge algebra) and a Case I one (1-dimensional), each moved by a random
-    gauge element, the search gets back to within 1e-10 of the move."""
+    gauge element, the search gets back to within 1e-10 of the move, both on
+    the default grid and on ``equivalent``'s coarse grid of
+    COARSE_AXIS_POINTS points per direction alone."""
     forms = {str(tag): acj for tag, acj in _case_normal_forms((3,))}
     t0 = time.perf_counter()
     for key, kdim in (("II(z3^0)", 3), ("I(z3^1, z3^1)", 1)):
@@ -385,9 +389,69 @@ def test_gauge_orbit_search_finds_random_gauge_moves(rng):
             bt = rng.normal(size=(2, 2, 2, 2, 3)) + 1j * rng.normal(size=(2, 2, 2, 2, 3))
             s1 = GeneralSolution(acj, bt)
             s2 = gauge_act(sample_gauge(acj, rng), s1)
-            best = min(dist for dist, _, _ in gauge_orbit_search(s1, s2))
-            assert best < 1e-10, key
+            for per_axis in (None, COARSE_AXIS_POINTS):
+                best = min(dist for dist, _, _ in gauge_orbit_search(s1, s2, per_axis=per_axis))
+                assert best < 1e-10, (key, per_axis)
     assert time.perf_counter() - t0 < 15.0
+
+
+def _spy_searches(monkeypatch) -> list:
+    """Record (grid, per_axis) of every ``gauge_orbit_search`` that
+    ``equivalent`` starts."""
+    calls = []
+    search = solutions.gauge_orbit_search
+
+    def spy(s1, s2, grid=DEFAULT_GRID, per_axis=None):
+        calls.append((grid, per_axis))
+        return search(s1, s2, grid, per_axis)
+    monkeypatch.setattr(solutions, "gauge_orbit_search", spy)
+    return calls
+
+
+COARSE = (DEFAULT_GRID, COARSE_AXIS_POINTS)
+FINE = (DEFAULT_GRID, None)
+
+
+def test_equivalent_matches_equal_pairs_on_the_coarse_grid(monkeypatch):
+    """An equal pair on a gauge algebra of dimension k >= 1 is matched by the
+    first, coarse stage, and no 720-point grid is evaluated: z3_m6 (k = 1)
+    against a gauge- and automorphism-moved copy, and random b-tensors over
+    the Z3 Case II normal form (k = 3) against random gauge moves."""
+    rng = np.random.default_rng(4001)
+    calls = _spy_searches(monkeypatch)
+    s = z3_m6()
+    negation = GroupAutomorphism(s.group, ((2,),))
+    assert equivalent(s, aut_act(negation, gauge_act(sample_gauge(s.acj, rng), s)))
+    assert calls == [COARSE]
+    acj = {str(tag): acj for tag, acj in _case_normal_forms((3,))}["II(z3^0)"]
+    assert len(gauge_group_basis(acj)[0]) == 3
+    for _ in range(5):
+        calls.clear()
+        bt = rng.normal(size=(2, 2, 2, 2, 3)) + 1j * rng.normal(size=(2, 2, 2, 2, 3))
+        s1 = GeneralSolution(acj, bt)
+        assert equivalent(s1, gauge_act(sample_gauge(acj, rng), s1))
+        assert calls == [COARSE]
+
+
+def test_equivalent_runs_the_full_grid_only_for_a_distinct_candidate(monkeypatch):
+    """A pair that passes the theta and c_t filters but does not match is
+    told "distinct" after the ``DEFAULT_GRID`` stage: z3_m6 against a copy
+    with b perturbed by 1e-2.  No second stage runs where it would repeat the
+    first: z3_m6 against its conjugate yields no candidate, and an L = 1 pair
+    (z5_m5 against a perturbed copy) has no gauge grid."""
+    calls = _spy_searches(monkeypatch)
+    s = z3_m6()
+    assert not equivalent(s, GeneralSolution(s.acj, s.btensor + 1e-2))
+    assert calls == [COARSE, FINE]
+    calls.clear()
+    assert not equivalent(s, s.conj())
+    assert calls == [COARSE]
+    t = z5_m5()
+    moved = MNSolution(t.group, t.bichar, t.form, t.b + 1e-2, t.c)
+    assert list(solutions.gauge_orbit_search(t, moved))
+    calls.clear()
+    assert not equivalent(t, moved)
+    assert calls == [COARSE]
 
 
 def test_refine_gauges_distances_are_those_of_its_gauges(rng):
