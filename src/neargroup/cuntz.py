@@ -26,8 +26,9 @@ relation sum_i S_i S_i^* = 1 enters only through level raising, a Kronecker
 product with the identity (:func:`normalize`).  The zero test
 (:func:`normalize_residual`) reads the largest raised coefficient off a walk
 over the word tree of each grade and never forms the raised table, so its
-memory is that of the stored entries.  Nothing is pruned: residuals are the
-real largest coefficients.
+memory is that of the stored entries.  It takes a residual as its terms and
+sums them after its own sort, so no difference of two sides is gathered
+first.  Nothing is pruned: residuals are the real largest coefficients.
 
 The oracle builds the endomorphism rho on generators from an admissible
 tuple,
@@ -225,8 +226,11 @@ class CuntzElement:
                 pieces.setdefault(key, []).append(blk)
         return _gather(self.N, self.K, pieces)
 
+    def __neg__(self) -> "CuntzElement":
+        return self * -1.0
+
     def __sub__(self, other: "CuntzElement") -> "CuntzElement":
-        return self + other * -1.0
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, CuntzElement):
@@ -411,10 +415,16 @@ def normalize(x: CuntzElement, level: int | None = None) -> CuntzElement:
     return _raised(x, lambda a, b: level - max(a, b))
 
 
-def normalize_residual(x: CuntzElement) -> float:
-    """max |coefficient| of x (of every member) once each grade a - b is
-    raised to its longest word; this is 0 exactly when x = 0 in the Cuntz
-    algebra.
+def normalize_residual(x: CuntzElement, *more: CuntzElement) -> float:
+    """max |coefficient| of the sum of x and more (of every member) once
+    each grade a - b is raised to its longest word; this is 0 exactly when
+    the sum is 0 in the Cuntz algebra.
+
+    The operands are the terms of a residual, so a difference a - b is read
+    as normalize_residual(a, -b) and never gathered on its own: the keys
+    (below) of each block's entries are concatenated over the operands, and
+    the coefficients of one word are summed, in operand order, by reduceat
+    after the zero test's own stable sort of its keys.
 
     The raised table is never formed.  A stored S_mu S_nu^* of level
     p = min(a, b) is keyed by its member, the first |a - b| letters of its
@@ -426,20 +436,34 @@ def normalize_residual(x: CuntzElement) -> float:
     ones and their ancestors) and reads the sums at the top level and at
     every key with fewer than N touched children: each of these is a raised
     coefficient, and every raised coefficient is one of them or 0."""
-    N, grades = x.N, {}
-    for (a, b), (r, c, v) in x.blocks.items():
-        p = min(a, b)
-        if a >= b:
-            prefix, mu = _divmod(r, N**p)
-            nu = c
-        else:
-            k, mu = _divmod(r, N**a)
-            head, nu = _divmod(c, N**p)
-            prefix = k * N**(b - a) + head
-        # below K N^(a + b), which _gather bounds
-        key, order = _sort(prefix * N**(2 * p) + N * _spread(N, p, mu) + _spread(N, p, nu))
-        grades.setdefault(a - b, {})[p] = key, v[order]
+    N, pieces, grades = x.N, {}, {}
+    for y in (x, *more):
+        if (y.N, y.K) != (N, x.K):
+            raise ValueError("summing elements of different alphabets or family sizes")
+        for ab, blk in y.blocks.items():
+            pieces.setdefault(ab, []).append(blk)
+    for (a, b), parts in pieces.items():
+        key, order = _sort(np.concatenate([_tree_keys(N, a, b, r, c) for r, c, _ in parts]))
+        v = np.concatenate([v for _, _, v in parts])[order]
+        if len(parts) > 1:  # sum the operands' coefficients of each word
+            first = np.flatnonzero(_starts(key))
+            key, v = key[first], np.add.reduceat(v, first)
+        grades.setdefault(a - b, {})[min(a, b)] = key, v
     return max((_tree_max(N, levels) for levels in grades.values()), default=0.0)
+
+
+def _tree_keys(N: int, a: int, b: int, r, c):
+    """The zero test's keys of the entries (r, c) of block (a, b), below
+    K N^(a + b), which _gather bounds (see normalize_residual)."""
+    p = min(a, b)
+    if a >= b:
+        prefix, mu = _divmod(r, N**p)
+        nu = c
+    else:
+        k, mu = _divmod(r, N**a)
+        head, nu = _divmod(c, N**p)
+        prefix = k * N**(b - a) + head
+    return prefix * N**(2 * p) + N * _spread(N, p, mu) + _spread(N, p, nu)
 
 
 def _spread(N: int, p: int, word):
@@ -597,30 +621,38 @@ def _alpha_matrix(t: AdmissibleTuple, h: int) -> np.ndarray:
     return A
 
 
-def build_endomorphism(t: AdmissibleTuple) -> GeneratorEndomorphism:
+def _images(t: AdmissibleTuple) -> tuple[CuntzElement, CuntzElement]:
+    """rho(S_e) and the family {rho(T_i)}_i of the tuple t, by the formulas
+    of the module docstring."""
     n, m = t.n, t.m
     N = n + m
-    d = t.d
-    r = 1 / math.sqrt(d)
-    g = np.arange(n)[:, None]
+    r = 1 / math.sqrt(t.d)
     h = np.arange(n)
     T = n + np.arange(m)  # the letters T_0 .. T_{m-1}
     i = np.arange(m)[:, None, None]
-
-    U = (_entries(N, n, 1, 1, g, h, h, t.chi.T)
-         + _entries(N, n, 1, 1, g[:, :, None], T[:, None], T, t.U))
     # rho(S_e): M1[y, x] on S_{T_x} S_{T_y}
-    rho_Se = (_entries(N, 1, 1, 0, 0, h, 0, t.eps / d)
+    rho_Se = (_entries(N, 1, 1, 0, 0, h, 0, t.eps / t.d)
               + _entries(N, 1, 2, 0, 0, T * N + T[:, None], 0, t.M1 * r))
-    rho_S = U * rho_Se * U.adjoint()
-
     VJ2 = np.einsum("hxy,yi->ihx", t.V, t.M2)  # V(h) j2(T_i)
     VW = np.einsum("hxy,yi->ixh", t.V, t.w_matrix())  # V(h) j2 j1^{-1}(T_i)
     rho_T = (_entries(N, m, 1, 1, i, h[:, None], T, VJ2.conj() * r)
              + _entries(N, m, 2, 1, i, T[:, None] * N + h, h, VW)
              + _entries(N, m, 2, 1, i[..., None], T[:, None, None] * N + T[:, None], T,
                         t.ltensor))
-    images = _stack(rho_S, rho_T)
+    return rho_Se, rho_T
+
+
+def build_endomorphism(t: AdmissibleTuple) -> GeneratorEndomorphism:
+    """rho on every generator: rho(S_e) and rho(T_i) from :func:`_images`,
+    rho(S_g) = U(g) rho(S_e) U(g)^*, and the folds of the images."""
+    n, N = t.n, t.alphabet
+    g = np.arange(n)[:, None]
+    h = np.arange(n)
+    T = n + np.arange(t.m)
+    U = (_entries(N, n, 1, 1, g, h, h, t.chi.T)
+         + _entries(N, n, 1, 1, g[:, :, None], T[:, None], T, t.U))
+    rho_Se, rho_T = _images(t)
+    images = _stack(U * rho_Se * U.adjoint(), rho_T)
     return GeneratorEndomorphism(t, images, U, (_fold(images), _fold(images.adjoint())))
 
 
@@ -698,25 +730,29 @@ def oracle_check(t: AdmissibleTuple, tolerance: float = 1e-9) -> ResidualReport:
     letters = np.arange(N)
     out: dict[str, float] = {}
 
+    # Each residual is handed to the zero test as its terms, so no
+    # difference of two sides is formed.
     # (i) member j of fold^* R is sum_i S_i rho(S_i)^* rho(S_j); minus S_j
     out["rho_isometry"] = normalize_residual(
-        fold_star * R - _entries(N, N, 1, 0, letters, letters, 0, 1.0))
+        fold_star * R, _entries(N, N, 1, 0, letters, letters, 0, -1.0))
 
     # (ii) fold fold^* = sum_i rho(S_i) rho(S_i)^*
-    out["rho_complete"] = normalize_residual(fold * fold_star - CuntzElement.one(N))
+    out["rho_complete"] = normalize_residual(fold * fold_star,
+                                             CuntzElement.word(N, (), (), -1.0))
 
     # (iii) compare Y' with fold^* (E - X_0 - fold_adj Z'), never forming fold Y'
     X0, Y1, Z1 = _unfold(*rho.folds, _split(R))
     rest = _split(fold_star * _sigma(t, R)) - X0 - rho.folds[1] * Z1
-    out["rho_squared"] = normalize_residual(Y1 - fold_star * rest)
+    out["rho_squared"] = normalize_residual(Y1, -fold_star * rest)
 
-    # (iv) rho(U(g))
+    # (iv) rho(U(g)) minus its closed form sum_h S_h S_{hg}^* + (W U_K(g) W^*) (x) U(g)
     W = t.w_matrix()
     C = np.zeros((n, N, N), complex)
     C[:, n:, n:] = W @ t.U @ np.conj(W.T)
     g = np.arange(n)
-    rhs = _entries(N, n, 1, 1, g[:, None], g, t.mult.T, 1.0) + _sandwich(rho.U, C)
-    out["rho_U"] = normalize_residual(rho.apply(rho.U) - rhs)
+    out["rho_U"] = normalize_residual(
+        rho.apply(rho.U), _entries(N, n, 1, 1, g[:, None], g, t.mult.T, -1.0),
+        _sandwich(rho.U, -C))
 
     return ResidualReport(out, tolerance)
 
@@ -731,11 +767,13 @@ def fs_indicators(t: AdmissibleTuple, tolerance: float = 1e-9):
     nu_21 = eps; nu_31 = tr(j1 j2), cross-checked against the word expression
     tr(E^(3)) with E^(3) W = d S_e^* rho(W) S_e on (id, rho^3); nu_41 is the
     word formula (1/d) sum_g conj(chi_g(g)) + sum_{ij} T_i^* j2(T_i)^*
-    rho(T_j) j1(T_j), whose grading-0 part is asserted scalar.
+    rho(T_j) j1(T_j), whose grading-0 part is asserted scalar.  Both words
+    read only rho(S_e) and the rho(T_i), so only those images are built
+    (:func:`_images`), not rho(S_g) for g != e nor the folds.
     """
     n, m = t.n, t.m
     N = n + m
-    rho = build_endomorphism(t)
+    rho_Se, rho_T = _images(t)
     nu21 = complex(t.eps)
 
     J1J2 = t.M1 @ np.conj(t.M2)  # linear map j1 o j2
@@ -743,8 +781,7 @@ def fs_indicators(t: AdmissibleTuple, tolerance: float = 1e-9):
 
     # word route: E3[i, j] = d * S_e^* T_i^* S_e^* rho(T_j) rho(S_e) S_e
     Se = CuntzElement.word(N, (0,))
-    rho_T = rho.images.members(n, N)
-    base = Se.adjoint() * rho_T * (rho.images.members(0, 1) * Se)
+    base = Se.adjoint() * rho_T * (rho_Se * Se)
     E3 = t.d * np.array([(CuntzElement.word(N, (), (n + i, 0)) * base).scalars()
                          for i in range(m)])
     nu31_word = complex(np.trace(E3))
@@ -760,7 +797,7 @@ def fs_indicators(t: AdmissibleTuple, tolerance: float = 1e-9):
     j1T = _entries(N, 1, 2, 0, 0, j * N + x, 0, t.M1)
     acc = j2T.adjoint() * (_fold(rho_T) * j1T)
     scalar = acc.scalars()[0]
-    nonscalar = normalize_residual(acc - CuntzElement.one(N) * scalar)
+    nonscalar = normalize_residual(acc, CuntzElement.word(N, (), (), -scalar))
     chi_diag = sum(np.conj(t.chi[g, g]) for g in range(n))
     nu41 = chi_diag / t.d + scalar
 

@@ -604,7 +604,10 @@ def _macaulay_roots(model: _QuadraticModel) -> np.ndarray:
         ncol = math.comb(k + D, D)
         M = np.zeros((len(cols), P, ncol))
         M[np.arange(len(cols))[:, None], :, cols] = coef.T
-        _, sv, Vt = np.linalg.svd(M.reshape(-1, ncol))
+        M = M.reshape(-1, ncol)
+        # U is never read; the null space needs all ncol rows of V^T, which a
+        # thin SVD gives unless M has fewer rows than columns
+        _, sv, Vt = np.linalg.svd(M, full_matrices=len(M) < ncol)
         rank = _clear_rank(sv, sv[0] if len(sv) else 0.0, "Macaulay matrix")
         if rank == ncol:  # 1 is in the row span
             return np.zeros((0, k))
@@ -620,7 +623,8 @@ def _macaulay_roots(model: _QuadraticModel) -> np.ndarray:
     if r == 0:
         return np.zeros((0, k))
     low = math.comb(k + d - 1, d - 1)  # the rows of degree <= d - 1
-    Z = np.linalg.svd(N[:math.comb(k + d, d)])[0][:, :r]  # the affine part
+    # the affine part
+    Z = np.linalg.svd(N[:math.comb(k + d, d)], full_matrices=False)[0][:, :r]
     shifts = _product_columns(k, d - 1, 1)[:, 1:]  # x_j times each row of degree <= d - 1
     h = np.cos(np.arange(1.0, k + 1))  # a generic linear form, fixed
     shift = np.linalg.lstsq(Z[:low], h @ Z[shifts], rcond=None)[0]

@@ -16,12 +16,14 @@ except l3 and the right-hand side of rhoU2.  l3 is an m^6 identity in T, q
 and two pairs of letters (x, y), (p, z).  Its terms vanish between pairs
 that the supports of l and of U(h) M1^T do not link, so it is evaluated only
 on the diagonal blocks of that partition of pair space (``_l3_blocks``),
-every T at once and in row chunks of at most m^5 entries.  rhoU2 is an
-m^2 x m^2 identity per g over pairs whose right-hand terms vanish off the
-same blocks; they are evaluated per block, and the left side off the blocks
-is compared with 0.  A graded export splits into one block per grade; a
-tuple whose supports link every pair is one block.  One residual is
-reported per equation name.
+every T at once and in row chunks of at most m^5 entries; its rank-n term
+is one GEMM per chunk, the n matrices V(h) W1 against the products
+wh[h, (x, y)] conj(wh[h, (p, z)]) of the chunk's pairs with the block's.
+rhoU2 is an m^2 x m^2 identity per g over pairs whose right-hand terms
+vanish off the same blocks; they are evaluated per block, and the left side
+off the blocks is compared with 0.  A graded export splits into one block
+per grade; a tuple whose supports link every pair is one block.  One
+residual is reported per equation name.
 """
 
 from __future__ import annotations
@@ -317,10 +319,9 @@ def verify_admissible(t: AdmissibleTuple, tolerance: float = DEFAULT_TOL) -> Res
                                     - np.einsum("ij,gjk->gik", M2, np.conj(V)))))
     R = t.rotation_matrix()
     out["period3"] = float(np.max(np.abs(R @ R @ R - eye)))
+    # U(g) V(h) - chi[g, h] V(h) U(g) at [g, h], by broadcasting
     out["weyl"] = float(np.max(np.abs(
-        np.einsum("gij,hjk->ghik", U, V)
-        - chi[:, :, None, None] * np.einsum("hij,gjk->ghik", V, U)
-    )))
+        U[:, None] @ V - chi[:, :, None, None] * (V @ U[:, None]))))
     out["symmetric"] = float(np.max(np.abs(chi - chi.T)))
     # character identity n delta_{g,e} = (n/d^2) sum_h chi_h(g) + (n/d) Tr U(g)
     lhs = np.zeros(n)
@@ -351,13 +352,20 @@ def verify_admissible(t: AdmissibleTuple, tolerance: float = DEFAULT_TOL) -> Res
     del term1, term2, target  # m^4 entries each, not to be held through rhoU2
 
     # Frobenius1 / Frobenius2
-    lhs1 = np.einsum("pt,pxyz->txyz", M1, L)
-    rhs1 = np.einsum("tzjx,yj->txyz", np.conj(L), M1)
+    #   sum_p M1[p, t] L[p, x, y, z] = sum_j conj(L)[t, z, j, x] M1[y, j]
+    #   sum_p M2[p, t] L[p, x, y, z] = sum_a conj(L)[t, a, z, y] M1[a, x]
+    # lhs1 has one term per entry (an export's M1 has one entry per column),
+    # so BLAS gives einsum's values; lhs2 sums over a dense M2 (the j2 of a
+    # Z_n export) and keeps einsum's order, so that the reported residuals
+    # keep their last bits
+    cL = np.conj(L)
+    lhs1 = (M1.T @ L.reshape(m, m**3)).reshape(L.shape)
+    rhs1 = np.tensordot(cL, M1, axes=(2, 1)).transpose(0, 2, 3, 1)  # from [t, z, x, y]
     out["frobenius1"] = float(np.max(np.abs(lhs1 - rhs1)))
     lhs2 = np.einsum("pt,pxyz->txyz", M2, L)
-    rhs2 = np.einsum("tazy,ax->txyz", np.conj(L), M1)
+    rhs2 = np.tensordot(cL, M1, axes=(1, 0)).transpose(0, 3, 2, 1)  # from [t, z, y, x]
     out["frobenius2"] = float(np.max(np.abs(lhs2 - rhs2)))
-    del lhs1, rhs1, lhs2, rhs2
+    del cL, lhs1, rhs1, lhs2, rhs2
 
     # equivariance: l(V(g)T) = U(g) l(T) U(g)^*; conjugation by the grade-0
     # element U(g) dresses only the outer letters of each word
@@ -401,9 +409,9 @@ def verify_admissible(t: AdmissibleTuple, tolerance: float = DEFAULT_TOL) -> Res
     Y = np.einsum("tabc,aq->tqcb", np.conj(L), M2, optimize=True)
     v1 = np.einsum("kc,tqci->tqik", M2, np.conj(Y), optimize=True)
     term2 = np.einsum("ipyk,tqik->tqpy", L, v1, optimize=True)
-    s_h = np.einsum("hiq,it->hqt", U, np.conj(M1))
-    u_h = np.einsum("hap,ya->hpy", np.conj(U), M1)
-    term3 = np.einsum("hqt,hpy->tqpy", s_h, u_h)
+    s_h = U.transpose(0, 2, 1) @ np.conj(M1)  # [h, q, t] = (U(h)^T conj(M1))[q, t]
+    u_h = np.conj(U).transpose(0, 2, 1) @ M1.T  # [h, p, y] = (U(h)^* M1^T)[p, y]
+    term3 = np.tensordot(s_h, u_h, axes=(0, 0)).transpose(1, 0, 2, 3)  # from [q, t, p, y]
     target = np.einsum("qp,ty->tqpy", eye, eye)
     out["l1"] = float(np.max(np.abs(term2 - eps * target + term3 / d)))
 
@@ -421,7 +429,10 @@ def verify_admissible(t: AdmissibleTuple, tolerance: float = DEFAULT_TOL) -> Res
     # Every term vanishes unless (x, y) and (p, z) lie in one block of
     # _l3_blocks, so only the diagonal blocks are evaluated, every T at once
     # and a chunk of a block's rows at a time, each array at most m^5 entries.
-    s2 = (V @ W1).transpose(0, 2, 1)  # [h, t, q] = (V(h) W1)[q, t]
+    # RHS2 is one GEMM per chunk: s2 [(t, q), h] times the products
+    # wh[h, (x, y)] conj(wh[h, (p, z)]) of the chunk's rows and the block's
+    # pairs, with 1/d taken into s2.
+    s2 = (V @ W1).transpose(2, 1, 0).reshape(m * m, n) / d  # [(t, q), h] = (V(h) W1)[q, t] / d
     Lt = L.transpose(0, 1, 3, 2).reshape(m**3, m)  # [(t, q, i), b]
     cLx = np.conj(L).transpose(3, 1, 0, 2)  # [x, p, q, b] = conj(L)[q, p, b, x]
     Ly = L.transpose(2, 3, 1, 0)  # [y, z, b, t] = L[t, b, y, z]
@@ -438,8 +449,8 @@ def verify_admissible(t: AdmissibleTuple, tolerance: float = DEFAULT_TOL) -> Res
             k = len(pairs[rows])
             r = (Lt @ Lb[:, rows].reshape(m, k * c)).reshape(m * m, m, k, c)  # [(t, q), i, xy, c]
             r = r.transpose(0, 2, 1, 3).reshape(m * m * k, m * c) @ cLb  # RHS1
-            r += (s2[:, :, :, None] * wh[:, None, None, pairs[rows]]).reshape(
-                n, m * m * k).T @ cwhb / d
+            r += (s2 @ (wh[:, pairs[rows], None] * cwhb[:, None]).reshape(n, k * p)).reshape(
+                m * m * k, p)  # RHS2
             r = r.reshape(m, m, k, p)  # [t, q, (x, y), (p, z)]
             r -= (cLx[x[rows, None], x] @ Ly[y[rows, None], y]).transpose(3, 2, 0, 1)
             worst = max(worst, float(np.max(np.abs(r))))

@@ -309,6 +309,53 @@ def test_fs_z3_m3_value():
     assert abs(nu31 - np.sqrt(3) * np.exp(-1j * np.pi / 6)) < 1e-9
 
 
+def _fs_reference(t):
+    """fs_indicators read off the whole endomorphism: rho(S_e) as member e of
+    {U(g) rho(S_e) U(g)^*}_g, the rho(T_i) as members of the images, and the
+    non-scalar part as a difference formed before the zero test."""
+    n, m = t.n, t.m
+    N = n + m
+    rho = build_endomorphism(t)
+    Se = CuntzElement.word(N, (0,))
+    rho_T = rho.images.members(n, N)
+    base = Se.adjoint() * rho_T * (rho.images.members(0, 1) * Se)
+    E3 = t.d * np.array([(CuntzElement.word(N, (), (n + i, 0)) * base).scalars()
+                         for i in range(m)])
+    x = n + np.arange(m)[:, None]
+    j = np.arange(m)
+    j2T = cuntz._entries(N, 1, 2, 0, 0, x * N + n + j, 0, t.M2)
+    j1T = cuntz._entries(N, 1, 2, 0, 0, j * N + x, 0, t.M1)
+    acc = j2T.adjoint() * (cuntz._fold(rho_T) * j1T)
+    scalar = acc.scalars()[0]
+    nu31_trace = complex(np.trace(t.M1 @ np.conj(t.M2)))
+    checks = {
+        "nu31_trace_vs_word": abs(nu31_trace - complex(np.trace(E3))),
+        "E3_cubed_identity": float(np.max(np.abs(E3 @ E3 @ E3 - np.eye(m)))),
+        "j1j2_period3": float(np.max(np.abs(
+            np.linalg.matrix_power(t.M2 @ np.conj(t.M1), 3) - np.eye(m)))),
+        "nu41_scalar_part": normalize_residual(acc - CuntzElement.one(N) * scalar),
+    }
+    nu41 = sum(np.conj(t.chi[g, g]) for g in range(n)) / t.d + scalar
+    return (complex(t.eps), nu31_trace, nu41), checks
+
+
+def test_fs_indicators_match_full_endomorphism(corpus_tuples):
+    """fs_indicators builds only rho(S_e) and the rho(T_i); its values and
+    checks are bit for bit those read off build_endomorphism."""
+    cases = dict(corpus_tuples)
+    for k, kind in [(1, "D"), (1, "Q"), (2, "D")]:
+        cases[f"extraspecial-{k}{kind}"] = build_extraspecial_tuple(k, kind, ZETA3)
+    for i, zeta in enumerate((1.0, ZETA3, ZETA3**2)):
+        cases[f"z2_m1-{i}"] = build_z2_m1_tuple(zeta)
+    for name, t in cases.items():
+        values, rep = fs_indicators(t)
+        ref_values, ref_checks = _fs_reference(t)
+        assert np.array(values).tobytes() == np.array(ref_values).tobytes(), name
+        assert list(rep.per_equation) == list(ref_checks), name
+        assert np.array(list(rep.per_equation.values())).tobytes() \
+            == np.array(list(ref_checks.values())).tobytes(), name
+
+
 def _zero_test_reference(x):
     """normalize_residual with every member raised at once."""
     top = {}
@@ -329,13 +376,25 @@ def test_zero_test_matches_whole_family_raise(rng):
         assert normalize_residual(x) == pytest.approx(_zero_test_reference(x), abs=1e-15)
 
 
+def _gathered(terms):
+    """The sum of the terms, formed as an element."""
+    total = terms[0]
+    for x in terms[1:]:
+        total = total + x
+    return total
+
+
 def test_zero_test_matches_on_oracle_residuals(monkeypatch):
-    """The four residual families of the z3_m3 oracle, clean and perturbed."""
+    """The four residual families of the z3_m3 oracle, clean and perturbed.
+    The oracle hands each residual to the zero test as its terms; the zero
+    test of their gathered sum reads the same, bit for bit."""
     seen = []
 
-    def recording(x):
-        seen.append((normalize_residual(x), _zero_test_reference(x)))
-        return seen[-1][0]
+    def recording(*terms):
+        got = normalize_residual(*terms)
+        assert len(terms) > 1 and got == normalize_residual(_gathered(terms))
+        seen.append((got, _zero_test_reference(_gathered(terms))))
+        return got
 
     monkeypatch.setattr(cuntz, "normalize_residual", recording)
     s = z3_m3()
@@ -387,27 +446,47 @@ def test_zero_test_on_families_and_empty_elements():
 @pytest.mark.parametrize("K", [1, 3, 6])
 def test_zero_test_tree_walk_matches_raise(rng, K):
     """Random families, each member with a planted fan, against the whole
-    family raised to the top of each grade."""
-    for _ in range(40):
-        N = int(rng.integers(2, 5))
+    family raised to the top of each grade.  As two operands, x and -y with
+    y = x/2 + z for another such family z (so their keys overlap), some
+    members emptied, read bit for bit as the difference x - y (drawn from
+    their own generator, so the shared one draws what it drew before)."""
+    def family(gen, N):
         members = []
         for _ in range(K):
-            mu, nu = (tuple(rng.integers(0, N, size=rng.integers(0, 3)).tolist())
+            mu, nu = (tuple(gen.integers(0, N, size=gen.integers(0, 3)).tolist())
                       for _ in range(2))
-            members.append(_random_element(rng, N=N, max_len=3, terms=int(rng.integers(0, 10)))
-                           + _fan(N, mu, nu, complex(rng.normal(), rng.normal())))
+            members.append(_random_element(gen, N=N, max_len=3, terms=int(gen.integers(0, 10)))
+                           + _fan(N, mu, nu, complex(gen.normal(), gen.normal())))
+        return members
+
+    own = np.random.default_rng(K)
+    for _ in range(40):
+        N = int(rng.integers(2, 5))
+        members = family(rng, N)
         x = cuntz._stack(*members)
         assert normalize_residual(x) == pytest.approx(_zero_test_reference(x), abs=1e-15)
+        others = family(own, N)
+        empty = set(own.choice(K, size=int(own.integers(0, K + 1)), replace=False).tolist())
+        y = cuntz._stack(*(CuntzElement.zero(N) if k in empty else member * 0.5 + other
+                           for k, (member, other) in enumerate(zip(members, others))))
+        for a, b in [(x, y), (y, x), (x, x)]:
+            assert normalize_residual(a, -b) == normalize_residual(a - b)
+        assert normalize_residual(x, -x) == 0.0
+        nothing = CuntzElement(N, K=K)
+        assert normalize_residual(nothing, -nothing) == normalize_residual(nothing - nothing) == 0.0
+        assert normalize_residual(x, -nothing) == normalize_residual(x)
 
 
 def test_oracle_memory_bound(corpus_tuples, traced_peak_mb):
-    """The zero test walks the word tree and raises nothing, and (iii) is
-    read two folds down.  Raising the rho^2 residual of z5_m5 whole took
-    390 MB, forming rho^2 181 MB, and reading (iii) one fold down 79.5 MB;
-    two folds down it peaks at 35.0 MB on z5_m5 and 9.7 MB on z4_m4, and the
-    bounds leave about 15 % over that."""
-    assert traced_peak_mb(oracle_check, corpus_tuples["z5_m5"]) < 40
-    assert traced_peak_mb(oracle_check, corpus_tuples["z4_m4"]) < 11.2
+    """The zero test walks the word tree and raises nothing, (iii) is read
+    two folds down, and each residual reaches the zero test as its terms.
+    Raising the rho^2 residual of z5_m5 whole took 390 MB, forming rho^2
+    181 MB, and reading (iii) one fold down 79.5 MB; two folds down it
+    peaked at 35.0 MB on z5_m5 and 9.7 MB on z4_m4 while the difference of
+    the two sides was gathered first.  Without that it peaks at 30.6 MB and
+    8.6 MB, and the bounds leave about 15 % over that."""
+    assert traced_peak_mb(oracle_check, corpus_tuples["z5_m5"]) < 35.2
+    assert traced_peak_mb(oracle_check, corpus_tuples["z4_m4"]) < 9.9
 
 
 def _rho_squared_direct(t):

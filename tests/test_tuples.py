@@ -154,14 +154,24 @@ def _planted(t, index, value=0.01):
 
 
 def _check_cases(corpus_tuples, max_m=6):
-    """Bundled tuples up to m = max_m, each also with dense noise, planted
-    single-entry defects, extra-special tuples and the Z2, m = 1 tuple."""
+    """Bundled tuples up to m = max_m, each also with dense noise on L, and
+    with dense noise on chi, M1, M2, V, U and L (every bundled tuple has
+    symmetric chi, M1 and M2, diagonal V and permutation U, so only there
+    does a transposed index show), planted single-entry defects,
+    extra-special tuples and the Z2, m = 1 tuple."""
     rng = np.random.default_rng(11)
-    cases = {name: t for name, t in corpus_tuples.items() if t.m <= max_m}
-    for name in list(cases):
-        L = cases[name].ltensor
-        noise = rng.normal(size=L.shape) + 1j * rng.normal(size=L.shape)
-        cases[name + "+noise"] = replace(cases[name], ltensor=L + 1e-3 * noise)
+
+    def noisy(a):
+        return a + 1e-3 * (rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))
+
+    bundled = {name: t for name, t in corpus_tuples.items() if t.m <= max_m}
+    cases = dict(bundled)
+    for name, t in bundled.items():
+        cases[name + "+noise"] = replace(t, ltensor=noisy(t.ltensor))
+    for name, t in bundled.items():
+        cases[name + "+all-noise"] = replace(
+            t, chi=noisy(t.chi), M1=noisy(t.M1), M2=noisy(t.M2), V=noisy(t.V), U=noisy(t.U),
+            ltensor=noisy(t.ltensor))
     cases["z2z2_m4+planted"] = _planted(corpus_tuples["z2z2_m4"], (0, 0, 0, 1))
     cases["z3_m6+planted"] = _planted(corpus_tuples["z3_m6"], (1, 2, 3, 4))
     cases["extraspecial-1Q"] = build_extraspecial_tuple(1, "Q", ZETA3)
@@ -194,7 +204,7 @@ def test_l3_matches_dense_reference(corpus_tuples):
     for name, t in _check_cases(corpus_tuples).items():
         l3 = verify_admissible(t).per_equation["l3"]
         assert abs(l3 - _l3_reference(t)) <= 1e-15, name
-        if name.endswith(("+noise", "+planted")):
+        if name.endswith(("+noise", "+all-noise", "+planted")):
             assert l3 > 1e-4, name
 
 
@@ -263,11 +273,45 @@ def _rhou2_reference(t):
     return worst
 
 
+def _weyl_reference(t):
+    U, V = t.U, t.V
+    return float(np.max(np.abs(np.einsum("gij,hjk->ghik", U, V)
+                               - t.chi[:, :, None, None] * np.einsum("hij,gjk->ghik", V, U))))
+
+
+def _frobenius1_reference(t):
+    L, M1 = t.ltensor, t.M1
+    return float(np.max(np.abs(np.einsum("pt,pxyz->txyz", M1, L)
+                               - np.einsum("tzjx,yj->txyz", np.conj(L), M1))))
+
+
+def _frobenius2_reference(t):
+    L, M1, M2 = t.ltensor, t.M1, t.M2
+    return float(np.max(np.abs(np.einsum("pt,pxyz->txyz", M2, L)
+                               - np.einsum("tazy,ax->txyz", np.conj(L), M1))))
+
+
+def _l1_reference(t):
+    L, M1, M2, U, eye = t.ltensor, t.M1, t.M2, t.U, np.eye(t.m)
+    Y = np.einsum("tabc,aq->tqcb", np.conj(L), M2, optimize=True)
+    v1 = np.einsum("kc,tqci->tqik", M2, np.conj(Y), optimize=True)
+    term2 = np.einsum("ipyk,tqik->tqpy", L, v1, optimize=True)
+    s_h = np.einsum("hiq,it->hqt", U, np.conj(M1))
+    u_h = np.einsum("hap,ya->hpy", np.conj(U), M1)
+    term3 = np.einsum("hqt,hpy->tqpy", s_h, u_h)
+    target = np.einsum("qp,ty->tqpy", eye, eye)
+    return float(np.max(np.abs(term2 - t.eps * target + term3 / t.d)))
+
+
 def test_identities_match_einsum_references(corpus_tuples):
     references = {"invariance": _invariance_reference,
                   "orthogonality2": _orthogonality2_reference,
                   "equivariance": _equivariance_reference,
-                  "rhoU2": _rhou2_reference}
+                  "rhoU2": _rhou2_reference,
+                  "weyl": _weyl_reference,
+                  "frobenius1": _frobenius1_reference,
+                  "frobenius2": _frobenius2_reference,
+                  "l1": _l1_reference}
     cases = _check_cases(corpus_tuples)
     cases["z2z2z3_m12"] = corpus_tuples["z2z2z3_m12"]
     for name, t in cases.items():
